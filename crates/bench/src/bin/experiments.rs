@@ -1,23 +1,20 @@
 //! Regenerates every table/figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run -p bench --release --bin experiments -- all --scale tiny
-//! cargo run -p bench --release --bin experiments -- fig6c --scale small
+//! cargo run --release --bin experiments -- all --scale tiny
+//! cargo run --release --bin experiments -- fig6c --scale small
 //! ```
 //!
 //! Experiments: fig6a fig6b fig6c fig6d fig6e fig6f fig7a fig7b fig7c fig7d
 //! fig7e fig7f fig7g fig7h sql ablation-gamma ablation-backend
-//! ablation-parallel ablation-threads ablation-query-threads
-//! ablation-montecarlo ablation-plan-cache ablation-exec-cache
-//! ablation-mutation ablation-shards ablation-transport ablation-trace
-//! ablation-reduction serving-mix saturation all
+//! ablation-montecarlo ablation-query-threads ablation-shards
+//! ablation-trace ablation-reduction all
 //!
 //! `--test` is shorthand for `--scale tiny` (the CI smoke mode).
-//! `saturation`, `ablation-exec-cache`, `ablation-mutation`,
-//! `ablation-trace`, and `ablation-reduction` additionally write their
-//! machine-readable results to `BENCH_saturation.json` /
-//! `BENCH_exec_cache.json` / `BENCH_mutation.json` / `BENCH_trace.json` /
-//! `BENCH_reduction.json` in the working directory.
+//! `ablation-trace` and `ablation-reduction` additionally write their
+//! machine-readable results to `BENCH_trace.json` / `BENCH_reduction.json`
+//! in the working directory. Serving, caching and live-update performance
+//! is measured by `benchmark/run.sh` (pegbench), not here.
 
 use bench::{fmt_duration, fmt_log10, Scale, Table, Workload};
 use datagen::{
@@ -98,44 +95,20 @@ fn main() {
     if run("ablation-backend") {
         ablation_backend(scale);
     }
-    if run("ablation-parallel") {
-        ablation_parallel(scale);
-    }
-    if run("ablation-threads") {
-        ablation_threads(scale);
-    }
     if run("ablation-query-threads") {
         ablation_query_threads(scale);
     }
     if run("ablation-montecarlo") {
         ablation_montecarlo(scale);
     }
-    if run("ablation-plan-cache") {
-        ablation_plan_cache(scale);
-    }
-    if run("ablation-exec-cache") {
-        ablation_exec_cache(scale);
-    }
-    if run("ablation-mutation") {
-        ablation_mutation(scale);
-    }
     if run("ablation-shards") {
         ablation_shards(scale);
-    }
-    if run("ablation-transport") {
-        ablation_transport(scale);
     }
     if run("ablation-trace") {
         ablation_trace(scale);
     }
     if run("ablation-reduction") {
         ablation_reduction(scale);
-    }
-    if run("serving-mix") {
-        serving_mix(scale);
-    }
-    if run("saturation") {
-        saturation(scale);
     }
 }
 
@@ -657,46 +630,6 @@ fn ablation_backend(scale: Scale) {
     println!();
 }
 
-/// Ablation: sequential vs parallel k-partite reduction.
-fn ablation_parallel(scale: Scale) {
-    println!("## Ablation: sequential vs parallel reduction (q(10,20), alpha=0.5)");
-    let w = Workload::synthetic(scale.default_graph(), 0.4, 0.2, 3);
-    let spec = QuerySpec::new(10, 20);
-    // `threads: 1` keeps the baseline genuinely sequential (the default of
-    // 0 = all cores would parallelize both arms).
-    let (seq, _) =
-        time_queries(&w.peg, w.index(3), spec, 0.5, &QueryOptions::with_threads(1), 0..5);
-    let par_opts = QueryOptions { parallel_reduction: true, ..Default::default() };
-    let (par, _) = time_queries(&w.peg, w.index(3), spec, 0.5, &par_opts, 0..5);
-    println!("sequential: {}; parallel: {}", fmt_duration(seq), fmt_duration(par));
-    println!();
-}
-
-/// Ablation: index construction thread scaling.
-fn ablation_threads(scale: Scale) {
-    println!("## Ablation: index construction threads (L=2)");
-    let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper(scale.default_graph()));
-    let peg = pegmatch::model::PegBuilder::new().build(&refs).unwrap();
-    let mut t = Table::new(&["threads", "build time", "entries"]);
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let idx = OfflineIndex::build(
-            &peg,
-            &OfflineOptions {
-                index: PathIndexConfig { max_len: 2, beta: 0.3, threads, ..Default::default() },
-            },
-        )
-        .unwrap();
-        t.row(vec![
-            threads.to_string(),
-            fmt_duration(t0.elapsed()),
-            idx.paths.n_entries().to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
 /// Ablation: online query thread scaling (the `QueryOptions::threads`
 /// knob) on a generation-heavy workload. Result sets are byte-identical
 /// across lane counts; only latency changes.
@@ -799,394 +732,6 @@ fn ablation_shards(scale: Scale) {
     println!();
     retrieval.print();
     println!("(every row bit-exact vs the unsharded pipeline)");
-    println!();
-}
-
-/// Ablation: in-process vs loopback-TCP shard transport.
-///
-/// The same graph, the same 2-shard partition, the same queries — once
-/// through `InProcessTransport` (pool fan-out) and once through
-/// `TcpTransport` against two in-process worker servers on loopback
-/// ports. Per query: retrieval wall time under both transports, the
-/// delta (the serialization tax the ROADMAP predicted the multi-process
-/// shard server would pay), and the bytes on the wire. Every row is
-/// checked bit-exact against the unsharded pipeline — the transport may
-/// only change latency, never a bit of the answer.
-fn ablation_transport(scale: Scale) {
-    use pegserve::{obj, Client, GraphSpec, Server, ServerConfig};
-    use pegshard::{ShardedGraphStore, TcpTransport, TcpTransportConfig};
-
-    println!("## Ablation: shard transport — in-process vs loopback TCP (2 shards, alpha=0.1)");
-    let (beta, max_len, uncertainty) = (0.1, 2, 0.3);
-    let size = scale.default_graph();
-    let w = Workload::synthetic(size, uncertainty, beta, max_len);
-    let n_labels = w.peg.graph.label_table().len();
-    let opts = OfflineOptions { index: PathIndexConfig { max_len, beta, ..Default::default() } };
-    let plain = QueryPipeline::new(&w.peg, w.index(max_len));
-    let specs = [(4usize, 4usize), (6, 7)];
-    let queries: Vec<QueryGraph> =
-        specs.iter().map(|&(n, m)| random_query(QuerySpec::new(n, m), n_labels, 7)).collect();
-
-    let n_shards = 2usize;
-    let inproc =
-        ShardedGraphStore::build(w.peg.clone(), &opts, n_shards).expect("in-process build");
-
-    // Two worker servers on loopback; the distributed store's workers
-    // rebuild their shard from the same generator spec `Workload` used
-    // (seed 42 is the generator default both paths share).
-    let handles: Vec<_> = (0..n_shards)
-        .map(|_| Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn())
-        .collect();
-    let addrs: Vec<String> = handles.iter().map(|h| h.addr.to_string()).collect();
-    let spec = GraphSpec { kind: "synthetic".into(), size, seed: 42, uncertainty };
-    let transport = TcpTransport::connect("ablate", &addrs, TcpTransportConfig::default())
-        .expect("loopback workers reachable");
-    let dist = ShardedGraphStore::connect(w.peg.clone(), &opts, transport, |s, n| {
-        spec.shard_load_json("ablate", &opts.index, s, n)
-    })
-    .expect("distributed connect");
-
-    let mut t = Table::new(&[
-        "query",
-        "transport",
-        "retrieval",
-        "Δ vs in-proc",
-        "bytes/query",
-        "total online",
-    ]);
-    for (&(n, m), q) in specs.iter().zip(&queries) {
-        let want = plain.run(q, 0.1, &QueryOptions::default()).unwrap();
-
-        let t0 = Instant::now();
-        let got = inproc.pipeline().run(q, 0.1, &QueryOptions::default()).unwrap();
-        let total_inproc = t0.elapsed();
-        bench::workloads::assert_matches_bit_identical(
-            &got.matches,
-            &want.matches,
-            &format!("q({n},{m}) in-process"),
-        );
-        let rt_in = inproc.last_scatter().retrieve_time;
-        t.row(vec![
-            format!("q({n},{m})"),
-            "in-process".into(),
-            fmt_duration(rt_in),
-            "—".into(),
-            "0".into(),
-            fmt_duration(total_inproc),
-        ]);
-
-        let wire_before: u64 =
-            dist.worker_stats().unwrap().iter().map(|ws| ws.bytes_tx + ws.bytes_rx).sum();
-        let t0 = Instant::now();
-        let got = dist.pipeline().run(q, 0.1, &QueryOptions::default()).unwrap();
-        let total_tcp = t0.elapsed();
-        bench::workloads::assert_matches_bit_identical(
-            &got.matches,
-            &want.matches,
-            &format!("q({n},{m}) loopback-tcp"),
-        );
-        let wire_after: u64 =
-            dist.worker_stats().unwrap().iter().map(|ws| ws.bytes_tx + ws.bytes_rx).sum();
-        let rt_tcp = dist.last_scatter().retrieve_time;
-        t.row(vec![
-            format!("q({n},{m})"),
-            "loopback-tcp".into(),
-            fmt_duration(rt_tcp),
-            format!("+{}", fmt_duration(rt_tcp.saturating_sub(rt_in))),
-            (wire_after - wire_before).to_string(),
-            fmt_duration(total_tcp),
-        ]);
-    }
-    t.print();
-    println!(
-        "(every row bit-exact vs the unsharded pipeline; bytes = request + reply lines \
-         across both workers)"
-    );
-
-    // Socket-hygiene ceiling: ~200 control-op round trips against one
-    // worker. Every peg socket runs TCP_NODELAY with exactly one framed
-    // write per message; a regression on either side reintroduces the
-    // Nagle + delayed-ACK interaction (~40ms per exchange), which this
-    // 10ms mean ceiling fails loudly.
-    let mut ping = Client::connect(handles[0].addr).unwrap();
-    let stats_req = obj().field("op", "stats").build();
-    let t0 = Instant::now();
-    let pings = 200u32;
-    for _ in 0..pings {
-        let reply = ping.request(&stats_req).unwrap();
-        assert_eq!(reply.get("ok"), Some(&pegserve::Json::Bool(true)), "{reply}");
-    }
-    let mean = t0.elapsed() / pings;
-    drop(ping);
-    println!("socket hygiene: {pings} loopback round trips, mean {}", fmt_duration(mean));
-    assert!(
-        mean < Duration::from_millis(10),
-        "loopback exchange mean {mean:?} breaches the no-Nagle latency ceiling"
-    );
-    dist.release_workers();
-    for h in handles {
-        let _ = h.shutdown();
-    }
-    println!();
-}
-
-/// Ablation: the shape-keyed plan cache on repeated-shape workloads.
-///
-/// A workload of `shapes × repeats` queries where each repeat is an
-/// isomorphic renumbering of its shape (a different query text, same
-/// canonical form — exactly what a multi-user serving mix looks like).
-/// Reports end-to-end time without and with a shared
-/// [`pegmatch::online::PlanCache`], the hit rate, and the per-stage
-/// planning time the cache saved.
-fn ablation_plan_cache(scale: Scale) {
-    use bench::workloads::permuted_query as permuted;
-    use pegmatch::online::PlanCache;
-    use std::sync::Arc;
-
-    println!("## Ablation: plan cache on repeated-shape workloads (alpha=0.5)");
-    let w = Workload::synthetic(scale.default_graph(), 0.2, 0.3, 2);
-    let n_labels = w.peg.graph.label_table().len();
-    let alpha = 0.5;
-    let mut t = Table::new(&[
-        "shapes",
-        "queries",
-        "no cache",
-        "with cache",
-        "hit rate",
-        "plan time saved",
-        "avg plan (miss/hit)",
-    ]);
-    for (n_shapes, repeats) in [(2usize, 8usize), (4, 8), (8, 4)] {
-        // Repeated-shape mix: each shape appears `repeats` times under
-        // different variable numberings.
-        let queries: Vec<QueryGraph> = (0..n_shapes as u64)
-            .flat_map(|s| {
-                let base = random_query(QuerySpec::new(5, 6), n_labels, s);
-                (0..repeats as u64).map(move |r| permuted(&base, s * 1000 + r)).collect::<Vec<_>>()
-            })
-            .collect();
-
-        let plain = QueryPipeline::new(&w.peg, w.index(2));
-        let t0 = Instant::now();
-        let mut miss_plan = Duration::ZERO;
-        for q in &queries {
-            let res = plain.run(q, alpha, &QueryOptions::default()).expect("query runs");
-            miss_plan += res.stats.decompose_time;
-        }
-        let cold = t0.elapsed();
-
-        let cache = Arc::new(PlanCache::new());
-        let cached =
-            QueryPipeline::builder(&w.peg).index(w.index(2)).plan_cache(cache.clone()).build();
-        let t0 = Instant::now();
-        let mut hit_plan = Duration::ZERO;
-        for q in &queries {
-            let res = cached.run(q, alpha, &QueryOptions::default()).expect("query runs");
-            hit_plan += res.stats.decompose_time;
-        }
-        let warm = t0.elapsed();
-        let s = cache.stats();
-        let n_q = queries.len() as u32;
-        t.row(vec![
-            n_shapes.to_string(),
-            queries.len().to_string(),
-            fmt_duration(cold),
-            fmt_duration(warm),
-            format!("{:.0}%", s.hit_rate() * 100.0),
-            fmt_duration(s.saved),
-            format!("{} / {}", fmt_duration(miss_plan / n_q), fmt_duration(hit_plan / n_q)),
-        ]);
-    }
-    t.print();
-    println!();
-}
-
-/// Ablation: the shape-keyed execution cache on repeated-shape workloads.
-///
-/// The same shapes×repeats mixes as `ablation-plan-cache`, each query run
-/// at two alphas sharing a quantization bucket (0.5 and 0.55, so the
-/// second alpha hits the floor retrieval cached by the first). Both the
-/// cold and warm pipelines carry a plan cache — the variable under test
-/// is candidate reuse, not plan choice — and every warm answer is checked
-/// bit-exact against its cold twin. Reports end-to-end and
-/// retrieval-phase time without and with an [`pegmatch::online::ExecCache`],
-/// the hit rate, and the bytes held; a distributed section over a 3-shard
-/// store counts the scatter round trips a hit skips entirely. Results
-/// also land in `BENCH_exec_cache.json` (working directory).
-fn ablation_exec_cache(scale: Scale) {
-    use bench::workloads::permuted_query as permuted;
-    use pegmatch::online::{ExecCache, PlanCache};
-    use pegserve::{obj, Json};
-    use pegshard::ShardedGraphStore;
-    use std::sync::Arc;
-
-    println!("## Ablation: execution cache on repeated-shape workloads (alpha=0.5/0.55/0.6)");
-    let (beta, max_len) = (0.3, 2);
-    let w = Workload::synthetic(scale.default_graph(), 0.2, beta, max_len);
-    let n_labels = w.peg.graph.label_table().len();
-    // 0.55 and 0.6 floor to 0.5's quantization bucket: after the first
-    // pass over the mix every run re-prunes the cached floor retrieval
-    // instead of probing again.
-    let alphas = [0.5f64, 0.55, 0.6];
-    let mix = |n_shapes: u64, repeats: u64| -> Vec<QueryGraph> {
-        (0..n_shapes)
-            .flat_map(|s| {
-                let base = random_query(QuerySpec::new(5, 6), n_labels, s);
-                (0..repeats).map(move |r| permuted(&base, s * 1000 + r)).collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    // Replays the mix (each query at each alpha) through `pipe`, checking
-    // every answer bit-exact against `reference` when given. Returns
-    // (wall time, summed retrieval-phase time); the reference reruns are
-    // excluded from both timers.
-    let replay = |pipe: &QueryPipeline<'_>,
-                  reference: Option<&QueryPipeline<'_>>,
-                  queries: &[QueryGraph],
-                  ctx: &str|
-     -> (Duration, Duration) {
-        let mut wall = Duration::ZERO;
-        let mut retrieval = Duration::ZERO;
-        for (k, q) in queries.iter().enumerate() {
-            for &alpha in &alphas {
-                let t0 = Instant::now();
-                let res = pipe.run(q, alpha, &QueryOptions::default()).expect("query runs");
-                wall += t0.elapsed();
-                retrieval += res.stats.candidates_time;
-                if let Some(r) = reference {
-                    let want = r.run(q, alpha, &QueryOptions::default()).expect("query runs");
-                    bench::workloads::assert_matches_bit_identical(
-                        &res.matches,
-                        &want.matches,
-                        &format!("{ctx} query {k} alpha {alpha}"),
-                    );
-                }
-            }
-        }
-        (wall, retrieval)
-    };
-
-    let mut t = Table::new(&[
-        "shapes",
-        "runs",
-        "no cache",
-        "with cache",
-        "retrieval (cold/warm)",
-        "speedup",
-        "hit rate",
-        "bytes held",
-    ]);
-    let mut json_local: Vec<Json> = Vec::new();
-    for (n_shapes, repeats) in [(2u64, 8u64), (4, 8), (8, 4)] {
-        let queries = mix(n_shapes, repeats);
-        let cold = QueryPipeline::builder(&w.peg)
-            .index(w.index(max_len))
-            .plan_cache(Arc::new(PlanCache::new()))
-            .build();
-        let (cold_wall, cold_retrieval) = replay(&cold, None, &queries, "cold");
-
-        let exec = Arc::new(ExecCache::new(32 << 20));
-        let warm = QueryPipeline::builder(&w.peg)
-            .index(w.index(max_len))
-            .plan_cache(Arc::new(PlanCache::new()))
-            .exec_cache(exec.clone(), exec.next_epoch())
-            .build();
-        let (warm_wall, warm_retrieval) =
-            replay(&warm, Some(&cold), &queries, &format!("local {n_shapes} shapes"));
-
-        let s = exec.stats();
-        let speedup = cold_retrieval.as_secs_f64() / warm_retrieval.as_secs_f64().max(1e-12);
-        let runs = queries.len() * alphas.len();
-        t.row(vec![
-            n_shapes.to_string(),
-            runs.to_string(),
-            fmt_duration(cold_wall),
-            fmt_duration(warm_wall),
-            format!("{} / {}", fmt_duration(cold_retrieval), fmt_duration(warm_retrieval)),
-            format!("{speedup:.1}x"),
-            format!("{:.0}%", s.hit_rate() * 100.0),
-            s.bytes.to_string(),
-        ]);
-        json_local.push(
-            obj()
-                .field("shapes", n_shapes)
-                .field("runs", runs)
-                .field("cold_total_us", cold_wall.as_micros() as u64)
-                .field("warm_total_us", warm_wall.as_micros() as u64)
-                .field("cold_retrieval_us", cold_retrieval.as_micros() as u64)
-                .field("warm_retrieval_us", warm_retrieval.as_micros() as u64)
-                .field("retrieval_speedup", speedup)
-                .field("hits", s.hits)
-                .field("misses", s.misses)
-                .field("hit_rate", s.hit_rate())
-                .field("bytes", s.bytes)
-                .field("bit_exact", true)
-                .build(),
-        );
-    }
-    t.print();
-    println!("(every warm row bit-exact vs the cache-free pipeline)");
-    println!();
-
-    // Distributed: over a sharded store a hit doesn't just skip index
-    // probes — it skips the whole scatter-gather round across the shards.
-    let shards = 3usize;
-    let opts = OfflineOptions { index: PathIndexConfig { max_len, beta, ..Default::default() } };
-    let store = ShardedGraphStore::build(w.peg.clone(), &opts, shards).expect("sharded build");
-    let queries = mix(4, 8);
-    let cold = QueryPipeline::builder(store.peg())
-        .source(&store)
-        .plan_cache(Arc::new(PlanCache::new()))
-        .build();
-    let (cold_wall, cold_retrieval) = replay(&cold, None, &queries, "distributed cold");
-    let exec = Arc::new(ExecCache::new(32 << 20));
-    let warm = QueryPipeline::builder(store.peg())
-        .source(&store)
-        .plan_cache(Arc::new(PlanCache::new()))
-        .exec_cache(exec.clone(), exec.next_epoch())
-        .build();
-    let (warm_wall, warm_retrieval) = replay(&warm, Some(&cold), &queries, "distributed");
-    let s = exec.stats();
-    let speedup = cold_retrieval.as_secs_f64() / warm_retrieval.as_secs_f64().max(1e-12);
-    let runs = queries.len() * alphas.len();
-    println!(
-        "distributed ({shards} shards, 4 shapes x 8 renumberings x 3 alphas): \
-         {runs} runs, {} scatter round trips skipped ({:.0}% hit rate)",
-        s.hits,
-        s.hit_rate() * 100.0
-    );
-    println!(
-        "  retrieval cold {} vs warm {} ({speedup:.1}x), end-to-end {} vs {}, all bit-exact",
-        fmt_duration(cold_retrieval),
-        fmt_duration(warm_retrieval),
-        fmt_duration(cold_wall),
-        fmt_duration(warm_wall),
-    );
-    println!();
-
-    let report = obj()
-        .field("experiment", "ablation-exec-cache")
-        .field("scale", format!("{scale:?}").to_lowercase())
-        .field("graph_size", scale.default_graph())
-        .field("alphas", Json::Arr(alphas.iter().map(|&a| Json::Num(a)).collect()))
-        .field("local", Json::Arr(json_local))
-        .field(
-            "distributed",
-            obj()
-                .field("shards", shards)
-                .field("runs", runs)
-                .field("scatters_saved", s.hits)
-                .field("cold_retrieval_us", cold_retrieval.as_micros() as u64)
-                .field("warm_retrieval_us", warm_retrieval.as_micros() as u64)
-                .field("retrieval_speedup", speedup)
-                .field("hit_rate", s.hit_rate())
-                .field("bytes", s.bytes)
-                .field("bit_exact", true)
-                .build(),
-        )
-        .build();
-    std::fs::write("BENCH_exec_cache.json", format!("{report}\n")).expect("write BENCH json");
-    println!("(wrote BENCH_exec_cache.json)");
     println!();
 }
 
@@ -1472,983 +1017,6 @@ fn ablation_reduction(scale: Scale) {
         .build();
     std::fs::write("BENCH_reduction.json", format!("{report}\n")).expect("write BENCH json");
     println!("(wrote BENCH_reduction.json)");
-    println!();
-}
-
-/// Live mutation: incremental maintenance vs. full rebuild, per batch size.
-///
-/// For each mutation batch size, draws a random valid op batch against the
-/// synthetic graph and applies it twice: once through
-/// [`pegmatch::live::apply_ops`] (incremental recompile + index patch) and
-/// once by rebuilding the mutated reference network from scratch. Every row
-/// asserts the two paths answer a query mix **bit-identically** before its
-/// timings are reported — a row that drifts panics the experiment. A
-/// distributed section does the same through
-/// [`pegshard::ShardedGraphStore::apply_update`] over a 3-shard store,
-/// counting how many shards the dirty ball actually touched. Results also
-/// land in `BENCH_mutation.json` (working directory).
-fn ablation_mutation(scale: Scale) {
-    use graphstore::{GraphOp, RefGraph, RefId};
-    use pegmatch::model::PegBuilder;
-    use pegserve::{obj, Json};
-    use pegshard::ShardedGraphStore;
-
-    // SplitMix64 — deterministic op drawing, so rows reproduce exactly.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-        fn prob(&mut self) -> f64 {
-            0.05 + 0.9 * (self.next() % 1000) as f64 / 1000.0
-        }
-    }
-
-    // Draws `n` ops, each valid against the state the preceding ops
-    // produce: refs come from the live set, edge deletions only target
-    // edges this batch added, sets use distinct live members.
-    fn random_ops(refs: &RefGraph, rng: &mut Rng, n: usize) -> Vec<GraphOp> {
-        let mut alive: Vec<u32> =
-            (0..refs.n_refs() as u32).filter(|&i| refs.ref_is_alive(RefId(i))).collect();
-        let n_labels = refs.label_table().len();
-        let mut added: Vec<(u32, u32)> = Vec::new();
-        let mut ops = Vec::with_capacity(n);
-        while ops.len() < n {
-            let op = match rng.below(8) {
-                0 => GraphOp::UpsertRef {
-                    r: None,
-                    labels: vec![(rng.below(n_labels) as u16, rng.prob())],
-                },
-                1 => {
-                    let r = alive[rng.below(alive.len())];
-                    GraphOp::UpsertRef {
-                        r: Some(RefId(r)),
-                        labels: vec![(rng.below(n_labels) as u16, rng.prob())],
-                    }
-                }
-                2 if alive.len() > 8 => {
-                    let r = alive.swap_remove(rng.below(alive.len()));
-                    added.retain(|&(a, b)| a != r && b != r);
-                    GraphOp::DeleteRef { r: RefId(r) }
-                }
-                3 => {
-                    let a = alive[rng.below(alive.len())];
-                    let b = alive[rng.below(alive.len())];
-                    if a == b {
-                        continue;
-                    }
-                    let key = (a.min(b), a.max(b));
-                    if !added.contains(&key) {
-                        added.push(key);
-                    }
-                    GraphOp::UpsertEdge { a: RefId(a), b: RefId(b), p: rng.prob() }
-                }
-                4 if !added.is_empty() => {
-                    let (a, b) = added.swap_remove(rng.below(added.len()));
-                    GraphOp::DeleteEdge { a: RefId(a), b: RefId(b) }
-                }
-                5 => {
-                    let r = alive[rng.below(alive.len())];
-                    GraphOp::SetSingletonWeight { r: RefId(r), weight: rng.prob() }
-                }
-                6 => {
-                    let a = alive[rng.below(alive.len())];
-                    let b = alive[rng.below(alive.len())];
-                    if a == b {
-                        continue;
-                    }
-                    GraphOp::PairPosterior { a: RefId(a), b: RefId(b), q: rng.prob() }
-                }
-                _ => {
-                    let a = alive[rng.below(alive.len())];
-                    let b = alive[rng.below(alive.len())];
-                    let c = alive[rng.below(alive.len())];
-                    if a == b || b == c || a == c {
-                        continue;
-                    }
-                    GraphOp::UpsertSet {
-                        members: vec![RefId(a), RefId(b), RefId(c)],
-                        weight: rng.prob(),
-                    }
-                }
-            };
-            ops.push(op);
-        }
-        ops
-    }
-
-    println!("## Ablation: incremental mutation vs full rebuild");
-    let (beta, max_len) = (0.3, 2);
-    let refs0 = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
-        scale.default_graph(),
-        0.2,
-    ));
-    let builder = PegBuilder::new();
-    let opts = OfflineOptions { index: PathIndexConfig { max_len, beta, ..Default::default() } };
-    let peg0 = builder.build(&refs0).expect("PEG builds");
-    let index0 = OfflineIndex::build(&peg0, &opts).expect("offline phase");
-    let n_labels = peg0.graph.label_table().len();
-    let queries: Vec<QueryGraph> =
-        (0..3).map(|s| random_query(QuerySpec::new(3, 3), n_labels, s)).collect();
-    let alphas = [0.1f64, 0.3];
-
-    // Bit-exactness gate: the incrementally maintained generation and the
-    // from-scratch rebuild must answer the whole mix identically.
-    let assert_row_bit_exact = |inc: &QueryPipeline<'_>, fresh: &QueryPipeline<'_>, ctx: &str| {
-        for (k, q) in queries.iter().enumerate() {
-            for &alpha in &alphas {
-                let got = inc.run(q, alpha, &QueryOptions::default()).expect("query runs");
-                let want = fresh.run(q, alpha, &QueryOptions::default()).expect("query runs");
-                bench::workloads::assert_matches_bit_identical(
-                    &got.matches,
-                    &want.matches,
-                    &format!("{ctx} query {k} alpha {alpha}"),
-                );
-            }
-        }
-    };
-
-    let mut t = Table::new(&[
-        "batch ops",
-        "incremental",
-        "full rebuild",
-        "speedup",
-        "dirty nodes",
-        "reused comps",
-    ]);
-    let mut json_local: Vec<Json> = Vec::new();
-    for batch in [1usize, 4, 16, 64] {
-        // Each row mutates the same baseline: the variable is batch size,
-        // not accumulated drift.
-        let ops = random_ops(&refs0, &mut Rng(batch as u64 ^ 0xfeed), batch);
-
-        let t0 = Instant::now();
-        let up = pegmatch::live::apply_ops(&builder, &opts, &refs0, &peg0, &index0, &ops)
-            .expect("incremental apply");
-        let inc_time = t0.elapsed();
-
-        let t0 = Instant::now();
-        let fresh_peg = builder.build(&up.refs).expect("rebuild");
-        let fresh_index = OfflineIndex::build(&fresh_peg, &opts).expect("rebuild index");
-        let rebuild_time = t0.elapsed();
-
-        let inc_pipe = QueryPipeline::new(&up.peg, &up.index);
-        let fresh_pipe = QueryPipeline::new(&fresh_peg, &fresh_index);
-        assert_row_bit_exact(&inc_pipe, &fresh_pipe, &format!("batch {batch}"));
-
-        let speedup = rebuild_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-12);
-        t.row(vec![
-            batch.to_string(),
-            fmt_duration(inc_time),
-            fmt_duration(rebuild_time),
-            format!("{speedup:.1}x"),
-            up.n_dirty().to_string(),
-            up.reused_components.to_string(),
-        ]);
-        json_local.push(
-            obj()
-                .field("batch_ops", batch)
-                .field("incremental_us", inc_time.as_micros() as u64)
-                .field("rebuild_us", rebuild_time.as_micros() as u64)
-                .field("speedup", speedup)
-                .field("dirty_nodes", up.n_dirty())
-                .field("reused_components", up.reused_components)
-                .field("bit_exact", true)
-                .build(),
-        );
-    }
-    t.print();
-    println!("(every row bit-exact vs the from-scratch rebuild before timings count)");
-    println!();
-
-    // Distributed: the same contract through the sharded store, where the
-    // win is recompiling only the shards the dirty ball touches.
-    let shards = 3usize;
-    let store = ShardedGraphStore::build(peg0.clone(), &opts, shards).expect("sharded build");
-    let batch = 16usize;
-    let ops = random_ops(&refs0, &mut Rng(batch as u64 ^ 0xdead), batch);
-
-    let t0 = Instant::now();
-    let (next, _next_refs, update) =
-        store.apply_update(&refs0, &builder, &ops).expect("sharded incremental apply");
-    let inc_time = t0.elapsed();
-
-    let t0 = Instant::now();
-    let mut fresh_refs = refs0.clone();
-    fresh_refs.apply_all(&ops).expect("ops replay");
-    let fresh_store =
-        ShardedGraphStore::build(builder.build(&fresh_refs).expect("rebuild"), &opts, shards)
-            .expect("sharded rebuild");
-    let rebuild_time = t0.elapsed();
-
-    assert_row_bit_exact(&next.pipeline(), &fresh_store.pipeline(), "sharded batch");
-    let speedup = rebuild_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-12);
-    println!(
-        "distributed ({shards} shards, {batch}-op batch): incremental {} vs rebuild {} \
-         ({speedup:.1}x), {}/{shards} shards recompiled, all bit-exact",
-        fmt_duration(inc_time),
-        fmt_duration(rebuild_time),
-        update.rebuilt_shards,
-    );
-    println!();
-
-    let report = obj()
-        .field("experiment", "ablation-mutation")
-        .field("scale", format!("{scale:?}").to_lowercase())
-        .field("graph_size", scale.default_graph())
-        .field("alphas", Json::Arr(alphas.iter().map(|&a| Json::Num(a)).collect()))
-        .field("local", Json::Arr(json_local))
-        .field(
-            "distributed",
-            obj()
-                .field("shards", shards)
-                .field("batch_ops", batch)
-                .field("incremental_us", inc_time.as_micros() as u64)
-                .field("rebuild_us", rebuild_time.as_micros() as u64)
-                .field("speedup", speedup)
-                .field("rebuilt_shards", update.rebuilt_shards)
-                .field("n_dirty", update.n_dirty)
-                .field("reused_components", update.reused_components)
-                .field("bit_exact", true)
-                .build(),
-        )
-        .build();
-    std::fs::write("BENCH_mutation.json", format!("{report}\n")).expect("write BENCH json");
-    println!("(wrote BENCH_mutation.json)");
-    println!();
-}
-
-/// Serving: a repeated-shape query mix replayed by concurrent clients
-/// against a live `pegserve` server.
-///
-/// Boots a server on a loopback port, loads a synthetic graph, and drives
-/// `clients` threads each replaying its slice of a shapes×repeats mix of
-/// isomorphic renumberings (the workload a multi-user front end produces).
-/// Reports the per-graph plan-cache hit rate, admission counters, and
-/// client-observed p50/p99 latency; then a deliberate overload burst
-/// (admission-held slow queries beyond the session bound) shows that the
-/// server answers every request with a structured `overloaded`/`timeout`
-/// reply instead of hanging.
-fn serving_mix(scale: Scale) {
-    use bench::workloads::permuted_query;
-    use pegserve::{obj, Client, Json, Server, ServerConfig};
-
-    println!("## Serving: repeated-shape mix against a live server (alpha=0.5)");
-    let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
-        scale.default_graph(),
-        0.2,
-    ));
-    let peg = pegmatch::model::PegBuilder::new().build(&refs).unwrap();
-    let offline = OfflineIndex::build(
-        &peg,
-        &OfflineOptions { index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() } },
-    )
-    .unwrap();
-    let n_labels = peg.graph.label_table().len();
-
-    // The mix: `shapes` distinct canonical shapes, each repeated as
-    // isomorphic renumberings. Pattern text is rendered against the
-    // graph's own label table before the graph moves into the server.
-    let (n_shapes, repeats, clients) = (4usize, 16usize, 4usize);
-    let shapes: Vec<QueryGraph> =
-        (0..n_shapes as u64).map(|s| random_query(QuerySpec::new(5, 6), n_labels, s)).collect();
-    let pattern_text =
-        |q: &QueryGraph| pegmatch::pattern::format_pattern(q, peg.graph.label_table());
-    let shape_patterns: Vec<String> = shapes.iter().map(&pattern_text).collect();
-    let mix: Vec<String> = (0..n_shapes as u64)
-        .flat_map(|s| {
-            let base = &shapes[s as usize];
-            (0..repeats as u64)
-                .map(|r| pattern_text(&permuted_query(base, s * 1000 + r)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    let config = ServerConfig {
-        max_sessions: 4,
-        queue_depth: 16,
-        deadline: Duration::from_secs(10),
-        ..Default::default()
-    };
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
-    server.insert_graph("mix", peg, offline);
-    let handle = server.spawn();
-    let addr = handle.addr;
-
-    // One warmup query per shape makes the steady-state hit rate
-    // deterministic even under client concurrency.
-    let mut warm = Client::connect(addr).unwrap();
-    for pattern in &shape_patterns {
-        let req = obj()
-            .field("op", "query")
-            .field("pattern", pattern.as_str())
-            .field("alpha", 0.5)
-            .build();
-        let reply = warm.request(&req).unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "warmup failed: {reply}");
-    }
-    let per_client = mix.len().div_ceil(clients);
-    let t0 = Instant::now();
-    let latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = mix
-            .chunks(per_client)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let mut out = Vec::with_capacity(slice.len());
-                    for pattern in slice {
-                        let req = obj()
-                            .field("op", "query")
-                            .field("pattern", pattern.as_str())
-                            .field("alpha", 0.5)
-                            .build();
-                        let t = Instant::now();
-                        let reply = client.request(&req).unwrap();
-                        out.push(t.elapsed());
-                        assert_eq!(
-                            reply.get("ok"),
-                            Some(&Json::Bool(true)),
-                            "mix query failed: {reply}"
-                        );
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-    });
-    let wall = t0.elapsed();
-
-    let mut sorted = latencies.clone();
-    sorted.sort_unstable();
-    let pct = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
-    let stats =
-        Client::connect(addr).unwrap().request(&obj().field("op", "stats").build()).unwrap();
-    let cache = stats.get("graphs").unwrap().as_arr().unwrap()[0].get("plan_cache").unwrap();
-    let hit_rate = cache.get("hit_rate").unwrap().as_f64().unwrap();
-    let admission = stats.get("admission").unwrap();
-
-    let mut t = Table::new(&[
-        "shapes",
-        "queries",
-        "clients",
-        "wall",
-        "p50",
-        "p99",
-        "plan-cache hit rate",
-        "admitted",
-        "peak sessions",
-    ]);
-    t.row(vec![
-        n_shapes.to_string(),
-        (mix.len() + n_shapes).to_string(),
-        clients.to_string(),
-        fmt_duration(wall),
-        fmt_duration(pct(0.50)),
-        fmt_duration(pct(0.99)),
-        format!("{:.0}%", hit_rate * 100.0),
-        admission.get("admitted").unwrap().as_u64().unwrap().to_string(),
-        admission.get("peak_running").unwrap().as_u64().unwrap().to_string(),
-    ]);
-    t.print();
-    assert!(
-        hit_rate >= 0.80,
-        "repeated-shape mix must hit the plan cache ≥80% (got {:.0}%)",
-        hit_rate * 100.0
-    );
-
-    // Overload burst: 8 clients send admission-held queries at a server
-    // bound of 4 sessions + 2 queue slots — at least two must be rejected
-    // with a structured reply, and every client gets *some* reply.
-    let burst_config = ServerConfig {
-        max_sessions: 4,
-        queue_depth: 2,
-        deadline: Duration::from_millis(300),
-        allow_debug_sleep: true,
-        ..Default::default()
-    };
-    let burst_server = Server::bind("127.0.0.1:0", burst_config).unwrap();
-    let refs =
-        datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(400, 0.2));
-    let peg = pegmatch::model::PegBuilder::new().build(&refs).unwrap();
-    let offline = OfflineIndex::build(
-        &peg,
-        &OfflineOptions { index: PathIndexConfig { max_len: 1, beta: 0.3, ..Default::default() } },
-    )
-    .unwrap();
-    burst_server.insert_graph("burst", peg, offline);
-    let burst_handle = burst_server.spawn();
-    let burst_addr = burst_handle.addr;
-    let outcomes: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(burst_addr).unwrap();
-                    let req = obj()
-                        .field("op", "query")
-                        .field("pattern", "(x:l0)-(y:l1)")
-                        .field("alpha", 0.5)
-                        .field("debug_sleep_ms", 600u64)
-                        .build();
-                    let reply = client.request(&req).unwrap();
-                    match reply.get("error").and_then(Json::as_str) {
-                        Some(code) => code.to_string(),
-                        None => "ok".to_string(),
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let ok = outcomes.iter().filter(|o| *o == "ok").count();
-    let rejected = outcomes.len() - ok;
-    println!(
-        "overload burst: {} requests -> {} served, {} rejected ({})",
-        outcomes.len(),
-        ok,
-        rejected,
-        {
-            let mut codes: Vec<&str> =
-                outcomes.iter().filter(|o| *o != "ok").map(String::as_str).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            codes.join("/")
-        }
-    );
-    assert!(rejected >= 2, "overload must produce structured rejections, got {outcomes:?}");
-    assert!(
-        outcomes.iter().all(|o| matches!(o.as_str(), "ok" | "overloaded" | "timeout")),
-        "unexpected outcome in {outcomes:?}"
-    );
-    burst_handle.shutdown().unwrap();
-    handle.shutdown().unwrap();
-    println!();
-}
-
-/// One match as `(nodes, prle bits, prn bits)` — the bit-exact contract
-/// every serving front end must reproduce through the JSON round trip
-/// (same triple the `serve_concurrent` integration test pins).
-type MatchTriple = (Vec<u64>, u64, u64);
-
-fn match_triples(result: &[pegmatch::matcher::Match]) -> Vec<MatchTriple> {
-    result
-        .iter()
-        .map(|m| (m.nodes.iter().map(|e| e.0 as u64).collect(), m.prle.to_bits(), m.prn.to_bits()))
-        .collect()
-}
-
-fn reply_match_triples(reply: &pegserve::Json) -> Vec<MatchTriple> {
-    use pegserve::Json;
-    reply
-        .get("matches")
-        .and_then(Json::as_arr)
-        .expect("matches array")
-        .iter()
-        .map(|m| {
-            (
-                m.get("nodes")
-                    .unwrap()
-                    .as_arr()
-                    .unwrap()
-                    .iter()
-                    .map(|n| n.as_u64().unwrap())
-                    .collect(),
-                m.get("prle").unwrap().as_f64().unwrap().to_bits(),
-                m.get("prn").unwrap().as_f64().unwrap().to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Nearest-rank percentile over a sorted latency list.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Saturation: concurrent-client sweeps over both serving front ends,
-/// batched queries, and distributed scatter overlap.
-///
-/// Four sections, all checked bit-exact against the direct pipeline:
-///
-/// 1. **Front-end sweep** — N concurrent clients replay a repeated-shape
-///    mix against a live server, once per front end (`threads`, and
-///    `epoll` on Linux), reporting queries/sec and client-observed
-///    p50/p99.
-/// 2. **Connection ceiling** — a burst of 4× the thread front end's
-///    `max_connections` held open at once: thread mode must shed the
-///    overflow with structured `overloaded` replies, the epoll loop must
-///    serve every one (the ≥4× concurrent-connection claim).
-/// 3. **Batching** — the same queries shipped 1, 8, and 32 per round
-///    trip via `query_batch`, amortizing the per-query wire tax.
-/// 4. **Distributed overlap** — a coordinator + 2 loopback shard workers;
-///    4 concurrent sessions on one graph must not serialize their
-///    scatters per worker now that the worker wire is request-id
-///    multiplexed (mean latency < 2× single-session when enough cores
-///    exist for compute not to be the bottleneck).
-///
-/// Results also land in `BENCH_saturation.json` (working directory).
-fn saturation(scale: Scale) {
-    use pegserve::{obj, Client, Json, ServeMode, Server, ServerConfig};
-    use std::net::SocketAddr;
-    use std::sync::Barrier;
-
-    println!("## Saturation: concurrent clients, front ends, batching (alpha=0.5)");
-    let (size, thread_cap, sweep_threads, sweep_epoll, exchanges, batch_rounds): (
-        usize,
-        usize,
-        Vec<usize>,
-        Vec<usize>,
-        usize,
-        usize,
-    ) = match scale {
-        Scale::Tiny => (300, 16, vec![1, 4, 16], vec![1, 4, 16, 64], 4, 4),
-        Scale::Small => (800, 64, vec![1, 4, 16, 64], vec![1, 4, 16, 64, 256], 6, 8),
-        Scale::Paper => (2000, 64, vec![1, 4, 16, 64], vec![1, 4, 16, 64, 256], 10, 16),
-    };
-    let (beta, max_len, uncertainty) = (0.3, 2, 0.2);
-    let w = Workload::synthetic(size, uncertainty, beta, max_len);
-    let direct = QueryPipeline::new(&w.peg, w.index(max_len));
-    let n_labels = w.peg.graph.label_table().len();
-    let alpha = 0.5;
-
-    // The mix: distinct shapes rendered to pattern text, with ground-truth
-    // triples from the direct pipeline at the same thread count the server
-    // is asked for (`threads: 1` keeps rows comparable across loads).
-    let qopts = QueryOptions::with_threads(1);
-    let mix: Vec<(String, Vec<MatchTriple>)> = (0..4u64)
-        .map(|s| {
-            let q = random_query(QuerySpec::new(4, 4), n_labels, s);
-            let pattern = pegmatch::pattern::format_pattern(&q, w.peg.graph.label_table());
-            let expected = match_triples(&direct.run(&q, alpha, &qopts).unwrap().matches);
-            (pattern, expected)
-        })
-        .collect();
-
-    // One concurrent sweep: N clients all start behind a barrier, each
-    // replays `exchanges` queries off the shared mix, asserting every
-    // reply ok and bit-identical. Returns (wall, sorted latencies).
-    let run_sweep = |addr: SocketAddr, clients: usize| -> (Duration, Vec<Duration>) {
-        let barrier = Barrier::new(clients);
-        let t0 = Instant::now();
-        let mut lat: Vec<Duration> = std::thread::scope(|scope| {
-            let (barrier, mix) = (&barrier, &mix);
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).unwrap();
-                        barrier.wait();
-                        let mut out = Vec::with_capacity(exchanges);
-                        for k in 0..exchanges {
-                            let (pattern, expected) = &mix[(c + k) % mix.len()];
-                            let req = obj()
-                                .field("op", "query")
-                                .field("pattern", pattern.as_str())
-                                .field("alpha", alpha)
-                                .field("threads", 1usize)
-                                .build();
-                            let t = Instant::now();
-                            let reply = client.request(&req).unwrap();
-                            out.push(t.elapsed());
-                            assert_eq!(
-                                reply.get("ok"),
-                                Some(&Json::Bool(true)),
-                                "saturation query failed: {reply}"
-                            );
-                            assert_eq!(
-                                &reply_match_triples(&reply),
-                                expected,
-                                "saturation reply must be bit-identical"
-                            );
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        let wall = t0.elapsed();
-        lat.sort_unstable();
-        (wall, lat)
-    };
-
-    let config_for = |mode: ServeMode| ServerConfig {
-        max_sessions: 4,
-        queue_depth: 4 * thread_cap,
-        deadline: Duration::from_secs(60),
-        max_connections: match mode {
-            ServeMode::Threads => thread_cap,
-            ServeMode::Epoll => 1024,
-        },
-        serve_mode: mode,
-        ..Default::default()
-    };
-    if !cfg!(target_os = "linux") {
-        println!("(epoll front end is linux-only; sweeping threads mode alone)");
-    }
-
-    // One long-lived server per front end, sharing the same graph copy —
-    // the sweep, the connection-ceiling burst, and the batch rows all run
-    // against these two.
-    let offline = w.index(max_len).clone();
-    let threads_server = {
-        let s = Server::bind("127.0.0.1:0", config_for(ServeMode::Threads)).unwrap();
-        s.insert_graph("sat", w.peg.clone(), offline.clone());
-        s.spawn()
-    };
-    let epoll_server = if cfg!(target_os = "linux") {
-        let s = Server::bind("127.0.0.1:0", config_for(ServeMode::Epoll)).unwrap();
-        s.insert_graph("sat", w.peg.clone(), offline.clone());
-        Some(s.spawn())
-    } else {
-        None
-    };
-
-    let mut t =
-        Table::new(&["front end", "clients", "queries", "wall", "qps", "p50", "p99", "max"]);
-    let mut json_sweep: Vec<Json> = Vec::new();
-    let sweeps: Vec<(&str, SocketAddr, &Vec<usize>)> = {
-        let mut v = vec![("threads", threads_server.addr, &sweep_threads)];
-        if let Some(h) = &epoll_server {
-            v.push(("epoll", h.addr, &sweep_epoll));
-        }
-        v
-    };
-    for &(mode_name, addr, sweep) in &sweeps {
-        for &clients in sweep {
-            let (wall, lat) = run_sweep(addr, clients);
-            let queries = clients * exchanges;
-            let qps = queries as f64 / wall.as_secs_f64().max(1e-9);
-            t.row(vec![
-                mode_name.into(),
-                clients.to_string(),
-                queries.to_string(),
-                fmt_duration(wall),
-                format!("{qps:.0}"),
-                fmt_duration(percentile(&lat, 50.0)),
-                fmt_duration(percentile(&lat, 99.0)),
-                fmt_duration(*lat.last().unwrap()),
-            ]);
-            json_sweep.push(
-                obj()
-                    .field("mode", mode_name)
-                    .field("clients", clients)
-                    .field("queries", queries)
-                    .field("wall_us", wall.as_micros() as u64)
-                    .field("qps", qps)
-                    .field("p50_us", percentile(&lat, 50.0).as_micros() as u64)
-                    .field("p99_us", percentile(&lat, 99.0).as_micros() as u64)
-                    .build(),
-            );
-        }
-    }
-    t.print();
-    println!("(every reply bit-exact vs the direct pipeline)");
-    println!();
-
-    // Connection ceiling: hold `burst` connections open at once and send
-    // one query on each. The thread front end sheds everything past its
-    // `max_connections` with a structured `overloaded` line; the epoll
-    // loop serves the whole burst through the same admission bounds.
-    let burst = 4 * thread_cap;
-    let hold_burst = |addr: SocketAddr, n: usize| -> (usize, usize) {
-        let start = Barrier::new(n);
-        let done = Barrier::new(n);
-        let outcomes: Vec<bool> = std::thread::scope(|scope| {
-            let (start, done, mix) = (&start, &done, &mix);
-            let handles: Vec<_> = (0..n)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).ok();
-                        start.wait();
-                        let ok = match client.as_mut() {
-                            Some(client) => {
-                                let (pattern, _) = &mix[c % mix.len()];
-                                let req = obj()
-                                    .field("op", "query")
-                                    .field("pattern", pattern.as_str())
-                                    .field("alpha", alpha)
-                                    .field("threads", 1usize)
-                                    .build();
-                                match client.request(&req) {
-                                    Ok(reply) => reply.get("ok") == Some(&Json::Bool(true)),
-                                    Err(_) => false,
-                                }
-                            }
-                            None => false,
-                        };
-                        // Hold the connection (borrowed, not consumed, by the
-                        // request above) until the whole burst has its reply:
-                        // a client that closed early would free its handler
-                        // slot and let the server admit past the cap.
-                        done.wait();
-                        drop(client);
-                        ok
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let served = outcomes.iter().filter(|&&ok| ok).count();
-        (served, n - served)
-    };
-
-    let mut json_ceiling = obj().field("burst", burst).field("threads_cap", thread_cap);
-    {
-        let (served, shed) = hold_burst(threads_server.addr, burst);
-        println!(
-            "connection ceiling, threads (cap {thread_cap}): burst {burst} -> \
-             {served} served, {shed} shed with structured overload"
-        );
-        assert!(
-            served <= thread_cap,
-            "thread front end must cap concurrent connections at {thread_cap}, served {served}"
-        );
-        json_ceiling = json_ceiling.field("threads_served", served);
-    }
-    if let Some(h) = &epoll_server {
-        let (served, shed) = hold_burst(h.addr, burst);
-        println!(
-            "connection ceiling, epoll (cap 1024): burst {burst} -> {served} served, {shed} shed"
-        );
-        assert_eq!(
-            served, burst,
-            "epoll front end must hold 4x the thread mode's concurrent connections"
-        );
-        json_ceiling = json_ceiling.field("epoll_served", served);
-    }
-    println!();
-
-    // Batching: the same mix shipped 1 (plain `query`), 8, and 32 per
-    // round trip. The per-query wire tax — one request line, one reply
-    // line, two syscalls each way — amortizes across the batch.
-    let mut client = Client::connect(threads_server.addr).unwrap();
-    let mut t = Table::new(&["batch", "round trips", "queries", "wall", "per query"]);
-    let mut json_batch: Vec<Json> = Vec::new();
-    for batch in [1usize, 8, 32] {
-        let t0 = Instant::now();
-        let mut queries = 0usize;
-        for round in 0..batch_rounds {
-            if batch == 1 {
-                let (pattern, expected) = &mix[round % mix.len()];
-                let req = obj()
-                    .field("op", "query")
-                    .field("pattern", pattern.as_str())
-                    .field("alpha", alpha)
-                    .field("threads", 1usize)
-                    .build();
-                let reply = client.request(&req).unwrap();
-                assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-                assert_eq!(&reply_match_triples(&reply), expected, "batch=1 bit-exact");
-                queries += 1;
-            } else {
-                let items: Vec<Json> = (0..batch)
-                    .map(|k| {
-                        let (pattern, _) = &mix[(round + k) % mix.len()];
-                        obj().field("pattern", pattern.as_str()).field("alpha", alpha).build()
-                    })
-                    .collect();
-                let req = obj()
-                    .field("op", "query_batch")
-                    .field("queries", Json::Arr(items))
-                    .field("threads", 1usize)
-                    .build();
-                let reply = client.request(&req).unwrap();
-                assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-                let results = reply.get("results").and_then(Json::as_arr).unwrap();
-                assert_eq!(results.len(), batch, "{reply}");
-                for (k, item) in results.iter().enumerate() {
-                    let (_, expected) = &mix[(round + k) % mix.len()];
-                    assert_eq!(
-                        &reply_match_triples(item),
-                        expected,
-                        "batch={batch} item {k} bit-exact"
-                    );
-                }
-                queries += batch;
-            }
-        }
-        let wall = t0.elapsed();
-        let per_query = wall / queries.max(1) as u32;
-        t.row(vec![
-            batch.to_string(),
-            batch_rounds.to_string(),
-            queries.to_string(),
-            fmt_duration(wall),
-            fmt_duration(per_query),
-        ]);
-        json_batch.push(
-            obj()
-                .field("batch", batch)
-                .field("queries", queries)
-                .field("wall_us", wall.as_micros() as u64)
-                .field("per_query_us", per_query.as_micros() as u64)
-                .build(),
-        );
-    }
-    // Handler threads block on their connection reads; drop the client
-    // before joining the thread front end.
-    drop(client);
-    threads_server.shutdown().unwrap();
-    if let Some(h) = epoll_server {
-        h.shutdown().unwrap();
-    }
-    t.print();
-    println!("(every batched result bit-exact vs the direct pipeline)");
-    println!();
-
-    // Distributed overlap: coordinator + 2 loopback shard workers, graph
-    // loaded over the wire. 4 concurrent sessions share the multiplexed
-    // worker connections, so their scatters interleave in flight instead
-    // of queueing behind a per-worker exchange lock.
-    let workers: Vec<_> = (0..2)
-        .map(|_| Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn())
-        .collect();
-    let worker_addrs: Vec<Json> = workers.iter().map(|h| Json::Str(h.addr.to_string())).collect();
-    let coord = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            max_sessions: 4,
-            queue_depth: 16,
-            deadline: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .unwrap()
-    .spawn();
-    let mut admin = Client::connect(coord.addr).unwrap();
-    let reply = admin
-        .request(
-            &obj()
-                .field("op", "load_graph")
-                .field("name", "dist")
-                .field("kind", "synthetic")
-                .field("size", size)
-                .field("seed", 42u64)
-                .field("uncertainty", uncertainty)
-                .field("max_len", max_len)
-                .field("beta", beta)
-                .field("workers", Json::Arr(worker_addrs))
-                .build(),
-        )
-        .unwrap();
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "distributed load failed: {reply}");
-
-    let dist_exchanges = mix.len() * 2;
-    let run_session = |client: &mut Client| -> Vec<Duration> {
-        let mut out = Vec::with_capacity(dist_exchanges);
-        for k in 0..dist_exchanges {
-            let (pattern, expected) = &mix[k % mix.len()];
-            let req = obj()
-                .field("op", "query")
-                .field("graph", "dist")
-                .field("pattern", pattern.as_str())
-                .field("alpha", alpha)
-                .field("threads", 1usize)
-                .build();
-            let t = Instant::now();
-            let reply = client.request(&req).unwrap();
-            out.push(t.elapsed());
-            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-            assert_eq!(&reply_match_triples(&reply), expected, "distributed bit-exact");
-        }
-        out
-    };
-    let single: Vec<Duration> = run_session(&mut Client::connect(coord.addr).unwrap());
-    let avg =
-        |lat: &[Duration]| -> Duration { lat.iter().sum::<Duration>() / lat.len().max(1) as u32 };
-    let avg_single = avg(&single);
-    let coord_addr = coord.addr;
-    let concurrent: Vec<Duration> = std::thread::scope(|scope| {
-        let run_session = &run_session;
-        let handles: Vec<_> = (0..4)
-            .map(|_| scope.spawn(move || run_session(&mut Client::connect(coord_addr).unwrap())))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-    });
-    let avg_concurrent = avg(&concurrent);
-    let ratio = avg_concurrent.as_secs_f64() / avg_single.as_secs_f64().max(1e-9);
-    println!(
-        "distributed (2 workers): single-session avg {}, 4-session avg {} ({ratio:.2}x)",
-        fmt_duration(avg_single),
-        fmt_duration(avg_concurrent),
-    );
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cores >= 4 {
-        assert!(
-            ratio < 2.0,
-            "multiplexed scatters must overlap: 4 concurrent sessions ran at {ratio:.2}x \
-             single-session latency"
-        );
-    } else {
-        println!("({cores} core(s): compute serializes, the <2x overlap bound is not enforced)");
-    }
-
-    // One distributed query_batch round trip — prefetched scatters feed
-    // the per-item sessions, every item still bit-exact.
-    let items: Vec<Json> = mix
-        .iter()
-        .map(|(pattern, _)| obj().field("pattern", pattern.as_str()).field("alpha", alpha).build())
-        .collect();
-    let reply = admin
-        .request(
-            &obj()
-                .field("op", "query_batch")
-                .field("graph", "dist")
-                .field("queries", Json::Arr(items))
-                .field("threads", 1usize)
-                .build(),
-        )
-        .unwrap();
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-    let results = reply.get("results").and_then(Json::as_arr).unwrap();
-    for (k, item) in results.iter().enumerate() {
-        assert_eq!(&reply_match_triples(item), &mix[k].1, "distributed batch item {k}");
-    }
-    println!("distributed query_batch: {} queries in one round trip, all bit-exact", mix.len());
-    // Unloading drops the coordinator's worker transport (closing the
-    // multiplexed connections), so the workers' handler threads see EOF
-    // and their accept loops can join cleanly.
-    let reply =
-        admin.request(&obj().field("op", "unload_graph").field("graph", "dist").build()).unwrap();
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-    drop(admin);
-    coord.shutdown().unwrap();
-    for h in workers {
-        let _ = h.shutdown();
-    }
-    println!();
-
-    let report = obj()
-        .field("experiment", "saturation")
-        .field("scale", format!("{scale:?}").to_lowercase())
-        .field("graph_size", size)
-        .field("sweep", Json::Arr(json_sweep))
-        .field("connection_ceiling", json_ceiling.build())
-        .field("batching", Json::Arr(json_batch))
-        .field(
-            "distributed",
-            obj()
-                .field("workers", 2usize)
-                .field("single_session_avg_us", avg_single.as_micros() as u64)
-                .field("concurrent4_avg_us", avg_concurrent.as_micros() as u64)
-                .field("overlap_ratio", ratio)
-                .field("cores", cores)
-                .build(),
-        )
-        .build();
-    std::fs::write("BENCH_saturation.json", format!("{report}\n")).expect("write BENCH json");
-    println!("(wrote BENCH_saturation.json)");
     println!();
 }
 

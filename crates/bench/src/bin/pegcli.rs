@@ -677,9 +677,9 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `pegcli client --clients N`: the load-generator mode driving the
-/// saturation sweep from the CLI. Each of N threads opens its own
-/// connection and fires the same query (or `query_batch` of `--batch`
+/// `pegcli client --clients N`: the load-generator mode. Each of N
+/// threads opens its own connection and fires the same query (or
+/// `query_batch` of `--batch`
 /// copies) back-to-back for `--duration-ms`, counting structured
 /// rejections (`overloaded`/`timeout`) separately from transport
 /// failures. Latencies accumulate in a [`pegtrace::Histogram`] per

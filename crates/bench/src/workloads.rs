@@ -110,8 +110,8 @@ pub use datagen::permuted_query;
 
 /// Asserts two match lists are f64-bit-identical — same node images, same
 /// `prle` bits, same `prn` bits. The gate sharded execution must pass
-/// against the unsharded pipeline; shared so the `scaling_shards` bench
-/// and `experiments ablation-shards` enforce exactly the same contract.
+/// against the unsharded pipeline; shared so every `experiments` table
+/// that compares two execution paths enforces exactly the same contract.
 ///
 /// # Panics
 /// Panics (with `ctx`) on the first divergence.

@@ -49,11 +49,6 @@ pub struct QueryOptions {
     /// each message round (vertices whose inputs changed). Bit-exact vs
     /// full sweeps; `false` is the full-sweep reference mode.
     pub use_frontier: bool,
-    /// Force parallel (per-partition) message passing even when `threads`
-    /// resolves to one lane. With `threads > 1` reduction is parallel
-    /// regardless of this flag; results are identical either way (the
-    /// rounds are Jacobi).
-    pub parallel_reduction: bool,
     /// Join-order strategy.
     pub join_order: JoinOrder,
     /// Cap on message-passing rounds per pass.
@@ -73,7 +68,6 @@ impl Default for QueryOptions {
             use_reduction: true,
             use_upperbounds: true,
             use_frontier: true,
-            parallel_reduction: false,
             join_order: JoinOrder::Heuristic,
             max_rounds: 32,
             threads: 0,
@@ -603,7 +597,6 @@ mod tests {
             QueryOptions::random_decomposition(1),
             QueryOptions::random_decomposition(99),
             QueryOptions::no_reduction(),
-            QueryOptions { parallel_reduction: true, ..Default::default() },
             QueryOptions { use_upperbounds: false, ..Default::default() },
             QueryOptions::with_threads(1),
             QueryOptions::with_threads(2),

@@ -252,7 +252,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         ReduceOptions {
             use_upperbounds: self.opts.use_upperbounds,
             use_frontier: self.opts.use_frontier,
-            parallel: self.opts.parallel_reduction || pool.lanes() > 1,
+            parallel: pool.lanes() > 1,
             threads: self.opts.threads,
             max_rounds: self.opts.max_rounds,
         }

@@ -25,7 +25,7 @@
 //!   `overloaded` / `timeout` rejections so overload degrades predictably
 //!   instead of thrashing the pool.
 //! * [`client`] — a blocking client (`pegcli client`, tests, and the
-//!   `experiments serving-mix` workload driver).
+//!   pegbench workload driver).
 //! * [`json`] — the minimal in-tree JSON value the protocol speaks.
 //!
 //! Server answers are bit-identical to direct

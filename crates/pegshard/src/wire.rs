@@ -24,10 +24,10 @@
 //! replies routed back to the right scatter. The codec itself is
 //! id-agnostic — ids live one layer down, in the mux framing.
 //!
-//! `shard_retrieve_batch` amortizes the per-exchange wire tax (measured
-//! by `experiments ablation-transport` at ~38 KB and ~1 ms per query on
-//! loopback) by shipping up to [`MAX_RETRIEVE_BATCH`] retrieve bodies in
-//! one line and all their partials back in one reply line.
+//! `shard_retrieve_batch` amortizes the per-exchange wire tax (pegbench's
+//! `pegshard.wire_bytes_per_query` and `reply_encode_us`/`reply_decode_us`
+//! on `sharded_tcp`) by shipping up to [`MAX_RETRIEVE_BATCH`] retrieve
+//! bodies in one line and all their partials back in one reply line.
 //!
 //! The query crosses the wire as **label ids** (`u16`) and query-node
 //! indexes, not label names: coordinator and workers build the same graph

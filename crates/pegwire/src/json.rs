@@ -331,24 +331,31 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or control
+                    // byte: those are ASCII and the input is a valid &str, so
+                    // the run starts and ends on char boundaries.
+                    let rest = &self.bytes[self.pos..];
+                    let stop = |&b: &u8| b == b'"' || b == b'\\' || b < 0x20;
+                    let len = rest.iter().position(stop).unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]);
+                    out.push_str(run.map_err(|_| self.err("invalid utf-8"))?);
+                    self.pos += len;
                 }
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u16, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` would also take a sign.
+        let mut v = 0u16;
+        for &d in digits {
+            let digit = (d as char).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+            v = v << 4 | digit as u16;
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u16::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -489,6 +496,7 @@ mod tests {
         assert_eq!(Json::parse("-2.5e2").unwrap(), Json::Num(-250.0));
         assert_eq!(Json::parse(r#""a\"b\n""#).unwrap(), Json::Str("a\"b\n".into()));
         assert_eq!(Json::parse(r#""é😀""#).unwrap(), Json::Str("é😀".into()));
+        assert_eq!(Json::parse(r#""\u0041\u00E9""#).unwrap(), Json::Str("Aé".into()));
         let v = Json::parse(r#"{"a":[1,2,{"b":false}],"c":null}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("c"), Some(&Json::Null));
@@ -498,6 +506,10 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", r#"{"a"}"#, "tru", "1 2", r#""unterminated"#, "{\"a\":}"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // `\u` takes exactly four hex digits: no sign, no blank, no short form.
+        for bad in [r#""\u+041""#, r#""\u 041""#, r#""\u004""#] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
         let err = Json::parse("[1, oops]").unwrap_err();

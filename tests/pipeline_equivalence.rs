@@ -108,7 +108,7 @@ fn baselines_equal_optimized_on_random_graphs() {
             ("random-decomp", QueryOptions::random_decomposition(qseed)),
             ("no-reduction", QueryOptions::no_reduction()),
             ("no-upperbounds", QueryOptions { use_upperbounds: false, ..Default::default() }),
-            ("parallel", QueryOptions { parallel_reduction: true, ..Default::default() }),
+            ("parallel", QueryOptions::with_threads(2)),
         ] {
             let got = pipe.run(&q, 0.25, &opts).unwrap();
             assert_same(&got.matches, &reference, &format!("{name} q#{qseed}"));
