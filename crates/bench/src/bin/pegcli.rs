@@ -76,8 +76,6 @@ fn usage() {
          \x20 serve    --addr HOST:PORT [--kind ... --size N [--seed S] [--max-len L] [--beta B]\n\
          \x20          [--shards N] [--name G]] [--max-sessions N] [--queue-depth N]\n\
          \x20          [--deadline-ms MS] [--max-connections N]\n\
-         \x20          [--serve-mode threads|epoll]   (connection front end; epoll scales\n\
-         \x20          idle-connection count far past thread-per-connection, Linux only)\n\
          \x20          [--workers A1,A2,...]  (distribute retrieval across shard-worker\n\
          \x20          processes, one shard per worker; needs --kind)\n\
          \x20          [--worker-timeout-ms MS]   (wire deadline per worker exchange)\n\
@@ -87,17 +85,12 @@ fn usage() {
          \x20          query slower than MS, and count it in the metrics registry)\n\
          \x20          [--debug-sleep]   (honor debug_sleep_ms requests — admission drills)\n\
          \x20 shard-worker --addr HOST:PORT [--max-sessions N] [--queue-depth N]\n\
-         \x20          [--serve-mode threads|epoll]\n\
          \x20          (a shard-worker process; a coordinator assigns it a shard via\n\
          \x20          load_graph workers=[...] and scatters shard_retrieve requests to it)\n\
          \x20 client   --addr HOST:PORT [--json REQUEST] [--pretty]   (no --json: one request\n\
          \x20          line per stdin line; replies print to stdout; --json exits non-zero on\n\
          \x20          a structured error reply; --pretty renders stats replies' per-worker\n\
          \x20          counters as a table on stderr)\n\
-         \x20 client   --addr HOST:PORT --clients N [--duration-ms MS] [--batch B]\n\
-         \x20          [--pattern P] [--alpha A] [--pretty]   (load generator: N connections\n\
-         \x20          fire the query — batched B-per-line when B>1 — for MS; prints q/s and\n\
-         \x20          p50/p99, --pretty adds a per-client latency percentile table)\n\
          \x20 client   --addr HOST:PORT --metrics [--poll N] [--interval-ms MS]   (fetch the\n\
          \x20          server's metrics registry — counters + latency histograms — and render\n\
          \x20          it as tables; --poll repeats N times, MS apart)\n\
@@ -247,12 +240,8 @@ fn query_opts(flags: &HashMap<String, String>) -> QueryOptions {
     QueryOptions { threads, ..Default::default() }
 }
 
-fn server_config(flags: &HashMap<String, String>) -> Result<pegserve::ServerConfig, String> {
-    let serve_mode = match flags.get("serve-mode") {
-        None => pegserve::ServeMode::default(),
-        Some(s) => s.parse()?,
-    };
-    Ok(pegserve::ServerConfig {
+fn server_config(flags: &HashMap<String, String>) -> pegserve::ServerConfig {
+    pegserve::ServerConfig {
         max_sessions: flags.get("max-sessions").and_then(|s| s.parse().ok()).unwrap_or(4),
         queue_depth: flags.get("queue-depth").and_then(|s| s.parse().ok()).unwrap_or(16),
         deadline: std::time::Duration::from_millis(
@@ -260,7 +249,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<pegserve::ServerConf
         ),
         max_connections: flags.get("max-connections").and_then(|s| s.parse().ok()).unwrap_or(256),
         allow_debug_sleep: flags.contains_key("debug-sleep"),
-        serve_mode,
         // Servers default the execution cache on (repeated-shape mixes
         // are their whole reason to exist); --exec-cache-bytes 0 disables.
         exec_cache_bytes: flags
@@ -268,7 +256,7 @@ fn server_config(flags: &HashMap<String, String>) -> Result<pegserve::ServerConf
             .and_then(|s| s.parse().ok())
             .unwrap_or(pegmatch::online::DEFAULT_EXEC_CACHE_BYTES),
         slow_query_ms: flags.get("slow-query-ms").and_then(|s| s.parse().ok()),
-    })
+    }
 }
 
 /// `pegcli serve`: boot the multi-client query server. With `--kind` a
@@ -279,7 +267,7 @@ fn server_config(flags: &HashMap<String, String>) -> Result<pegserve::ServerConf
 /// TCP, everything else (and every result bit) identical.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7878");
-    let server = pegserve::Server::bind(addr, server_config(flags)?).map_err(|e| e.to_string())?;
+    let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
     let workers: Vec<String> = flags
         .get("workers")
         .map(|w| w.split(',').filter(|a| !a.is_empty()).map(str::to_string).collect())
@@ -377,7 +365,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 /// the write error ends that handler thread, the worker keeps serving).
 fn cmd_shard_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7879");
-    let server = pegserve::Server::bind(addr, server_config(flags)?).map_err(|e| e.to_string())?;
+    let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
     println!("pegshard worker listening on {}", server.local_addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -677,145 +665,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `pegcli client --clients N`: the load-generator mode. Each of N
-/// threads opens its own connection and fires the same query (or
-/// `query_batch` of `--batch`
-/// copies) back-to-back for `--duration-ms`, counting structured
-/// rejections (`overloaded`/`timeout`) separately from transport
-/// failures. Latencies accumulate in a [`pegtrace::Histogram`] per
-/// client — the same log-scale histogram the server reports — merged
-/// for the aggregate line; per-client percentiles render with
-/// `--pretty`.
-fn cmd_load_gen(flags: &HashMap<String, String>, addr: &str) -> Result<(), String> {
-    let clients: usize = get(flags, "clients")?.parse().map_err(|_| "bad --clients".to_string())?;
-    if clients == 0 {
-        return Err("--clients must be >= 1".into());
-    }
-    let duration_ms: u64 = flags.get("duration-ms").and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let batch: usize = flags.get("batch").and_then(|s| s.parse().ok()).unwrap_or(1);
-    if !(1..=32).contains(&batch) {
-        return Err("--batch must be in 1..=32 (the server's query_batch cap)".into());
-    }
-    let pattern = flags.get("pattern").map(String::as_str).unwrap_or("(x:l0)-(y:l1)");
-    let alpha: f64 = flags.get("alpha").and_then(|s| s.parse().ok()).unwrap_or(0.5);
-    let pretty = flags.contains_key("pretty");
-    let request = if batch == 1 {
-        pegserve::obj()
-            .field("op", "query")
-            .field("pattern", pattern)
-            .field("alpha", alpha)
-            .build()
-            .to_string()
-    } else {
-        let item = pegserve::obj().field("pattern", pattern).field("alpha", alpha).build();
-        pegserve::obj()
-            .field("op", "query_batch")
-            .field("queries", pegserve::Json::Arr(vec![item; batch]))
-            .build()
-            .to_string()
-    };
-
-    struct ClientRun {
-        latencies: pegtrace::Histogram,
-        queries: u64,
-        rejected: u64,
-        transport_errors: u64,
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(duration_ms);
-    let t0 = std::time::Instant::now();
-    let runs: Vec<ClientRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let request = request.as_str();
-                scope.spawn(move || {
-                    let mut run = ClientRun {
-                        latencies: pegtrace::Histogram::new(),
-                        queries: 0,
-                        rejected: 0,
-                        transport_errors: 0,
-                    };
-                    let Ok(mut client) = pegserve::Client::connect(addr) else {
-                        run.transport_errors += 1;
-                        return run;
-                    };
-                    while std::time::Instant::now() < deadline {
-                        let t = std::time::Instant::now();
-                        match client.request_line(request) {
-                            Ok(reply) => {
-                                run.latencies.record(t.elapsed());
-                                if reply.contains("\"ok\":true") {
-                                    run.queries += batch as u64;
-                                } else {
-                                    run.rejected += 1;
-                                }
-                            }
-                            Err(_) => {
-                                run.transport_errors += 1;
-                                // The server may have dropped us (e.g.
-                                // connection cap); reconnect once per
-                                // failure, give up when refused.
-                                match pegserve::Client::connect(addr) {
-                                    Ok(c) => client = c,
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                    }
-                    run
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load-gen client panicked")).collect()
-    });
-    let wall = t0.elapsed();
-
-    let all = pegtrace::Histogram::new();
-    for r in &runs {
-        all.merge_from(&r.latencies);
-    }
-    let queries: u64 = runs.iter().map(|r| r.queries).sum();
-    let rejected: u64 = runs.iter().map(|r| r.rejected).sum();
-    let errors: u64 = runs.iter().map(|r| r.transport_errors).sum();
-    let qps = queries as f64 / wall.as_secs_f64();
-    println!(
-        "load-gen: {clients} client(s) x {}ms, batch {batch}: {queries} quer(ies) ok \
-         ({qps:.1}/s), {rejected} rejected, {errors} transport error(s), \
-         p50 {} p99 {} over {} exchange(s)",
-        duration_ms,
-        us(all.quantile_us(0.50)),
-        us(all.quantile_us(0.99)),
-        all.count(),
-    );
-    if pretty {
-        eprintln!(
-            "  {:>6}  {:>9}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}",
-            "client", "exchanges", "rejected", "p50", "p90", "p99", "max"
-        );
-        for (i, r) in runs.iter().enumerate() {
-            let s = r.latencies.snapshot();
-            eprintln!(
-                "  {:>6}  {:>9}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}",
-                i,
-                s.count,
-                r.rejected,
-                us(s.p50_us),
-                us(s.p90_us),
-                us(s.p99_us),
-                us(s.max_us),
-            );
-        }
-    }
-    if queries == 0 && (rejected > 0 || errors > 0) {
-        return Err("load-gen completed no queries".into());
-    }
-    Ok(())
-}
-
 fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = get(flags, "addr")?;
-    if flags.contains_key("clients") {
-        return cmd_load_gen(flags, addr);
-    }
     if flags.contains_key("metrics") {
         return cmd_metrics(flags, addr);
     }

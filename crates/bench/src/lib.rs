@@ -5,7 +5,7 @@
 //!
 //! The `experiments` binary (`cargo run -p bench --release --bin
 //! experiments -- <figure> [--scale tiny|small|paper]`) prints paper-style
-//! series; Criterion benches under `benches/` time the same workloads.
+//! series.
 //! See EXPERIMENTS.md at the repository root for the recorded outputs.
 
 pub mod report;

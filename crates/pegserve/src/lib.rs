@@ -11,15 +11,10 @@
 //!
 //! * [`server`] — `std::net` TCP, line-delimited JSON protocol
 //!   (`load_graph`, `prepare`, `query`, `query_batch`, `query_topk`,
-//!   `stats`, `shutdown`) behind two interchangeable front ends: classic
-//!   thread-per-connection, or the [`reactor`] epoll readiness loop for
-//!   connection counts far past what per-connection thread stacks allow.
-//!   No async runtime: the registry is unreachable, so tokio is out of
-//!   reach, and blocking threads over the persistent `pegpool` compute
-//!   pool are all the online phase needs.
-//! * [`reactor`] — the hand-rolled epoll front end (Linux only): one
-//!   event loop owns every socket, query execution runs on a fixed
-//!   executor pool, replies are identical to thread mode byte for byte.
+//!   `stats`, `shutdown`), one handler thread per connection. No async
+//!   runtime: the registry is unreachable, so tokio is out of reach, and
+//!   blocking threads over the persistent `pegpool` compute pool are all
+//!   the online phase needs.
 //! * [`admission`] — the query-admission semaphore: bounded concurrent
 //!   sessions, bounded wait queue, per-request deadline, structured
 //!   `overloaded` / `timeout` rejections so overload degrades predictably
@@ -36,8 +31,6 @@
 pub mod admission;
 pub mod client;
 pub mod proto;
-#[cfg(target_os = "linux")]
-pub mod reactor;
 pub mod server;
 pub mod statsjson;
 
@@ -49,6 +42,4 @@ pub use pegwire::json;
 pub use admission::{AdmissionStats, AdmitError};
 pub use client::{Client, ClientError};
 pub use json::{obj, Json};
-pub use server::{
-    GraphEntry, GraphSpec, GraphStore, ServeMode, Server, ServerConfig, ServerHandle,
-};
+pub use server::{GraphEntry, GraphSpec, GraphStore, Server, ServerConfig, ServerHandle};

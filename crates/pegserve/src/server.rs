@@ -72,15 +72,13 @@
 //!
 //! Any request may carry a `u64` `"id"` field; the reply echoes it
 //! verbatim. An id opts the request into **out-of-order** completion on
-//! its connection: the thread-per-connection handler dispatches id'd
-//! requests on their own threads (bounded per connection) and writes each
-//! reply as it finishes, so a multiplexing client
-//! ([`pegwire::MuxConn`] — notably the coordinator's shard transport)
-//! overlaps many exchanges on one socket. Requests without an id keep
-//! strict FIFO request/reply order. The epoll front end (see
-//! [`ServeMode`]) processes each connection serially — ids are still
-//! echoed, but replies stay in order; its concurrency is across
-//! connections, which is the axis an event loop scales.
+//! its connection: the connection handler dispatches id'd requests on
+//! their own threads (bounded per connection) and writes each reply as it
+//! finishes, so a multiplexing client ([`pegwire::MuxConn`] — notably the
+//! coordinator's shard transport) overlaps many exchanges on one socket.
+//! Requests without an id keep strict FIFO request/reply order. A handler
+//! that panics answers a structured `internal` error (id echoed) instead
+//! of leaving the caller to wait out its timeout.
 //!
 //! `query_batch` ships many threshold queries in one line and one reply —
 //! amortizing the per-exchange wire tax — and executes them under **one**
@@ -141,6 +139,7 @@ use pegtrace::{MetricsRegistry, SpanNode, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -153,35 +152,6 @@ pub use crate::proto::{
     MAX_QUERY_BATCH, MAX_RESULT_MATCHES, MIN_LOAD_BETA,
 };
 
-/// Which connection front end [`Server::serve`] runs.
-///
-/// Both modes speak the identical protocol and produce byte-identical
-/// replies; they differ in how connections map to OS resources.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One OS thread per live connection (the default). Simple, and id'd
-    /// requests overlap within a connection — but each idle connection
-    /// pins a thread stack, so `max_connections` stays small.
-    #[default]
-    Threads,
-    /// A single epoll readiness loop owns every socket; query execution
-    /// is dispatched to a fixed worker pool so the loop never blocks.
-    /// Idle connections cost one registered fd, letting `max_connections`
-    /// scale far past the thread mode's ceiling. Linux only.
-    Epoll,
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" => Ok(ServeMode::Threads),
-            "epoll" => Ok(ServeMode::Epoll),
-            other => Err(format!("unknown serve mode {other:?} (threads|epoll)")),
-        }
-    }
-}
-
 /// Server knobs. Admission bounds apply to `query` / `query_topk` /
 /// `prepare` / `load_graph` — the ops that occupy compute.
 #[derive(Clone, Debug)]
@@ -193,18 +163,15 @@ pub struct ServerConfig {
     /// How long a queued request may wait before a `timeout` reply.
     pub deadline: Duration,
     /// Live connections (= handler threads) accepted at once. Connections
-    /// past the bound get an `overloaded` reply and are closed — with
-    /// thread-per-connection, sockets and thread stacks are a resource
-    /// like any other, and idle connections hold them without ever
-    /// touching admission.
+    /// past the bound get an `overloaded` reply and are closed — sockets
+    /// and thread stacks are a resource like any other, and idle
+    /// connections hold them without ever touching admission.
     pub max_connections: usize,
     /// Honor the `debug_sleep_ms` request field (admission-drill knob).
     /// Off by default: on a public endpoint it would let any client hold
     /// session permits doing zero work; requests carrying the field are
     /// rejected with `bad_request` unless this is set.
     pub allow_debug_sleep: bool,
-    /// Connection front end (see [`ServeMode`]).
-    pub serve_mode: ServeMode,
     /// Byte budget for the server-wide execution cache (post-prune
     /// candidate lists keyed by graph epoch + canonical shape + quantized
     /// floor threshold). `0` disables it. Per-graph participation is a
@@ -225,7 +192,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(5),
             max_connections: 256,
             allow_debug_sleep: false,
-            serve_mode: ServeMode::default(),
             exec_cache_bytes: DEFAULT_EXEC_CACHE_BYTES,
             slow_query_ms: None,
         }
@@ -327,7 +293,7 @@ impl GraphEntry {
     }
 }
 
-pub(crate) struct ServerState {
+struct ServerState {
     graphs: Mutex<HashMap<String, Arc<GraphEntry>>>,
     /// Shard-worker state: one shard per graph name, loaded by a
     /// coordinator's `shard_load`. Any server can act as a worker — the
@@ -340,9 +306,8 @@ pub(crate) struct ServerState {
     exec_cache: Option<Arc<ExecCache>>,
     admission: Admission,
     allow_debug_sleep: bool,
-    pub(crate) max_connections: usize,
-    pub(crate) shutdown: AtomicBool,
-    queries_served: AtomicU64,
+    max_connections: usize,
+    shutdown: AtomicBool,
     /// This server's metrics registry (per instance, not process-global:
     /// tests and embedders run several servers in one process and each
     /// `metrics` reply must describe only its own). Dumped by the
@@ -355,18 +320,12 @@ pub(crate) struct ServerState {
     /// Slow-query threshold ([`ServerConfig::slow_query_ms`]).
     slow_query: Option<Duration>,
     addr: SocketAddr,
-    /// Worker threads the epoll front end dispatches requests to — sized
-    /// so admission (not the executor) is what queues compute: every
-    /// session slot plus the full admission queue can be mid-request at
-    /// once, with a little slack for cheap control ops.
-    pub(crate) executor_threads: usize,
 }
 
 /// A bound (not yet serving) query server.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    mode: ServeMode,
 }
 
 /// Handle to a server running on a background thread.
@@ -406,14 +365,12 @@ impl Server {
             allow_debug_sleep: config.allow_debug_sleep,
             max_connections: config.max_connections.max(1),
             shutdown: AtomicBool::new(false),
-            queries_served: AtomicU64::new(0),
             metrics: MetricsRegistry::new(),
             trace_ids: AtomicU64::new(1),
             slow_query: config.slow_query_ms.map(Duration::from_millis),
             addr,
-            executor_threads: config.max_sessions + config.queue_depth + 2,
         });
-        Ok(Server { listener, state, mode: config.serve_mode })
+        Ok(Server { listener, state })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -467,23 +424,9 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request (or [`ServerHandle::shutdown`]),
-    /// on the front end picked by [`ServerConfig::serve_mode`].
-    pub fn serve(self) -> std::io::Result<()> {
-        match self.mode {
-            ServeMode::Threads => self.serve_threads(),
-            #[cfg(target_os = "linux")]
-            ServeMode::Epoll => crate::reactor::serve_epoll(self.listener, self.state),
-            #[cfg(not(target_os = "linux"))]
-            ServeMode::Epoll => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "epoll serve mode is linux-only; use ServeMode::Threads",
-            )),
-        }
-    }
-
-    /// Thread-per-connection front end: the accept loop reaps finished
+    /// one handler thread per connection: the accept loop reaps finished
     /// handlers and joins the rest before returning.
-    fn serve_threads(self) -> std::io::Result<()> {
+    pub fn serve(self) -> std::io::Result<()> {
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for incoming in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -601,10 +544,10 @@ fn error_reply(code: &str, message: impl std::fmt::Display) -> Reply {
 /// without bound by streaming bytes that never contain a newline.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// In-flight id'd requests one connection may overlap (thread front
-/// end). At the cap the handler joins the oldest before reading on —
-/// backpressure, not rejection: a multiplexing client this deep is
-/// better slowed than disconnected.
+/// In-flight id'd requests one connection may overlap. At the cap the
+/// handler joins the oldest before reading on — backpressure, not
+/// rejection: a multiplexing client this deep is better slowed than
+/// disconnected.
 const MAX_INFLIGHT_PER_CONN: usize = 64;
 
 /// One framed reply write: the whole line (newline included) leaves in a
@@ -698,14 +641,15 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     let st = Arc::clone(state);
                     let wr = Arc::clone(&writer);
                     inflight.push(std::thread::spawn(move || {
-                        let reply = attach_id(dispatch_parsed(&st, &req), Some(id));
+                        let reply = answer(&st.metrics, Some(id), || dispatch_parsed(&st, &req));
                         let _ = write_reply(&wr, &reply);
                     }));
                 }
                 Ok((req, None)) => {
                     // No id: strict FIFO request/reply order, in line with
                     // pre-id clients.
-                    if !write_reply(&writer, &dispatch_parsed(state, &req)) {
+                    let reply = answer(&state.metrics, None, || dispatch_parsed(state, &req));
+                    if !write_reply(&writer, &reply) {
                         break;
                     }
                 }
@@ -753,14 +697,19 @@ fn attach_id(reply: Json, id: Option<u64>) -> Json {
     }
 }
 
-/// Full request handling for one line: parse, route, echo the id. The
-/// single entry point shared by the epoll front end (which frames lines
-/// itself) and any serial caller.
-pub(crate) fn dispatch(state: &ServerState, line: &str) -> Json {
-    match parse_request(line) {
-        Ok((req, id)) => attach_id(dispatch_parsed(state, &req), id),
-        Err(Reply(reply)) => reply,
-    }
+/// Runs one request's handler and echoes its id. A panic inside the
+/// handler is a bug in this server, not in the request — but the caller
+/// is still owed a reply: without one an id'd request (whose handler runs
+/// on its own thread) would leave a multiplexing client waiting out its
+/// whole I/O timeout, and a plain one would take the connection down
+/// with a bare EOF. So the panic is caught here, counted in
+/// `serve.handler_panics`, and answered as a structured `internal` error.
+fn answer(metrics: &MetricsRegistry, id: Option<u64>, handler: impl FnOnce() -> Json) -> Json {
+    let reply = catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        metrics.counter("serve.handler_panics").incr();
+        error_reply("internal", "request handler panicked").0
+    });
+    attach_id(reply, id)
 }
 
 /// Echoes the protocol version tag onto a reply when the request carried
@@ -1281,7 +1230,6 @@ struct QueryNote<'a> {
 }
 
 fn note_query(state: &ServerState, note: QueryNote<'_>, elapsed: Duration) {
-    state.queries_served.fetch_add(note.count, Ordering::Relaxed);
     state.metrics.counter("serve.queries").add(note.count);
     state.metrics.histogram(&format!("serve.{}_us", note.op)).record(elapsed);
     if let Some(threshold) = state.slow_query {
@@ -1639,7 +1587,7 @@ fn op_stats(state: &ServerState) -> Json {
     });
     obj()
         .field("ok", true)
-        .field("queries_served", state.queries_served.load(Ordering::Relaxed))
+        .field("queries_served", state.metrics.counter("serve.queries").get())
         .field("graphs", Json::Arr(graph_stats))
         .field_opt("exec_cache", exec_cache)
         .field("admission", statsjson::admission_json(&state.admission, state.admission.stats()))
@@ -1699,6 +1647,14 @@ mod tests {
         assert_eq!(graphs[0].get("plan_cache").unwrap().get("hits").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("admission").unwrap().get("admitted").unwrap().as_u64(), Some(2));
 
+        // `prepare` plans without executing; this shape is already cached.
+        let reply = client
+            .request(
+                &Json::parse(r#"{"op":"prepare","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(reply.get("from_cache"), Some(&Json::Bool(true)), "{reply}");
+
         let bye = client.request(&Json::parse(r#"{"op":"shutdown"}"#).unwrap()).unwrap();
         assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
         handle.shutdown().unwrap();
@@ -1719,6 +1675,31 @@ mod tests {
             .request(&Json::parse(r#"{"op":"query","pattern":"(x:nosuch)"}"#).unwrap())
             .unwrap();
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"));
+        // Field-level rejections: each is a structured `bad_request`, the
+        // message naming the offender where there is one to name.
+        for (line, names) in [
+            (r#"{"op":"query","pattern":"(x:l0)","alpha":"high"}"#, "alpha"),
+            (r#"{"op":"query","pattern":"(x:l0)","id":1.5}"#, "id"),
+            (r#"{"op":"query"}"#, "pattern"),
+            (r#"{"op":"query_batch","queries":[]}"#, "queries"),
+            (
+                r#"{"op":"query_batch","queries":[{"pattern":"(x:l0)"},{"pattern":"(x:bad"}]}"#,
+                "queries[1]",
+            ),
+            (r#"{"op":"query","debug_sleep_ms":5,"pattern":"(x:l0)"}"#, "allow_debug_sleep"),
+        ] {
+            let reply = client.request(&Json::parse(line).unwrap()).unwrap();
+            assert_eq!(
+                reply.get("error").and_then(Json::as_str),
+                Some("bad_request"),
+                "{line}: {reply}"
+            );
+            let message = reply.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(names), "{line}: {reply}");
+            // The fractional id cannot be trusted as routing state, so it
+            // is not echoed (no other line carries one).
+            assert!(reply.get("id").is_none(), "{line}: {reply}");
+        }
         handle.shutdown().unwrap();
     }
 
@@ -2037,23 +2018,51 @@ mod tests {
             .unwrap();
         stream.flush().unwrap();
         let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut read_id = || {
+        let mut read_reply = || {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            Json::parse(line.trim()).unwrap().get("id").and_then(Json::as_u64).unwrap()
+            Json::parse(line.trim()).unwrap()
         };
+        let mut read_id = || read_reply().get("id").and_then(Json::as_u64).unwrap();
         assert_eq!(read_id(), 2, "the fast id'd request must not queue behind the slow one");
         assert_eq!(read_id(), 1);
-        // Un-id'd requests afterwards still run strictly FIFO.
-        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let reply = Json::parse(line.trim()).unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-        assert!(reply.get("id").is_none(), "{reply}");
+        // Un-id'd requests stay strictly FIFO: the same slow-then-fast
+        // pair without ids, again in one write, answers in request order.
+        stream
+            .write_all(
+                concat!(
+                    r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3,"debug_sleep_ms":200}"#,
+                    "\n",
+                    r#"{"op":"ping"}"#,
+                    "\n",
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        let (first, second) = (read_reply(), read_reply());
+        assert!(first.get("matches").is_some(), "the query must answer first: {first}");
+        assert_eq!(second.get("pong"), Some(&Json::Bool(true)), "{second}");
+        assert!(first.get("id").is_none() && second.get("id").is_none(), "{first} {second}");
         drop(reader);
         drop(stream);
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_internal_and_is_counted() {
+        let metrics = MetricsRegistry::new();
+        let reply = answer(&metrics, Some(5), || panic!("handler bug"));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some("internal"), "{reply}");
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(5), "{reply}");
+        let reply = answer(&metrics, None, || panic!("handler bug"));
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some("internal"), "{reply}");
+        assert!(reply.get("id").is_none(), "{reply}");
+        assert_eq!(metrics.counter("serve.handler_panics").get(), 2);
+        // A handler that returns is passed through untouched and uncounted.
+        let reply = answer(&metrics, Some(6), || obj().field("ok", true).build());
+        assert_eq!(reply.to_string(), r#"{"ok":true,"id":6}"#);
+        assert_eq!(metrics.counter("serve.handler_panics").get(), 2);
     }
 
     #[test]
@@ -2445,70 +2454,5 @@ mod tests {
         handle.shutdown().unwrap();
         w1.shutdown().unwrap();
         w2.shutdown().unwrap();
-    }
-
-    /// The epoll front end speaks the identical protocol (Linux only).
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_front_end_round_trips_the_protocol() {
-        let (handle, mut client) =
-            tiny_server(ServerConfig { serve_mode: ServeMode::Epoll, ..Default::default() });
-        let pong = client.request(&Json::parse(r#"{"op":"ping"}"#).unwrap()).unwrap();
-        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
-        let reply = client
-            .request(
-                &Json::parse(r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3,"id":11}"#)
-                    .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(11), "{reply}");
-        let n = reply.get("n").unwrap().as_usize().unwrap();
-        assert_eq!(reply.get("matches").unwrap().as_arr().unwrap().len(), n);
-        // Structured protocol errors, same as thread mode.
-        let bad = client.request_line("this is not json").unwrap();
-        assert!(bad.contains("\"error\":\"bad_request\""), "{bad}");
-        let reply = client
-            .request(&Json::parse(r#"{"op":"query","graph":"nope","pattern":"(x:l0)"}"#).unwrap())
-            .unwrap();
-        assert_eq!(reply.get("error").and_then(Json::as_str), Some("unknown_graph"), "{reply}");
-        // Pipelined requests come back in order (the loop reads one
-        // request per connection at a time; the socket buffers the rest).
-        let mut stream = TcpStream::connect(handle.addr).unwrap();
-        stream.write_all(b"{\"op\":\"ping\",\"id\":1}\n{\"op\":\"ping\",\"id\":2}\n").unwrap();
-        let mut reader = std::io::BufReader::new(stream);
-        for want in [1u64, 2] {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let reply = Json::parse(line.trim()).unwrap();
-            assert_eq!(reply.get("id").and_then(Json::as_u64), Some(want), "{reply}");
-        }
-        drop(reader);
-        drop(client);
-        handle.shutdown().unwrap();
-    }
-
-    /// The epoll front end sheds connections past `max_connections` with
-    /// a structured reply, like thread mode.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_connection_limit_rejects_with_structured_reply() {
-        let (handle, client) = tiny_server(ServerConfig {
-            serve_mode: ServeMode::Epoll,
-            max_connections: 1,
-            ..Default::default()
-        });
-        // `client` holds the one slot; the next connection is refused
-        // with an `overloaded` line and closed.
-        let mut second = Client::connect(handle.addr).unwrap();
-        let line = second.request_line(r#"{"op":"ping"}"#);
-        match line {
-            Ok(text) => assert!(text.contains("\"error\":\"overloaded\""), "{text}"),
-            // The server may close before our request is written.
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
-        }
-        drop(second);
-        drop(client);
-        handle.shutdown().unwrap();
     }
 }

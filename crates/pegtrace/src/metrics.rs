@@ -115,7 +115,7 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// A fresh empty histogram (registry-less use: per-client load-gen
+    /// A fresh empty histogram (registry-less use: per-worker transport
     /// accounting, tests).
     pub fn new() -> Histogram {
         Histogram(Arc::new(HistogramCells {

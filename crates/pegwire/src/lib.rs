@@ -12,10 +12,6 @@
 //!   a hardened parser (depth-capped, f64 bit-exact round trip). This is
 //!   the encoding every protocol line uses, coordinator↔client and
 //!   coordinator↔shard-worker alike.
-//! * [`mod@line`] — a blocking line-exchange connection (`LineConn`): one
-//!   JSON object per line in each direction over a `TcpStream`, with
-//!   connect/read/write timeouts so a dead peer yields an error, never a
-//!   hang.
 //! * [`mux`] — a multiplexed connection (`MuxConn`): many in-flight
 //!   requests on one socket, each carrying a connection-unique `"id"`
 //!   the peer echoes, with out-of-order replies routed back to the
@@ -27,9 +23,7 @@
 //! identical bits.
 
 pub mod json;
-pub mod line;
 pub mod mux;
 
 pub use json::{obj, Json, JsonError, ObjBuilder};
-pub use line::{LineConn, LineError};
 pub use mux::{Demux, DemuxError, MuxConn, MuxError, PendingReply};

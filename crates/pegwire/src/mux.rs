@@ -1,13 +1,12 @@
 //! A multiplexed line-protocol connection: many in-flight requests on one
 //! socket, replies matched by request id.
 //!
-//! [`LineConn`](crate::line::LineConn) serializes strictly — one
-//! request/reply pair at a time — so concurrent callers sharing a
-//! connection queue on its mutex. [`MuxConn`] removes that ceiling: every
-//! request carries a connection-unique `"id"` field, the peer echoes the
-//! id on its reply, and a dedicated reader thread routes each reply line
-//! to whichever caller is waiting on that id. Replies may arrive in any
-//! order; callers overlap freely.
+//! A strict one-request/one-reply exchange makes concurrent callers
+//! sharing a connection queue behind each other. [`MuxConn`] removes that
+//! ceiling: every request carries a connection-unique `"id"` field, the
+//! peer echoes the id on its reply, and a dedicated reader thread routes
+//! each reply line to whichever caller is waiting on that id. Replies may
+//! arrive in any order; callers overlap freely.
 //!
 //! The routing table itself is [`Demux`], a pure structure (no sockets)
 //! so its invariants are property-testable: a reply for an unknown or
@@ -208,9 +207,11 @@ impl Shared {
     }
 }
 
-/// Hard cap on one reply line — same backstop as
-/// [`line::MAX_REPLY_BYTES`](crate::line::MAX_REPLY_BYTES).
-const MAX_MUX_REPLY_BYTES: usize = crate::line::MAX_REPLY_BYTES;
+/// Hard cap on one reply line. This is a memory backstop against a
+/// malicious or broken peer streaming newline-free bytes, not a semantic
+/// limit — legitimate shard replies are orders of magnitude smaller (the
+/// serving layer separately caps result sizes).
+const MAX_MUX_REPLY_BYTES: usize = 64 << 20;
 
 /// A multiplexed connection. Cheap to share (`Arc`); every method takes
 /// `&self`. See the module docs for the failure model.

@@ -1,4 +1,5 @@
-//! Shared helpers for the serving-layer differential tests.
+//! Reply canonicalisation for serving-layer tests that compare replies
+//! byte for byte.
 
 use pegserve::Json;
 

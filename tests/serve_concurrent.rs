@@ -12,7 +12,7 @@ use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{QueryOptions, QueryPipeline};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
-use pegserve::{obj, Client, Json, ServeMode, Server, ServerConfig};
+use pegserve::{obj, Client, Json, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 const GRAPH_SIZE: usize = 300;
@@ -441,34 +441,25 @@ fn sharded_server_matches_direct_pipeline_bit_exactly() {
 }
 
 /// Every peg socket runs `TCP_NODELAY` and sends each message in one
-/// framed write. A regression on the client or either front end brings
-/// back the Nagle + delayed-ACK stall (~40 ms per exchange), which a 10 ms
-/// median over 200 `ping`s cannot miss.
+/// framed write. A regression on the client or the server brings back the
+/// Nagle + delayed-ACK stall (~40 ms per exchange), which a 10 ms median
+/// over 200 `ping`s cannot miss.
 #[test]
 fn ping_round_trips_stay_under_the_no_nagle_ceiling() {
-    let modes = [
-        ServeMode::Threads,
-        #[cfg(target_os = "linux")]
-        ServeMode::Epoll,
-    ];
-    for serve_mode in modes {
-        let handle = Server::bind("127.0.0.1:0", ServerConfig { serve_mode, ..Default::default() })
-            .unwrap()
-            .spawn();
-        let mut client = Client::connect(handle.addr).unwrap();
-        let ping = obj().field("op", "ping").build();
-        let mut round_trips: Vec<Duration> = (0..200)
-            .map(|_| {
-                let t0 = Instant::now();
-                let reply = client.request(&ping).unwrap();
-                assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-                t0.elapsed()
-            })
-            .collect();
-        round_trips.sort();
-        let median = round_trips[round_trips.len() / 2];
-        assert!(median < Duration::from_millis(10), "{serve_mode:?}: median ping {median:?}");
-        drop(client);
-        handle.shutdown().unwrap();
-    }
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn();
+    let mut client = Client::connect(handle.addr).unwrap();
+    let ping = obj().field("op", "ping").build();
+    let mut round_trips: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            let reply = client.request(&ping).unwrap();
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(10), "median ping {median:?}");
+    drop(client);
+    handle.shutdown().unwrap();
 }

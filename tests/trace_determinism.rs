@@ -5,10 +5,8 @@
 //! nesting, tag keys, non-timing tag values) — must be byte-identical
 //! across independent server runs, across `threads` 1 vs 0 (parallel
 //! execution measures inside each unit and attaches in index order, so
-//! the tree never depends on scheduling), across 1 vs 3 shards within a
-//! dimension, and across both connection front ends.
-
-#![cfg(target_os = "linux")]
+//! the tree never depends on scheduling), and across 1 vs 3 shards
+//! within a dimension.
 
 mod common;
 
@@ -16,12 +14,12 @@ use datagen::{synthetic_refgraph, SyntheticConfig};
 use pathindex::PathIndexConfig;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
-use pegserve::{Client, Json, ServeMode, Server, ServerConfig, ServerHandle};
+use pegserve::{Client, Json, Server, ServerConfig, ServerHandle};
 use pegshard::ShardedGraphStore;
 
 const GRAPH_SIZE: usize = 300;
 
-fn spawn_server(mode: ServeMode, shards: usize) -> ServerHandle {
+fn spawn_server(shards: usize) -> ServerHandle {
     let refs = synthetic_refgraph(&SyntheticConfig::paper_with_uncertainty(GRAPH_SIZE, 0.2));
     let peg = PegBuilder::new().build(&refs).unwrap();
     let opts =
@@ -29,7 +27,6 @@ fn spawn_server(mode: ServeMode, shards: usize) -> ServerHandle {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
-            serve_mode: mode,
             // Exec cache off: a warm floor retrieval legitimately rewires
             // the traced request (the `cache=hit` re-filter span replaces
             // the retrieve stage), and this test compares requests that
@@ -57,8 +54,8 @@ fn explain_line(threads: usize) -> String {
 
 /// One run: a fresh server answering the explain request at `threads`
 /// 1 then 0, each reply checked ok, structurally probed, and stripped.
-fn run_once(mode: ServeMode, shards: usize) -> Vec<String> {
-    let handle = spawn_server(mode, shards);
+fn run_once(shards: usize) -> Vec<String> {
+    let handle = spawn_server(shards);
     let mut client = Client::connect(handle.addr).unwrap();
     let replies: Vec<String> = [1usize, 0]
         .iter()
@@ -68,7 +65,7 @@ fn run_once(mode: ServeMode, shards: usize) -> Vec<String> {
             assert_eq!(
                 parsed.get("ok"),
                 Some(&Json::Bool(true)),
-                "explain failed (mode {mode:?}, shards {shards}): {raw}"
+                "explain failed (shards {shards}): {raw}"
             );
             // The trace must reach below the stage level: per-path spans
             // locally, per-(shard,path) scatter units when sharded.
@@ -83,28 +80,11 @@ fn run_once(mode: ServeMode, shards: usize) -> Vec<String> {
 }
 
 #[test]
-fn explain_replies_are_deterministic_across_runs_threads_and_front_ends() {
-    for mode in [ServeMode::Threads, ServeMode::Epoll] {
-        for shards in [1usize, 3] {
-            let a = run_once(mode, shards);
-            let b = run_once(mode, shards);
-            assert_eq!(a, b, "mode {mode:?}, shards {shards}: explain drifted across runs");
-            assert_eq!(
-                a[0], a[1],
-                "mode {mode:?}, shards {shards}: threads=1 and threads=0 disagree"
-            );
-        }
-    }
-}
-
-#[test]
-fn explain_replies_match_across_front_ends() {
+fn explain_replies_are_deterministic_across_runs_and_threads() {
     for shards in [1usize, 3] {
-        let threads_fe = run_once(ServeMode::Threads, shards);
-        let epoll_fe = run_once(ServeMode::Epoll, shards);
-        assert_eq!(
-            threads_fe, epoll_fe,
-            "shards {shards}: explain differs between thread and epoll front ends"
-        );
+        let a = run_once(shards);
+        let b = run_once(shards);
+        assert_eq!(a, b, "shards {shards}: explain drifted across runs");
+        assert_eq!(a[0], a[1], "shards {shards}: threads=1 and threads=0 disagree");
     }
 }
