@@ -114,6 +114,10 @@ const TRIVIAL: u32 = u32::MAX;
 /// Marker for dead (tombstoned) nodes: they exist in *no* possible world.
 const DEAD: u32 = u32::MAX - 1;
 
+/// Distinct components [`ExistenceModel::prn`] groups without touching the
+/// heap. A joined pair of maximal index paths has at most 8 nodes.
+const PRN_INLINE: usize = 8;
+
 /// Result of [`ExistenceModel::rebuild_incremental`]: the new model plus
 /// which nodes' existence semantics differ from the previous model's.
 pub struct ExistenceDelta {
@@ -446,9 +450,15 @@ impl ExistenceModel {
     /// simultaneously. Returns 0 when two nodes of the same component cannot
     /// co-occur (e.g. they share a reference).
     pub fn prn(&self, nodes: &[EntityId]) -> f64 {
-        // Group required nodes into per-component masks; matches are small,
-        // so a linear scan of a tiny vec beats a hash map.
-        let mut masks: Vec<(u32, u64)> = Vec::with_capacity(4);
+        // Group required nodes into per-component masks, in order of first
+        // appearance (the product below is taken in that order, so it is
+        // part of the f64-bit-exact contract). Matches are small: the
+        // masks live in a fixed inline buffer scanned linearly, and only a
+        // node list touching more than `PRN_INLINE` distinct components
+        // spills to the heap (`Vec::new` itself does not allocate).
+        let mut inline = [(0u32, 0u64); PRN_INLINE];
+        let mut len = 0usize;
+        let mut spill: Vec<(u32, u64)> = Vec::new();
         for &v in nodes {
             let c = self.node_component[v.idx()];
             if c == TRIVIAL {
@@ -458,13 +468,18 @@ impl ExistenceModel {
                 return 0.0;
             }
             let bit = 1u64 << self.node_pos[v.idx()];
-            match masks.iter_mut().find(|(ci, _)| *ci == c) {
+            let seen = inline[..len].iter_mut().chain(spill.iter_mut()).find(|(ci, _)| *ci == c);
+            match seen {
                 Some((_, m)) => *m |= bit,
-                None => masks.push((c, bit)),
+                None if len < PRN_INLINE => {
+                    inline[len] = (c, bit);
+                    len += 1;
+                }
+                None => spill.push((c, bit)),
             }
         }
         let mut p = 1.0;
-        for (c, mask) in masks {
+        for &(c, mask) in inline[..len].iter().chain(&spill) {
             p *= self.components[c as usize].marginal(mask);
             if p == 0.0 {
                 break;
@@ -770,6 +785,92 @@ mod tests {
         // Empty projection is valid and trivially exact.
         let none = m.project(&[]);
         assert_eq!(none.n_components(), 0);
+    }
+
+    /// The heap-grouping `prn` this module shipped before the inline
+    /// buffer: the oracle for component order and product bits.
+    fn prn_reference(m: &ExistenceModel, nodes: &[EntityId]) -> f64 {
+        let mut masks: Vec<(u32, u64)> = Vec::new();
+        for &v in nodes {
+            let c = m.node_component[v.idx()];
+            if c == TRIVIAL {
+                continue;
+            }
+            if c == DEAD {
+                return 0.0;
+            }
+            let bit = 1u64 << m.node_pos[v.idx()];
+            match masks.iter_mut().find(|(ci, _)| *ci == c) {
+                Some((_, mask)) => *mask |= bit,
+                None => masks.push((c, bit)),
+            }
+        }
+        let mut p = 1.0;
+        for (c, mask) in masks {
+            p *= m.components[c as usize].marginal(mask);
+            if p == 0.0 {
+                break;
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn inline_prn_equals_heap_prn_bitwise() {
+        // 12 two-reference components (sets {a}, {b}, {a,b}, distinct
+        // posteriors), 4 trivial nodes and one tombstone: lists longer
+        // than PRN_INLINE distinct components exercise the spill.
+        let (mut node_refs, mut weights) = (Vec::new(), Vec::new());
+        for c in 0..12u32 {
+            let q = 0.15 + 0.06 * c as f64;
+            node_refs.extend([
+                vec![RefId(2 * c)],
+                vec![RefId(2 * c + 1)],
+                vec![RefId(2 * c), RefId(2 * c + 1)],
+            ]);
+            weights.extend([(1.0 - q).sqrt(), (1.0 - q).sqrt(), q.sqrt()]);
+        }
+        for t in 0..5u32 {
+            node_refs.push(vec![RefId(100 + t)]);
+            weights.push(1.0);
+        }
+        let n = node_refs.len();
+        let mut dead = vec![false; n];
+        dead[n - 1] = true;
+        let m = ExistenceModel::build_with_dead(
+            &node_refs,
+            &weights,
+            &dead,
+            &ExistenceOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(m.n_components(), 12);
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut spilled, mut nonzero) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            let len = (next() % 15) as usize;
+            // Mostly live nodes; the tombstone shows up now and then.
+            let nodes: Vec<EntityId> =
+                (0..len).map(|_| EntityId((next() % n as u64) as u32)).collect();
+            let (got, want) = (m.prn(&nodes), prn_reference(&m, &nodes));
+            assert_eq!(got.to_bits(), want.to_bits(), "{nodes:?}");
+            let mut comps: Vec<u32> = nodes.iter().filter_map(|&v| m.component_of(v)).collect();
+            comps.sort_unstable();
+            comps.dedup();
+            spilled += (comps.len() > PRN_INLINE && got > 0.0) as usize;
+            nonzero += (got > 0.0) as usize;
+        }
+        // Both the inline-only and the spilled product order were compared
+        // on non-degenerate values.
+        assert!(spilled > 0 && nonzero > spilled, "spilled={spilled} nonzero={nonzero}");
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl Decomposition {
         Decomposition { paths, joins: self.joins.clone(), shared }
     }
 
-    fn compute_join_structure(paths: Vec<QueryPath>) -> Self {
+    /// The decomposition made of `paths`, with its join structure derived.
+    pub(crate) fn from_paths(paths: Vec<QueryPath>) -> Self {
         let k = paths.len();
         let mut joins = vec![Vec::new(); k];
         let mut shared = FxHashMap::default();
@@ -159,7 +160,7 @@ pub fn decompose(
 ) -> Result<Decomposition, PegError> {
     if query.n_edges() == 0 {
         // Single-node query: one trivial path.
-        return Ok(Decomposition::compute_join_structure(vec![QueryPath { nodes: vec![0] }]));
+        return Ok(Decomposition::from_paths(vec![QueryPath { nodes: vec![0] }]));
     }
     let max_len = max_len.max(1);
     let candidates: Vec<Vec<QNode>> = query.enumerate_paths(max_len, false);
@@ -171,7 +172,7 @@ pub fn decompose(
         DecompStrategy::CostBased => greedy_cover(query, &candidates, estimate)?,
         DecompStrategy::Random { seed } => random_cover(query, &candidates, seed)?,
     };
-    Ok(Decomposition::compute_join_structure(chosen))
+    Ok(Decomposition::from_paths(chosen))
 }
 
 fn all_edges_mask(query: &QueryGraph) -> FxHashMap<(QNode, QNode), bool> {

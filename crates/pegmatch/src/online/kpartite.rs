@@ -19,9 +19,23 @@
 //! one `u32` link buffer with per-(vertex, slot) offset ranges, flat `f64`
 //! weight/perception arrays, and an entity-id slab. A vertex is addressed
 //! by its *global id* `gv = parts[pi].base + vi`; its perception row lives
-//! at `perception[gv·k .. gv·k + k]`. [`Partition`]/[`Vert`] remain as the
-//! builder-side shape ([`KPartiteGraph::from_partitions`] flattens them);
-//! [`PartView`]/[`VertView`] are the read API for generation and tests.
+//! at `perception[gv·k .. gv·k + k]`. [`KPartiteWriter`] is the one way to
+//! fill the arenas — [`build_kpartite`] and hand-made test graphs both go
+//! through it — and [`PartView`]/[`VertView`] are the read API for
+//! generation and tests.
+//!
+//! # Construction
+//!
+//! [`build_kpartite`] writes each candidate once. The vertex pass copies
+//! images and weights into the arenas and looks every label and edge
+//! probability of every candidate up exactly once (`PathFactors`); the
+//! probe of a joined pair `(i, j)` then groups partition `j` by a packed
+//! integer key over the shared nodes' images, walks partition `i` in
+//! ascending order, and runs the exact admission test over those factors
+//! with no allocation per candidate pair. Admitted pairs therefore come
+//! out ascending in both directions and are scattered into the shared link
+//! buffer by count → prefix-sum → fill; nothing is sorted, deduplicated or
+//! copied a second time.
 //!
 //! # Frontier
 //!
@@ -37,42 +51,14 @@
 //! [`ReduceOptions::use_frontier`] to `false` to force full sweeps.
 
 use crate::online::candidates::CandidateSet;
-use crate::online::decompose::Decomposition;
+use crate::online::decompose::{Decomposition, QueryPath};
 use crate::query::{QNode, QueryGraph};
 use crate::Peg;
 use graphstore::hash::FxHashMap;
-use graphstore::EntityId;
+use graphstore::{EntityId, Label};
+use pathindex::PathMatch;
 
 const EPS: f64 = 1e-12;
-
-/// One candidate path match, in builder form (nested link lists). The
-/// engine flattens these into arenas; see [`KPartiteGraph::from_partitions`].
-#[derive(Clone, Debug)]
-pub struct Vert {
-    /// Entity images aligned with the path's query nodes.
-    pub nodes: Vec<EntityId>,
-    /// Exclusive-coverage weight `w1` (label/edge probabilities of the
-    /// query nodes/edges this partition owns).
-    pub w1: f64,
-    /// Identity weight `w2 = Prn` of the path's node set.
-    pub w2: f64,
-    /// Liveness flag (pruned vertices stay in place).
-    pub alive: bool,
-    /// Link lists parallel to the partition's `joined` list; local vertex
-    /// ids into the joined partition (canonicalized on flatten).
-    pub links: Vec<Vec<u32>>,
-    /// Perception vector: per-partition upper bounds on compatible `w1`s.
-    pub perception: Vec<f64>,
-}
-
-/// One partition (all candidates of one decomposition path), builder form.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    /// Indices of joined partitions, ascending.
-    pub joined: Vec<usize>,
-    /// The candidate vertices.
-    pub verts: Vec<Vert>,
-}
 
 /// Flattened per-partition metadata: where this partition's vertices live
 /// inside the graph's arenas.
@@ -288,100 +274,6 @@ pub struct KPartiteGraph {
 }
 
 impl KPartiteGraph {
-    /// Flattens builder-form partitions into the arena layout. Link lists
-    /// are canonicalized (sorted, deduplicated) here; alive-link counts
-    /// are derived from target liveness; the message frontier is seeded
-    /// with every vertex so the first reduction round is a full sweep.
-    pub fn from_partitions(mut partitions: Vec<Partition>) -> Self {
-        let k = partitions.len();
-        for p in &mut partitions {
-            for v in &mut p.verts {
-                debug_assert_eq!(v.links.len(), p.joined.len());
-                for l in &mut v.links {
-                    l.sort_unstable();
-                    l.dedup();
-                }
-            }
-        }
-        let mut parts: Vec<PartMeta> = Vec::with_capacity(k);
-        let (mut base, mut nodes_off, mut slot_off) = (0usize, 0usize, 0usize);
-        for p in &partitions {
-            let path_len = p.verts.first().map_or(0, |v| v.nodes.len());
-            parts.push(PartMeta {
-                joined: p.joined.clone(),
-                base,
-                n: p.verts.len(),
-                path_len,
-                nodes_off,
-                slot_off,
-            });
-            base += p.verts.len();
-            nodes_off += p.verts.len() * path_len;
-            slot_off += p.verts.len() * p.joined.len();
-        }
-        let (n_verts, total_slots) = (base, slot_off);
-
-        let mut alive = Vec::with_capacity(n_verts);
-        let mut w1 = Vec::with_capacity(n_verts);
-        let mut w2 = Vec::with_capacity(n_verts);
-        let mut nodes = Vec::with_capacity(nodes_off);
-        let mut perception = Vec::with_capacity(n_verts * k);
-        let mut links = Vec::new();
-        let mut link_off = Vec::with_capacity(total_slots + 1);
-        link_off.push(0);
-        for p in &partitions {
-            for v in &p.verts {
-                assert_eq!(v.perception.len(), k, "perception width must equal partition count");
-                alive.push(v.alive);
-                w1.push(v.w1);
-                w2.push(v.w2);
-                nodes.extend_from_slice(&v.nodes);
-                perception.extend_from_slice(&v.perception);
-                for l in &v.links {
-                    links.extend_from_slice(l);
-                    link_off.push(links.len());
-                }
-            }
-        }
-
-        let mut link_alive = vec![0u32; total_slots];
-        let mut sid = 0usize;
-        for (pi, p) in partitions.iter().enumerate() {
-            for v in &p.verts {
-                for (slot, l) in v.links.iter().enumerate() {
-                    let qbase = parts[parts[pi].joined[slot]].base;
-                    link_alive[sid] =
-                        l.iter().filter(|&&w| alive[qbase + w as usize]).count() as u32;
-                    sid += 1;
-                }
-            }
-        }
-        let alive_n: Vec<usize> = parts
-            .iter()
-            .map(|p| alive[p.base..p.base + p.n].iter().filter(|&&a| a).count())
-            .collect();
-
-        let mut msg_dirty = BitSet::new(n_verts);
-        msg_dirty.set_all(n_verts);
-        Self {
-            k,
-            parts,
-            alive,
-            alive_n,
-            w1,
-            w2,
-            nodes,
-            perception,
-            links,
-            link_off,
-            link_alive,
-            msg_dirty,
-            next_dirty: BitSet::new(n_verts),
-            bound_dirty: BitSet::new(n_verts),
-            structure_clean: false,
-        }
-    }
-
     /// Partition count.
     pub fn n_partitions(&self) -> usize {
         self.k
@@ -907,15 +799,460 @@ impl CoverAssignment {
     }
 }
 
+/// The one way to fill a [`KPartiteGraph`]'s arenas: partitions in index
+/// order, each followed by its vertices, then one link list per joined
+/// pair. [`build_kpartite`] drives it from candidate sets; tests drive it
+/// by hand. Every vertex starts alive with an all-ones perception row
+/// whose own entry is its `w1`.
+pub struct KPartiteWriter {
+    g: KPartiteGraph,
+    /// Link lists per joined pair, held until [`KPartiteWriter::finish`]
+    /// knows every slot's size.
+    pending: Vec<PairLinks>,
+}
+
+/// The links of joined pair `(i, j)`, `i < j`, as `(wi, wj)` local ids,
+/// with each partition's slot for the other.
+struct PairLinks {
+    i: usize,
+    j: usize,
+    slot_ij: usize,
+    slot_ji: usize,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl KPartiteWriter {
+    /// A writer for a graph of `k` partitions.
+    pub fn new(k: usize) -> Self {
+        let g = KPartiteGraph {
+            k,
+            parts: Vec::with_capacity(k),
+            alive: Vec::new(),
+            alive_n: Vec::new(),
+            w1: Vec::new(),
+            w2: Vec::new(),
+            nodes: Vec::new(),
+            perception: Vec::new(),
+            links: Vec::new(),
+            link_off: Vec::new(),
+            link_alive: Vec::new(),
+            msg_dirty: BitSet::default(),
+            next_dirty: BitSet::default(),
+            bound_dirty: BitSet::default(),
+            structure_clean: false,
+        };
+        Self { g, pending: Vec::new() }
+    }
+
+    /// Opens the next partition: `joined` lists its join partners
+    /// ascending, each of its vertices carries `path_len` images, and room
+    /// for `n_verts` vertices is reserved.
+    pub fn add_partition(&mut self, joined: &[usize], path_len: usize, n_verts: usize) {
+        let g = &mut self.g;
+        assert!(g.parts.len() < g.k, "more partitions than the writer was sized for");
+        let slot_off = g.parts.last().map_or(0, |p| p.sid(p.n, 0));
+        g.parts.push(PartMeta {
+            joined: joined.to_vec(),
+            base: g.alive.len(),
+            n: 0,
+            path_len,
+            nodes_off: g.nodes.len(),
+            slot_off,
+        });
+        g.alive.reserve(n_verts);
+        g.w1.reserve(n_verts);
+        g.w2.reserve(n_verts);
+        g.nodes.reserve(n_verts * path_len);
+        g.perception.reserve(n_verts * g.k);
+    }
+
+    /// Appends a vertex to the partition opened last; `nodes` are its
+    /// entity images, aligned with the path.
+    pub fn add_vertex(&mut self, nodes: &[EntityId], w1: f64, w2: f64) {
+        let g = &mut self.g;
+        let pi = g.parts.len().checked_sub(1).expect("add_partition comes first");
+        let p = &mut g.parts[pi];
+        assert_eq!(nodes.len(), p.path_len, "a vertex carries one image per path node");
+        p.n += 1;
+        g.alive.push(true);
+        g.w1.push(w1);
+        g.w2.push(w2);
+        g.nodes.extend_from_slice(nodes);
+        let row = g.perception.len();
+        g.perception.resize(row + g.k, 1.0);
+        g.perception[row + pi] = w1;
+    }
+
+    /// Records the links of joined pair `(i, j)`, `i < j`, once per pair:
+    /// `(wi, wj)` local ids, ascending lexicographically, no duplicates.
+    /// That order is what lets [`KPartiteWriter::finish`] lay both
+    /// directions out sorted without sorting.
+    pub fn add_links(&mut self, i: usize, j: usize, pairs: Vec<(u32, u32)>) {
+        assert!(i < j, "links are recorded from the lower partition");
+        let slot = |a: usize, b: usize| self.g.part(a).slot_of(b).expect("partitions must join");
+        self.pending.push(PairLinks { i, j, slot_ij: slot(i, j), slot_ji: slot(j, i), pairs });
+    }
+
+    /// Scatters the recorded links into the shared buffer (count →
+    /// prefix-sum → fill, both directions) and seeds the message frontier
+    /// with every vertex, so the first reduction round is a full sweep.
+    pub fn finish(self) -> KPartiteGraph {
+        let Self { mut g, pending } = self;
+        assert_eq!(g.parts.len(), g.k, "every partition must be added");
+        let total_slots = g.parts.last().map_or(0, |p| p.sid(p.n, 0));
+        let mut link_off = vec![0usize; total_slots + 1];
+        for l in &pending {
+            let (pi, pj) = (&g.parts[l.i], &g.parts[l.j]);
+            for &(wi, wj) in &l.pairs {
+                assert!((wi as usize) < pi.n && (wj as usize) < pj.n, "link past a partition");
+                link_off[pi.sid(wi as usize, l.slot_ij) + 1] += 1;
+                link_off[pj.sid(wj as usize, l.slot_ji) + 1] += 1;
+            }
+        }
+        g.link_alive = link_off[1..].iter().map(|&n| n as u32).collect();
+        for s in 0..total_slots {
+            link_off[s + 1] += link_off[s];
+        }
+        let mut cursor = link_off[..total_slots].to_vec();
+        let mut links = vec![0u32; link_off[total_slots]];
+        for l in &pending {
+            let (pi, pj) = (&g.parts[l.i], &g.parts[l.j]);
+            for &(wi, wj) in &l.pairs {
+                let (sij, sji) = (pi.sid(wi as usize, l.slot_ij), pj.sid(wj as usize, l.slot_ji));
+                links[cursor[sij]] = wj;
+                cursor[sij] += 1;
+                links[cursor[sji]] = wi;
+                cursor[sji] += 1;
+            }
+        }
+        debug_assert!(
+            (0..total_slots)
+                .all(|s| links[link_off[s]..link_off[s + 1]].windows(2).all(|w| w[0] < w[1])),
+            "link lists must come out ascending and unique"
+        );
+        g.links = links;
+        g.link_off = link_off;
+
+        let n_verts = g.alive.len();
+        g.alive_n = g.parts.iter().map(|p| p.n).collect();
+        g.msg_dirty = BitSet::new(n_verts);
+        g.msg_dirty.set_all(n_verts);
+        g.next_dirty = BitSet::new(n_verts);
+        g.bound_dirty = BitSet::new(n_verts);
+        g
+    }
+}
+
+/// What the probability model says about each candidate of one partition,
+/// looked up once in the vertex pass and read by `w1` and by every probe
+/// the partition takes part in.
+struct PathFactors {
+    /// Nodes per candidate (the path length).
+    len: usize,
+    /// `Pr(label)` per (candidate, path position): `n × len`.
+    labels: Vec<f64>,
+    /// `Pr(edge)` per (candidate, path edge): `n × (len − 1)`.
+    edges: Vec<f64>,
+    /// Whether the candidate's own images are pairwise distinct and
+    /// reference-disjoint.
+    compatible: Vec<bool>,
+}
+
+impl PathFactors {
+    /// Factors of `matches` along a path labelled `labels`, fanned out
+    /// over `pool` in order-preserving chunks.
+    fn compute(
+        peg: &Peg,
+        labels: &[Label],
+        matches: &[PathMatch],
+        pool: &pegpool::ThreadPool,
+    ) -> Self {
+        if pool.lanes() == 1 || matches.len() < 64 {
+            return Self::of(peg, labels, matches);
+        }
+        let chunks = pool.chunks(matches.len(), 4);
+        let mut pieces = pool
+            .map(chunks.len(), |ci| Self::of(peg, labels, &matches[chunks[ci].clone()]))
+            .into_iter();
+        let mut all = pieces.next().expect("at least one chunk");
+        for piece in pieces {
+            all.labels.extend(piece.labels);
+            all.edges.extend(piece.edges);
+            all.compatible.extend(piece.compatible);
+        }
+        all
+    }
+
+    fn of(peg: &Peg, labels: &[Label], matches: &[PathMatch]) -> Self {
+        let (n, len) = (matches.len(), labels.len());
+        let mut out = Self {
+            len,
+            labels: Vec::with_capacity(n * len),
+            edges: Vec::with_capacity(n * (len - 1)),
+            compatible: Vec::with_capacity(n),
+        };
+        for pm in matches {
+            let nodes = pm.nodes.as_slice();
+            assert_eq!(nodes.len(), len, "a candidate carries one image per path node");
+            out.labels.extend(nodes.iter().zip(labels).map(|(&e, &l)| peg.graph.label_prob(e, l)));
+            out.edges
+                .extend((1..len).map(|b| {
+                    peg.graph.edge_prob(nodes[b - 1], nodes[b], labels[b - 1], labels[b])
+                }));
+            out.compatible.push(nodes.iter().enumerate().all(|(a, &ea)| {
+                nodes[a + 1..].iter().all(|&eb| ea != eb && peg.graph.refs_disjoint(ea, eb))
+            }));
+        }
+        out
+    }
+
+    fn labels_of(&self, v: usize) -> &[f64] {
+        &self.labels[v * self.len..(v + 1) * self.len]
+    }
+
+    fn edges_of(&self, v: usize) -> &[f64] {
+        let per = self.len - 1;
+        &self.edges[v * per..(v + 1) * per]
+    }
+
+    /// Exclusive-coverage weight of candidate `v`: its owned nodes' label
+    /// probabilities, then its owned edges' (each edge `(a, a + 1)`).
+    fn w1(&self, v: usize, owned_nodes: &[usize], owned_edges: &[(usize, usize)]) -> f64 {
+        let mut w1 = 1.0;
+        for &pos in owned_nodes {
+            w1 *= self.labels_of(v)[pos];
+        }
+        for &(a, _) in owned_edges {
+            w1 *= self.edges_of(v)[a];
+        }
+        w1
+    }
+}
+
+/// Shared-node images packed into one join key, 32 bits each. A pair
+/// sharing more nodes than this (index paths longer than the serving cap)
+/// buckets on the first `KEY_WIDTH` and compares the rest per candidate.
+const KEY_WIDTH: usize = 4;
+
+fn packed_key(nodes: &[EntityId], positions: &[usize]) -> u128 {
+    debug_assert!(positions.len() <= KEY_WIDTH);
+    positions.iter().fold(0, |key, &p| (key << 32) | nodes[p].0 as u128)
+}
+
+/// Everything about a joined pair `(i, j)` that no candidate changes,
+/// derived once per pair. The union of the two paths is taken in the order
+/// the admission product is defined over: path `i`'s nodes, then path
+/// `j`'s unseen ones; path `i`'s edges, then path `j`'s unseen ones.
+struct PairPlan {
+    /// Positions of the shared query nodes on path `i` / path `j`, aligned:
+    /// the first `KEY_WIDTH` of them, which the join key packs …
+    key_i: Vec<usize>,
+    key_j: Vec<usize>,
+    /// … and `(position on i, position on j)` of any beyond that.
+    key_rest: Vec<(usize, usize)>,
+    /// Positions on path `i` of the nodes path `j` does not have.
+    free_i: Vec<usize>,
+    /// Positions on path `j` of the nodes path `i` does not have.
+    extra_j: Vec<usize>,
+    /// Edges of path `j` (by first position) that path `i` does not have.
+    edges_j: Vec<usize>,
+}
+
+impl PairPlan {
+    fn new(decomp: &Decomposition, i: usize, j: usize) -> Self {
+        let (path_i, path_j) = (&decomp.paths[i], &decomp.paths[j]);
+        let (ni, nj) = (&path_i.nodes, &path_j.nodes);
+        let shared = decomp.shared_nodes(i, j);
+        let on = |path: &QueryPath| -> Vec<usize> {
+            shared
+                .iter()
+                .map(|&n| path.position(n).expect("shared node lies on both paths"))
+                .collect()
+        };
+        let (mut key_i, mut key_j) = (on(path_i), on(path_j));
+        let packed = key_i.len().min(KEY_WIDTH);
+        let key_rest = key_i.split_off(packed).into_iter().zip(key_j.split_off(packed)).collect();
+        let edges_i: Vec<(QNode, QNode)> = path_i.edges().collect();
+        Self {
+            key_i,
+            key_j,
+            key_rest,
+            free_i: (0..ni.len()).filter(|&p| !nj.contains(&ni[p])).collect(),
+            extra_j: (0..nj.len()).filter(|&p| !ni.contains(&nj[p])).collect(),
+            edges_j: path_j
+                .edges()
+                .enumerate()
+                .filter(|(_, e)| !edges_i.contains(e))
+                .map(|(w, _)| w)
+                .collect(),
+        }
+    }
+}
+
+/// The compatible candidates of one partition grouped by join key: bucket
+/// CSR over local vertex ids, ascending within each bucket.
+struct KeyTable {
+    bucket_of: FxHashMap<u128, u32>,
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl KeyTable {
+    fn build(nodes: &[EntityId], factors: &PathFactors, key_pos: &[usize]) -> Self {
+        let mut bucket_of: FxHashMap<u128, u32> = FxHashMap::default();
+        let mut off: Vec<u32> = vec![0];
+        // Bucket per candidate, in vertex order (`u32::MAX`: left out).
+        let mut bucket: Vec<u32> = Vec::with_capacity(factors.compatible.len());
+        for (v, &ok) in factors.compatible.iter().enumerate() {
+            if !ok {
+                bucket.push(u32::MAX);
+                continue;
+            }
+            let key = packed_key(&nodes[v * factors.len..(v + 1) * factors.len], key_pos);
+            let next = bucket_of.len() as u32;
+            let b = *bucket_of.entry(key).or_insert(next);
+            if b == next {
+                off.push(0);
+            }
+            off[b as usize + 1] += 1;
+            bucket.push(b);
+        }
+        for b in 1..off.len() {
+            off[b] += off[b - 1];
+        }
+        let mut cursor = off.clone();
+        let mut items = vec![0u32; *off.last().expect("offsets start at one entry") as usize];
+        for (v, &b) in bucket.iter().enumerate() {
+            if b != u32::MAX {
+                items[cursor[b as usize] as usize] = v as u32;
+                cursor[b as usize] += 1;
+            }
+        }
+        Self { bucket_of, off, items }
+    }
+
+    fn n_keys(&self) -> usize {
+        self.bucket_of.len()
+    }
+
+    fn get(&self, key: u128) -> &[u32] {
+        match self.bucket_of.get(&key) {
+            Some(&b) => {
+                &self.items[self.off[b as usize] as usize..self.off[b as usize + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+}
+
+/// The probe of one joined pair `(i, j)`: partition `i`'s candidates,
+/// ascending, against partition `j`'s key table.
+struct Probe<'a> {
+    peg: &'a Peg,
+    plan: &'a PairPlan,
+    table: &'a KeyTable,
+    factors_i: &'a PathFactors,
+    factors_j: &'a PathFactors,
+    /// The two partitions' entity-id slabs.
+    nodes_i: &'a [EntityId],
+    nodes_j: &'a [EntityId],
+    alpha: f64,
+}
+
+impl Probe<'_> {
+    /// Probes candidates `range` of partition `i`, appending the admitted
+    /// `(wi, wj)` in ascending order; returns how many candidate pairs the
+    /// admission test saw. The only allocation is the union-image scratch,
+    /// once per call.
+    fn run(&self, range: std::ops::Range<usize>, out: &mut Vec<(u32, u32)>) -> usize {
+        let li = self.factors_i.len;
+        let mut images = vec![EntityId(0); li + self.plan.extra_j.len()];
+        let mut probed = 0usize;
+        for wi in range {
+            if !self.factors_i.compatible[wi] {
+                continue;
+            }
+            let ni = &self.nodes_i[wi * li..(wi + 1) * li];
+            let bucket = self.table.get(packed_key(ni, &self.plan.key_i));
+            // Path i's label product opens every pair's `Prle` the same
+            // way; take it once per candidate.
+            let Some(prefix) = product_nonzero(1.0, self.factors_i.labels_of(wi)) else { continue };
+            images[..li].copy_from_slice(ni);
+            probed += bucket.len();
+            for &wj in bucket {
+                if self.admits(wi, wj as usize, prefix, &mut images) {
+                    out.push((wi as u32, wj));
+                }
+            }
+        }
+        probed
+    }
+
+    /// Join-candidate admission test: injectivity, reference compatibility,
+    /// and `Pr(Pu1 ∘ Pu2) ≥ α` on the joined subgraph. `images` holds
+    /// candidate `wi`'s images already, `prefix` its label product, and
+    /// both candidates are compatible in themselves — which leaves the
+    /// cross pairs, and the rest of the product in its defined order:
+    /// `j`'s unseen labels, `i`'s edges, `j`'s unseen edges, then `Prn`
+    /// of the union.
+    fn admits(&self, wi: usize, wj: usize, prefix: f64, images: &mut [EntityId]) -> bool {
+        let (plan, peg) = (self.plan, self.peg);
+        let lj = self.factors_j.len;
+        let nj = &self.nodes_j[wj * lj..(wj + 1) * lj];
+        let (ni, extra) = images.split_at_mut(self.factors_i.len);
+        if plan.key_rest.iter().any(|&(a, b)| ni[a] != nj[b]) {
+            return false; // Join predicate violated.
+        }
+        for (image, &b) in extra.iter_mut().zip(&plan.extra_j) {
+            *image = nj[b];
+        }
+        for &a in &plan.free_i {
+            for &eb in extra.iter() {
+                if ni[a] == eb || !peg.graph.refs_disjoint(ni[a], eb) {
+                    return false;
+                }
+            }
+        }
+        let (labels_j, edges_j) = (self.factors_j.labels_of(wj), self.factors_j.edges_of(wj));
+        let mut prle = prefix;
+        for &b in &plan.extra_j {
+            prle *= labels_j[b];
+            if prle == 0.0 {
+                return false;
+            }
+        }
+        let Some(mut prle) = product_nonzero(prle, self.factors_i.edges_of(wi)) else {
+            return false;
+        };
+        for &w in &plan.edges_j {
+            prle *= edges_j[w];
+            if prle == 0.0 {
+                return false;
+            }
+        }
+        prle * peg.prn(images) + EPS >= self.alpha
+    }
+}
+
+/// `acc · ∏ factors`, left to right; `None` as soon as it reaches zero.
+fn product_nonzero(mut acc: f64, factors: &[f64]) -> Option<f64> {
+    for &f in factors {
+        acc *= f;
+        if acc == 0.0 {
+            return None;
+        }
+    }
+    Some(acc)
+}
+
 /// Builds the candidate k-partite graph: vertices from `candidate_sets`,
-/// links from join-candidate computation (lookup tables per joined pair).
+/// links from join-candidate computation (a key table per joined pair,
+/// Section 5.2.3), written straight into the arenas.
 ///
-/// Both stages fan out over `pool` in order-preserving chunks — vertex
-/// construction per partition, and the per-pair probe loop (which carries
-/// the `joined_pair_ok` admission test, the hot part on high-candidate
-/// queries). Chunk results are reassembled in index order and the final
-/// flatten canonicalizes link lists, so the graph is byte-identical to
-/// the sequential build at any lane count.
+/// The vertex pass and the per-pair probe (which carries the admission
+/// test, the hot part on high-candidate queries) fan out over `pool` in
+/// order-preserving chunks reassembled in index order, so the graph is
+/// byte-identical to the sequential build at any lane count.
 pub fn build_kpartite(
     peg: &Peg,
     query: &QueryGraph,
@@ -924,187 +1261,84 @@ pub fn build_kpartite(
     alpha: f64,
     pool: &pegpool::ThreadPool,
 ) -> KPartiteGraph {
-    let k = decomp.paths.len();
-    let cover = CoverAssignment::new(query, decomp);
-
-    let mut partitions: Vec<Partition> = Vec::with_capacity(k);
-    for i in 0..k {
-        let joined = decomp.joins[i].clone();
-        let path = &decomp.paths[i];
-        let make_vert = |pm: &pathindex::PathMatch| {
-            let mut w1 = 1.0;
-            for &pos in &cover.owned_nodes[i] {
-                w1 *= peg.graph.label_prob(pm.nodes[pos], query.label(path.nodes[pos]));
-            }
-            for &(a, b) in &cover.owned_edges[i] {
-                w1 *= peg.graph.edge_prob(
-                    pm.nodes[a],
-                    pm.nodes[b],
-                    query.label(path.nodes[a]),
-                    query.label(path.nodes[b]),
-                );
-            }
-            let mut perception = vec![1.0; k];
-            perception[i] = w1;
-            Vert {
-                nodes: pm.nodes.clone(),
-                w1,
-                w2: pm.prn,
-                alive: true,
-                links: vec![Vec::new(); joined.len()],
-                perception,
-            }
-        };
-        let matches = &candidate_sets[i].matches;
-        let verts: Vec<Vert> = if pool.lanes() > 1 && matches.len() >= 64 {
-            let chunks = pool.chunks(matches.len(), 4);
-            pool.map(chunks.len(), |ci| {
-                matches[chunks[ci].clone()].iter().map(make_vert).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            matches.iter().map(make_vert).collect()
-        };
-        partitions.push(Partition { joined, verts });
-    }
-
-    // Join-candidate links per joined pair (i < j), via lookup tables
-    // keyed on the images of the shared query nodes (Section 5.2.3).
-    for i in 0..k {
-        for &j in &decomp.joins[i] {
-            if j < i {
-                continue;
-            }
-            let shared = decomp.shared_nodes(i, j);
-            let pos_i: Vec<usize> =
-                shared.iter().map(|&n| decomp.paths[i].position(n).unwrap()).collect();
-            let pos_j: Vec<usize> =
-                shared.iter().map(|&n| decomp.paths[j].position(n).unwrap()).collect();
-
-            // Lookup table over partition j.
-            let mut table: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
-            for (wj, v) in partitions[j].verts.iter().enumerate() {
-                let key: Vec<u32> = pos_j.iter().map(|&p| v.nodes[p].0).collect();
-                table.entry(key).or_default().push(wj as u32);
-            }
-
-            let slot_ij = partitions[i].joined.iter().position(|&x| x == j).expect("join symmetry");
-            let slot_ji = partitions[j].joined.iter().position(|&x| x == i).expect("join symmetry");
-            // The probe key buffer is caller-provided and reused across the
-            // whole chunk — one allocation per lane, not one per vertex.
-            let probe = |wi: usize, key: &mut Vec<u32>, out: &mut Vec<(u32, u32)>| {
-                let v = &partitions[i].verts[wi];
-                key.clear();
-                key.extend(pos_i.iter().map(|&p| v.nodes[p].0));
-                let Some(buddies) = table.get(key.as_slice()) else { return };
-                out.extend(
-                    buddies
-                        .iter()
-                        .filter(|&&wj| {
-                            let w = &partitions[j].verts[wj as usize];
-                            joined_pair_ok(peg, query, decomp, i, j, v, w, alpha)
-                        })
-                        .map(|&wj| (wi as u32, wj)),
-                );
-            };
-            let n_i = partitions[i].verts.len();
-            let new_links: Vec<(u32, u32)> = if pool.lanes() > 1 && n_i >= 64 {
-                let chunks = pool.chunks(n_i, 4);
-                pool.map(chunks.len(), |ci| {
-                    let mut key = Vec::new();
-                    let mut out = Vec::new();
-                    for wi in chunks[ci].clone() {
-                        probe(wi, &mut key, &mut out);
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                let mut key = Vec::new();
-                let mut out = Vec::new();
-                for wi in 0..n_i {
-                    probe(wi, &mut key, &mut out);
-                }
-                out
-            };
-            for (wi, wj) in new_links {
-                partitions[i].verts[wi as usize].links[slot_ij].push(wj);
-                partitions[j].verts[wj as usize].links[slot_ji].push(wi);
-            }
-        }
-    }
-    KPartiteGraph::from_partitions(partitions)
+    let span = pegtrace::Span::disabled();
+    build_kpartite_traced(peg, query, decomp, candidate_sets, alpha, pool, &span)
 }
 
-/// Join-candidate admission test: injectivity, reference compatibility, and
-/// `Pr(Pu1 ∘ Pu2) ≥ α` on the joined subgraph.
-#[allow(clippy::too_many_arguments)]
-fn joined_pair_ok(
+/// [`build_kpartite`], emitting a `vertices` child and one `pair` child
+/// per joined pair (tags `i`, `j`, `keys`, `probed`, `links`) under `span`
+/// when it records.
+pub fn build_kpartite_traced(
     peg: &Peg,
     query: &QueryGraph,
     decomp: &Decomposition,
-    i: usize,
-    j: usize,
-    vi: &Vert,
-    vj: &Vert,
+    candidate_sets: &[CandidateSet],
     alpha: f64,
-) -> bool {
-    // Union mapping qnode -> entity.
-    let mut mapping: Vec<(QNode, EntityId)> = Vec::new();
-    for (paths, vert) in [(i, vi), (j, vj)] {
-        for (pos, &n) in decomp.paths[paths].nodes.iter().enumerate() {
-            let e = vert.nodes[pos];
-            match mapping.iter().find(|(q, _)| *q == n) {
-                Some((_, prev)) => {
-                    if *prev != e {
-                        return false; // Join predicate violated.
-                    }
-                }
-                None => mapping.push((n, e)),
-            }
+    pool: &pegpool::ThreadPool,
+    span: &pegtrace::Span,
+) -> KPartiteGraph {
+    let k = decomp.paths.len();
+    let cover = CoverAssignment::new(query, decomp);
+
+    let child = span.child("vertices");
+    let mut writer = KPartiteWriter::new(k);
+    let mut factors: Vec<PathFactors> = Vec::with_capacity(k);
+    for (i, path) in decomp.paths.iter().enumerate() {
+        let matches = &candidate_sets[i].matches;
+        let f = PathFactors::compute(peg, &path.labels(query), matches, pool);
+        writer.add_partition(&decomp.joins[i], path.nodes.len(), matches.len());
+        for (v, pm) in matches.iter().enumerate() {
+            let w1 = f.w1(v, &cover.owned_nodes[i], &cover.owned_edges[i]);
+            writer.add_vertex(&pm.nodes, w1, pm.prn);
+        }
+        factors.push(f);
+    }
+    child.tag("n", writer.g.alive.len());
+    drop(child);
+
+    for i in 0..k {
+        for &j in decomp.joins[i].iter().filter(|&&j| j > i) {
+            let child = span.child("pair");
+            let plan = PairPlan::new(decomp, i, j);
+            let g = &writer.g;
+            let slab = |p: &PartMeta| &g.nodes[p.nodes_off..p.nodes_off + p.n * p.path_len];
+            let (nodes_i, nodes_j) = (slab(&g.parts[i]), slab(&g.parts[j]));
+            let table = KeyTable::build(nodes_j, &factors[j], &plan.key_j);
+            let probe = Probe {
+                peg,
+                plan: &plan,
+                table: &table,
+                factors_i: &factors[i],
+                factors_j: &factors[j],
+                nodes_i,
+                nodes_j,
+                alpha,
+            };
+            let n_i = g.parts[i].n;
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let probed = if pool.lanes() > 1 && n_i >= 64 {
+                let chunks = pool.chunks(n_i, 4);
+                let pieces = pool.map(chunks.len(), |ci| {
+                    let mut out = Vec::new();
+                    let probed = probe.run(chunks[ci].clone(), &mut out);
+                    (out, probed)
+                });
+                pieces.into_iter().fold(0, |probed, (out, n)| {
+                    pairs.extend(out);
+                    probed + n
+                })
+            } else {
+                probe.run(0..n_i, &mut pairs)
+            };
+            child.tag("i", i);
+            child.tag("j", j);
+            child.tag("keys", table.n_keys());
+            child.tag("probed", probed);
+            child.tag("links", pairs.len());
+            writer.add_links(i, j, pairs);
         }
     }
-    // Injectivity: distinct query nodes, distinct entities.
-    for (a, (_, ea)) in mapping.iter().enumerate() {
-        for (_, eb) in &mapping[a + 1..] {
-            if ea == eb {
-                return false;
-            }
-            if !peg.graph.refs_disjoint(*ea, *eb) {
-                return false;
-            }
-        }
-    }
-    // Pr(Pu1 ∘ Pu2): labels over union nodes, edges over both paths' edges.
-    let mut prle = 1.0;
-    for &(n, e) in &mapping {
-        prle *= peg.graph.label_prob(e, query.label(n));
-        if prle == 0.0 {
-            return false;
-        }
-    }
-    let mut edges: Vec<(QNode, QNode)> = Vec::new();
-    for p in [i, j] {
-        for e in decomp.paths[p].edges() {
-            if !edges.contains(&e) {
-                edges.push(e);
-            }
-        }
-    }
-    let image = |n: QNode| mapping.iter().find(|(q, _)| *q == n).unwrap().1;
-    for (a, b) in edges {
-        prle *= peg.graph.edge_prob(image(a), image(b), query.label(a), query.label(b));
-        if prle == 0.0 {
-            return false;
-        }
-    }
-    let entities: Vec<EntityId> = mapping.iter().map(|(_, e)| *e).collect();
-    let prn = peg.prn(&entities);
-    prle * prn + EPS >= alpha
+    writer.finish()
 }
 
 #[cfg(test)]
@@ -1114,6 +1348,7 @@ mod tests {
     use crate::offline::{OfflineIndex, OfflineOptions};
     use crate::online::candidates::{find_candidates, NodeCandidateCache, PathStats};
     use crate::online::decompose::{decompose, DecompStrategy};
+    use graphstore::dist::{EdgeProbability, LabelDist};
     use graphstore::Label;
 
     /// Builds the k-partite graph for the Figure-1 (r,a,i) query decomposed
@@ -1322,22 +1557,13 @@ mod tests {
     /// reach `A` (partition 1 is its only sender), perception would stay
     /// at 1.0, and the α = 0.5 prune below would not fire.
     fn two_partition_chain() -> KPartiteGraph {
-        let vert = |w1: f64, own: usize, other_links: Vec<u32>| Vert {
-            nodes: vec![EntityId(own as u32)],
-            w1,
-            w2: 1.0,
-            alive: true,
-            links: vec![other_links],
-            perception: {
-                let mut p = vec![1.0; 2];
-                p[own] = w1;
-                p
-            },
-        };
-        KPartiteGraph::from_partitions(vec![
-            Partition { joined: vec![1], verts: vec![vert(1.0, 0, vec![0])] },
-            Partition { joined: vec![0], verts: vec![vert(0.3, 1, vec![0])] },
-        ])
+        let mut w = KPartiteWriter::new(2);
+        w.add_partition(&[1], 1, 1);
+        w.add_vertex(&[EntityId(0)], 1.0, 1.0);
+        w.add_partition(&[0], 1, 1);
+        w.add_vertex(&[EntityId(1)], 0.3, 1.0);
+        w.add_links(0, 1, vec![(0, 0)]);
+        w.finish()
     }
 
     #[test]
@@ -1393,5 +1619,509 @@ mod tests {
         let total_edges: usize = cover.owned_edges.iter().map(|v| v.len()).sum();
         assert_eq!(total_nodes, q.n_nodes());
         assert_eq!(total_edges, q.n_edges());
+    }
+
+    /// The nested builder `build_kpartite` replaced, kept as its oracle:
+    /// one heap-allocated `Vert` per candidate, a `Vec`-keyed lookup table
+    /// per joined pair, an admission test that re-derives the union
+    /// mapping and edge list for every candidate pair, and a final flatten
+    /// that sorts and deduplicates every link list into the arenas.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        struct Vert {
+            nodes: Vec<EntityId>,
+            w1: f64,
+            w2: f64,
+            links: Vec<Vec<u32>>,
+            perception: Vec<f64>,
+        }
+
+        struct Partition {
+            joined: Vec<usize>,
+            path_len: usize,
+            verts: Vec<Vert>,
+        }
+
+        fn from_partitions(mut partitions: Vec<Partition>) -> KPartiteGraph {
+            let k = partitions.len();
+            for p in &mut partitions {
+                for v in &mut p.verts {
+                    for l in &mut v.links {
+                        l.sort_unstable();
+                        l.dedup();
+                    }
+                }
+            }
+            let mut parts: Vec<PartMeta> = Vec::with_capacity(k);
+            let (mut base, mut nodes_off, mut slot_off) = (0usize, 0usize, 0usize);
+            for p in &partitions {
+                parts.push(PartMeta {
+                    joined: p.joined.clone(),
+                    base,
+                    n: p.verts.len(),
+                    path_len: p.path_len,
+                    nodes_off,
+                    slot_off,
+                });
+                base += p.verts.len();
+                nodes_off += p.verts.len() * p.path_len;
+                slot_off += p.verts.len() * p.joined.len();
+            }
+            let (n_verts, total_slots) = (base, slot_off);
+            let (mut w1, mut w2, mut nodes) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut perception, mut links) = (Vec::new(), Vec::new());
+            let mut link_off = vec![0usize];
+            for p in &partitions {
+                for v in &p.verts {
+                    assert_eq!(v.perception.len(), k);
+                    w1.push(v.w1);
+                    w2.push(v.w2);
+                    nodes.extend_from_slice(&v.nodes);
+                    perception.extend_from_slice(&v.perception);
+                    for l in &v.links {
+                        links.extend_from_slice(l);
+                        link_off.push(links.len());
+                    }
+                }
+            }
+            assert_eq!(link_off.len(), total_slots + 1);
+            let link_alive = link_off.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+            let mut msg_dirty = BitSet::new(n_verts);
+            msg_dirty.set_all(n_verts);
+            KPartiteGraph {
+                k,
+                alive_n: parts.iter().map(|p| p.n).collect(),
+                parts,
+                alive: vec![true; n_verts],
+                w1,
+                w2,
+                nodes,
+                perception,
+                links,
+                link_off,
+                link_alive,
+                msg_dirty,
+                next_dirty: BitSet::new(n_verts),
+                bound_dirty: BitSet::new(n_verts),
+                structure_clean: false,
+            }
+        }
+
+        pub fn reference_build(
+            peg: &Peg,
+            query: &QueryGraph,
+            decomp: &Decomposition,
+            candidate_sets: &[CandidateSet],
+            alpha: f64,
+        ) -> KPartiteGraph {
+            let k = decomp.paths.len();
+            let cover = CoverAssignment::new(query, decomp);
+            let mut partitions: Vec<Partition> = Vec::with_capacity(k);
+            for i in 0..k {
+                let joined = decomp.joins[i].clone();
+                let path = &decomp.paths[i];
+                let make_vert = |pm: &PathMatch| {
+                    let mut w1 = 1.0;
+                    for &pos in &cover.owned_nodes[i] {
+                        w1 *= peg.graph.label_prob(pm.nodes[pos], query.label(path.nodes[pos]));
+                    }
+                    for &(a, b) in &cover.owned_edges[i] {
+                        w1 *= peg.graph.edge_prob(
+                            pm.nodes[a],
+                            pm.nodes[b],
+                            query.label(path.nodes[a]),
+                            query.label(path.nodes[b]),
+                        );
+                    }
+                    let mut perception = vec![1.0; k];
+                    perception[i] = w1;
+                    Vert {
+                        nodes: pm.nodes.clone(),
+                        w1,
+                        w2: pm.prn,
+                        links: vec![Vec::new(); joined.len()],
+                        perception,
+                    }
+                };
+                let verts = candidate_sets[i].matches.iter().map(make_vert).collect();
+                partitions.push(Partition { joined, path_len: path.nodes.len(), verts });
+            }
+            for i in 0..k {
+                for &j in &decomp.joins[i] {
+                    if j < i {
+                        continue;
+                    }
+                    let shared = decomp.shared_nodes(i, j);
+                    let pos_i: Vec<usize> =
+                        shared.iter().map(|&n| decomp.paths[i].position(n).unwrap()).collect();
+                    let pos_j: Vec<usize> =
+                        shared.iter().map(|&n| decomp.paths[j].position(n).unwrap()).collect();
+                    let mut table: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
+                    for (wj, v) in partitions[j].verts.iter().enumerate() {
+                        let key: Vec<u32> = pos_j.iter().map(|&p| v.nodes[p].0).collect();
+                        table.entry(key).or_default().push(wj as u32);
+                    }
+                    let slot_ij = partitions[i].joined.iter().position(|&x| x == j).unwrap();
+                    let slot_ji = partitions[j].joined.iter().position(|&x| x == i).unwrap();
+                    let mut new_links: Vec<(u32, u32)> = Vec::new();
+                    for (wi, v) in partitions[i].verts.iter().enumerate() {
+                        let key: Vec<u32> = pos_i.iter().map(|&p| v.nodes[p].0).collect();
+                        let Some(buddies) = table.get(&key) else { continue };
+                        for &wj in buddies {
+                            let w = &partitions[j].verts[wj as usize];
+                            if joined_pair_ok(peg, query, decomp, i, j, &v.nodes, &w.nodes, alpha) {
+                                new_links.push((wi as u32, wj));
+                            }
+                        }
+                    }
+                    for (wi, wj) in new_links {
+                        partitions[i].verts[wi as usize].links[slot_ij].push(wj);
+                        partitions[j].verts[wj as usize].links[slot_ji].push(wi);
+                    }
+                }
+            }
+            from_partitions(partitions)
+        }
+
+        /// The admission test as it was: `Pr(Pu1 ∘ Pu2) + EPS ≥ α`.
+        #[allow(clippy::too_many_arguments)]
+        fn joined_pair_ok(
+            peg: &Peg,
+            query: &QueryGraph,
+            decomp: &Decomposition,
+            i: usize,
+            j: usize,
+            vi: &[EntityId],
+            vj: &[EntityId],
+            alpha: f64,
+        ) -> bool {
+            joined_pair_prob(peg, query, decomp, i, j, vi, vj).is_some_and(|p| p + EPS >= alpha)
+        }
+
+        /// `Pr(Pu1 ∘ Pu2)` of a candidate pair in the product order the
+        /// admission decision is defined by; `None` when the pair violates
+        /// a join predicate, injectivity or reference compatibility, or its
+        /// label/edge product reaches zero.
+        pub fn joined_pair_prob(
+            peg: &Peg,
+            query: &QueryGraph,
+            decomp: &Decomposition,
+            i: usize,
+            j: usize,
+            vi: &[EntityId],
+            vj: &[EntityId],
+        ) -> Option<f64> {
+            // Union mapping qnode -> entity.
+            let mut mapping: Vec<(QNode, EntityId)> = Vec::new();
+            for (paths, vert) in [(i, vi), (j, vj)] {
+                for (pos, &n) in decomp.paths[paths].nodes.iter().enumerate() {
+                    let e = vert[pos];
+                    match mapping.iter().find(|(q, _)| *q == n) {
+                        Some((_, prev)) => {
+                            if *prev != e {
+                                return None; // Join predicate violated.
+                            }
+                        }
+                        None => mapping.push((n, e)),
+                    }
+                }
+            }
+            // Injectivity: distinct query nodes, distinct entities.
+            for (a, (_, ea)) in mapping.iter().enumerate() {
+                for (_, eb) in &mapping[a + 1..] {
+                    if ea == eb {
+                        return None;
+                    }
+                    if !peg.graph.refs_disjoint(*ea, *eb) {
+                        return None;
+                    }
+                }
+            }
+            // Pr(Pu1 ∘ Pu2): labels over union nodes, edges over both paths' edges.
+            let mut prle = 1.0;
+            for &(n, e) in &mapping {
+                prle *= peg.graph.label_prob(e, query.label(n));
+                if prle == 0.0 {
+                    return None;
+                }
+            }
+            let mut edges: Vec<(QNode, QNode)> = Vec::new();
+            for p in [i, j] {
+                for e in decomp.paths[p].edges() {
+                    if !edges.contains(&e) {
+                        edges.push(e);
+                    }
+                }
+            }
+            let image = |n: QNode| mapping.iter().find(|(q, _)| *q == n).unwrap().1;
+            for (a, b) in edges {
+                prle *= peg.graph.edge_prob(image(a), image(b), query.label(a), query.label(b));
+                if prle == 0.0 {
+                    return None;
+                }
+            }
+            let entities: Vec<EntityId> = mapping.iter().map(|(_, e)| *e).collect();
+            Some(prle * peg.prn(&entities))
+        }
+    }
+    use reference::{joined_pair_prob, reference_build};
+
+    /// Arena-for-arena equality, floats by bit pattern.
+    fn assert_same_arenas(got: &KPartiteGraph, want: &KPartiteGraph, ctx: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(got.k, want.k, "{ctx}: k");
+        assert_eq!(got.alive, want.alive, "{ctx}: alive");
+        assert_eq!(got.alive_n, want.alive_n, "{ctx}: alive_n");
+        assert_eq!(bits(&got.w1), bits(&want.w1), "{ctx}: w1");
+        assert_eq!(bits(&got.w2), bits(&want.w2), "{ctx}: w2");
+        assert_eq!(got.nodes, want.nodes, "{ctx}: nodes");
+        assert_eq!(bits(&got.perception), bits(&want.perception), "{ctx}: perception");
+        assert_eq!(got.links, want.links, "{ctx}: links");
+        assert_eq!(got.link_off, want.link_off, "{ctx}: link_off");
+        assert_eq!(got.link_alive, want.link_alive, "{ctx}: link_alive");
+        for (g, w) in got.parts.iter().zip(&want.parts) {
+            assert_eq!(
+                (&g.joined, g.base, g.n, g.path_len, g.nodes_off, g.slot_off),
+                (&w.joined, w.base, w.n, w.path_len, w.nodes_off, w.slot_off),
+                "{ctx}: partition layout"
+            );
+        }
+    }
+
+    /// New builder at lanes {1, 2} against the reference; returns the graph.
+    fn assert_builder_equals_reference(
+        peg: &Peg,
+        q: &QueryGraph,
+        d: &Decomposition,
+        sets: &[CandidateSet],
+        alpha: f64,
+        ctx: &str,
+    ) -> KPartiteGraph {
+        let want = reference_build(peg, q, d, sets, alpha);
+        for lanes in [1usize, 2] {
+            let got = build_kpartite(peg, q, d, sets, alpha, &pegpool::pool_with(lanes));
+            assert_same_arenas(&got, &want, &format!("{ctx} alpha={alpha} lanes={lanes}"));
+        }
+        want
+    }
+
+    fn retrieve(
+        peg: &Peg,
+        idx: &OfflineIndex,
+        q: &QueryGraph,
+        d: &Decomposition,
+        alpha: f64,
+    ) -> Vec<CandidateSet> {
+        let (cache, pool) = (NodeCandidateCache::new(), pegpool::pool_with(1));
+        d.paths
+            .iter()
+            .map(|p| find_candidates(peg, idx, q, p, &PathStats::new(q, p), alpha, &cache, &pool))
+            .collect()
+    }
+
+    fn paths(paths: &[&[QNode]]) -> Decomposition {
+        Decomposition::from_paths(paths.iter().map(|p| QueryPath { nodes: p.to_vec() }).collect())
+    }
+
+    #[test]
+    fn builder_equals_reference_on_figure1() {
+        for alpha in [0.5, 0.1, 0.02] {
+            let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+            let idx =
+                OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(1, 0.01)).unwrap();
+            let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
+            let d = decompose(&q, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
+            let sets = retrieve(&peg, &idx, &q, &d, alpha);
+            assert_builder_equals_reference(&peg, &q, &d, &sets, alpha, "figure1");
+        }
+    }
+
+    /// Generated graphs × hand-picked decompositions covering 1, 2 and 3
+    /// shared nodes, a duplicated edge, three mutually joined partitions
+    /// and a pair of partitions that do not join — plus whatever the
+    /// cost-based planner picks for the same shapes.
+    #[test]
+    fn builder_equals_reference_on_generated_shapes() {
+        let cfg = datagen::SyntheticConfig {
+            seed: 7,
+            ..datagen::SyntheticConfig::paper_with_uncertainty(160, 0.5)
+        };
+        let peg = PegBuilder::new().build(&datagen::synthetic_refgraph(&cfg)).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(3, 0.02)).unwrap();
+        let l = |i: u16| Label(i % peg.graph.label_table().len() as u16);
+        let cycle4 = QueryGraph::cycle(&[l(0), l(1), l(0), l(2)]).unwrap();
+        let triangle = QueryGraph::cycle(&[l(0), l(1), l(2)]).unwrap();
+        let chain5 = QueryGraph::path(&[l(1), l(0), l(2), l(0), l(1)]).unwrap();
+        let star = QueryGraph::star(l(0), &[l(1), l(2), l(1)]).unwrap();
+        let cases: Vec<(&str, &QueryGraph, Decomposition)> = vec![
+            ("chain5 1 shared", &chain5, paths(&[&[0, 1, 2], &[2, 3, 4]])),
+            ("chain5 unjoined pair", &chain5, paths(&[&[0, 1], &[1, 2, 3], &[3, 4]])),
+            ("triangle 2 shared", &triangle, paths(&[&[0, 1, 2], &[2, 0]])),
+            ("cycle4 2 shared", &cycle4, paths(&[&[0, 1, 2], &[2, 3, 0]])),
+            ("cycle4 3 shared + duplicate edge", &cycle4, paths(&[&[0, 1, 2, 3], &[2, 3, 0]])),
+            ("star 3 partitions", &star, paths(&[&[1, 0], &[0, 2], &[3, 0]])),
+            ("triangle planned", &triangle, {
+                decompose(&triangle, 2, &|_| 1.0, DecompStrategy::CostBased).unwrap()
+            }),
+            ("cycle4 planned", &cycle4, {
+                decompose(&cycle4, 3, &|_| 1.0, DecompStrategy::CostBased).unwrap()
+            }),
+        ];
+        let (mut links, mut pooled, mut boundaries) = (0usize, false, 0usize);
+        for (name, q, d) in &cases {
+            for alpha in [0.5, 0.1, 0.02] {
+                let sets = retrieve(&peg, &idx, q, d, alpha);
+                pooled |= sets.iter().any(|cs| cs.matches.len() >= 64);
+                let kp = assert_builder_equals_reference(&peg, q, d, &sets, alpha, name);
+                links += kp.links.len();
+                // And the graphs reduce identically from there.
+                let mut a = build_kpartite(&peg, q, d, &sets, alpha, &pegpool::pool_with(1));
+                let mut b = kp;
+                a.reduce(alpha, &ReduceOptions::default());
+                b.reduce(alpha, &ReduceOptions::default());
+                assert_same_arenas(&a, &b, &format!("{name} alpha={alpha} reduced"));
+            }
+            let sets = retrieve(&peg, &idx, q, d, 0.02);
+            let base = reference_build(&peg, q, d, &sets, 0.02);
+            boundaries += assert_boundary_decisions(&peg, q, d, &sets, &base, 12);
+        }
+        assert!(boundaries >= 48, "boundary decisions sampled: {boundaries}");
+        assert!(links > 0 && pooled, "cases must link and reach the pooled branches");
+    }
+
+    /// Hand-made candidates over the Figure-1 graph at α = 0, where only
+    /// the structural checks can reject: `s3`/`s34` and `s4`/`s34` share a
+    /// reference, `s34` cannot image two query nodes, and a zero label
+    /// probability rejects even though `0 + EPS ≥ 0`.
+    #[test]
+    fn structural_rejections_match_reference() {
+        let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+        let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
+        let d = paths(&[&[0, 1], &[1, 2]]);
+        let (s1, s2, s3, s4, s34) =
+            (EntityId(0), EntityId(1), EntityId(2), EntityId(3), EntityId(4));
+        let set = |cands: &[[EntityId; 2]]| CandidateSet {
+            matches: cands
+                .iter()
+                .map(|c| PathMatch { nodes: c.to_vec(), prle: 1.0, prn: peg.prn(c) })
+                .collect(),
+            bounds: vec![1.0; cands.len()],
+            raw_count: cands.len(),
+        };
+        let sets = [set(&[[s3, s2], [s34, s2], [s4, s2]]), set(&[[s2, s34], [s2, s4], [s2, s1]])];
+        let kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.0, "structural");
+        let p0 = kp.part(0);
+        // (s3,s2): s34 shares r3; s4 and s1 are compatible.
+        assert_eq!(p0.vert(0).links(0), &[1, 2]);
+        // (s34,s2): itself again, s4 shares r4; s1 is compatible.
+        assert_eq!(p0.vert(1).links(0), &[2]);
+        // (s4,s2): s4 is never labelled `r`, so the product is zero.
+        assert_eq!(peg.graph.label_prob(s4, Label(1)), 0.0);
+        assert!(p0.vert(2).links(0).is_empty());
+    }
+
+    /// Two 5-node paths over the same five query nodes share more images
+    /// than one packed key holds: the bucket agrees on the first four and
+    /// the admission test must compare the fifth.
+    #[test]
+    fn pairs_sharing_more_nodes_than_the_key_compare_the_rest() {
+        // A complete graph on 8 certain references: small enough that the
+        // 5-node paths can be indexed outright.
+        let mut table = graphstore::LabelTable::new();
+        let labels = [table.intern("a"), table.intern("b"), table.intern("c")];
+        let mut refs = graphstore::RefGraph::new(table);
+        let ids: Vec<_> = [0, 1, 0, 1, 2, 0, 1, 2]
+            .iter()
+            .map(|&l| refs.add_ref(LabelDist::delta(labels[l], labels.len())))
+            .collect();
+        for (a, &ra) in ids.iter().enumerate() {
+            for &rb in &ids[a + 1..] {
+                refs.add_edge(ra, rb, EdgeProbability::Independent(0.9));
+            }
+        }
+        let peg = PegBuilder::new().build(&refs).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(4, 0.3)).unwrap();
+        let [a, b, c] = labels;
+        let q = QueryGraph::cycle(&[a, b, a, b, c]).unwrap();
+        let d = paths(&[&[0, 1, 2, 3, 4], &[4, 0, 1, 2, 3]]);
+        assert_eq!(d.shared_nodes(0, 1).len(), 5);
+        let sets = retrieve(&peg, &idx, &q, &d, 0.3);
+        let kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.3, "wide key");
+        // Some pair agrees on the packed four and differs on the fifth —
+        // so the comparison had something to reject — and some pair links.
+        let (p0, p1) = (kp.part(0), kp.part(1));
+        let near_miss = (0..p0.n_verts()).any(|a| {
+            (0..p1.n_verts()).any(|b| {
+                let (x, y) = (p0.vert(a).nodes(), p1.vert(b).nodes());
+                x[..4] == y[1..] && x[4] != y[0]
+            })
+        });
+        assert!(near_miss && !kp.links.is_empty());
+    }
+
+    /// Rebuilds at thresholds sitting exactly on, and just past, the
+    /// admission boundary `p + EPS` of up to `samples` links of `base`
+    /// (built from `sets` at a lower α). On the boundary the decision is
+    /// one f64 comparison wide, so a product taken in any other order
+    /// than the reference's shows up as a missing link.
+    fn assert_boundary_decisions(
+        peg: &Peg,
+        q: &QueryGraph,
+        d: &Decomposition,
+        sets: &[CandidateSet],
+        base: &KPartiteGraph,
+        samples: usize,
+    ) -> usize {
+        let mut linked: Vec<(usize, usize, usize, u32)> = Vec::new();
+        for i in 0..base.n_partitions() {
+            let p = base.part(i);
+            for (slot, &j) in p.joined().iter().enumerate().filter(|&(_, &j)| j > i) {
+                for wi in 0..p.n_verts() {
+                    linked.extend(p.vert(wi).links(slot).iter().map(|&wj| (i, j, wi, wj)));
+                }
+            }
+        }
+        let step = linked.len().div_ceil(samples).max(1);
+        let mut checked = 0usize;
+        for &(i, j, wi, wj) in linked.iter().step_by(step) {
+            let (ni, nj) = (base.part(i).vert(wi).nodes(), base.part(j).vert(wj as usize).nodes());
+            let p = joined_pair_prob(peg, q, d, i, j, ni, nj).expect("a linked pair has a product");
+            for (alpha, stays) in [(p + EPS, true), (p + 3.0 * EPS, false)] {
+                let kp = assert_builder_equals_reference(peg, q, d, sets, alpha, "boundary");
+                let slot = kp.part(i).slot_of(j).unwrap();
+                assert_eq!(kp.part(i).vert(wi).links(slot).contains(&wj), stays, "p={p}");
+            }
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn alpha_boundary_admits_and_rejects_like_reference() {
+        let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(1, 0.01)).unwrap();
+        let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
+        let d = paths(&[&[0, 1], &[1, 2]]);
+        let sets = retrieve(&peg, &idx, &q, &d, 0.01);
+        let base = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.01, "boundary base");
+        assert!(assert_boundary_decisions(&peg, &q, &d, &sets, &base, usize::MAX) > 0);
+    }
+
+    #[test]
+    fn empty_partition_takes_its_path_length_from_the_plan() {
+        let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+        let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(1, 0.01)).unwrap();
+        let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
+        let d = paths(&[&[0, 1], &[1, 2]]);
+        let mut sets = retrieve(&peg, &idx, &q, &d, 0.05);
+        assert!(!sets[1].matches.is_empty());
+        sets[0] = CandidateSet { matches: Vec::new(), bounds: Vec::new(), raw_count: 0 };
+        let mut kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.05, "empty partition");
+        assert_eq!((kp.parts[0].n, kp.parts[0].path_len), (0, 2));
+        assert!(kp.links.is_empty());
+        kp.reduce(0.05, &ReduceOptions::default());
+        assert_eq!(kp.alive_counts(), vec![0, 0]);
     }
 }

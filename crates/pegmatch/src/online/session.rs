@@ -20,7 +20,7 @@ use crate::matcher::Match;
 use crate::online::candidates::{bound_keeps, CandidateSet};
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
 use crate::online::generate::generate_matches_limited;
-use crate::online::kpartite::{build_kpartite, KPartiteGraph, ReduceOptions};
+use crate::online::kpartite::{build_kpartite_traced, KPartiteGraph, ReduceOptions};
 use crate::online::plan::PreparedQuery;
 use crate::online::source::CandidateSource;
 use crate::online::{log10_product, PipelineStats, QueryOptions, QueryResult};
@@ -85,7 +85,8 @@ impl<'a, 'p> QuerySession<'a, 'p> {
 
     /// Attaches a tracer: subsequent [`QuerySession::rebase`] /
     /// [`QuerySession::run_at`] calls emit one root-level span per stage
-    /// (`"retrieve"`, `"join"`, `"reduce"`, `"generate"`) into it, in
+    /// (`"retrieve"`, `"join"`, `"reduce"`, `"generate"`; `"join"` carries a
+    /// `"vertices"` child and one `"pair"` child per joined pair) into it, in
     /// chronological order — a multi-rebase top-k run simply appends more
     /// stage spans. The embedder (e.g. the serving layer's `explain`
     /// handler) assembles the request-level root around
@@ -161,7 +162,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // 3. Join-candidates / k-partite construction.
         let span = self.tracer.span("join");
         let t = Instant::now();
-        let mut kp = build_kpartite(self.peg, query, decomp, &sets, alpha, &pool);
+        let mut kp = build_kpartite_traced(self.peg, query, decomp, &sets, alpha, &pool, &span);
         stats.join_time = t.elapsed();
         drop(span);
 

@@ -128,14 +128,14 @@ use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{
-    floor_alpha, CandidateSource, ExecCache, PlanCache, QueryOptions, QueryPipeline, QueryResult,
-    DEFAULT_EXEC_CACHE_BYTES,
+    floor_alpha, CandidateSource, ExecCache, PipelineStats, PlanCache, QueryOptions, QueryPipeline,
+    QueryResult, DEFAULT_EXEC_CACHE_BYTES,
 };
 use pegmatch::Peg;
 use pegshard::{
     wire as shard_wire, ShardedGraphStore, TcpTransport, TcpTransportConfig, WorkerShard,
 };
-use pegtrace::{MetricsRegistry, SpanNode, Tracer};
+use pegtrace::{Histogram, MetricsRegistry, SpanNode, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -313,6 +313,9 @@ struct ServerState {
     /// `metrics` reply must describe only its own). Dumped by the
     /// `metrics` op in [`statsjson::metrics_json`]'s schema.
     metrics: MetricsRegistry,
+    /// The always-on per-phase histograms, resolved out of `metrics` once
+    /// so recording a query is four atomic bucket bumps.
+    pipeline: PipelineHistograms,
     /// Trace-id source for `explain` and any future traced op. A plain
     /// counter, not a random id: ids only need to be unique per server,
     /// and they must stay below 2^53 to survive the JSON number type.
@@ -356,6 +359,7 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let metrics = MetricsRegistry::new();
         let state = Arc::new(ServerState {
             graphs: Mutex::new(HashMap::new()),
             worker_shards: Mutex::new(HashMap::new()),
@@ -365,7 +369,8 @@ impl Server {
             allow_debug_sleep: config.allow_debug_sleep,
             max_connections: config.max_connections.max(1),
             shutdown: AtomicBool::new(false),
-            metrics: MetricsRegistry::new(),
+            pipeline: PipelineHistograms::resolve(&metrics),
+            metrics,
             trace_ids: AtomicU64::new(1),
             slow_query: config.slow_query_ms.map(Duration::from_millis),
             addr,
@@ -1213,25 +1218,57 @@ fn op_prepare(state: &ServerState, r: &proto::Prepare) -> Result<Json, Reply> {
         .build())
 }
 
+/// Handles on the `pipeline.{retrieve,join,reduce,generate}_us`
+/// histograms: where a query's time went, phase by phase, for every query
+/// served — not only the ones sent as `explain`.
+struct PipelineHistograms {
+    retrieve: Histogram,
+    join: Histogram,
+    reduce: Histogram,
+    generate: Histogram,
+}
+
+impl PipelineHistograms {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        Self {
+            retrieve: metrics.histogram("pipeline.retrieve_us"),
+            join: metrics.histogram("pipeline.join_us"),
+            reduce: metrics.histogram("pipeline.reduce_us"),
+            generate: metrics.histogram("pipeline.generate_us"),
+        }
+    }
+
+    fn record(&self, stats: &PipelineStats) {
+        self.retrieve.record(stats.candidates_time);
+        self.join.record(stats.join_time);
+        self.reduce.record(stats.reduction_time);
+        self.generate.record(stats.generation_time);
+    }
+}
+
 /// Per-query bookkeeping shared by every query-shaped op: bumps the
-/// served counter, records the op's latency histogram in the metrics
-/// registry, and — when the server has a slow-query threshold and this
-/// query crossed it — writes one structured JSON line to stderr, so an
-/// operator can grep offenders out of a server log without any
-/// proportional overhead on the fast path.
+/// served counter, records the op's latency histogram and each answered
+/// query's phase times in the metrics registry, and — when the server has
+/// a slow-query threshold and this query crossed it — writes one
+/// structured JSON line to stderr, so an operator can grep offenders out
+/// of a server log without any proportional overhead on the fast path.
 struct QueryNote<'a> {
     op: &'a str,
     graph: &'a str,
     pattern: &'a str,
     alpha: f64,
     n_matches: usize,
-    /// Queries answered under this note (>1 for batches).
-    count: u64,
+    /// Pipeline stats of the queries answered under this note (one per
+    /// query; several for a batch).
+    stats: &'a [PipelineStats],
 }
 
 fn note_query(state: &ServerState, note: QueryNote<'_>, elapsed: Duration) {
-    state.metrics.counter("serve.queries").add(note.count);
+    state.metrics.counter("serve.queries").add(note.stats.len() as u64);
     state.metrics.histogram(&format!("serve.{}_us", note.op)).record(elapsed);
+    for stats in note.stats {
+        state.pipeline.record(stats);
+    }
     if let Some(threshold) = state.slow_query {
         if elapsed >= threshold {
             state.metrics.counter("serve.slow_queries").incr();
@@ -1274,7 +1311,7 @@ fn op_query(state: &ServerState, r: &proto::Query) -> Result<Json, Reply> {
             pattern: &r.pattern,
             alpha: r.alpha,
             n_matches: result.matches.len(),
-            count: 1,
+            stats: std::slice::from_ref(&result.stats),
         },
         elapsed,
     );
@@ -1312,7 +1349,7 @@ fn op_query_topk(state: &ServerState, r: &proto::QueryTopk) -> Result<Json, Repl
             pattern: &r.pattern,
             alpha: r.min_alpha,
             n_matches: result.matches.len(),
-            count: 1,
+            stats: std::slice::from_ref(&result.stats),
         },
         elapsed,
     );
@@ -1363,7 +1400,7 @@ fn op_explain(state: &ServerState, r: &proto::Explain) -> Result<Json, Reply> {
             pattern: &r.pattern,
             alpha: r.alpha,
             n_matches: result.matches.len(),
-            count: 1,
+            stats: std::slice::from_ref(&result.stats),
         },
         elapsed,
     );
@@ -1478,6 +1515,7 @@ fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Re
         store.prefetch(&batch, &pool);
     }
     let mut results = Vec::with_capacity(parsed.len());
+    let mut item_stats = Vec::with_capacity(parsed.len());
     let mut total_matches = 0usize;
     for (p, (_, alpha, limit)) in prepared.iter().zip(&parsed) {
         let t_item = Instant::now();
@@ -1493,6 +1531,7 @@ fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Re
                 .field("matches", matches_json(&res))
                 .build(),
         );
+        item_stats.push(res.stats);
     }
     let elapsed = t0.elapsed();
     drop(permit);
@@ -1504,7 +1543,7 @@ fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Re
             pattern: &format!("[{} queries]", parsed.len()),
             alpha: 0.0,
             n_matches: total_matches,
-            count: parsed.len() as u64,
+            stats: &item_stats,
         },
         elapsed,
     );
@@ -1646,6 +1685,7 @@ mod tests {
         assert_eq!(graphs.len(), 1);
         assert_eq!(graphs[0].get("plan_cache").unwrap().get("hits").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("admission").unwrap().get("admitted").unwrap().as_u64(), Some(2));
+        assert_eq!(handle.state.metrics.histogram("pipeline.join_us").count(), 2);
 
         // `prepare` plans without executing; this shape is already cached.
         let reply = client

@@ -16,7 +16,7 @@ use pathindex::PathIndexConfig;
 use pegmatch::matcher::Match;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
-use pegmatch::online::kpartite::{KPartiteGraph, Partition, ReduceOptions, Vert};
+use pegmatch::online::kpartite::{KPartiteGraph, KPartiteWriter, ReduceOptions};
 use pegmatch::online::{QueryOptions, QueryPipeline};
 use pegshard::ShardedGraphStore;
 use proptest::prelude::*;
@@ -120,10 +120,10 @@ proptest! {
     }
 }
 
-/// Builds a random symmetric k-partite graph directly in builder form:
-/// `k` partitions joined pairwise by `topology`, symmetric link lists
-/// drawn from `seed`, perceptions initialized the way `build_kpartite`
-/// does (all-ones with the own entry at `w1`).
+/// Builds a random symmetric k-partite graph through the arena writer
+/// `build_kpartite` itself uses: `k` partitions joined pairwise, symmetric
+/// links drawn from `seed`, perceptions initialized the way the writer
+/// always does (all-ones with the own entry at `w1`).
 fn random_kpartite(k: usize, n_verts: usize, density: u32, seed: u64) -> KPartiteGraph {
     // Small deterministic PRNG (splitmix64) — no external deps.
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -134,46 +134,32 @@ fn random_kpartite(k: usize, n_verts: usize, density: u32, seed: u64) -> KPartit
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    let joined_of = |pi: usize| -> Vec<usize> { (0..k).filter(|&j| j != pi).collect() };
-    let mut parts: Vec<Partition> = (0..k)
-        .map(|pi| {
-            let joined = joined_of(pi);
-            let verts = (0..n_verts)
-                .map(|vi| {
-                    let w1 = ((next() % 900) + 100) as f64 / 1000.0;
-                    let w2 = ((next() % 900) + 100) as f64 / 1000.0;
-                    let mut perception = vec![1.0; k];
-                    perception[pi] = w1;
-                    Vert {
-                        nodes: vec![EntityId((pi * n_verts + vi) as u32)],
-                        w1,
-                        w2,
-                        alive: true,
-                        links: vec![Vec::new(); joined.len()],
-                        perception,
-                    }
-                })
-                .collect();
-            Partition { joined, verts }
-        })
-        .collect();
-    // Symmetric links: decide each cross-partition pair once, append to
-    // both sides' slot lists.
+    let mut writer = KPartiteWriter::new(k);
+    for pi in 0..k {
+        let joined: Vec<usize> = (0..k).filter(|&j| j != pi).collect();
+        writer.add_partition(&joined, 1, n_verts);
+        for vi in 0..n_verts {
+            let w1 = ((next() % 900) + 100) as f64 / 1000.0;
+            let w2 = ((next() % 900) + 100) as f64 / 1000.0;
+            writer.add_vertex(&[EntityId((pi * n_verts + vi) as u32)], w1, w2);
+        }
+    }
+    // Symmetric links: decide each cross-partition pair once, in the
+    // ascending (vi, vj) order the writer lays both directions out from.
     for pi in 0..k {
         for pj in (pi + 1)..k {
-            let slot_ij = parts[pi].joined.iter().position(|&j| j == pj).unwrap();
-            let slot_ji = parts[pj].joined.iter().position(|&j| j == pi).unwrap();
+            let mut pairs = Vec::new();
             for vi in 0..n_verts {
                 for vj in 0..n_verts {
                     if next() % 100 < density as u64 {
-                        parts[pi].verts[vi].links[slot_ij].push(vj as u32);
-                        parts[pj].verts[vj].links[slot_ji].push(vi as u32);
+                        pairs.push((vi as u32, vj as u32));
                     }
                 }
             }
+            writer.add_links(pi, pj, pairs);
         }
     }
-    KPartiteGraph::from_partitions(parts)
+    writer.finish()
 }
 
 proptest! {
