@@ -74,9 +74,9 @@ impl PreparedQuery {
 
     /// Per-path statistics, aligned with the decomposition's paths. A
     /// session's retrieval passes exactly these to its
-    /// [`CandidateSource`](crate::online::CandidateSource), which is what
-    /// lets a batched caller prefetch candidates for a prepared plan ahead
-    /// of execution with the precise arguments the session will use.
+    /// [`CandidateSource`](crate::online::CandidateSource), so a caller
+    /// can retrieve a prepared plan's candidates with the precise
+    /// arguments a session would use.
     pub fn path_stats(&self) -> &[PathStats] {
         &self.pstats
     }

@@ -87,6 +87,12 @@ pub const MAX_PATTERN_NODES: usize = 64;
 /// occupy — and, with [`MAX_RESULT_MATCHES`] per item, the reply line.
 pub const MAX_QUERY_BATCH: usize = 32;
 
+/// Ceiling on `load_graph`'s `worker_timeout_ms`, the per-exchange
+/// deadline of a distributed graph's transport: 10 minutes. Unbounded,
+/// one request could set a deadline no fault would ever hit, voiding the
+/// rule that every fault is a structured error inside its deadline.
+pub const MAX_WORKER_TIMEOUT_MS: usize = 600_000;
+
 /// A request rejected at decode: a structured error code plus detail,
 /// before any handler ran.
 #[derive(Debug)]
@@ -376,8 +382,14 @@ impl LoadGraph {
                 workers.len()
             )));
         }
-        let worker_timeout =
-            Duration::from_millis(field_usize(req, "worker_timeout_ms", 30_000)? as u64);
+        let worker_timeout_ms = field_usize(req, "worker_timeout_ms", 30_000)?;
+        if !(1..=MAX_WORKER_TIMEOUT_MS).contains(&worker_timeout_ms) {
+            return Err(bad(format!(
+                "\"worker_timeout_ms\" {worker_timeout_ms} out of range \
+                 1..={MAX_WORKER_TIMEOUT_MS}"
+            )));
+        }
+        let worker_timeout = Duration::from_millis(worker_timeout_ms as u64);
         let exec_cache = match req.get("exec_cache") {
             None | Some(Json::Null) => true,
             Some(v) => v.as_bool().ok_or_else(|| bad("\"exec_cache\" must be a boolean"))?,
@@ -582,30 +594,6 @@ impl ShardRetrieve {
     }
 }
 
-/// A validated `shard_retrieve_batch` (many scatter legs, one line).
-pub struct ShardRetrieveBatch {
-    /// Graph name the shard is held under.
-    pub graph: String,
-    /// Shard version to retrieve against (`None` = latest).
-    pub version: Option<u64>,
-    /// Worker pool lanes (0 = all cores).
-    pub threads: usize,
-    /// The decoded retrieve bodies.
-    pub items: Vec<(QueryGraph, Vec<QueryPath>, f64)>,
-}
-
-impl ShardRetrieveBatch {
-    fn decode(req: &Json) -> Result<ShardRetrieveBatch, ProtoError> {
-        let graph = require_graph(req)?;
-        let version = shard_wire::decode_version(req)
-            .map_err(|e| bad(format!("bad shard_retrieve_batch: {e}")))?;
-        let threads = worker_threads(req)?;
-        let items = shard_wire::decode_retrieve_batch_request(req)
-            .map_err(|e| bad(format!("bad shard_retrieve_batch: {e}")))?;
-        Ok(ShardRetrieveBatch { graph, version, threads, items })
-    }
-}
-
 /// A validated `shard_update` (worker side of a live-graph mutation).
 pub struct ShardUpdate {
     /// Graph name the shard is held under.
@@ -661,8 +649,6 @@ pub enum Request {
     ShardLoad(ShardLoad),
     /// Worker: one scatter leg.
     ShardRetrieve(ShardRetrieve),
-    /// Worker: many scatter legs in one line.
-    ShardRetrieveBatch(ShardRetrieveBatch),
     /// Worker: apply a mutation batch, advancing the shard version.
     ShardUpdate(ShardUpdate),
     /// Worker: drop shard state for a graph.
@@ -735,9 +721,6 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             shard_wire::OP_SHARD_LOAD => ShardLoad::decode(req).map(Request::ShardLoad),
             shard_wire::OP_SHARD_RETRIEVE => ShardRetrieve::decode(req).map(Request::ShardRetrieve),
-            shard_wire::OP_SHARD_RETRIEVE_BATCH => {
-                ShardRetrieveBatch::decode(req).map(Request::ShardRetrieveBatch)
-            }
             shard_wire::OP_SHARD_UPDATE => ShardUpdate::decode(req).map(Request::ShardUpdate),
             shard_wire::OP_SHARD_UNLOAD => require_graph(req).map(Request::ShardUnload),
             other => Err(bad(format!("unknown op '{other}'"))),

@@ -43,7 +43,6 @@
 //! | `shutdown`       | —                                                                 |
 //! | `shard_load`     | `graph?`, generator spec (`kind`/`size`/`seed?`/`uncertainty?`/`max_len?`/`beta?`), `shard`, `n_shards` |
 //! | `shard_retrieve` | `graph`, `alpha`, `labels`, `edges`, `paths`, `threads?`, `version?`, `trace_id?` (reply gains `span`) |
-//! | `shard_retrieve_batch` | `graph`, `queries` (array of retrieve bodies), `threads?`, `version?` |
 //! | `shard_update`   | `graph`, `version`, `ops`                                         |
 //! | `shard_unload`   | `graph`                                                           |
 //!
@@ -80,10 +79,9 @@
 //! that panics answers a structured `internal` error (id echoed) instead
 //! of leaving the caller to wait out its timeout.
 //!
-//! `query_batch` ships many threshold queries in one line and one reply —
-//! amortizing the per-exchange wire tax — and executes them under **one**
-//! admission permit, prefetching all their candidate scatters in a single
-//! batched round trip per shard worker when the graph is distributed.
+//! `query_batch` ships many threshold queries in one line and one reply
+//! and executes them, one after another, under **one** admission permit
+//! (on a sharded graph each item scatters like a single `query` does).
 //! Every per-query result is bit-identical to the same `query` sent
 //! alone.
 //!
@@ -128,12 +126,13 @@ use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{
-    floor_alpha, CandidateSource, ExecCache, PipelineStats, PlanCache, QueryOptions, QueryPipeline,
-    QueryResult, DEFAULT_EXEC_CACHE_BYTES,
+    ExecCache, PipelineStats, PlanCache, QueryOptions, QueryPipeline, QueryResult,
+    DEFAULT_EXEC_CACHE_BYTES,
 };
 use pegmatch::Peg;
 use pegshard::{
-    wire as shard_wire, ShardedGraphStore, TcpTransport, TcpTransportConfig, WorkerShard,
+    wire as shard_wire, ScatterStats, ShardedGraphStore, TcpTransport, TcpTransportConfig,
+    WorkerShard,
 };
 use pegtrace::{Histogram, MetricsRegistry, SpanNode, Tracer};
 use std::collections::HashMap;
@@ -568,9 +567,8 @@ fn write_reply(writer: &Mutex<TcpStream>, reply: &Json) -> bool {
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     // One reply per request line is the worst case for Nagle + delayed
-    // ACK (a ~40ms stall per exchange on loopback, measured via the
-    // shard-transport ablation): replies must leave the socket
-    // immediately.
+    // ACK (a ~40ms stall per exchange on loopback): replies must leave
+    // the socket immediately.
     let _ = stream.set_nodelay(true);
     // Poll for shutdown between requests: a blocked read wakes every 250ms
     // so idle connections notice a shutdown promptly. The write timeout
@@ -758,7 +756,6 @@ fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
             .build()),
         R::ShardLoad(r) => op_shard_load(state, r),
         R::ShardRetrieve(r) => op_shard_retrieve(state, r),
-        R::ShardRetrieveBatch(r) => op_shard_retrieve_batch(state, r),
         R::ShardUpdate(r) => op_shard_update(state, r),
         R::ShardUnload(name) => op_shard_unload(state, name),
         R::Shutdown => {
@@ -836,29 +833,28 @@ fn op_load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, Repl
         let config = TcpTransportConfig { io_timeout: r.worker_timeout, ..Default::default() };
         let transport = TcpTransport::connect(&name, &r.workers, config)
             .map_err(|e| peg_error_reply(e.into_peg()))?;
-        let sharded = ShardedGraphStore::connect(peg, &opts, transport, |shard, n_shards| {
-            r.spec.shard_load_json(&name, &opts.index, shard, n_shards)
-        })
-        .map_err(peg_error_reply)?;
-        let s = sharded.stats();
         reply = reply
-            .field("workers", Json::Arr(r.workers.iter().map(|a| Json::Str(a.clone())).collect()))
-            .field("replicated_nodes", s.replicated_nodes)
-            .field("replication_factor", s.replication_factor);
-        GraphStore::Sharded(sharded)
+            .field("workers", Json::Arr(r.workers.iter().map(|a| Json::Str(a.clone())).collect()));
+        let load = |shard, n_shards| r.spec.shard_load_json(&name, &opts.index, shard, n_shards);
+        GraphStore::Sharded(
+            ShardedGraphStore::connect(peg, &opts, transport, load).map_err(peg_error_reply)?,
+        )
     } else if r.shards > 1 {
-        let sharded = ShardedGraphStore::build(peg, &opts, r.shards)
-            .map_err(|e| error_reply("internal", format!("sharded build failed: {e}")))?;
-        let s = sharded.stats();
-        reply = reply
-            .field("replicated_nodes", s.replicated_nodes)
-            .field("replication_factor", s.replication_factor);
-        GraphStore::Sharded(sharded)
+        GraphStore::Sharded(
+            ShardedGraphStore::build(peg, &opts, r.shards)
+                .map_err(|e| error_reply("internal", format!("sharded build failed: {e}")))?,
+        )
     } else {
         let offline = OfflineIndex::build(&peg, &opts)
             .map_err(|e| error_reply("internal", format!("offline phase failed: {e}")))?;
         GraphStore::Unsharded { peg, offline }
     };
+    if let GraphStore::Sharded(sharded) = &store {
+        let s = sharded.stats();
+        reply = reply
+            .field("replicated_nodes", s.replicated_nodes)
+            .field("replication_factor", s.replication_factor);
+    }
     // Protocol-loaded graphs are live: the reference network the build
     // started from rides along so `update_graph` can recompile it
     // incrementally.
@@ -884,21 +880,12 @@ fn op_shard_load(state: &ServerState, r: &proto::ShardLoad) -> Result<Json, Repl
     // graph-sized.
     let ws = WorkerShard::build(refs, peg, &opts, r.shard, r.n_shards)
         .map_err(|e| error_reply("internal", format!("shard build failed: {e}")))?;
-    let info = ws.info();
-    let hist = shard_wire::encode_histogram(&ws.histogram());
     let reply = obj()
         .field("ok", true)
         .field("graph", r.graph.as_str())
         .field("shard", r.shard)
-        .field("n_shards", r.n_shards)
-        .field("nodes", ws.full_nodes())
-        .field("edges", ws.full_edges())
-        .field("shard_nodes", info.nodes)
-        .field("owned_nodes", info.owned_nodes)
-        .field("shard_edges", info.edges)
-        .field("index_entries", info.index_entries)
-        .field("index_bytes", info.index_bytes)
-        .field("hist", hist)
+        .field("n_shards", r.n_shards);
+    let reply = shard_wire::encode_summary(reply, &ws.summary())
         .field("build_us", t0.elapsed().as_micros() as u64)
         .build();
     state.worker_shards.lock().unwrap().insert(r.graph.clone(), Arc::new(ws));
@@ -918,8 +905,8 @@ fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Js
     // timed under a worker-side "shard_retrieve" root span, shipped back
     // in the reply's "span" field; the coordinator's transport grafts it
     // into the live request tree for an end-to-end distributed trace.
-    // Untraced requests (the common case, and every batch) skip even the
-    // per-path clock reads.
+    // Untraced requests (the common case) skip even the per-path clock
+    // reads.
     let tracer = match r.trace_id {
         Some(id) => Tracer::enabled(id),
         None => Tracer::disabled(),
@@ -956,25 +943,6 @@ fn lookup_worker_shard(state: &ServerState, name: &str) -> Result<Arc<WorkerShar
         .ok_or_else(|| error_reply("unknown_graph", format!("no shard loaded for '{name}'")))
 }
 
-/// Worker side of a batched scatter: decode `queries`, run each through
-/// the shared per-path retrieval unit, encode every reply into one line.
-/// One admission permit covers the whole batch — it is one exchange on
-/// the wire, and splitting permits across items would let a batch
-/// deadlock against the admission queue it already holds a slot in.
-fn op_shard_retrieve_batch(
-    state: &ServerState,
-    r: &proto::ShardRetrieveBatch,
-) -> Result<Json, Reply> {
-    let ws = lookup_worker_shard(state, &r.graph)?;
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    let pool = pegpool::pool_with(r.threads);
-    let mut replies = Vec::with_capacity(r.items.len());
-    for (query, paths, alpha) in &r.items {
-        replies.push(ws.retrieve(query, paths, *alpha, r.version, &pool).map_err(peg_error_reply)?);
-    }
-    Ok(shard_wire::encode_retrieve_batch_reply(&replies))
-}
-
 /// Worker side of a live-graph mutation: apply the batch to the held
 /// reference network, recompile, and advance the shard to `version` —
 /// rebuilding this shard's subgraph + index only when the mutation's
@@ -987,21 +955,9 @@ fn op_shard_update(state: &ServerState, r: &proto::ShardUpdate) -> Result<Json, 
     let ws = lookup_worker_shard(state, &r.graph)?;
     let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
     let t0 = Instant::now();
-    let up = ws.apply_update(&r.ops, r.version).map_err(peg_error_reply)?;
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", r.graph.as_str())
-        .field("version", up.version)
-        .field("nodes", up.full_nodes)
-        .field("edges", up.full_edges)
-        .field("shard_nodes", up.info.nodes)
-        .field("owned_nodes", up.info.owned_nodes)
-        .field("shard_edges", up.info.edges)
-        .field("index_entries", up.info.index_entries)
-        .field("index_bytes", up.info.index_bytes)
-        .field("rebuilt", up.rebuilt)
-        .field("n_dirty", up.n_dirty)
-        .field("hist", shard_wire::encode_histogram(&up.hist))
+    let summary = ws.apply_update(&r.ops, r.version).map_err(peg_error_reply)?;
+    let reply = obj().field("ok", true).field("graph", r.graph.as_str());
+    Ok(shard_wire::encode_summary(reply, &summary)
         .field("update_us", t0.elapsed().as_micros() as u64)
         .build())
 }
@@ -1364,9 +1320,10 @@ fn op_query_topk(state: &ServerState, r: &proto::QueryTopk) -> Result<Json, Repl
 }
 
 /// `explain`: a threshold query that additionally reports *how* it ran —
-/// plan summary, stage-by-stage pipeline statistics, scatter statistics
-/// (sharded graphs), and the full request span tree, worker-side scatter
-/// spans included when the graph is distributed.
+/// plan summary, stage-by-stage pipeline statistics, this request's
+/// scatter statistics (when it scattered: a sharded graph, and no
+/// execution-cache hit), and the full request span tree, worker-side
+/// scatter spans included when the graph is distributed.
 ///
 /// The span tree is assembled here: the handler times `prepare`
 /// server-side (sessions only see prepared plans) and grafts the
@@ -1375,7 +1332,7 @@ fn op_query_topk(state: &ServerState, r: &proto::QueryTopk) -> Result<Json, Repl
 /// root whose elapsed time covers prepare + execution. Everything except
 /// `elapsed_us` values and the `trace_id` is a deterministic function of
 /// the request, which `tests/trace_determinism.rs` pins across thread
-/// counts, shard counts, and both serve modes.
+/// counts and shard counts.
 fn op_explain(state: &ServerState, r: &proto::Explain) -> Result<Json, Reply> {
     let entry = resolve_graph(state, r.graph.as_deref())?;
     let query = parse_request_query(&entry, &r.pattern)?;
@@ -1423,10 +1380,12 @@ fn op_explain(state: &ServerState, r: &proto::Explain) -> Result<Json, Reply> {
         .field_opt("shape_hash", prepared.shape_hash().map(|h| format!("{h:016x}")))
         .field("plan_us", prepared.decompose_time().as_micros() as u64)
         .build();
-    let scatter: Option<Json> = match &entry.store {
-        GraphStore::Sharded(store) => Some(statsjson::scatter_json(&store.last_scatter())),
-        GraphStore::Unsharded { .. } => None,
-    };
+    // Request-scoped: read off this request's own `retrieve` span, which
+    // the sharded store tagged if (and only if) it scattered.
+    let scatter: Option<Json> = root
+        .find("retrieve")
+        .and_then(ScatterStats::from_span)
+        .map(|s| statsjson::scatter_json(&s));
     Ok(obj()
         .field("ok", true)
         .field("graph", entry.name.as_str())
@@ -1472,16 +1431,13 @@ fn item_reply(Reply(r): Reply, i: usize) -> Reply {
     error_reply(&code, format!("queries[{i}]: {msg}"))
 }
 
-/// `query_batch`: many threshold queries in one line and one reply,
-/// amortizing the per-exchange wire tax the transport ablation measured.
+/// `query_batch`: many threshold queries in one line and one reply.
 /// Every item is validated *before* the single admission permit is
 /// taken; execution shares the graph's plan cache and the per-request
-/// session flow, so each per-item result is bit-identical to the same
-/// `query` sent alone. On a distributed graph, every item's candidate
-/// scatter is prefetched in one `shard_retrieve_batch` round trip per
-/// worker before the sessions run (best-effort: a missed prefetch just
-/// falls back to a live scatter). Failure is whole-batch: results are
-/// not useful if their siblings silently vanished.
+/// session flow (on a sharded graph each item scatters on its own), so
+/// each per-item result is bit-identical to the same `query` sent alone.
+/// Failure is whole-batch: results are not useful if their siblings
+/// silently vanished.
 fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Reply> {
     let entry = resolve_graph(state, r.graph.as_deref())?;
     let opts = QueryOptions { threads: r.threads, ..Default::default() };
@@ -1495,31 +1451,13 @@ fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Re
     let permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
     let pipe = graph_pipeline(state, &entry);
     let t0 = Instant::now();
-    let mut prepared = Vec::with_capacity(parsed.len());
-    for (query, alpha, _) in &parsed {
-        prepared.push(pipe.prepare(query, *alpha, &opts).map_err(peg_error_reply)?);
-    }
-    if let GraphStore::Sharded(store) = &entry.store {
-        // With the execution cache attached, sessions that miss retrieve
-        // at the *floor* threshold (so the cached lists serve the whole
-        // quantization bucket) — the prefetch must scatter at the same
-        // floored alpha or its entries would never be consumed.
-        let exec_on = entry.exec_enabled && state.exec_cache.is_some();
-        let beta = CandidateSource::beta(store);
-        let batch: Vec<(&pegmatch::online::PreparedQuery, f64)> = prepared
-            .iter()
-            .zip(&parsed)
-            .map(|(p, (_, alpha, _))| (p, if exec_on { floor_alpha(*alpha, beta) } else { *alpha }))
-            .collect();
-        let pool = pegpool::pool_with(r.threads);
-        store.prefetch(&batch, &pool);
-    }
     let mut results = Vec::with_capacity(parsed.len());
     let mut item_stats = Vec::with_capacity(parsed.len());
     let mut total_matches = 0usize;
-    for (p, (_, alpha, limit)) in prepared.iter().zip(&parsed) {
+    for (query, alpha, limit) in &parsed {
+        let p = pipe.prepare(query, *alpha, &opts).map_err(peg_error_reply)?;
         let t_item = Instant::now();
-        let mut session = pipe.session(p, &opts);
+        let mut session = pipe.session(&p, &opts);
         let res = session.run_at(*alpha, Some(*limit)).map_err(peg_error_reply)?;
         total_matches += res.matches.len();
         results.push(
@@ -1727,6 +1665,14 @@ mod tests {
                 "queries[1]",
             ),
             (r#"{"op":"query","debug_sleep_ms":5,"pattern":"(x:l0)"}"#, "allow_debug_sleep"),
+            (
+                r#"{"op":"load_graph","kind":"synthetic","size":100,"worker_timeout_ms":0}"#,
+                "worker_timeout_ms",
+            ),
+            (
+                r#"{"op":"load_graph","kind":"synthetic","size":100,"worker_timeout_ms":600001}"#,
+                "worker_timeout_ms",
+            ),
         ] {
             let reply = client.request(&Json::parse(line).unwrap()).unwrap();
             assert_eq!(
@@ -1937,12 +1883,11 @@ mod tests {
             .unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
         assert_eq!(reply.get("shard").and_then(Json::as_usize), Some(1));
-        assert!(reply.get("nodes").unwrap().as_usize().unwrap() > 0);
-        assert!(
-            reply.get("owned_nodes").unwrap().as_usize().unwrap()
-                <= reply.get("shard_nodes").unwrap().as_usize().unwrap()
-        );
-        assert!(reply.get("hist").unwrap().as_arr().is_some(), "{reply}");
+        // The reply body is the coordinator's summary format (histogram
+        // included), at the freshly loaded version.
+        let summary = shard_wire::decode_summary(&reply, 0).expect("shard_load reply decodes");
+        assert!(summary.full_nodes > 0);
+        assert!(summary.info.owned_nodes <= summary.info.nodes);
 
         let reply = client
             .request(

@@ -3,7 +3,7 @@
 //!
 //! Four structs cross the protocol boundary as statistics —
 //! [`PipelineStats`] (per-query stage instrumentation),
-//! [`ScatterStats`] (the sharded store's last scatter-gather),
+//! [`ScatterStats`] (one request's scatter-gather over a sharded store),
 //! [`WorkerStats`] (per-worker transport counters), and
 //! [`AdmissionStats`] (the admission semaphore) — and each is rendered
 //! by exactly one helper here, shared by the `stats` and `explain`
@@ -56,9 +56,9 @@ pub fn pipeline_json(s: &PipelineStats) -> Json {
         .build()
 }
 
-/// The sharded store's most recent scatter-gather: per-shard raw and
-/// pruned candidate counts (boundary replicas included), the distinct
-/// totals after the home filter, and the scatter's wall time.
+/// One request's scatter-gather: per-shard raw and pruned candidate
+/// counts (boundary replicas included), the distinct totals after the
+/// home filter, and the retrieval's wall time.
 pub fn scatter_json(s: &ScatterStats) -> Json {
     obj()
         .field("per_shard_raw", counts(&s.per_shard_raw))
@@ -66,7 +66,6 @@ pub fn scatter_json(s: &ScatterStats) -> Json {
         .field("raw_distinct", s.raw_distinct)
         .field("pruned_distinct", s.pruned_distinct)
         .field("duplicates_dropped", s.duplicates_dropped)
-        .field("prefetched", s.prefetched)
         .field("retrieve_us", s.retrieve_time.as_micros() as u64)
         .build()
 }

@@ -45,21 +45,29 @@
 //!
 //! # The transport seam
 //!
-//! Scatter-gather is written once against [`ShardTransport`]
-//! ([`transport`]): the store asks the transport for each shard's
-//! home-filtered candidate partials and merges them; *where* the shard
-//! lives is the transport's business.
+//! The store reaches its shards only through the five methods of
+//! [`ShardTransport`] ([`transport`]): `n_shards`, `scatter` (each
+//! shard's home-filtered candidate partials, which the store merges),
+//! `update` (apply a mutation everywhere, answer with a successor
+//! transport), `worker_stats` and `release`. A load and an update both
+//! describe each resulting shard with one [`ShardSummary`], and the store
+//! assembles itself from those, whichever transport produced them.
+//! *Where* a shard lives is the transport's business:
 //!
 //! * [`InProcessTransport`] — shards in this process, flat
-//!   `(shard × path)` pool fan-out ([`ShardedGraphStore::build`]).
+//!   `(shard × path)` pool fan-out ([`ShardedGraphStore::build`]); an
+//!   update rebuilds the shards the mutation's dirty ball reaches and
+//!   carries the rest over by `Arc`.
 //! * [`TcpTransport`] — one worker process per shard, reached over
-//!   persistent line-protocol connections with pipelined scatter,
+//!   persistent line-protocol connections with multiplexed scatter,
 //!   reconnect-once recovery, and hard deadlines
 //!   ([`ShardedGraphStore::connect`]). Workers rebuild their shard
-//!   deterministically from the generator spec ([`worker::WorkerShard`]),
-//!   so nothing but the spec, queries, and `(nodes, prle, prn)` triples
-//!   ever crosses the wire — bit-exactly, on [`pegwire::json`]'s f64
-//!   round-trip guarantee (see [`wire`] for the codec and NaN policy).
+//!   deterministically from the generator spec ([`worker::WorkerShard`])
+//!   and apply broadcast `shard_update` batches the same way, so nothing
+//!   but the spec, mutation ops, queries, summaries and
+//!   `(nodes, prle, prn)` triples ever crosses the wire — bit-exactly,
+//!   on [`pegwire::json`]'s f64 round-trip guarantee (see [`wire`] for
+//!   the codec and NaN policy).
 //!
 //! Because both transports run the identical per-shard unit
 //! (`Shard::retrieve_path`) and the gather consumes only home-filtered
@@ -95,9 +103,10 @@ pub mod wire;
 pub mod worker;
 
 pub use partition::shard_of;
-pub use store::{ScatterStats, ShardInfo, ShardedGraphStore, ShardingStats, UpdateStats};
+pub use shard::{ShardInfo, ShardSummary};
+pub use store::{ScatterStats, ShardedGraphStore, ShardingStats, UpdateStats};
 pub use transport::{
     InProcessTransport, PathPartial, ShardReply, ShardRequest, ShardTransport, TcpTransport,
-    TcpTransportConfig, TransportError, WorkerStats,
+    TcpTransportConfig, TransportError, UpdateRequest, WorkerStats,
 };
-pub use worker::{WorkerShard, WorkerUpdate};
+pub use worker::WorkerShard;

@@ -24,6 +24,7 @@
 
 use crate::partition::shard_of;
 use crate::transport::PathPartial;
+use crate::wire::HistogramEntries;
 use graphstore::{EntityGraphBuilder, EntityId};
 use pathindex::PathMatch;
 use pegmatch::error::PegError;
@@ -105,6 +106,47 @@ pub(crate) fn affected_shards(
     affected
 }
 
+/// Per-shard size and ownership breakdown.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShardInfo {
+    /// Nodes in the shard subgraph (owned + replicated halo).
+    pub nodes: usize,
+    /// Nodes this shard owns.
+    pub owned_nodes: usize,
+    /// Edges in the shard subgraph.
+    pub edges: usize,
+    /// Path-index entries the shard stores.
+    pub index_entries: usize,
+    /// Approximate in-memory path-index bytes.
+    pub index_bytes: u64,
+}
+
+/// What one shard reports to the store after a load or an update: the
+/// body of the `shard_load` / `shard_update` replies (codec in
+/// [`crate::wire`]) and, unencoded, what the in-process transport returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShardSummary {
+    /// Node count of the full graph the shard was cut from (a remote
+    /// shard's is cross-checked against the coordinator's own graph).
+    pub full_nodes: usize,
+    /// Edge count of the full graph the shard was cut from.
+    pub full_edges: usize,
+    /// Size and ownership breakdown of the shard.
+    pub info: ShardInfo,
+    /// Home-only histogram counts: each stored path counted once, at its
+    /// home shard, so the element-wise sum over all shards is the
+    /// unsharded histogram exactly.
+    pub hist: HistogramEntries,
+    /// The shard snapshot version described (0 = as loaded).
+    pub version: u64,
+    /// Whether the load or update behind this summary built the shard —
+    /// false when the dirty ball never reached it, and for a resend's ack.
+    pub rebuilt: bool,
+    /// Dirty-node count of the update's compiled delta (0 for a load and
+    /// for an idempotent resend, which recompute nothing).
+    pub n_dirty: usize,
+}
+
 /// One shard of a [`ShardedGraphStore`](crate::ShardedGraphStore).
 pub struct Shard {
     /// The shard subgraph plus projected existence model.
@@ -115,8 +157,6 @@ pub struct Shard {
     pub(crate) to_global: Vec<u32>,
     /// Per local node: whether this shard owns it (vs. halo replication).
     pub(crate) owned: Vec<bool>,
-    /// Number of owned nodes.
-    pub(crate) n_owned: usize,
 }
 
 impl Shard {
@@ -181,8 +221,37 @@ impl Shard {
 
         let owned: Vec<bool> =
             to_global.iter().map(|&g| shard_of(EntityId(g), n_shards) == shard).collect();
-        let n_owned = owned.iter().filter(|&&o| o).count();
-        Ok(Shard { peg, offline, to_global, owned, n_owned })
+        Ok(Shard { peg, offline, to_global, owned })
+    }
+
+    /// Size and ownership breakdown.
+    pub(crate) fn info(&self) -> ShardInfo {
+        ShardInfo {
+            nodes: self.peg.graph.n_nodes(),
+            owned_nodes: self.owned.iter().filter(|&&o| o).count(),
+            edges: self.peg.graph.n_edges(),
+            index_entries: self.offline.paths.n_entries(),
+            index_bytes: self.offline.paths.approx_bytes(),
+        }
+    }
+
+    /// Home-only histogram counts (see [`ShardSummary::hist`]).
+    pub(crate) fn histogram(&self) -> HistogramEntries {
+        self.offline.paths.histogram_counts_where(&|sp| self.is_home_stored(&sp.nodes))
+    }
+
+    /// This shard as freshly built from `full`: version 0, `rebuilt`.
+    /// Update paths overwrite the last three fields.
+    pub(crate) fn summary(&self, full: &Peg) -> ShardSummary {
+        ShardSummary {
+            full_nodes: full.graph.n_nodes(),
+            full_edges: full.graph.n_edges(),
+            info: self.info(),
+            hist: self.histogram(),
+            version: 0,
+            rebuilt: true,
+            n_dirty: 0,
+        }
     }
 
     /// True when this shard is the path's *home*: the path's minimum-id

@@ -1,43 +1,25 @@
 //! The sharded store: transport-independent scatter-gather on the
 //! [`ShardTransport`] seam.
 
-use crate::shard::{affected_shards, halo_for, Shard};
+use crate::shard::{halo_for, ShardInfo, ShardSummary};
 use crate::transport::{
     InProcessTransport, ShardReply, ShardRequest, ShardTransport, TcpTransport, TransportError,
-    WorkerStats,
+    UpdateRequest, WorkerStats,
 };
-use crate::wire;
 use graphstore::hash::FxHashMap;
 use graphstore::{GraphOp, Label, RefGraph};
 use pathindex::PathMatch;
 use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::OfflineOptions;
-use pegmatch::online::{
-    CandidateSet, CandidateSource, Decomposition, PathStats, PreparedQuery, QueryPipeline,
-};
+use pegmatch::online::{CandidateSet, CandidateSource, Decomposition, PathStats, QueryPipeline};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
-use pegtrace::Span;
+use pegtrace::{Span, SpanNode, TagValue};
 use pegwire::Json;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Per-shard size and ownership breakdown.
-#[derive(Clone, Debug)]
-pub struct ShardInfo {
-    /// Nodes in the shard subgraph (owned + replicated halo).
-    pub nodes: usize,
-    /// Nodes this shard owns.
-    pub owned_nodes: usize,
-    /// Edges in the shard subgraph.
-    pub edges: usize,
-    /// Path-index entries the shard stores.
-    pub index_entries: usize,
-    /// Approximate in-memory path-index bytes.
-    pub index_bytes: u64,
-}
 
 /// Build-time sharding statistics: partition shape and replication cost.
 #[derive(Clone, Debug)]
@@ -80,13 +62,46 @@ pub struct ScatterStats {
     /// Boundary-replicated candidates that survived a shard's pruning but
     /// were dropped by its home filter (never shipped, never gathered).
     pub duplicates_dropped: usize,
-    /// Wall time of the scatter + gather. For a prefetched retrieval this
-    /// is the batched scatter's wall time, not the (near-zero) cache hit.
+    /// Wall time of the scatter + gather.
     pub retrieve_time: Duration,
-    /// True when this retrieval was served from the prefetch cache (its
-    /// scatter ran earlier, inside a batched
-    /// [`ShardedGraphStore::prefetch`]).
-    pub prefetched: bool,
+}
+
+impl ScatterStats {
+    /// Tags a request's open `"retrieve"` span with this scatter's counts,
+    /// so a traced request carries its *own* scatter statistics rather
+    /// than reading the store-wide [`ShardedGraphStore::last_scatter`]
+    /// slot, which a concurrent request may have overwritten.
+    fn tag(&self, retrieve: &Span) {
+        retrieve.tag("raw_distinct", self.raw_distinct);
+        retrieve.tag("pruned_distinct", self.pruned_distinct);
+        retrieve.tag("duplicates_dropped", self.duplicates_dropped);
+        for (s, (raw, pruned)) in self.per_shard_raw.iter().zip(&self.per_shard_pruned).enumerate()
+        {
+            retrieve.tag(&format!("shard{s}_raw"), *raw);
+            retrieve.tag(&format!("shard{s}_pruned"), *pruned);
+        }
+    }
+
+    /// Reads back what [`ShardedGraphStore`]'s retrieval tagged onto a
+    /// finished `"retrieve"` span (`retrieve_time` is the span's own
+    /// elapsed time). `None` when the request never scattered — an
+    /// unsharded graph, or an execution-cache hit.
+    pub fn from_span(retrieve: &SpanNode) -> Option<ScatterStats> {
+        let count = |key: &str| match retrieve.tag(key) {
+            Some(TagValue::U64(n)) => Some(*n as usize),
+            _ => None,
+        };
+        let per_shard =
+            |what: &str| (0..).map_while(|s| count(&format!("shard{s}_{what}"))).collect();
+        Some(ScatterStats {
+            per_shard_raw: per_shard("raw"),
+            per_shard_pruned: per_shard("pruned"),
+            raw_distinct: count("raw_distinct")?,
+            pruned_distinct: count("pruned_distinct")?,
+            duplicates_dropped: count("duplicates_dropped")?,
+            retrieve_time: Duration::from_micros(retrieve.elapsed_us),
+        })
+    }
 }
 
 /// What one [`ShardedGraphStore::apply_update`] did: how much of the
@@ -97,13 +112,9 @@ pub struct UpdateStats {
     pub n_dirty: usize,
     /// Shards rebuilt because the dirty ball reached their halo.
     pub rebuilt_shards: usize,
-    /// Existence components carried over from the previous model by
-    /// `Arc` (in-process; 0 for a distributed store, where reuse happens
-    /// worker-side).
+    /// Existence components the store's own recompile of the full graph
+    /// carried over from the previous model by `Arc`.
     pub reused_components: usize,
-    /// Wall time of the whole update (compile + shard rebuilds, or the
-    /// worker broadcast that ran them remotely).
-    pub update_time: Duration,
 }
 
 /// One entity graph partitioned into N shards, each owning its own
@@ -126,59 +137,15 @@ pub struct ShardedGraphStore {
     transport: Box<dyn ShardTransport>,
     /// The offline options every shard's index was built with — a live
     /// update must rebuild affected shards with the identical config or
-    /// the rebuild-equivalence guarantee breaks.
+    /// the rebuild-equivalence guarantee breaks — and whose `beta`,
+    /// `max_len` and `hist_grid` reproduce the unsharded estimates.
     opts: OfflineOptions,
-    /// Shared index config needed to reproduce unsharded estimates.
-    beta: f64,
-    max_len: usize,
-    hist_grid: Vec<f64>,
     /// Merged per-sequence histograms: element-wise sums of each shard's
     /// home-only counts, bit-identical to the unsharded histogram.
     hist: FxHashMap<Vec<u16>, Vec<u32>>,
     stats: ShardingStats,
     last_scatter: Mutex<ScatterStats>,
-    /// Gathered candidate sets scattered ahead of execution by
-    /// [`ShardedGraphStore::prefetch`], keyed by the exact retrieve
-    /// arguments; [`CandidateSource::retrieve`] consumes a matching entry
-    /// instead of scattering again.
-    prefetched: Mutex<Vec<PrefetchEntry>>,
 }
-
-/// The exact arguments a retrieval scatters with, in owned form — what a
-/// prefetched result is keyed by. Equality here is equality of the wire
-/// request: same label ids, same edges, same decomposition paths, same
-/// threshold bits. `pstats` is excluded deliberately: it is a pure
-/// function of `(query, path)` (recomputed shard-side), so it cannot
-/// diverge between prefetch and retrieve.
-#[derive(PartialEq)]
-struct PrefetchKey {
-    labels: Vec<u16>,
-    edges: Vec<(u16, u16)>,
-    paths: Vec<Vec<u16>>,
-    alpha_bits: u64,
-}
-
-impl PrefetchKey {
-    fn new(query: &QueryGraph, decomp: &Decomposition, alpha: f64) -> PrefetchKey {
-        PrefetchKey {
-            labels: query.labels().iter().map(|l| l.0).collect(),
-            edges: query.edges().to_vec(),
-            paths: decomp.paths.iter().map(|p| p.nodes.clone()).collect(),
-            alpha_bits: alpha.to_bits(),
-        }
-    }
-}
-
-struct PrefetchEntry {
-    key: PrefetchKey,
-    sets: Vec<CandidateSet>,
-    scatter: ScatterStats,
-}
-
-/// Prefetch-cache entry cap: a batched `query_batch` is bounded well
-/// below this, so entries only pile up if callers prefetch and never
-/// execute; FIFO eviction bounds that memory.
-const MAX_PREFETCHED: usize = 64;
 
 /// Merges one shard's home-only histogram into the accumulator
 /// (element-wise integer sums — exact, order-independent).
@@ -197,91 +164,27 @@ fn merge_histogram(hist: &mut FxHashMap<Vec<u16>, Vec<u32>>, entries: Vec<(Vec<u
     }
 }
 
-fn sharding_stats(
-    n_shards: usize,
-    halo: usize,
-    per_shard: Vec<ShardInfo>,
-    graph_nodes: usize,
-    build_time: Duration,
-) -> ShardingStats {
-    let total_nodes: usize = per_shard.iter().map(|s| s.nodes).sum();
-    ShardingStats {
-        n_shards,
-        halo_radius: halo,
-        replicated_nodes: total_nodes.saturating_sub(graph_nodes),
-        replication_factor: if graph_nodes == 0 {
-            1.0
-        } else {
-            total_nodes as f64 / graph_nodes as f64
-        },
-        total_index_entries: per_shard.iter().map(|s| s.index_entries).sum(),
-        per_shard,
-        build_time,
-    }
-}
-
 impl ShardedGraphStore {
     /// Partitions `peg` into `n_shards` in-process shards and builds each
-    /// shard's offline index with `opts` (shard builds fan out on the
-    /// shared pool). `n_shards == 1` is the degenerate single-shard store
-    /// — same machinery, no boundary replication.
+    /// shard's offline index with `opts`. `n_shards == 1` is the
+    /// degenerate single-shard store — same machinery, no boundary
+    /// replication.
     pub fn build(peg: Peg, opts: &OfflineOptions, n_shards: usize) -> Result<Self, PegError> {
         if n_shards == 0 {
             return Err(PegError::Invalid("shard count must be at least 1".into()));
         }
         let t0 = Instant::now();
-        let halo = halo_for(n_shards, opts.index.max_len.max(1));
-        let shards: Vec<Arc<Shard>> = pegpool::global()
-            .map(n_shards, |s| Shard::build(&peg, opts, s, n_shards, halo))
-            .into_iter()
-            .map(|r| r.map(Arc::new))
-            .collect::<Result<_, _>>()?;
-
-        // Merge home-only histograms: each indexed path is counted exactly
-        // once (at its home shard), so the element-wise integer sums equal
-        // the unsharded index's histogram — and with it, every cardinality
-        // estimate the planner asks for, bit-for-bit.
-        let mut hist: FxHashMap<Vec<u16>, Vec<u32>> = FxHashMap::default();
-        for shard in &shards {
-            merge_histogram(
-                &mut hist,
-                shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes)),
-            );
-        }
-
-        let per_shard: Vec<ShardInfo> = shards
-            .iter()
-            .map(|s| ShardInfo {
-                nodes: s.peg.graph.n_nodes(),
-                owned_nodes: s.n_owned,
-                edges: s.peg.graph.n_edges(),
-                index_entries: s.offline.paths.n_entries(),
-                index_bytes: s.offline.paths.approx_bytes(),
-            })
-            .collect();
-        let stats = sharding_stats(n_shards, halo, per_shard, peg.graph.n_nodes(), t0.elapsed());
-        Ok(Self {
-            peg,
-            transport: Box::new(InProcessTransport { shards }),
-            opts: opts.clone(),
-            beta: opts.index.beta,
-            max_len: opts.index.max_len,
-            hist_grid: opts.index.hist_grid.clone(),
-            hist,
-            stats,
-            last_scatter: Mutex::new(ScatterStats::default()),
-            prefetched: Mutex::new(Vec::new()),
-        })
+        let (transport, summaries) = InProcessTransport::build(&peg, opts, n_shards)?;
+        Ok(Self::assemble(peg, Box::new(transport), summaries, opts, t0))
     }
 
     /// Binds a store to remote shard workers: sends one `shard_load`
     /// request per worker (built by `load_request(shard, n_shards)` — the
     /// caller supplies the generator spec; requests are issued
-    /// concurrently so workers build in parallel), merges the home-only
-    /// histograms from the replies, and cross-checks every worker's full
-    /// graph against `peg` (node and edge counts must match — a worker
-    /// that built a different graph would silently break bit-exactness,
-    /// so it is an error instead).
+    /// concurrently so workers build in parallel) and cross-checks every
+    /// worker's full graph against `peg` (node and edge counts must match
+    /// — a worker that built a different graph would silently break
+    /// bit-exactness, so it is an error instead).
     ///
     /// `peg` is the full graph, which the coordinator keeps for the
     /// global phases; only candidate retrieval goes over the wire.
@@ -291,99 +194,64 @@ impl ShardedGraphStore {
         transport: TcpTransport,
         load_request: impl Fn(usize, usize) -> Json,
     ) -> Result<Self, PegError> {
-        let n_shards = transport.n_shards();
-        if n_shards == 0 {
+        if transport.n_shards() == 0 {
             return Err(PegError::Invalid("at least one worker required".into()));
         }
         let t0 = Instant::now();
-        let requests: Vec<Json> = (0..n_shards).map(|s| load_request(s, n_shards)).collect();
-        let replies: Vec<Result<Json, PegError>> = std::thread::scope(|scope| {
-            let transport = &transport;
-            let handles: Vec<_> = requests
-                .iter()
-                .enumerate()
-                .map(|(s, req)| {
-                    scope.spawn(move || transport.call(s, req).map_err(|e| e.into_peg()))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("handshake thread")).collect()
-        });
-
-        let mut hist: FxHashMap<Vec<u16>, Vec<u32>> = FxHashMap::default();
-        let mut per_shard = Vec::with_capacity(n_shards);
-        let merged = (|| -> Result<(), PegError> {
-            for (s, reply) in replies.into_iter().enumerate() {
-                let reply = reply?;
-                if reply.get("ok") != Some(&Json::Bool(true)) {
-                    let code = reply.get("error").and_then(Json::as_str).unwrap_or("error");
-                    let msg = reply.get("message").and_then(Json::as_str).unwrap_or("no detail");
-                    return Err(PegError::ShardUnavailable {
-                        shard: s,
-                        detail: format!("shard_load rejected ({code}): {msg}"),
-                    });
-                }
-                let field = |k: &str| -> Result<usize, PegError> {
-                    reply.get(k).and_then(Json::as_usize).ok_or_else(|| {
-                        PegError::ShardUnavailable {
-                            shard: s,
-                            detail: format!("shard_load reply missing \"{k}\""),
-                        }
-                    })
-                };
-                let (full_nodes, full_edges) = (field("nodes")?, field("edges")?);
-                if full_nodes != peg.graph.n_nodes() || full_edges != peg.graph.n_edges() {
-                    return Err(PegError::Invalid(format!(
-                        "worker {s} built a different graph ({full_nodes} nodes / {full_edges} \
-                         edges vs the coordinator's {} / {}); generator specs must match",
-                        peg.graph.n_nodes(),
-                        peg.graph.n_edges()
-                    )));
-                }
-                per_shard.push(ShardInfo {
-                    nodes: field("shard_nodes")?,
-                    owned_nodes: field("owned_nodes")?,
-                    edges: field("shard_edges")?,
-                    index_entries: field("index_entries")?,
-                    index_bytes: field("index_bytes")? as u64,
-                });
-                let entries = reply
-                    .get("hist")
-                    .ok_or_else(|| PegError::ShardUnavailable {
-                        shard: s,
-                        detail: "shard_load reply missing \"hist\"".into(),
-                    })
-                    .and_then(|h| {
-                        wire::decode_histogram(h).map_err(|e| PegError::ShardUnavailable {
-                            shard: s,
-                            detail: format!("bad histogram: {e}"),
-                        })
-                    })?;
-                merge_histogram(&mut hist, entries);
-            }
-            Ok(())
-        })();
-        if let Err(e) = merged {
+        let summaries = transport.load(&peg, load_request).map_err(|e| {
             // A partial handshake must not strand shard state on the
             // workers that *did* build: best-effort shard_unload to each
             // (workers that never loaded reply not_found, harmlessly)
             // before dropping the connections with the error.
             transport.release();
-            return Err(e);
+            e.into_peg()
+        })?;
+        Ok(Self::assemble(peg, Box::new(transport), summaries, opts, t0))
+    }
+
+    /// The one constructor: a store over `transport`'s shards, as their
+    /// summaries describe them. Merging the home-only histograms counts
+    /// each indexed path exactly once (at its home shard), so the
+    /// element-wise integer sums equal the unsharded index's histogram —
+    /// and with it, every cardinality estimate the planner asks for,
+    /// bit-for-bit.
+    fn assemble(
+        peg: Peg,
+        transport: Box<dyn ShardTransport>,
+        summaries: Vec<ShardSummary>,
+        opts: &OfflineOptions,
+        started: Instant,
+    ) -> Self {
+        let n_shards = summaries.len();
+        let mut hist: FxHashMap<Vec<u16>, Vec<u32>> = FxHashMap::default();
+        let mut per_shard: Vec<ShardInfo> = Vec::with_capacity(n_shards);
+        for summary in summaries {
+            merge_histogram(&mut hist, summary.hist);
+            per_shard.push(summary.info);
         }
-        let halo = halo_for(n_shards, opts.index.max_len.max(1));
-        let stats = sharding_stats(n_shards, halo, per_shard, peg.graph.n_nodes(), t0.elapsed());
-        Ok(Self {
+        let graph_nodes = peg.graph.n_nodes();
+        let total_nodes: usize = per_shard.iter().map(|s| s.nodes).sum();
+        let stats = ShardingStats {
+            n_shards,
+            halo_radius: halo_for(n_shards, opts.index.max_len.max(1)),
+            replicated_nodes: total_nodes.saturating_sub(graph_nodes),
+            replication_factor: if graph_nodes == 0 {
+                1.0
+            } else {
+                total_nodes as f64 / graph_nodes as f64
+            },
+            total_index_entries: per_shard.iter().map(|s| s.index_entries).sum(),
+            per_shard,
+            build_time: started.elapsed(),
+        };
+        ShardedGraphStore {
             peg,
-            transport: Box::new(transport),
+            transport,
             opts: opts.clone(),
-            beta: opts.index.beta,
-            max_len: opts.index.max_len,
-            hist_grid: opts.index.hist_grid.clone(),
             hist,
             stats,
             last_scatter: Mutex::new(ScatterStats::default()),
-            prefetched: Mutex::new(Vec::new()),
-        })
+        }
     }
 
     /// The full probabilistic entity graph (global phases run on it).
@@ -408,7 +276,10 @@ impl ShardedGraphStore {
         &self.stats
     }
 
-    /// Scatter-gather statistics of the most recent retrieval. A failed
+    /// Scatter-gather statistics of the most recent retrieval — for a
+    /// single caller that just ran a query. With concurrent sessions the
+    /// slot describes whichever scattered last; a traced request reads
+    /// its own with [`ScatterStats::from_span`] instead. A failed
     /// retrieval resets the snapshot to its default (all-zero) state, so
     /// a reader never mistakes a previous query's numbers for the failed
     /// one's.
@@ -505,53 +376,6 @@ impl ShardedGraphStore {
         Ok((out, scatter))
     }
 
-    /// Scatters many retrievals at once — one batched round trip per
-    /// worker on a remote transport ([`ShardTransport::scatter_many`]) —
-    /// and parks the gathered candidate sets in the prefetch cache, keyed
-    /// by the exact arguments [`CandidateSource::retrieve`] will pass
-    /// when each prepared query executes (see [`PreparedQuery`]'s
-    /// accessors: a session rebasing at `alpha` retrieves with precisely
-    /// its plan's query, decomposition, and statistics). Best-effort: a
-    /// failed query is simply not cached, and its later live scatter
-    /// surfaces the error — correctness never depends on prefetching.
-    pub fn prefetch(&self, batch: &[(&PreparedQuery, f64)], pool: &ThreadPool) {
-        if batch.is_empty() {
-            return;
-        }
-        // Prefetches are untraced: batch scatters carry no trace id, and
-        // there is no live request whose tree they would belong to.
-        let inert = Span::disabled();
-        let reqs: Vec<ShardRequest<'_>> = batch
-            .iter()
-            .map(|(p, alpha)| ShardRequest {
-                query: p.query(),
-                decomp: p.decomposition(),
-                pstats: p.path_stats(),
-                alpha: *alpha,
-                span: &inert,
-            })
-            .collect();
-        let t0 = Instant::now();
-        let all = self.transport.scatter_many(&reqs, pool);
-        let elapsed = t0.elapsed();
-        let mut cache = self.prefetched.lock().unwrap();
-        for (req, results) in reqs.iter().zip(all) {
-            let Ok((sets, mut scatter)) = self.gather(req.decomp.paths.len(), results) else {
-                continue;
-            };
-            // The batch's wall time is the honest scatter cost of each
-            // member — they shared one round trip.
-            scatter.retrieve_time = elapsed;
-            scatter.prefetched = true;
-            let key = PrefetchKey::new(req.query, req.decomp, req.alpha);
-            cache.retain(|e| e.key != key);
-            if cache.len() >= MAX_PREFETCHED {
-                cache.remove(0);
-            }
-            cache.push(PrefetchEntry { key, sets, scatter });
-        }
-    }
-
     /// Applies a mutation batch to this store, returning the successor
     /// store, the mutated reference network (input to the *next*
     /// mutation), and what the update touched. `self` is untouched —
@@ -581,182 +405,33 @@ impl ShardedGraphStore {
         ops: &[GraphOp],
     ) -> Result<(ShardedGraphStore, RefGraph, UpdateStats), PegError> {
         let t0 = Instant::now();
-        let n_shards = self.transport.n_shards();
         let mut new_refs = refs.clone();
         let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
         let delta = builder.rebuild(&new_refs, &self.peg, &touched)?;
-        let n_dirty = delta.dirty.iter().filter(|d| **d).count();
-        let halo = halo_for(n_shards, self.opts.index.max_len.max(1));
-        let affected =
-            affected_shards(&self.peg.graph, &delta.peg.graph, &delta.dirty, n_shards, halo);
-
-        if let Some(ipt) = self.transport.as_in_process() {
-            let new_peg = delta.peg;
-            let shards: Vec<Arc<Shard>> = {
-                let prev = &ipt.shards;
-                let new_peg = &new_peg;
-                let affected = &affected;
-                pegpool::global()
-                    .map(n_shards, |s| {
-                        if affected[s] {
-                            Shard::build(new_peg, &self.opts, s, n_shards, halo).map(Arc::new)
-                        } else {
-                            Ok(prev[s].clone())
-                        }
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?
-            };
-            let mut hist: FxHashMap<Vec<u16>, Vec<u32>> = FxHashMap::default();
-            for shard in &shards {
-                merge_histogram(
-                    &mut hist,
-                    shard
-                        .offline
-                        .paths
-                        .histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes)),
-                );
-            }
-            let per_shard: Vec<ShardInfo> = shards
-                .iter()
-                .map(|s| ShardInfo {
-                    nodes: s.peg.graph.n_nodes(),
-                    owned_nodes: s.n_owned,
-                    edges: s.peg.graph.n_edges(),
-                    index_entries: s.offline.paths.n_entries(),
-                    index_bytes: s.offline.paths.approx_bytes(),
-                })
-                .collect();
-            let update = UpdateStats {
-                n_dirty,
-                rebuilt_shards: affected.iter().filter(|a| **a).count(),
-                reused_components: delta.reused_components,
-                update_time: t0.elapsed(),
-            };
-            let stats =
-                sharding_stats(n_shards, halo, per_shard, new_peg.graph.n_nodes(), t0.elapsed());
-            let store = ShardedGraphStore {
-                peg: new_peg,
-                transport: Box::new(InProcessTransport { shards }),
-                opts: self.opts.clone(),
-                beta: self.beta,
-                max_len: self.max_len,
-                hist_grid: self.hist_grid.clone(),
-                hist,
-                stats,
-                last_scatter: Mutex::new(ScatterStats::default()),
-                prefetched: Mutex::new(Vec::new()),
-            };
-            return Ok((store, new_refs, update));
-        }
-
-        let tcp = self.transport.as_tcp().ok_or_else(|| {
-            PegError::Invalid("this store's transport does not support live updates".into())
+        let (transport, summaries) = self.transport.update(&UpdateRequest {
+            ops,
+            old: &self.peg,
+            new: &delta.peg,
+            dirty: &delta.dirty,
+            opts: &self.opts,
         })?;
-        let version = tcp.version() + 1;
-        let req = wire::update_request(tcp.graph(), ops, version);
-        let replies: Vec<Result<Json, PegError>> = std::thread::scope(|scope| {
-            let (tcp, req) = (&tcp, &req);
-            let handles: Vec<_> = (0..n_shards)
-                .map(|s| scope.spawn(move || tcp.call(s, req).map_err(|e| e.into_peg())))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("update broadcast thread")).collect()
-        });
-
-        let new_peg = delta.peg;
-        let mut hist: FxHashMap<Vec<u16>, Vec<u32>> = FxHashMap::default();
-        let mut per_shard = Vec::with_capacity(n_shards);
-        let mut rebuilt_shards = 0usize;
-        for (s, reply) in replies.into_iter().enumerate() {
-            let reply = reply?;
-            if reply.get("ok") != Some(&Json::Bool(true)) {
-                let code = reply.get("error").and_then(Json::as_str).unwrap_or("error");
-                let msg = reply.get("message").and_then(Json::as_str).unwrap_or("no detail");
-                return Err(PegError::ShardUnavailable {
-                    shard: s,
-                    detail: format!("shard_update rejected ({code}): {msg}"),
-                });
-            }
-            let field = |k: &str| -> Result<usize, PegError> {
-                reply.get(k).and_then(Json::as_usize).ok_or_else(|| PegError::ShardUnavailable {
-                    shard: s,
-                    detail: format!("shard_update reply missing \"{k}\""),
-                })
-            };
-            if field("version")? as u64 != version {
-                return Err(PegError::ShardUnavailable {
-                    shard: s,
-                    detail: format!("worker acknowledged the wrong version (wanted {version})"),
-                });
-            }
-            // The same cross-check the load handshake does: a worker
-            // whose mutated full graph disagrees with the coordinator's
-            // would silently break bit-exactness.
-            let (full_nodes, full_edges) = (field("nodes")?, field("edges")?);
-            if full_nodes != new_peg.graph.n_nodes() || full_edges != new_peg.graph.n_edges() {
-                return Err(PegError::Invalid(format!(
-                    "worker {s} mutated to a different graph ({full_nodes} nodes / {full_edges} \
-                     edges vs the coordinator's {} / {})",
-                    new_peg.graph.n_nodes(),
-                    new_peg.graph.n_edges()
-                )));
-            }
-            if reply.get("rebuilt") == Some(&Json::Bool(true)) {
-                rebuilt_shards += 1;
-            }
-            per_shard.push(ShardInfo {
-                nodes: field("shard_nodes")?,
-                owned_nodes: field("owned_nodes")?,
-                edges: field("shard_edges")?,
-                index_entries: field("index_entries")?,
-                index_bytes: field("index_bytes")? as u64,
-            });
-            let entries = reply
-                .get("hist")
-                .ok_or_else(|| PegError::ShardUnavailable {
-                    shard: s,
-                    detail: "shard_update reply missing \"hist\"".into(),
-                })
-                .and_then(|h| {
-                    wire::decode_histogram(h).map_err(|e| PegError::ShardUnavailable {
-                        shard: s,
-                        detail: format!("bad histogram: {e}"),
-                    })
-                })?;
-            merge_histogram(&mut hist, entries);
-        }
-
         let update = UpdateStats {
-            n_dirty,
-            rebuilt_shards,
+            n_dirty: delta.dirty.iter().filter(|d| **d).count(),
+            rebuilt_shards: summaries.iter().filter(|s| s.rebuilt).count(),
             reused_components: delta.reused_components,
-            update_time: t0.elapsed(),
         };
-        let stats =
-            sharding_stats(n_shards, halo, per_shard, new_peg.graph.n_nodes(), t0.elapsed());
-        let store = ShardedGraphStore {
-            peg: new_peg,
-            transport: Box::new(tcp.at_version(version)),
-            opts: self.opts.clone(),
-            beta: self.beta,
-            max_len: self.max_len,
-            hist_grid: self.hist_grid.clone(),
-            hist,
-            stats,
-            last_scatter: Mutex::new(ScatterStats::default()),
-            prefetched: Mutex::new(Vec::new()),
-        };
+        let store = Self::assemble(delta.peg, transport, summaries, &self.opts, t0);
         Ok((store, new_refs, update))
     }
 }
 
 impl CandidateSource for ShardedGraphStore {
     fn max_len(&self) -> usize {
-        self.max_len
+        self.opts.index.max_len
     }
 
     fn beta(&self) -> f64 {
-        self.beta
+        self.opts.index.beta
     }
 
     fn estimate_path_count(&self, labels: &[Label], alpha: f64) -> f64 {
@@ -766,12 +441,13 @@ impl CandidateSource for ShardedGraphStore {
         // the unsharded store does), then the shared estimation core.
         // Counts equal the unsharded histogram's, so estimates are
         // bit-identical.
-        let alpha = alpha.max(self.beta);
+        let index = &self.opts.index;
+        let alpha = alpha.max(index.beta);
         let (canonical, palindrome) = pathindex::canonical_label_seq(labels);
         let Some(counts) = self.hist.get(&canonical) else {
             return 0.0;
         };
-        pathindex::estimate_from_counts(&self.hist_grid, counts, alpha, palindrome, labels.len())
+        pathindex::estimate_from_counts(&index.hist_grid, counts, alpha, palindrome, labels.len())
     }
 
     fn retrieve(
@@ -789,20 +465,6 @@ impl CandidateSource for ShardedGraphStore {
         // not keep advertising a previous query's numbers.
         *self.last_scatter.lock().unwrap() = ScatterStats::default();
 
-        // A matching prefetched result short-circuits the scatter — its
-        // candidates came from the identical wire request, gathered the
-        // identical way, so the result is bit-for-bit what a live scatter
-        // would produce.
-        let key = PrefetchKey::new(query, decomp, alpha);
-        let hit = {
-            let mut cache = self.prefetched.lock().unwrap();
-            cache.iter().position(|e| e.key == key).map(|pos| cache.remove(pos))
-        };
-        if let Some(entry) = hit {
-            *self.last_scatter.lock().unwrap() = entry.scatter;
-            return Ok(entry.sets);
-        }
-
         // Scatter, through the transport seam: every shard answers every
         // path with home-filtered, globalized, canonically sorted
         // partials (see `Shard::retrieve_path` for the exactness
@@ -811,6 +473,9 @@ impl CandidateSource for ShardedGraphStore {
         let results = self.transport.scatter(&req, pool);
         let (out, mut scatter) = self.gather(n_paths, results)?;
         scatter.retrieve_time = t0.elapsed();
+        if span.is_recording() {
+            scatter.tag(span);
+        }
         *self.last_scatter.lock().unwrap() = scatter;
         Ok(out)
     }

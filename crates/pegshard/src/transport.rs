@@ -1,15 +1,19 @@
-//! The transport seam: scatter-gather written once, executed anywhere.
+//! The transport seam: a shard's whole life — load, retrieve, update,
+//! release — written once, executed anywhere.
 //!
-//! [`ShardedGraphStore`](crate::ShardedGraphStore) drives candidate
-//! retrieval through a [`ShardTransport`], which answers one question:
-//! *given this query, decomposition, and threshold, what are shard `s`'s
-//! home-filtered candidate partials?* Everything else — the gather, the
-//! merged histogram, planning estimates, the global pipeline phases — is
-//! transport-independent. Two implementations ship:
+//! [`ShardedGraphStore`](crate::ShardedGraphStore) reaches its shards only
+//! through a [`ShardTransport`], which answers two questions: *given this
+//! query, decomposition, and threshold, what are every shard's
+//! home-filtered candidate partials?* ([`ShardTransport::scatter`]) and
+//! *after this mutation, what does every shard look like now?*
+//! ([`ShardTransport::update`], answered with one [`ShardSummary`] per
+//! shard — the same summary a load produces). Everything else — the
+//! gather, the merged histogram, planning estimates, the global pipeline
+//! phases — is transport-independent. Two implementations ship:
 //!
 //! * [`InProcessTransport`] — the shards live in this process; the
-//!   scatter is a flat `(shard × path)` fan-out on the shared pool
-//!   (exactly the pre-seam behavior).
+//!   scatter is a flat `(shard × path)` fan-out on the shared pool, and
+//!   an update rebuilds the affected shards, carrying the rest by `Arc`.
 //! * [`TcpTransport`] — each shard lives behind a worker process speaking
 //!   the line protocol over one persistent **multiplexed** connection
 //!   ([`pegwire::MuxConn`]): every request carries a unique id the worker
@@ -17,7 +21,9 @@
 //!   socket with out-of-order replies routed back to the right waiter.
 //!   One reconnect + resend on failure, hard deadlines on every wait — a
 //!   dead worker yields a [`TransportError`] within the deadline, never a
-//!   hang.
+//!   hang. An update broadcasts `shard_update` at the next version and
+//!   decodes the acknowledgements with the decoder the load handshake
+//!   uses ([`wire::decode_summary`]).
 //!
 //! Both return the same [`ShardReply`] shape, and the home-filter
 //! argument (see `Shard::retrieve_path`) guarantees the
@@ -25,12 +31,15 @@
 //! why the store's results are f64-bit-exact no matter which transport
 //! runs underneath.
 
-use crate::shard::Shard;
+use crate::shard::{affected_shards, halo_for, Shard, ShardSummary};
 use crate::wire;
+use graphstore::GraphOp;
 use pathindex::PathMatch;
 use pegmatch::error::PegError;
+use pegmatch::offline::OfflineOptions;
 use pegmatch::online::{Decomposition, NodeCandidateCache, PathStats};
 use pegmatch::query::QueryGraph;
+use pegmatch::Peg;
 use pegpool::ThreadPool;
 use pegtrace::{Histogram, Span};
 use pegwire::{Json, MuxConn, MuxError};
@@ -52,8 +61,25 @@ pub struct ShardRequest<'a> {
     /// per scatter unit (in-process) or adopt each worker's decoded span
     /// subtree (TCP) — always in shard/path index order after the
     /// parallel join, never from pool threads. [`Span::disabled`] makes
-    /// the whole plumbing a no-op (prefetch batches pass that).
+    /// the whole plumbing a no-op.
     pub span: &'a Span,
+}
+
+/// One live-graph mutation, as every shard must apply it. The store has
+/// already compiled the batch against the full graph; a transport either
+/// rebuilds from the compiled result (in process) or ships `ops` and lets
+/// each worker recompile deterministically (TCP).
+pub struct UpdateRequest<'a> {
+    /// The mutation batch.
+    pub ops: &'a [GraphOp],
+    /// The full graph before the batch.
+    pub old: &'a Peg,
+    /// The full graph after it.
+    pub new: &'a Peg,
+    /// Per node of `new`: whether the batch changed it.
+    pub dirty: &'a [bool],
+    /// The offline options every shard's index is built with.
+    pub opts: &'a OfflineOptions,
 }
 
 /// One shard's partial result for one decomposition path.
@@ -148,46 +174,32 @@ pub struct WorkerStats {
     pub mux_inflight_hwm: u64,
 }
 
-/// Where shard retrieval executes. Implementations must uphold the reply
-/// contract documented on [`PathPartial`] (home-filtered, globalized,
-/// canonical order) and the no-hang rule: every path out of
-/// [`ShardTransport::retrieve_shard`] is bounded by a deadline.
+/// Where the shards live. Implementations must uphold the reply contract
+/// documented on [`PathPartial`] (home-filtered, globalized, canonical
+/// order) and the no-hang rule: every path out of
+/// [`ShardTransport::scatter`] and [`ShardTransport::update`] is bounded
+/// by a deadline.
 pub trait ShardTransport: Send + Sync {
     /// Number of shards this transport reaches.
     fn n_shards(&self) -> usize;
 
-    /// Executes the request against one shard.
-    fn retrieve_shard(
-        &self,
-        shard: usize,
-        req: &ShardRequest<'_>,
-        pool: &ThreadPool,
-    ) -> Result<ShardReply, TransportError>;
-
     /// Executes the request against every shard, returning replies in
-    /// shard order. The default fans [`ShardTransport::retrieve_shard`]
-    /// out on the pool; transports override to exploit their medium
-    /// (flat task fan-out in-process, request pipelining over TCP).
+    /// shard order.
     fn scatter(
         &self,
         req: &ShardRequest<'_>,
         pool: &ThreadPool,
-    ) -> Vec<Result<ShardReply, TransportError>> {
-        pool.map(self.n_shards(), |s| self.retrieve_shard(s, req, pool))
-    }
+    ) -> Vec<Result<ShardReply, TransportError>>;
 
-    /// Executes many requests, returning `out[request][shard]` — the
-    /// batched-scatter seam `query_batch` rides on. The default loops
-    /// [`ShardTransport::scatter`]; remote transports override to ship
-    /// the whole batch in one round trip per worker
-    /// (`shard_retrieve_batch`), amortizing the per-exchange wire tax.
-    fn scatter_many(
+    /// Applies a mutation to every shard, returning a transport over the
+    /// post-update shards plus each shard's new summary, in shard order.
+    /// `self` is untouched and stays usable — sessions in flight keep
+    /// retrieving the pre-update snapshot through it — also when the
+    /// update fails partway.
+    fn update(
         &self,
-        reqs: &[ShardRequest<'_>],
-        pool: &ThreadPool,
-    ) -> Vec<Vec<Result<ShardReply, TransportError>>> {
-        reqs.iter().map(|r| self.scatter(r, pool)).collect()
-    }
+        req: &UpdateRequest<'_>,
+    ) -> Result<(Box<dyn ShardTransport>, Vec<ShardSummary>), PegError>;
 
     /// Per-worker counters, when the transport is remote.
     fn worker_stats(&self) -> Option<Vec<WorkerStats>> {
@@ -197,54 +209,40 @@ pub trait ShardTransport: Send + Sync {
     /// Releases remote resources (worker-side shard state, connections).
     /// In-process transports have nothing to release.
     fn release(&self) {}
-
-    /// Downcast hook for live updates: the in-process transport, if that
-    /// is what this is. Updates need the concrete shards (to reuse
-    /// unaffected ones by `Arc`), which the seam otherwise hides.
-    fn as_in_process(&self) -> Option<&InProcessTransport> {
-        None
-    }
-
-    /// Downcast hook for live updates: the TCP transport, if that is what
-    /// this is (updates broadcast `shard_update` and re-version it).
-    fn as_tcp(&self) -> Option<&TcpTransport> {
-        None
-    }
 }
 
 /// All shards in this process: the classic single-machine store. Shards
 /// sit behind `Arc` so a live update can carry unaffected shards into the
-/// successor store without copying them.
+/// successor transport without copying them.
 pub struct InProcessTransport {
-    pub(crate) shards: Vec<Arc<Shard>>,
+    shards: Vec<Arc<Shard>>,
+    /// How many updates lie between the original build and these shards.
+    version: u64,
+}
+
+impl InProcessTransport {
+    /// Partitions `peg` into `n_shards` shards and builds each one's
+    /// offline index with `opts` (shard builds fan out on the shared
+    /// pool).
+    pub(crate) fn build(
+        peg: &Peg,
+        opts: &OfflineOptions,
+        n_shards: usize,
+    ) -> Result<(InProcessTransport, Vec<ShardSummary>), PegError> {
+        let halo = halo_for(n_shards, opts.index.max_len.max(1));
+        let shards: Vec<Arc<Shard>> = pegpool::global()
+            .map(n_shards, |s| Shard::build(peg, opts, s, n_shards, halo))
+            .into_iter()
+            .map(|r| r.map(Arc::new))
+            .collect::<Result<_, _>>()?;
+        let summaries = shards.iter().map(|s| s.summary(peg)).collect();
+        Ok((InProcessTransport { shards, version: 0 }, summaries))
+    }
 }
 
 impl ShardTransport for InProcessTransport {
     fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    fn retrieve_shard(
-        &self,
-        shard: usize,
-        req: &ShardRequest<'_>,
-        pool: &ThreadPool,
-    ) -> Result<ShardReply, TransportError> {
-        let s = &self.shards[shard];
-        // One node-candidate memo shared across this shard's path tasks
-        // (the test is pure; racing writers are harmless).
-        let cache = NodeCandidateCache::new();
-        let paths = pool.map(req.decomp.paths.len(), |i| {
-            s.retrieve_path(
-                req.query,
-                &req.decomp.paths[i],
-                &req.pstats[i],
-                req.alpha,
-                &cache,
-                pool,
-            )
-        });
-        Ok(ShardReply { paths })
     }
 
     fn scatter(
@@ -299,8 +297,39 @@ impl ShardTransport for InProcessTransport {
             .collect()
     }
 
-    fn as_in_process(&self) -> Option<&InProcessTransport> {
-        Some(self)
+    /// Rebuilds only the shards whose halo ball the dirty set reaches
+    /// (see `affected_shards` for the soundness argument); the rest are
+    /// carried by `Arc`.
+    fn update(
+        &self,
+        req: &UpdateRequest<'_>,
+    ) -> Result<(Box<dyn ShardTransport>, Vec<ShardSummary>), PegError> {
+        let n_shards = self.shards.len();
+        let halo = halo_for(n_shards, req.opts.index.max_len.max(1));
+        let affected = affected_shards(&req.old.graph, &req.new.graph, req.dirty, n_shards, halo);
+        let shards: Vec<Arc<Shard>> = pegpool::global()
+            .map(n_shards, |s| {
+                if affected[s] {
+                    Shard::build(req.new, req.opts, s, n_shards, halo).map(Arc::new)
+                } else {
+                    Ok(self.shards[s].clone())
+                }
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        let version = self.version + 1;
+        let n_dirty = req.dirty.iter().filter(|d| **d).count();
+        let summaries = shards
+            .iter()
+            .zip(&affected)
+            .map(|(shard, &rebuilt)| ShardSummary {
+                version,
+                rebuilt,
+                n_dirty,
+                ..shard.summary(req.new)
+            })
+            .collect();
+        Ok((Box::new(InProcessTransport { shards, version }), summaries))
     }
 }
 
@@ -376,13 +405,14 @@ impl WorkerCell {
 /// a structured `"ok":false` error is also a [`TransportError`] — a shard
 /// that cannot answer is unavailable whatever the reason. Exchanges never
 /// hang: every wait carries the [`TcpTransportConfig`] deadlines.
+///
+/// A clone shares the connections and counters (a live update's successor
+/// is one, pinned to the next version).
+#[derive(Clone)]
 pub struct TcpTransport {
     graph: String,
     addrs: Vec<String>,
     config: TcpTransportConfig,
-    /// Shared across versions: a live update clones the transport at the
-    /// next version ([`TcpTransport::at_version`]) without redialing, so
-    /// the successor store rides the same connections and counters.
     workers: Arc<Vec<WorkerCell>>,
     /// The shard snapshot this transport's retrieves pin on the workers.
     /// Workers keep their last two versions, so in-flight sessions on the
@@ -419,34 +449,6 @@ impl TcpTransport {
             workers: Arc::new(workers),
             version: 0,
         })
-    }
-
-    /// The graph name this transport's workers serve.
-    pub fn graph(&self) -> &str {
-        &self.graph
-    }
-
-    /// Worker addresses, by shard index.
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
-    }
-
-    /// The shard snapshot version this transport retrieves against.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// A transport over the same workers and connections, pinned to
-    /// `version` — how a live update hands the successor store a handle
-    /// to the post-update shard snapshot without redialing.
-    pub(crate) fn at_version(&self, version: u64) -> TcpTransport {
-        TcpTransport {
-            graph: self.graph.clone(),
-            addrs: self.addrs.clone(),
-            config: self.config,
-            workers: self.workers.clone(),
-            version,
-        }
     }
 
     fn err(&self, shard: usize, detail: impl std::fmt::Display) -> TransportError {
@@ -529,11 +531,60 @@ impl TcpTransport {
         Ok(reply)
     }
 
-    /// One raw request/reply exchange with worker `shard`. Structured
-    /// error replies are returned as-is — typed wrappers decide whether
-    /// `"ok":false` is fatal for their op.
-    pub fn call(&self, shard: usize, req: &Json) -> Result<Json, TransportError> {
-        self.exchange_line(shard, &req.to_string())
+    /// Sends `line(s)` to every worker `s` concurrently (so workers build
+    /// or rebuild in parallel) and decodes each reply's summary: the
+    /// exchange behind both the load handshake (`version` 0) and a live
+    /// update. A worker whose full graph disagrees with `full` — the
+    /// coordinator's own — would silently break bit-exactness, so it is
+    /// an error like any other malformed reply.
+    fn broadcast<'l>(
+        &self,
+        full: &Peg,
+        version: u64,
+        line: impl Fn(usize) -> &'l str + Sync,
+    ) -> Result<Vec<ShardSummary>, TransportError> {
+        let replies: Vec<Result<Json, TransportError>> = std::thread::scope(|scope| {
+            let line = &line;
+            let handles: Vec<_> = (0..self.addrs.len())
+                .map(|s| scope.spawn(move || self.exchange_line(s, line(s))))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("broadcast thread")).collect()
+        });
+        let full = (full.graph.n_nodes(), full.graph.n_edges());
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(s, reply)| {
+                let reply = self.accepted(s, reply?)?;
+                let summary = wire::decode_summary(&reply, version)
+                    .map_err(|e| self.err(s, format!("malformed reply: {e}")))?;
+                let held = (summary.full_nodes, summary.full_edges);
+                if held != full {
+                    let detail = format!(
+                        "worker holds a different graph ({held:?} nodes/edges vs the \
+                         coordinator's {full:?}); generator specs must match"
+                    );
+                    return Err(self.err(s, detail));
+                }
+                Ok(summary)
+            })
+            .collect()
+    }
+
+    /// The load handshake: sends one `shard_load` request per worker
+    /// (built by `load_request(shard, n_shards)` — the caller supplies the
+    /// generator spec) and returns each worker's summary of the shard it
+    /// built.
+    pub(crate) fn load(
+        &self,
+        full: &Peg,
+        load_request: impl Fn(usize, usize) -> Json,
+    ) -> Result<Vec<ShardSummary>, TransportError> {
+        let n_shards = self.addrs.len();
+        let lines: Vec<String> =
+            (0..n_shards).map(|s| load_request(s, n_shards).to_string()).collect();
+        // A freshly built worker shard is at version 0.
+        self.broadcast(full, 0, |s| &lines[s])
     }
 
     /// Begins the same request line on every worker without waiting —
@@ -594,6 +645,17 @@ impl TcpTransport {
         }
     }
 
+    /// A worker's structured `"ok":false` is a failed exchange: a shard
+    /// that cannot answer is unavailable whatever the reason.
+    fn accepted(&self, shard: usize, reply: Json) -> Result<Json, TransportError> {
+        if reply.get("ok") == Some(&Json::Bool(true)) {
+            return Ok(reply);
+        }
+        let code = reply.get("error").and_then(Json::as_str).unwrap_or("error");
+        let msg = reply.get("message").and_then(Json::as_str).unwrap_or("no detail");
+        Err(self.err(shard, format!("worker replied {code}: {msg}")))
+    }
+
     /// Validates and decodes one worker reply. When the request carried a
     /// trace id, the worker's own span subtree rides back on the reply's
     /// `"span"` field; it grafts onto `span` here — callers invoke this
@@ -605,11 +667,7 @@ impl TcpTransport {
         n_paths: usize,
         span: &Span,
     ) -> Result<ShardReply, TransportError> {
-        if reply.get("ok") != Some(&Json::Bool(true)) {
-            let code = reply.get("error").and_then(Json::as_str).unwrap_or("error");
-            let msg = reply.get("message").and_then(Json::as_str).unwrap_or("no detail");
-            return Err(self.err(shard, format!("worker replied {code}: {msg}")));
-        }
+        let reply = self.accepted(shard, reply)?;
         let decoded = wire::decode_retrieve_reply(&reply, n_paths)
             .map_err(|e| self.err(shard, format!("malformed reply: {e}")))?;
         if span.is_recording() {
@@ -626,17 +684,6 @@ impl TcpTransport {
 impl ShardTransport for TcpTransport {
     fn n_shards(&self) -> usize {
         self.addrs.len()
-    }
-
-    fn retrieve_shard(
-        &self,
-        shard: usize,
-        req: &ShardRequest<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<ShardReply, TransportError> {
-        let line = wire::retrieve_request(&self.graph, self.version, req).to_string();
-        let reply = self.exchange_line(shard, &line)?;
-        self.reply_to_shard_reply(shard, reply, req.decomp.paths.len(), req.span)
     }
 
     fn scatter(
@@ -663,71 +710,19 @@ impl ShardTransport for TcpTransport {
             .collect()
     }
 
-    /// Ships the whole batch to every worker as one `shard_retrieve_batch`
-    /// exchange (begun on all workers before any wait), amortizing the
-    /// per-query wire tax. Oversized batches fall back to chunks of
-    /// [`wire::MAX_RETRIEVE_BATCH`].
-    fn scatter_many(
+    /// Broadcasts `shard_update` at the next version. On a partial
+    /// failure `self` stays fully usable (its retrieves pin the current
+    /// version, which workers keep); retrying re-sends the same version,
+    /// which workers that already applied it acknowledge idempotently.
+    fn update(
         &self,
-        reqs: &[ShardRequest<'_>],
-        pool: &ThreadPool,
-    ) -> Vec<Vec<Result<ShardReply, TransportError>>> {
-        if reqs.len() == 1 {
-            return vec![self.scatter(&reqs[0], pool)];
-        }
-        let n = self.addrs.len();
-        let mut out: Vec<Vec<Result<ShardReply, TransportError>>> = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(wire::MAX_RETRIEVE_BATCH) {
-            let line = wire::retrieve_batch_request(&self.graph, self.version, chunk).to_string();
-            let n_paths: Vec<usize> = chunk.iter().map(|r| r.decomp.paths.len()).collect();
-            // Per shard: one batched exchange (with the usual single
-            // retry), decoded into per-query replies.
-            let per_shard: Vec<Result<Vec<ShardReply>, TransportError>> = self
-                .begin_all(&line)
-                .into_iter()
-                .enumerate()
-                .map(|(s, b)| {
-                    self.finish_one(s, b, &line).and_then(|r| {
-                        if r.get("ok") != Some(&Json::Bool(true)) {
-                            let code = r.get("error").and_then(Json::as_str).unwrap_or("error");
-                            let msg =
-                                r.get("message").and_then(Json::as_str).unwrap_or("no detail");
-                            return Err(self.err(s, format!("worker replied {code}: {msg}")));
-                        }
-                        wire::decode_retrieve_batch_reply(&r, &n_paths)
-                            .map_err(|e| self.err(s, format!("malformed batch reply: {e}")))
-                    })
-                })
-                .collect();
-            // Transpose: per_shard[shard] -> chunk_out[query][shard]. A
-            // failed worker fails every query in the chunk for that shard.
-            let mut chunk_out: Vec<Vec<Result<ShardReply, TransportError>>> =
-                (0..chunk.len()).map(|_| Vec::with_capacity(n)).collect();
-            for (s, shard_result) in per_shard.into_iter().enumerate() {
-                match shard_result {
-                    Ok(replies) => {
-                        for (q, reply) in replies.into_iter().enumerate() {
-                            chunk_out[q].push(Ok(reply));
-                        }
-                    }
-                    Err(e) => {
-                        for row in chunk_out.iter_mut() {
-                            row.push(Err(TransportError {
-                                shard: s,
-                                addr: e.addr.clone(),
-                                detail: e.detail.clone(),
-                            }));
-                        }
-                    }
-                }
-            }
-            out.extend(chunk_out);
-        }
-        out
-    }
-
-    fn as_tcp(&self) -> Option<&TcpTransport> {
-        Some(self)
+        req: &UpdateRequest<'_>,
+    ) -> Result<(Box<dyn ShardTransport>, Vec<ShardSummary>), PegError> {
+        let version = self.version + 1;
+        let line = wire::update_request(&self.graph, req.ops, version).to_string();
+        let summaries =
+            self.broadcast(req.new, version, |_| &line).map_err(TransportError::into_peg)?;
+        Ok((Box::new(TcpTransport { version, ..self.clone() }), summaries))
     }
 
     /// Reads atomics, the lock-free latency histogram, and the connection

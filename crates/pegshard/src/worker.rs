@@ -35,9 +35,9 @@
 //! failure handling can produce, and anything else out of sequence is
 //! rejected — two coordinators cannot silently interleave updates.
 
-use crate::shard::{affected_shards, halo_for, Shard};
-use crate::store::ShardInfo;
+use crate::shard::{affected_shards, halo_for, Shard, ShardInfo, ShardSummary};
 use crate::transport::ShardReply;
+use crate::wire::HistogramEntries;
 use graphstore::{GraphOp, RefGraph};
 use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
@@ -75,30 +75,6 @@ pub struct WorkerShard {
     n_shards: usize,
     n_labels: usize,
     state: Mutex<WorkerState>,
-}
-
-/// What one applied (or idempotently re-acknowledged) `shard_update`
-/// reports back to the coordinator.
-#[derive(Debug)]
-pub struct WorkerUpdate {
-    /// The version the shard is now at.
-    pub version: u64,
-    /// Node count of the mutated full graph (coordinator cross-checks).
-    pub full_nodes: usize,
-    /// Edge count of the mutated full graph.
-    pub full_edges: usize,
-    /// Whether this shard was actually rebuilt (vs. reused because the
-    /// dirty ball never reached its halo).
-    pub rebuilt: bool,
-    /// Dirty-node count of the mutation's compiled delta (0 on an
-    /// idempotent resend, which recomputes nothing).
-    pub n_dirty: usize,
-    /// Size and ownership breakdown of the (possibly reused) shard.
-    pub info: ShardInfo,
-    /// The shard's home-only histogram at the new version; the
-    /// coordinator re-merges all workers' entries into the exact global
-    /// histogram.
-    pub hist: crate::wire::HistogramEntries,
 }
 
 impl WorkerShard {
@@ -143,53 +119,32 @@ impl WorkerShard {
         self.shard_index
     }
 
-    /// Total shard count of the partition this shard belongs to.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Node count of the full graph the shard was cut from (the
-    /// coordinator cross-checks this against its own build).
-    pub fn full_nodes(&self) -> usize {
-        self.state.lock().unwrap().full.graph.n_nodes()
-    }
-
-    /// Edge count of the full graph the shard was cut from.
-    pub fn full_edges(&self) -> usize {
-        self.state.lock().unwrap().full.graph.n_edges()
-    }
-
     /// The latest shard version this worker holds.
     pub fn version(&self) -> u64 {
         self.state.lock().unwrap().versions.last().expect("at least one version").0
     }
 
-    fn shard_info(shard: &Shard) -> ShardInfo {
-        ShardInfo {
-            nodes: shard.peg.graph.n_nodes(),
-            owned_nodes: shard.n_owned,
-            edges: shard.peg.graph.n_edges(),
-            index_entries: shard.offline.paths.n_entries(),
-            index_bytes: shard.offline.paths.approx_bytes(),
-        }
-    }
-
-    fn shard_histogram(shard: &Shard) -> crate::wire::HistogramEntries {
-        shard.offline.paths.histogram_counts_where(&|sp| shard.is_home_stored(&sp.nodes))
-    }
-
     /// Size and ownership breakdown of this shard (latest version).
     pub fn info(&self) -> ShardInfo {
-        let shard = self.latest();
-        Self::shard_info(&shard)
+        self.latest().info()
     }
 
-    /// Home-only histogram counts: each stored path counted once, at its
-    /// home shard, so the coordinator's element-wise merge over all
-    /// workers reproduces the unsharded histogram exactly.
-    pub fn histogram(&self) -> crate::wire::HistogramEntries {
-        let shard = self.latest();
-        Self::shard_histogram(&shard)
+    /// Home-only histogram counts of the latest version (see
+    /// [`ShardSummary::hist`]).
+    pub fn histogram(&self) -> HistogramEntries {
+        self.latest().histogram()
+    }
+
+    /// The latest version's summary — the `shard_load` reply body. The
+    /// coordinator cross-checks its full-graph counts against its own
+    /// build to catch spec drift.
+    pub fn summary(&self) -> ShardSummary {
+        let (full, version, shard) = {
+            let state = self.state.lock().unwrap();
+            let (v, s) = state.versions.last().expect("at least one version");
+            (state.full.clone(), *v, s.clone())
+        };
+        ShardSummary { version, ..shard.summary(&full) }
     }
 
     fn latest(&self) -> Arc<Shard> {
@@ -297,14 +252,21 @@ impl WorkerShard {
     /// so a worker that applied the batch but lost the connection before
     /// replying will see the same line again). Any other out-of-sequence
     /// version is an error — updates cannot skip or interleave.
-    pub fn apply_update(&self, ops: &[GraphOp], version: u64) -> Result<WorkerUpdate, PegError> {
+    pub fn apply_update(&self, ops: &[GraphOp], version: u64) -> Result<ShardSummary, PegError> {
         let (refs, full, latest_version, latest_shard) = {
             let state = self.state.lock().unwrap();
             let (lv, ls) = state.versions.last().expect("at least one version");
             (state.refs.clone(), state.full.clone(), *lv, ls.clone())
         };
+        // The idempotent-resend acknowledgement: reports the already-
+        // applied state without recomputing anything.
+        let ack = |full: &Peg, shard: &Shard| ShardSummary {
+            version,
+            rebuilt: false,
+            ..shard.summary(full)
+        };
         if version == latest_version {
-            return Ok(self.ack_current(&full, version, &latest_shard));
+            return Ok(ack(&full, &latest_shard));
         }
         if version != latest_version + 1 {
             return Err(PegError::Invalid(format!(
@@ -337,7 +299,7 @@ impl WorkerShard {
             let shard = state.versions.last().expect("at least one version").1.clone();
             let full = state.full.clone();
             drop(state);
-            return Ok(self.ack_current(&full, version, &shard));
+            return Ok(ack(&full, &shard));
         }
         if now != latest_version {
             return Err(PegError::Invalid(format!(
@@ -353,28 +315,6 @@ impl WorkerShard {
         }
         drop(state);
 
-        Ok(WorkerUpdate {
-            version,
-            full_nodes: new_full.graph.n_nodes(),
-            full_edges: new_full.graph.n_edges(),
-            rebuilt,
-            n_dirty,
-            info: Self::shard_info(&new_shard),
-            hist: Self::shard_histogram(&new_shard),
-        })
-    }
-
-    /// The idempotent-resend acknowledgement: reports the already-applied
-    /// state without recomputing anything.
-    fn ack_current(&self, full: &Peg, version: u64, shard: &Shard) -> WorkerUpdate {
-        WorkerUpdate {
-            version,
-            full_nodes: full.graph.n_nodes(),
-            full_edges: full.graph.n_edges(),
-            rebuilt: false,
-            n_dirty: 0,
-            info: Self::shard_info(shard),
-            hist: Self::shard_histogram(shard),
-        }
+        Ok(ShardSummary { version, rebuilt, n_dirty, ..new_shard.summary(&new_full) })
     }
 }

@@ -9,12 +9,20 @@
 //! ±inf) are *rejected at decode*, because the JSON writer has no
 //! representation for them and emits `null`, which the decoder refuses
 //! to read as a probability — a NaN can never silently cross the wire.
+//!
+//! The `shard_load` / `shard_update` reply body ([`ShardSummary`]) is
+//! pinned the same way: arbitrary summaries round-trip exactly, and a
+//! reply with any one field dropped or mistyped, or acknowledging another
+//! version, is rejected rather than half-read.
 
 use graphstore::EntityId;
 use pathindex::PathMatch;
-use pegshard::wire::{decode_match, decode_retrieve_reply, encode_match, encode_retrieve_reply};
-use pegshard::{PathPartial, ShardReply};
-use pegwire::Json;
+use pegshard::wire::{
+    decode_match, decode_retrieve_reply, decode_summary, encode_match, encode_retrieve_reply,
+    encode_summary,
+};
+use pegshard::{PathPartial, ShardInfo, ShardReply, ShardSummary};
+use pegwire::{obj, Json};
 use proptest::prelude::*;
 
 /// f64 from raw bits: covers normals, subnormals, ±0.0, NaN payloads,
@@ -120,5 +128,47 @@ proptest! {
         }
         // And a path-count mismatch is a protocol error.
         prop_assert!(decode_retrieve_reply(&parsed, n_paths + 1).is_err());
+    }
+
+    #[test]
+    fn shard_summaries_round_trip_and_damage_is_rejected(
+        sizes in prop::collection::vec(0usize..(1 << 53), 8),
+        hist in prop::collection::vec(
+            (prop::collection::vec(any::<u16>(), 1..4), prop::collection::vec(any::<u32>(), 0..5)),
+            0..4,
+        ),
+        version in 0u64..1000,
+        rebuilt in any::<bool>(),
+        damage in 0usize..11,
+        mistype in any::<bool>(),
+    ) {
+        let summary = ShardSummary {
+            full_nodes: sizes[0],
+            full_edges: sizes[1],
+            info: ShardInfo {
+                nodes: sizes[2],
+                owned_nodes: sizes[3],
+                edges: sizes[4],
+                index_entries: sizes[5],
+                index_bytes: sizes[7] as u64,
+            },
+            hist,
+            version,
+            rebuilt,
+            n_dirty: sizes[6],
+        };
+        let line = encode_summary(obj().field("ok", true), &summary).build().to_string();
+        let parsed = Json::parse(&line).unwrap();
+        prop_assert_eq!(&decode_summary(&parsed, version).unwrap(), &summary);
+        // An acknowledgement of any other version is not this update's.
+        prop_assert!(decode_summary(&parsed, version + 1).is_err());
+        // Drop or mistype one summary field (index 0 is "ok"): rejected.
+        let Json::Obj(mut fields) = parsed else { panic!("summary encodes as an object") };
+        if mistype {
+            fields[1 + damage].1 = Json::Str("x".into());
+        } else {
+            fields.remove(1 + damage);
+        }
+        prop_assert!(decode_summary(&Json::Obj(fields), version).is_err());
     }
 }

@@ -25,7 +25,7 @@ pub enum TagValue {
     F64(f64),
     /// Short label (`"hit"`, a pattern's canonical form).
     Str(String),
-    /// Flag (`prefetched`, `rebuilt`).
+    /// Flag (`from_cache`, `rebuilt`).
     Bool(bool),
 }
 
@@ -269,7 +269,7 @@ pub struct Span {
 
 impl Span {
     /// An inert span, for call paths that must pass a span but have no
-    /// recording tracer behind it (prefetch scatters, tests).
+    /// recording tracer behind it (untraced retrievals, tests).
     pub fn disabled() -> Span {
         Span { active: None }
     }

@@ -1,7 +1,8 @@
 //! The distributed tentpole gate: a coordinator scattering retrieval over
 //! shard-worker processes is **f64-bit-exact** against the unsharded
 //! pipeline — for 2 and 3 workers, across `run` / `run_limited` /
-//! `run_topk` and threads ∈ {1, 0} — and a worker lost mid-query yields a
+//! `run_topk` and threads ∈ {1, 0}, and for `query_batch` through a
+//! coordinator server — and a worker lost mid-query yields a
 //! structured `shard_unavailable` error within the transport deadline,
 //! never a hang, while the coordinator stays serviceable for its other
 //! graphs.
@@ -19,7 +20,7 @@ use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{CandidateSource, QueryOptions, QueryPipeline};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
-use pegserve::{GraphSpec, Server, ServerConfig, ServerHandle};
+use pegserve::{obj, Client, GraphSpec, Json, Server, ServerConfig, ServerHandle};
 use pegshard::{ShardedGraphStore, TcpTransport, TcpTransportConfig};
 use std::time::{Duration, Instant};
 
@@ -55,6 +56,35 @@ fn connect_store(spec: &GraphSpec, addrs: &[String], io_timeout: Duration) -> Sh
         spec.shard_load_json("dist", &opts.index, s, n)
     })
     .unwrap()
+}
+
+/// A coordinator server holding the spec's graph twice — unsharded as
+/// `local`, and as `dist` over the workers at `addrs`, loaded through the
+/// protocol — plus a client connected to it.
+fn spawn_coordinator(spec: &GraphSpec, addrs: &[String]) -> (ServerHandle, Client) {
+    let coordinator = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let peg = full_peg(spec);
+    let offline = OfflineIndex::build(&peg, &offline_opts()).unwrap();
+    coordinator.insert_graph("local", peg, offline);
+    let coord = coordinator.spawn();
+    let mut client = Client::connect(coord.addr).unwrap();
+    let load = obj()
+        .field("op", "load_graph")
+        .field("name", "dist")
+        .field("kind", spec.kind.as_str())
+        .field("size", spec.size)
+        .field("seed", spec.seed)
+        .field("uncertainty", spec.uncertainty)
+        .field("max_len", MAX_LEN)
+        .field("beta", BETA)
+        .field("workers", Json::Arr(addrs.iter().map(|a| Json::Str(a.clone())).collect()))
+        .field("worker_timeout_ms", 3000usize)
+        .build();
+    let reply = client.request(&load).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+    assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(addrs.len()));
+    assert!(reply.get("workers").and_then(Json::as_arr).is_some(), "{reply}");
+    (coord, client)
 }
 
 fn assert_bit_identical(got: &[Match], want: &[Match], ctx: &str) {
@@ -157,6 +187,61 @@ fn distributed_execution_matches_unsharded_bitwise() {
     }
 }
 
+/// `(nodes, [prle, prn, prob] bits)` per match of a `query` reply or of
+/// one `query_batch` result item.
+fn reply_match_bits(item: &Json) -> Vec<(String, [u64; 3])> {
+    let matches = item.get("matches").and_then(Json::as_arr).expect("matches array");
+    matches
+        .iter()
+        .map(|m| {
+            let bits = |k: &str| m.get(k).unwrap().as_f64().unwrap().to_bits();
+            (m.get("nodes").unwrap().to_string(), [bits("prle"), bits("prn"), bits("prob")])
+        })
+        .collect()
+}
+
+#[test]
+fn distributed_query_batch_matches_single_queries_and_unsharded_bitwise() {
+    let (worker_handles, addrs) = spawn_workers(2);
+    let (coord, mut client) = spawn_coordinator(&spec(), &addrs);
+    let mut request = |req: Json| {
+        let reply = client.request(&req).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{req}: {reply}");
+        reply
+    };
+    // Repeated shapes and thresholds inside one batch included: items run
+    // through the same plan and execution caches single queries do.
+    let items = [
+        ("(x:l0)-(y:l1)", 0.2),
+        ("(x:l0)-(y:l1), (y)-(z:l0)", 0.05),
+        ("(x:l0)-(y:l1)", 0.5),
+        ("(x:l1)", 0.4),
+        ("(x:l0)-(y:l1), (y)-(z:l0)", 0.05),
+    ];
+    let item =
+        |&(pattern, alpha): &(&str, f64)| obj().field("pattern", pattern).field("alpha", alpha);
+    let mut batch = |graph: &str| {
+        let queries = Json::Arr(items.iter().map(|i| item(i).build()).collect());
+        let req = obj().field("op", "query_batch").field("graph", graph);
+        let reply = request(req.field("queries", queries).build());
+        reply.get("results").and_then(Json::as_arr).expect("results array").to_vec()
+    };
+    let (dist, local) = (batch("dist"), batch("local"));
+    assert_eq!(dist.len(), items.len());
+    assert!(!reply_match_bits(&local[0]).is_empty(), "the gate must compare something");
+    for (i, it) in items.iter().enumerate() {
+        let single = request(item(it).field("op", "query").field("graph", "dist").build());
+        let want = reply_match_bits(&local[i]);
+        assert_eq!(reply_match_bits(&dist[i]), want, "item {i}: batch over workers vs unsharded");
+        assert_eq!(reply_match_bits(&single), want, "item {i}: single query vs unsharded");
+    }
+
+    coord.shutdown().unwrap();
+    for h in worker_handles {
+        h.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn killed_worker_is_a_structured_error_within_the_deadline_not_a_hang() {
     let spec = spec();
@@ -189,36 +274,13 @@ fn killed_worker_is_a_structured_error_within_the_deadline_not_a_hang() {
 
 #[test]
 fn coordinator_server_stays_serviceable_when_a_worker_dies() {
-    use pegserve::{Client, Json};
-
     let spec = spec();
     let (mut worker_handles, addrs) = spawn_workers(2);
 
     // Coordinator with a tiny *unsharded* graph preloaded alongside the
     // distributed one.
-    let coordinator = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (coord, mut client) = spawn_coordinator(&spec, &addrs);
     let peg = full_peg(&spec);
-    let offline = OfflineIndex::build(&peg, &offline_opts()).unwrap();
-    coordinator.insert_graph("local", peg.clone(), offline);
-    let coord = coordinator.spawn();
-    let mut client = Client::connect(coord.addr).unwrap();
-
-    let load = pegserve::obj()
-        .field("op", "load_graph")
-        .field("name", "dist")
-        .field("kind", spec.kind.as_str())
-        .field("size", spec.size)
-        .field("seed", spec.seed)
-        .field("uncertainty", spec.uncertainty)
-        .field("max_len", MAX_LEN)
-        .field("beta", BETA)
-        .field("workers", Json::Arr(addrs.iter().map(|a| Json::Str(a.clone())).collect()))
-        .field("worker_timeout_ms", 3000usize)
-        .build();
-    let reply = client.request(&load).unwrap();
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-    assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(2));
-    assert!(reply.get("workers").and_then(Json::as_arr).is_some(), "{reply}");
 
     // Distributed replies are bit-identical to the direct unsharded
     // pipeline (the reply text carries the shortest-round-trip f64s).
@@ -308,7 +370,6 @@ fn worker_survives_a_vanishing_coordinator() {
     // on its socket) must not wedge or kill the worker: the handler
     // thread sees the closed stream and exits; the accept loop keeps
     // serving new coordinators.
-    use pegserve::{Client, Json};
     use std::io::Write as _;
 
     let (mut handles, addrs) = spawn_workers(1);
