@@ -15,9 +15,7 @@
 //! graph is generated in-process, so `query` recomputes the existence model
 //! from the generator (same seed) for `--kind` workloads.
 
-use datagen::{dblp_like, imdb_like, synthetic_refgraph, DblpConfig, ImdbConfig, SyntheticConfig};
 use graphstore::persist::save_entity_graph;
-use graphstore::RefGraph;
 use kvstore::BTreeStore;
 use pathindex::disk::{load_index, save_index};
 use pathindex::PathIndexConfig;
@@ -26,6 +24,7 @@ use pegmatch::offline::{ContextInfo, OfflineIndex, OfflineOptions, OfflineStats}
 use pegmatch::online::{ExecCache, PlanCache, QueryOptions, QueryPipeline};
 use pegmatch::query::{QNode, QueryGraph};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::process::exit;
 
 fn main() {
@@ -80,7 +79,7 @@ fn usage() {
          \x20          processes, one shard per worker; needs --kind)\n\
          \x20          [--worker-timeout-ms MS]   (wire deadline per worker exchange)\n\
          \x20          [--exec-cache-bytes N]   (execution-cache byte budget; default 64 MiB,\n\
-         \x20          0 disables; per-graph opt-out via load_graph \"exec_cache\":false)\n\
+         \x20          0 disables)\n\
          \x20          [--slow-query-ms MS]   (log a structured JSON line to stderr for every\n\
          \x20          query slower than MS, and count it in the metrics registry)\n\
          \x20          [--debug-sleep]   (honor debug_sleep_ms requests — admission drills)\n\
@@ -128,25 +127,19 @@ fn get<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, Str
     flags.get(key).map(|s| s.as_str()).ok_or_else(|| format!("missing --{key}"))
 }
 
-fn refgraph_from_flags(flags: &HashMap<String, String>) -> Result<RefGraph, String> {
-    let kind = get(flags, "kind")?;
+/// The generator spec the `--kind/--size/--seed/--uncertainty` flags
+/// name — the same [`pegserve::GraphSpec`] a `load_graph` request decodes
+/// to, so the CLI and the server cannot map a spec to different graphs.
+fn spec_from_flags(flags: &HashMap<String, String>) -> Result<pegserve::GraphSpec, String> {
     let size: usize = get(flags, "size")?.parse().map_err(|_| "bad --size".to_string())?;
     let seed: u64 = flags.get("seed").map(|s| s.parse().unwrap_or(42)).unwrap_or(42);
     let uncertainty: f64 =
         flags.get("uncertainty").map(|s| s.parse().unwrap_or(0.2)).unwrap_or(0.2);
-    Ok(match kind {
-        "synthetic" => synthetic_refgraph(&SyntheticConfig {
-            seed,
-            ..SyntheticConfig::paper_with_uncertainty(size, uncertainty)
-        }),
-        "dblp" => dblp_like(&DblpConfig { seed, ..DblpConfig::scaled(size) }),
-        "imdb" => imdb_like(&ImdbConfig { seed, ..ImdbConfig::scaled(size) }),
-        other => return Err(format!("unknown --kind {other}")),
-    })
+    pegserve::GraphSpec::new(get(flags, "kind")?, size, seed, uncertainty).map_err(|e| e.message)
 }
 
 fn peg_from_flags(flags: &HashMap<String, String>) -> Result<Peg, String> {
-    let refs = refgraph_from_flags(flags)?;
+    let refs = spec_from_flags(flags)?.build_refs();
     PegBuilder::new().build(&refs).map_err(|e| e.to_string())
 }
 
@@ -260,11 +253,12 @@ fn server_config(flags: &HashMap<String, String>) -> pegserve::ServerConfig {
 }
 
 /// `pegcli serve`: boot the multi-client query server. With `--kind` a
-/// graph is generated and indexed in-process before listening (named by
-/// `--name`, default `default`); otherwise clients send `load_graph`.
-/// With `--workers a,b,...` (requires `--kind`) the graph goes
-/// distributed: one shard per worker process, retrieval scattered over
-/// TCP, everything else (and every result bit) identical.
+/// graph is loaded before listening (named by `--name`, default
+/// `default`) through [`pegserve::Server::load_graph`] — exactly what a
+/// client's `load_graph` would do; otherwise clients send one. With
+/// `--workers a,b,...` (requires `--kind`) the graph goes distributed:
+/// one shard per worker process, retrieval scattered over TCP,
+/// everything else (and every result bit) identical.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7878");
     let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
@@ -275,83 +269,33 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if !workers.is_empty() && !flags.contains_key("kind") {
         return Err("--workers needs --kind: workers rebuild their shard from the spec".into());
     }
-    if !workers.is_empty() {
-        // One shard per worker; a conflicting --shards must fail loudly
-        // (the wire protocol's load_graph rejects the same combination).
-        if let Some(shards) = flags.get("shards").and_then(|s| s.parse::<usize>().ok()) {
-            if shards != workers.len() {
-                return Err(format!(
-                    "--shards {shards} conflicts with {} --workers (one shard per worker); \
-                     drop --shards or match the worker count",
-                    workers.len()
-                ));
-            }
-        }
-    }
     if flags.contains_key("kind") {
-        // Keep the reference network around: serve-time graphs register
-        // live, so `update_graph` can mutate them incrementally.
-        let refs = refgraph_from_flags(flags)?;
-        let peg = PegBuilder::new().build(&refs).map_err(|e| e.to_string())?;
-        let name = flags.get("name").map(String::as_str).unwrap_or("default");
-        let offline_opts = offline_opts(flags);
-        let shards: usize = flags.get("shards").map(|s| s.parse().unwrap_or(1)).unwrap_or(1).max(1);
-        println!(
-            "loaded graph '{}': {} nodes, {} edges{}",
-            name,
-            peg.graph.n_nodes(),
-            peg.graph.n_edges(),
-            if !workers.is_empty() {
-                format!(", {} worker shard(s)", workers.len())
-            } else if shards > 1 {
-                format!(", {shards} shards")
-            } else {
-                String::new()
-            }
-        );
-        if !workers.is_empty() {
-            let spec = pegserve::GraphSpec {
-                kind: get(flags, "kind")?.to_string(),
-                size: get(flags, "size")?.parse().map_err(|_| "bad --size".to_string())?,
-                seed: flags.get("seed").map(|s| s.parse().unwrap_or(42)).unwrap_or(42),
-                uncertainty: flags
-                    .get("uncertainty")
-                    .map(|s| s.parse().unwrap_or(0.2))
-                    .unwrap_or(0.2),
-            };
-            let timeout_ms: u64 =
-                flags.get("worker-timeout-ms").and_then(|s| s.parse().ok()).unwrap_or(30_000);
-            let config = pegshard::TcpTransportConfig {
-                io_timeout: std::time::Duration::from_millis(timeout_ms),
-                ..Default::default()
-            };
-            let transport = pegshard::TcpTransport::connect(name, &workers, config)
-                .map_err(|e| e.to_string())?;
-            let store =
-                pegshard::ShardedGraphStore::connect(peg, &offline_opts, transport, |s, n| {
-                    spec.shard_load_json(name, &offline_opts.index, s, n)
-                })
-                .map_err(|e| e.to_string())?;
-            let st = store.stats();
-            println!(
-                "workers built {} shard(s): {} replicated node(s) (factor {:.3}) in {}",
-                st.n_shards,
-                st.replicated_nodes,
-                st.replication_factor,
-                bench::fmt_duration(st.build_time),
-            );
-            server.insert_sharded_graph(name, store, Some(refs));
-        } else if shards > 1 {
-            let store = pegshard::ShardedGraphStore::build(peg, &offline_opts, shards)
-                .map_err(|e| e.to_string())?;
-            server.insert_sharded_graph(name, store, Some(refs));
-        } else {
-            let offline = OfflineIndex::build(&peg, &offline_opts).map_err(|e| e.to_string())?;
-            server.insert_live_graph(name, refs, peg, offline, offline_opts.clone());
-        }
+        let shards: usize = flags
+            .get("shards")
+            .map(|s| s.parse().unwrap_or(1).max(1))
+            .unwrap_or(workers.len().max(1));
+        let timeout_ms: u64 =
+            flags.get("worker-timeout-ms").and_then(|s| s.parse().ok()).unwrap_or(30_000);
+        let load = pegserve::proto::LoadGraph {
+            name: flags.get("name").map(String::as_str).unwrap_or("default").to_string(),
+            spec: spec_from_flags(flags)?,
+            index: offline_opts(flags).index,
+            workers,
+            shards,
+            worker_timeout: std::time::Duration::from_millis(timeout_ms),
+        };
+        // The reply a client's `load_graph` would have got: node, edge and
+        // shard counts, replication, build time.
+        println!("loaded graph: {}", server.load_graph(&load).map_err(|e| e.to_string())?);
     }
-    println!("pegserve listening on {}", server.local_addr());
+    serve_on(server, "pegserve")
+}
+
+/// Announces the bound address (flushed: scripts wait for the line) and
+/// serves until shutdown.
+fn serve_on(server: pegserve::Server, what: &str) -> Result<(), String> {
     use std::io::Write as _;
+    println!("{what} listening on {}", server.local_addr());
     std::io::stdout().flush().ok();
     server.serve().map_err(|e| e.to_string())
 }
@@ -366,10 +310,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_shard_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7879");
     let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
-    println!("pegshard worker listening on {}", server.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    server.serve().map_err(|e| e.to_string())
+    serve_on(server, "pegshard worker")
 }
 
 /// `pegcli client`: send line-delimited JSON requests to a running server.
@@ -472,7 +413,7 @@ fn tag_text(v: &pegserve::Json) -> String {
 /// Children follow in attach order — which the tracer guarantees is
 /// stage order locally and shard-index order for scatter units, so the
 /// same query renders the same tree every run.
-fn render_span(node: &pegserve::Json, depth: usize, root_us: u64) {
+fn render_span(out: &mut String, node: &pegserve::Json, depth: usize, root_us: u64) {
     use pegserve::Json;
     let name = node.get("name").and_then(Json::as_str).unwrap_or("?");
     let elapsed = node.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
@@ -489,22 +430,23 @@ fn render_span(node: &pegserve::Json, depth: usize, root_us: u64) {
         }
     }
     let label = format!("{:indent$}{name}", "", indent = depth * 2);
-    println!("  {label:<30} {:>9}  {bar:<24}  {}", us(elapsed), tags.join(" "));
+    let _ = writeln!(out, "  {label:<30} {:>9}  {bar:<24}  {}", us(elapsed), tags.join(" "));
     if let Some(children) = node.get("children").and_then(Json::as_arr) {
         for c in children {
-            render_span(c, depth + 1, root_us);
+            render_span(out, c, depth + 1, root_us);
         }
     }
 }
 
 /// Renders a `metrics` reply body: the counter table, then a histogram
 /// table with the registry's snapshot quantiles.
-fn render_metrics(metrics: &pegserve::Json) {
+fn render_metrics(out: &mut String, metrics: &pegserve::Json) {
     use pegserve::Json;
     if let Some(counters) = metrics.get("counters").and_then(Json::as_arr) {
-        println!("counters:");
+        let _ = writeln!(out, "counters:");
         for c in counters {
-            println!(
+            let _ = writeln!(
+                out,
                 "  {:<28} {:>12}",
                 c.get("name").and_then(Json::as_str).unwrap_or("?"),
                 c.get("value").and_then(Json::as_u64).unwrap_or(0),
@@ -512,14 +454,16 @@ fn render_metrics(metrics: &pegserve::Json) {
         }
     }
     if let Some(hists) = metrics.get("histograms").and_then(Json::as_arr) {
-        println!("histograms:");
-        println!(
+        let _ = writeln!(out, "histograms:");
+        let _ = writeln!(
+            out,
             "  {:<28} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}",
             "name", "count", "mean", "p50", "p90", "p99", "max"
         );
         for h in hists {
             let num = |k: &str| h.get(k).and_then(Json::as_u64).unwrap_or(0);
-            println!(
+            let _ = writeln!(
+                out,
                 "  {:<28} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}",
                 h.get("name").and_then(Json::as_str).unwrap_or("?"),
                 num("count"),
@@ -552,13 +496,18 @@ fn cmd_metrics(flags: &HashMap<String, String>, addr: &str) -> Result<(), String
             println!("{line}");
             return Err("server replied with a structured error".into());
         }
+        let mut out = String::new();
         if poll > 1 {
-            println!("--- poll {}/{poll} ---", round + 1);
+            let _ = writeln!(out, "--- poll {}/{poll} ---", round + 1);
         }
         match reply.get("metrics") {
-            Some(m) => render_metrics(m),
-            None => println!("{line}"),
+            Some(m) => render_metrics(&mut out, m),
+            None => out = format!("{line}\n"),
         }
+        // One write per report: a reader that stops at its first match
+        // (`| grep -q`) must not turn the remaining lines into a
+        // broken-pipe panic.
+        print!("{out}");
     }
     Ok(())
 }
@@ -593,7 +542,9 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("server replied with a structured '{code}' error"));
     }
     let num = |k: &str| reply.get(k).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "explain: graph '{}', trace {}, {} match(es){} in {}",
         reply.get("graph").and_then(Json::as_str).unwrap_or("?"),
         num("trace_id"),
@@ -603,7 +554,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     if let Some(plan) = reply.get("plan") {
         let p = |k: &str| plan.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        let _ = writeln!(
+            out,
             "plan: {} path(s), {} in {}{}",
             p("n_paths"),
             if plan.get("from_cache") == Some(&Json::Bool(true)) {
@@ -620,7 +572,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(pl) = reply.get("pipeline") {
         let p = |k: &str| pl.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        let _ = writeln!(
+            out,
             "pipeline: decompose {}, candidates {}, join {}, reduction {}, generation {}\
              {}{}",
             us(p("decompose_us")),
@@ -639,7 +592,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
                 .unwrap_or_default(),
         );
         if p("frontier_evals") > 0 || p("full_evals_avoided") > 0 {
-            println!(
+            let _ = writeln!(
+                out,
                 "reduction frontier: {} eval(s), {} avoided, per-round {}",
                 p("frontier_evals"),
                 p("full_evals_avoided"),
@@ -649,7 +603,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(sc) = reply.get("scatter") {
         let p = |k: &str| sc.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        let _ = writeln!(
+            out,
             "scatter: per-shard pruned {}, {} distinct, {} duplicate(s) dropped, retrieval {}",
             sc.get("per_shard_pruned").map(|v| v.to_string()).unwrap_or_default(),
             p("pruned_distinct"),
@@ -659,9 +614,10 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(span) = reply.get("span") {
         let root_us = span.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
-        println!("span tree:");
-        render_span(span, 0, root_us);
+        let _ = writeln!(out, "span tree:");
+        render_span(&mut out, span, 0, root_us);
     }
+    print!("{out}"); // one write, as in `cmd_metrics`
     Ok(())
 }
 
@@ -756,19 +712,16 @@ fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> 
     // cache is pure overhead); --repeat N with a budget shows the reuse.
     let exec_bytes: usize = flags.get("exec-cache-bytes").and_then(|s| s.parse().ok()).unwrap_or(0);
     let exec_cache = (exec_bytes > 0).then(|| std::sync::Arc::new(ExecCache::new(exec_bytes)));
-    let mut builder = match &sharded {
-        Some(store) => QueryPipeline::builder(store.peg()).source(store),
-        None => {
-            QueryPipeline::builder(&peg).index(offline.as_ref().expect("unsharded index built"))
-        }
+    let mut pipeline = match &sharded {
+        Some(store) => store.pipeline(),
+        None => QueryPipeline::new(&peg, offline.as_ref().expect("unsharded index built")),
     };
     if want_cache_stats {
-        builder = builder.plan_cache(cache.clone());
+        pipeline = pipeline.with_plan_cache(cache.clone());
     }
     if let Some(c) = &exec_cache {
-        builder = builder.exec_cache(c.clone(), c.next_epoch());
+        pipeline = pipeline.with_exec_cache(c.clone(), c.next_epoch());
     }
-    let pipeline = builder.build();
     let repeat: usize = flags.get("repeat").map(|s| s.parse().unwrap_or(1)).unwrap_or(1).max(1);
     let t = std::time::Instant::now();
     let mut result = None;

@@ -677,11 +677,6 @@ impl<'g> PartView<'g> {
         self.g.parts[self.pi].n
     }
 
-    /// Number of alive vertices.
-    pub fn alive_count(&self) -> usize {
-        self.g.alive_n[self.pi]
-    }
-
     /// Slot of partition `j` within this partition's link lists.
     pub fn slot_of(&self, j: usize) -> Option<usize> {
         self.g.parts[self.pi].joined.iter().position(|&x| x == j)

@@ -33,6 +33,7 @@ use crate::offline::OfflineIndex;
 use crate::query::QueryGraph;
 use crate::Peg;
 use pegpool::ThreadPool;
+use pegtrace::Tracer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -207,113 +208,37 @@ pub struct QueryPipeline<'a> {
     exec_cache: Option<(Arc<ExecCache>, u64)>,
 }
 
-/// Staged construction of a [`QueryPipeline`]: bind the candidate source,
-/// then any shared caches, then [`build`](PipelineBuilder::build). The one
-/// place pipeline assembly happens — [`QueryPipeline::new`] and
-/// [`QueryPipeline::with_source`] are thin wrappers over it.
-///
-/// ```ignore
-/// let pipeline = QueryPipeline::builder(&peg)
-///     .index(&offline)
-///     .plan_cache(plans.clone())
-///     .exec_cache(cache.clone(), epoch)
-///     .build();
-/// ```
-pub struct PipelineBuilder<'a> {
-    peg: &'a Peg,
-    source: Option<PipelineSource<'a>>,
-    plan_cache: Option<Arc<PlanCache>>,
-    exec_cache: Option<(Arc<ExecCache>, u64)>,
-}
-
-impl<'a> PipelineBuilder<'a> {
-    /// Uses the local offline artifacts (path index + context info) as the
-    /// candidate source.
-    pub fn index(mut self, offline: &'a OfflineIndex) -> Self {
-        self.source = Some(PipelineSource::Local(source::LocalSource { peg: self.peg, offline }));
-        self
+impl<'a> QueryPipeline<'a> {
+    /// Binds a pipeline to a PEG and its offline artifacts (path index +
+    /// context info) as the candidate source. Shared caches attach with
+    /// [`with_plan_cache`](Self::with_plan_cache) /
+    /// [`with_exec_cache`](Self::with_exec_cache):
+    ///
+    /// ```ignore
+    /// let pipeline = QueryPipeline::new(&peg, &offline)
+    ///     .with_plan_cache(plans.clone())
+    ///     .with_exec_cache(cache.clone(), epoch);
+    /// ```
+    pub fn new(peg: &'a Peg, offline: &'a OfflineIndex) -> Self {
+        let source = PipelineSource::Local(source::LocalSource { peg, offline });
+        Self { peg, source, plan_cache: None, exec_cache: None }
     }
 
-    /// Uses an arbitrary [`CandidateSource`] — the entry point for sharded
-    /// stores, whose scatter-gather retrieval replaces the single offline
-    /// index. The builder's PEG must be the *full* graph the source's
-    /// candidates refer to: k-partite construction and match generation
-    /// evaluate cross-path edges and joint existence on it.
-    pub fn source(mut self, source: &'a dyn CandidateSource) -> Self {
-        self.source = Some(PipelineSource::Shared(source));
-        self
+    /// Binds a pipeline to a PEG and an arbitrary [`CandidateSource`] —
+    /// the entry point for sharded stores, whose scatter-gather retrieval
+    /// replaces the single offline index. `peg` must be the *full* graph
+    /// the source's candidates refer to: k-partite construction and match
+    /// generation evaluate cross-path edges and joint existence on it.
+    pub fn with_source(peg: &'a Peg, source: &'a dyn CandidateSource) -> Self {
+        Self { peg, source: PipelineSource::Shared(source), plan_cache: None, exec_cache: None }
     }
 
     /// Attaches a shared plan cache: [`QueryPipeline::prepare`] then keys
     /// plans by canonical query shape and reuses them across calls (and
     /// across pipelines sharing the cache for the *same* graph + index).
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Attaches a shared execution cache under graph epoch `epoch` (see
-    /// [`QueryPipeline::with_exec_cache`]).
-    pub fn exec_cache(mut self, cache: Arc<ExecCache>, epoch: u64) -> Self {
-        self.exec_cache = Some((cache, epoch));
-        self
-    }
-
-    /// Finalizes the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// If no candidate source was bound ([`index`](Self::index) or
-    /// [`source`](Self::source)) — a construction bug, not a runtime
-    /// condition.
-    pub fn build(self) -> QueryPipeline<'a> {
-        QueryPipeline {
-            peg: self.peg,
-            source: self.source.expect("PipelineBuilder: no candidate source bound"),
-            plan_cache: self.plan_cache,
-            exec_cache: self.exec_cache,
-        }
-    }
-}
-
-impl<'a> QueryPipeline<'a> {
-    /// Starts staged construction of a pipeline over `peg`.
-    pub fn builder(peg: &'a Peg) -> PipelineBuilder<'a> {
-        PipelineBuilder { peg, source: None, plan_cache: None, exec_cache: None }
-    }
-
-    /// Binds a pipeline to a PEG and its offline artifacts.
-    pub fn new(peg: &'a Peg, offline: &'a OfflineIndex) -> Self {
-        Self::builder(peg).index(offline).build()
-    }
-
-    /// Binds a pipeline to a PEG and an arbitrary [`CandidateSource`] —
-    /// see [`PipelineBuilder::source`].
-    pub fn with_source(peg: &'a Peg, source: &'a dyn CandidateSource) -> Self {
-        Self::builder(peg).source(source).build()
-    }
-
-    /// Reopens this pipeline as a builder, carrying its source and caches
-    /// over — for attaching caches to a pipeline handed out preassembled
-    /// (e.g. a sharded store's `pipeline()`).
-    pub fn into_builder(self) -> PipelineBuilder<'a> {
-        PipelineBuilder {
-            peg: self.peg,
-            source: Some(self.source),
-            plan_cache: self.plan_cache,
-            exec_cache: self.exec_cache,
-        }
-    }
-
-    /// Attaches a shared plan cache — see [`PipelineBuilder::plan_cache`].
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
-    }
-
-    /// The attached plan cache, if any.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plan_cache.as_ref()
     }
 
     /// Attaches a shared execution cache under graph epoch `epoch`:
@@ -327,11 +252,6 @@ impl<'a> QueryPipeline<'a> {
     pub fn with_exec_cache(mut self, cache: Arc<ExecCache>, epoch: u64) -> Self {
         self.exec_cache = Some((cache, epoch));
         self
-    }
-
-    /// The attached execution cache (and this graph's epoch), if any.
-    pub fn exec_cache(&self) -> Option<&(Arc<ExecCache>, u64)> {
-        self.exec_cache.as_ref()
     }
 
     /// Answers a probabilistic subgraph pattern matching query
@@ -387,8 +307,21 @@ impl<'a> QueryPipeline<'a> {
         alpha: f64,
         opts: &QueryOptions,
     ) -> Result<PreparedQuery, PegError> {
+        self.prepare_traced(query, alpha, opts, &Tracer::disabled())
+    }
+
+    /// [`QueryPipeline::prepare`] as a `"prepare"` stage of `tracer`
+    /// (tagged `from_cache`, `n_paths`). Traced or not, the stage's one
+    /// clock read is the plan's [`PreparedQuery::decompose_time`].
+    pub fn prepare_traced(
+        &self,
+        query: &QueryGraph,
+        alpha: f64,
+        opts: &QueryOptions,
+        tracer: &Tracer,
+    ) -> Result<PreparedQuery, PegError> {
         self.validate(query, alpha)?;
-        let t0 = Instant::now();
+        let stage = tracer.stage("prepare");
         let source = self.source.as_dyn();
         let max_len = source.max_len().max(1);
         // Canonicalize always: planning runs over the *canonical-numbered*
@@ -429,12 +362,14 @@ impl<'a> QueryPipeline<'a> {
         };
         let pstats: Vec<PathStats> =
             decomp.paths.iter().map(|p| PathStats::new(query, p)).collect();
+        stage.tag("from_cache", from_cache);
+        stage.tag("n_paths", decomp.paths.len());
         Ok(PreparedQuery {
             query: query.clone(),
             decomp,
             order,
             pstats,
-            decompose_time: t0.elapsed(),
+            decompose_time: stage.finish(),
             shape_hash,
             from_cache,
             canon: Some(canon),
@@ -452,29 +387,8 @@ impl<'a> QueryPipeline<'a> {
     }
 
     /// Finds the `k` most probable matches of `query` (an extension beyond
-    /// the paper's threshold queries).
-    ///
-    /// Works by iterative threshold tightening: the pipeline runs at a
-    /// threshold, and if fewer than `k` matches qualify the threshold is
-    /// lowered geometrically until either `k` matches are found or the
-    /// floor `min_alpha` is reached. Because a threshold run returns *all*
-    /// matches above the threshold, the best `k` of a sufficiently large
-    /// result set are the global top-k.
-    ///
-    /// Refinement is incremental over one [`QuerySession`]: the plan is
-    /// prepared once, and when the threshold drops below the session base
-    /// the base is rebuilt one geometric step *ahead* of schedule — so at
-    /// most every other refinement pays candidate pruning, k-partite
-    /// construction, and reduction convergence; the others reuse the
-    /// converged base (alpha-monotone: at the base threshold outright, and
-    /// above it by continuing from the converged state).
-    ///
-    /// Returns matches sorted by descending probability (ties broken by
-    /// node ids); the stats are those of the final run — where that run
-    /// reused the session base, its stage counters describe the base
-    /// build that served it (at [`PipelineStats::base_alpha`], one
-    /// lookahead step below the final threshold), per the
-    /// [`QuerySession::run_at`] stats contract.
+    /// the paper's threshold queries): prepares once and drives
+    /// [`QuerySession::run_topk`] over a fresh session.
     pub fn run_topk(
         &self,
         query: &QueryGraph,
@@ -482,32 +396,8 @@ impl<'a> QueryPipeline<'a> {
         min_alpha: f64,
         opts: &QueryOptions,
     ) -> Result<QueryResult, PegError> {
-        if k == 0 {
-            let mut empty = self.run(query, 1.0, opts)?;
-            empty.matches.clear();
-            return Ok(empty);
-        }
-        let mut alpha = 0.5f64;
-        let floor = min_alpha.max(1e-12);
-        let prepared = self.prepare(query, alpha, opts)?;
-        let mut session = self.session(&prepared, opts);
-        loop {
-            if let Some(base) = session.base_alpha() {
-                if alpha + 1e-12 < base {
-                    // Rebase with one step of lookahead; the next
-                    // refinement (if any) reuses this base outright.
-                    session.rebase((alpha * 0.25).max(floor))?;
-                }
-            }
-            let mut res = session.run_at(alpha, None)?;
-            if res.matches.len() >= k || alpha <= floor {
-                QuerySession::sort_topk(&mut res.matches);
-                res.matches.truncate(k);
-                res.stats.n_matches = res.matches.len();
-                return Ok(res);
-            }
-            alpha = (alpha * 0.25).max(floor);
-        }
+        let prepared = self.prepare(query, session::TOPK_START_ALPHA, opts)?;
+        self.session(&prepared, opts).run_topk(k, min_alpha)
     }
 }
 
@@ -729,7 +619,7 @@ mod tests {
         let (a, r, i) = (Label(0), Label(1), Label(2));
         let idx = OfflineIndex::build(&peg, &OfflineOptions::with_len_and_beta(2, 0.01)).unwrap();
         let cache = Arc::new(PlanCache::new());
-        let pipe = QueryPipeline::builder(&peg).index(&idx).plan_cache(cache.clone()).build();
+        let pipe = QueryPipeline::new(&peg, &idx).with_plan_cache(cache.clone());
         let plain = QueryPipeline::new(&peg, &idx);
         let opts = QueryOptions::default();
 

@@ -16,7 +16,6 @@
 //! how much reduction work a refinement pays.
 
 use crate::error::PegError;
-use crate::matcher::Match;
 use crate::online::candidates::{bound_keeps, CandidateSet};
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
 use crate::online::generate::generate_matches_limited;
@@ -31,6 +30,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const EPS: f64 = 1e-12;
+
+/// Threshold a top-k search starts at (and the one its plan is costed
+/// at) before tightening geometrically toward the caller's floor.
+pub const TOPK_START_ALPHA: f64 = 0.5;
 
 /// The session base: candidates pruned, k-partite graph built, and
 /// reduction converged at `alpha`.
@@ -84,21 +87,18 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     }
 
     /// Attaches a tracer: subsequent [`QuerySession::rebase`] /
-    /// [`QuerySession::run_at`] calls emit one root-level span per stage
+    /// [`QuerySession::run_at`] calls emit one span per stage
     /// (`"retrieve"`, `"join"`, `"reduce"`, `"generate"`; `"join"` carries a
     /// `"vertices"` child and one `"pair"` child per joined pair) into it, in
     /// chronological order — a multi-rebase top-k run simply appends more
-    /// stage spans. The embedder (e.g. the serving layer's `explain`
-    /// handler) assembles the request-level root around
-    /// [`Tracer::take`]'s output.
+    /// stage spans. The spans open at the handle's position: root level,
+    /// or under the embedder's own span when the handle is that span's
+    /// [`Span::tracer`] (the serving layer's `"request"`). Each stage is
+    /// opened once and closed once: the duration [`Span::finish`] returns
+    /// is both the span's `elapsed_us` and the stage's [`PipelineStats`]
+    /// time, tracer enabled or not.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// The session's tracer (disabled unless [`QuerySession::set_tracer`]
-    /// swapped one in).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Threshold the base state is converged at (`None` before any run).
@@ -140,35 +140,30 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // `alpha` by keep-bound — bit-identical survivors either way (see
         // `crate::online::exec_cache`), so the rest of the pipeline cannot
         // observe the difference.
-        let span = self.tracer.span("retrieve");
+        let span = self.tracer.stage("retrieve");
         span.tag("alpha", alpha);
-        let t = Instant::now();
         let (sets, exec_hit) = self.retrieve_sets(alpha, &span, &pool)?;
         for cs in &sets {
             stats.raw_counts.push(cs.raw_count);
             stats.context_counts.push(cs.matches.len());
         }
-        stats.candidates_time = t.elapsed();
-        stats.exec_cache_hit = exec_hit;
-        stats.log10_ss_index = log10_product(&stats.raw_counts);
-        stats.log10_ss_context = log10_product(&stats.context_counts);
         if span.is_recording() {
             span.tag("paths", stats.n_paths);
             span.tag("raw", stats.raw_counts.iter().sum::<usize>());
             span.tag("pruned", stats.context_counts.iter().sum::<usize>());
         }
-        drop(span);
+        stats.candidates_time = span.finish();
+        stats.exec_cache_hit = exec_hit;
+        stats.log10_ss_index = log10_product(&stats.raw_counts);
+        stats.log10_ss_context = log10_product(&stats.context_counts);
 
         // 3. Join-candidates / k-partite construction.
-        let span = self.tracer.span("join");
-        let t = Instant::now();
+        let span = self.tracer.stage("join");
         let mut kp = build_kpartite_traced(self.peg, query, decomp, &sets, alpha, &pool, &span);
-        stats.join_time = t.elapsed();
-        drop(span);
+        stats.join_time = span.finish();
 
         // 4. Joint search-space reduction to fixpoint.
-        let span = self.tracer.span("reduce");
-        let t = Instant::now();
+        let span = self.tracer.stage("reduce");
         if self.opts.use_reduction {
             let r = kp.reduce_traced(alpha, &self.reduce_opts(&pool), &span);
             stats.removed_structure = r.removed_structure;
@@ -181,13 +176,12 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         } else {
             stats.log10_ss_after_structure = kp.log10_search_space();
         }
-        stats.reduction_time = t.elapsed();
         span.tag("rounds", stats.message_rounds);
         span.tag("removed_structure", stats.removed_structure);
         span.tag("removed_upperbound", stats.removed_upperbound);
         span.tag("frontier_evals", stats.frontier_evals);
         span.tag("full_evals_avoided", stats.full_evals_avoided);
-        drop(span);
+        stats.reduction_time = span.finish();
         stats.final_counts = kp.alive_counts();
         stats.log10_ss_final = kp.log10_search_space();
 
@@ -221,29 +215,20 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             let floor = floor_alpha(alpha, beta);
             let paths: Vec<&[QNode]> = decomp.paths.iter().map(|p| p.nodes.as_slice()).collect();
             let key = ExecKey::new(*epoch, canon, &paths, self.source.max_len(), beta, floor);
+            // A hit skips the source entirely; the re-prune of the floor
+            // lists (a `"filter"` child) is then all of stage 2, and what
+            // `candidates_time` reports.
             if let Some(cached) = cache.get(&key) {
-                // A hit skips the source entirely, but the re-prune of
-                // the floor lists is real stage-2 work: time it
-                // explicitly so `candidates_time` reports the re-filter
-                // cost rather than reading as (near) zero retrieval.
-                let t0 = Instant::now();
-                let sets = Self::filter_sets(&cached, alpha);
                 span.tag("cache", "hit");
                 span.tag("floor", floor);
-                let filter = span.child_done("filter", t0.elapsed());
-                filter.tag("kept", sets.iter().map(|cs| cs.matches.len()).sum::<usize>());
-                return Ok((sets, true));
+                return Ok((Self::filter_sets(&cached, alpha, span), true));
             }
             span.tag("cache", "miss");
             span.tag("floor", floor);
             let sets = self.source.retrieve(query, decomp, &prepared.pstats, floor, span, pool)?;
             let sets = Arc::new(sets);
             cache.insert(key, Arc::clone(&sets));
-            let t0 = Instant::now();
-            let filtered = Self::filter_sets(&sets, alpha);
-            let filter = span.child_done("filter", t0.elapsed());
-            filter.tag("kept", filtered.iter().map(|cs| cs.matches.len()).sum::<usize>());
-            return Ok((filtered, false));
+            return Ok((Self::filter_sets(&sets, alpha, span), false));
         }
         let sets = self.source.retrieve(query, decomp, &prepared.pstats, alpha, span, pool)?;
         Ok((sets, false))
@@ -300,10 +285,9 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // exactly), so no copy is made.
         let strictly_above = !needs_base && alpha > base.alpha + EPS;
         let refined: Option<KPartiteGraph> = if strictly_above && self.opts.use_reduction {
-            let span = self.tracer.span("reduce");
+            let span = self.tracer.stage("reduce");
             span.tag("incremental", true);
             span.tag("base_alpha", base.alpha);
-            let t = Instant::now();
             let mut kp = base.kp.clone();
             let r = kp.reduce_traced(alpha, &self.reduce_opts(&pool), &span);
             stats.message_rounds = r.rounds;
@@ -313,11 +297,11 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             stats.full_evals_avoided = r.full_evals_avoided;
             stats.round_frontiers = r.round_frontiers.iter().map(|f| f.evals).collect();
             stats.log10_ss_after_structure = r.log10_after_structure;
-            stats.reduction_time = t.elapsed();
             stats.final_counts = kp.alive_counts();
             stats.log10_ss_final = kp.log10_search_space();
             span.tag("rounds", r.rounds);
             span.tag("frontier_evals", r.frontier_evals);
+            stats.reduction_time = span.finish();
             Some(kp)
         } else {
             if !needs_base {
@@ -336,10 +320,9 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         let kp = refined.as_ref().unwrap_or(&base.kp);
 
         // 5. Match generation over the plan's join order (seed-parallel).
-        let span = self.tracer.span("generate");
+        let span = self.tracer.stage("generate");
         span.tag("alpha", alpha);
         span.tag("base_reused", stats.base_reused);
-        let t = Instant::now();
         let (matches, truncated) = generate_matches_limited(
             self.peg,
             &self.prepared.query,
@@ -350,22 +333,24 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             limit,
             &pool,
         );
-        stats.generation_time = t.elapsed();
         stats.n_matches = matches.len();
-        stats.total_time = t_total.elapsed();
         span.tag("matches", stats.n_matches);
         span.tag("truncated", truncated);
-        drop(span);
+        stats.generation_time = span.finish();
+        stats.total_time = t_total.elapsed();
 
         Ok(QueryResult { matches, truncated, stats })
     }
 
     /// Re-prunes cached floor-threshold candidate sets at `alpha` by
-    /// keep-bound. Order-preserving, so the canonical candidate order
-    /// survives; survivors (and their bounds) are exactly those a direct
-    /// retrieval at `alpha` would produce.
-    fn filter_sets(sets: &[CandidateSet], alpha: f64) -> Vec<CandidateSet> {
-        sets.iter()
+    /// keep-bound, under a `"filter"` child of `span`. Order-preserving,
+    /// so the canonical candidate order survives; survivors (and their
+    /// bounds) are exactly those a direct retrieval at `alpha` would
+    /// produce.
+    fn filter_sets(sets: &[CandidateSet], alpha: f64, span: &Span) -> Vec<CandidateSet> {
+        let filter = span.child("filter");
+        let filtered: Vec<CandidateSet> = sets
+            .iter()
             .map(|cs| {
                 let mut matches = Vec::new();
                 let mut bounds = Vec::new();
@@ -377,17 +362,65 @@ impl<'a, 'p> QuerySession<'a, 'p> {
                 }
                 CandidateSet { matches, bounds, raw_count: cs.raw_count }
             })
-            .collect()
+            .collect();
+        if filter.is_recording() {
+            filter.tag("kept", filtered.iter().map(|cs| cs.matches.len()).sum::<usize>());
+        }
+        filtered
     }
 
-    /// Convenience: sorts `matches` the way top-k results are returned
-    /// (descending probability, ties by node ids).
-    pub(crate) fn sort_topk(matches: &mut [Match]) {
-        matches.sort_by(|a, b| {
-            b.prob()
-                .partial_cmp(&a.prob())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.nodes.cmp(&b.nodes))
-        });
+    /// Finds the `k` most probable matches of the session's query.
+    ///
+    /// Works by iterative threshold tightening: the pipeline runs at a
+    /// threshold, and if fewer than `k` matches qualify the threshold is
+    /// lowered geometrically until either `k` matches are found or the
+    /// floor `min_alpha` is reached. Because a threshold run returns *all*
+    /// matches above the threshold, the best `k` of a sufficiently large
+    /// result set are the global top-k.
+    ///
+    /// Refinement is incremental: when the threshold drops below the
+    /// session base the base is rebuilt one geometric step *ahead* of
+    /// schedule — so at most every other refinement pays candidate
+    /// pruning, k-partite construction, and reduction convergence; the
+    /// others reuse the converged base (alpha-monotone: at the base
+    /// threshold outright, and above it by continuing from the converged
+    /// state).
+    ///
+    /// Returns matches sorted by descending probability (ties broken by
+    /// node ids); the stats are those of the final run — where that run
+    /// reused the session base, its stage counters describe the base
+    /// build that served it (at [`PipelineStats::base_alpha`], one
+    /// lookahead step below the final threshold), per the
+    /// [`QuerySession::run_at`] stats contract.
+    pub fn run_topk(&mut self, k: usize, min_alpha: f64) -> Result<QueryResult, PegError> {
+        if k == 0 {
+            let mut empty = self.run_at(1.0, None)?;
+            empty.matches.clear();
+            return Ok(empty);
+        }
+        let mut alpha = TOPK_START_ALPHA;
+        let floor = min_alpha.max(1e-12);
+        loop {
+            if let Some(base) = self.base_alpha() {
+                if alpha + 1e-12 < base {
+                    // Rebase with one step of lookahead; the next
+                    // refinement (if any) reuses this base outright.
+                    self.rebase((alpha * 0.25).max(floor))?;
+                }
+            }
+            let mut res = self.run_at(alpha, None)?;
+            if res.matches.len() >= k || alpha <= floor {
+                res.matches.sort_by(|a, b| {
+                    b.prob()
+                        .partial_cmp(&a.prob())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.nodes.cmp(&b.nodes))
+                });
+                res.matches.truncate(k);
+                res.stats.n_matches = res.matches.len();
+                return Ok(res);
+            }
+            alpha = (alpha * 0.25).max(floor);
+        }
     }
 }

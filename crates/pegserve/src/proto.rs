@@ -93,8 +93,9 @@ pub const MAX_QUERY_BATCH: usize = 32;
 /// rule that every fault is a structured error inside its deadline.
 pub const MAX_WORKER_TIMEOUT_MS: usize = 600_000;
 
-/// A request rejected at decode: a structured error code plus detail,
-/// before any handler ran.
+/// A structured protocol error — the `error` code and `message` of an
+/// `{"ok":false,...}` reply — whether decode rejected the request before
+/// any handler ran or a handler failed it.
 #[derive(Debug)]
 pub struct ProtoError {
     /// Protocol error code (`bad_request` for everything decode catches).
@@ -103,8 +104,20 @@ pub struct ProtoError {
     pub message: String,
 }
 
-fn bad(message: impl std::fmt::Display) -> ProtoError {
-    ProtoError { code: "bad_request", message: message.to_string() }
+impl std::fmt::Display for ProtoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.code, self.message)
+    }
+}
+
+impl ProtoError {
+    pub(crate) fn new(code: &'static str, message: impl std::fmt::Display) -> ProtoError {
+        ProtoError { code, message: message.to_string() }
+    }
+}
+
+pub(crate) fn bad(message: impl std::fmt::Display) -> ProtoError {
+    ProtoError::new("bad_request", message)
 }
 
 /// Validates the optional `"v"` protocol-version tag. `None` (absent or
@@ -175,16 +188,6 @@ fn worker_threads(req: &Json) -> Result<usize, ProtoError> {
     })
 }
 
-fn field_limit(req: &Json) -> Result<usize, ProtoError> {
-    match req.get("limit") {
-        None | Some(Json::Null) => Ok(MAX_RESULT_MATCHES),
-        Some(v) => v
-            .as_usize()
-            .map(|l| l.min(MAX_RESULT_MATCHES))
-            .ok_or_else(|| bad("\"limit\" must be a non-negative integer")),
-    }
-}
-
 fn field_debug_sleep(req: &Json) -> Result<Option<u64>, ProtoError> {
     match req.get("debug_sleep_ms") {
         None => Ok(None),
@@ -218,25 +221,34 @@ pub struct GraphSpec {
 }
 
 impl GraphSpec {
+    /// A spec of a known generator family (`synthetic`, `dblp`, `imdb`) —
+    /// the check [`GraphSpec::build_refs`] relies on.
+    pub fn new(kind: &str, size: usize, seed: u64, uncertainty: f64) -> Result<Self, ProtoError> {
+        if !matches!(kind, "synthetic" | "dblp" | "imdb") {
+            return Err(bad(format!("unknown kind '{kind}'")));
+        }
+        Ok(GraphSpec { kind: kind.to_string(), size, seed, uncertainty })
+    }
+
     /// Parses the spec fields shared by `load_graph` and `shard_load`,
     /// enforcing the [`MAX_LOAD_SIZE`] ceiling.
     fn from_request(req: &Json) -> Result<GraphSpec, ProtoError> {
         let kind = req.get("kind").and_then(Json::as_str).ok_or_else(|| bad("missing \"kind\""))?;
-        if !matches!(kind, "synthetic" | "dblp" | "imdb") {
-            return Err(bad(format!("unknown kind '{kind}'")));
-        }
-        let size = req
-            .get("size")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| bad("missing or bad \"size\""))?;
-        if size > MAX_LOAD_SIZE {
+        let spec = GraphSpec::new(
+            kind,
+            req.get("size")
+                .and_then(Json::as_usize)
+                .ok_or_else(|| bad("missing or bad \"size\""))?,
+            req.get("seed").and_then(Json::as_u64).unwrap_or(42),
+            field_f64(req, "uncertainty", 0.2)?,
+        )?;
+        if spec.size > MAX_LOAD_SIZE {
             return Err(bad(format!(
-                "\"size\" {size} exceeds the load_graph ceiling of {MAX_LOAD_SIZE}"
+                "\"size\" {} exceeds the load_graph ceiling of {MAX_LOAD_SIZE}",
+                spec.size
             )));
         }
-        let seed = req.get("seed").and_then(Json::as_u64).unwrap_or(42);
-        let uncertainty = field_f64(req, "uncertainty", 0.2)?;
-        Ok(GraphSpec { kind: kind.to_string(), size, seed, uncertainty })
+        Ok(spec)
     }
 
     /// Runs the generator.
@@ -254,7 +266,7 @@ impl GraphSpec {
                 seed: self.seed,
                 ..datagen::ImdbConfig::scaled(self.size)
             }),
-            other => unreachable!("kind '{other}' validated at parse"),
+            other => unreachable!("kind '{other}' not validated by GraphSpec::new"),
         }
     }
 
@@ -350,8 +362,6 @@ pub struct LoadGraph {
     pub shards: usize,
     /// Per-exchange deadline for worker wire traffic.
     pub worker_timeout: Duration,
-    /// Whether the graph participates in the server's execution cache.
-    pub exec_cache: bool,
 }
 
 impl LoadGraph {
@@ -376,12 +386,6 @@ impl LoadGraph {
         if !(1..=MAX_LOAD_SHARDS).contains(&shards) {
             return Err(bad(format!("\"shards\" {shards} out of range 1..={MAX_LOAD_SHARDS}")));
         }
-        if !workers.is_empty() && shards != workers.len() {
-            return Err(bad(format!(
-                "\"shards\" {shards} conflicts with {} workers (one shard per worker)",
-                workers.len()
-            )));
-        }
         let worker_timeout_ms = field_usize(req, "worker_timeout_ms", 30_000)?;
         if !(1..=MAX_WORKER_TIMEOUT_MS).contains(&worker_timeout_ms) {
             return Err(bad(format!(
@@ -390,54 +394,59 @@ impl LoadGraph {
             )));
         }
         let worker_timeout = Duration::from_millis(worker_timeout_ms as u64);
-        let exec_cache = match req.get("exec_cache") {
-            None | Some(Json::Null) => true,
-            Some(v) => v.as_bool().ok_or_else(|| bad("\"exec_cache\" must be a boolean"))?,
-        };
-        Ok(LoadGraph { name, spec, index, workers, shards, worker_timeout, exec_cache })
+        Ok(LoadGraph { name, spec, index, workers, shards, worker_timeout })
     }
 }
 
-/// A validated `prepare`.
-pub struct Prepare {
-    /// Target graph (`None` resolves the only loaded graph).
-    pub graph: Option<String>,
-    /// Pattern text, parsed against the graph's label table by the
-    /// handler.
-    pub pattern: String,
-    /// Probability threshold the plan is costed at.
-    pub alpha: f64,
+/// The query-shaped ops: the online pipeline stopped after planning
+/// (`prepare`), run (`query`; `query_batch` runs a list, `query_topk`
+/// tightens a threshold until `k` matches qualify), or run with the
+/// tracer on (`explain`) — see [`crate::server`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueryOp {
+    /// Plan a pattern without executing it.
+    Prepare,
+    /// Threshold query.
+    Query,
+    /// Many threshold queries, one line, one admission permit.
+    Batch,
+    /// Top-k query.
+    Topk,
+    /// Threshold query + plan summary + full span tree.
+    Explain,
 }
 
-/// A validated `explain`: a threshold query that additionally returns
-/// its plan summary, pipeline/scatter statistics, and the full request
-/// span tree (worker-side scatter spans included on a distributed
-/// graph). Same fields as `query`; the matches themselves ride along so
-/// one request answers "what did it do" and "what did it find" together.
-pub struct Explain {
-    /// Target graph (`None` resolves the only loaded graph).
-    pub graph: Option<String>,
-    /// Pattern text, parsed against the graph's label table by the
-    /// handler.
-    pub pattern: String,
-    /// Probability threshold.
-    pub alpha: f64,
-    /// Match-count cap, clamped to [`MAX_RESULT_MATCHES`].
-    pub limit: usize,
-    /// Execution lanes, clamped to the machine (0 = all cores).
-    pub threads: usize,
+impl QueryOp {
+    /// Every query-shaped op, in discriminant order.
+    pub const ALL: [QueryOp; 5] =
+        [QueryOp::Prepare, QueryOp::Query, QueryOp::Batch, QueryOp::Topk, QueryOp::Explain];
+
+    /// The op's wire name.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryOp::Prepare => "prepare",
+            QueryOp::Query => "query",
+            QueryOp::Batch => "query_batch",
+            QueryOp::Topk => "query_topk",
+            QueryOp::Explain => "explain",
+        }
+    }
 }
 
-/// A validated threshold `query`.
+/// A validated threshold query — what every [`QueryOp`] carries (a batch
+/// a list of them; `query_topk` with its floor and its count arriving as
+/// `min_alpha` and `k`).
 pub struct Query {
     /// Target graph (`None` resolves the only loaded graph).
     pub graph: Option<String>,
     /// Pattern text, parsed against the graph's label table by the
     /// handler.
     pub pattern: String,
-    /// Probability threshold.
+    /// Probability threshold (`query_topk`: the floor `min_alpha` the
+    /// incremental search may stop at).
     pub alpha: f64,
-    /// Match-count cap, clamped to [`MAX_RESULT_MATCHES`].
+    /// Match-count cap, clamped to [`MAX_RESULT_MATCHES`] (`query_topk`:
+    /// `k`, how many top matches to return).
     pub limit: usize,
     /// Execution lanes, clamped to the machine (0 = all cores).
     pub threads: usize,
@@ -445,47 +454,42 @@ pub struct Query {
     pub debug_sleep_ms: Option<u64>,
 }
 
-/// A validated `query_topk`.
-pub struct QueryTopk {
-    /// Target graph (`None` resolves the only loaded graph).
-    pub graph: Option<String>,
-    /// Pattern text, parsed against the graph's label table by the
-    /// handler.
-    pub pattern: String,
-    /// How many top matches to return, clamped to
-    /// [`MAX_RESULT_MATCHES`].
-    pub k: usize,
-    /// Threshold floor the incremental search may stop at.
-    pub min_alpha: f64,
-    /// Execution lanes, clamped to the machine (0 = all cores).
-    pub threads: usize,
-    /// Admission-drill sleep (honored only with the server knob).
-    pub debug_sleep_ms: Option<u64>,
-}
+impl Query {
+    /// The one decoder: `alpha` / `limit` name the threshold and cap
+    /// fields and give their defaults.
+    fn decode(req: &Json, alpha: (&str, f64), limit: (&str, usize)) -> Result<Query, ProtoError> {
+        Ok(Query {
+            graph: field_graph(req)?,
+            pattern: req
+                .get("pattern")
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad("missing \"pattern\""))?
+                .to_string(),
+            alpha: field_f64(req, alpha.0, alpha.1)?,
+            limit: field_usize(req, limit.0, limit.1)?.min(MAX_RESULT_MATCHES),
+            threads: query_threads(req)?,
+            debug_sleep_ms: field_debug_sleep(req)?,
+        })
+    }
 
-/// One item of a `query_batch`.
-pub struct BatchItem {
-    /// Pattern text, parsed against the graph's label table by the
-    /// handler.
-    pub pattern: String,
-    /// Probability threshold.
-    pub alpha: f64,
-    /// Match-count cap, clamped to [`MAX_RESULT_MATCHES`].
-    pub limit: usize,
-}
+    fn threshold(req: &Json) -> Result<Query, ProtoError> {
+        Query::decode(req, ("alpha", 0.5), ("limit", MAX_RESULT_MATCHES))
+    }
 
-/// A validated `query_batch`.
-pub struct QueryBatch {
-    /// Target graph (`None` resolves the only loaded graph).
-    pub graph: Option<String>,
-    /// Execution lanes shared by every item.
-    pub threads: usize,
-    /// The batch, 1..=[`MAX_QUERY_BATCH`] items.
-    pub items: Vec<BatchItem>,
-}
+    /// The request `op` carries: its one query, or a batch's list.
+    fn request(op: QueryOp, req: &Json) -> Result<Request, ProtoError> {
+        let items = match op {
+            QueryOp::Batch => Query::batch(req)?,
+            QueryOp::Topk => vec![Query::decode(req, ("min_alpha", 1e-9), ("k", 10))?],
+            _ => vec![Query::threshold(req)?],
+        };
+        Ok(Request::Query(op, items))
+    }
 
-impl QueryBatch {
-    fn decode(req: &Json) -> Result<QueryBatch, ProtoError> {
+    /// A `query_batch`'s items, 1..=[`MAX_QUERY_BATCH`] of them: each is
+    /// decoded like a lone `query` (its errors prefixed `queries[i]:`) and
+    /// then takes the batch's `graph` and `threads`.
+    fn batch(req: &Json) -> Result<Vec<Query>, ProtoError> {
         let graph = field_graph(req)?;
         let threads = query_threads(req)?;
         let items = req
@@ -495,23 +499,14 @@ impl QueryBatch {
         if items.is_empty() || items.len() > MAX_QUERY_BATCH {
             return Err(bad(format!("\"queries\" must carry 1..={MAX_QUERY_BATCH} items")));
         }
-        let items = items
+        items
             .iter()
             .enumerate()
-            .map(|(i, item)| {
-                let pattern = item
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad(format!("queries[{i}]: missing \"pattern\"")))?
-                    .to_string();
-                let alpha = field_f64(item, "alpha", 0.5)
-                    .map_err(|e| bad(format!("queries[{i}]: {}", e.message)))?;
-                let limit =
-                    field_limit(item).map_err(|e| bad(format!("queries[{i}]: {}", e.message)))?;
-                Ok(BatchItem { pattern, alpha, limit })
+            .map(|(i, item)| match Query::threshold(item) {
+                Ok(q) => Ok(Query { graph: graph.clone(), threads, ..q }),
+                Err(e) => Err(bad(format!("queries[{i}]: {}", e.message))),
             })
-            .collect::<Result<Vec<_>, ProtoError>>()?;
-        Ok(QueryBatch { graph, threads, items })
+            .collect()
     }
 }
 
@@ -626,18 +621,11 @@ pub enum Request {
     LoadGraph(LoadGraph),
     /// Drop a loaded graph (explicit name required).
     UnloadGraph(String),
-    /// Plan a pattern without executing it.
-    Prepare(Prepare),
-    /// Threshold query.
-    Query(Query),
-    /// Many threshold queries, one line, one admission permit.
-    QueryBatch(QueryBatch),
-    /// Top-k query.
-    QueryTopk(QueryTopk),
+    /// A query-shaped op and what it runs: one query, or a batch's 1..=
+    /// [`MAX_QUERY_BATCH`].
+    Query(QueryOp, Vec<Query>),
     /// Mutate a live graph in place (epoch-bumping).
     UpdateGraph(UpdateGraph),
-    /// Threshold query + plan summary + full span tree.
-    Explain(Explain),
     /// Server-wide counters.
     Stats,
     /// Process-wide metrics registry dump (counters + latency
@@ -667,51 +655,11 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "load_graph" => LoadGraph::decode(req).map(Request::LoadGraph),
             "unload_graph" => require_graph(req).map(Request::UnloadGraph),
-            "prepare" => Ok(Request::Prepare(Prepare {
-                graph: field_graph(req)?,
-                pattern: req
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing \"pattern\""))?
-                    .to_string(),
-                alpha: field_f64(req, "alpha", 0.5)?,
-            })),
-            "query" => Ok(Request::Query(Query {
-                graph: field_graph(req)?,
-                pattern: req
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing \"pattern\""))?
-                    .to_string(),
-                alpha: field_f64(req, "alpha", 0.5)?,
-                limit: field_limit(req)?,
-                threads: query_threads(req)?,
-                debug_sleep_ms: field_debug_sleep(req)?,
-            })),
-            "query_topk" => Ok(Request::QueryTopk(QueryTopk {
-                graph: field_graph(req)?,
-                pattern: req
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing \"pattern\""))?
-                    .to_string(),
-                k: field_usize(req, "k", 10)?.min(MAX_RESULT_MATCHES),
-                min_alpha: field_f64(req, "min_alpha", 1e-9)?,
-                threads: query_threads(req)?,
-                debug_sleep_ms: field_debug_sleep(req)?,
-            })),
-            "query_batch" => QueryBatch::decode(req).map(Request::QueryBatch),
-            "explain" => Ok(Request::Explain(Explain {
-                graph: field_graph(req)?,
-                pattern: req
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing \"pattern\""))?
-                    .to_string(),
-                alpha: field_f64(req, "alpha", 0.5)?,
-                limit: field_limit(req)?,
-                threads: query_threads(req)?,
-            })),
+            "prepare" => Query::request(QueryOp::Prepare, req),
+            "query" => Query::request(QueryOp::Query, req),
+            "query_batch" => Query::request(QueryOp::Batch, req),
+            "query_topk" => Query::request(QueryOp::Topk, req),
+            "explain" => Query::request(QueryOp::Explain, req),
             "update_graph" => Ok(Request::UpdateGraph(UpdateGraph {
                 graph: field_graph(req)?,
                 ops: decode_mutation_ops(req)?,
@@ -764,7 +712,7 @@ mod tests {
         )
         .unwrap()
         {
-            Request::Query(q) => q,
+            Request::Query(QueryOp::Query, mut items) => items.remove(0),
             _ => panic!("decoded wrong variant"),
         };
         assert_eq!(q.limit, MAX_RESULT_MATCHES);

@@ -9,13 +9,20 @@
 //! tionally reuses post-prune candidate retrievals across repeated-shape
 //! query mixes — a hit re-prunes cached floor-threshold lists instead of
 //! probing the index (or, for a distributed graph, scattering to the
-//! workers at all), and replies stay bit-identical either way. Every `query` / `query_topk` request passes the
-//! [`Admission`] semaphore, opens a fresh `QuerySession` over the shared
-//! cacheable plan, and executes on the persistent `pegpool` pool sized by
-//! the request's `threads` field. Results are therefore bit-identical to a
-//! direct [`QueryPipeline::run`] / `run_topk` with the same graph,
-//! threshold, and thread count — the server adds sharing and scheduling,
-//! never different math.
+//! workers at all), and replies stay bit-identical either way.
+//!
+//! The paper's online phase is one pipeline — decompose, retrieve,
+//! join-candidates, reduce, generate — and the query ops are that
+//! pipeline stopped early or run with more said about it: `prepare` ⊂
+//! `query` ⊂ `explain` share one request type ([`proto::Query`], which a
+//! `query_batch` lists and `query_topk` respells) and one executor
+//! (`execute`), which passes the [`Admission`] semaphore, opens a fresh
+//! `QuerySession` over the shared cacheable plan, and executes on the
+//! persistent `pegpool` pool sized by the request's `threads` field.
+//! Results are therefore bit-identical to a direct
+//! [`QueryPipeline::run`] / `run_topk` with the same graph, threshold,
+//! and thread count — the server adds sharing and scheduling, never
+//! different math.
 //!
 //! # Protocol
 //!
@@ -30,14 +37,14 @@
 //! | op               | fields                                                            |
 //! |------------------|-------------------------------------------------------------------|
 //! | `ping`           | —                                                                 |
-//! | `load_graph`     | `name?`, `kind` (`synthetic`/`dblp`/`imdb`), `size`, `seed?`, `uncertainty?`, `max_len?`, `beta?`, `shards?`, `workers?`, `worker_timeout_ms?`, `exec_cache?` |
+//! | `load_graph`     | `name?`, `kind` (`synthetic`/`dblp`/`imdb`), `size`, `seed?`, `uncertainty?`, `max_len?`, `beta?`, `shards?`, `workers?`, `worker_timeout_ms?` |
 //! | `unload_graph`   | `graph` (required; `not_found` for unknown names)                 |
-//! | `prepare`        | `graph?`, `pattern`, `alpha?`                                     |
+//! | `prepare`        | the `query` fields — plans without executing (`limit` has nothing to cap) |
 //! | `query`          | `graph?`, `pattern`, `alpha?`, `limit?`, `threads?`, `debug_sleep_ms?` |
-//! | `query_batch`    | `graph?`, `queries` (array of `{pattern, alpha?, limit?}`), `threads?` |
+//! | `query_batch`    | `graph?`, `queries` (array of `{pattern, alpha?, limit?, debug_sleep_ms?}`), `threads?` |
 //! | `query_topk`     | `graph?`, `pattern`, `k?`, `min_alpha?`, `threads?`, `debug_sleep_ms?` |
 //! | `update_graph`   | `graph?`, `ops` (array of mutation ops — see [`crate::proto`])    |
-//! | `explain`        | `graph?`, `pattern`, `alpha?`, `limit?`, `threads?` — query + plan summary + pipeline/scatter stats + full span tree |
+//! | `explain`        | the `query` fields — query + plan summary + pipeline/scatter stats + full span tree |
 //! | `stats`          | —                                                                 |
 //! | `metrics`        | — (process metrics registry dump: counters + latency histograms)  |
 //! | `shutdown`       | —                                                                 |
@@ -103,9 +110,9 @@
 //! memory. Replies are
 //! `{"ok":true,...}` or `{"ok":false,"error":CODE,"message":...}` with
 //! codes `bad_request`, `unknown_graph`, `not_found`, `overloaded`,
-//! `timeout`, `shard_unavailable`, `internal`. `query`, `query_topk`,
-//! `prepare`, `load_graph`, `shard_load`, and `shard_retrieve` (the
-//! compute-occupying ops) pass admission; `load_graph`
+//! `timeout`, `shard_unavailable`, `internal`. The query ops,
+//! `load_graph`, `update_graph`, `shard_load`, `shard_retrieve` and
+//! `shard_update` (the compute-occupying ops) pass admission; `load_graph`
 //! additionally caps `size` at [`MAX_LOAD_SIZE`], `max_len` at
 //! [`MAX_LOAD_PATH_LEN`], `shards` at [`MAX_LOAD_SHARDS`], and `beta` at
 //! no less than [`MIN_LOAD_BETA`]; patterns are capped at
@@ -117,16 +124,17 @@
 //! deterministically (tests, drills), not part of the query semantics —
 //! and is honored only when [`ServerConfig::allow_debug_sleep`] is set.
 
-use crate::admission::Admission;
-use crate::json::{obj, Json};
-use crate::proto::{self, ProtoError};
+use crate::admission::{Admission, AdmitError};
+use crate::json::{obj, Json, ObjBuilder};
+use crate::proto::{self, ProtoError, QueryOp};
 use crate::statsjson;
 use graphstore::RefGraph;
 use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
+use pegmatch::online::session::TOPK_START_ALPHA;
 use pegmatch::online::{
-    ExecCache, PipelineStats, PlanCache, QueryOptions, QueryPipeline, QueryResult,
+    ExecCache, PlanCache, PreparedQuery, QueryOptions, QueryPipeline, QueryResult,
     DEFAULT_EXEC_CACHE_BYTES,
 };
 use pegmatch::Peg;
@@ -134,7 +142,7 @@ use pegshard::{
     wire as shard_wire, ScatterStats, ShardedGraphStore, TcpTransport, TcpTransportConfig,
     WorkerShard,
 };
-use pegtrace::{Histogram, MetricsRegistry, SpanNode, Tracer};
+use pegtrace::{Counter, Histogram, MetricsRegistry, SpanNode, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -173,8 +181,7 @@ pub struct ServerConfig {
     pub allow_debug_sleep: bool,
     /// Byte budget for the server-wide execution cache (post-prune
     /// candidate lists keyed by graph epoch + canonical shape + quantized
-    /// floor threshold). `0` disables it. Per-graph participation is a
-    /// `load_graph` knob (`"exec_cache": false` opts a graph out).
+    /// floor threshold). `0` disables it.
     pub exec_cache_bytes: usize,
     /// Slow-query threshold: a query op whose execution (inside its
     /// admission permit) takes at least this many milliseconds is logged
@@ -261,9 +268,6 @@ pub struct GraphEntry {
     /// retrieval keyed by the old epoch unreachable — and the swap
     /// explicitly drops them.
     pub epoch: u64,
-    /// Whether this graph participates in the server's execution cache
-    /// (the `load_graph` `"exec_cache"` knob; defaults on).
-    pub exec_enabled: bool,
     /// The reference network the store was compiled from — present iff
     /// the graph is live (mutable via `update_graph`).
     refs: Option<RefGraph>,
@@ -312,9 +316,8 @@ struct ServerState {
     /// `metrics` reply must describe only its own). Dumped by the
     /// `metrics` op in [`statsjson::metrics_json`]'s schema.
     metrics: MetricsRegistry,
-    /// The always-on per-phase histograms, resolved out of `metrics` once
-    /// so recording a query is four atomic bucket bumps.
-    pipeline: PipelineHistograms,
+    /// What every query records, resolved out of `metrics` once.
+    query_metrics: QueryMetrics,
     /// Trace-id source for `explain` and any future traced op. A plain
     /// counter, not a random id: ids only need to be unique per server,
     /// and they must stay below 2^53 to survive the JSON number type.
@@ -368,7 +371,7 @@ impl Server {
             allow_debug_sleep: config.allow_debug_sleep,
             max_connections: config.max_connections.max(1),
             shutdown: AtomicBool::new(false),
-            pipeline: PipelineHistograms::resolve(&metrics),
+            query_metrics: QueryMetrics::resolve(&metrics),
             metrics,
             trace_ids: AtomicU64::new(1),
             slow_query: config.slow_query_ms.map(Duration::from_millis),
@@ -388,7 +391,7 @@ impl Server {
     /// and `update_graph` against it is a structured `bad_request`. Use
     /// [`Server::insert_live_graph`] to register a mutable graph.
     pub fn insert_graph(&self, name: &str, peg: Peg, offline: OfflineIndex) {
-        insert_store(&self.state, name, GraphStore::Unsharded { peg, offline }, true, None);
+        insert_store(&self.state, name, GraphStore::Unsharded { peg, offline }, None);
     }
 
     /// Registers a **live** (mutable) graph: the reference network `refs`
@@ -404,13 +407,8 @@ impl Server {
         offline: OfflineIndex,
         opts: OfflineOptions,
     ) {
-        insert_store(
-            &self.state,
-            name,
-            GraphStore::Unsharded { peg, offline },
-            true,
-            Some((refs, opts)),
-        );
+        let store = GraphStore::Unsharded { peg, offline };
+        insert_store(&self.state, name, store, Some((refs, opts)));
     }
 
     /// Registers a pre-built sharded store under `name` — the
@@ -424,7 +422,18 @@ impl Server {
         refs: Option<RefGraph>,
     ) {
         let live = refs.map(|r| (r, store.offline_options().clone()));
-        insert_store(&self.state, name, GraphStore::Sharded(store), true, live);
+        insert_store(&self.state, name, GraphStore::Sharded(store), live);
+    }
+
+    /// Builds and registers a live graph from a generator spec — the
+    /// wire's `load_graph`, callable: same build, same admission permit,
+    /// same reply. A coordinator and its workers are only bit-exact if
+    /// they build from the same [`GraphSpec`] mapper, so embedders that
+    /// start from a spec (`pegcli serve --kind`) load through here. The
+    /// decode-time ceilings ([`MAX_LOAD_SIZE`], ...) guard the wire, not
+    /// this call.
+    pub fn load_graph(&self, r: &proto::LoadGraph) -> Result<Json, ProtoError> {
+        load_graph(&self.state, r)
     }
 
     /// Serves until a `shutdown` request (or [`ServerHandle::shutdown`]),
@@ -454,7 +463,9 @@ impl Server {
                 let mut stream = stream;
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let mut text = error_reply("overloaded", "connection limit reached").0.to_string();
+                let mut text =
+                    error_json(&ProtoError::new("overloaded", "connection limit reached"))
+                        .to_string();
                 text.push('\n');
                 let _ = stream.write_all(text.as_bytes()).and_then(|_| stream.flush());
                 continue;
@@ -483,7 +494,6 @@ fn insert_store(
     state: &ServerState,
     name: &str,
     store: GraphStore,
-    exec_enabled: bool,
     live: Option<(RefGraph, OfflineOptions)>,
 ) {
     let epoch = state.exec_cache.as_ref().map_or(0, |c| c.next_epoch());
@@ -496,7 +506,6 @@ fn insert_store(
         store,
         plans: Arc::new(PlanCache::new()),
         epoch,
-        exec_enabled,
         refs,
         opts,
         version: 0,
@@ -510,38 +519,21 @@ fn insert_store(
     }
 }
 
-/// The pipeline every request against `entry` executes on, assembled
-/// through the one [`QueryPipeline::builder`] entry point: the store's
-/// candidate source, the graph's shared plan cache, plus the server-wide
-/// execution cache (stamped with the entry's epoch) when both the server
-/// and the graph opted in.
+/// The pipeline every request against `entry` executes on: the store's
+/// candidate source, the graph's shared plan cache, and the server-wide
+/// execution cache (stamped with the entry's epoch) when the server has
+/// one.
 fn graph_pipeline<'a>(state: &ServerState, entry: &'a GraphEntry) -> QueryPipeline<'a> {
-    let mut builder = match &entry.store {
-        GraphStore::Unsharded { peg, offline } => QueryPipeline::builder(peg).index(offline),
-        GraphStore::Sharded(store) => QueryPipeline::builder(store.peg()).source(store),
-    }
-    .plan_cache(entry.plans.clone());
-    if entry.exec_enabled {
-        if let Some(cache) = &state.exec_cache {
-            builder = builder.exec_cache(Arc::clone(cache), entry.epoch);
-        }
-    }
-    builder.build()
-}
-
-/// A reply-carrying protocol error.
-struct Reply(Json);
-
-impl From<ProtoError> for Reply {
-    fn from(e: ProtoError) -> Reply {
-        error_reply(e.code, e.message)
+    let pipe = entry.store.pipeline().with_plan_cache(entry.plans.clone());
+    match &state.exec_cache {
+        Some(cache) => pipe.with_exec_cache(Arc::clone(cache), entry.epoch),
+        None => pipe,
     }
 }
 
-fn error_reply(code: &str, message: impl std::fmt::Display) -> Reply {
-    Reply(
-        obj().field("ok", false).field("error", code).field("message", message.to_string()).build(),
-    )
+/// The `{"ok":false,...}` line a structured error goes out as.
+fn error_json(e: &ProtoError) -> Json {
+    obj().field("ok", false).field("error", e.code).field("message", e.message.as_str()).build()
 }
 
 /// Per-request line cap: one connection cannot grow the server's memory
@@ -619,7 +611,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         if buf.len() > MAX_LINE_BYTES {
             // Over the cap (the allowance ran out before a newline): the
             // stream cannot be resynchronized, so reply and close.
-            let _ = write_reply(&writer, &error_reply("bad_request", "request line too long").0);
+            let too_long = proto::bad("request line too long");
+            let _ = write_reply(&writer, &error_json(&too_long));
             break;
         }
         if !buf.ends_with(b"\n") && !eof {
@@ -656,8 +649,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                         break;
                     }
                 }
-                Err(Reply(reply)) => {
-                    if !write_reply(&writer, &reply) {
+                Err(e) => {
+                    if !write_reply(&writer, &error_json(&e)) {
                         break;
                     }
                 }
@@ -676,24 +669,26 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
 /// Parses one request line and extracts its optional `"id"`. A present
 /// but non-u64 id is rejected *without* an echo — there is no
 /// trustworthy id to route the error back by.
-fn parse_request(line: &str) -> Result<(Json, Option<u64>), Reply> {
-    let req = Json::parse(line)
-        .map_err(|e| error_reply("bad_request", format!("malformed JSON: {e}")))?;
+fn parse_request(line: &str) -> Result<(Json, Option<u64>), ProtoError> {
+    let req = Json::parse(line).map_err(|e| proto::bad(format!("malformed JSON: {e}")))?;
     let id = match req.get("id") {
         None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            error_reply("bad_request", "\"id\" must be an unsigned integer below 2^53")
-        })?),
+        Some(v) => Some(
+            v.as_u64()
+                .ok_or_else(|| proto::bad("\"id\" must be an unsigned integer below 2^53"))?,
+        ),
     };
     Ok((req, id))
 }
 
-/// Echoes the request id onto a reply — success and error replies alike,
-/// because a multiplexing client routes *every* reply by its id.
-fn attach_id(reply: Json, id: Option<u64>) -> Json {
-    match (reply, id) {
-        (Json::Obj(mut fields), Some(id)) => {
-            fields.push(("id".to_string(), Json::Num(id as f64)));
+/// Echoes a request's `"id"` or `"v"` tag onto its reply — success and
+/// error replies alike: a multiplexing client routes *every* reply by
+/// its id, and a version tag that was validated is echoed wherever it
+/// was.
+fn echo(reply: Json, key: &str, tag: Option<u64>) -> Json {
+    match (reply, tag) {
+        (Json::Obj(mut fields), Some(tag)) => {
+            fields.push((key.to_string(), Json::Num(tag as f64)));
             Json::Obj(fields)
         }
         (reply, _) => reply,
@@ -710,21 +705,9 @@ fn attach_id(reply: Json, id: Option<u64>) -> Json {
 fn answer(metrics: &MetricsRegistry, id: Option<u64>, handler: impl FnOnce() -> Json) -> Json {
     let reply = catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
         metrics.counter("serve.handler_panics").incr();
-        error_reply("internal", "request handler panicked").0
+        error_json(&ProtoError::new("internal", "request handler panicked"))
     });
-    attach_id(reply, id)
-}
-
-/// Echoes the protocol version tag onto a reply when the request carried
-/// one — success and error replies alike, like `"id"`.
-fn attach_version(reply: Json, v: Option<u64>) -> Json {
-    match (reply, v) {
-        (Json::Obj(mut fields), Some(v)) => {
-            fields.push(("v".to_string(), Json::Num(v as f64)));
-            Json::Obj(fields)
-        }
-        (reply, _) => reply,
-    }
+    echo(reply, "id", id)
 }
 
 fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
@@ -732,23 +715,19 @@ fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
     // server does not speak must not be half-interpreted.
     let v = match proto::protocol_version(req) {
         Ok(v) => v,
-        Err(e) => return Reply::from(e).0,
+        Err(e) => return error_json(&e),
     };
     let parsed = match proto::Request::decode(req) {
         Ok(parsed) => parsed,
-        Err(e) => return attach_version(Reply::from(e).0, v),
+        Err(e) => return echo(error_json(&e), "v", v),
     };
     use proto::Request as R;
     let result = match &parsed {
         R::Ping => Ok(obj().field("ok", true).field("pong", true).build()),
-        R::LoadGraph(r) => op_load_graph(state, r),
+        R::LoadGraph(r) => load_graph(state, r),
         R::UnloadGraph(name) => op_unload_graph(state, name),
-        R::Prepare(r) => op_prepare(state, r),
-        R::Query(r) => op_query(state, r),
-        R::QueryBatch(r) => op_query_batch(state, r),
-        R::QueryTopk(r) => op_query_topk(state, r),
+        R::Query(op, items) => op_query(state, *op, items),
         R::UpdateGraph(r) => op_update_graph(state, r),
-        R::Explain(r) => op_explain(state, r),
         R::Stats => Ok(op_stats(state)),
         R::Metrics => Ok(obj()
             .field("ok", true)
@@ -763,42 +742,45 @@ fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
             Ok(obj().field("ok", true).field("shutdown", true).build())
         }
     };
-    let reply = match result {
-        Ok(reply) => reply,
-        Err(Reply(reply)) => reply,
-    };
-    attach_version(reply, v)
+    echo(result.unwrap_or_else(|e| error_json(&e)), "v", v)
 }
 
-fn resolve_graph(state: &ServerState, name: Option<&str>) -> Result<Arc<GraphEntry>, Reply> {
+fn resolve_graph(state: &ServerState, name: Option<&str>) -> Result<Arc<GraphEntry>, ProtoError> {
     let graphs = state.graphs.lock().unwrap();
     match name {
         Some(name) => graphs
             .get(name)
             .cloned()
-            .ok_or_else(|| error_reply("unknown_graph", format!("no graph named '{name}'"))),
+            .ok_or_else(|| ProtoError::new("unknown_graph", format!("no graph named '{name}'"))),
         None if graphs.len() == 1 => Ok(graphs.values().next().unwrap().clone()),
         None if graphs.is_empty() => {
-            Err(error_reply("unknown_graph", "no graph loaded; send load_graph first"))
+            Err(ProtoError::new("unknown_graph", "no graph loaded; send load_graph first"))
         }
-        None => Err(error_reply(
-            "bad_request",
-            format!("{} graphs loaded; specify \"graph\"", graphs.len()),
-        )),
+        None => Err(proto::bad(format!("{} graphs loaded; specify \"graph\"", graphs.len()))),
     }
 }
 
-/// Maps a pipeline error to its protocol code: a lost shard worker is
+/// A pipeline error's protocol code: a lost shard worker is
 /// `shard_unavailable` (retryable, operational), everything else a
 /// client-side `bad_request`.
-fn peg_error_reply(e: PegError) -> Reply {
-    match &e {
-        PegError::ShardUnavailable { .. } => error_reply("shard_unavailable", e),
-        _ => error_reply("bad_request", e),
+impl From<PegError> for ProtoError {
+    fn from(e: PegError) -> ProtoError {
+        match &e {
+            PegError::ShardUnavailable { .. } => ProtoError::new("shard_unavailable", e),
+            _ => proto::bad(e),
+        }
     }
 }
 
-/// Builds a graph + offline index from a `load_graph` request (the same
+/// An admission rejection is `overloaded` or `timeout`.
+impl From<AdmitError> for ProtoError {
+    fn from(e: AdmitError) -> ProtoError {
+        ProtoError::new(e.code(), e)
+    }
+}
+
+/// Builds a graph + offline index from a `load_graph` request — the body
+/// of the wire op and of [`Server::load_graph`] alike (the same
 /// generator specs `pegcli` exposes; the registry-free environment has no
 /// external data files to point at). The build runs *inside* an admission
 /// permit — it occupies the shared compute pool like a query session does
@@ -813,14 +795,21 @@ fn peg_error_reply(e: PegError) -> Reply {
 /// persistent [`TcpTransport`]. `worker_timeout_ms` bounds every wire
 /// exchange with the workers (default 30s — it must also cover the
 /// worker-side shard build triggered by the handshake).
-fn op_load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, Reply> {
+fn load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, ProtoError> {
+    if !r.workers.is_empty() && r.shards != r.workers.len() {
+        return Err(proto::bad(format!(
+            "\"shards\" {} conflicts with {} workers (one shard per worker)",
+            r.shards,
+            r.workers.len()
+        )));
+    }
     let name = r.name.clone();
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
+    let _permit = state.admission.admit()?;
     let refs = r.spec.build_refs();
     let t0 = Instant::now();
     let peg = PegBuilder::new()
         .build(&refs)
-        .map_err(|e| error_reply("internal", format!("model build failed: {e}")))?;
+        .map_err(|e| ProtoError::new("internal", format!("model build failed: {e}")))?;
     let opts = OfflineOptions { index: r.index.clone() };
     let (nodes, edges) = (peg.graph.n_nodes(), peg.graph.n_edges());
     let mut reply = obj()
@@ -831,22 +820,20 @@ fn op_load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, Repl
         .field("shards", r.shards);
     let store = if !r.workers.is_empty() {
         let config = TcpTransportConfig { io_timeout: r.worker_timeout, ..Default::default() };
-        let transport = TcpTransport::connect(&name, &r.workers, config)
-            .map_err(|e| peg_error_reply(e.into_peg()))?;
+        let transport =
+            TcpTransport::connect(&name, &r.workers, config).map_err(|e| e.into_peg())?;
         reply = reply
             .field("workers", Json::Arr(r.workers.iter().map(|a| Json::Str(a.clone())).collect()));
         let load = |shard, n_shards| r.spec.shard_load_json(&name, &opts.index, shard, n_shards);
-        GraphStore::Sharded(
-            ShardedGraphStore::connect(peg, &opts, transport, load).map_err(peg_error_reply)?,
-        )
+        GraphStore::Sharded(ShardedGraphStore::connect(peg, &opts, transport, load)?)
     } else if r.shards > 1 {
         GraphStore::Sharded(
             ShardedGraphStore::build(peg, &opts, r.shards)
-                .map_err(|e| error_reply("internal", format!("sharded build failed: {e}")))?,
+                .map_err(|e| ProtoError::new("internal", format!("sharded build failed: {e}")))?,
         )
     } else {
         let offline = OfflineIndex::build(&peg, &opts)
-            .map_err(|e| error_reply("internal", format!("offline phase failed: {e}")))?;
+            .map_err(|e| ProtoError::new("internal", format!("offline phase failed: {e}")))?;
         GraphStore::Unsharded { peg, offline }
     };
     if let GraphStore::Sharded(sharded) = &store {
@@ -858,7 +845,7 @@ fn op_load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, Repl
     // Protocol-loaded graphs are live: the reference network the build
     // started from rides along so `update_graph` can recompile it
     // incrementally.
-    insert_store(state, &name, store, r.exec_cache, Some((refs, opts)));
+    insert_store(state, &name, store, Some((refs, opts)));
     Ok(reply.field("build_us", t0.elapsed().as_micros() as u64).build())
 }
 
@@ -867,19 +854,19 @@ fn op_load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, Repl
 /// the coordinator would use in-process) and holds it for subsequent
 /// `shard_retrieve` scatters. Spec and index knobs are bounded exactly
 /// like `load_graph`'s — a worker is a public endpoint too.
-fn op_shard_load(state: &ServerState, r: &proto::ShardLoad) -> Result<Json, Reply> {
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
+fn op_shard_load(state: &ServerState, r: &proto::ShardLoad) -> Result<Json, ProtoError> {
+    let _permit = state.admission.admit()?;
     let refs = r.spec.build_refs();
     let t0 = Instant::now();
     let peg = PegBuilder::new()
         .build(&refs)
-        .map_err(|e| error_reply("internal", format!("model build failed: {e}")))?;
+        .map_err(|e| ProtoError::new("internal", format!("model build failed: {e}")))?;
     let opts = OfflineOptions { index: r.index.clone() };
     // The worker keeps the reference network: `shard_update` mutates it
     // and recompiles, so the coordinator never ships anything
     // graph-sized.
     let ws = WorkerShard::build(refs, peg, &opts, r.shard, r.n_shards)
-        .map_err(|e| error_reply("internal", format!("shard build failed: {e}")))?;
+        .map_err(|e| ProtoError::new("internal", format!("shard build failed: {e}")))?;
     let reply = obj()
         .field("ok", true)
         .field("graph", r.graph.as_str())
@@ -896,30 +883,26 @@ fn op_shard_load(state: &ServerState, r: &proto::ShardLoad) -> Result<Json, Repl
 /// paths, run the shared per-path retrieval unit over the worker's pool,
 /// and encode the home-filtered partials back. Compute-occupying, so it
 /// passes admission like a query session.
-fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Json, Reply> {
+fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Json, ProtoError> {
     let ws = lookup_worker_shard(state, &r.graph)?;
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
+    let _permit = state.admission.admit()?;
     let pool = pegpool::pool_with(r.threads);
-    let t0 = Instant::now();
     // A request carrying the coordinator's trace id gets its retrieval
-    // timed under a worker-side "shard_retrieve" root span, shipped back
-    // in the reply's "span" field; the coordinator's transport grafts it
-    // into the live request tree for an end-to-end distributed trace.
-    // Untraced requests (the common case) skip even the per-path clock
-    // reads.
+    // recorded under a worker-side "shard_retrieve" root span, shipped
+    // back in the reply's "span" field; the coordinator's transport grafts
+    // it into the live request tree for an end-to-end distributed trace.
+    // Untraced requests (the common case) time the leg for the histogram
+    // and skip the per-path clock reads.
     let tracer = match r.trace_id {
         Some(id) => Tracer::enabled(id),
         None => Tracer::disabled(),
     };
-    let span = tracer.span("shard_retrieve");
+    let span = tracer.stage("shard_retrieve");
     span.tag("shard", ws.shard_index());
     span.tag("alpha", r.alpha);
     span.tag("n_paths", r.paths.len());
-    let reply = ws
-        .retrieve_traced(&r.query, &r.paths, r.alpha, r.version, &span, &pool)
-        .map_err(peg_error_reply)?;
-    drop(span);
-    state.metrics.histogram("serve.shard_retrieve_us").record(t0.elapsed());
+    let reply = ws.retrieve_traced(&r.query, &r.paths, r.alpha, r.version, &span, &pool)?;
+    state.query_metrics.shard_retrieve.record(span.finish());
     let encoded = shard_wire::encode_retrieve_reply(&reply);
     Ok(match tracer.take().pop() {
         Some(node) => match encoded {
@@ -933,14 +916,14 @@ fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Js
     })
 }
 
-fn lookup_worker_shard(state: &ServerState, name: &str) -> Result<Arc<WorkerShard>, Reply> {
+fn lookup_worker_shard(state: &ServerState, name: &str) -> Result<Arc<WorkerShard>, ProtoError> {
     state
         .worker_shards
         .lock()
         .unwrap()
         .get(name)
         .cloned()
-        .ok_or_else(|| error_reply("unknown_graph", format!("no shard loaded for '{name}'")))
+        .ok_or_else(|| ProtoError::new("unknown_graph", format!("no shard loaded for '{name}'")))
 }
 
 /// Worker side of a live-graph mutation: apply the batch to the held
@@ -951,11 +934,11 @@ fn lookup_worker_shard(state: &ServerState, name: &str) -> Result<Arc<WorkerShar
 /// broadcast partway) still answer; a resend of the already-latest
 /// version is acknowledged idempotently (the transport may redial and
 /// resend once). Compute-occupying, so it passes admission.
-fn op_shard_update(state: &ServerState, r: &proto::ShardUpdate) -> Result<Json, Reply> {
+fn op_shard_update(state: &ServerState, r: &proto::ShardUpdate) -> Result<Json, ProtoError> {
     let ws = lookup_worker_shard(state, &r.graph)?;
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
+    let _permit = state.admission.admit()?;
     let t0 = Instant::now();
-    let summary = ws.apply_update(&r.ops, r.version).map_err(peg_error_reply)?;
+    let summary = ws.apply_update(&r.ops, r.version)?;
     let reply = obj().field("ok", true).field("graph", r.graph.as_str());
     Ok(shard_wire::encode_summary(reply, &summary)
         .field("update_us", t0.elapsed().as_micros() as u64)
@@ -964,14 +947,14 @@ fn op_shard_update(state: &ServerState, r: &proto::ShardUpdate) -> Result<Json, 
 
 /// Drops a worker's shard state for a graph (sent by the coordinator's
 /// `unload_graph`).
-fn op_shard_unload(state: &ServerState, name: &str) -> Result<Json, Reply> {
+fn op_shard_unload(state: &ServerState, name: &str) -> Result<Json, ProtoError> {
     match state.worker_shards.lock().unwrap().remove(name) {
         Some(ws) => Ok(obj()
             .field("ok", true)
             .field("unloaded", name)
             .field("shard", ws.shard_index())
             .build()),
-        None => Err(error_reply("not_found", format!("no shard loaded for '{name}'"))),
+        None => Err(ProtoError::new("not_found", format!("no shard loaded for '{name}'"))),
     }
 }
 
@@ -983,7 +966,7 @@ fn op_shard_unload(state: &ServerState, name: &str) -> Result<Json, Reply> {
 /// connections close. Unknown names get a structured `not_found` reply.
 /// `graph` is required — implicit resolution would make "unload the only
 /// graph" too easy to do by accident from a script.
-fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, Reply> {
+fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, ProtoError> {
     // Take the entry out under the lock, release workers *after* dropping
     // it: releasing a distributed graph's workers is blocking network I/O
     // (up to the worker deadline per socket operation), and holding the
@@ -1007,7 +990,7 @@ fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, Reply> {
                 .field("shards", entry.store.n_shards())
                 .build())
         }
-        None => Err(error_reply("not_found", format!("no graph named '{name}'"))),
+        None => Err(ProtoError::new("not_found", format!("no graph named '{name}'"))),
     }
 }
 
@@ -1024,7 +1007,7 @@ fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, Reply> {
 /// holds exactly the entry the mutation was computed from, so racing an
 /// `unload_graph`/`load_graph` aborts cleanly instead of resurrecting a
 /// graph.
-fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, Reply> {
+fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, ProtoError> {
     let resolved = resolve_graph(state, r.graph.as_deref())?;
     // Serialize with other mutations of this graph *by name*: the lock
     // Arc is carried across entry swaps, so holding it makes the
@@ -1035,36 +1018,31 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     if !Arc::ptr_eq(&entry.update_lock, &lock) {
         // The graph was unloaded and reloaded while we waited: the held
         // lock no longer guards the current entry.
-        return Err(error_reply(
-            "bad_request",
-            format!("graph '{}' was reloaded during the update; retry", entry.name),
-        ));
+        return Err(proto::bad(format!(
+            "graph '{}' was reloaded during the update; retry",
+            entry.name
+        )));
     }
     let Some(refs) = entry.refs.as_ref() else {
-        return Err(error_reply(
-            "bad_request",
-            format!(
-                "graph '{}' is not live (registered without its reference network); \
+        return Err(proto::bad(format!(
+            "graph '{}' is not live (registered without its reference network); \
                  reload it via load_graph or insert_live_graph",
-                entry.name
-            ),
-        ));
+            entry.name
+        )));
     };
     // A mutation recompiles on the shared pool — compute like a session.
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
+    let _permit = state.admission.admit()?;
     let t0 = Instant::now();
     let builder = PegBuilder::new();
     let (store, new_refs, n_dirty, rebuilt_shards, reused_components) = match &entry.store {
         GraphStore::Unsharded { peg, offline } => {
-            let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)
-                .map_err(peg_error_reply)?;
+            let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)?;
             let (n_dirty, reused) = (up.n_dirty(), up.reused_components);
             let store = GraphStore::Unsharded { peg: up.peg, offline: up.index };
             (store, up.refs, n_dirty, 0, reused)
         }
         GraphStore::Sharded(sharded) => {
-            let (next, new_refs, stats) =
-                sharded.apply_update(refs, &builder, &r.ops).map_err(peg_error_reply)?;
+            let (next, new_refs, stats) = sharded.apply_update(refs, &builder, &r.ops)?;
             (
                 GraphStore::Sharded(next),
                 new_refs,
@@ -1082,7 +1060,6 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         store,
         plans: Arc::new(PlanCache::new()),
         epoch,
-        exec_enabled: entry.exec_enabled,
         refs: Some(new_refs),
         opts: entry.opts.clone(),
         version: entry.version + 1,
@@ -1097,7 +1074,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
             // Unloaded (or replaced) while the mutation computed: do not
             // resurrect it — the unload already won.
             _ => {
-                return Err(error_reply(
+                return Err(ProtoError::new(
                     "unknown_graph",
                     format!("graph '{}' was unloaded during the update", entry.name),
                 ));
@@ -1127,371 +1104,292 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         .build())
 }
 
-fn parse_request_query(
+/// Everything that can refuse a query item without compute: its pattern
+/// against the graph's label table, the pattern-size cap, and
+/// `debug_sleep_ms` (an operational drill knob, not query semantics) on
+/// a server that did not opt in.
+fn check_item(
+    state: &ServerState,
     entry: &GraphEntry,
-    pattern: &str,
-) -> Result<pegmatch::query::QueryGraph, Reply> {
-    let query = pegmatch::pattern::parse_pattern(pattern, entry.store.peg().graph.label_table())
-        .map_err(|e| error_reply("bad_request", format!("bad pattern: {e}")))?;
+    item: &proto::Query,
+) -> Result<pegmatch::query::QueryGraph, ProtoError> {
+    let labels = entry.store.peg().graph.label_table();
+    let query = pegmatch::pattern::parse_pattern(&item.pattern, labels)
+        .map_err(|e| proto::bad(format!("bad pattern: {e}")))?;
     if query.n_nodes() > proto::MAX_PATTERN_NODES {
-        return Err(error_reply(
-            "bad_request",
-            format!("pattern has {} nodes, limit is {}", query.n_nodes(), proto::MAX_PATTERN_NODES),
+        return Err(proto::bad(format!(
+            "pattern has {} nodes, limit is {}",
+            query.n_nodes(),
+            proto::MAX_PATTERN_NODES
+        )));
+    }
+    if item.debug_sleep_ms.is_some() && !state.allow_debug_sleep {
+        return Err(proto::bad(
+            "debug_sleep_ms requires the server's allow_debug_sleep knob (pegcli serve --debug-sleep)",
         ));
     }
     Ok(query)
 }
 
-/// Rejects `debug_sleep_ms` unless the server opted in; sleeps inside
-/// the permit when it did (an operational drill knob, not query
-/// semantics).
-fn check_debug_sleep(state: &ServerState, requested: Option<u64>) -> Result<(), Reply> {
-    if requested.is_some() && !state.allow_debug_sleep {
-        return Err(error_reply(
-            "bad_request",
-            "debug_sleep_ms requires the server's allow_debug_sleep knob (pegcli serve --debug-sleep)",
-        ));
-    }
-    Ok(())
-}
-
-fn op_prepare(state: &ServerState, r: &proto::Prepare) -> Result<Json, Reply> {
-    let entry = resolve_graph(state, r.graph.as_deref())?;
-    let query = parse_request_query(&entry, &r.pattern)?;
-    // Planning is compute too (decomposition + cost estimation over the
-    // index), so `prepare` takes an admission permit like the query ops.
-    let _permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    let pipe = graph_pipeline(state, &entry);
-    let prepared =
-        pipe.prepare(&query, r.alpha, &QueryOptions::default()).map_err(peg_error_reply)?;
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", entry.name.as_str())
-        .field("n_paths", prepared.n_paths())
-        .field("from_cache", prepared.from_cache())
-        .field_opt("shape_hash", prepared.shape_hash().map(|h| format!("{h:016x}")))
-        .field("plan_us", prepared.decompose_time().as_micros() as u64)
-        .build())
-}
-
-/// Handles on the `pipeline.{retrieve,join,reduce,generate}_us`
-/// histograms: where a query's time went, phase by phase, for every query
-/// served — not only the ones sent as `explain`.
-struct PipelineHistograms {
+/// Handles on everything a query records, resolved out of the registry
+/// once so the per-query cost is atomic bumps, not name lookups. The
+/// `pipeline.*_us` phase histograms are always on: where a query's time
+/// went, for every query served, not only the ones sent as `explain`.
+struct QueryMetrics {
+    queries: Counter,
+    slow_queries: Counter,
+    /// `serve.<op>_us`, indexed by `QueryOp as usize`.
+    op_us: [Histogram; 5],
+    admission_wait: Histogram,
+    shard_retrieve: Histogram,
+    prepare: Histogram,
     retrieve: Histogram,
     join: Histogram,
     reduce: Histogram,
     generate: Histogram,
 }
 
-impl PipelineHistograms {
+impl QueryMetrics {
     fn resolve(metrics: &MetricsRegistry) -> Self {
         Self {
+            queries: metrics.counter("serve.queries"),
+            slow_queries: metrics.counter("serve.slow_queries"),
+            op_us: QueryOp::ALL.map(|op| metrics.histogram(&format!("serve.{}_us", op.name()))),
+            admission_wait: metrics.histogram("serve.admission_wait_us"),
+            shard_retrieve: metrics.histogram("serve.shard_retrieve_us"),
+            prepare: metrics.histogram("pipeline.prepare_us"),
             retrieve: metrics.histogram("pipeline.retrieve_us"),
             join: metrics.histogram("pipeline.join_us"),
             reduce: metrics.histogram("pipeline.reduce_us"),
             generate: metrics.histogram("pipeline.generate_us"),
         }
     }
+}
 
-    fn record(&self, stats: &PipelineStats) {
-        self.retrieve.record(stats.candidates_time);
-        self.join.record(stats.join_time);
-        self.reduce.record(stats.reduction_time);
-        self.generate.record(stats.generation_time);
+/// One query taken as far as its op goes.
+struct Answer {
+    prepared: PreparedQuery,
+    /// `None` only under `prepare`, which stops after planning.
+    result: Option<QueryResult>,
+}
+
+impl Answer {
+    fn ran(&self) -> &QueryResult {
+        self.result.as_ref().expect("every op but prepare runs its plan")
     }
 }
 
-/// Per-query bookkeeping shared by every query-shaped op: bumps the
+/// The one executor of the query-shaped ops: resolve the graph, check
+/// every item (before the permit, a batch naming the offender), take
+/// **one** admission permit, then per item plan and — unless the op is
+/// `prepare` — run a fresh session over the shared plan, and note the
+/// query.
+///
+/// Everything is timed by the spans it opens into `tracer`: a
+/// `"request"` root, `"prepare"` and the session's stage spans under it.
+/// Disabled (every op but `explain`), the same stages still time
+/// themselves, so replies, `PipelineStats` and the always-on histograms
+/// read the clocks an `explain` tree would show. All of that tree but
+/// its `elapsed_us` values and the `trace_id` is a deterministic function
+/// of the request (`tests/trace_determinism.rs`).
+///
+/// Returns the resolved graph, one [`Answer`] per item in order, and the
+/// `"request"` span's time: planning + execution of every item, inside
+/// the permit.
+fn execute(
+    state: &ServerState,
+    op: QueryOp,
+    items: &[proto::Query],
+    tracer: &Tracer,
+) -> Result<(Arc<GraphEntry>, Vec<Answer>, Duration), ProtoError> {
+    // Decode guarantees at least one item; a batch's all carry its graph.
+    let head = &items[0];
+    let entry = resolve_graph(state, head.graph.as_deref())?;
+    let mut queries = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        queries.push(check_item(state, &entry, item).map_err(|e| match op {
+            QueryOp::Batch => ProtoError::new(e.code, format!("queries[{i}]: {}", e.message)),
+            _ => e,
+        })?);
+    }
+    let queued = Instant::now();
+    let permit = state.admission.admit()?;
+    state.query_metrics.admission_wait.record(queued.elapsed());
+    let sleep_ms: u64 = items.iter().filter_map(|item| item.debug_sleep_ms).sum();
+    if sleep_ms > 0 {
+        std::thread::sleep(Duration::from_millis(sleep_ms.min(60_000)));
+    }
+    let pipe = graph_pipeline(state, &entry);
+    let request = tracer.stage("request");
+    request.tag("op", op.name());
+    request.tag("graph", entry.name.as_str());
+    request.tag("alpha", head.alpha);
+    request.tag("shards", entry.store.n_shards());
+    let stages = request.tracer();
+    let mut answers = Vec::with_capacity(items.len());
+    for (item, query) in items.iter().zip(&queries) {
+        let opts = QueryOptions { threads: item.threads, ..Default::default() };
+        // A plan answers any threshold; `alpha` only seeds its cost model.
+        let plan_alpha = if op == QueryOp::Topk { TOPK_START_ALPHA } else { item.alpha };
+        let prepared = pipe.prepare_traced(query, plan_alpha, &opts, &stages)?;
+        let result = if op == QueryOp::Prepare {
+            None
+        } else {
+            let mut session = pipe.session(&prepared, &opts);
+            session.set_tracer(stages.clone());
+            let run = match op {
+                QueryOp::Topk => session.run_topk(item.limit, item.alpha),
+                _ => session.run_at(item.alpha, Some(item.limit)),
+            };
+            Some(run?)
+        };
+        answers.push(Answer { prepared, result });
+    }
+    let elapsed = request.finish();
+    drop(permit);
+    note_query(state, op, &entry.name, items, &answers, elapsed);
+    Ok((entry, answers, elapsed))
+}
+
+/// Per-request bookkeeping shared by every query-shaped op: bumps the
 /// served counter, records the op's latency histogram and each answered
-/// query's phase times in the metrics registry, and — when the server has
-/// a slow-query threshold and this query crossed it — writes one
-/// structured JSON line to stderr, so an operator can grep offenders out
-/// of a server log without any proportional overhead on the fast path.
-struct QueryNote<'a> {
-    op: &'a str,
-    graph: &'a str,
-    pattern: &'a str,
-    alpha: f64,
-    n_matches: usize,
-    /// Pipeline stats of the queries answered under this note (one per
-    /// query; several for a batch).
-    stats: &'a [PipelineStats],
-}
-
-fn note_query(state: &ServerState, note: QueryNote<'_>, elapsed: Duration) {
-    state.metrics.counter("serve.queries").add(note.stats.len() as u64);
-    state.metrics.histogram(&format!("serve.{}_us", note.op)).record(elapsed);
-    for stats in note.stats {
-        state.pipeline.record(stats);
-    }
-    if let Some(threshold) = state.slow_query {
-        if elapsed >= threshold {
-            state.metrics.counter("serve.slow_queries").incr();
-            let line = obj()
-                .field("slow_query", true)
-                .field("op", note.op)
-                .field("graph", note.graph)
-                .field("pattern", note.pattern)
-                .field("alpha", note.alpha)
-                .field("elapsed_us", elapsed.as_micros() as u64)
-                .field("threshold_ms", threshold.as_millis() as u64)
-                .field("n", note.n_matches)
-                .build();
-            eprintln!("{line}");
+/// query's phase times, and — when the server has a slow-query threshold
+/// and this request crossed it — writes one structured JSON line to
+/// stderr, so an operator can grep offenders out of a server log without
+/// any proportional overhead on the fast path.
+fn note_query(
+    state: &ServerState,
+    op: QueryOp,
+    graph: &str,
+    items: &[proto::Query],
+    answers: &[Answer],
+    elapsed: Duration,
+) {
+    let m = &state.query_metrics;
+    let mut n_matches = 0usize;
+    for answer in answers {
+        m.prepare.record(answer.prepared.decompose_time());
+        if let Some(result) = &answer.result {
+            m.queries.incr();
+            m.retrieve.record(result.stats.candidates_time);
+            m.join.record(result.stats.join_time);
+            m.reduce.record(result.stats.reduction_time);
+            m.generate.record(result.stats.generation_time);
+            n_matches += result.matches.len();
         }
     }
-}
-
-fn op_query(state: &ServerState, r: &proto::Query) -> Result<Json, Reply> {
-    let entry = resolve_graph(state, r.graph.as_deref())?;
-    let query = parse_request_query(&entry, &r.pattern)?;
-    let opts = QueryOptions { threads: r.threads, ..Default::default() };
-    check_debug_sleep(state, r.debug_sleep_ms)?;
-    let permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    if let Some(ms) = r.debug_sleep_ms {
-        std::thread::sleep(Duration::from_millis(ms.min(60_000)));
+    m.op_us[op as usize].record(elapsed);
+    if let Some(threshold) = state.slow_query.filter(|t| elapsed >= *t) {
+        m.slow_queries.incr();
+        let (pattern, alpha) = match op {
+            QueryOp::Batch => (format!("[{} queries]", items.len()), 0.0),
+            _ => (items[0].pattern.clone(), items[0].alpha),
+        };
+        let line = obj()
+            .field("slow_query", true)
+            .field("op", op.name())
+            .field("graph", graph)
+            .field("pattern", pattern)
+            .field("alpha", alpha)
+            .field("elapsed_us", elapsed.as_micros() as u64)
+            .field("threshold_ms", threshold.as_millis() as u64)
+            .field("n", n_matches)
+            .build();
+        eprintln!("{line}");
     }
-    let pipe = graph_pipeline(state, &entry);
-    let t0 = Instant::now();
-    let prepared = pipe.prepare(&query, r.alpha, &opts).map_err(peg_error_reply)?;
-    let mut session = pipe.session(&prepared, &opts);
-    let result = session.run_at(r.alpha, Some(r.limit)).map_err(peg_error_reply)?;
-    let elapsed = t0.elapsed();
-    drop(permit);
-    note_query(
-        state,
-        QueryNote {
-            op: "query",
-            graph: &entry.name,
-            pattern: &r.pattern,
-            alpha: r.alpha,
-            n_matches: result.matches.len(),
-            stats: std::slice::from_ref(&result.stats),
-        },
-        elapsed,
-    );
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", entry.name.as_str())
-        .field("n", result.matches.len())
-        .field("truncated", result.truncated)
-        .field("plan_from_cache", prepared.from_cache())
-        .field("elapsed_us", elapsed.as_micros() as u64)
-        .field("matches", matches_json(&result))
-        .build())
 }
 
-fn op_query_topk(state: &ServerState, r: &proto::QueryTopk) -> Result<Json, Reply> {
-    let entry = resolve_graph(state, r.graph.as_deref())?;
-    let query = parse_request_query(&entry, &r.pattern)?;
-    let opts = QueryOptions { threads: r.threads, ..Default::default() };
-    check_debug_sleep(state, r.debug_sleep_ms)?;
-    let permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    if let Some(ms) = r.debug_sleep_ms {
-        std::thread::sleep(Duration::from_millis(ms.min(60_000)));
-    }
-    let pipe = graph_pipeline(state, &entry);
-    let t0 = Instant::now();
-    let result: QueryResult =
-        pipe.run_topk(&query, r.k, r.min_alpha, &opts).map_err(peg_error_reply)?;
-    let elapsed = t0.elapsed();
-    drop(permit);
-    note_query(
-        state,
-        QueryNote {
-            op: "query_topk",
-            graph: &entry.name,
-            pattern: &r.pattern,
-            alpha: r.min_alpha,
-            n_matches: result.matches.len(),
-            stats: std::slice::from_ref(&result.stats),
-        },
-        elapsed,
-    );
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", entry.name.as_str())
-        .field("n", result.matches.len())
-        .field("truncated", result.truncated)
-        .field("elapsed_us", elapsed.as_micros() as u64)
-        .field("matches", matches_json(&result))
-        .build())
-}
-
-/// `explain`: a threshold query that additionally reports *how* it ran —
-/// plan summary, stage-by-stage pipeline statistics, this request's
-/// scatter statistics (when it scattered: a sharded graph, and no
-/// execution-cache hit), and the full request span tree, worker-side
-/// scatter spans included when the graph is distributed.
-///
-/// The span tree is assembled here: the handler times `prepare`
-/// server-side (sessions only see prepared plans) and grafts the
-/// session's root-level stage spans — `retrieve` / `join` / `reduce` /
-/// `generate`, emitted in chronological order — under one `"request"`
-/// root whose elapsed time covers prepare + execution. Everything except
-/// `elapsed_us` values and the `trace_id` is a deterministic function of
-/// the request, which `tests/trace_determinism.rs` pins across thread
-/// counts and shard counts.
-fn op_explain(state: &ServerState, r: &proto::Explain) -> Result<Json, Reply> {
-    let entry = resolve_graph(state, r.graph.as_deref())?;
-    let query = parse_request_query(&entry, &r.pattern)?;
-    let opts = QueryOptions { threads: r.threads, ..Default::default() };
-    let permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    let trace_id = state.trace_ids.fetch_add(1, Ordering::Relaxed);
-    let tracer = Tracer::enabled(trace_id);
-    let pipe = graph_pipeline(state, &entry);
-    let t0 = Instant::now();
-    let prepared = pipe.prepare(&query, r.alpha, &opts).map_err(peg_error_reply)?;
-    let prepare_elapsed = t0.elapsed();
-    let mut session = pipe.session(&prepared, &opts);
-    session.set_tracer(tracer.clone());
-    let result = session.run_at(r.alpha, Some(r.limit)).map_err(peg_error_reply)?;
-    let elapsed = t0.elapsed();
-    drop(permit);
-    note_query(
-        state,
-        QueryNote {
-            op: "explain",
-            graph: &entry.name,
-            pattern: &r.pattern,
-            alpha: r.alpha,
-            n_matches: result.matches.len(),
-            stats: std::slice::from_ref(&result.stats),
-        },
-        elapsed,
-    );
-
-    let mut root = SpanNode::new("request", elapsed)
-        .with_tag("op", "explain")
-        .with_tag("graph", entry.name.as_str())
-        .with_tag("alpha", r.alpha)
-        .with_tag("shards", entry.store.n_shards());
-    root.children.push(
-        SpanNode::new("prepare", prepare_elapsed)
-            .with_tag("from_cache", prepared.from_cache())
-            .with_tag("n_paths", prepared.n_paths()),
-    );
-    root.children.extend(tracer.take());
-
-    let plan = obj()
+/// A plan's summary — `prepare`'s reply body and `explain`'s `plan` block.
+fn plan_fields(reply: ObjBuilder, prepared: &PreparedQuery) -> ObjBuilder {
+    reply
         .field("n_paths", prepared.n_paths())
         .field("from_cache", prepared.from_cache())
         .field_opt("shape_hash", prepared.shape_hash().map(|h| format!("{h:016x}")))
         .field("plan_us", prepared.decompose_time().as_micros() as u64)
-        .build();
+}
+
+/// What every answered query reports, in wire order: `n`, `truncated`,
+/// `plan_from_cache` (`query` and batch items; a top-k plan is a detail of
+/// its refinement loop and `explain` has a `plan` block), `elapsed_us`,
+/// the caller's own `blocks`, then `matches` — `{"nodes":[...],"prle":..,
+/// "prn":..,"prob":..}` each, f64s bit-exact on the JSON round trip.
+fn result_fields(
+    reply: ObjBuilder,
+    op: QueryOp,
+    answer: &Answer,
+    elapsed: Duration,
+    blocks: impl FnOnce(ObjBuilder) -> ObjBuilder,
+) -> ObjBuilder {
+    let result = answer.ran();
+    let plan_from_cache = matches!(op, QueryOp::Query | QueryOp::Batch);
+    let matches = result.matches.iter().map(|m| {
+        obj()
+            .field("nodes", Json::Arr(m.nodes.iter().map(|e| Json::Num(e.0 as f64)).collect()))
+            .field("prle", m.prle)
+            .field("prn", m.prn)
+            .field("prob", m.prob())
+            .build()
+    });
+    let reply = reply
+        .field("n", result.matches.len())
+        .field("truncated", result.truncated)
+        .field_opt("plan_from_cache", plan_from_cache.then(|| answer.prepared.from_cache()))
+        .field("elapsed_us", elapsed.as_micros() as u64);
+    blocks(reply).field("matches", Json::Arr(matches.collect()))
+}
+
+/// What `explain` says beyond `query`: *how* it ran — plan summary,
+/// stage-by-stage pipeline statistics, this request's scatter statistics
+/// (when it scattered: a sharded graph, and no execution-cache hit), and
+/// the full request span tree, worker-side scatter spans included when
+/// the graph is distributed.
+fn explain_blocks(reply: ObjBuilder, answer: &Answer, root: &SpanNode) -> ObjBuilder {
     // Request-scoped: read off this request's own `retrieve` span, which
     // the sharded store tagged if (and only if) it scattered.
     let scatter: Option<Json> = root
         .find("retrieve")
         .and_then(ScatterStats::from_span)
         .map(|s| statsjson::scatter_json(&s));
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", entry.name.as_str())
-        .field("trace_id", trace_id)
-        .field("n", result.matches.len())
-        .field("truncated", result.truncated)
-        .field("elapsed_us", elapsed.as_micros() as u64)
-        .field("plan", plan)
-        .field("pipeline", statsjson::pipeline_json(&result.stats))
+    reply
+        .field("plan", plan_fields(obj(), &answer.prepared).build())
+        .field("pipeline", statsjson::pipeline_json(&answer.ran().stats))
         .field_opt("scatter", scatter)
-        .field("span", shard_wire::encode_span(&root))
-        .field("matches", matches_json(&result))
-        .build())
+        .field("span", shard_wire::encode_span(root))
 }
 
-/// Encodes a result's match list: `{"nodes":[...],"prle":..,"prn":..,
-/// "prob":..}` per match, f64s bit-exact on the JSON round trip.
-fn matches_json(result: &QueryResult) -> Json {
-    Json::Arr(
-        result
-            .matches
-            .iter()
-            .map(|m| {
-                obj()
-                    .field(
-                        "nodes",
-                        Json::Arr(m.nodes.iter().map(|e| Json::Num(e.0 as f64)).collect()),
-                    )
-                    .field("prle", m.prle)
-                    .field("prn", m.prn)
-                    .field("prob", m.prob())
-                    .build()
+/// The one handler of the query-shaped ops: [`execute`] with the tracer
+/// on for `explain` only, then the op's reply. A `query_batch` reply
+/// lists one result per item — each bit-identical to the same `query`
+/// sent alone — and fails whole-batch: results are not useful if their
+/// siblings silently vanished.
+fn op_query(state: &ServerState, op: QueryOp, items: &[proto::Query]) -> Result<Json, ProtoError> {
+    let trace_id =
+        (op == QueryOp::Explain).then(|| state.trace_ids.fetch_add(1, Ordering::Relaxed));
+    let tracer = trace_id.map_or_else(Tracer::disabled, Tracer::enabled);
+    let (entry, answers, elapsed) = execute(state, op, items, &tracer)?;
+    let reply = obj().field("ok", true).field("graph", entry.name.as_str());
+    let first = &answers[0];
+    let reply = match op {
+        QueryOp::Prepare => plan_fields(reply, &first.prepared),
+        QueryOp::Query | QueryOp::Topk => result_fields(reply, op, first, elapsed, |r| r),
+        QueryOp::Explain => {
+            let root = tracer.take().pop().expect("execute closed the request span it opened");
+            result_fields(reply.field_opt("trace_id", trace_id), op, first, elapsed, |r| {
+                explain_blocks(r, first, &root)
             })
-            .collect(),
-    )
-}
-
-/// Rewraps a per-item validation error with the item's index, keeping
-/// the structured code.
-fn item_reply(Reply(r): Reply, i: usize) -> Reply {
-    let code = r.get("error").and_then(Json::as_str).unwrap_or("bad_request").to_string();
-    let msg = r.get("message").and_then(Json::as_str).unwrap_or("invalid").to_string();
-    error_reply(&code, format!("queries[{i}]: {msg}"))
-}
-
-/// `query_batch`: many threshold queries in one line and one reply.
-/// Every item is validated *before* the single admission permit is
-/// taken; execution shares the graph's plan cache and the per-request
-/// session flow (on a sharded graph each item scatters on its own), so
-/// each per-item result is bit-identical to the same `query` sent alone.
-/// Failure is whole-batch: results are not useful if their siblings
-/// silently vanished.
-fn op_query_batch(state: &ServerState, r: &proto::QueryBatch) -> Result<Json, Reply> {
-    let entry = resolve_graph(state, r.graph.as_deref())?;
-    let opts = QueryOptions { threads: r.threads, ..Default::default() };
-    // Pattern parsing needs the graph's label table, so it happens here
-    // rather than in the protocol layer — still before the permit.
-    let mut parsed = Vec::with_capacity(r.items.len());
-    for (i, item) in r.items.iter().enumerate() {
-        let query = parse_request_query(&entry, &item.pattern).map_err(|e| item_reply(e, i))?;
-        parsed.push((query, item.alpha, item.limit));
-    }
-    let permit = state.admission.admit().map_err(|e| error_reply(e.code(), e))?;
-    let pipe = graph_pipeline(state, &entry);
-    let t0 = Instant::now();
-    let mut results = Vec::with_capacity(parsed.len());
-    let mut item_stats = Vec::with_capacity(parsed.len());
-    let mut total_matches = 0usize;
-    for (query, alpha, limit) in &parsed {
-        let p = pipe.prepare(query, *alpha, &opts).map_err(peg_error_reply)?;
-        let t_item = Instant::now();
-        let mut session = pipe.session(&p, &opts);
-        let res = session.run_at(*alpha, Some(*limit)).map_err(peg_error_reply)?;
-        total_matches += res.matches.len();
-        results.push(
-            obj()
-                .field("n", res.matches.len())
-                .field("truncated", res.truncated)
-                .field("plan_from_cache", p.from_cache())
-                .field("elapsed_us", t_item.elapsed().as_micros() as u64)
-                .field("matches", matches_json(&res))
-                .build(),
-        );
-        item_stats.push(res.stats);
-    }
-    let elapsed = t0.elapsed();
-    drop(permit);
-    note_query(
-        state,
-        QueryNote {
-            op: "query_batch",
-            graph: &entry.name,
-            pattern: &format!("[{} queries]", parsed.len()),
-            alpha: 0.0,
-            n_matches: total_matches,
-            stats: &item_stats,
-        },
-        elapsed,
-    );
-    Ok(obj()
-        .field("ok", true)
-        .field("graph", entry.name.as_str())
-        .field("n", results.len())
-        .field("elapsed_us", elapsed.as_micros() as u64)
-        .field("results", Json::Arr(results))
-        .build())
+        }
+        QueryOp::Batch => {
+            let results = answers.iter().map(|answer| {
+                let elapsed = answer.prepared.decompose_time() + answer.ran().stats.total_time;
+                result_fields(obj(), op, answer, elapsed, |r| r).build()
+            });
+            reply
+                .field("n", answers.len())
+                .field("elapsed_us", elapsed.as_micros() as u64)
+                .field("results", Json::Arr(results.collect()))
+        }
+    };
+    Ok(reply.build())
 }
 
 fn op_stats(state: &ServerState) -> Json {
@@ -1518,15 +1416,14 @@ fn op_stats(state: &ServerState) -> Json {
             };
             // Per-graph execution-cache residency: how much of the
             // server-wide budget this graph's epoch currently holds.
-            let exec: Option<Json> =
-                state.exec_cache.as_ref().filter(|_| g.exec_enabled).map(|cache| {
-                    let (entries, bytes) = cache.epoch_stats(g.epoch);
-                    obj()
-                        .field("epoch", g.epoch)
-                        .field("entries", entries)
-                        .field("bytes", bytes)
-                        .build()
-                });
+            let exec: Option<Json> = state.exec_cache.as_ref().map(|cache| {
+                let (entries, bytes) = cache.epoch_stats(g.epoch);
+                obj()
+                    .field("epoch", g.epoch)
+                    .field("entries", entries)
+                    .field("bytes", bytes)
+                    .build()
+            });
             obj()
                 .field("name", g.name.as_str())
                 .field("nodes", g.store.peg().graph.n_nodes())
@@ -1564,7 +1461,7 @@ fn op_stats(state: &ServerState) -> Json {
     });
     obj()
         .field("ok", true)
-        .field("queries_served", state.metrics.counter("serve.queries").get())
+        .field("queries_served", state.query_metrics.queries.get())
         .field("graphs", Json::Arr(graph_stats))
         .field_opt("exec_cache", exec_cache)
         .field("admission", statsjson::admission_json(&state.admission, state.admission.stats()))
@@ -1686,6 +1583,34 @@ mod tests {
             // is not echoed (no other line carries one).
             assert!(reply.get("id").is_none(), "{line}: {reply}");
         }
+        // One decoder, one executor: a malformed threshold query is
+        // refused in the same words under every op that carries one (a
+        // batch adding only its item prefix).
+        let mut refusal = |line: String| {
+            let reply = client.request(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(
+                reply.get("error").and_then(Json::as_str),
+                Some("bad_request"),
+                "{line}: {reply}"
+            );
+            reply.get("message").and_then(Json::as_str).unwrap().to_string()
+        };
+        for body in [
+            r#""pattern":"(x:l0)","alpha":"high""#,
+            r#""alpha":0.5"#,
+            r#""pattern":"(x:l0)","limit":-1"#,
+            r#""pattern":"(x:l0)","debug_sleep_ms":5"#,
+        ] {
+            let want = refusal(format!(r#"{{"op":"query",{body}}}"#));
+            for op in ["prepare", "explain"] {
+                assert_eq!(refusal(format!(r#"{{"op":"{op}",{body}}}"#)), want, "{op} {body}");
+            }
+            assert_eq!(
+                refusal(format!(r#"{{"op":"query_batch","queries":[{{{body}}}]}}"#)),
+                format!("queries[0]: {want}"),
+                "{body}"
+            );
+        }
         handle.shutdown().unwrap();
     }
 
@@ -1777,14 +1702,7 @@ mod tests {
     #[test]
     fn sharded_load_graph_round_trip() {
         let (handle, mut client) = tiny_server(ServerConfig::default());
-        let reply = client
-            .request(
-                &Json::parse(
-                    r#"{"op":"load_graph","name":"sh","kind":"synthetic","size":200,"max_len":2,"shards":3}"#,
-                )
-                .unwrap(),
-            )
-            .unwrap();
+        let reply = client.request(&Json::parse(LOAD_3_SHARDS).unwrap()).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
         assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(3));
         assert!(reply.get("replication_factor").unwrap().as_f64().unwrap() >= 1.0);
@@ -2164,31 +2082,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_cache_epoch_invalidates_on_unload_and_honors_the_load_knob() {
+    fn exec_cache_epoch_invalidates_on_unload() {
         let (handle, mut client) = tiny_server(ServerConfig::default());
-        // A graph loaded with "exec_cache": false never populates the
-        // cache and reports no per-graph exec_cache stats.
-        let reply = client
-            .request(
-                &Json::parse(
-                    r#"{"op":"load_graph","name":"optout","kind":"synthetic","size":120,"max_len":1,"exec_cache":false}"#,
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-        let q = r#"{"op":"query","graph":"optout","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#;
-        client.request(&Json::parse(q).unwrap()).unwrap();
-        let stats = client.request(&Json::parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
-        let graphs = stats.get("graphs").unwrap().as_arr().unwrap();
-        let optout =
-            graphs.iter().find(|g| g.get("name").and_then(Json::as_str) == Some("optout")).unwrap();
-        assert!(optout.get("exec_cache").is_none(), "{stats}");
-        assert_eq!(
-            stats.get("exec_cache").unwrap().get("entries").unwrap().as_u64(),
-            Some(0),
-            "{stats}"
-        );
         // Unloading a cached graph drops its epoch's entries entirely.
         let q = r#"{"op":"query","graph":"tiny","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#;
         client.request(&Json::parse(q).unwrap()).unwrap();
@@ -2204,6 +2099,113 @@ mod tests {
             Some(0),
             "{stats}"
         );
+        handle.shutdown().unwrap();
+    }
+
+    const LOAD_3_SHARDS: &str =
+        r#"{"op":"load_graph","name":"sh","kind":"synthetic","size":200,"max_len":2,"shards":3}"#;
+
+    #[test]
+    fn explain_is_query_with_the_tracer_on() {
+        let (handle, mut client) = tiny_server(ServerConfig::default());
+        let reply = client.request(&Json::parse(LOAD_3_SHARDS).unwrap()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        for graph in ["tiny", "sh"] {
+            let mut send = |op: &str| {
+                let req = obj()
+                    .field("op", op)
+                    .field("graph", graph)
+                    .field("pattern", "(x:l0)-(y:l1), (y)-(z:l0)")
+                    .field("alpha", 0.2)
+                    .field("limit", 7usize)
+                    .build();
+                let reply = client.request(&req).unwrap();
+                assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+                reply
+            };
+            let (query, explain) = (send("query"), send("explain"));
+            // The same answer, byte for byte.
+            for key in ["n", "truncated", "matches"] {
+                assert_eq!(
+                    query.get(key).unwrap().to_string(),
+                    explain.get(key).unwrap().to_string(),
+                    "{graph}: {key}"
+                );
+            }
+            assert_eq!(query.get("truncated"), Some(&Json::Bool(true)), "{graph}: {query}");
+            // One clock per stage: the number a stage reports in the
+            // `plan` / `pipeline` blocks is the one its span carries.
+            let span = shard_wire::decode_span(explain.get("span").unwrap()).unwrap();
+            assert_eq!(span.name, "request");
+            let us = |block: &str, key: &str| {
+                explain.get(block).unwrap().get(key).unwrap().as_u64().unwrap()
+            };
+            assert_eq!(us("plan", "plan_us"), span.find("prepare").unwrap().elapsed_us, "{graph}");
+            for (stat, stage) in [
+                ("candidates_us", "retrieve"),
+                ("join_us", "join"),
+                ("reduction_us", "reduce"),
+                ("generation_us", "generate"),
+            ] {
+                let node = span.find(stage).unwrap();
+                assert_eq!(us("pipeline", stat), node.elapsed_us, "{graph}: {stat} vs {stage}");
+            }
+        }
+        // Planning and the admission wait are histogrammed for every
+        // request, traced or not.
+        let metrics = &handle.state.metrics;
+        assert_eq!(metrics.histogram("pipeline.prepare_us").count(), 4);
+        assert_eq!(metrics.histogram("serve.admission_wait_us").count(), 4);
+        assert_eq!(metrics.histogram("serve.explain_us").count(), 2);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn typed_load_graph_equals_the_wire_op() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        for shards in [1usize, 3] {
+            let reply = server
+                .load_graph(&proto::LoadGraph {
+                    name: format!("typed{shards}"),
+                    spec: GraphSpec {
+                        kind: "synthetic".into(),
+                        size: 200,
+                        seed: 42,
+                        uncertainty: 0.2,
+                    },
+                    index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
+                    workers: Vec::new(),
+                    shards,
+                    worker_timeout: Duration::from_secs(30),
+                })
+                .unwrap();
+            assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(shards), "{reply}");
+        }
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr).unwrap();
+        for shards in [1usize, 3] {
+            let req = obj()
+                .field("op", "load_graph")
+                .field("name", format!("wire{shards}"))
+                .field("kind", "synthetic")
+                .field("size", 200usize)
+                .field("shards", shards)
+                .build();
+            let reply = client.request(&req).unwrap();
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+            let pattern = "(x:l0)-(y:l1), (y)-(z:l0)";
+            assert_eq!(
+                matches_text(&mut client, &format!("typed{shards}"), pattern, 0.2),
+                matches_text(&mut client, &format!("wire{shards}"), pattern, 0.2),
+                "shards {shards}"
+            );
+        }
+        let stats = client.request(&Json::parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
+        let graphs = stats.get("graphs").unwrap().as_arr().unwrap();
+        assert_eq!(graphs.len(), 4, "{stats}");
+        for g in graphs {
+            assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
+        }
         handle.shutdown().unwrap();
     }
 

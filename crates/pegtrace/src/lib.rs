@@ -11,16 +11,17 @@
 //!   worker's side of a scatter) graft on with [`Span::adopt`]. A
 //!   disabled tracer is a true no-op: `span()` returns an inert guard —
 //!   no allocation, no lock, no clock read — so tracing can stay wired
-//!   through every hot path unconditionally.
+//!   through every hot path unconditionally. A stage whose duration is
+//!   also a statistic opens with `stage()`, which keeps the clock read
+//!   (and nothing else) when disabled.
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s and fixed-bucket log-scale
 //!   latency [`Histogram`]s. Histograms are lock-free to record
 //!   (atomics), mergeable (element-wise bucket sums), and read out
 //!   quantiles by exact rank walk over the buckets, with the maximum
-//!   tracked exactly. One registry normally serves a whole process
-//!   ([`global`]), but registries are plain values too, so a test — or a
-//!   load generator reporting per-run client-side latencies — can own a
-//!   private one.
+//!   tracked exactly. A registry is a plain value: each server owns
+//!   one, and a test — or a load generator reporting per-run client-side
+//!   latencies — can own a private one.
 //!
 //! # Determinism
 //!
@@ -36,12 +37,3 @@ mod span;
 
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use span::{Span, SpanNode, TagValue, Tracer};
-
-use std::sync::OnceLock;
-
-/// The process-wide registry: one namespace of counters and histograms
-/// shared by every component that does not own a private registry.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}

@@ -8,6 +8,12 @@
 //! shape that crosses the wire (worker → coordinator) and renders into
 //! `explain` replies.
 //!
+//! A *stage* ([`Tracer::stage`], [`Span::stage`]) is a span whose
+//! duration the caller also wants as a number: it reads the clock at open
+//! even on a disabled tracer, and [`Span::finish`] returns exactly the
+//! duration it stamps on the node — one clock read feeds the statistics
+//! and the tree.
+//!
 //! Parallel stages must not attach spans from pool threads (arrival
 //! order would be racy): they measure locally and the coordinator calls
 //! [`Span::child_done`] / [`Span::adopt`] in deterministic index order
@@ -82,23 +88,6 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    /// A leaf with a name and elapsed time (tags and children attach
-    /// afterwards through the public fields).
-    pub fn new(name: impl Into<String>, elapsed: Duration) -> SpanNode {
-        SpanNode {
-            name: name.into(),
-            elapsed_us: elapsed.as_micros() as u64,
-            tags: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Builder-style tag append.
-    pub fn with_tag(mut self, key: impl Into<String>, value: impl Into<TagValue>) -> SpanNode {
-        self.tags.push((key.into(), value.into()));
-        self
-    }
-
     /// Total spans in this subtree (self included).
     pub fn span_count(&self) -> usize {
         1 + self.children.iter().map(SpanNode::span_count).sum::<usize>()
@@ -181,16 +170,13 @@ struct Inner {
 
 /// A handle on one request's trace. Cloning shares the same span arena;
 /// [`Tracer::disabled`] produces the no-op handle every hot path can
-/// hold unconditionally.
-#[derive(Clone)]
+/// hold unconditionally. A handle opens its spans either at the root of
+/// the trace or — when it came from [`Span::tracer`] — under that span.
+#[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
+    /// Arena slot new spans hang under (`None` = root level).
+    parent: Option<usize>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -203,16 +189,17 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// The no-op tracer: every span it hands out is inert (no
+    /// The no-op tracer: every [`Tracer::span`] it hands out is inert (no
     /// allocation, no lock, no clock read).
     pub fn disabled() -> Tracer {
-        Tracer { inner: None }
+        Tracer::default()
     }
 
     /// A recording tracer for one request, carrying the request's trace
     /// id (propagated to workers so distributed traces stitch).
     pub fn enabled(trace_id: u64) -> Tracer {
-        Tracer { inner: Some(Arc::new(Inner { trace_id, arena: Mutex::new(Arena::default()) })) }
+        let inner = Inner { trace_id, arena: Mutex::new(Arena::default()) };
+        Tracer { inner: Some(Arc::new(inner)), parent: None }
     }
 
     /// Whether spans record anything.
@@ -225,17 +212,22 @@ impl Tracer {
         self.inner.as_ref().map(|i| i.trace_id)
     }
 
-    /// Opens a root-level span.
+    /// Opens a span at this handle's position (root level, or under the
+    /// span the handle came from). Inert on a disabled tracer.
     pub fn span(&self, name: &str) -> Span {
-        match &self.inner {
-            None => Span { active: None },
-            Some(inner) => {
-                let idx = inner.arena.lock().unwrap().new_slot(name, None);
-                Span {
-                    active: Some(Active { inner: inner.clone(), idx, start: Some(Instant::now()) }),
-                }
-            }
+        match self.inner {
+            Some(_) => self.stage(name),
+            None => Span::disabled(),
         }
+    }
+
+    /// Opens a span that carries its start time even when the tracer is
+    /// disabled (one clock read; still no allocation and no lock), so
+    /// [`Span::finish`] times the stage whether or not a tree is being
+    /// recorded.
+    pub fn stage(&self, name: &str) -> Span {
+        let active = self.inner.as_ref().map(|inner| Active::open(inner, self.parent, name));
+        Span { start: Some(Instant::now()), active }
     }
 
     /// Assembles and drains the recorded tree: the root-level spans in
@@ -256,14 +248,23 @@ impl Tracer {
 struct Active {
     inner: Arc<Inner>,
     idx: usize,
-    /// `None` for spans created pre-finished ([`Span::child_done`]):
-    /// their elapsed is already stamped and drop must not overwrite it.
-    start: Option<Instant>,
+}
+
+impl Active {
+    fn open(inner: &Arc<Inner>, parent: Option<usize>, name: &str) -> Active {
+        let idx = inner.arena.lock().unwrap().new_slot(name, parent);
+        Active { inner: inner.clone(), idx }
+    }
 }
 
 /// An open span: an RAII guard whose drop stamps the elapsed time. All
-/// methods are no-ops on a disabled tracer's spans.
+/// methods but [`Span::finish`] on a stage are no-ops on a disabled
+/// tracer's spans.
 pub struct Span {
+    /// The open-time clock read. `None` on inert spans, on pre-finished
+    /// ones ([`Span::child_done`] — their elapsed is already stamped),
+    /// and once closed.
+    start: Option<Instant>,
     active: Option<Active>,
 }
 
@@ -271,7 +272,7 @@ impl Span {
     /// An inert span, for call paths that must pass a span but have no
     /// recording tracer behind it (untraced retrievals, tests).
     pub fn disabled() -> Span {
-        Span { active: None }
+        Span { start: None, active: None }
     }
 
     /// Whether this span records anything (it came from an enabled
@@ -285,21 +286,29 @@ impl Span {
         self.active.as_ref().map(|a| a.inner.trace_id)
     }
 
-    /// Opens a child span under this one.
-    pub fn child(&self, name: &str) -> Span {
+    /// A tracer handle positioned under this span: spans it opens become
+    /// this span's children. Disabled when this span does not record.
+    pub fn tracer(&self) -> Tracer {
         match &self.active {
-            None => Span { active: None },
-            Some(a) => {
-                let idx = a.inner.arena.lock().unwrap().new_slot(name, Some(a.idx));
-                Span {
-                    active: Some(Active {
-                        inner: a.inner.clone(),
-                        idx,
-                        start: Some(Instant::now()),
-                    }),
-                }
-            }
+            None => Tracer::disabled(),
+            Some(a) => Tracer { inner: Some(a.inner.clone()), parent: Some(a.idx) },
         }
+    }
+
+    /// Opens a child span under this one (inert when this span does not
+    /// record).
+    pub fn child(&self, name: &str) -> Span {
+        if self.is_recording() {
+            self.stage(name)
+        } else {
+            Span::disabled()
+        }
+    }
+
+    /// Opens a child stage under this one — see [`Tracer::stage`].
+    pub fn stage(&self, name: &str) -> Span {
+        let active = self.active.as_ref().map(|a| Active::open(&a.inner, Some(a.idx), name));
+        Span { start: Some(Instant::now()), active }
     }
 
     /// Attaches an already-measured child (a parallel unit's local
@@ -307,15 +316,13 @@ impl Span {
     /// returned guard can still take tags; its drop won't re-stamp the
     /// elapsed time.
     pub fn child_done(&self, name: &str, elapsed: Duration) -> Span {
-        match &self.active {
-            None => Span { active: None },
-            Some(a) => {
-                let mut arena = a.inner.arena.lock().unwrap();
-                let idx = arena.new_slot(name, Some(a.idx));
-                arena.slots[idx].elapsed_us = Some(elapsed.as_micros() as u64);
-                Span { active: Some(Active { inner: a.inner.clone(), idx, start: None }) }
-            }
-        }
+        let active = self.active.as_ref().map(|a| {
+            let mut arena = a.inner.arena.lock().unwrap();
+            let idx = arena.new_slot(name, Some(a.idx));
+            arena.slots[idx].elapsed_us = Some(elapsed.as_micros() as u64);
+            Active { inner: a.inner.clone(), idx }
+        });
+        Span { start: None, active }
     }
 
     /// Grafts a pre-built subtree (e.g. a worker-side trace decoded off
@@ -336,45 +343,45 @@ impl Span {
         }
     }
 
-    /// Elapsed time since this span opened (zero for disabled or
+    /// Closes the span now and returns its elapsed time — the very value
+    /// stamped on the node, from one clock read (zero for inert or
     /// pre-finished spans).
-    pub fn elapsed(&self) -> Duration {
-        match &self.active {
-            Some(Active { start: Some(t0), .. }) => t0.elapsed(),
-            _ => Duration::ZERO,
-        }
-    }
-
-    /// Closes the span now, returning its elapsed time (what drop would
-    /// have stamped).
     pub fn finish(mut self) -> Duration {
-        let elapsed = self.elapsed();
-        self.stamp();
-        self.active = None;
-        elapsed
+        self.close()
     }
 
-    fn stamp(&mut self) {
+    fn close(&mut self) -> Duration {
+        let Some(t0) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let elapsed = t0.elapsed();
         if let Some(a) = &self.active {
-            if let Some(t0) = a.start {
-                let mut arena = a.inner.arena.lock().unwrap();
-                if let Some(slot) = arena.slots.get_mut(a.idx) {
-                    slot.elapsed_us = Some(t0.elapsed().as_micros() as u64);
-                }
+            let mut arena = a.inner.arena.lock().unwrap();
+            if let Some(slot) = arena.slots.get_mut(a.idx) {
+                slot.elapsed_us = Some(elapsed.as_micros() as u64);
             }
         }
+        elapsed
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.stamp();
+        if self.active.is_some() {
+            self.close();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A worker-side subtree as it comes off the wire.
+    fn worker_node(elapsed_us: u64, shard: Option<u64>) -> SpanNode {
+        let tags = shard.map(|s| ("shard".to_string(), TagValue::U64(s))).into_iter().collect();
+        SpanNode { name: "worker".into(), elapsed_us, tags, children: Vec::new() }
+    }
 
     #[test]
     fn disabled_tracer_is_inert() {
@@ -384,7 +391,7 @@ mod tests {
         let root = t.span("request");
         let child = root.child("stage");
         child.tag("n", 3u64);
-        child.adopt(SpanNode::new("worker", Duration::from_micros(5)));
+        child.adopt(worker_node(5, None));
         drop(child);
         drop(root);
         assert!(t.take().is_empty());
@@ -431,7 +438,7 @@ mod tests {
             let s0 = root.child_done("unit", Duration::from_micros(10));
             s0.tag("shard", 0usize);
             drop(s0);
-            root.adopt(SpanNode::new("worker", Duration::from_micros(7)).with_tag("shard", 1usize));
+            root.adopt(worker_node(7, Some(1)));
             let s2 = root.child_done("unit", Duration::from_micros(20));
             s2.tag("shard", 2usize);
         }
@@ -444,17 +451,35 @@ mod tests {
     }
 
     #[test]
-    fn finish_returns_elapsed_and_find_walks_the_tree() {
+    fn finish_stamps_the_duration_it_returns() {
         let t = Tracer::enabled(9);
         let root = t.span("request");
-        let stage = root.child("reduce");
+        let stage = root.stage("reduce");
         std::thread::sleep(Duration::from_millis(2));
         let d = stage.finish();
         assert!(d >= Duration::from_millis(2));
+        // A handle taken off a span opens that span's children.
+        drop(root.tracer().span("generate"));
         drop(root);
         let tree = t.take();
-        assert!(tree[0].find("reduce").is_some());
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree[0].find("reduce").unwrap().elapsed_us, d.as_micros() as u64);
+        assert_eq!(tree[0].children[1].name, "generate");
         assert!(tree[0].find("nope").is_none());
-        assert!(tree[0].find("reduce").unwrap().elapsed_us >= 2_000);
+    }
+
+    #[test]
+    fn a_stage_on_a_disabled_tracer_still_times() {
+        let t = Tracer::disabled();
+        let stage = t.stage("join");
+        assert!(!stage.is_recording());
+        let nested = stage.stage("pair");
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(nested.finish() >= Duration::from_millis(1));
+        assert!(stage.finish() >= Duration::from_millis(1));
+        // Plain spans and children stay inert: no clock behind them.
+        assert_eq!(t.span("join").finish(), Duration::ZERO);
+        assert_eq!(t.stage("join").child("pair").finish(), Duration::ZERO);
+        assert!(t.take().is_empty());
     }
 }

@@ -367,11 +367,6 @@ impl MuxConn {
         self.begin(line)?.wait(timeout)
     }
 
-    /// In-flight request count (diagnostics).
-    pub fn in_flight(&self) -> usize {
-        self.shared.demux.lock().unwrap().len()
-    }
-
     /// Abandoned-request tombstones currently held by the demultiplexer
     /// (see [`Demux::tombstones`]).
     pub fn tombstones(&self) -> usize {

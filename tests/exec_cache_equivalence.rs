@@ -67,7 +67,7 @@ proptest! {
             (QueryPipeline::new(&peg, &offline), QueryPipeline::new(&peg, &offline))
         };
         let exec = Arc::new(ExecCache::new(8 << 20));
-        let warm = warm_base.into_builder().exec_cache(exec.clone(), exec.next_epoch()).build();
+        let warm = warm_base.with_exec_cache(exec.clone(), exec.next_epoch());
         let cold = cold_base;
 
         let base = random_query(QuerySpec::new(4, 4), n_labels, seed);

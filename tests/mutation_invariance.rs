@@ -162,11 +162,9 @@ proptest! {
         if shards == 1 {
             let index0 = OfflineIndex::build(&peg0, &opts).unwrap();
             // Warm the caches on the pre-mutation graph.
-            let pipe0 = QueryPipeline::builder(&peg0)
-                .index(&index0)
-                .plan_cache(Arc::new(PlanCache::new()))
-                .exec_cache(exec.clone(), epoch0)
-                .build();
+            let pipe0 = QueryPipeline::new(&peg0, &index0)
+                .with_plan_cache(Arc::new(PlanCache::new()))
+                .with_exec_cache(exec.clone(), epoch0);
             pipe0.run(&query, alpha, &run_opts).unwrap();
             pipe0.run(&query, alpha, &run_opts).unwrap();
             let warm_hits = exec.stats().hits;
@@ -191,11 +189,9 @@ proptest! {
                 // is retired exactly as the serving layer does it.
                 let epoch = exec.next_epoch();
                 exec.invalidate_epoch(epoch0);
-                let pipe = QueryPipeline::builder(&peg)
-                    .index(&index)
-                    .plan_cache(Arc::new(PlanCache::new()))
-                    .exec_cache(exec.clone(), epoch)
-                    .build();
+                let pipe = QueryPipeline::new(&peg, &index)
+                    .with_plan_cache(Arc::new(PlanCache::new()))
+                    .with_exec_cache(exec.clone(), epoch);
 
                 let (hits_before, misses_before) = {
                     let s = exec.stats();
@@ -230,11 +226,10 @@ proptest! {
             }
         } else {
             let mut store = ShardedGraphStore::build(peg0, &opts, shards).unwrap();
-            let pipe0 = QueryPipeline::builder(store.peg())
-                .source(&store)
-                .plan_cache(Arc::new(PlanCache::new()))
-                .exec_cache(exec.clone(), epoch0)
-                .build();
+            let pipe0 = store
+                .pipeline()
+                .with_plan_cache(Arc::new(PlanCache::new()))
+                .with_exec_cache(exec.clone(), epoch0);
             pipe0.run(&query, alpha, &run_opts).unwrap();
             pipe0.run(&query, alpha, &run_opts).unwrap();
             prop_assert!(exec.stats().hits > 0, "second pre-mutation run must hit");
@@ -253,11 +248,10 @@ proptest! {
 
                 let epoch = exec.next_epoch();
                 exec.invalidate_epoch(epoch0);
-                let pipe = QueryPipeline::builder(store.peg())
-                    .source(&store)
-                    .plan_cache(Arc::new(PlanCache::new()))
-                    .exec_cache(exec.clone(), epoch)
-                    .build();
+                let pipe = store
+                    .pipeline()
+                    .with_plan_cache(Arc::new(PlanCache::new()))
+                    .with_exec_cache(exec.clone(), epoch);
 
                 let (hits_before, misses_before) = {
                     let s = exec.stats();
