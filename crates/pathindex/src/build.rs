@@ -9,9 +9,9 @@
 //! each worker emits only canonically-oriented paths so every undirected
 //! path/labeling pair is stored exactly once.
 
-use crate::index::{IdentityOracle, PathIndex, PathIndexConfig, PathMatch, StoredPath};
-use graphstore::hash::FxHashSet;
+use crate::index::{count_hist, IdentityOracle, PathIndex, PathIndexConfig, PathMatch};
 use graphstore::{EntityGraph, EntityId, Label};
+use std::time::{Duration, Instant};
 
 /// Probability slack for threshold comparisons.
 const EPS: f64 = 1e-12;
@@ -22,42 +22,24 @@ pub fn build_index(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
 ) -> PathIndex {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let n = graph.n_nodes();
-    let threads = threads.clamp(1, n.max(1));
-
-    let partials: Vec<Vec<(Vec<u16>, StoredPath)>> = if threads == 1 {
-        let mut out = Vec::new();
-        for v in 0..n as u32 {
-            enumerate_from(graph, oracle, config, EntityId(v), None, &mut out);
-        }
-        vec![out]
-    } else {
-        // Strided partitioning over start nodes on the shared persistent
-        // pool; merge order is by worker index, so output is deterministic.
-        pegpool::pool_with(threads).map(threads, |t| {
-            let mut out = Vec::new();
-            let mut v = t;
-            while v < n {
-                enumerate_from(graph, oracle, config, EntityId(v as u32), None, &mut out);
-                v += threads;
-            }
-            out
-        })
-    };
-
     let mut index = PathIndex::empty(config.clone());
-    for partial in partials {
-        for (seq, entry) in partial {
-            index.insert(seq, entry);
-        }
-    }
-    index.rebuild_histograms();
+    let starts: Vec<u32> = (0..graph.n_nodes() as u32).collect();
+    enumerate_into(&mut index, graph, oracle, &starts, None);
+    index.shrink_to_fit();
     index
+}
+
+/// Where one [`update_index`] call spent its time.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IndexUpdateTimes {
+    /// Step 1: the linear drop pass over every bucket.
+    pub drop: Duration,
+    /// Steps 2–3: ball BFS, pruned re-enumeration and insertion.
+    pub enumerate: Duration,
+    /// Step 4: the sweep for emptied sequences and growth slack (the
+    /// histogram counts themselves are patched as entries leave and enter
+    /// in steps 1 and 3).
+    pub histogram: Duration,
 }
 
 /// Incrementally patches `index` after a graph mutation, given the set of
@@ -69,144 +51,198 @@ pub fn build_index(
 /// The result is entry- and histogram-identical to [`build_index`] on the
 /// mutated graph:
 ///
-/// 1. every stored entry touching a dirty node is dropped (clean entries
-///    are unaffected by construction of the dirty set);
+/// 1. every stored entry touching a dirty node is dropped, in one linear
+///    pass over the flat node buffers that keeps the survivors' order
+///    (clean entries are unaffected by construction of the dirty set);
 /// 2. every canonical path containing a dirty node starts within
 ///    `max_len` hops of one, so re-running the enumeration from that ball,
 ///    emitting only dirty-touching paths, regenerates exactly the dropped
-///    ones;
-/// 3. histograms of affected sequences are recomputed with the same
-///    integer loop full construction uses, and sequences left without
-///    entries are removed entirely.
+///    ones. The ball's BFS leaves each node's hop distance to the dirty
+///    set, and the walk uses it: while it holds no dirty node it does not
+///    step to a neighbour farther from every dirty node than it has edges
+///    left under `max_len`. Nothing below such a step could be emitted —
+///    no extension reaches a dirty node in time — so the prune is exact:
+///    the emitted paths are the same, in the same order, and the walk
+///    costs what lies on the way to a dirty node, not the whole ball to
+///    full depth;
+/// 3. histogram counts go down by one per dropped entry and up by one per
+///    inserted entry — the integers a recount over the patched buckets
+///    gives — and sequences left without entries are removed entirely.
 pub fn update_index(
     index: &mut PathIndex,
     graph: &EntityGraph,
     oracle: &dyn IdentityOracle,
     dirty: &[bool],
-) {
-    let config = index.config().clone();
+) -> IndexUpdateTimes {
+    let mut times = IndexUpdateTimes::default();
     let is_dirty = |n: u32| dirty.get(n as usize).copied().unwrap_or(true);
-    let mut affected: FxHashSet<Vec<u16>> = FxHashSet::default();
+    let grid = index.config().hist_grid.clone();
+    let max_len = index.config().max_len;
 
-    // 1. Drop entries that touch a dirty node.
-    let mut removed_total = 0usize;
-    for (seq, sb) in index.map.iter_mut() {
-        let mut removed_here = 0usize;
-        for b in sb.buckets.iter_mut() {
-            let before = b.len();
-            b.retain(|e| !e.nodes.iter().any(|&v| is_dirty(v)));
-            removed_here += before - b.len();
-        }
-        if removed_here > 0 {
-            affected.insert(seq.clone());
-            removed_total += removed_here;
+    // 1. Drop entries that touch a dirty node, compacting each bucket in
+    // place.
+    let t = Instant::now();
+    let mut removed = 0usize;
+    for (seq, se) in index.map.iter_mut() {
+        let stride = seq.len();
+        for b in se.buckets.iter_mut() {
+            // Most buckets lose nothing: find the first entry to go before
+            // moving anything.
+            let touches = |e: &[u32]| e.iter().any(|&v| is_dirty(v));
+            let Some(first) = b.nodes.chunks_exact(stride).position(touches) else {
+                continue;
+            };
+            let mut kept = first;
+            for i in first..b.len() {
+                let at = i * stride;
+                if touches(&b.nodes[at..at + stride]) {
+                    count_hist(&mut se.hist, &grid, b.prle[i] * b.prn[i], false);
+                    continue;
+                }
+                if kept != i {
+                    b.nodes.copy_within(at..at + stride, kept * stride);
+                    b.prle[kept] = b.prle[i];
+                    b.prn[kept] = b.prn[i];
+                }
+                kept += 1;
+            }
+            removed += b.len() - kept;
+            b.nodes.truncate(kept * stride);
+            b.prle.truncate(kept);
+            b.prn.truncate(kept);
         }
     }
-    index.n_entries -= removed_total;
+    index.n_entries -= removed;
+    times.drop = t.elapsed();
 
     // 2. Region: ball of `max_len` hops around the dirty set in the new
-    // graph. The canonical start of any path containing a dirty node lies
-    // inside it.
+    // graph, by BFS, keeping every node's hop distance. The canonical
+    // start of any path containing a dirty node lies inside it.
+    let t = Instant::now();
     let n = graph.n_nodes();
-    let mut in_region = vec![false; n];
-    let mut frontier: Vec<u32> = Vec::new();
-    for (v, r) in in_region.iter_mut().enumerate() {
-        if is_dirty(v as u32) {
-            *r = true;
-            frontier.push(v as u32);
-        }
+    let mut dist = vec![UNREACHED; n];
+    let mut frontier: Vec<u32> = (0..n as u32).filter(|&v| is_dirty(v)).collect();
+    for &v in &frontier {
+        dist[v as usize] = 0;
     }
-    for _ in 0..config.max_len {
-        if frontier.is_empty() {
-            break;
-        }
+    for hops in 1..=max_len as u32 {
         let mut next = Vec::new();
         for &v in &frontier {
             for &nb in graph.neighbors(EntityId(v)) {
-                if !in_region[nb as usize] {
-                    in_region[nb as usize] = true;
+                if dist[nb as usize] == UNREACHED {
+                    dist[nb as usize] = hops;
                     next.push(nb);
                 }
             }
         }
         frontier = next;
     }
-    let starts: Vec<u32> = (0..n as u32).filter(|&v| in_region[v as usize]).collect();
+    let starts: Vec<u32> = (0..n as u32).filter(|&v| dist[v as usize] != UNREACHED).collect();
 
     // 3. Re-enumerate from the region, keeping only dirty-touching paths.
+    enumerate_into(index, graph, oracle, &starts, Some(&dist));
+    times.enumerate = t.elapsed();
+
+    // 4. Drop emptied sequences, and give back what the buckets that grew
+    // over-allocated: a generation lives as long as it is served.
+    let t = Instant::now();
+    index.map.retain(|_, se| !se.is_empty());
+    index.shrink_to_fit();
+    times.histogram = t.elapsed();
+    times
+}
+
+/// Hop distance of a node outside the ball around the dirty set.
+const UNREACHED: u32 = u32::MAX;
+
+/// Paths emitted by one worker, flat: entry `i` spans
+/// `ends[i - 1]..ends[i]` of `labels` and `nodes`.
+#[derive(Default)]
+struct Emitted {
+    labels: Vec<u16>,
+    nodes: Vec<u32>,
+    ends: Vec<usize>,
+    prle: Vec<f64>,
+    prn: Vec<f64>,
+}
+
+/// Runs the enumeration from every node of `starts` and inserts what it
+/// emits: on one thread straight into `index`, on several through
+/// per-worker buffers merged by worker index, so the entry order is a
+/// function of the thread count alone.
+fn enumerate_into(
+    index: &mut PathIndex,
+    graph: &EntityGraph,
+    oracle: &dyn IdentityOracle,
+    starts: &[u32],
+    dist: Option<&[u32]>,
+) {
+    let config = index.config().clone();
     let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         config.threads
     };
     let threads = threads.clamp(1, starts.len().max(1));
-    let partials: Vec<Vec<(Vec<u16>, StoredPath)>> = if threads == 1 {
-        let mut out = Vec::new();
-        for &v in &starts {
-            enumerate_from(graph, oracle, &config, EntityId(v), Some(dirty), &mut out);
-        }
-        vec![out]
-    } else {
-        let starts = &starts;
-        pegpool::pool_with(threads).map(threads, |t| {
-            let mut out = Vec::new();
-            let mut i = t;
-            while i < starts.len() {
-                enumerate_from(graph, oracle, &config, EntityId(starts[i]), Some(dirty), &mut out);
-                i += threads;
-            }
-            out
-        })
-    };
-    for partial in partials {
-        for (seq, entry) in partial {
-            if !affected.contains(&seq) {
-                affected.insert(seq.clone());
-            }
-            index.insert(seq, entry);
-        }
-    }
-
-    // 4. Patch histograms of affected sequences; drop emptied sequences.
-    let grid = config.hist_grid.clone();
-    for seq in affected {
-        let empty = match index.map.get(&seq) {
-            None => true,
-            Some(sb) => sb.buckets.iter().all(|b| b.is_empty()),
+    if threads == 1 {
+        let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
+            index.insert(seq, nodes.iter().map(|v| v.0), prle, prn);
         };
-        if empty {
-            index.map.remove(&seq);
-            index.hist.remove(&seq);
-            continue;
+        for &v in starts {
+            enumerate_from(graph, oracle, &config, EntityId(v), dist, &mut sink);
         }
-        let sb = &index.map[&seq];
-        let mut counts = vec![0u32; grid.len()];
-        for b in &sb.buckets {
-            for e in b {
-                let p = e.prob();
-                for (i, &g) in grid.iter().enumerate() {
-                    if p >= g {
-                        counts[i] += 1;
-                    }
-                }
-            }
+        return;
+    }
+    // Strided partitioning over start nodes on the shared persistent pool.
+    let partials: Vec<Emitted> = pegpool::pool_with(threads).map(threads, |t| {
+        let mut out = Emitted::default();
+        let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
+            out.labels.extend_from_slice(seq);
+            out.nodes.extend(nodes.iter().map(|v| v.0));
+            out.ends.push(out.nodes.len());
+            out.prle.push(prle);
+            out.prn.push(prn);
+        };
+        for &v in starts.iter().skip(t).step_by(threads) {
+            enumerate_from(graph, oracle, &config, EntityId(v), dist, &mut sink);
         }
-        index.hist.insert(seq, counts);
+        out
+    });
+    for partial in partials {
+        let mut from = 0;
+        for (i, &to) in partial.ends.iter().enumerate() {
+            let nodes = partial.nodes[from..to].iter().copied();
+            index.insert(&partial.labels[from..to], nodes, partial.prle[i], partial.prn[i]);
+            from = to;
+        }
     }
 }
+
+/// Receives one canonical path: label sequence, nodes, `Prle`, `Prn`.
+type Sink<'a> = dyn FnMut(&[u16], &[EntityId], f64, f64) + 'a;
 
 /// DFS state for one start node.
 struct Walk<'a> {
     graph: &'a EntityGraph,
     oracle: &'a dyn IdentityOracle,
     config: &'a PathIndexConfig,
-    /// When set (incremental update), only paths containing at least one
-    /// flagged node are emitted. The walk itself is unrestricted — a clean
-    /// prefix may pick up a dirty node later.
-    dirty: Option<&'a [bool]>,
+    /// Incremental update only: each node's hop distance to the dirty set
+    /// (0 = dirty). Only paths holding a dirty node are emitted, and a
+    /// walk holding none does not step where none is reachable with the
+    /// edges it has left. `None` (full construction) reads as "every node
+    /// is dirty".
+    dist: Option<&'a [u32]>,
+    /// Dirty nodes currently on the walk.
+    n_dirty: usize,
     nodes: Vec<EntityId>,
     labels: Vec<u16>,
     all_trivial: bool,
+}
+
+impl Walk<'_> {
+    fn dist(&self, v: EntityId) -> u32 {
+        self.dist.map_or(0, |d| d[v.idx()])
+    }
 }
 
 fn enumerate_from(
@@ -214,18 +250,20 @@ fn enumerate_from(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
     start: EntityId,
-    dirty: Option<&[bool]>,
-    out: &mut Vec<(Vec<u16>, StoredPath)>,
+    dist: Option<&[u32]>,
+    sink: &mut Sink<'_>,
 ) {
     let mut walk = Walk {
         graph,
         oracle,
         config,
-        dirty,
+        dist,
+        n_dirty: 0,
         nodes: Vec::with_capacity(config.max_len + 1),
         labels: Vec::with_capacity(config.max_len + 1),
         all_trivial: true,
     };
+    walk.n_dirty = usize::from(walk.dist(start) == 0);
     let start_trivial = oracle.always_exists(start);
     for l in graph.node(start).labels.support() {
         let lp = graph.label_prob(start, l);
@@ -236,17 +274,19 @@ fn enumerate_from(
         walk.nodes.push(start);
         walk.labels.push(l.0);
         walk.all_trivial = start_trivial;
-        emit_if_canonical(&walk, lp, prn, out);
-        extend(&mut walk, lp, out);
+        emit_if_canonical(&walk, lp, prn, sink);
+        extend(&mut walk, lp, sink);
         walk.nodes.pop();
         walk.labels.pop();
     }
 }
 
-fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>) {
+fn extend(walk: &mut Walk<'_>, prle: f64, sink: &mut Sink<'_>) {
     if walk.nodes.len() > walk.config.max_len {
         return;
     }
+    // Edges a path may still take once it has stepped to a neighbour.
+    let edges_left = (walk.config.max_len - walk.nodes.len()) as u32;
     let last = *walk.nodes.last().unwrap();
     let last_label = Label(*walk.labels.last().unwrap());
     let neighbor_count = walk.graph.neighbors(last).len();
@@ -255,6 +295,10 @@ fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>)
             let lo = walk.graph.neighbors(last)[k];
             (EntityId(lo), walk.graph.edge_between(last, EntityId(lo)).unwrap())
         };
+        let nb_dist = walk.dist(nb);
+        if walk.n_dirty == 0 && nb_dist > edges_left {
+            continue;
+        }
         if walk.nodes.contains(&nb) {
             continue;
         }
@@ -263,6 +307,7 @@ fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>)
         }
         let nb_trivial = walk.oracle.always_exists(nb);
         let support: Vec<Label> = walk.graph.node(nb).labels.support().collect();
+        walk.n_dirty += usize::from(nb_dist == 0);
         for l in support {
             let lp = walk.graph.label_prob(nb, l);
             let ep = if edge.a == last {
@@ -280,41 +325,32 @@ fn extend(walk: &mut Walk<'_>, prle: f64, out: &mut Vec<(Vec<u16>, StoredPath)>)
             walk.all_trivial = walk.all_trivial && nb_trivial;
             let prn = if walk.all_trivial { 1.0 } else { walk.oracle.prn(&walk.nodes) };
             if new_prle * prn + EPS >= walk.config.beta {
-                emit_if_canonical(walk, new_prle, prn, out);
-                extend(walk, new_prle, out);
+                emit_if_canonical(walk, new_prle, prn, sink);
+                extend(walk, new_prle, sink);
             }
             walk.nodes.pop();
             walk.labels.pop();
             walk.all_trivial = was_trivial;
         }
+        walk.n_dirty -= usize::from(nb_dist == 0);
     }
 }
 
-fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, out: &mut Vec<(Vec<u16>, StoredPath)>) {
-    if let Some(dirty) = walk.dirty {
-        let touches = walk.nodes.iter().any(|v| dirty.get(v.0 as usize).copied().unwrap_or(true));
-        if !touches {
-            return;
-        }
-    }
-    let seq = &walk.labels;
-    let is_canonical = {
-        let rev_cmp = cmp_with_reversed(seq);
-        match rev_cmp {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                walk.nodes.len() == 1 || walk.nodes[0].0 < walk.nodes[walk.nodes.len() - 1].0
-            }
-        }
-    };
-    if !is_canonical {
+fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, sink: &mut Sink<'_>) {
+    if walk.n_dirty == 0 {
         return;
     }
-    out.push((
-        seq.clone(),
-        StoredPath { nodes: walk.nodes.iter().map(|v| v.0).collect(), prle, prn },
-    ));
+    let seq = &walk.labels;
+    let is_canonical = match cmp_with_reversed(seq) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Greater => false,
+        std::cmp::Ordering::Equal => {
+            walk.nodes.len() == 1 || walk.nodes[0].0 < walk.nodes[walk.nodes.len() - 1].0
+        }
+    };
+    if is_canonical {
+        sink(seq, &walk.nodes, prle, prn);
+    }
 }
 
 /// Compares a sequence with its own reversal without allocating.
@@ -531,8 +567,9 @@ mod tests {
         let fresh = build_index(&after, &NoIdentity, &cfg);
         assert_eq!(idx.n_entries(), fresh.n_entries());
         assert_eq!(idx.n_sequences(), fresh.n_sequences());
-        for (seq, counts) in &fresh.hist {
-            assert_eq!(idx.hist.get(seq), Some(counts), "hist mismatch for {seq:?}");
+        for (seq, se) in &fresh.map {
+            let got = idx.map.get(seq).map(|s| &s.hist);
+            assert_eq!(got, Some(&se.hist), "hist mismatch for {seq:?}");
         }
         for seq in fresh.map.keys() {
             let labels: Vec<Label> = seq.iter().map(|&l| Label(l)).collect();
@@ -542,6 +579,38 @@ mod tests {
             b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             assert_eq!(a, b, "entries mismatch for {seq:?}");
         }
+    }
+
+    #[test]
+    fn update_drops_a_sequence_with_its_last_entry() {
+        let table = LabelTable::from_names(["x", "y", "z"]);
+        let n = table.len();
+        // A path x - y - z/x: v2 is the only node that can carry z.
+        let build = |last: Label| {
+            let mut b = EntityGraphBuilder::new(table.clone());
+            let v0 = b.add_node(LabelDist::delta(Label(0), n), vec![RefId(0)]);
+            let v1 = b.add_node(LabelDist::delta(Label(1), n), vec![RefId(1)]);
+            let v2 = b.add_node(LabelDist::delta(last, n), vec![RefId(2)]);
+            b.add_edge(v0, v1, EdgeProbability::Independent(0.9));
+            b.add_edge(v1, v2, EdgeProbability::Independent(0.9));
+            b.build()
+        };
+        let cfg = PathIndexConfig { max_len: 2, beta: 0.1, threads: 1, ..Default::default() };
+        let mut idx = build_index(&build(Label(2)), &NoIdentity, &cfg);
+        for seq in [vec![2], vec![1, 2], vec![0, 1, 2]] {
+            assert!(idx.map.contains_key(&seq), "{seq:?} indexed before the relabel");
+        }
+
+        let after = build(Label(0));
+        update_index(&mut idx, &after, &NoIdentity, &[false, false, true]);
+        let fresh = build_index(&after, &NoIdentity, &cfg);
+        for seq in [vec![2], vec![1, 2], vec![0, 1, 2]] {
+            assert!(!idx.map.contains_key(&seq), "{seq:?} survived its last entry");
+        }
+        assert_eq!(idx.n_sequences(), fresh.n_sequences());
+        assert_eq!(idx.n_entries(), fresh.n_entries());
+        assert_eq!(idx.estimate_count(&[Label(1), Label(2)], 0.1), 0.0);
+        assert!(idx.histogram_counts_where(&|_| true).iter().all(|(seq, _)| !seq.contains(&2)));
     }
 
     #[test]

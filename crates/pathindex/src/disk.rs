@@ -14,9 +14,9 @@
 //! so a lookup with threshold `α` is a single range scan from
 //! `("P", seq, bucket(α))` — the disk analogue of the in-memory structure.
 
-use crate::index::{canonicalize, Orientation, PathIndex, PathIndexConfig, PathMatch, StoredPath};
+use crate::index::{canonicalize, push_matches, PathIndex, PathIndexConfig, PathMatch, StoredPath};
 use graphstore::hash::FxHashMap;
-use graphstore::{EntityId, Label};
+use graphstore::Label;
 use kvstore::{codec, Kv, KvError, Result};
 
 fn meta_key() -> Vec<u8> {
@@ -59,10 +59,9 @@ fn seq_upper_bound(seq: u32) -> Vec<u8> {
 /// Writes `index` into `kv`.
 pub fn save_index(index: &PathIndex, kv: &mut dyn Kv) -> Result<()> {
     let cfg = index.config();
-    let mut seq_ids: Vec<(&Vec<u16>, u32)> = Vec::new();
-    for (i, (seq, _)) in index.iter_sequences().enumerate() {
-        seq_ids.push((seq, i as u32));
-    }
+    // Sequence ids are positions in the map's (stable while borrowed)
+    // iteration order.
+    let sequences = || index.map.iter().zip(0u32..);
 
     let mut meta = Vec::new();
     codec::push_u16(&mut meta, cfg.max_len as u16);
@@ -72,51 +71,46 @@ pub fn save_index(index: &PathIndex, kv: &mut dyn Kv) -> Result<()> {
     for &g in &cfg.hist_grid {
         codec::push_f64_prob(&mut meta, g);
     }
-    codec::push_u32(&mut meta, seq_ids.len() as u32);
+    codec::push_u32(&mut meta, index.map.len() as u32);
     kv.put(&meta_key(), &meta)?;
 
-    for (seq, id) in &seq_ids {
+    for ((seq, se), id) in sequences() {
         let mut buf = Vec::new();
         codec::push_u16(&mut buf, seq.len() as u16);
         for &l in seq.iter() {
             codec::push_u16(&mut buf, l);
         }
-        kv.put(&seq_key(*id), &buf)?;
-        if let Some(counts) = index.hist.get(*seq) {
-            let mut hbuf = Vec::new();
-            for &c in counts {
-                codec::push_u32(&mut hbuf, c);
-            }
-            kv.put(&hist_key(*id), &hbuf)?;
+        kv.put(&seq_key(id), &buf)?;
+        let mut hbuf = Vec::new();
+        for &c in &se.hist {
+            codec::push_u32(&mut hbuf, c);
         }
+        kv.put(&hist_key(id), &hbuf)?;
     }
 
-    for (seq, id) in &seq_ids {
-        let sb = &index.map[*seq];
-        for (bucket, entries) in sb.buckets.iter().enumerate() {
-            for (n, e) in entries.iter().enumerate() {
+    for ((seq, se), id) in sequences() {
+        for (bucket, entries) in se.buckets.iter().enumerate() {
+            for (n, e) in entries.iter(seq.len()).enumerate() {
                 let mut buf = Vec::new();
                 buf.push(e.nodes.len() as u8);
-                for &node in &e.nodes {
+                for &node in e.nodes {
                     codec::push_u32(&mut buf, node);
                 }
                 codec::push_f64_prob(&mut buf, e.prle);
                 codec::push_f64_prob(&mut buf, e.prn);
-                kv.put(&entry_key(*id, bucket as u8, n as u32), &buf)?;
+                kv.put(&entry_key(id, bucket as u8, n as u32), &buf)?;
             }
         }
     }
     Ok(())
 }
 
-fn decode_entry(buf: &[u8]) -> StoredPath {
+/// Decodes one "P" value, its node ids into the caller's scratch buffer.
+fn decode_entry<'a>(buf: &[u8], nodes: &'a mut Vec<u32>) -> StoredPath<'a> {
     let n = buf[0] as usize;
-    let mut nodes = Vec::with_capacity(n);
-    let mut pos = 1;
-    for _ in 0..n {
-        nodes.push(codec::read_u32(buf, pos));
-        pos += 4;
-    }
+    nodes.clear();
+    nodes.extend((0..n).map(|i| codec::read_u32(buf, 1 + 4 * i)));
+    let pos = 1 + 4 * n;
     let prle = codec::read_f64_prob(buf, pos);
     let prn = codec::read_f64_prob(buf, pos + 8);
     StoredPath { nodes, prle, prn }
@@ -150,15 +144,19 @@ pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
         }
         seqs.push(seq);
     }
+    // Entries come back in (bucket, position) order, so every bucket is
+    // refilled in its saved order and the histograms recount themselves.
+    let mut nodes = Vec::new();
     for (id, seq) in seqs.iter().enumerate() {
         let lo = entry_prefix(id as u32, 0);
         let hi = seq_upper_bound(id as u32);
         kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
-            index.insert(seq.clone(), decode_entry(v));
+            let e = decode_entry(v, &mut nodes);
+            index.insert(seq, e.nodes.iter().copied(), e.prle, e.prn);
             true
         })?;
     }
-    index.rebuild_histograms();
+    index.shrink_to_fit();
     Ok(index)
 }
 
@@ -216,33 +214,16 @@ impl<'a, K: Kv> DiskPathIndex<'a, K> {
         let lo = entry_prefix(id, start_bucket);
         let hi = seq_upper_bound(id);
         let mut out = Vec::new();
+        let mut nodes = Vec::new();
         self.kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
-            let e = decode_entry(v);
+            let e = decode_entry(v, &mut nodes);
             if e.prob() + 1e-12 >= min_prob {
-                match orient {
-                    Orientation::Forward => out.push(to_match(&e, false)),
-                    Orientation::Reverse => out.push(to_match(&e, true)),
-                    Orientation::Palindrome => {
-                        out.push(to_match(&e, false));
-                        if e.nodes.len() > 1 {
-                            out.push(to_match(&e, true));
-                        }
-                    }
-                }
+                push_matches(&mut out, orient, e);
             }
             true
         })?;
         Ok(out)
     }
-}
-
-fn to_match(e: &StoredPath, reverse: bool) -> PathMatch {
-    let nodes: Vec<EntityId> = if reverse {
-        e.nodes.iter().rev().map(|&n| EntityId(n)).collect()
-    } else {
-        e.nodes.iter().map(|&n| EntityId(n)).collect()
-    };
-    PathMatch { nodes, prle: e.prle, prn: e.prn }
 }
 
 #[cfg(test)]
@@ -294,6 +275,25 @@ mod tests {
                 (idx.estimate_count(&labels, 0.45) - back.estimate_count(&labels, 0.45)).abs()
                     < 1e-9
             );
+        }
+    }
+
+    #[test]
+    fn roundtrip_keeps_every_bucket_in_order() {
+        let idx = sample_index();
+        let mut kv = MemStore::new();
+        save_index(&idx, &mut kv).unwrap();
+        let back = load_index(&kv).unwrap();
+        assert_eq!(back.approx_bytes(), idx.approx_bytes());
+        for (seq, se) in &idx.map {
+            let got = &back.map[seq];
+            assert_eq!(got.hist, se.hist, "histogram of {seq:?}");
+            for (b, (x, y)) in se.buckets.iter().zip(&got.buckets).enumerate() {
+                assert_eq!(x.nodes, y.nodes, "bucket {b} of {seq:?}");
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x.prle), bits(&y.prle));
+                assert_eq!(bits(&x.prn), bits(&y.prn));
+            }
         }
     }
 

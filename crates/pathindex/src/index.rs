@@ -71,18 +71,19 @@ impl PathIndexConfig {
     }
 }
 
-/// One stored path under a specific label assignment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoredPath {
+/// One stored path under a specific label assignment: a borrowed view of
+/// one entry of the index's flat buckets.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StoredPath<'a> {
     /// Node ids along the path (canonical orientation).
-    pub nodes: Vec<u32>,
+    pub nodes: &'a [u32],
     /// `Prle` under the key's label assignment.
     pub prle: f64,
     /// `Prn` of the path's node set.
     pub prn: f64,
 }
 
-impl StoredPath {
+impl StoredPath<'_> {
     /// Total probability `Prle · Prn`.
     #[inline]
     pub fn prob(&self) -> f64 {
@@ -110,20 +111,81 @@ impl PathMatch {
     }
 }
 
-/// Per-canonical-sequence storage: entries bucketed by total probability.
+/// The entries of one `(canonical sequence, probability bucket)`, flat:
+/// entry `i` is `nodes[i * stride..(i + 1) * stride]`, `prle[i]`, `prn[i]`,
+/// with `stride` the sequence length. Entries keep insertion order. Three
+/// buffers per bucket rather than one allocation per entry is what lets a
+/// generation of the index be copied at memcpy speed.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SeqBuckets {
-    pub(crate) buckets: Vec<Vec<StoredPath>>,
+pub(crate) struct Bucket {
+    pub(crate) nodes: Vec<u32>,
+    pub(crate) prle: Vec<f64>,
+    pub(crate) prn: Vec<f64>,
+}
+
+impl Bucket {
+    pub(crate) fn len(&self) -> usize {
+        self.prle.len()
+    }
+
+    /// The entries in order; `stride` is the sequence length.
+    pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = StoredPath<'_>> {
+        let probs = self.prle.iter().zip(&self.prn);
+        self.nodes.chunks_exact(stride).zip(probs).map(|(nodes, (&prle, &prn))| StoredPath {
+            nodes,
+            prle,
+            prn,
+        })
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.prle.shrink_to_fit();
+        self.prn.shrink_to_fit();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * 4 + (self.prle.capacity() + self.prn.capacity()) * 8
+    }
+}
+
+/// Everything stored under one canonical label sequence.
+#[derive(Clone, Debug)]
+pub(crate) struct SeqEntries {
+    /// One [`Bucket`] per probability bucket, ascending.
+    pub(crate) buckets: Vec<Bucket>,
+    /// `hist[i]`: entries with total probability ≥ `hist_grid[i]`. Kept
+    /// current by every insert and removal, so it always equals a recount.
+    pub(crate) hist: Vec<u32>,
+}
+
+impl SeqEntries {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buckets.iter().all(|b| b.len() == 0)
+    }
+
+    /// All entries, bucket by bucket; `stride` is the sequence length.
+    pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = StoredPath<'_>> {
+        self.buckets.iter().flat_map(move |b| b.iter(stride))
+    }
+}
+
+/// Counts an entry of total probability `p` into (`add`) or out of `hist`:
+/// one step at every grid point `p` reaches.
+#[inline]
+pub(crate) fn count_hist(hist: &mut [u32], grid: &[f64], p: f64, add: bool) {
+    for (count, &g) in hist.iter_mut().zip(grid) {
+        if p >= g {
+            *count = if add { *count + 1 } else { *count - 1 };
+        }
+    }
 }
 
 /// The context-aware path index (in-memory form).
 #[derive(Clone, Debug)]
 pub struct PathIndex {
     config: PathIndexConfig,
-    pub(crate) map: FxHashMap<Vec<u16>, SeqBuckets>,
-    /// Histogram per canonical sequence: counts of entries with total
-    /// probability ≥ each grid point.
-    pub(crate) hist: FxHashMap<Vec<u16>, Vec<u32>>,
+    pub(crate) map: FxHashMap<Vec<u16>, SeqEntries>,
     pub(crate) n_entries: usize,
 }
 
@@ -180,7 +242,7 @@ pub fn estimate_from_counts(
 
 impl PathIndex {
     pub(crate) fn empty(config: PathIndexConfig) -> Self {
-        Self { config, map: FxHashMap::default(), hist: FxHashMap::default(), n_entries: 0 }
+        Self { config, map: FxHashMap::default(), n_entries: 0 }
     }
 
     /// The construction parameters.
@@ -198,52 +260,53 @@ impl PathIndex {
         self.map.len()
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// In-memory footprint in bytes: the buckets' heap buffers plus the
+    /// per-sequence and per-bucket headers (hash-table slack excluded).
     pub fn approx_bytes(&self) -> u64 {
-        let mut total = 0u64;
+        use std::mem::size_of;
+        let mut total = 0usize;
         for (k, v) in &self.map {
-            total += (k.len() * 2 + 48) as u64;
+            total += size_of::<Vec<u16>>() + k.len() * 2;
+            total += size_of::<SeqEntries>() + v.hist.len() * 4;
             for b in &v.buckets {
-                total += 24;
-                for e in b {
-                    total += (e.nodes.len() * 4 + 16 + 24) as u64;
-                }
+                total += size_of::<Bucket>() + b.heap_bytes();
             }
         }
-        for (k, v) in &self.hist {
-            total += (k.len() * 2 + v.len() * 4 + 48) as u64;
-        }
-        total
+        total as u64
     }
 
-    pub(crate) fn insert(&mut self, canonical: Vec<u16>, entry: StoredPath) {
-        let bucket = self.config.bucket_of(entry.prob());
-        let n_buckets = self.config.n_buckets();
-        let sb = self
-            .map
-            .entry(canonical)
-            .or_insert_with(|| SeqBuckets { buckets: vec![Vec::new(); n_buckets] });
-        sb.buckets[bucket].push(entry);
+    /// Appends one entry to the bucket of its total probability and counts
+    /// it into its sequence's histogram.
+    pub(crate) fn insert(
+        &mut self,
+        canonical: &[u16],
+        nodes: impl IntoIterator<Item = u32>,
+        prle: f64,
+        prn: f64,
+    ) {
+        let p = prle * prn;
+        let bucket = self.config.bucket_of(p);
+        if !self.map.contains_key(canonical) {
+            let fresh = SeqEntries {
+                buckets: vec![Bucket::default(); self.config.n_buckets()],
+                hist: vec![0; self.config.hist_grid.len()],
+            };
+            self.map.insert(canonical.to_vec(), fresh);
+        }
+        let se = self.map.get_mut(canonical).expect("inserted above");
+        let b = &mut se.buckets[bucket];
+        b.nodes.extend(nodes);
+        debug_assert_eq!(b.nodes.len(), (b.prle.len() + 1) * canonical.len());
+        b.prle.push(prle);
+        b.prn.push(prn);
+        count_hist(&mut se.hist, &self.config.hist_grid, p, true);
         self.n_entries += 1;
     }
 
-    /// Rebuilds the per-sequence histograms from the stored entries.
-    pub(crate) fn rebuild_histograms(&mut self) {
-        self.hist.clear();
-        let grid = self.config.hist_grid.clone();
-        for (seq, sb) in &self.map {
-            let mut counts = vec![0u32; grid.len()];
-            for b in &sb.buckets {
-                for e in b {
-                    let p = e.prob();
-                    for (i, &g) in grid.iter().enumerate() {
-                        if p >= g {
-                            counts[i] += 1;
-                        }
-                    }
-                }
-            }
-            self.hist.insert(seq.clone(), counts);
+    /// Returns the growth slack of every bucket buffer to the allocator.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for se in self.map.values_mut() {
+            se.buckets.iter_mut().for_each(Bucket::shrink_to_fit);
         }
     }
 
@@ -259,26 +322,16 @@ impl PathIndex {
     /// bit-identical cardinality estimates.
     pub fn histogram_counts_where(
         &self,
-        keep: &dyn Fn(&StoredPath) -> bool,
+        keep: &dyn Fn(&StoredPath<'_>) -> bool,
     ) -> Vec<(Vec<u16>, Vec<u32>)> {
         let grid = &self.config.hist_grid;
         let mut out: Vec<(Vec<u16>, Vec<u32>)> = Vec::new();
-        for (seq, sb) in &self.map {
+        for (seq, se) in &self.map {
             let mut counts = vec![0u32; grid.len()];
             let mut any = false;
-            for b in &sb.buckets {
-                for e in b {
-                    if !keep(e) {
-                        continue;
-                    }
-                    any = true;
-                    let p = e.prob();
-                    for (i, &g) in grid.iter().enumerate() {
-                        if p >= g {
-                            counts[i] += 1;
-                        }
-                    }
-                }
+            for e in se.iter(seq.len()).filter(|e| keep(e)) {
+                any = true;
+                count_hist(&mut counts, grid, e.prob(), true);
             }
             if any {
                 out.push((seq.clone(), counts));
@@ -293,7 +346,7 @@ impl PathIndex {
     pub fn lookup(&self, labels: &[Label], min_prob: f64) -> Vec<PathMatch> {
         let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
         let (canonical, orient) = canonicalize(&seq);
-        let Some(sb) = self.map.get(&canonical) else {
+        let Some(se) = self.map.get(&canonical) else {
             return Vec::new();
         };
         // Start one bucket early: floating-point probabilities a hair below
@@ -301,20 +354,10 @@ impl PathIndex {
         // (epsilon-tolerant) per-entry filter below.
         let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1);
         let mut out = Vec::new();
-        for b in &sb.buckets[start_bucket..] {
-            for e in b {
-                if e.prob() + 1e-12 < min_prob {
-                    continue;
-                }
-                match orient {
-                    Orientation::Forward => out.push(to_match(e, false)),
-                    Orientation::Reverse => out.push(to_match(e, true)),
-                    Orientation::Palindrome => {
-                        out.push(to_match(e, false));
-                        if e.nodes.len() > 1 {
-                            out.push(to_match(e, true));
-                        }
-                    }
+        for b in &se.buckets[start_bucket..] {
+            for e in b.iter(canonical.len()) {
+                if e.prob() + 1e-12 >= min_prob {
+                    push_matches(&mut out, orient, e);
                 }
             }
         }
@@ -332,31 +375,31 @@ impl PathIndex {
     pub fn estimate_count(&self, labels: &[Label], alpha: f64) -> f64 {
         let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
         let (canonical, orient) = canonicalize(&seq);
-        let Some(counts) = self.hist.get(&canonical) else {
+        let Some(se) = self.map.get(&canonical) else {
             return 0.0;
         };
         estimate_from_counts(
             &self.config.hist_grid,
-            counts,
+            &se.hist,
             alpha,
             orient == Orientation::Palindrome,
             labels.len(),
         )
     }
-
-    /// Iterates all canonical sequences with their entries (persistence).
-    pub(crate) fn iter_sequences(&self) -> impl Iterator<Item = (&Vec<u16>, &SeqBuckets)> {
-        self.map.iter()
-    }
 }
 
-fn to_match(e: &StoredPath, reverse: bool) -> PathMatch {
-    let nodes: Vec<EntityId> = if reverse {
-        e.nodes.iter().rev().map(|&n| EntityId(n)).collect()
-    } else {
-        e.nodes.iter().map(|&n| EntityId(n)).collect()
-    };
-    PathMatch { nodes, prle: e.prle, prn: e.prn }
+/// The directed matches one stored entry answers under `orient`: itself,
+/// its reversal, or — palindromic sequences of more than one node — both.
+pub(crate) fn push_matches(out: &mut Vec<PathMatch>, orient: Orientation, e: StoredPath<'_>) {
+    let forward = || e.nodes.iter().map(|&n| EntityId(n)).collect();
+    let reverse = || e.nodes.iter().rev().map(|&n| EntityId(n)).collect();
+    let (prle, prn) = (e.prle, e.prn);
+    if orient != Orientation::Reverse {
+        out.push(PathMatch { nodes: forward(), prle, prn });
+    }
+    if orient == Orientation::Reverse || (orient == Orientation::Palindrome && e.nodes.len() > 1) {
+        out.push(PathMatch { nodes: reverse(), prle, prn });
+    }
 }
 
 #[cfg(test)]
@@ -384,8 +427,7 @@ mod tests {
     fn insert_lookup_direction_handling() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
         // Canonical sequence [1,2,3] with a path 10-11-12.
-        idx.insert(vec![1, 2, 3], StoredPath { nodes: vec![10, 11, 12], prle: 0.8, prn: 1.0 });
-        idx.rebuild_histograms();
+        idx.insert(&[1, 2, 3], [10, 11, 12], 0.8, 1.0);
 
         let fwd = idx.lookup(&[Label(1), Label(2), Label(3)], 0.5);
         assert_eq!(fwd.len(), 1);
@@ -402,14 +444,13 @@ mod tests {
     #[test]
     fn palindrome_yields_both_directions() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
-        idx.insert(vec![1, 2, 1], StoredPath { nodes: vec![5, 6, 7], prle: 0.9, prn: 1.0 });
-        idx.rebuild_histograms();
+        idx.insert(&[1, 2, 1], [5, 6, 7], 0.9, 1.0);
         let got = idx.lookup(&[Label(1), Label(2), Label(1)], 0.1);
         assert_eq!(got.len(), 2);
         assert_ne!(got[0].nodes, got[1].nodes);
         // Single nodes are not doubled.
         let mut idx2 = PathIndex::empty(PathIndexConfig::default());
-        idx2.insert(vec![4], StoredPath { nodes: vec![9], prle: 1.0, prn: 1.0 });
+        idx2.insert(&[4], [9], 1.0, 1.0);
         assert_eq!(idx2.lookup(&[Label(4)], 0.5).len(), 1);
     }
 
@@ -417,12 +458,8 @@ mod tests {
     fn estimate_uses_histogram_and_palindrome_factor() {
         let mut idx = PathIndex::empty(PathIndexConfig::default());
         for i in 0..10 {
-            idx.insert(
-                vec![1, 2, 1],
-                StoredPath { nodes: vec![i, i + 100, i + 200], prle: 0.55, prn: 1.0 },
-            );
+            idx.insert(&[1, 2, 1], [i, i + 100, i + 200], 0.55, 1.0);
         }
-        idx.rebuild_histograms();
         let est = idx.estimate_count(&[Label(1), Label(2), Label(1)], 0.5);
         assert!((est - 20.0).abs() < 1e-9, "est = {est}");
         let exact = idx.count_exact(&[Label(1), Label(2), Label(1)], 0.5);

@@ -8,8 +8,10 @@
 //! `⟨label sequence, probability bucket⟩` where buckets have resolution `γ`;
 //! the paper's two-level structure (hash on the label sequence, B+-tree on
 //! the probability) maps to a hash map over canonical label sequences whose
-//! values are bucketed entry lists in memory, and to composite-key ranges in
-//! a [`kvstore::BTreeStore`] on disk ([`disk`]).
+//! values are probability buckets in memory — each bucket one flat node
+//! buffer (stride = sequence length) with parallel `Prle` / `Prn` arrays, so
+//! copying an index generation is a few hundred `memcpy`s — and to
+//! composite-key ranges in a [`kvstore::BTreeStore`] on disk ([`disk`]).
 //!
 //! Undirected symmetry is folded: a path is stored only under the canonical
 //! orientation of its label sequence (ties broken on node ids), and lookups
@@ -24,8 +26,10 @@ pub mod build;
 pub mod disk;
 pub mod histogram;
 mod index;
+#[cfg(test)]
+mod reference;
 
-pub use build::{build_index, enumerate_paths_online, update_index};
+pub use build::{build_index, enumerate_paths_online, update_index, IndexUpdateTimes};
 pub use index::{
     canonical_label_seq, estimate_from_counts, IdentityOracle, NoIdentity, PathIndex,
     PathIndexConfig, PathMatch, StoredPath,

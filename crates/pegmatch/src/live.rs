@@ -1,19 +1,76 @@
 //! Live graph mutation: applying [`GraphOp`] batches to a compiled graph
-//! with incremental maintenance of the existence model and path index.
+//! with incremental maintenance of the existence model, path index and
+//! context tables.
 //!
 //! [`apply_ops`] is the one entry point. It never mutates its inputs —
 //! the previous [`Peg`] and [`OfflineIndex`] stay valid for in-flight
 //! queries — and the returned artifacts are **bit-identical** to
-//! recompiling the mutated reference network from scratch: the entity
-//! compiler keeps node ids stable across mutations (creation-order
-//! numbering, tombstoned deletions), the existence rebuild reuses
-//! untouched component tables by `Arc`, and the path index is patched
-//! only around the dirty node ball.
+//! recompiling the mutated reference network from scratch.
+//!
+//! What a batch costs ([`UpdatePhases`] times each step):
+//!
+//! * **∝ what it touched** — the existence rebuild reuses untouched
+//!   component tables by `Arc`; the path index drops the entries through a
+//!   dirty node and re-enumerates only where a dirty node is still
+//!   reachable; histogram counts move by one per entry that left or
+//!   entered; context rows are recomputed for dirty nodes and their
+//!   neighbours.
+//! * **still ∝ n** — the entity graph is recompiled whole from the
+//!   reference network (`PegBuilder::compile`; node ids stay stable:
+//!   creation-order numbering, tombstoned deletions), the reference
+//!   network is cloned, and the index and context tables are copied
+//!   before they are patched — flat buffers, so a `memcpy` per bucket —
+//!   with one linear pass over the index's node ids to find the entries to
+//!   drop.
 
 use crate::error::PegError;
 use crate::model::{Peg, PegBuilder};
 use crate::offline::{OfflineIndex, OfflineOptions};
 use graphstore::{GraphOp, RefGraph};
+use std::time::{Duration, Instant};
+
+/// Where one mutation batch spent its time, step by step in execution
+/// order. A sharded store fills the first four and leaves the rest zero:
+/// its shards rebuild whole behind the transport.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UpdatePhases {
+    /// Cloning the reference network the ops are applied to.
+    pub refs_clone: Duration,
+    /// Validating and applying the ops.
+    pub apply_all: Duration,
+    /// Recompiling the entity graph (whole network).
+    pub compile: Duration,
+    /// Incremental existence rebuild and dirty marking.
+    pub existence: Duration,
+    /// Copying the previous path index.
+    pub index_copy: Duration,
+    /// Dropping the entries through a dirty node.
+    pub index_drop: Duration,
+    /// Ball BFS, pruned re-enumeration and insertion.
+    pub index_enumerate: Duration,
+    /// Removing emptied sequences (the counts themselves are patched as
+    /// entries are dropped and inserted).
+    pub histogram: Duration,
+    /// Copying and patching the context tables.
+    pub context: Duration,
+}
+
+impl UpdatePhases {
+    /// Every phase with its name, in execution order.
+    pub fn named(&self) -> [(&'static str, Duration); 9] {
+        [
+            ("refs_clone", self.refs_clone),
+            ("apply_all", self.apply_all),
+            ("compile", self.compile),
+            ("existence", self.existence),
+            ("index_copy", self.index_copy),
+            ("index_drop", self.index_drop),
+            ("index_enumerate", self.index_enumerate),
+            ("histogram", self.histogram),
+            ("context", self.context),
+        ]
+    }
+}
 
 /// The artifacts of one mutation batch: a full replacement set for the
 /// previous generation.
@@ -31,6 +88,8 @@ pub struct LiveUpdate {
     pub reused_components: usize,
     /// Directly-touched entity ids reported by the op batch.
     pub touched: Vec<u32>,
+    /// Time spent in each step.
+    pub phases: UpdatePhases,
 }
 
 impl LiveUpdate {
@@ -46,21 +105,44 @@ impl LiveUpdate {
 /// (invalid op at any position) leaves every input untouched and returns
 /// the offending op's error.
 ///
-/// `opts` must match the options `prev_index` was built with; the patched
+/// `opts` must match the options `prev_index` was built with: the patched
 /// index inherits its configuration, and a mismatch would break the
-/// rebuild-equivalence guarantee.
+/// rebuild-equivalence guarantee. A differing `max_len`, `beta`, `gamma`
+/// or `hist_grid` is refused with [`PegError::Invalid`] naming the field
+/// (`threads` may differ — it does not change what is indexed).
 pub fn apply_ops(
     builder: &PegBuilder,
-    _opts: &OfflineOptions,
+    opts: &OfflineOptions,
     refs: &RefGraph,
     prev: &Peg,
     prev_index: &OfflineIndex,
     ops: &[GraphOp],
 ) -> Result<LiveUpdate, PegError> {
+    let (want, have) = (&opts.index, prev_index.paths.config());
+    let differing = [
+        ("max_len", want.max_len != have.max_len),
+        ("beta", want.beta != have.beta),
+        ("gamma", want.gamma != have.gamma),
+        ("hist_grid", want.hist_grid != have.hist_grid),
+    ];
+    if let Some((field, _)) = differing.iter().find(|(_, differs)| *differs) {
+        return Err(PegError::Invalid(format!(
+            "apply_ops: opts.index.{field} differs from the configuration the previous index \
+             was built with ({want:?} vs {have:?})"
+        )));
+    }
+
+    let mut phases = UpdatePhases::default();
+    let t = Instant::now();
     let mut new_refs = refs.clone();
+    phases.refs_clone = t.elapsed();
+    let t = Instant::now();
     let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
+    phases.apply_all = t.elapsed();
     let delta = builder.rebuild(&new_refs, prev, &touched)?;
-    let index = prev_index.rebuild_delta(&delta.peg, &delta.dirty)?;
+    phases.compile = delta.compile_time;
+    phases.existence = delta.existence_time;
+    let index = prev_index.rebuild_delta(&delta.peg, &delta.dirty, &mut phases)?;
     Ok(LiveUpdate {
         refs: new_refs,
         peg: delta.peg,
@@ -68,6 +150,7 @@ pub fn apply_ops(
         dirty: delta.dirty,
         reused_components: delta.reused_components,
         touched,
+        phases,
     })
 }
 
@@ -135,6 +218,35 @@ mod tests {
         assert!(format!("{err}").contains("op 1"), "{err}");
         // Inputs untouched: original edge set unchanged.
         assert!(refs.edge_between(RefId(0), RefId(2)).is_none());
+    }
+
+    #[test]
+    fn mismatched_options_are_refused_by_field() {
+        let builder = PegBuilder::new();
+        let opts = OfflineOptions::with_len_and_beta(2, 0.05);
+        let refs = figure1_refgraph();
+        let peg = builder.build(&refs).unwrap();
+        let index = OfflineIndex::build(&peg, &opts).unwrap();
+        let ops = vec![GraphOp::UpsertEdge { a: RefId(0), b: RefId(2), p: 0.4 }];
+
+        let mut gamma = opts.clone();
+        gamma.index.gamma = 0.25;
+        let mut grid = opts.clone();
+        grid.index.hist_grid.pop();
+        for (field, bad) in [
+            ("max_len", OfflineOptions::with_len_and_beta(3, 0.05)),
+            ("beta", OfflineOptions::with_len_and_beta(2, 0.1)),
+            ("gamma", gamma),
+            ("hist_grid", grid),
+        ] {
+            let err = apply_ops(&builder, &bad, &refs, &peg, &index, &ops).unwrap_err();
+            assert!(matches!(err, PegError::Invalid(_)), "{err}");
+            assert!(format!("{err}").contains(&format!("opts.index.{field} ")), "{field}: {err}");
+        }
+        // The thread count is not part of what was indexed.
+        let mut threads = opts.clone();
+        threads.index.threads = 3;
+        apply_ops(&builder, &threads, &refs, &peg, &index, &ops).unwrap();
     }
 
     #[test]

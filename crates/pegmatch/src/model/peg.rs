@@ -6,6 +6,7 @@ use crate::model::existence::{ExistenceModel, ExistenceOptions};
 use graphstore::dist::{CondTable, EdgeProbability, LabelDist};
 use graphstore::hash::FxHashSet;
 use graphstore::{EntityGraph, EntityGraphBuilder, EntityId, EntityRef, RefGraph, RefId};
+use std::time::{Duration, Instant};
 
 /// The probabilistic entity graph: the entity-level graph `G_U` plus the
 /// exact identity-uncertainty semantics.
@@ -106,7 +107,10 @@ impl PegBuilder {
         prev: &Peg,
         touched: &[u32],
     ) -> Result<PegDelta, PegError> {
+        let t = Instant::now();
         let c = self.compile(refs)?;
+        let compile_time = t.elapsed();
+        let t = Instant::now();
         let mut touched_flags = vec![false; c.node_refs.len()];
         for &t in touched {
             if (t as usize) < touched_flags.len() {
@@ -129,6 +133,8 @@ impl PegBuilder {
             peg: Peg { graph: c.graph, existence: delta.model },
             dirty,
             reused_components: delta.reused_components,
+            compile_time,
+            existence_time: t.elapsed(),
         })
     }
 
@@ -244,6 +250,10 @@ pub struct PegDelta {
     pub dirty: Vec<bool>,
     /// Existence components carried over from the previous model by `Arc`.
     pub reused_components: usize,
+    /// Wall time of the entity-graph compile (whole network, ∝ n).
+    pub compile_time: Duration,
+    /// Wall time of the incremental existence rebuild and dirty marking.
+    pub existence_time: Duration,
 }
 
 /// Everything [`PegBuilder::compile`] produces short of the existence model.

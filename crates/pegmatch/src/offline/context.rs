@@ -30,39 +30,80 @@ impl ContextInfo {
     /// Computes context information for every node and label.
     pub fn build(graph: &EntityGraph) -> Self {
         let n_labels = graph.label_table().len();
-        let n_nodes = graph.n_nodes();
-        let mut c = vec![0u32; n_nodes * n_labels];
-        let mut ppu = vec![0.0f64; n_nodes * n_labels];
-        let mut fpu = vec![0.0f64; n_nodes * n_labels];
-
+        let mut ctx = Self { n_labels, c: Vec::new(), ppu: Vec::new(), fpu: Vec::new() };
+        ctx.resize(graph.n_nodes());
         for v in graph.node_ids() {
-            let base = v.idx() * n_labels;
-            for (nb, edge) in graph.neighbor_edges(v) {
-                if !graph.refs_disjoint(v, nb) {
-                    continue;
-                }
-                for sigma in graph.node(nb).labels.support() {
-                    let si = sigma.idx();
-                    // Edge probability upper bound with v's label unknown,
-                    // neighbor label = sigma (CPT orientation aware).
-                    let ep = if edge.a == v {
-                        edge.prob.max_given(sigma, false)
-                    } else {
-                        edge.prob.max_given(sigma, true)
-                    };
-                    let lp = graph.label_prob(nb, sigma);
-                    c[base + si] += 1;
-                    if ep > ppu[base + si] {
-                        ppu[base + si] = ep;
-                    }
-                    let f = lp * ep;
-                    if f > fpu[base + si] {
-                        fpu[base + si] = f;
-                    }
+            ctx.fill_row(graph, v);
+        }
+        ctx
+    }
+
+    /// Context information for `graph`, a mutation of the graph `self` was
+    /// computed for (same alphabet, stable node ids, new nodes appended):
+    /// the tables are copied and only the rows of `dirty` nodes and of
+    /// their neighbours in `graph` are recomputed. Equal, bit for bit, to
+    /// [`ContextInfo::build`] on `graph` as long as `dirty` flags every
+    /// node whose labels or incident edges changed — a row reads nothing
+    /// but its node's edges and its neighbours' labels and references, and
+    /// a node that lost an edge is an endpoint of it, so dirty itself.
+    /// Nodes past the end of `dirty` count as dirty.
+    pub fn patched(&self, graph: &EntityGraph, dirty: &[bool]) -> Self {
+        debug_assert_eq!(self.n_labels, graph.label_table().len());
+        let mut ctx = self.clone();
+        ctx.resize(graph.n_nodes());
+        let mut stale = vec![false; graph.n_nodes()];
+        for v in graph.node_ids() {
+            if dirty.get(v.idx()).copied().unwrap_or(true) {
+                stale[v.idx()] = true;
+                for &nb in graph.neighbors(v) {
+                    stale[nb as usize] = true;
                 }
             }
         }
-        Self { n_labels, c, ppu, fpu }
+        for v in graph.node_ids().filter(|v| stale[v.idx()]) {
+            ctx.fill_row(graph, v);
+        }
+        ctx
+    }
+
+    fn resize(&mut self, n_nodes: usize) {
+        let len = n_nodes * self.n_labels;
+        self.c.resize(len, 0);
+        self.ppu.resize(len, 0.0);
+        self.fpu.resize(len, 0.0);
+    }
+
+    /// Recomputes the statistics of `v` from scratch.
+    fn fill_row(&mut self, graph: &EntityGraph, v: EntityId) {
+        let base = v.idx() * self.n_labels;
+        let row = base..base + self.n_labels;
+        self.c[row.clone()].fill(0);
+        self.ppu[row.clone()].fill(0.0);
+        self.fpu[row].fill(0.0);
+        for (nb, edge) in graph.neighbor_edges(v) {
+            if !graph.refs_disjoint(v, nb) {
+                continue;
+            }
+            for sigma in graph.node(nb).labels.support() {
+                let at = base + sigma.idx();
+                // Edge probability upper bound with v's label unknown,
+                // neighbor label = sigma (CPT orientation aware).
+                let ep = if edge.a == v {
+                    edge.prob.max_given(sigma, false)
+                } else {
+                    edge.prob.max_given(sigma, true)
+                };
+                let lp = graph.label_prob(nb, sigma);
+                self.c[at] += 1;
+                if ep > self.ppu[at] {
+                    self.ppu[at] = ep;
+                }
+                let f = lp * ep;
+                if f > self.fpu[at] {
+                    self.fpu[at] = f;
+                }
+            }
+        }
     }
 
     /// `c(v,σ)`: neighbors of `v` that can carry label `σ`.
@@ -172,5 +213,76 @@ mod tests {
         // bound given neighbor label x (row) maxed over v1's label = 0.4.
         assert!((ctx.ppu(v1, Label(0)) - 0.4).abs() < 1e-12);
         assert!((ctx.fpu(v1, Label(0)) - 0.2).abs() < 1e-12);
+    }
+
+    /// Every table of `ctx`, floats as raw bits.
+    fn bits(ctx: &ContextInfo) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
+        let raw = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect();
+        (ctx.c.clone(), raw(&ctx.ppu), raw(&ctx.fpu))
+    }
+
+    mod patched {
+        use super::*;
+        use crate::model::PegBuilder;
+        use datagen::{synthetic_refgraph, SyntheticConfig};
+        use graphstore::{GraphOp, RefGraph};
+        use proptest::prelude::*;
+
+        /// One op from three draws, valid against `refs`: label and edge
+        /// mutations, plus the ops that add and tombstone nodes.
+        fn op(refs: &RefGraph, kind: u8, x: usize, y: usize, p: f64) -> Option<GraphOp> {
+            let alive: Vec<RefId> =
+                (0..refs.n_refs() as u32).map(RefId).filter(|&r| refs.ref_is_alive(r)).collect();
+            let (a, b) = (alive[x % alive.len()], alive[y % alive.len()]);
+            let label = (y % refs.label_table().len()) as u16;
+            Some(match kind {
+                0 => GraphOp::UpsertRef { r: None, labels: vec![(label, p)] },
+                1 => GraphOp::UpsertRef { r: Some(a), labels: vec![(label, p)] },
+                2 if a != b => GraphOp::UpsertEdge { a, b, p },
+                3 if !refs.edges().is_empty() => {
+                    let e = &refs.edges()[x % refs.edges().len()];
+                    GraphOp::DeleteEdge { a: e.a, b: e.b }
+                }
+                4 if alive.len() > 8 => GraphOp::DeleteRef { r: a },
+                5 if a != b => GraphOp::UpsertSet { members: vec![a, b], weight: p },
+                _ => return None,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Three chained batches: after each, the tables patched from
+            /// the batch's dirty set equal a build over the mutated graph.
+            #[test]
+            fn patched_equals_build(
+                seed in 0u64..1_000_000,
+                n_refs in 30usize..70,
+                draws in prop::collection::vec((0u8..6, 0usize..1000, 0usize..1000, 0.05f64..0.95), 3..=12),
+            ) {
+                let cfg = SyntheticConfig { seed, ..SyntheticConfig::paper_with_uncertainty(n_refs, 0.3) };
+                let mut refs = synthetic_refgraph(&cfg);
+                let builder = PegBuilder::new();
+                let mut peg = builder.build(&refs).unwrap();
+                let mut ctx = ContextInfo::build(&peg.graph);
+                for batch in draws.chunks(draws.len().div_ceil(3)) {
+                    let mut next = refs.clone();
+                    let mut touched = Vec::new();
+                    for &(kind, x, y, p) in batch {
+                        if let Some(op) = op(&next, kind, x, y, p) {
+                            next.apply(&op, &mut touched).unwrap();
+                        }
+                    }
+                    touched.sort_unstable();
+                    touched.dedup();
+                    // A batch the existence model refuses (a component left
+                    // without a possible configuration) is not applied.
+                    let Ok(delta) = builder.rebuild(&next, &peg, &touched) else { continue };
+                    ctx = ctx.patched(&delta.peg.graph, &delta.dirty);
+                    prop_assert_eq!(bits(&ctx), bits(&ContextInfo::build(&delta.peg.graph)));
+                    (refs, peg) = (next, delta.peg);
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@ pub mod context;
 pub use context::ContextInfo;
 
 use crate::error::PegError;
+use crate::live::UpdatePhases;
 use crate::model::{ExistenceModel, Peg};
 use graphstore::{EntityId, Label};
 use pathindex::{
@@ -50,7 +51,7 @@ pub struct OfflineStats {
     pub context_time: Duration,
     /// Number of path index entries.
     pub index_entries: usize,
-    /// Approximate in-memory index size in bytes.
+    /// In-memory index size in bytes.
     pub index_bytes: u64,
 }
 
@@ -84,20 +85,34 @@ impl OfflineIndex {
         Ok(Self { context, paths, stats })
     }
 
-    /// Rebuilds the offline artifacts after a graph mutation, patching the
-    /// path index incrementally from `dirty` (per-node flags from
-    /// [`crate::model::PegBuilder::rebuild`]) instead of re-enumerating the
-    /// whole graph. `self` is left untouched — in-flight queries holding it
-    /// stay consistent — and the result is entry- and histogram-identical
-    /// to [`OfflineIndex::build`] on the mutated `peg`.
-    pub fn rebuild_delta(&self, peg: &Peg, dirty: &[bool]) -> Result<Self, PegError> {
+    /// Rebuilds the offline artifacts after a graph mutation from `dirty`
+    /// (per-node flags from [`crate::model::PegBuilder::rebuild`]) instead
+    /// of recomputing them over the whole graph: the path index is copied
+    /// (flat buckets, so at memcpy speed) and patched around the dirty
+    /// ball by [`update_index`], the context tables are copied and patched
+    /// at the dirty nodes and their neighbours
+    /// ([`ContextInfo::patched`]). `self` is left untouched — in-flight
+    /// queries holding it stay consistent — and the result is entry-,
+    /// histogram- and context-identical to [`OfflineIndex::build`] on the
+    /// mutated `peg`. The time of each step is recorded into `phases`.
+    pub fn rebuild_delta(
+        &self,
+        peg: &Peg,
+        dirty: &[bool],
+        phases: &mut UpdatePhases,
+    ) -> Result<Self, PegError> {
         let t0 = Instant::now();
         let mut paths = self.paths.clone();
-        update_index(&mut paths, &peg.graph, &peg.existence, dirty);
+        phases.index_copy = t0.elapsed();
+        let times = update_index(&mut paths, &peg.graph, &peg.existence, dirty);
+        phases.index_drop = times.drop;
+        phases.index_enumerate = times.enumerate;
+        phases.histogram = times.histogram;
         let index_time = t0.elapsed();
         let t1 = Instant::now();
-        let context = ContextInfo::build(&peg.graph);
+        let context = self.context.patched(&peg.graph, dirty);
         let context_time = t1.elapsed();
+        phases.context = context_time;
         let stats = OfflineStats {
             total_time: t0.elapsed(),
             index_time,

@@ -130,6 +130,7 @@ use crate::proto::{self, ProtoError, QueryOp};
 use crate::statsjson;
 use graphstore::RefGraph;
 use pegmatch::error::PegError;
+use pegmatch::live::UpdatePhases;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::session::TOPK_START_ALPHA;
@@ -318,6 +319,8 @@ struct ServerState {
     metrics: MetricsRegistry,
     /// What every query records, resolved out of `metrics` once.
     query_metrics: QueryMetrics,
+    /// What every `update_graph` records, likewise.
+    update_metrics: UpdateMetrics,
     /// Trace-id source for `explain` and any future traced op. A plain
     /// counter, not a random id: ids only need to be unique per server,
     /// and they must stay below 2^53 to survive the JSON number type.
@@ -372,6 +375,7 @@ impl Server {
             max_connections: config.max_connections.max(1),
             shutdown: AtomicBool::new(false),
             query_metrics: QueryMetrics::resolve(&metrics),
+            update_metrics: UpdateMetrics::resolve(&metrics),
             metrics,
             trace_ids: AtomicU64::new(1),
             slow_query: config.slow_query_ms.map(Duration::from_millis),
@@ -1013,7 +1017,9 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     // Arc is carried across entry swaps, so holding it makes the
     // re-resolved entry below the newest — and the only — contender.
     let lock = Arc::clone(&resolved.update_lock);
+    let waiting = Instant::now();
     let _mutations = lock.lock().unwrap();
+    state.update_metrics.lock_wait.record(waiting.elapsed());
     let entry = resolve_graph(state, Some(resolved.name.as_str()))?;
     if !Arc::ptr_eq(&entry.update_lock, &lock) {
         // The graph was unloaded and reloaded while we waited: the held
@@ -1034,12 +1040,12 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     let _permit = state.admission.admit()?;
     let t0 = Instant::now();
     let builder = PegBuilder::new();
-    let (store, new_refs, n_dirty, rebuilt_shards, reused_components) = match &entry.store {
+    let (store, new_refs, n_dirty, rebuilt_shards, reused_components, phases) = match &entry.store {
         GraphStore::Unsharded { peg, offline } => {
             let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)?;
             let (n_dirty, reused) = (up.n_dirty(), up.reused_components);
             let store = GraphStore::Unsharded { peg: up.peg, offline: up.index };
-            (store, up.refs, n_dirty, 0, reused)
+            (store, up.refs, n_dirty, 0, reused, up.phases)
         }
         GraphStore::Sharded(sharded) => {
             let (next, new_refs, stats) = sharded.apply_update(refs, &builder, &r.ops)?;
@@ -1049,6 +1055,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
                 stats.n_dirty,
                 stats.rebuilt_shards,
                 stats.reused_components,
+                stats.phases,
             )
         }
     };
@@ -1088,6 +1095,15 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     if let Some(cache) = &state.exec_cache {
         cache.invalidate_epoch(entry.epoch);
     }
+    // A phase that did not run (a sharded store's index and context
+    // steps happen inside its shards) is zero: not recorded, not listed.
+    let mut phases_us = obj();
+    for ((name, took), hist) in phases.named().into_iter().zip(&state.update_metrics.phases) {
+        if !took.is_zero() {
+            hist.record(took);
+            phases_us = phases_us.field(name, took.as_micros() as u64);
+        }
+    }
     Ok(obj()
         .field("ok", true)
         .field("graph", next.name.as_str())
@@ -1101,6 +1117,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         .field("rebuilt_shards", rebuilt_shards)
         .field("reused_components", reused_components)
         .field("update_us", t0.elapsed().as_micros() as u64)
+        .field("phases_us", phases_us.build())
         .build())
 }
 
@@ -1162,6 +1179,26 @@ impl QueryMetrics {
             join: metrics.histogram("pipeline.join_us"),
             reduce: metrics.histogram("pipeline.reduce_us"),
             generate: metrics.histogram("pipeline.generate_us"),
+        }
+    }
+}
+
+/// Handles on what every `update_graph` records, resolved once like
+/// [`QueryMetrics`]: the wait for the graph's mutation lock, and one
+/// `live.<phase>_us` histogram per [`UpdatePhases`] step, in its order —
+/// always on, so where a batch's time went is read off `metrics`.
+struct UpdateMetrics {
+    lock_wait: Histogram,
+    phases: [Histogram; 9],
+}
+
+impl UpdateMetrics {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        Self {
+            lock_wait: metrics.histogram("serve.update_lock_wait_us"),
+            phases: UpdatePhases::default()
+                .named()
+                .map(|(name, _)| metrics.histogram(&format!("live.{name}_us"))),
         }
     }
 }
@@ -2301,6 +2338,28 @@ mod tests {
         assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
         assert_eq!(g.get("version").and_then(Json::as_u64), Some(1), "{stats}");
         fresh_handle.shutdown().unwrap();
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn update_graph_reports_and_records_its_phases() {
+        let (handle, mut client) = tiny_server(ServerConfig::default());
+        let reply = client.request(&update_request(&mutation_ops())).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        // Every step, in execution order, after the fields that were
+        // already there.
+        let text = reply.to_string();
+        let mut at = text.find("\"update_us\"").expect("update_us");
+        for (name, _) in UpdatePhases::default().named() {
+            let phase = reply.get("phases_us").and_then(|p| p.get(name));
+            assert!(phase.and_then(Json::as_u64).is_some(), "{name} in {reply}");
+            let next = text.find(&format!("\"{name}\"")).unwrap();
+            assert!(next > at, "{name} out of order in {reply}");
+            at = next;
+            let hist = handle.state.metrics.histogram(&format!("live.{name}_us"));
+            assert_eq!(hist.count(), 1, "live.{name}_us");
+        }
+        assert_eq!(handle.state.metrics.histogram("serve.update_lock_wait_us").count(), 1);
         handle.shutdown().unwrap();
     }
 

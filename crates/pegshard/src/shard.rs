@@ -237,7 +237,7 @@ impl Shard {
 
     /// Home-only histogram counts (see [`ShardSummary::hist`]).
     pub(crate) fn histogram(&self) -> HistogramEntries {
-        self.offline.paths.histogram_counts_where(&|sp| self.is_home_stored(&sp.nodes))
+        self.offline.paths.histogram_counts_where(&|sp| self.is_home_stored(sp.nodes))
     }
 
     /// This shard as freshly built from `full`: version 0, `rebuilt`.

@@ -10,6 +10,7 @@ use graphstore::hash::FxHashMap;
 use graphstore::{GraphOp, Label, RefGraph};
 use pathindex::PathMatch;
 use pegmatch::error::PegError;
+use pegmatch::live::UpdatePhases;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::OfflineOptions;
 use pegmatch::online::{CandidateSet, CandidateSource, Decomposition, PathStats, QueryPipeline};
@@ -115,6 +116,10 @@ pub struct UpdateStats {
     /// Existence components the store's own recompile of the full graph
     /// carried over from the previous model by `Arc`.
     pub reused_components: usize,
+    /// Time of the store's own steps (reference network and full-graph
+    /// recompile); the index and context phases stay zero — shards
+    /// rebuild whole behind the transport.
+    pub phases: UpdatePhases,
 }
 
 /// One entity graph partitioned into N shards, each owning its own
@@ -406,7 +411,10 @@ impl ShardedGraphStore {
     ) -> Result<(ShardedGraphStore, RefGraph, UpdateStats), PegError> {
         let t0 = Instant::now();
         let mut new_refs = refs.clone();
+        let refs_clone = t0.elapsed();
+        let t = Instant::now();
         let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
+        let apply_all = t.elapsed();
         let delta = builder.rebuild(&new_refs, &self.peg, &touched)?;
         let (transport, summaries) = self.transport.update(&UpdateRequest {
             ops,
@@ -419,6 +427,13 @@ impl ShardedGraphStore {
             n_dirty: delta.dirty.iter().filter(|d| **d).count(),
             rebuilt_shards: summaries.iter().filter(|s| s.rebuilt).count(),
             reused_components: delta.reused_components,
+            phases: UpdatePhases {
+                refs_clone,
+                apply_all,
+                compile: delta.compile_time,
+                existence: delta.existence_time,
+                ..Default::default()
+            },
         };
         let store = Self::assemble(delta.peg, transport, summaries, &self.opts, t0);
         Ok((store, new_refs, update))
