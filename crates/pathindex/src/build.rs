@@ -9,7 +9,9 @@
 //! each worker emits only canonically-oriented paths so every undirected
 //! path/labeling pair is stored exactly once.
 
-use crate::index::{count_hist, IdentityOracle, PathIndex, PathIndexConfig, PathMatch};
+use crate::index::{
+    cmp_with_reversed, count_hist, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
+};
 use graphstore::{EntityGraph, EntityId, Label};
 use std::time::{Duration, Instant};
 
@@ -353,30 +355,19 @@ fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, sink: &mut Sink<'_>) 
     }
 }
 
-/// Compares a sequence with its own reversal without allocating.
-fn cmp_with_reversed(seq: &[u16]) -> std::cmp::Ordering {
-    let n = seq.len();
-    for i in 0..n {
-        match seq[i].cmp(&seq[n - 1 - i]) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 /// On-demand path enumeration for thresholds *below* the index's `β`
 /// (the paper's footnote: such paths are "computed on demand").
 ///
-/// Walks the graph constrained to the exact `labels` sequence, returning all
-/// directed matches with total probability ≥ `min_prob`.
+/// Walks the graph constrained to the exact `labels` sequence, returning
+/// all directed matches with total probability ≥ `min_prob` — none for an
+/// empty sequence.
 pub fn enumerate_paths_online(
     graph: &EntityGraph,
     oracle: &dyn IdentityOracle,
     labels: &[Label],
     min_prob: f64,
-) -> Vec<PathMatch> {
-    let mut out = Vec::new();
+) -> PathMatches {
+    let mut out = PathMatches::new(labels.len());
     if labels.is_empty() {
         return out;
     }
@@ -400,7 +391,7 @@ fn walk_seq(
     min_prob: f64,
     prle: f64,
     nodes: &mut Vec<EntityId>,
-    out: &mut Vec<PathMatch>,
+    out: &mut PathMatches,
 ) {
     let depth = nodes.len();
     let prn = oracle.prn(nodes);
@@ -408,7 +399,7 @@ fn walk_seq(
         return;
     }
     if depth == labels.len() {
-        out.push(PathMatch { nodes: nodes.clone(), prle, prn });
+        out.push(nodes.iter().map(|v| v.0), prle, prn);
         return;
     }
     let last = *nodes.last().unwrap();
@@ -477,7 +468,7 @@ mod tests {
         assert_eq!(xy.len(), 1);
         let yx = idx.lookup(&[Label(1), Label(0)], 0.1);
         assert_eq!(yx.len(), 1);
-        assert_eq!(xy[0].nodes.iter().rev().copied().collect::<Vec<_>>(), yx[0].nodes);
+        assert_eq!(xy.row(0).iter().rev().copied().collect::<Vec<_>>(), yx.row(0));
         // (x,z) matches two edges: v0-v2 and v3-v2.
         assert_eq!(idx.lookup(&[Label(0), Label(2)], 0.1).len(), 2);
     }
@@ -530,6 +521,7 @@ mod tests {
             vec![Label(0), Label(1), Label(2)],
             vec![Label(0), Label(2), Label(0)],
             vec![Label(2), Label(0)],
+            vec![], // matches nothing, on either side
         ] {
             let mut a = idx.lookup(&labels, 0.2);
             let mut b = enumerate_paths_online(&g, &NoIdentity, &labels, 0.2);
@@ -621,7 +613,7 @@ mod tests {
         // x-z-x path: v0-v2-v3 (labels x,z,x). Palindromic: both directions.
         let got = idx.lookup(&[Label(0), Label(2), Label(0)], 0.1);
         assert_eq!(got.len(), 2);
-        let ns: Vec<Vec<u32>> = got.iter().map(|m| m.nodes.iter().map(|v| v.0).collect()).collect();
+        let ns: Vec<Vec<u32>> = got.iter().map(|m| m.nodes.to_vec()).collect();
         assert!(ns.contains(&vec![0, 2, 3]));
         assert!(ns.contains(&vec![3, 2, 0]));
     }

@@ -14,7 +14,9 @@
 //! so a lookup with threshold `α` is a single range scan from
 //! `("P", seq, bucket(α))` — the disk analogue of the in-memory structure.
 
-use crate::index::{canonicalize, push_matches, PathIndex, PathIndexConfig, PathMatch, StoredPath};
+use crate::index::{
+    push_matches, with_canonical, PathIndex, PathIndexConfig, PathMatches, StoredPath,
+};
 use graphstore::hash::FxHashMap;
 use graphstore::Label;
 use kvstore::{codec, Kv, KvError, Result};
@@ -202,18 +204,19 @@ impl<'a, K: Kv> DiskPathIndex<'a, K> {
 
     /// Directed matches for `labels` with total probability ≥ `min_prob`,
     /// via a single range scan per lookup.
-    pub fn lookup(&self, labels: &[Label], min_prob: f64) -> Result<Vec<PathMatch>> {
-        let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
-        let (canonical, orient) = canonicalize(&seq);
-        let Some(&id) = self.seq_ids.get(&canonical) else {
-            return Ok(Vec::new());
+    pub fn lookup(&self, labels: &[Label], min_prob: f64) -> Result<PathMatches> {
+        let mut out = PathMatches::new(labels.len());
+        let found = with_canonical(labels, |canonical, orient| {
+            self.seq_ids.get(canonical).map(|&id| (id, orient))
+        });
+        let Some((id, orient)) = found else {
+            return Ok(out);
         };
         // One bucket early — matches the in-memory lookup's tolerance for
         // probabilities a hair below the threshold (see `PathIndex::lookup`).
         let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1) as u8;
         let lo = entry_prefix(id, start_bucket);
         let hi = seq_upper_bound(id);
-        let mut out = Vec::new();
         let mut nodes = Vec::new();
         self.kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
             let e = decode_entry(v, &mut nodes);
@@ -303,9 +306,12 @@ mod tests {
         let mut kv = MemStore::new();
         save_index(&idx, &mut kv).unwrap();
         let disk = DiskPathIndex::open(&kv).unwrap();
-        for labels in
-            [vec![Label(0)], vec![Label(1), Label(2)], vec![Label(0), Label(1), Label(2), Label(0)]]
-        {
+        for labels in [
+            vec![Label(0)],
+            vec![Label(1), Label(2)],
+            vec![Label(0), Label(1), Label(2), Label(0)],
+            vec![], // matches nothing, on either side
+        ] {
             for alpha in [0.2, 0.5, 0.9] {
                 let mut a = idx.lookup(&labels, alpha);
                 let mut b = disk.lookup(&labels, alpha).unwrap();

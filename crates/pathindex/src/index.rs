@@ -91,7 +91,46 @@ impl StoredPath<'_> {
     }
 }
 
-/// A directed path match returned by lookups.
+/// Borrowing iterator over the rows of a [`PathMatches`] (or of one index
+/// bucket — the same three columns).
+#[derive(Clone, Debug)]
+pub struct PathMatchesIter<'a> {
+    nodes: std::slice::ChunksExact<'a, u32>,
+    prle: std::slice::Iter<'a, f64>,
+    prn: std::slice::Iter<'a, f64>,
+}
+
+impl<'a> Iterator for PathMatchesIter<'a> {
+    type Item = StoredPath<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<StoredPath<'a>> {
+        Some(StoredPath {
+            nodes: self.nodes.next()?,
+            prle: *self.prle.next()?,
+            prn: *self.prn.next()?,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.prle.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PathMatchesIter<'_> {}
+
+impl<'a> IntoIterator for &'a PathMatches {
+    type Item = StoredPath<'a>;
+    type IntoIter = PathMatchesIter<'a>;
+
+    fn into_iter(self) -> PathMatchesIter<'a> {
+        self.iter()
+    }
+}
+
+/// One directed path match, owned: what [`PathMatches::to_vec`] yields for
+/// callers that want to hold matches one by one (tests, experiments). The
+/// query path never builds these — it reads [`PathMatches`] rows in place.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PathMatch {
     /// Node ids in query orientation: `nodes[i]` matches position `i` of the
@@ -108,6 +147,192 @@ impl PathMatch {
     #[inline]
     pub fn prob(&self) -> f64 {
         self.prle * self.prn
+    }
+}
+
+/// Most nodes one [`packed_key`] holds.
+pub const KEY_WIDTH: usize = 4;
+
+/// Node ids packed big-endian, 32 bits each, first id most significant:
+/// the keys of two equally long sequences compare as the sequences do. At
+/// most [`KEY_WIDTH`] ids fit.
+#[inline]
+pub fn packed_key(nodes: impl IntoIterator<Item = u32>) -> u128 {
+    nodes.into_iter().fold(0, |key, n| (key << 32) | n as u128)
+}
+
+/// Directed path matches of one label sequence, flat: match `i` is
+/// `nodes[i * stride..(i + 1) * stride]` (query orientation — position `p`
+/// of the row matches position `p` of the requested sequence), `prle[i]`,
+/// `prn[i]`, with `stride` the sequence length. Three buffers for the
+/// whole set rather than one allocation per match: what lookups return,
+/// and the shape a candidate keeps from the index bucket through pruning,
+/// the execution cache and the shard reply to the join.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PathMatches {
+    stride: usize,
+    nodes: Vec<u32>,
+    prle: Vec<f64>,
+    prn: Vec<f64>,
+}
+
+impl PathMatches {
+    /// An empty set of matches of `stride` nodes each. Stride 0 is the
+    /// set of the empty label sequence, which matches nothing and stays
+    /// empty.
+    pub fn new(stride: usize) -> Self {
+        Self::with_capacity(stride, 0)
+    }
+
+    /// An empty set with room for `n` matches.
+    pub fn with_capacity(stride: usize, n: usize) -> Self {
+        Self {
+            stride,
+            nodes: Vec::with_capacity(n * stride),
+            prle: Vec::with_capacity(n),
+            prn: Vec::with_capacity(n),
+        }
+    }
+
+    /// Nodes per match.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Number of matches.
+    pub fn len(&self) -> usize {
+        self.prle.len()
+    }
+
+    /// Whether there are no matches.
+    pub fn is_empty(&self) -> bool {
+        self.prle.is_empty()
+    }
+
+    /// Appends one match; `nodes` must yield exactly `stride` ids.
+    #[inline]
+    pub fn push(&mut self, nodes: impl IntoIterator<Item = u32>, prle: f64, prn: f64) {
+        debug_assert!(self.stride > 0, "a path has at least one node");
+        self.nodes.extend(nodes);
+        self.prle.push(prle);
+        self.prn.push(prn);
+        debug_assert_eq!(self.nodes.len(), self.prle.len() * self.stride);
+    }
+
+    /// The node arena, row after row.
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// The node arena, writable — for renumbering every id in one pass.
+    pub fn nodes_mut(&mut self) -> &mut [u32] {
+        &mut self.nodes
+    }
+
+    /// The nodes of match `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.nodes[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// `Prle` per match.
+    pub fn prle(&self) -> &[f64] {
+        &self.prle
+    }
+
+    /// `Prn` per match.
+    pub fn prn(&self) -> &[f64] {
+        &self.prn
+    }
+
+    /// The matches in order, borrowed.
+    pub fn iter(&self) -> PathMatchesIter<'_> {
+        PathMatchesIter {
+            // A stride-0 set is empty; any chunk size walks its arena.
+            nodes: self.nodes.chunks_exact(self.stride.max(1)),
+            prle: self.prle.iter(),
+            prn: self.prn.iter(),
+        }
+    }
+
+    /// The matches as owned values, one allocation each.
+    pub fn to_vec(&self) -> Vec<PathMatch> {
+        self.iter()
+            .map(|m| PathMatch {
+                nodes: m.nodes.iter().map(|&n| EntityId(n)).collect(),
+                prle: m.prle,
+                prn: m.prn,
+            })
+            .collect()
+    }
+
+    /// Heap bytes held, growth slack included.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * 4 + (self.prle.capacity() + self.prn.capacity()) * 8
+    }
+
+    /// The matches `rows` names, in that order, in buffers of exactly
+    /// that size.
+    pub fn gather(&self, rows: &[u32]) -> PathMatches {
+        let mut out = PathMatches::with_capacity(self.stride, rows.len());
+        for &r in rows {
+            out.nodes.extend_from_slice(self.row(r as usize));
+            out.prle.push(self.prle[r as usize]);
+            out.prn.push(self.prn[r as usize]);
+        }
+        out
+    }
+
+    /// The matches whose index `keep` accepts, order kept, in buffers of
+    /// exactly that size; runs of kept neighbours are copied as slices.
+    pub fn filtered(&self, keep: impl Fn(usize) -> bool) -> PathMatches {
+        let n_kept = (0..self.len()).filter(|&i| keep(i)).count();
+        let mut out = PathMatches::with_capacity(self.stride, n_kept);
+        let mut i = 0;
+        while i < self.len() {
+            if !keep(i) {
+                i += 1;
+                continue;
+            }
+            let from = i;
+            while i < self.len() && keep(i) {
+                i += 1;
+            }
+            out.nodes.extend_from_slice(&self.nodes[from * self.stride..i * self.stride]);
+            out.prle.extend_from_slice(&self.prle[from..i]);
+            out.prn.extend_from_slice(&self.prn[from..i]);
+        }
+        out
+    }
+
+    /// Sorts `rows` (indices of matches) by ascending node sequence — on
+    /// `(packed key, row)` pairs while a row fits one key, by comparing
+    /// rows otherwise.
+    pub fn sort_rows(&self, rows: &mut [u32]) {
+        if self.stride > KEY_WIDTH {
+            rows.sort_unstable_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
+            return;
+        }
+        let mut keyed: Vec<(u128, u32)> =
+            rows.iter().map(|&r| (packed_key(self.row(r as usize).iter().copied()), r)).collect();
+        keyed.sort_unstable();
+        for (slot, (_, r)) in rows.iter_mut().zip(keyed) {
+            *slot = r;
+        }
+    }
+
+    /// **Tests only** — this crate's tests and `tests/persistence.rs` compare
+    /// lookups irrespective of bucket order through this; it goes once that
+    /// file may call `to_vec()` and sort the result instead. Reorders the
+    /// matches by `cmp` over owned copies of them, one allocation per match:
+    /// the shape the query path no longer has. Query code orders rows with
+    /// [`PathMatches::sort_rows`].
+    #[doc(hidden)]
+    pub fn sort_by(&mut self, mut cmp: impl FnMut(&PathMatch, &PathMatch) -> std::cmp::Ordering) {
+        let owned = self.to_vec();
+        let mut rows: Vec<u32> = (0..self.len() as u32).collect();
+        rows.sort_by(|&a, &b| cmp(&owned[a as usize], &owned[b as usize]));
+        *self = self.gather(&rows);
     }
 }
 
@@ -129,13 +354,12 @@ impl Bucket {
     }
 
     /// The entries in order; `stride` is the sequence length.
-    pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = StoredPath<'_>> {
-        let probs = self.prle.iter().zip(&self.prn);
-        self.nodes.chunks_exact(stride).zip(probs).map(|(nodes, (&prle, &prn))| StoredPath {
-            nodes,
-            prle,
-            prn,
-        })
+    pub(crate) fn iter(&self, stride: usize) -> PathMatchesIter<'_> {
+        PathMatchesIter {
+            nodes: self.nodes.chunks_exact(stride),
+            prle: self.prle.iter(),
+            prn: self.prn.iter(),
+        }
     }
 
     fn shrink_to_fit(&mut self) {
@@ -200,12 +424,43 @@ pub(crate) enum Orientation {
     Palindrome,
 }
 
-pub(crate) fn canonicalize(seq: &[u16]) -> (Vec<u16>, Orientation) {
-    let rev: Vec<u16> = seq.iter().rev().copied().collect();
-    match seq.cmp(rev.as_slice()) {
-        std::cmp::Ordering::Less => (seq.to_vec(), Orientation::Forward),
-        std::cmp::Ordering::Greater => (rev, Orientation::Reverse),
-        std::cmp::Ordering::Equal => (seq.to_vec(), Orientation::Palindrome),
+/// Compares a sequence with its own reversal without allocating.
+pub(crate) fn cmp_with_reversed<T: Ord>(seq: &[T]) -> std::cmp::Ordering {
+    seq.iter().cmp(seq.iter().rev())
+}
+
+/// How `labels` relates to the orientation it is stored under.
+fn orientation(labels: &[Label]) -> Orientation {
+    match cmp_with_reversed(labels) {
+        std::cmp::Ordering::Less => Orientation::Forward,
+        std::cmp::Ordering::Greater => Orientation::Reverse,
+        std::cmp::Ordering::Equal => Orientation::Palindrome,
+    }
+}
+
+/// Label sequences up to this long are canonicalized on the stack.
+const CANON_INLINE: usize = 8;
+
+/// Calls `f` with the canonical (stored) orientation of `labels` — the key
+/// the index maps are probed with — and how `labels` relates to it. The
+/// key lives on the stack unless the sequence is longer than any served
+/// index path.
+pub(crate) fn with_canonical<R>(labels: &[Label], f: impl FnOnce(&[u16], Orientation) -> R) -> R {
+    let orient = orientation(labels);
+    let n = labels.len();
+    let fill = |key: &mut [u16]| {
+        for (i, slot) in key.iter_mut().enumerate() {
+            *slot = if orient == Orientation::Reverse { labels[n - 1 - i].0 } else { labels[i].0 };
+        }
+    };
+    if n <= CANON_INLINE {
+        let mut key = [0u16; CANON_INLINE];
+        fill(&mut key[..n]);
+        f(&key[..n], orient)
+    } else {
+        let mut key = vec![0u16; n];
+        fill(&mut key);
+        f(&key, orient)
     }
 }
 
@@ -217,9 +472,7 @@ pub(crate) fn canonicalize(seq: &[u16]) -> (Vec<u16>, Orientation) {
 /// histograms) can reproduce [`PathIndex::estimate_count`]'s keying
 /// exactly.
 pub fn canonical_label_seq(labels: &[Label]) -> (Vec<u16>, bool) {
-    let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
-    let (canonical, orient) = canonicalize(&seq);
-    (canonical, orient == Orientation::Palindrome)
+    with_canonical(labels, |key, orient| (key.to_vec(), orient == Orientation::Palindrome))
 }
 
 /// The estimation core shared by [`PathIndex::estimate_count`] and
@@ -342,25 +595,23 @@ impl PathIndex {
     }
 
     /// All directed path matches for `labels` with total probability
-    /// ≥ `min_prob`. (`PIndex(lQ(VP), α)` of the paper.)
-    pub fn lookup(&self, labels: &[Label], min_prob: f64) -> Vec<PathMatch> {
-        let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
-        let (canonical, orient) = canonicalize(&seq);
-        let Some(se) = self.map.get(&canonical) else {
-            return Vec::new();
-        };
-        // Start one bucket early: floating-point probabilities a hair below
-        // `min_prob` may land in the previous bucket yet pass the exact
-        // (epsilon-tolerant) per-entry filter below.
-        let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1);
-        let mut out = Vec::new();
-        for b in &se.buckets[start_bucket..] {
-            for e in b.iter(canonical.len()) {
-                if e.prob() + 1e-12 >= min_prob {
-                    push_matches(&mut out, orient, e);
+    /// ≥ `min_prob`, in bucket order. (`PIndex(lQ(VP), α)` of the paper.)
+    pub fn lookup(&self, labels: &[Label], min_prob: f64) -> PathMatches {
+        let mut out = PathMatches::new(labels.len());
+        with_canonical(labels, |canonical, orient| {
+            let Some(se) = self.map.get(canonical) else { return };
+            // Start one bucket early: floating-point probabilities a hair
+            // below `min_prob` may land in the previous bucket yet pass the
+            // exact (epsilon-tolerant) per-entry filter below.
+            let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1);
+            for b in &se.buckets[start_bucket..] {
+                for e in b.iter(canonical.len()) {
+                    if e.prob() + 1e-12 >= min_prob {
+                        push_matches(&mut out, orient, e);
+                    }
                 }
             }
-        }
+        });
         out
     }
 
@@ -373,32 +624,29 @@ impl PathIndex {
     /// Histogram-based estimate of `|PIndex(labels, alpha)|` using
     /// exponential interpolation between grid points (Section 5.2.1).
     pub fn estimate_count(&self, labels: &[Label], alpha: f64) -> f64 {
-        let seq: Vec<u16> = labels.iter().map(|l| l.0).collect();
-        let (canonical, orient) = canonicalize(&seq);
-        let Some(se) = self.map.get(&canonical) else {
-            return 0.0;
-        };
-        estimate_from_counts(
-            &self.config.hist_grid,
-            &se.hist,
-            alpha,
-            orient == Orientation::Palindrome,
-            labels.len(),
-        )
+        with_canonical(labels, |canonical, orient| {
+            let Some(se) = self.map.get(canonical) else {
+                return 0.0;
+            };
+            estimate_from_counts(
+                &self.config.hist_grid,
+                &se.hist,
+                alpha,
+                orient == Orientation::Palindrome,
+                labels.len(),
+            )
+        })
     }
 }
 
 /// The directed matches one stored entry answers under `orient`: itself,
 /// its reversal, or — palindromic sequences of more than one node — both.
-pub(crate) fn push_matches(out: &mut Vec<PathMatch>, orient: Orientation, e: StoredPath<'_>) {
-    let forward = || e.nodes.iter().map(|&n| EntityId(n)).collect();
-    let reverse = || e.nodes.iter().rev().map(|&n| EntityId(n)).collect();
-    let (prle, prn) = (e.prle, e.prn);
+pub(crate) fn push_matches(out: &mut PathMatches, orient: Orientation, e: StoredPath<'_>) {
     if orient != Orientation::Reverse {
-        out.push(PathMatch { nodes: forward(), prle, prn });
+        out.push(e.nodes.iter().copied(), e.prle, e.prn);
     }
     if orient == Orientation::Reverse || (orient == Orientation::Palindrome && e.nodes.len() > 1) {
-        out.push(PathMatch { nodes: reverse(), prle, prn });
+        out.push(e.nodes.iter().rev().copied(), e.prle, e.prn);
     }
 }
 
@@ -408,10 +656,55 @@ mod tests {
 
     #[test]
     fn canonicalization() {
-        assert_eq!(canonicalize(&[1, 2, 3]), (vec![1, 2, 3], Orientation::Forward));
-        assert_eq!(canonicalize(&[3, 2, 1]), (vec![1, 2, 3], Orientation::Reverse));
-        assert_eq!(canonicalize(&[2, 1, 2]), (vec![2, 1, 2], Orientation::Palindrome));
-        assert_eq!(canonicalize(&[5]), (vec![5], Orientation::Palindrome));
+        let canon = |seq: &[u16]| {
+            let labels: Vec<Label> = seq.iter().map(|&l| Label(l)).collect();
+            with_canonical(&labels, |key, orient| (key.to_vec(), orient))
+        };
+        assert_eq!(canon(&[1, 2, 3]), (vec![1, 2, 3], Orientation::Forward));
+        assert_eq!(canon(&[3, 2, 1]), (vec![1, 2, 3], Orientation::Reverse));
+        assert_eq!(canon(&[2, 1, 2]), (vec![2, 1, 2], Orientation::Palindrome));
+        assert_eq!(canon(&[5]), (vec![5], Orientation::Palindrome));
+        // Past the inline width the key spills to the heap, same answer.
+        let long: Vec<u16> = (0..12).rev().collect();
+        assert_eq!(canon(&long), ((0..12).collect(), Orientation::Reverse));
+        assert_eq!(canonical_label_seq(&[Label(2), Label(1), Label(2)]), (vec![2, 1, 2], true));
+    }
+
+    #[test]
+    fn flat_matches_gather_filter_and_sort() {
+        let mut m = PathMatches::new(2);
+        for (i, nodes) in [[9u32, 1], [3, 7], [3, 2], [8, 8]].into_iter().enumerate() {
+            m.push(nodes, 0.1 * (i + 1) as f64, 1.0);
+        }
+        assert_eq!((m.len(), m.stride()), (4, 2));
+        assert_eq!(m.row(1), &[3, 7]);
+        // Canonical order of a subset, by packed key.
+        let mut rows = vec![0u32, 1, 2];
+        m.sort_rows(&mut rows);
+        assert_eq!(rows, vec![2, 1, 0]);
+        let picked = m.gather(&rows);
+        assert_eq!(picked.nodes(), &[3, 2, 3, 7, 9, 1]);
+        assert_eq!(picked.prle()[0].to_bits(), m.prle()[2].to_bits());
+        assert_eq!(picked.heap_bytes(), 3 * (2 * 4 + 16), "gathered buffers are exactly sized");
+        // A filter keeps order and copies runs.
+        let kept = m.filtered(|i| i != 1);
+        assert_eq!(kept.nodes(), &[9, 1, 3, 2, 8, 8]);
+        assert_eq!(kept.len(), 3);
+        // A comparator sort agrees with the key sort on the whole set.
+        let mut all: Vec<u32> = (0..4).collect();
+        m.sort_rows(&mut all);
+        let by_key = m.gather(&all);
+        m.sort_by(|a, b| a.nodes.cmp(&b.nodes));
+        assert_eq!(m, by_key);
+        let owned = m.to_vec();
+        assert_eq!(owned[0].nodes, vec![EntityId(3), EntityId(2)]);
+        // Rows wider than a key fall back to comparing slices.
+        let mut wide = PathMatches::new(5);
+        wide.push([1, 2, 3, 4, 9], 0.5, 1.0);
+        wide.push([1, 2, 3, 4, 5], 0.5, 1.0);
+        let mut rows = vec![0u32, 1];
+        wide.sort_rows(&mut rows);
+        assert_eq!(rows, vec![1, 0]);
     }
 
     #[test]
@@ -431,14 +724,18 @@ mod tests {
 
         let fwd = idx.lookup(&[Label(1), Label(2), Label(3)], 0.5);
         assert_eq!(fwd.len(), 1);
-        assert_eq!(fwd[0].nodes, vec![EntityId(10), EntityId(11), EntityId(12)]);
+        assert_eq!(fwd.row(0), &[10, 11, 12]);
 
         let rev = idx.lookup(&[Label(3), Label(2), Label(1)], 0.5);
         assert_eq!(rev.len(), 1);
-        assert_eq!(rev[0].nodes, vec![EntityId(12), EntityId(11), EntityId(10)]);
+        assert_eq!(rev.row(0), &[12, 11, 10]);
 
         assert!(idx.lookup(&[Label(1), Label(2), Label(3)], 0.9).is_empty());
         assert!(idx.lookup(&[Label(9)], 0.1).is_empty());
+        // The empty sequence matches nothing (and is not a panic).
+        let none = idx.lookup(&[], 0.1);
+        assert_eq!((none.len(), none.stride(), none.iter().count()), (0, 0, 0));
+        assert_eq!(none.to_vec(), Vec::new());
     }
 
     #[test]
@@ -447,7 +744,7 @@ mod tests {
         idx.insert(&[1, 2, 1], [5, 6, 7], 0.9, 1.0);
         let got = idx.lookup(&[Label(1), Label(2), Label(1)], 0.1);
         assert_eq!(got.len(), 2);
-        assert_ne!(got[0].nodes, got[1].nodes);
+        assert_ne!(got.row(0), got.row(1));
         // Single nodes are not doubled.
         let mut idx2 = PathIndex::empty(PathIndexConfig::default());
         idx2.insert(&[4], [9], 1.0, 1.0);

@@ -31,8 +31,8 @@ mod reference;
 
 pub use build::{build_index, enumerate_paths_online, update_index, IndexUpdateTimes};
 pub use index::{
-    canonical_label_seq, estimate_from_counts, IdentityOracle, NoIdentity, PathIndex,
-    PathIndexConfig, PathMatch, StoredPath,
+    canonical_label_seq, estimate_from_counts, packed_key, IdentityOracle, NoIdentity, PathIndex,
+    PathIndexConfig, PathMatch, PathMatches, StoredPath, KEY_WIDTH,
 };
 
 /// Default histogram grid (the paper's "selected probability points").

@@ -96,8 +96,8 @@ proptest! {
         let index = build_index(&graph, &NoIdentity, &config);
         for seq in all_sequences(3) {
             for alpha in [0.2, 0.5, 0.8] {
-                let mut a = index.lookup(&seq, alpha);
-                let mut b = enumerate_paths_online(&graph, &NoIdentity, &seq, alpha);
+                let mut a = index.lookup(&seq, alpha).to_vec();
+                let mut b = enumerate_paths_online(&graph, &NoIdentity, &seq, alpha).to_vec();
                 a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
                 b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
                 assert_matches_eq(&a, &b)?;
@@ -129,7 +129,7 @@ proptest! {
             let config = PathIndexConfig { max_len: 3, beta, ..Default::default() };
             let index = build_index(&graph, &NoIdentity, &config);
             for seq in all_sequences(3) {
-                for m in index.lookup(&seq, 0.0) {
+                for m in index.lookup(&seq, 0.0).iter() {
                     prop_assert!(m.prob() + 1e-9 >= beta);
                 }
             }

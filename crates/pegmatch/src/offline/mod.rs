@@ -12,7 +12,7 @@ use crate::model::{ExistenceModel, Peg};
 use graphstore::{EntityId, Label};
 use pathindex::{
     build_index, enumerate_paths_online, update_index, IdentityOracle, PathIndex, PathIndexConfig,
-    PathMatch,
+    PathMatches,
 };
 use std::time::{Duration, Instant};
 
@@ -125,7 +125,7 @@ impl OfflineIndex {
 
     /// `PIndex(labels, alpha)`: index lookup when `alpha ≥ β`, on-demand
     /// enumeration otherwise (the paper's fallback footnote).
-    pub fn path_matches(&self, peg: &Peg, labels: &[Label], alpha: f64) -> Vec<PathMatch> {
+    pub fn path_matches(&self, peg: &Peg, labels: &[Label], alpha: f64) -> PathMatches {
         if alpha + 1e-12 >= self.paths.config().beta {
             self.paths.lookup(labels, alpha)
         } else {
@@ -158,10 +158,9 @@ mod tests {
         let (a, r, i) = (Label(0), Label(1), Label(2));
         let got = idx.path_matches(&peg, &[r, a, i], 0.2);
         assert_eq!(got.len(), 1);
-        let nodes: Vec<u32> = got[0].nodes.iter().map(|v| v.0).collect();
-        assert_eq!(nodes, vec![4, 1, 0]);
-        assert!((got[0].prle - 0.253125).abs() < 1e-9);
-        assert!((got[0].prn - 0.8).abs() < 1e-9);
+        assert_eq!(got.row(0), &[4, 1, 0]);
+        assert!((got.prle()[0] - 0.253125).abs() < 1e-9);
+        assert!((got.prn()[0] - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! sharded deployment, a full scatter round trip — even when the serving
 //! mix is dominated by isomorphic renumberings of a handful of shapes.
 //! This module caches the *execution* artifact those queries share: the
-//! post-prune candidate lists of a shape's decomposition paths, retrieved
-//! once at a **floor threshold** and re-pruned per hitting query.
+//! post-prune candidate sets of a shape's decomposition paths — flat node
+//! arenas with `prle` / `prn` / keep-bound columns
+//! ([`CandidateSet`]), about 36 bytes per three-node candidate — retrieved
+//! once at a **floor threshold** and re-pruned per hitting query by copying
+//! the surviving column slices.
 //!
 //! # Soundness of floor-threshold reuse
 //!
@@ -34,8 +37,9 @@
 //! # Keying
 //!
 //! [`ExecKey`] pins everything retrieval output depends on: the graph
-//! **epoch** (a server-issued stamp bumped on load, so `unload_graph` and
-//! future in-place mutation invalidate without scanning), the **canonical
+//! **epoch** (a server-issued stamp, fresh on every load and every
+//! `update_graph`, so unloading or mutating a graph retires its entries
+//! without scanning their contents), the **canonical
 //! form** of the query shape (labels + edges under the canonical
 //! numbering), the decomposition **paths mapped into canonical
 //! numbering** (plan-cache eviction could replan a shape differently; two
@@ -177,7 +181,7 @@ pub struct ExecCacheStats {
     pub evictions: u64,
     /// Live entries.
     pub entries: usize,
-    /// Estimated bytes held by live entries.
+    /// Bytes held by live entries ([`entry_bytes`]).
     pub bytes: usize,
     /// Byte budget.
     pub budget: usize,
@@ -195,13 +199,10 @@ impl ExecCacheStats {
     }
 }
 
-/// Estimated heap footprint of a cached retrieval, for budget accounting.
-/// Counts per-set and per-match fixed overhead plus node and bound
-/// storage; deliberately coarse (an estimate drives eviction, not safety).
+/// Heap footprint of a cached retrieval, for budget accounting: the
+/// capacities of every set's candidate columns plus the per-set headers.
 pub fn entry_bytes(sets: &[CandidateSet]) -> usize {
-    sets.iter()
-        .map(|cs| 64 + cs.matches.iter().map(|m| 48 + m.nodes.len() * 4 + 8).sum::<usize>())
-        .sum()
+    sets.iter().map(|cs| std::mem::size_of::<CandidateSet>() + cs.heap_bytes()).sum()
 }
 
 /// Byte-bounded, shape-keyed cache of floor-threshold retrievals. One
@@ -214,7 +215,7 @@ pub struct ExecCache {
 }
 
 impl ExecCache {
-    /// Creates a cache holding at most `budget` estimated bytes. Entries
+    /// Creates a cache holding at most `budget` bytes of entries. Entries
     /// larger than the whole budget are never admitted.
     pub fn new(budget: usize) -> Self {
         ExecCache {
@@ -282,8 +283,8 @@ impl ExecCache {
         inner.map.insert(key, CachedSets { sets, bytes, last_used: tick });
     }
 
-    /// Drops every entry stamped with `epoch` — the `unload_graph` hook
-    /// (and the invalidation hook for future in-place graph mutation).
+    /// Drops every entry stamped with `epoch` — the `unload_graph` and
+    /// `update_graph` hook.
     pub fn invalidate_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock().unwrap();
         let victims: Vec<ExecKey> =
@@ -322,18 +323,28 @@ impl ExecCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphstore::EntityId;
-    use pathindex::PathMatch;
+    use pathindex::PathMatches;
 
     fn set_of(n: usize) -> CandidateSet {
-        let matches = (0..n)
-            .map(|i| PathMatch {
-                nodes: vec![EntityId(i as u32), EntityId((i + 1) as u32)],
-                prle: 0.5,
-                prn: 0.5,
-            })
-            .collect();
+        let mut matches = PathMatches::with_capacity(2, n);
+        for i in 0..n as u32 {
+            matches.push([i, i + 1], 0.5, 0.5);
+        }
         CandidateSet { matches, bounds: vec![0.25; n], raw_count: n }
+    }
+
+    #[test]
+    fn entry_bytes_is_the_sum_of_the_column_capacities() {
+        // Two nodes (4 B each), prle, prn and the keep-bound (8 B each) per
+        // candidate, nothing estimated: 32 B at stride 2, 36 B at stride 3.
+        let header = std::mem::size_of::<CandidateSet>();
+        assert_eq!(entry_bytes(&[set_of(10)]), header + 10 * (2 * 4 + 3 * 8));
+        assert_eq!(entry_bytes(&[set_of(10), set_of(3)]), 2 * header + 13 * 32);
+        // Growth slack is held memory, so it counts.
+        let mut slack = set_of(4);
+        slack.bounds.reserve_exact(100);
+        let cap = slack.bounds.capacity();
+        assert_eq!(entry_bytes(std::slice::from_ref(&slack)), header + 4 * 24 + cap * 8);
     }
 
     fn key(epoch: u64, tag: u16, floor: f64) -> ExecKey {

@@ -56,7 +56,7 @@ use crate::query::{QNode, QueryGraph};
 use crate::Peg;
 use graphstore::hash::FxHashMap;
 use graphstore::{EntityId, Label};
-use pathindex::PathMatch;
+use pathindex::{packed_key, PathMatches, KEY_WIDTH};
 
 const EPS: f64 = 1e-12;
 
@@ -959,15 +959,15 @@ impl PathFactors {
     fn compute(
         peg: &Peg,
         labels: &[Label],
-        matches: &[PathMatch],
+        matches: &PathMatches,
         pool: &pegpool::ThreadPool,
     ) -> Self {
         if pool.lanes() == 1 || matches.len() < 64 {
-            return Self::of(peg, labels, matches);
+            return Self::of(peg, labels, matches, 0..matches.len());
         }
         let chunks = pool.chunks(matches.len(), 4);
         let mut pieces = pool
-            .map(chunks.len(), |ci| Self::of(peg, labels, &matches[chunks[ci].clone()]))
+            .map(chunks.len(), |ci| Self::of(peg, labels, matches, chunks[ci].clone()))
             .into_iter();
         let mut all = pieces.next().expect("at least one chunk");
         for piece in pieces {
@@ -978,24 +978,32 @@ impl PathFactors {
         all
     }
 
-    fn of(peg: &Peg, labels: &[Label], matches: &[PathMatch]) -> Self {
-        let (n, len) = (matches.len(), labels.len());
+    /// Factors of candidates `range` of `matches`, read off the node arena.
+    fn of(
+        peg: &Peg,
+        labels: &[Label],
+        matches: &PathMatches,
+        range: std::ops::Range<usize>,
+    ) -> Self {
+        let (n, len) = (range.len(), labels.len());
+        assert_eq!(matches.stride(), len, "a candidate carries one image per path node");
         let mut out = Self {
             len,
             labels: Vec::with_capacity(n * len),
             edges: Vec::with_capacity(n * (len - 1)),
             compatible: Vec::with_capacity(n),
         };
-        for pm in matches {
-            let nodes = pm.nodes.as_slice();
-            assert_eq!(nodes.len(), len, "a candidate carries one image per path node");
-            out.labels.extend(nodes.iter().zip(labels).map(|(&e, &l)| peg.graph.label_prob(e, l)));
+        for v in range {
+            let nodes = matches.row(v);
+            let image = |pos: usize| EntityId(nodes[pos]);
+            out.labels.extend((0..len).map(|a| peg.graph.label_prob(image(a), labels[a])));
             out.edges
                 .extend((1..len).map(|b| {
-                    peg.graph.edge_prob(nodes[b - 1], nodes[b], labels[b - 1], labels[b])
+                    peg.graph.edge_prob(image(b - 1), image(b), labels[b - 1], labels[b])
                 }));
-            out.compatible.push(nodes.iter().enumerate().all(|(a, &ea)| {
-                nodes[a + 1..].iter().all(|&eb| ea != eb && peg.graph.refs_disjoint(ea, eb))
+            out.compatible.push((0..len).all(|a| {
+                (a + 1..len)
+                    .all(|b| nodes[a] != nodes[b] && peg.graph.refs_disjoint(image(a), image(b)))
             }));
         }
         out
@@ -1024,14 +1032,13 @@ impl PathFactors {
     }
 }
 
-/// Shared-node images packed into one join key, 32 bits each. A pair
-/// sharing more nodes than this (index paths longer than the serving cap)
-/// buckets on the first `KEY_WIDTH` and compares the rest per candidate.
-const KEY_WIDTH: usize = 4;
-
-fn packed_key(nodes: &[EntityId], positions: &[usize]) -> u128 {
+/// The images at `positions` packed into one join key
+/// ([`pathindex::packed_key`]). A pair sharing more nodes than
+/// [`KEY_WIDTH`] (index paths longer than the serving cap) buckets on the
+/// first `KEY_WIDTH` and compares the rest per candidate.
+fn join_key(nodes: &[EntityId], positions: &[usize]) -> u128 {
     debug_assert!(positions.len() <= KEY_WIDTH);
-    positions.iter().fold(0, |key, &p| (key << 32) | nodes[p].0 as u128)
+    packed_key(positions.iter().map(|&p| nodes[p].0))
 }
 
 /// Everything about a joined pair `(i, j)` that no candidate changes,
@@ -1103,7 +1110,7 @@ impl KeyTable {
                 bucket.push(u32::MAX);
                 continue;
             }
-            let key = packed_key(&nodes[v * factors.len..(v + 1) * factors.len], key_pos);
+            let key = join_key(&nodes[v * factors.len..(v + 1) * factors.len], key_pos);
             let next = bucket_of.len() as u32;
             let b = *bucket_of.entry(key).or_insert(next);
             if b == next {
@@ -1168,7 +1175,7 @@ impl Probe<'_> {
                 continue;
             }
             let ni = &self.nodes_i[wi * li..(wi + 1) * li];
-            let bucket = self.table.get(packed_key(ni, &self.plan.key_i));
+            let bucket = self.table.get(join_key(ni, &self.plan.key_i));
             // Path i's label product opens every pair's `Prle` the same
             // way; take it once per candidate.
             let Some(prefix) = product_nonzero(1.0, self.factors_i.labels_of(wi)) else { continue };
@@ -1282,9 +1289,12 @@ pub fn build_kpartite_traced(
         let matches = &candidate_sets[i].matches;
         let f = PathFactors::compute(peg, &path.labels(query), matches, pool);
         writer.add_partition(&decomp.joins[i], path.nodes.len(), matches.len());
+        let mut images: Vec<EntityId> = Vec::with_capacity(path.nodes.len());
         for (v, pm) in matches.iter().enumerate() {
             let w1 = f.w1(v, &cover.owned_nodes[i], &cover.owned_edges[i]);
-            writer.add_vertex(&pm.nodes, w1, pm.prn);
+            images.clear();
+            images.extend(pm.nodes.iter().map(|&n| EntityId(n)));
+            writer.add_vertex(&images, w1, pm.prn);
         }
         factors.push(f);
     }
@@ -1341,7 +1351,7 @@ mod tests {
     use super::*;
     use crate::model::peg::{figure1_refgraph, PegBuilder};
     use crate::offline::{OfflineIndex, OfflineOptions};
-    use crate::online::candidates::{find_candidates, NodeCandidateCache, PathStats};
+    use crate::online::candidates::{retrieve_candidates, PathStats};
     use crate::online::decompose::{decompose, DecompStrategy};
     use graphstore::dist::{EdgeProbability, LabelDist};
     use graphstore::Label;
@@ -1355,16 +1365,8 @@ mod tests {
         let q = crate::query::QueryGraph::path(&[r, a, i]).unwrap();
         let d = decompose(&q, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
         assert_eq!(d.paths.len(), 2);
-        let cache = NodeCandidateCache::new();
         let pool = pegpool::pool_with(1);
-        let sets: Vec<CandidateSet> = d
-            .paths
-            .iter()
-            .map(|p| {
-                let s = PathStats::new(&q, p);
-                find_candidates(&peg, &idx, &q, p, &s, alpha, &cache, &pool)
-            })
-            .collect();
+        let sets = retrieve(&peg, &idx, &q, &d, alpha);
         let kp = build_kpartite(&peg, &q, &d, &sets, alpha, &pool);
         (peg, kp, d)
     }
@@ -1441,23 +1443,20 @@ mod tests {
         let (a, r, i) = (Label(0), Label(1), Label(2));
         let q = crate::query::QueryGraph::path(&[r, a, i]).unwrap();
         let d = decompose(&q, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
-        let cache = NodeCandidateCache::new();
         let seq_pool = pegpool::pool_with(1);
-        let sets: Vec<CandidateSet> = d
-            .paths
-            .iter()
-            .map(|p| {
-                let s = PathStats::new(&q, p);
-                let mut cs = find_candidates(&peg, &idx, &q, p, &s, 0.01, &cache, &seq_pool);
-                // Tile the figure-1 candidates past the chunking threshold
-                // (64) so the pooled vertex-build and probe branches —
-                // which this test exists to cover — actually execute.
+        // Tile the figure-1 candidates past the chunking threshold (64) so
+        // the pooled vertex-build and probe branches — which this test
+        // exists to cover — actually execute.
+        let sets: Vec<CandidateSet> = retrieve(&peg, &idx, &q, &d, 0.01)
+            .into_iter()
+            .map(|cs| {
                 assert!(!cs.matches.is_empty());
-                let originals = cs.matches.clone();
-                while cs.matches.len() < 100 {
-                    cs.matches.extend(originals.iter().cloned());
+                let tiled: Vec<u32> = (0..100).map(|i| (i % cs.matches.len()) as u32).collect();
+                CandidateSet {
+                    matches: cs.matches.gather(&tiled),
+                    bounds: tiled.iter().map(|&r| cs.bounds[r as usize]).collect(),
+                    raw_count: cs.raw_count,
                 }
-                cs
             })
             .collect();
         assert!(sets.iter().all(|cs| cs.matches.len() >= 64));
@@ -1717,15 +1716,16 @@ mod tests {
             for i in 0..k {
                 let joined = decomp.joins[i].clone();
                 let path = &decomp.paths[i];
-                let make_vert = |pm: &PathMatch| {
+                let make_vert = |pm: pathindex::StoredPath<'_>| {
+                    let nodes: Vec<EntityId> = pm.nodes.iter().map(|&n| EntityId(n)).collect();
                     let mut w1 = 1.0;
                     for &pos in &cover.owned_nodes[i] {
-                        w1 *= peg.graph.label_prob(pm.nodes[pos], query.label(path.nodes[pos]));
+                        w1 *= peg.graph.label_prob(nodes[pos], query.label(path.nodes[pos]));
                     }
                     for &(a, b) in &cover.owned_edges[i] {
                         w1 *= peg.graph.edge_prob(
-                            pm.nodes[a],
-                            pm.nodes[b],
+                            nodes[a],
+                            nodes[b],
                             query.label(path.nodes[a]),
                             query.label(path.nodes[b]),
                         );
@@ -1733,7 +1733,7 @@ mod tests {
                     let mut perception = vec![1.0; k];
                     perception[i] = w1;
                     Vert {
-                        nodes: pm.nodes.clone(),
+                        nodes,
                         w1,
                         w2: pm.prn,
                         links: vec![Vec::new(); joined.len()],
@@ -1909,10 +1909,11 @@ mod tests {
         d: &Decomposition,
         alpha: f64,
     ) -> Vec<CandidateSet> {
-        let (cache, pool) = (NodeCandidateCache::new(), pegpool::pool_with(1));
-        d.paths
-            .iter()
-            .map(|p| find_candidates(peg, idx, q, p, &PathStats::new(q, p), alpha, &cache, &pool))
+        let pool = pegpool::pool_with(1);
+        let pstats: Vec<PathStats> = d.paths.iter().map(|p| PathStats::new(q, p)).collect();
+        retrieve_candidates(peg, idx, q, &d.paths, &pstats, alpha, &pool, None, false)
+            .into_iter()
+            .map(|got| got.set)
             .collect()
     }
 
@@ -1997,13 +1998,12 @@ mod tests {
         let d = paths(&[&[0, 1], &[1, 2]]);
         let (s1, s2, s3, s4, s34) =
             (EntityId(0), EntityId(1), EntityId(2), EntityId(3), EntityId(4));
-        let set = |cands: &[[EntityId; 2]]| CandidateSet {
-            matches: cands
-                .iter()
-                .map(|c| PathMatch { nodes: c.to_vec(), prle: 1.0, prn: peg.prn(c) })
-                .collect(),
-            bounds: vec![1.0; cands.len()],
-            raw_count: cands.len(),
+        let set = |cands: &[[EntityId; 2]]| {
+            let mut matches = PathMatches::new(2);
+            for c in cands {
+                matches.push(c.iter().map(|v| v.0), 1.0, peg.prn(c));
+            }
+            CandidateSet { matches, bounds: vec![1.0; cands.len()], raw_count: cands.len() }
         };
         let sets = [set(&[[s3, s2], [s34, s2], [s4, s2]]), set(&[[s2, s34], [s2, s4], [s2, s1]])];
         let kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.0, "structural");
@@ -2112,7 +2112,7 @@ mod tests {
         let d = paths(&[&[0, 1], &[1, 2]]);
         let mut sets = retrieve(&peg, &idx, &q, &d, 0.05);
         assert!(!sets[1].matches.is_empty());
-        sets[0] = CandidateSet { matches: Vec::new(), bounds: Vec::new(), raw_count: 0 };
+        sets[0] = CandidateSet { matches: PathMatches::new(2), bounds: Vec::new(), raw_count: 0 };
         let mut kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.05, "empty partition");
         assert_eq!((kp.parts[0].n, kp.parts[0].path_len), (0, 2));
         assert!(kp.links.is_empty());

@@ -16,7 +16,7 @@
 //! how much reduction work a refinement pays.
 
 use crate::error::PegError;
-use crate::online::candidates::{bound_keeps, CandidateSet};
+use crate::online::candidates::CandidateSet;
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
 use crate::online::generate::generate_matches_limited;
 use crate::online::kpartite::{build_kpartite_traced, KPartiteGraph, ReduceOptions};
@@ -343,26 +343,13 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     }
 
     /// Re-prunes cached floor-threshold candidate sets at `alpha` by
-    /// keep-bound, under a `"filter"` child of `span`. Order-preserving,
-    /// so the canonical candidate order survives; survivors (and their
-    /// bounds) are exactly those a direct retrieval at `alpha` would
-    /// produce.
+    /// keep-bound, under a `"filter"` child of `span`. Order-preserving
+    /// column copies, so the canonical candidate order survives; survivors
+    /// (and their bounds) are exactly those a direct retrieval at `alpha`
+    /// would produce.
     fn filter_sets(sets: &[CandidateSet], alpha: f64, span: &Span) -> Vec<CandidateSet> {
         let filter = span.child("filter");
-        let filtered: Vec<CandidateSet> = sets
-            .iter()
-            .map(|cs| {
-                let mut matches = Vec::new();
-                let mut bounds = Vec::new();
-                for (m, &b) in cs.matches.iter().zip(&cs.bounds) {
-                    if bound_keeps(b, alpha) {
-                        matches.push(m.clone());
-                        bounds.push(b);
-                    }
-                }
-                CandidateSet { matches, bounds, raw_count: cs.raw_count }
-            })
-            .collect();
+        let filtered: Vec<CandidateSet> = sets.iter().map(|cs| cs.filtered(alpha)).collect();
         if filter.is_recording() {
             filter.tag("kept", filtered.iter().map(|cs| cs.matches.len()).sum::<usize>());
         }

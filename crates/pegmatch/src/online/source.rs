@@ -12,12 +12,16 @@
 //!
 //! The contract that keeps every source interchangeable **bit-for-bit** is
 //! the canonical candidate order: [`CandidateSource::retrieve`] must emit
-//! each path's pruned candidates sorted by ascending node sequence (see
-//! [`sort_candidates`]). Node sequences are unique within one retrieval,
-//! so the order is a total one that no merge strategy, shard count, or
+//! each path's pruned candidates — one flat
+//! [`PathMatches`](pathindex::PathMatches) per path — sorted by ascending
+//! node sequence. Node sequences are unique within one retrieval, so the
+//! order is a total one that no merge strategy, shard count, or
 //! index-build thread count can perturb — and everything downstream
 //! (k-partite construction, Jacobi reduction, match generation) is a
-//! deterministic function of the ordered candidate lists.
+//! deterministic function of the ordered candidate lists. Because the
+//! order is total, a source is free to prune first and sort only what
+//! survives; [`retrieve_candidates`] — the one lookup → prune → sort both
+//! sources run over a request's paths — does.
 //!
 //! Retrieval is fallible: a source backed by remote shard workers (the
 //! `pegshard` TCP transport) can lose a worker mid-query. The contract for
@@ -34,15 +38,13 @@
 
 use crate::error::PegError;
 use crate::offline::OfflineIndex;
-use crate::online::candidates::{self, CandidateSet, NodeCandidateCache, PathStats};
+use crate::online::candidates::{retrieve_candidates, CandidateSet, PathStats};
 use crate::online::decompose::Decomposition;
 use crate::query::QueryGraph;
 use crate::Peg;
 use graphstore::Label;
-use pathindex::PathMatch;
 use pegpool::ThreadPool;
 use pegtrace::Span;
-use std::time::{Duration, Instant};
 
 /// Where the online pipeline gets per-path candidates and planning
 /// estimates. Implementations must be shareable across concurrent
@@ -71,8 +73,7 @@ pub trait CandidateSource: Sync {
     /// Contract: `out[i]` holds path `i`'s surviving candidates sorted by
     /// ascending node sequence with no duplicate node sequences,
     /// `out[i].bounds` holds each survivor's keep-bound (aligned with
-    /// `matches`; see
-    /// [`prune_candidates_scored`](crate::online::candidates::prune_candidates_scored)),
+    /// `matches`; see [`retrieve_candidates`]),
     /// and `out[i].raw_count` counts the distinct raw retrievals before
     /// context pruning (each logical path counted once, however many
     /// physical replicas the store keeps). Failure is all-or-nothing: a
@@ -82,8 +83,10 @@ pub trait CandidateSource: Sync {
     ///
     /// `span` is the caller's open `"retrieve"` span: sources attach one
     /// pre-measured child per retrieval unit (per path locally; per
-    /// `(shard, path)` or per worker subtree when sharded) in
-    /// deterministic index order *after* any parallel join — never from
+    /// `(shard, path)` or per worker subtree when sharded), each with
+    /// `lookup` / `prune` / `sort` children
+    /// ([`Retrieval::trace`](crate::online::candidates::Retrieval::trace)),
+    /// in deterministic index order *after* any parallel join — never from
     /// pool threads, whose arrival order is racy. Callers without a
     /// tracer pass [`Span::disabled`]; sources must skip even the clock
     /// reads then, so always-on plumbing costs nothing when tracing is
@@ -97,13 +100,6 @@ pub trait CandidateSource: Sync {
         span: &Span,
         pool: &ThreadPool,
     ) -> Result<Vec<CandidateSet>, PegError>;
-}
-
-/// Sorts path matches into the canonical candidate order every source
-/// emits: ascending node sequences. Sequences are unique per retrieval, so
-/// an unstable sort is deterministic.
-pub fn sort_candidates(matches: &mut [PathMatch]) {
-    matches.sort_unstable_by(|a, b| a.nodes.cmp(&b.nodes));
 }
 
 /// The single-store candidate source: one PEG and its offline index.
@@ -137,48 +133,31 @@ impl CandidateSource for LocalSource<'_> {
         span: &Span,
         pool: &ThreadPool,
     ) -> Result<Vec<CandidateSet>, PegError> {
-        // Raw retrieval in parallel across paths; sorted into canonical
-        // order at the source so downstream state never depends on index
-        // insertion order. The raw sets are consumed in place: survivors
-        // are compacted without clones. Timing is gated on the span so a
-        // disabled tracer costs no clock reads; pool threads only measure
-        // locally — child spans attach below, in path index order.
-        let recording = span.is_recording();
-        let raw: Vec<(Vec<PathMatch>, Duration)> = pool.map(decomp.paths.len(), |i| {
-            let t0 = recording.then(Instant::now);
-            let labels = decomp.paths[i].labels(query);
-            let mut matches = self.offline.path_matches(self.peg, &labels, alpha);
-            sort_candidates(&mut matches);
-            (matches, t0.map(|t| t.elapsed()).unwrap_or_default())
+        // Timing is gated on the span so a disabled tracer costs no clock
+        // reads; pool threads only measure — the spans attach here, once
+        // the retrieval is back, in path index order.
+        let timed = span.is_recording();
+        let got = retrieve_candidates(
+            self.peg,
+            self.offline,
+            query,
+            &decomp.paths,
+            pstats,
+            alpha,
+            pool,
+            None,
+            timed,
+        );
+        let sets = got.into_iter().enumerate().map(|(i, got)| {
+            if timed {
+                let unit = got.trace(span, "path");
+                unit.tag("path", i);
+                unit.tag("raw", got.set.raw_count);
+                unit.tag("pruned", got.set.matches.len());
+            }
+            got.set
         });
-        let node_cache = NodeCandidateCache::new();
-        Ok(raw
-            .into_iter()
-            .enumerate()
-            .map(|(i, (mut raw, lookup))| {
-                let raw_count = raw.len();
-                let t0 = recording.then(Instant::now);
-                let bounds = candidates::prune_candidates_scored(
-                    self.peg,
-                    self.offline,
-                    query,
-                    &decomp.paths[i],
-                    &pstats[i],
-                    alpha,
-                    &node_cache,
-                    pool,
-                    &mut raw,
-                );
-                if recording {
-                    let unit = span
-                        .child_done("path", lookup + t0.map(|t| t.elapsed()).unwrap_or_default());
-                    unit.tag("path", i);
-                    unit.tag("raw", raw_count);
-                    unit.tag("pruned", raw.len());
-                }
-                CandidateSet { matches: raw, bounds, raw_count }
-            })
-            .collect())
+        Ok(sets.collect())
     }
 }
 
@@ -207,8 +186,8 @@ mod tests {
             assert!(cs.raw_count >= cs.matches.len());
             assert_eq!(cs.bounds.len(), cs.matches.len());
             assert!(cs.bounds.iter().all(|b| b.is_finite()));
-            for w in cs.matches.windows(2) {
-                assert!(w[0].nodes < w[1].nodes, "canonical order violated");
+            for i in 1..cs.matches.len() {
+                assert!(cs.matches.row(i - 1) < cs.matches.row(i), "canonical order violated");
             }
         }
     }

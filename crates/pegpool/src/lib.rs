@@ -241,7 +241,14 @@ unsafe impl<T: Send> Sync for SlotWriter<T> {}
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the queue lock: a worker checks it and goes to
+        // sleep under that lock, so the store cannot fall between its check
+        // and its wait and leave the join below waiting for a wakeup that
+        // already went by.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work_cv.notify_all();
         for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();
@@ -378,6 +385,36 @@ mod tests {
             assert_eq!(covered, n);
         }
         assert!(pool.chunks(0, 2).is_empty());
+    }
+
+    #[test]
+    fn dropping_a_pool_wakes_every_worker() {
+        // A worker between its shutdown check and its wait when the pool
+        // drops must still be woken; a missed wakeup leaves `drop` joining
+        // forever, so the loops run on threads the test can time out on.
+        // Dropping straight after `new` catches workers on their way to
+        // sleep, dropping after a batch catches them coming back from one,
+        // and eight loops at once get a worker preempted inside that window
+        // (with the flag set outside the queue lock this fails every time).
+        let (done, finished) = std::sync::mpsc::channel();
+        for _ in 0..8 {
+            let done = done.clone();
+            std::thread::spawn(move || {
+                for round in 0..3000 {
+                    let pool = ThreadPool::new(4);
+                    if round % 2 == 1 {
+                        pool.for_each(8, &|_| {});
+                    }
+                    drop(pool);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..8 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a pool drop is stuck joining a worker that missed its wakeup");
+        }
     }
 
     #[test]

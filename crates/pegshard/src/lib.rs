@@ -54,9 +54,9 @@
 //! assembles itself from those, whichever transport produced them.
 //! *Where* a shard lives is the transport's business:
 //!
-//! * [`InProcessTransport`] — shards in this process, flat
-//!   `(shard × path)` pool fan-out ([`ShardedGraphStore::build`]); an
-//!   update rebuilds the shards the mutation's dirty ball reaches and
+//! * [`InProcessTransport`] — shards in this process, shards and each
+//!   shard's paths fanned out on the pool ([`ShardedGraphStore::build`]);
+//!   an update rebuilds the shards the mutation's dirty ball reaches and
 //!   carries the rest over by `Arc`.
 //! * [`TcpTransport`] — one worker process per shard, reached over
 //!   persistent line-protocol connections with multiplexed scatter,
@@ -70,7 +70,7 @@
 //!   the codec and NaN policy).
 //!
 //! Because both transports run the identical per-shard unit
-//! (`Shard::retrieve_path`) and the gather consumes only home-filtered
+//! (`Shard::retrieve_paths`) and the gather consumes only home-filtered
 //! triples plus two counts per shard, distributed results are
 //! f64-bit-exact against the in-process store *and* the unsharded
 //! pipeline. A lost worker surfaces as

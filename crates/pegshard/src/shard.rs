@@ -23,14 +23,13 @@
 //! `Prle`/`Prn` values are bit-identical to the unsharded index's.
 
 use crate::partition::shard_of;
-use crate::transport::PathPartial;
 use crate::wire::HistogramEntries;
 use graphstore::{EntityGraphBuilder, EntityId};
-use pathindex::PathMatch;
+use pathindex::PathMatches;
 use pegmatch::error::PegError;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
-use pegmatch::online::candidates::prune_candidates_scored;
-use pegmatch::online::{NodeCandidateCache, PathStats, QueryPath};
+use pegmatch::online::candidates::{retrieve_candidates, Retrieval};
+use pegmatch::online::{PathStats, QueryPath};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
@@ -237,7 +236,7 @@ impl Shard {
 
     /// Home-only histogram counts (see [`ShardSummary::hist`]).
     pub(crate) fn histogram(&self) -> HistogramEntries {
-        self.offline.paths.histogram_counts_where(&|sp| self.is_home_stored(sp.nodes))
+        self.offline.paths.histogram_counts_where(&|sp| self.is_home(sp.nodes))
     }
 
     /// This shard as freshly built from `full`: version 0, `rebuilt`.
@@ -259,80 +258,61 @@ impl Shard {
     /// monotone renumbering, so every shard (and the unsharded store)
     /// agrees on a path's unique home.
     #[inline]
-    pub(crate) fn is_home(&self, local_nodes: &[EntityId]) -> bool {
-        local_nodes.iter().map(|v| v.idx()).min().is_some_and(|i| self.owned[i])
-    }
-
-    /// [`Shard::is_home`] over a stored path's raw node array.
-    #[inline]
-    pub(crate) fn is_home_stored(&self, local_nodes: &[u32]) -> bool {
+    pub(crate) fn is_home(&self, local_nodes: &[u32]) -> bool {
         local_nodes.iter().min().is_some_and(|&i| self.owned[i as usize])
     }
 
-    /// Rewrites a path match from shard-local to global ids, in place.
-    #[inline]
-    pub(crate) fn globalize(&self, m: &mut PathMatch) {
-        for v in &mut m.nodes {
-            *v = EntityId(self.to_global[v.idx()]);
+    /// Rewrites every candidate from shard-local to global ids: one pass
+    /// over the node arena. The renumbering is monotone, so rows sorted by
+    /// local ids stay sorted.
+    pub(crate) fn globalize(&self, matches: &mut PathMatches) {
+        for v in matches.nodes_mut() {
+            *v = self.to_global[*v as usize];
         }
     }
 
     /// The transport-independent unit of scatter work: retrieves and
-    /// context-prunes one decomposition path against this shard, then
-    /// keeps only the paths this shard is **home** to, globalized and in
-    /// canonical candidate order.
+    /// context-prunes every decomposition path of one request against this
+    /// shard — the same [`retrieve_candidates`] the unsharded source runs —
+    /// keeping only the paths this shard is **home** to, in canonical
+    /// candidate order and globalized, each survivor's keep-bound riding
+    /// along.
     ///
     /// Home-filtering at the shard is what makes the reply exact *and*
     /// minimal: the home shard reproduces the unsharded pruning decision
-    /// bit-for-bit (full visibility + exact context), while boundary
-    /// replicas can only be over-pruned — so any replica surviving here
+    /// for its paths (full halo visibility), while a non-home replica can
+    /// only be *more* permissive (truncated context) — so anything it keeps
     /// is a path its home shard also keeps, and shipping it would only
     /// duplicate bytes the gather must drop. The union of home-filtered
     /// replies over all shards is therefore exactly the unsharded
-    /// candidate list, with no gather-side dedup required.
-    pub(crate) fn retrieve_path(
+    /// candidate list, and home survivors' bounds are the same
+    /// α-independent quantities the unsharded pruner computes, so the
+    /// coordinator's execution cache can re-prune gathered lists without
+    /// another scatter.
+    pub(crate) fn retrieve_paths(
         &self,
         query: &QueryGraph,
-        path: &QueryPath,
-        pstats: &PathStats,
+        paths: &[QueryPath],
+        pstats: &[PathStats],
         alpha: f64,
-        cache: &NodeCandidateCache,
         pool: &ThreadPool,
-    ) -> PathPartial {
-        let labels = path.labels(query);
-        let mut raw = self.offline.path_matches(&self.peg, &labels, alpha);
-        let raw_total = raw.len();
-        let raw_home = raw.iter().filter(|m| self.is_home(&m.nodes)).count();
-        let scores = prune_candidates_scored(
+        timed: bool,
+    ) -> Vec<Retrieval> {
+        let home = |row: &[u32]| self.is_home(row);
+        let mut got = retrieve_candidates(
             &self.peg,
             &self.offline,
             query,
-            path,
+            paths,
             pstats,
             alpha,
-            cache,
             pool,
-            &mut raw,
+            Some(&home),
+            timed,
         );
-        let pruned_total = raw.len();
-        // Home filter, globalize, and canonical sort with each survivor's
-        // keep-bound riding along. Home survivors' bounds are the same
-        // α-independent quantities the unsharded pruner computes (full
-        // halo visibility + exact context), so shipping them lets the
-        // coordinator's execution cache re-prune gathered lists without
-        // another scatter.
-        let mut kept: Vec<(PathMatch, f64)> =
-            raw.into_iter().zip(scores).filter(|(m, _)| self.is_home(&m.nodes)).collect();
-        for (m, _) in &mut kept {
-            self.globalize(m);
+        for unit in &mut got {
+            self.globalize(&mut unit.set.matches);
         }
-        kept.sort_unstable_by(|a, b| a.0.nodes.cmp(&b.0.nodes));
-        let mut matches = Vec::with_capacity(kept.len());
-        let mut bounds = Vec::with_capacity(kept.len());
-        for (m, b) in kept {
-            matches.push(m);
-            bounds.push(b);
-        }
-        PathPartial { raw_total, raw_home, pruned_total, matches, bounds }
+        got
     }
 }

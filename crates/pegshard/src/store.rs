@@ -3,12 +3,12 @@
 
 use crate::shard::{halo_for, ShardInfo, ShardSummary};
 use crate::transport::{
-    InProcessTransport, ShardReply, ShardRequest, ShardTransport, TcpTransport, TransportError,
-    UpdateRequest, WorkerStats,
+    InProcessTransport, PathPartial, ShardReply, ShardRequest, ShardTransport, TcpTransport,
+    TransportError, UpdateRequest, WorkerStats,
 };
 use graphstore::hash::FxHashMap;
 use graphstore::{GraphOp, Label, RefGraph};
-use pathindex::PathMatch;
+use pathindex::PathMatches;
 use pegmatch::error::PegError;
 use pegmatch::live::UpdatePhases;
 use pegmatch::model::PegBuilder;
@@ -150,6 +150,63 @@ pub struct ShardedGraphStore {
     hist: FxHashMap<Vec<u16>, Vec<u32>>,
     stats: ShardingStats,
     last_scatter: Mutex<ScatterStats>,
+}
+
+/// What the gather requires of one shard's partial before it merges it:
+/// one keep-bound per candidate, every candidate `path_len` nodes long
+/// (an empty partial's stride is a decoder placeholder and goes
+/// unchecked), every id a node of the `n_nodes`-node graph, and the rows
+/// strictly ascending — the canonical order the merge relies on.
+fn check_partial(part: &PathPartial, path_len: usize, n_nodes: usize) -> Result<(), String> {
+    let m = &part.matches;
+    if part.bounds.len() != m.len() {
+        return Err(format!("{} keep-bounds for {} candidates", part.bounds.len(), m.len()));
+    }
+    if m.is_empty() {
+        return Ok(());
+    }
+    if m.stride() != path_len {
+        return Err(format!("candidates of {} nodes for a path of {path_len}", m.stride()));
+    }
+    if let Some(&id) = m.nodes().iter().find(|&&id| id as usize >= n_nodes) {
+        return Err(format!("node id {id} outside the graph's {n_nodes} nodes"));
+    }
+    if (1..m.len()).any(|r| m.row(r - 1) >= m.row(r)) {
+        return Err("candidates out of canonical order".into());
+    }
+    Ok(())
+}
+
+/// K-way merge of one path's per-shard partials (each strictly ascending,
+/// checked by [`check_partial`]) into one ascending candidate list of
+/// `stride`-node rows with aligned keep-bounds. The smallest head row wins,
+/// the lowest shard on a tie; a row equal to the one just written is a
+/// duplicate and is skipped.
+fn merge_partials(parts: &[&PathPartial], stride: usize) -> (PathMatches, Vec<f64>) {
+    let total: usize = parts.iter().map(|p| p.matches.len()).sum();
+    let mut matches = PathMatches::with_capacity(stride, total);
+    let mut bounds = Vec::with_capacity(total);
+    let mut heads = vec![0usize; parts.len()];
+    loop {
+        let mut next: Option<(usize, &[u32])> = None;
+        for (s, part) in parts.iter().enumerate() {
+            if heads[s] < part.matches.len() {
+                let row = part.matches.row(heads[s]);
+                if next.is_none_or(|(_, best)| row < best) {
+                    next = Some((s, row));
+                }
+            }
+        }
+        let Some((s, row)) = next else { break };
+        let r = heads[s];
+        heads[s] += 1;
+        if matches.is_empty() || matches.row(matches.len() - 1) != row {
+            let part = parts[s];
+            matches.push(row.iter().copied(), part.matches.prle()[r], part.matches.prn()[r]);
+            bounds.push(part.bounds[r]);
+        }
+    }
+    (matches, bounds)
 }
 
 /// Merges one shard's home-only histogram into the accumulator
@@ -314,31 +371,41 @@ impl ShardedGraphStore {
     }
 
     /// Validates and gathers one scatter's per-shard results into
-    /// candidate sets: per path, concatenate the disjoint home-filtered
-    /// shard contributions and sort into the canonical candidate order.
+    /// candidate sets: per path, a k-way merge of the shards' disjoint,
+    /// already-sorted home-filtered partials into the canonical candidate
+    /// order, keep-bounds riding along.
+    ///
     /// A failed shard fails the whole retrieval — partial candidate lists
     /// would silently change results; the first failing shard (lowest
-    /// index) wins deterministically. The dedup is defense-in-depth
-    /// against a misbehaving remote worker — with correct workers home
-    /// sets are disjoint and it drops nothing. `retrieve_time` is left
-    /// zero for the caller to stamp.
+    /// index) wins deterministically. So does a reply that does not fit
+    /// the plan or the graph ([`check_partial`]): everything downstream
+    /// indexes by these ids and trusts this arity and order, so a
+    /// misbehaving worker is a structured `ShardUnavailable` here rather
+    /// than a panic there. A candidate two shards both ship is dropped
+    /// once, defense-in-depth on the same grounds — with correct workers
+    /// home sets are disjoint and nothing is dropped. `retrieve_time` is
+    /// left zero for the caller to stamp.
     fn gather(
         &self,
-        n_paths: usize,
+        decomp: &Decomposition,
         results: Vec<Result<ShardReply, TransportError>>,
     ) -> Result<(Vec<CandidateSet>, ScatterStats), PegError> {
+        let n_paths = decomp.paths.len();
         let n_shards = results.len();
+        let n_nodes = self.peg.graph.n_nodes();
         let mut replies: Vec<ShardReply> = Vec::with_capacity(n_shards);
         for (s, reply) in results.into_iter().enumerate() {
             let reply = reply.map_err(|e| e.into_peg())?;
+            let unusable = |detail: String| PegError::ShardUnavailable { shard: s, detail };
             if reply.paths.len() != n_paths {
-                return Err(PegError::ShardUnavailable {
-                    shard: s,
-                    detail: format!(
-                        "reply carries {} path partials, expected {n_paths}",
-                        reply.paths.len()
-                    ),
-                });
+                return Err(unusable(format!(
+                    "reply carries {} path partials, expected {n_paths}",
+                    reply.paths.len()
+                )));
+            }
+            for (i, (part, path)) in reply.paths.iter().zip(&decomp.paths).enumerate() {
+                check_partial(part, path.nodes.len(), n_nodes)
+                    .map_err(|e| unusable(format!("path {i}: {e}")))?;
             }
             replies.push(reply);
         }
@@ -349,29 +416,17 @@ impl ShardedGraphStore {
             ..ScatterStats::default()
         };
         let mut out = Vec::with_capacity(n_paths);
-        for i in 0..n_paths {
-            let mut merged: Vec<(PathMatch, f64)> = Vec::new();
+        for (i, path) in decomp.paths.iter().enumerate() {
+            let parts: Vec<&PathPartial> = replies.iter().map(|r| &r.paths[i]).collect();
             let mut raw_count = 0usize;
-            for (s, reply) in replies.iter_mut().enumerate() {
-                let part = &mut reply.paths[i];
+            for (s, part) in parts.iter().enumerate() {
                 scatter.per_shard_raw[s] += part.raw_total;
                 scatter.per_shard_pruned[s] += part.pruned_total;
                 raw_count += part.raw_home;
-                merged.extend(part.matches.drain(..).zip(part.bounds.drain(..)));
             }
-            // Canonical sort + defensive dedup, keep-bounds riding along
-            // so the gathered sets carry the same aligned bounds an
-            // unsharded retrieval produces.
-            merged.sort_unstable_by(|a, b| a.0.nodes.cmp(&b.0.nodes));
-            merged.dedup_by(|a, b| a.0.nodes == b.0.nodes);
-            scatter.pruned_distinct += merged.len();
+            let (matches, bounds) = merge_partials(&parts, path.nodes.len());
+            scatter.pruned_distinct += matches.len();
             scatter.raw_distinct += raw_count;
-            let mut matches = Vec::with_capacity(merged.len());
-            let mut bounds = Vec::with_capacity(merged.len());
-            for (m, b) in merged {
-                matches.push(m);
-                bounds.push(b);
-            }
             out.push(CandidateSet { matches, bounds, raw_count });
         }
         // Survivors a shard's home filter dropped (boundary replicas),
@@ -475,23 +530,212 @@ impl CandidateSource for ShardedGraphStore {
         pool: &ThreadPool,
     ) -> Result<Vec<CandidateSet>, PegError> {
         let t0 = Instant::now();
-        let n_paths = decomp.paths.len();
         // Cleared up front: if the scatter fails below, the snapshot must
         // not keep advertising a previous query's numbers.
         *self.last_scatter.lock().unwrap() = ScatterStats::default();
 
         // Scatter, through the transport seam: every shard answers every
         // path with home-filtered, globalized, canonically sorted
-        // partials (see `Shard::retrieve_path` for the exactness
+        // partials (see `Shard::retrieve_paths` for the exactness
         // argument).
         let req = ShardRequest { query, decomp, pstats, alpha, span };
         let results = self.transport.scatter(&req, pool);
-        let (out, mut scatter) = self.gather(n_paths, results)?;
+        let (out, mut scatter) = self.gather(decomp, results)?;
         scatter.retrieve_time = t0.elapsed();
         if span.is_recording() {
             scatter.tag(span);
         }
         *self.last_scatter.lock().unwrap() = scatter;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pegmatch::model::peg::figure1_refgraph;
+    use pegmatch::online::{ExecCache, LocalSource, QueryOptions};
+    use std::sync::Arc;
+
+    fn figure1() -> (Peg, OfflineOptions) {
+        (
+            PegBuilder::new().build(&figure1_refgraph()).unwrap(),
+            OfflineOptions::with_len_and_beta(2, 0.01),
+        )
+    }
+
+    /// The (r, a, i) path query of Figure 1, cut into two 2-node paths.
+    fn two_path_plan() -> (QueryGraph, Decomposition) {
+        use pegmatch::online::{decompose, DecompStrategy};
+        let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
+        let d = decompose(&q, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
+        assert_eq!(d.paths.len(), 2);
+        (q, d)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Rows `rows` of `set` as one shard's partial.
+    fn partial(set: &CandidateSet, rows: &[u32]) -> PathPartial {
+        PathPartial {
+            raw_total: set.raw_count,
+            raw_home: rows.len(),
+            pruned_total: rows.len(),
+            matches: set.matches.gather(rows),
+            bounds: rows.iter().map(|&r| set.bounds[r as usize]).collect(),
+        }
+    }
+
+    #[test]
+    fn gather_merges_interleaved_partials_and_drops_a_duplicate_once() {
+        let (peg, opts) = figure1();
+        let offline = pegmatch::offline::OfflineIndex::build(&peg, &opts).unwrap();
+        let (q, d) = two_path_plan();
+        let pstats: Vec<PathStats> = d.paths.iter().map(|p| PathStats::new(&q, p)).collect();
+        let pool = pegpool::pool_with(1);
+        let unsharded = LocalSource { peg: &peg, offline: &offline }
+            .retrieve(&q, &d, &pstats, 0.01, &Span::disabled(), &pool)
+            .unwrap();
+        assert!(unsharded.iter().all(|cs| cs.matches.len() >= 3), "something to interleave");
+
+        // Deal each sorted list out to two shards alternately, and hand
+        // the first candidate of every path to both.
+        let store = ShardedGraphStore::build(peg, &opts, 2).unwrap();
+        let replies: Vec<Result<ShardReply, TransportError>> = (0..2u32)
+            .map(|s| {
+                let paths = unsharded
+                    .iter()
+                    .map(|cs| {
+                        let rows: Vec<u32> = (0..cs.matches.len() as u32)
+                            .filter(|r| r % 2 == s || *r == 0)
+                            .collect();
+                        partial(cs, &rows)
+                    })
+                    .collect();
+                Ok(ShardReply { paths })
+            })
+            .collect();
+        let (merged, scatter) = store.gather(&d, replies).unwrap();
+        let mut dropped = 0;
+        for (got, want) in merged.iter().zip(&unsharded) {
+            assert_eq!(got.matches, want.matches);
+            assert_eq!(bits(got.matches.prle()), bits(want.matches.prle()));
+            assert_eq!(bits(got.matches.prn()), bits(want.matches.prn()));
+            assert_eq!(bits(&got.bounds), bits(&want.bounds));
+            // Each path's duplicate was shipped twice and kept once.
+            assert_eq!(got.raw_count, want.matches.len() + 1);
+            dropped += 1;
+        }
+        assert_eq!(scatter.duplicates_dropped, dropped);
+        assert_eq!(
+            scatter.pruned_distinct,
+            unsharded.iter().map(|cs| cs.matches.len()).sum::<usize>()
+        );
+    }
+
+    /// A transport that answers like the in-process one, except that
+    /// `damage` rewrites shard 1's reply on the way back — a misbehaving
+    /// worker.
+    struct Scripted {
+        inner: InProcessTransport,
+        damage: Damage,
+    }
+
+    type Damage = fn(&mut ShardReply);
+
+    impl ShardTransport for Scripted {
+        fn n_shards(&self) -> usize {
+            self.inner.n_shards()
+        }
+
+        fn scatter(
+            &self,
+            req: &ShardRequest<'_>,
+            pool: &ThreadPool,
+        ) -> Vec<Result<ShardReply, TransportError>> {
+            let mut replies = self.inner.scatter(req, pool);
+            (self.damage)(replies[1].as_mut().expect("in-process shards answer"));
+            replies
+        }
+
+        fn update(
+            &self,
+            _req: &UpdateRequest<'_>,
+        ) -> Result<(Box<dyn ShardTransport>, Vec<ShardSummary>), PegError> {
+            Err(PegError::Invalid("the scripted transport does not update".into()))
+        }
+    }
+
+    /// The first non-empty partial of a reply.
+    fn some_partial(reply: &mut ShardReply) -> &mut PathPartial {
+        reply
+            .paths
+            .iter_mut()
+            .find(|p| !p.matches.is_empty())
+            .expect("shard 1 is home to something")
+    }
+
+    #[test]
+    fn a_malformed_worker_reply_is_a_structured_error_and_caches_nothing() {
+        let damages: [(&str, Damage); 5] = [
+            ("nodes for a path of", |reply| {
+                // Wrong arity: every candidate one node too long.
+                let part = some_partial(reply);
+                let mut wide = PathMatches::new(part.matches.stride() + 1);
+                for m in &part.matches {
+                    wide.push(m.nodes.iter().copied().chain([0]), m.prle, m.prn);
+                }
+                part.matches = wide;
+            }),
+            ("outside the graph", |reply| {
+                some_partial(reply).matches.nodes_mut()[0] = 1_000_000;
+            }),
+            ("canonical order", |reply| {
+                // The same candidate twice in one partial.
+                let part = some_partial(reply);
+                part.matches = part.matches.gather(&[0, 0]);
+                part.bounds = vec![part.bounds[0]; 2];
+            }),
+            ("keep-bounds", |reply| {
+                some_partial(reply).bounds.pop();
+            }),
+            ("path partials", |reply| {
+                reply.paths.pop();
+            }),
+        ];
+        let (q, _) = two_path_plan();
+        let options = QueryOptions::with_threads(1);
+        for (what, damage) in damages {
+            let (peg, opts) = figure1();
+            let (inner, summaries) = InProcessTransport::build(&peg, &opts, 2).unwrap();
+            let transport = Box::new(Scripted { inner, damage });
+            let store =
+                ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
+            let cache = Arc::new(ExecCache::new(1 << 20));
+            let outcome =
+                store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
+            match outcome {
+                Err(PegError::ShardUnavailable { shard: 1, detail }) => {
+                    assert!(detail.contains(what), "{what}: {detail}")
+                }
+                other => panic!("{what}: expected shard 1 unavailable, got {other:?}"),
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.bytes), (0, 0), "{what}: a failed scatter cached");
+            assert_eq!(store.last_scatter().raw_distinct, 0, "{what}: stale scatter stats");
+        }
+
+        // The same store shape, undamaged: the query answers and its floor
+        // retrieval is cached — the path above did reach the cache.
+        let (peg, opts) = figure1();
+        let (inner, summaries) = InProcessTransport::build(&peg, &opts, 2).unwrap();
+        let transport = Box::new(Scripted { inner, damage: |_| {} });
+        let store = ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
+        let cache = Arc::new(ExecCache::new(1 << 20));
+        let res = store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
+        assert!(!res.unwrap().matches.is_empty());
+        assert_eq!(cache.stats().entries, 1);
     }
 }

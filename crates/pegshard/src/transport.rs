@@ -12,8 +12,9 @@
 //! phases — is transport-independent. Two implementations ship:
 //!
 //! * [`InProcessTransport`] — the shards live in this process; the
-//!   scatter is a flat `(shard × path)` fan-out on the shared pool, and
-//!   an update rebuilds the affected shards, carrying the rest by `Arc`.
+//!   scatter fans the shards out on the shared pool (each shard fanning
+//!   its paths, and each path's prune, out again), and an update rebuilds
+//!   the affected shards, carrying the rest by `Arc`.
 //! * [`TcpTransport`] — each shard lives behind a worker process speaking
 //!   the line protocol over one persistent **multiplexed** connection
 //!   ([`pegwire::MuxConn`]): every request carries a unique id the worker
@@ -26,7 +27,7 @@
 //!   uses ([`wire::decode_summary`]).
 //!
 //! Both return the same [`ShardReply`] shape, and the home-filter
-//! argument (see `Shard::retrieve_path`) guarantees the
+//! argument (see `Shard::retrieve_paths`) guarantees the
 //! union of replies is exactly the unsharded candidate list — which is
 //! why the store's results are f64-bit-exact no matter which transport
 //! runs underneath.
@@ -34,10 +35,11 @@
 use crate::shard::{affected_shards, halo_for, Shard, ShardSummary};
 use crate::wire;
 use graphstore::GraphOp;
-use pathindex::PathMatch;
+use pathindex::PathMatches;
 use pegmatch::error::PegError;
 use pegmatch::offline::OfflineOptions;
-use pegmatch::online::{Decomposition, NodeCandidateCache, PathStats};
+use pegmatch::online::candidates::Retrieval;
+use pegmatch::online::{Decomposition, PathStats};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
@@ -92,15 +94,30 @@ pub struct PathPartial {
     /// Survivors of this shard's context pruning *before* home filtering
     /// (boundary replicas included) — the replication-overhead stat.
     pub pruned_total: usize,
-    /// Home-filtered surviving candidates: global ids, canonical
-    /// ascending-node-sequence order, disjoint across shards.
-    pub matches: Vec<PathMatch>,
+    /// Home-filtered surviving candidates, flat: global ids, canonical
+    /// ascending-node-sequence order, disjoint across shards. (A decoded
+    /// partial with no candidates cannot know its path's length; its
+    /// stride is a placeholder the gather never reads.)
+    pub matches: PathMatches,
     /// Each survivor's keep-bound, aligned with `matches` (see
-    /// `pegmatch::online::candidates::prune_candidates_scored`). Home
+    /// `pegmatch::online::candidates::retrieve_candidates`). Home
     /// survivors' bounds are bit-identical to the unsharded pruner's, so
     /// the coordinator can re-prune gathered lists at higher thresholds
     /// without a scatter.
     pub bounds: Vec<f64>,
+}
+
+impl From<Retrieval> for PathPartial {
+    /// A shard's [`Retrieval`] (home-filtered, globalized) as its reply.
+    fn from(got: Retrieval) -> Self {
+        PathPartial {
+            raw_total: got.set.raw_count,
+            raw_home: got.raw_home,
+            pruned_total: got.pruned_total,
+            matches: got.set.matches,
+            bounds: got.set.bounds,
+        }
+    }
 }
 
 /// One shard's complete reply: one [`PathPartial`] per decomposition
@@ -250,46 +267,32 @@ impl ShardTransport for InProcessTransport {
         req: &ShardRequest<'_>,
         pool: &ThreadPool,
     ) -> Vec<Result<ShardReply, TransportError>> {
-        // Flat (shard × path) fan-out: finer grains than shard-at-a-time,
-        // so a skewed shard cannot serialize the scatter. Pool tasks only
-        // measure their own wall time; spans attach below, post-join, in
+        // Shards fan out over the pool, and each fans its paths' lookups
+        // and sorts, and every path's prune, out again — finer grains than
+        // shard-at-a-time, so a skewed shard cannot serialize the scatter.
+        // Pool tasks only measure; spans attach below, post-join, in
         // (shard, path) index order.
-        let n_shards = self.shards.len();
-        let n_paths = req.decomp.paths.len();
         let recording = req.span.is_recording();
-        let caches: Vec<NodeCandidateCache> =
-            (0..n_shards).map(|_| NodeCandidateCache::new()).collect();
-        let mut partials: Vec<Option<(PathPartial, Duration)>> = pool
-            .map(n_shards * n_paths, |t| {
-                let (s, i) = (t / n_paths, t % n_paths);
-                let t0 = recording.then(Instant::now);
-                let partial = self.shards[s].retrieve_path(
-                    req.query,
-                    &req.decomp.paths[i],
-                    &req.pstats[i],
-                    req.alpha,
-                    &caches[s],
-                    pool,
-                );
-                (partial, t0.map(|t| t.elapsed()).unwrap_or_default())
-            })
+        let per_shard: Vec<Vec<Retrieval>> = pool.map(self.shards.len(), |s| {
+            let paths = &req.decomp.paths;
+            self.shards[s].retrieve_paths(req.query, paths, req.pstats, req.alpha, pool, recording)
+        });
+        per_shard
             .into_iter()
-            .map(Some)
-            .collect();
-        (0..n_shards)
-            .map(|s| {
-                let paths = (0..n_paths)
-                    .map(|i| {
-                        let (partial, elapsed) =
-                            partials[s * n_paths + i].take().expect("each partial taken once");
+            .enumerate()
+            .map(|(s, units)| {
+                let paths = units
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, got)| {
                         if recording {
-                            let unit = req.span.child_done("unit", elapsed);
+                            let unit = got.trace(req.span, "unit");
                             unit.tag("shard", s);
                             unit.tag("path", i);
-                            unit.tag("raw", partial.raw_total);
-                            unit.tag("pruned", partial.pruned_total);
+                            unit.tag("raw", got.set.raw_count);
+                            unit.tag("pruned", got.pruned_total);
                         }
-                        partial
+                        PathPartial::from(got)
                     })
                     .collect();
                 Ok(ShardReply { paths })

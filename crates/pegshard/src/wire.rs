@@ -32,7 +32,10 @@
 //! from the same deterministic generator spec, so their label tables are
 //! identical and ids are exact. Candidates come back as
 //! `[[node ids...], prle, prn, bound]` arrays — the most compact shape
-//! the JSON value offers; `bound` is the survivor's keep-bound, which the
+//! the JSON value offers — written from, and decoded straight back into,
+//! one flat [`PathMatches`] per path (a ragged array is a protocol error;
+//! the coordinator's gather checks the stride against the plan and the ids
+//! against the graph); `bound` is the survivor's keep-bound, which the
 //! coordinator's execution cache uses to re-prune gathered lists at
 //! higher thresholds without another scatter.
 //!
@@ -54,8 +57,8 @@
 
 use crate::shard::{ShardInfo, ShardSummary};
 use crate::transport::{PathPartial, ShardReply, ShardRequest};
-use graphstore::{EntityId, GraphOp, RefId};
-use pathindex::PathMatch;
+use graphstore::{GraphOp, RefId};
+use pathindex::PathMatches;
 use pegmatch::online::QueryPath;
 use pegmatch::query::{QNode, QueryGraph};
 use pegtrace::{SpanNode, TagValue};
@@ -219,45 +222,43 @@ pub fn decode_retrieve_request(req: &Json) -> Result<(QueryGraph, Vec<QueryPath>
 /// that includes `prle·prn`), which the coordinator's execution cache
 /// needs to re-prune gathered lists at higher thresholds without another
 /// scatter.
-pub fn encode_match(m: &PathMatch, bound: f64) -> Json {
+fn encode_candidate(nodes: &[u32], prle: f64, prn: f64, bound: f64) -> Json {
     Json::Arr(vec![
-        Json::Arr(m.nodes.iter().map(|v| Json::Num(v.0 as f64)).collect()),
-        Json::Num(m.prle),
-        Json::Num(m.prn),
+        Json::Arr(nodes.iter().map(|&v| Json::Num(v as f64)).collect()),
+        Json::Num(prle),
+        Json::Num(prn),
         Json::Num(bound),
     ])
 }
 
-/// Decodes one candidate quad; rejects non-finite probabilities (bound
-/// included) and node ids outside `u32`.
-pub fn decode_match(v: &Json) -> Result<(PathMatch, f64), WireError> {
+/// Decodes the node ids of one candidate quad into `ids`; rejects a quad of
+/// the wrong shape and node ids outside `u32`.
+fn decode_candidate_nodes<'a>(v: &'a Json, ids: &mut Vec<u32>) -> Result<&'a [Json], WireError> {
     let quad = v
         .as_arr()
         .filter(|t| t.len() == 4)
         .ok_or_else(|| err("bad match: expected [[nodes...], prle, prn, bound]"))?;
-    let nodes = quad[0]
-        .as_arr()
-        .ok_or_else(|| err("bad match nodes: expected an array"))?
-        .iter()
-        .map(|n| {
-            let id = need_u64(n, "node id")?;
-            u32::try_from(id).map(EntityId).map_err(|_| err(format!("node id {id} exceeds u32")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let prle = need_prob(Some(&quad[1]), "prle")?;
-    let prn = need_prob(Some(&quad[2]), "prn")?;
-    let bound = need_prob(Some(&quad[3]), "bound")?;
-    Ok((PathMatch { nodes, prle, prn }, bound))
+    ids.clear();
+    for n in quad[0].as_arr().ok_or_else(|| err("bad match nodes: expected an array"))? {
+        let id = need_u64(n, "node id")?;
+        ids.push(u32::try_from(id).map_err(|_| err(format!("node id {id} exceeds u32")))?);
+    }
+    Ok(quad)
 }
 
-/// Encodes the `shard_retrieve` reply (`ok` + per-path partials).
+/// Encodes the `shard_retrieve` reply (`ok` + per-path partials), walking
+/// each partial's arenas row by row.
 pub fn encode_retrieve_reply(reply: &ShardReply) -> Json {
     let paths: Vec<Json> = reply
         .paths
         .iter()
         .map(|p| {
-            let matches =
-                p.matches.iter().zip(&p.bounds).map(|(m, &b)| encode_match(m, b)).collect();
+            let matches = p
+                .matches
+                .iter()
+                .zip(&p.bounds)
+                .map(|(m, &b)| encode_candidate(m.nodes, m.prle, m.prn, b))
+                .collect();
             obj()
                 .field("raw_total", p.raw_total)
                 .field("raw_home", p.raw_home)
@@ -267,6 +268,39 @@ pub fn encode_retrieve_reply(reply: &ShardReply) -> Json {
         })
         .collect();
     obj().field("ok", true).field("paths", Json::Arr(paths)).build()
+}
+
+/// Decodes one partial's candidate array straight into flat arenas. The
+/// first candidate sets the stride and every later one must match it — a
+/// ragged partial is a protocol error — and probabilities (bound included)
+/// must be finite. An empty array decodes to an empty set of placeholder
+/// stride 1: only the coordinator's gather knows the path's length, and it
+/// is also where the stride and the node ids are checked against the plan
+/// and the graph.
+fn decode_candidates(items: &[Json]) -> Result<(PathMatches, Vec<f64>), WireError> {
+    // A first candidate too misshapen to count nodes in fails in the loop.
+    let first_nodes = items.first().and_then(|c| c.as_arr()?.first()?.as_arr());
+    let stride = first_nodes.map_or(1, <[Json]>::len);
+    if stride == 0 {
+        return Err(err("bad match nodes: empty"));
+    }
+    let mut ids: Vec<u32> = Vec::with_capacity(stride);
+    let mut matches = PathMatches::with_capacity(stride, items.len());
+    let mut bounds = Vec::with_capacity(items.len());
+    for item in items {
+        let quad = decode_candidate_nodes(item, &mut ids)?;
+        if ids.len() != stride {
+            return Err(err(format!(
+                "ragged partial: a candidate of {} nodes among candidates of {stride}",
+                ids.len()
+            )));
+        }
+        let prle = need_prob(Some(&quad[1]), "prle")?;
+        let prn = need_prob(Some(&quad[2]), "prn")?;
+        bounds.push(need_prob(Some(&quad[3]), "bound")?);
+        matches.push(ids.iter().copied(), prle, prn);
+    }
+    Ok((matches, bounds))
 }
 
 /// Decodes a `shard_retrieve` reply, requiring exactly `n_paths` partials
@@ -285,16 +319,7 @@ pub fn decode_retrieve_reply(reply: &Json, n_paths: usize) -> Result<ShardReply,
                     .and_then(Json::as_usize)
                     .ok_or_else(|| err(format!("missing or bad \"{k}\"")))
             };
-            let pairs = need_arr(p.get("matches"), "matches")?
-                .iter()
-                .map(decode_match)
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut matches = Vec::with_capacity(pairs.len());
-            let mut bounds = Vec::with_capacity(pairs.len());
-            for (m, b) in pairs {
-                matches.push(m);
-                bounds.push(b);
-            }
+            let (matches, bounds) = decode_candidates(need_arr(p.get("matches"), "matches")?)?;
             Ok(PathPartial {
                 raw_total: field("raw_total")?,
                 raw_home: field("raw_home")?,
@@ -782,50 +807,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reply_round_trips_and_validates_path_count() {
-        let reply = ShardReply {
+    /// A one-path reply holding `candidates` as `(nodes, prle, prn, bound)`.
+    fn reply_of(candidates: &[(&[u32], f64, f64, f64)]) -> ShardReply {
+        let mut matches = PathMatches::new(candidates.first().map_or(1, |c| c.0.len()));
+        let mut bounds = Vec::new();
+        for &(nodes, prle, prn, bound) in candidates {
+            matches.push(nodes.iter().copied(), prle, prn);
+            bounds.push(bound);
+        }
+        ShardReply {
             paths: vec![PathPartial {
                 raw_total: 5,
                 raw_home: 3,
                 pruned_total: 4,
-                matches: vec![PathMatch {
-                    nodes: vec![EntityId(7), EntityId(2)],
-                    prle: 0.125,
-                    prn: -0.0,
-                }],
-                bounds: vec![0.0625],
+                matches,
+                bounds,
             }],
-        };
-        let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
+        }
+    }
+
+    #[test]
+    fn reply_round_trips_and_validates_path_count() {
+        let reply = reply_of(&[(&[7, 2], 0.125, -0.0, 0.0625), (&[9, 4], 0.5, 1.0, 0.25)]);
+        let text = encode_retrieve_reply(&reply).to_string();
+        assert_eq!(
+            text,
+            r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"matches":[[[7,2],0.125,-0,0.0625],[[9,4],0.5,1,0.25]]}]}"#
+        );
+        let json = Json::parse(&text).unwrap();
         let back = decode_retrieve_reply(&json, 1).unwrap();
         assert_eq!(back.paths[0].raw_total, 5);
         assert_eq!(back.paths[0].raw_home, 3);
         assert_eq!(back.paths[0].pruned_total, 4);
-        assert_eq!(back.paths[0].matches[0].nodes, vec![EntityId(7), EntityId(2)]);
-        assert_eq!(back.paths[0].matches[0].prle.to_bits(), 0.125f64.to_bits());
-        assert_eq!(back.paths[0].matches[0].prn.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.paths[0].matches.stride(), 2);
+        assert_eq!(back.paths[0].matches.nodes(), &[7, 2, 9, 4]);
+        assert_eq!(back.paths[0].matches.prle()[0].to_bits(), 0.125f64.to_bits());
+        assert_eq!(back.paths[0].matches.prn()[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(back.paths[0].bounds[0].to_bits(), 0.0625f64.to_bits());
         assert!(decode_retrieve_reply(&json, 2).is_err(), "path-count mismatch rejected");
+        // No candidates: an empty set, whatever the path's length.
+        let empty = Json::parse(&encode_retrieve_reply(&reply_of(&[])).to_string()).unwrap();
+        assert!(decode_retrieve_reply(&empty, 1).unwrap().paths[0].matches.is_empty());
+    }
+
+    #[test]
+    fn ragged_and_misshapen_partials_are_rejected() {
+        let partial = |matches: &str| {
+            let line = format!(
+                r#"{{"ok":true,"paths":[{{"raw_total":1,"raw_home":1,"pruned_total":1,"matches":{matches}}}]}}"#
+            );
+            decode_retrieve_reply(&Json::parse(&line).unwrap(), 1)
+        };
+        assert!(partial("[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]").is_ok());
+        for bad in [
+            "[[[1,2],0.5,0.5,0.25],[[3],0.5,0.5,0.25]]", // ragged: shorter
+            "[[[1],0.5,0.5,0.25],[[3,4,5],0.5,0.5,0.25]]", // ragged: longer
+            "[[[],0.5,0.5,0.25]]",                       // no nodes at all
+            "[[[1,4294967296],0.5,0.5,0.25]]",           // id past u32
+            "[[[1,2],0.5,0.5]]",                         // not a quad
+            "[[7,0.5,0.5,0.25]]",                        // nodes not an array
+        ] {
+            assert!(partial(bad).is_err(), "{bad} should be rejected");
+        }
     }
 
     #[test]
     fn non_finite_probabilities_are_rejected() {
-        // The writer turns NaN into null; the decoder must refuse it.
-        let m = PathMatch { nodes: vec![EntityId(1)], prle: f64::NAN, prn: 0.5 };
-        let json = Json::parse(&encode_match(&m, 0.5).to_string()).unwrap();
-        assert!(decode_match(&json).is_err());
-        let m = PathMatch { nodes: vec![EntityId(1)], prle: 0.5, prn: f64::INFINITY };
-        let json = Json::parse(&encode_match(&m, 0.5).to_string()).unwrap();
-        assert!(decode_match(&json).is_err());
-        // A non-finite keep-bound is rejected the same way.
-        let m = PathMatch { nodes: vec![EntityId(1)], prle: 0.5, prn: 0.5 };
-        let json = Json::parse(&encode_match(&m, f64::NAN).to_string()).unwrap();
-        assert!(decode_match(&json).is_err());
+        // The writer turns NaN into null; the decoder must refuse it, in
+        // every column.
+        for (prle, prn, bound) in
+            [(f64::NAN, 0.5, 0.5), (0.5, f64::INFINITY, 0.5), (0.5, 0.5, f64::NAN)]
+        {
+            let reply = reply_of(&[(&[1], prle, prn, bound)]);
+            let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
+            assert!(decode_retrieve_reply(&json, 1).is_err());
+        }
         // And the bound round-trips bit-exactly when finite.
-        let json = Json::parse(&encode_match(&m, 0.1875).to_string()).unwrap();
-        let (_, b) = decode_match(&json).unwrap();
-        assert_eq!(b.to_bits(), 0.1875f64.to_bits());
+        let reply = reply_of(&[(&[1], 0.5, 0.5, 0.1875)]);
+        let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
+        let back = decode_retrieve_reply(&json, 1).unwrap();
+        assert_eq!(back.paths[0].bounds[0].to_bits(), 0.1875f64.to_bits());
     }
 
     #[test]

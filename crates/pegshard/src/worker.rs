@@ -13,7 +13,7 @@
 //! `shard_load` reply to catch spec or version drift.
 //!
 //! Retrieval then goes through the same
-//! `Shard::retrieve_path` unit the in-process transport
+//! `Shard::retrieve_paths` unit the in-process transport
 //! uses — the scatter logic exists once; only the bytes in between
 //! differ.
 //!
@@ -36,19 +36,18 @@
 //! rejected — two coordinators cannot silently interleave updates.
 
 use crate::shard::{affected_shards, halo_for, Shard, ShardInfo, ShardSummary};
-use crate::transport::ShardReply;
+use crate::transport::{PathPartial, ShardReply};
 use crate::wire::HistogramEntries;
 use graphstore::{GraphOp, RefGraph};
 use pegmatch::error::PegError;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::OfflineOptions;
-use pegmatch::online::{NodeCandidateCache, PathStats, QueryPath};
+use pegmatch::online::{PathStats, QueryPath};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
 use pegtrace::Span;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// How many shard snapshots a worker keeps live: the latest plus its
 /// predecessor, so in-flight sessions on the pre-update version finish
@@ -173,9 +172,9 @@ impl WorkerShard {
 
     /// Executes one retrieval request against the requested shard
     /// snapshot (`None` = latest): per decomposition path, raw index
-    /// lookup, context pruning, home filtering, globalization, canonical
-    /// sort — the identical `Shard::retrieve_path` unit
-    /// the in-process transport runs, fanned over this worker's pool.
+    /// lookup, context pruning, home filtering, canonical sort,
+    /// globalization — the identical `Shard::retrieve_paths` unit the
+    /// in-process transport runs, fanned over this worker's pool.
     ///
     /// Returns `Err` when the query references labels outside this
     /// graph's alphabet (a coordinator/worker mismatch, surfaced as a
@@ -194,11 +193,12 @@ impl WorkerShard {
 
     /// [`retrieve`](Self::retrieve) with tracing: when a request carried a
     /// trace id, `span` is the worker's open `"shard_retrieve"` span and
-    /// one pre-measured `"path"` child is attached per decomposition path
-    /// — in path index order after the parallel join, never from pool
-    /// threads, so the subtree shipped back to the coordinator is a
-    /// deterministic function of the request. With [`Span::disabled`]
-    /// (the untraced path) not even the clocks are read.
+    /// one pre-measured `"path"` child (with `lookup` / `prune` / `sort`
+    /// children) is attached per decomposition path — in path index order
+    /// after the parallel join, never from pool threads, so the subtree
+    /// shipped back to the coordinator is a deterministic function of the
+    /// request. With [`Span::disabled`] (the untraced path) not even the
+    /// clocks are read.
     pub fn retrieve_traced(
         &self,
         query: &QueryGraph,
@@ -218,24 +218,19 @@ impl WorkerShard {
         }
         let shard = self.shard_at(version)?;
         let pstats: Vec<PathStats> = paths.iter().map(|p| PathStats::new(query, p)).collect();
-        let cache = NodeCandidateCache::new();
         let recording = span.is_recording();
-        let partials = pool.map(paths.len(), |i| {
-            let t0 = recording.then(Instant::now);
-            let partial = shard.retrieve_path(query, &paths[i], &pstats[i], alpha, &cache, pool);
-            (partial, t0.map(|t| t.elapsed()).unwrap_or_default())
-        });
-        let partials = partials
+        let partials = shard
+            .retrieve_paths(query, paths, &pstats, alpha, pool, recording)
             .into_iter()
             .enumerate()
-            .map(|(i, (partial, elapsed))| {
+            .map(|(i, got)| {
                 if recording {
-                    let unit = span.child_done("path", elapsed);
+                    let unit = got.trace(span, "path");
                     unit.tag("path", i);
-                    unit.tag("raw", partial.raw_total);
-                    unit.tag("pruned", partial.pruned_total);
+                    unit.tag("raw", got.set.raw_count);
+                    unit.tag("pruned", got.pruned_total);
                 }
-                partial
+                PathPartial::from(got)
             })
             .collect();
         Ok(ShardReply { paths: partials })
