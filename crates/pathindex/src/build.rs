@@ -405,18 +405,24 @@ fn walk_seq(
     let last = *nodes.last().unwrap();
     let want = labels[depth];
     let prev_label = labels[depth - 1];
-    let deg = graph.neighbors(last).len();
-    for k in 0..deg {
-        let nb = EntityId(graph.neighbors(last)[k]);
-        if nodes.contains(&nb) || graph.shares_ref_with_any(nb, nodes) {
-            continue;
-        }
+    // The CSR row carries each neighbour's edge, so its CPT is read off the
+    // row (in the orientation `EntityGraph::edge_prob` uses) instead of
+    // probed for; the label and edge tests reject most neighbours and run
+    // ahead of the reference scan.
+    for (nb, edge) in graph.neighbor_edges(last) {
         let lp = graph.label_prob(nb, want);
         if lp <= 0.0 {
             continue;
         }
-        let ep = graph.edge_prob(last, nb, prev_label, want);
+        let ep = if edge.a == last {
+            edge.prob.prob(prev_label, want)
+        } else {
+            edge.prob.prob(want, prev_label)
+        };
         if ep <= 0.0 {
+            continue;
+        }
+        if nodes.contains(&nb) || graph.shares_ref_with_any(nb, nodes) {
             continue;
         }
         nodes.push(nb);
@@ -503,8 +509,8 @@ mod tests {
             vec![Label(0), Label(1), Label(2)],
             vec![Label(0), Label(2), Label(0)],
         ] {
-            let mut a = seq.lookup(&labels, 0.1);
-            let mut b = par.lookup(&labels, 0.1);
+            let mut a = seq.lookup(&labels, 0.1).to_vec();
+            let mut b = par.lookup(&labels, 0.1).to_vec();
             a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             assert_eq!(a, b, "mismatch for {labels:?}");
@@ -523,8 +529,8 @@ mod tests {
             vec![Label(2), Label(0)],
             vec![], // matches nothing, on either side
         ] {
-            let mut a = idx.lookup(&labels, 0.2);
-            let mut b = enumerate_paths_online(&g, &NoIdentity, &labels, 0.2);
+            let mut a = idx.lookup(&labels, 0.2).to_vec();
+            let mut b = enumerate_paths_online(&g, &NoIdentity, &labels, 0.2).to_vec();
             a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             assert_eq!(a, b, "mismatch for {labels:?}");
@@ -565,8 +571,8 @@ mod tests {
         }
         for seq in fresh.map.keys() {
             let labels: Vec<Label> = seq.iter().map(|&l| Label(l)).collect();
-            let mut a = idx.lookup(&labels, 0.0);
-            let mut b = fresh.lookup(&labels, 0.0);
+            let mut a = idx.lookup(&labels, 0.0).to_vec();
+            let mut b = fresh.lookup(&labels, 0.0).to_vec();
             a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             assert_eq!(a, b, "entries mismatch for {seq:?}");

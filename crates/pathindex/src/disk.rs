@@ -269,8 +269,8 @@ mod tests {
             vec![Label(0), Label(1), Label(2)],
             vec![Label(2), Label(1), Label(0), Label(2)],
         ] {
-            let mut a = idx.lookup(&labels, 0.3);
-            let mut b = back.lookup(&labels, 0.3);
+            let mut a = idx.lookup(&labels, 0.3).to_vec();
+            let mut b = back.lookup(&labels, 0.3).to_vec();
             a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
             assert_eq!(a, b);
@@ -313,8 +313,8 @@ mod tests {
             vec![], // matches nothing, on either side
         ] {
             for alpha in [0.2, 0.5, 0.9] {
-                let mut a = idx.lookup(&labels, alpha);
-                let mut b = disk.lookup(&labels, alpha).unwrap();
+                let mut a = idx.lookup(&labels, alpha).to_vec();
+                let mut b = disk.lookup(&labels, alpha).unwrap().to_vec();
                 a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
                 b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
                 assert_eq!(a, b, "labels {labels:?} alpha {alpha}");

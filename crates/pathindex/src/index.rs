@@ -320,20 +320,6 @@ impl PathMatches {
             *slot = r;
         }
     }
-
-    /// **Tests only** — this crate's tests and `tests/persistence.rs` compare
-    /// lookups irrespective of bucket order through this; it goes once that
-    /// file may call `to_vec()` and sort the result instead. Reorders the
-    /// matches by `cmp` over owned copies of them, one allocation per match:
-    /// the shape the query path no longer has. Query code orders rows with
-    /// [`PathMatches::sort_rows`].
-    #[doc(hidden)]
-    pub fn sort_by(&mut self, mut cmp: impl FnMut(&PathMatch, &PathMatch) -> std::cmp::Ordering) {
-        let owned = self.to_vec();
-        let mut rows: Vec<u32> = (0..self.len() as u32).collect();
-        rows.sort_by(|&a, &b| cmp(&owned[a as usize], &owned[b as usize]));
-        *self = self.gather(&rows);
-    }
 }
 
 /// The entries of one `(canonical sequence, probability bucket)`, flat:
@@ -694,9 +680,9 @@ mod tests {
         let mut all: Vec<u32> = (0..4).collect();
         m.sort_rows(&mut all);
         let by_key = m.gather(&all);
-        m.sort_by(|a, b| a.nodes.cmp(&b.nodes));
-        assert_eq!(m, by_key);
-        let owned = m.to_vec();
+        let mut owned = m.to_vec();
+        owned.sort_by(|a, b| a.nodes.cmp(&b.nodes));
+        assert_eq!(owned, by_key.to_vec());
         assert_eq!(owned[0].nodes, vec![EntityId(3), EntityId(2)]);
         // Rows wider than a key fall back to comparing slices.
         let mut wide = PathMatches::new(5);

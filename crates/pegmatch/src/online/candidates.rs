@@ -381,7 +381,7 @@ impl Retrieval {
 }
 
 /// `f()`, and how long it took when `timed` (no clock is read otherwise).
-fn clocked<T>(timed: bool, f: impl FnOnce() -> T) -> (T, Duration) {
+pub(crate) fn clocked<T>(timed: bool, f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = timed.then(Instant::now);
     let out = f();
     (out, t0.map(|t| t.elapsed()).unwrap_or_default())

@@ -21,7 +21,9 @@ pub mod source;
 pub use candidates::{bound_keeps, CandidateSet, PathStats};
 pub use decompose::{decompose, DecompStrategy, Decomposition, QueryPath};
 pub use exec_cache::{floor_alpha, ExecCache, ExecCacheStats, ExecKey, DEFAULT_EXEC_CACHE_BYTES};
-pub use generate::{generate_matches, generate_matches_limited, join_order, JoinOrder};
+pub use generate::{
+    generate_matches, generate_matches_limited, generate_matches_traced, join_order, JoinOrder,
+};
 pub use kpartite::{build_kpartite, KPartiteGraph, ReduceOptions, ReductionStats};
 pub use plan::{PlanCache, PlanCacheEntry, PlanCacheStats, PreparedQuery};
 pub use session::QuerySession;

@@ -18,7 +18,7 @@
 use crate::error::PegError;
 use crate::online::candidates::CandidateSet;
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
-use crate::online::generate::generate_matches_limited;
+use crate::online::generate::generate_matches_traced;
 use crate::online::kpartite::{build_kpartite_traced, KPartiteGraph, ReduceOptions};
 use crate::online::plan::PreparedQuery;
 use crate::online::source::CandidateSource;
@@ -323,7 +323,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         let span = self.tracer.stage("generate");
         span.tag("alpha", alpha);
         span.tag("base_reused", stats.base_reused);
-        let (matches, truncated) = generate_matches_limited(
+        let (matches, truncated) = generate_matches_traced(
             self.peg,
             &self.prepared.query,
             &self.prepared.decomp,
@@ -332,6 +332,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             alpha,
             limit,
             &pool,
+            &span,
         );
         stats.n_matches = matches.len();
         span.tag("matches", stats.n_matches);

@@ -93,8 +93,8 @@ fn disk_index_lookups_match_memory() {
         for b in 0..n_labels {
             let labels = [graphstore::Label(a), graphstore::Label(b)];
             for alpha in [0.3, 0.6, 0.9] {
-                let mut x = idx.paths.lookup(&labels, alpha);
-                let mut y = disk.lookup(&labels, alpha).unwrap();
+                let mut x = idx.paths.lookup(&labels, alpha).to_vec();
+                let mut y = disk.lookup(&labels, alpha).unwrap().to_vec();
                 x.sort_by(|p, q| p.nodes.cmp(&q.nodes));
                 y.sort_by(|p, q| p.nodes.cmp(&q.nodes));
                 assert_eq!(x, y, "labels ({a},{b}) alpha {alpha}");
