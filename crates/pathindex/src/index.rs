@@ -194,6 +194,22 @@ impl PathMatches {
         }
     }
 
+    /// A set over whole columns: `prle.len()` matches of `stride` nodes
+    /// each, `nodes` their arena row after row. `None` unless the three
+    /// lengths agree (`nodes.len() == stride · prle.len()`, one `prn` per
+    /// `prle`) and a non-empty set has `stride ≥ 1`.
+    pub fn from_columns(
+        stride: usize,
+        nodes: Vec<u32>,
+        prle: Vec<f64>,
+        prn: Vec<f64>,
+    ) -> Option<Self> {
+        let n = prle.len();
+        let fits =
+            prn.len() == n && stride.checked_mul(n) == Some(nodes.len()) && (stride > 0 || n == 0);
+        fits.then_some(Self { stride, nodes, prle, prn })
+    }
+
     /// Nodes per match.
     pub fn stride(&self) -> usize {
         self.stride
@@ -691,6 +707,30 @@ mod tests {
         let mut rows = vec![0u32, 1];
         wide.sort_rows(&mut rows);
         assert_eq!(rows, vec![1, 0]);
+    }
+
+    #[test]
+    fn from_columns_checks_the_three_lengths() {
+        let m = PathMatches::from_columns(2, vec![9, 1, 3, 7], vec![0.5, 0.25], vec![1.0, 1.0])
+            .expect("lengths agree");
+        let mut pushed = PathMatches::new(2);
+        pushed.push([9, 1], 0.5, 1.0);
+        pushed.push([3, 7], 0.25, 1.0);
+        assert_eq!(m, pushed);
+        // An empty set keeps whatever stride it is given, zero included.
+        for stride in [0, 3] {
+            let empty = PathMatches::from_columns(stride, vec![], vec![], vec![]).unwrap();
+            assert_eq!((empty.len(), empty.stride()), (0, stride));
+        }
+        let bad = [
+            (2, vec![9, 1, 3], vec![0.5, 0.25], vec![1.0, 1.0]), // arena one id short
+            (2, vec![9, 1, 3, 7], vec![0.5, 0.25], vec![1.0]),   // a prn missing
+            (0, vec![], vec![0.5], vec![1.0]),                   // rows of no nodes
+            (usize::MAX, vec![9, 1], vec![0.5, 0.25], vec![1.0, 1.0]), // stride · n overflows
+        ];
+        for (stride, nodes, prle, prn) in bad {
+            assert!(PathMatches::from_columns(stride, nodes, prle, prn).is_none(), "{stride}");
+        }
     }
 
     #[test]

@@ -907,7 +907,10 @@ fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Js
     span.tag("n_paths", r.paths.len());
     let reply = ws.retrieve_traced(&r.query, &r.paths, r.alpha, r.version, &span, &pool)?;
     state.query_metrics.shard_retrieve.record(span.finish());
+    let t_encode = Instant::now();
     let encoded = shard_wire::encode_retrieve_reply(&reply);
+    state.query_metrics.shard_reply_encode.record(t_encode.elapsed());
+    state.query_metrics.shard_reply_bytes.record_us(shard_wire::reply_payload_bytes(&reply));
     Ok(match tracer.take().pop() {
         Some(node) => match encoded {
             Json::Obj(mut fields) => {
@@ -1159,6 +1162,9 @@ struct QueryMetrics {
     op_us: [Histogram; 5],
     admission_wait: Histogram,
     shard_retrieve: Histogram,
+    shard_reply_encode: Histogram,
+    /// A size, not a time: the histogram's `_us` readout fields are bytes.
+    shard_reply_bytes: Histogram,
     prepare: Histogram,
     retrieve: Histogram,
     join: Histogram,
@@ -1174,6 +1180,8 @@ impl QueryMetrics {
             op_us: QueryOp::ALL.map(|op| metrics.histogram(&format!("serve.{}_us", op.name()))),
             admission_wait: metrics.histogram("serve.admission_wait_us"),
             shard_retrieve: metrics.histogram("serve.shard_retrieve_us"),
+            shard_reply_encode: metrics.histogram("serve.shard_reply_encode_us"),
+            shard_reply_bytes: metrics.histogram("serve.shard_reply_bytes"),
             prepare: metrics.histogram("pipeline.prepare_us"),
             retrieve: metrics.histogram("pipeline.retrieve_us"),
             join: metrics.histogram("pipeline.join_us"),
@@ -2497,6 +2505,19 @@ mod tests {
                 );
             }
         }
+        // A worker's `metrics` says what its replies cost: an encode time
+        // and a payload size for every leg it answered.
+        let mut payload_bytes = 0;
+        for worker in [&w1, &w2] {
+            let metrics = &worker.state.metrics;
+            let legs = metrics.histogram("serve.shard_retrieve_us").count();
+            assert!(legs > 0);
+            assert_eq!(metrics.histogram("serve.shard_reply_encode_us").count(), legs);
+            let bytes = metrics.histogram("serve.shard_reply_bytes").snapshot();
+            assert_eq!(bytes.count, legs);
+            payload_bytes += bytes.sum_us;
+        }
+        assert!(payload_bytes > 0, "the matches above crossed as column payloads");
         handle.shutdown().unwrap();
         w1.shutdown().unwrap();
         w2.shutdown().unwrap();

@@ -65,9 +65,10 @@
 //!   deterministically from the generator spec ([`worker::WorkerShard`])
 //!   and apply broadcast `shard_update` batches the same way, so nothing
 //!   but the spec, mutation ops, queries, summaries and
-//!   `(nodes, prle, prn)` triples ever crosses the wire — bit-exactly,
-//!   on [`pegwire::json`]'s f64 round-trip guarantee (see [`wire`] for
-//!   the codec and NaN policy).
+//!   `(nodes, prle, prn)` triples ever crosses the wire — bit-exactly:
+//!   the triples as packed columns of verbatim `f64` bits, every other
+//!   number on [`pegwire::json`]'s f64 round-trip guarantee (see [`wire`]
+//!   for the codec and NaN policy).
 //!
 //! Because both transports run the identical per-shard unit
 //! (`Shard::retrieve_paths`) and the gather consumes only home-filtered

@@ -153,17 +153,14 @@ pub struct ShardedGraphStore {
 }
 
 /// What the gather requires of one shard's partial before it merges it:
-/// one keep-bound per candidate, every candidate `path_len` nodes long
-/// (an empty partial's stride is a decoder placeholder and goes
-/// unchecked), every id a node of the `n_nodes`-node graph, and the rows
-/// strictly ascending — the canonical order the merge relies on.
+/// one keep-bound per candidate, candidates `path_len` nodes long (an
+/// empty partial states its stride too), every id a node of the
+/// `n_nodes`-node graph, and the rows strictly ascending — the canonical
+/// order the merge relies on.
 fn check_partial(part: &PathPartial, path_len: usize, n_nodes: usize) -> Result<(), String> {
     let m = &part.matches;
     if part.bounds.len() != m.len() {
         return Err(format!("{} keep-bounds for {} candidates", part.bounds.len(), m.len()));
-    }
-    if m.is_empty() {
-        return Ok(());
     }
     if m.stride() != path_len {
         return Err(format!("candidates of {} nodes for a path of {path_len}", m.stride()));

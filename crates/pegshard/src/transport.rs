@@ -95,9 +95,8 @@ pub struct PathPartial {
     /// (boundary replicas included) — the replication-overhead stat.
     pub pruned_total: usize,
     /// Home-filtered surviving candidates, flat: global ids, canonical
-    /// ascending-node-sequence order, disjoint across shards. (A decoded
-    /// partial with no candidates cannot know its path's length; its
-    /// stride is a placeholder the gather never reads.)
+    /// ascending-node-sequence order, disjoint across shards. Its stride
+    /// is the path's length, candidates or none.
     pub matches: PathMatches,
     /// Each survivor's keep-bound, aligned with `matches` (see
     /// `pegmatch::online::candidates::retrieve_candidates`). Home

@@ -30,30 +30,58 @@
 //! The query crosses the wire as **label ids** (`u16`) and query-node
 //! indexes, not label names: coordinator and workers build the same graph
 //! from the same deterministic generator spec, so their label tables are
-//! identical and ids are exact. Candidates come back as
-//! `[[node ids...], prle, prn, bound]` arrays — the most compact shape
-//! the JSON value offers — written from, and decoded straight back into,
-//! one flat [`PathMatches`] per path (a ragged array is a protocol error;
-//! the coordinator's gather checks the stride against the plan and the ids
-//! against the graph); `bound` is the survivor's keep-bound, which the
-//! coordinator's execution cache uses to re-prune gathered lists at
-//! higher thresholds without another scatter.
+//! identical and ids are exact.
 //!
-//! # f64 round trip and the NaN policy
+//! Candidates come back as **columns**, not as a tree of values. Each path
+//! partial of the reply is one flat [`PathMatches`] plus its keep-bounds —
+//! four arrays — and crosses the wire as exactly that:
 //!
-//! Probabilities ride on [`pegwire::json`]'s round-trip guarantee: the
-//! writer emits the shortest decimal that parses back to the identical
-//! bits, so `prle`/`prn` survive the wire **bit-exactly** — including
-//! `-0.0` (kept by a writer special case) and subnormals. Non-finite
-//! values have no JSON representation; the writer serializes them as
-//! `null` and this decoder rejects any non-number where a probability
-//! belongs. The policy is therefore: *NaN and infinities cannot cross
-//! the wire silently* — a non-finite probability (impossible by
-//! construction, since all stored probabilities live in `[0, 1]`) fails
-//! the exchange with a decode error instead of smuggling a `null`
-//! through. `crates/pegshard/tests/wire_proptest.rs` pins both halves:
+//! ```text
+//! {"raw_total":…,"raw_home":…,"pruned_total":…,"stride":k,"n":N,"cols":"<base64>"}
+//! ```
+//!
+//! `cols` is one unpadded base64 string ([`pegwire::base64`]) over
+//! `N · (4k + 24)` bytes: the node arena (`N · k` ids, `u32`
+//! little-endian, row after row), then the `prle`, the `prn` and the
+//! keep-bound column (`N` × `f64::to_bits`, little-endian, each). The
+//! encoder copies whole columns in and the decoder copies whole columns
+//! out ([`PathMatches::from_columns`]); no per-candidate value is built or
+//! read on either side. The bound is the survivor's keep-bound, which the
+//! coordinator's execution cache uses to re-prune gathered lists at higher
+//! thresholds without another scatter. An empty partial is `"n":0` with an
+//! empty `cols` and keeps its path's `stride`. The reply is still one JSON
+//! object on one line: the framing, the `id` echo and the optional `span`
+//! are those of every other op.
+//!
+//! The decoder trusts nothing the header claims: `stride ≥ 1`, the byte
+//! count computed with checked arithmetic, and `cols` of exactly the base64
+//! length that count takes — all before allocating, so a header claiming
+//! 2^53 candidates costs a comparison, not memory. What it cannot know —
+//! that the stride is the plan's, the ids the graph's and the rows in
+//! canonical order — the coordinator's gather checks
+//! (`store::check_partial`). There is one shape and no fallback:
+//! coordinator and workers ship from one build, and a worker answering in
+//! any other shape is a `malformed reply`.
+//!
+//! # f64 bits and the NaN policy
+//!
+//! Candidate probabilities cross **bit-exactly** because their bits are
+//! what is sent: `-0.0`, subnormals and every other finite pattern come
+//! back as they left. That also means a NaN or an infinity *has* a
+//! representation in the payload, where the JSON writer would have printed
+//! `null` — so the policy is enforced where the bits are read: the decoder
+//! tests every `prle`, `prn` and bound for finiteness and fails the whole
+//! reply on the first that is not. *NaN and infinities cannot cross the
+//! wire silently* — impossible by construction, since all stored
+//! probabilities live in `[0, 1]`, and a decode error if it happens
+//! anyway. `crates/pegshard/tests/wire_proptest.rs` pins both halves:
 //! arbitrary finite bit patterns round-trip exactly, non-finite ones are
-//! rejected.
+//! rejected in each of the three columns.
+//!
+//! Everything else that is a probability on this link (`alpha`, mutation
+//! weights) is a JSON number and rides [`pegwire::json`]'s
+//! shortest-round-trip guarantee; there the writer prints non-finite
+//! values as `null` and the decoders here refuse to read one.
 
 use crate::shard::{ShardInfo, ShardSummary};
 use crate::transport::{PathPartial, ShardReply, ShardRequest};
@@ -62,7 +90,7 @@ use pathindex::PathMatches;
 use pegmatch::online::QueryPath;
 use pegmatch::query::{QNode, QueryGraph};
 use pegtrace::{SpanNode, TagValue};
-use pegwire::{obj, Json};
+use pegwire::{base64, obj, Json};
 
 /// Op name: build one shard of a graph on a worker.
 pub const OP_SHARD_LOAD: &str = "shard_load";
@@ -217,90 +245,133 @@ pub fn decode_retrieve_request(req: &Json) -> Result<(QueryGraph, Vec<QueryPath>
     Ok((query, paths, alpha))
 }
 
-/// Encodes one candidate as `[[nodes...], prle, prn, bound]` — the match
-/// triple plus its keep-bound (finite, in `[0, 1]`: the bound is a `min`
-/// that includes `prle·prn`), which the coordinator's execution cache
-/// needs to re-prune gathered lists at higher thresholds without another
-/// scatter.
-fn encode_candidate(nodes: &[u32], prle: f64, prn: f64, bound: f64) -> Json {
-    Json::Arr(vec![
-        Json::Arr(nodes.iter().map(|&v| Json::Num(v as f64)).collect()),
-        Json::Num(prle),
-        Json::Num(prn),
-        Json::Num(bound),
-    ])
+/// Bytes of probabilities a candidate carries: `prle`, `prn` and its
+/// keep-bound, 8 each.
+const PROB_BYTES_PER_CANDIDATE: usize = 24;
+
+/// Bytes the column payload of `n` candidates of `stride` nodes holds —
+/// `n · (4 · stride + 24)` — or `None` when that overflows `usize`.
+fn column_bytes(stride: usize, n: usize) -> Option<usize> {
+    stride.checked_mul(4)?.checked_add(PROB_BYTES_PER_CANDIDATE)?.checked_mul(n)
 }
 
-/// Decodes the node ids of one candidate quad into `ids`; rejects a quad of
-/// the wrong shape and node ids outside `u32`.
-fn decode_candidate_nodes<'a>(v: &'a Json, ids: &mut Vec<u32>) -> Result<&'a [Json], WireError> {
-    let quad = v
-        .as_arr()
-        .filter(|t| t.len() == 4)
-        .ok_or_else(|| err("bad match: expected [[nodes...], prle, prn, bound]"))?;
-    ids.clear();
-    for n in quad[0].as_arr().ok_or_else(|| err("bad match nodes: expected an array"))? {
-        let id = need_u64(n, "node id")?;
-        ids.push(u32::try_from(id).map_err(|_| err(format!("node id {id} exceeds u32")))?);
+/// Bytes [`encode_columns`] packs for `p`, before base64.
+fn packed_len(p: &PathPartial) -> usize {
+    let m = &p.matches;
+    m.nodes().len() * 4 + (m.prle().len() + m.prn().len() + p.bounds.len()) * 8
+}
+
+/// Packs one partial's four columns — the node arena as `u32`s, then
+/// `prle`, `prn` and the keep-bounds as `f64::to_bits`, all little-endian,
+/// nothing between them — into one unpadded base64 string.
+fn encode_columns(p: &PathPartial) -> String {
+    let m = &p.matches;
+    let mut bytes = vec![0u8; packed_len(p)];
+    let (ids, mut rest) = bytes.split_at_mut(m.nodes().len() * 4);
+    for (dst, id) in ids.chunks_exact_mut(4).zip(m.nodes()) {
+        dst.copy_from_slice(&id.to_le_bytes());
     }
-    Ok(quad)
+    for col in [m.prle(), m.prn(), &p.bounds] {
+        let (here, after) = rest.split_at_mut(col.len() * 8);
+        for (dst, x) in here.chunks_exact_mut(8).zip(col) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+        rest = after;
+    }
+    base64::encode(&bytes)
 }
 
-/// Encodes the `shard_retrieve` reply (`ok` + per-path partials), walking
-/// each partial's arenas row by row.
+/// Characters of column payload [`encode_retrieve_reply`] writes for
+/// `reply`: its reply line but for some hundred bytes of counts and shape
+/// a path. What a worker's always-on `serve.shard_reply_bytes` records.
+pub fn reply_payload_bytes(reply: &ShardReply) -> u64 {
+    let chars = |p: &PathPartial| {
+        base64::encoded_len(packed_len(p)).expect("columns held in memory encode within usize")
+    };
+    reply.paths.iter().map(chars).sum::<usize>() as u64
+}
+
+/// Encodes the `shard_retrieve` reply: `ok` plus, per path, the three
+/// counts, the partial's shape (`stride`, `n`) and its columns as one
+/// packed payload (`cols`; the module docs give its layout). The
+/// keep-bound column is what lets the coordinator's execution cache
+/// re-prune gathered lists at higher thresholds without another scatter.
 pub fn encode_retrieve_reply(reply: &ShardReply) -> Json {
     let paths: Vec<Json> = reply
         .paths
         .iter()
         .map(|p| {
-            let matches = p
-                .matches
-                .iter()
-                .zip(&p.bounds)
-                .map(|(m, &b)| encode_candidate(m.nodes, m.prle, m.prn, b))
-                .collect();
             obj()
                 .field("raw_total", p.raw_total)
                 .field("raw_home", p.raw_home)
                 .field("pruned_total", p.pruned_total)
-                .field("matches", Json::Arr(matches))
+                .field("stride", p.matches.stride())
+                .field("n", p.matches.len())
+                .field("cols", encode_columns(p))
                 .build()
         })
         .collect();
     obj().field("ok", true).field("paths", Json::Arr(paths)).build()
 }
 
-/// Decodes one partial's candidate array straight into flat arenas. The
-/// first candidate sets the stride and every later one must match it — a
-/// ragged partial is a protocol error — and probabilities (bound included)
-/// must be finite. An empty array decodes to an empty set of placeholder
-/// stride 1: only the coordinator's gather knows the path's length, and it
-/// is also where the stride and the node ids are checked against the plan
-/// and the graph.
-fn decode_candidates(items: &[Json]) -> Result<(PathMatches, Vec<f64>), WireError> {
-    // A first candidate too misshapen to count nodes in fails in the loop.
-    let first_nodes = items.first().and_then(|c| c.as_arr()?.first()?.as_arr());
-    let stride = first_nodes.map_or(1, <[Json]>::len);
+/// Decodes one partial. The claimed shape is checked against the payload
+/// *before* anything is allocated from it: `stride ≥ 1`, `n · (4 · stride +
+/// 24)` computed without overflow, and `cols` a string of exactly the
+/// base64 length that many bytes take — so a lying `n` costs a comparison.
+/// Then the payload must be valid base64 and every `prle`, `prn` and bound
+/// finite. Whether the stride is the plan's and the ids the graph's is the
+/// coordinator's gather to check: it knows both.
+fn decode_partial(p: &Json) -> Result<PathPartial, WireError> {
+    let field = |k: &str| -> Result<usize, WireError> {
+        p.get(k).and_then(Json::as_usize).ok_or_else(|| err(format!("missing or bad \"{k}\"")))
+    };
+    let (stride, n) = (field("stride")?, field("n")?);
     if stride == 0 {
-        return Err(err("bad match nodes: empty"));
+        return Err(err("bad \"stride\": a candidate has at least one node"));
     }
-    let mut ids: Vec<u32> = Vec::with_capacity(stride);
-    let mut matches = PathMatches::with_capacity(stride, items.len());
-    let mut bounds = Vec::with_capacity(items.len());
-    for item in items {
-        let quad = decode_candidate_nodes(item, &mut ids)?;
-        if ids.len() != stride {
-            return Err(err(format!(
-                "ragged partial: a candidate of {} nodes among candidates of {stride}",
-                ids.len()
-            )));
+    let cols = p
+        .get("cols")
+        .and_then(Json::as_str)
+        .ok_or_else(|| err("missing or non-string \"cols\""))?;
+    let n_bytes = column_bytes(stride, n)
+        .filter(|&b| base64::encoded_len(b) == Some(cols.len()))
+        .ok_or_else(|| {
+        err(format!(
+            "\"cols\" of {} characters cannot hold {n} candidates of {stride} nodes",
+            cols.len()
+        ))
+    })?;
+    let bytes = base64::decode(cols).map_err(|e| err(format!("bad \"cols\": {e}")))?;
+    // A base64 length names one byte count, so this cannot fire — but the
+    // slicing below leans on it, and the bytes came from outside.
+    if bytes.len() != n_bytes {
+        return Err(err(format!("\"cols\" decoded to {} bytes, expected {n_bytes}", bytes.len())));
+    }
+    let (ids, probs) = bytes.split_at(n * stride * 4);
+    let nodes = ids
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("chunks of four")))
+        .collect();
+    let column = |i: usize, what: &str| -> Result<Vec<f64>, WireError> {
+        let col: Vec<f64> = probs[i * n * 8..(i + 1) * n * 8]
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("chunks of eight"))))
+            .collect();
+        match col.iter().position(|x| !x.is_finite()) {
+            Some(row) => Err(err(format!("bad {what}: candidate {row} is not finite"))),
+            None => Ok(col),
         }
-        let prle = need_prob(Some(&quad[1]), "prle")?;
-        let prn = need_prob(Some(&quad[2]), "prn")?;
-        bounds.push(need_prob(Some(&quad[3]), "bound")?);
-        matches.push(ids.iter().copied(), prle, prn);
-    }
-    Ok((matches, bounds))
+    };
+    let (prle, prn, bounds) = (column(0, "prle")?, column(1, "prn")?, column(2, "bound")?);
+    let matches = PathMatches::from_columns(stride, nodes, prle, prn)
+        .ok_or_else(|| err("columns of unequal length"))?;
+    Ok(PathPartial {
+        raw_total: field("raw_total")?,
+        raw_home: field("raw_home")?,
+        pruned_total: field("pruned_total")?,
+        matches,
+        bounds,
+    })
 }
 
 /// Decodes a `shard_retrieve` reply, requiring exactly `n_paths` partials
@@ -311,24 +382,7 @@ pub fn decode_retrieve_reply(reply: &Json, n_paths: usize) -> Result<ShardReply,
     if paths.len() != n_paths {
         return Err(err(format!("expected {n_paths} path partials, got {}", paths.len())));
     }
-    let paths = paths
-        .iter()
-        .map(|p| {
-            let field = |k: &str| -> Result<usize, WireError> {
-                p.get(k)
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| err(format!("missing or bad \"{k}\"")))
-            };
-            let (matches, bounds) = decode_candidates(need_arr(p.get("matches"), "matches")?)?;
-            Ok(PathPartial {
-                raw_total: field("raw_total")?,
-                raw_home: field("raw_home")?,
-                pruned_total: field("pruned_total")?,
-                matches,
-                bounds,
-            })
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
+    let paths = paths.iter().map(decode_partial).collect::<Result<Vec<_>, WireError>>()?;
     Ok(ShardReply { paths })
 }
 
@@ -807,9 +861,10 @@ mod tests {
         }
     }
 
-    /// A one-path reply holding `candidates` as `(nodes, prle, prn, bound)`.
-    fn reply_of(candidates: &[(&[u32], f64, f64, f64)]) -> ShardReply {
-        let mut matches = PathMatches::new(candidates.first().map_or(1, |c| c.0.len()));
+    /// A one-path reply holding `candidates` as `(nodes, prle, prn, bound)`
+    /// rows of a `stride`-node partial.
+    fn reply_of(stride: usize, candidates: &[(&[u32], f64, f64, f64)]) -> ShardReply {
+        let mut matches = PathMatches::new(stride);
         let mut bounds = Vec::new();
         for &(nodes, prle, prn, bound) in candidates {
             matches.push(nodes.iter().copied(), prle, prn);
@@ -826,13 +881,31 @@ mod tests {
         }
     }
 
+    /// Decodes a one-path reply whose partial is the three counts plus
+    /// `shape` — the `"stride":…,"n":…,"cols":…` fields as wire text.
+    fn decode_shape(shape: &str) -> Result<ShardReply, WireError> {
+        let line = format!(
+            r#"{{"ok":true,"paths":[{{"raw_total":1,"raw_home":1,"pruned_total":1,{shape}}}]}}"#
+        );
+        decode_retrieve_reply(&Json::parse(&line).unwrap(), 1)
+    }
+
+    /// Two candidates of two nodes, `[1,2]` and `[3,4]`, every probability
+    /// 0.5 and every bound 0.25: 64 bytes, 86 characters.
+    const TWO_BY_TWO: &str = "AQAAAAIAAAADAAAABAAAAAAAAAAAAOA/AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/\
+                              AAAAAAAA0D8AAAAAAADQPw";
+
     #[test]
     fn reply_round_trips_and_validates_path_count() {
-        let reply = reply_of(&[(&[7, 2], 0.125, -0.0, 0.0625), (&[9, 4], 0.5, 1.0, 0.25)]);
+        let reply = reply_of(2, &[(&[7, 2], 0.125, -0.0, 0.0625), (&[9, 4], 0.5, 1.0, 0.25)]);
         let text = encode_retrieve_reply(&reply).to_string();
         assert_eq!(
             text,
-            r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"matches":[[[7,2],0.125,-0,0.0625],[[9,4],0.5,1,0.25]]}]}"#
+            concat!(
+                r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"#,
+                r#""stride":2,"n":2,"cols":"BwAAAAIAAAAJAAAABAAAAAAAAAAAAMA/AAAAAAAA4D8"#,
+                r#"AAAAAAAAAgAAAAAAAAPA/AAAAAAAAsD8AAAAAAADQPw"}]}"#
+            )
         );
         let json = Json::parse(&text).unwrap();
         let back = decode_retrieve_reply(&json, 1).unwrap();
@@ -845,48 +918,108 @@ mod tests {
         assert_eq!(back.paths[0].matches.prn()[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(back.paths[0].bounds[0].to_bits(), 0.0625f64.to_bits());
         assert!(decode_retrieve_reply(&json, 2).is_err(), "path-count mismatch rejected");
-        // No candidates: an empty set, whatever the path's length.
-        let empty = Json::parse(&encode_retrieve_reply(&reply_of(&[])).to_string()).unwrap();
-        assert!(decode_retrieve_reply(&empty, 1).unwrap().paths[0].matches.is_empty());
+        // No candidates: an empty payload, and the path's stride survives.
+        let empty = encode_retrieve_reply(&reply_of(3, &[])).to_string();
+        assert!(empty.contains(r#""stride":3,"n":0,"cols":"""#), "{empty}");
+        let back = decode_retrieve_reply(&Json::parse(&empty).unwrap(), 1).unwrap();
+        assert_eq!((back.paths[0].matches.len(), back.paths[0].matches.stride()), (0, 3));
     }
 
     #[test]
-    fn ragged_and_misshapen_partials_are_rejected() {
-        let partial = |matches: &str| {
-            let line = format!(
-                r#"{{"ok":true,"paths":[{{"raw_total":1,"raw_home":1,"pruned_total":1,"matches":{matches}}}]}}"#
-            );
-            decode_retrieve_reply(&Json::parse(&line).unwrap(), 1)
+    fn a_shape_that_lies_about_its_payload_is_rejected() {
+        let shape = |stride: &str, n: &str, cols: &str| {
+            decode_shape(&format!(r#""stride":{stride},"n":{n},"cols":"{cols}""#))
         };
-        assert!(partial("[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]").is_ok());
-        for bad in [
-            "[[[1,2],0.5,0.5,0.25],[[3],0.5,0.5,0.25]]", // ragged: shorter
-            "[[[1],0.5,0.5,0.25],[[3,4,5],0.5,0.5,0.25]]", // ragged: longer
-            "[[[],0.5,0.5,0.25]]",                       // no nodes at all
-            "[[[1,4294967296],0.5,0.5,0.25]]",           // id past u32
-            "[[[1,2],0.5,0.5]]",                         // not a quad
-            "[[7,0.5,0.5,0.25]]",                        // nodes not an array
+        let back = shape("2", "2", TWO_BY_TWO).unwrap();
+        assert_eq!(back.paths[0].matches.nodes(), &[1, 2, 3, 4]);
+        assert_eq!(back.paths[0].bounds, vec![0.25, 0.25]);
+        // The same 64 bytes are also one candidate of ten nodes: only the
+        // gather, which knows the plan, can refuse that reading.
+        assert_eq!(shape("10", "1", TWO_BY_TWO).unwrap().paths[0].matches.stride(), 10);
+        let huge = (1u64 << 53).to_string();
+        for (stride, n, cols, why) in [
+            ("2", "3", TWO_BY_TWO, "n too large for the payload"),
+            ("2", "1", TWO_BY_TWO, "n too small for the payload"),
+            ("3", "2", TWO_BY_TWO, "stride too large for the payload"),
+            ("1", "2", TWO_BY_TWO, "stride too small for the payload"),
+            ("2", "2", &TWO_BY_TWO[..85], "payload one character short"),
+            ("2", "0", TWO_BY_TWO, "an empty partial with a payload"),
+            ("2", "2", "", "a full partial without one"),
+            ("0", "2", TWO_BY_TWO, "stride 0"),
+            ("0", "0", "", "stride 0, even when empty"),
+            ("2", &huge, TWO_BY_TWO, "n = 2^53"),
+            (&huge, &huge, TWO_BY_TWO, "n * (4 * stride + 24) overflows"),
+            ("2", "-2", TWO_BY_TWO, "negative n"),
+            ("2.5", "2", TWO_BY_TWO, "fractional stride"),
+            ("2", "\"2\"", TWO_BY_TWO, "n not a number"),
         ] {
-            assert!(partial(bad).is_err(), "{bad} should be rejected");
+            assert!(shape(stride, n, cols).is_err(), "{why}");
         }
+        // Each of the three fields is required, and `cols` is a string.
+        for bad in [
+            r#""n":0,"cols":"""#,
+            r#""stride":2,"cols":"""#,
+            r#""stride":2,"n":0"#,
+            r#""stride":2,"n":0,"cols":null"#,
+            r#""stride":2,"n":0,"cols":[]"#,
+            r#""stride":2,"n":2,"cols":[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]"#,
+            // The shape this codec replaced is not accepted either.
+            r#""matches":[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]"#,
+        ] {
+            assert!(decode_shape(bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn a_payload_that_is_not_the_encoders_base64_is_rejected() {
+        let with_cols = |cols: &str| decode_shape(&format!(r#""stride":2,"n":2,"cols":"{cols}""#));
+        assert!(with_cols(TWO_BY_TWO).is_ok());
+        // Right length, wrong bytes: outside the alphabet, padding, the URL
+        // alphabet's `_`, and stray bits in the final partial group.
+        for (at, byte) in [(10, "!"), (85, "="), (0, "_"), (40, " "), (85, "x")] {
+            let mut cols = TWO_BY_TWO.to_string();
+            cols.replace_range(at..at + 1, byte);
+            assert!(with_cols(&cols).is_err(), "{byte:?} at {at}");
+        }
+        // One candidate of one node is 28 bytes = 38 characters; 37 leaves a
+        // single dangling sextet, which no byte count encodes to.
+        let one = encode_columns(&reply_of(1, &[(&[1], 0.5, 0.5, 0.25)]).paths[0]);
+        assert_eq!(one.len(), 38);
+        let cut =
+            |len: usize| decode_shape(&format!(r#""stride":1,"n":1,"cols":"{}""#, &one[..len]));
+        assert!(cut(38).is_ok());
+        assert!(cut(37).is_err());
+        // Padded out to a multiple of four, as a stock encoder would.
+        assert!(decode_shape(&format!(r#""stride":1,"n":1,"cols":"{one}==""#)).is_err());
     }
 
     #[test]
     fn non_finite_probabilities_are_rejected() {
-        // The writer turns NaN into null; the decoder must refuse it, in
-        // every column.
+        // Bits cross verbatim, so the decoder is what refuses a NaN or an
+        // infinity — in every column, at any row.
         for (prle, prn, bound) in
-            [(f64::NAN, 0.5, 0.5), (0.5, f64::INFINITY, 0.5), (0.5, 0.5, f64::NAN)]
+            [(f64::NAN, 0.5, 0.5), (0.5, f64::INFINITY, 0.5), (0.5, 0.5, f64::NEG_INFINITY)]
         {
-            let reply = reply_of(&[(&[1], prle, prn, bound)]);
+            let reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.5), (&[2], prle, prn, bound)]);
             let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
-            assert!(decode_retrieve_reply(&json, 1).is_err());
+            let e = decode_retrieve_reply(&json, 1).err().expect("rejected").to_string();
+            assert!(e.contains("candidate 1 is not finite"), "{e}");
         }
         // And the bound round-trips bit-exactly when finite.
-        let reply = reply_of(&[(&[1], 0.5, 0.5, 0.1875)]);
+        let reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.1875)]);
         let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
         let back = decode_retrieve_reply(&json, 1).unwrap();
         assert_eq!(back.paths[0].bounds[0].to_bits(), 0.1875f64.to_bits());
+    }
+
+    #[test]
+    fn a_partial_with_a_bound_missing_encodes_to_a_reply_that_does_not_decode() {
+        // The encoder writes the columns it is given; a partial whose
+        // bounds disagree with its matches is caught by the length check.
+        let mut reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.25), (&[2], 0.5, 0.5, 0.25)]);
+        reply.paths[0].bounds.pop();
+        let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
+        assert!(decode_retrieve_reply(&json, 1).is_err());
     }
 
     #[test]

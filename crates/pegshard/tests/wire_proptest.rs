@@ -7,12 +7,16 @@
 //! round numbers — must encode → serialize → parse → decode to identical
 //! bits. The NaN policy (documented on `pegshard::wire`) is pinned from
 //! both sides: finite values round-trip exactly; non-finite values (NaN,
-//! ±inf) are *rejected at decode*, because the JSON writer has no
-//! representation for them and emits `null`, which the decoder refuses
-//! to read as a probability — a NaN can never silently cross the wire.
+//! ±inf) are *rejected at decode* in each of the three probability
+//! columns — their bits do cross inside the column payload, and the
+//! decoder tests every value, so a NaN can never silently cross the wire.
 //!
-//! The strided arena adds two rejections: a partial whose candidates
-//! disagree on their node count, and node ids that are not `u32`s.
+//! A partial is a header (`stride`, `n`) plus one packed payload (`cols`),
+//! so the rejections are about the two disagreeing: a header that claims
+//! more or fewer bytes than the payload holds — absurdly more included,
+//! which must fail before anything is allocated — and a payload that is
+//! not the encoder's base64. Node ids are four bytes each: ids outside
+//! `u32` have no spelling left.
 //!
 //! The `shard_load` / `shard_update` reply body ([`ShardSummary`]) is
 //! pinned the same way: arbitrary summaries round-trip exactly, and a
@@ -33,10 +37,14 @@ fn f64_from_bits(bits: u64) -> f64 {
     f64::from_bits(bits)
 }
 
-/// A partial holding `candidates` as `(nodes, prle, prn, bound)` rows of
-/// one flat set.
-fn partial_of(counts: [usize; 3], candidates: &[(Vec<u32>, f64, f64, f64)]) -> PathPartial {
-    let mut matches = PathMatches::new(candidates.first().map_or(1, |c| c.0.len()));
+/// A partial of `stride`-node candidates holding `candidates` as
+/// `(nodes, prle, prn, bound)` rows of one flat set.
+fn partial_of(
+    counts: [usize; 3],
+    stride: usize,
+    candidates: &[(Vec<u32>, f64, f64, f64)],
+) -> PathPartial {
+    let mut matches = PathMatches::new(stride);
     let mut bounds = Vec::new();
     for (nodes, prle, prn, bound) in candidates {
         matches.push(nodes.iter().copied(), *prle, *prn);
@@ -52,33 +60,69 @@ fn over_the_wire(reply: &ShardReply) -> Result<ShardReply, pegshard::wire::WireE
     decode_retrieve_reply(&Json::parse(&line).unwrap(), reply.paths.len())
 }
 
-/// The reply format is frozen until the benchmark harness that parses it is
-/// re-baselined: the arena-walking encoder must write, byte for byte, what
-/// the per-candidate encoder it replaced wrote. The expected line was
-/// printed by that encoder (commit 5abdfb0) for these same three partials.
+/// The parsed reply line of a one-path reply of `n_rows` candidates of
+/// `stride` nodes, every probability 0.5.
+fn honest_line(stride: usize, n_rows: usize) -> Json {
+    let rows: Vec<_> = (0..n_rows as u32)
+        .map(|r| ((0..stride as u32).map(|i| r * 10 + i).collect(), 0.5, 0.5, 0.5))
+        .collect();
+    let reply = ShardReply { paths: vec![partial_of([9, 9, 9], stride, &rows)] };
+    Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap()
+}
+
+/// `line` with field `key` of its first partial replaced by `value`.
+fn with_partial_field(line: &Json, key: &str, value: Json) -> Json {
+    let Json::Obj(mut reply) = line.clone() else { panic!("a reply is an object") };
+    let paths = reply.iter_mut().find(|(k, _)| k == "paths").expect("a reply has paths");
+    let Json::Arr(partials) = &mut paths.1 else { panic!("paths is an array") };
+    let Json::Obj(partial) = &mut partials[0] else { panic!("a partial is an object") };
+    partial.iter_mut().find(|(k, _)| k == key).expect("field present").1 = value;
+    Json::Obj(reply)
+}
+
+/// The `cols` payload of `line`'s first partial.
+fn cols_of(line: &Json) -> String {
+    let partial = &line.get("paths").and_then(Json::as_arr).expect("paths")[0];
+    partial.get("cols").and_then(Json::as_str).expect("cols is a string").to_string()
+}
+
+/// The reply line, byte for byte, so the format cannot drift unnoticed:
+/// per partial the three counts, `stride`, `n`, and `cols` — the node
+/// arena as little-endian `u32`s, then the `prle`, `prn` and keep-bound
+/// columns as little-endian `f64` bits, in unpadded base64. The empty
+/// partial keeps its stride.
 #[test]
-fn encoded_text_equals_the_previous_encoders_on_a_pinned_sample() {
+fn encoded_line_is_pinned_byte_for_byte() {
     let third = 1.0 / 3.0;
     let reply = ShardReply {
         paths: vec![
             partial_of(
                 [5, 3, 4],
+                3,
                 &[(vec![7, 2, u32::MAX], 0.125, -0.0, 0.0625), (vec![9, 4, 0], third, 1.0, 0.1)],
             ),
-            partial_of([0, 0, 0], &[]),
-            partial_of([1, 1, 1], &[(vec![12], 0.5f64.sqrt(), 1.0 - f64::EPSILON / 2.0, 0.5)]),
+            partial_of([0, 0, 0], 2, &[]),
+            partial_of([1, 1, 1], 1, &[(vec![12], 0.5f64.sqrt(), 1.0 - f64::EPSILON / 2.0, 0.5)]),
         ],
     };
+    let line = encode_retrieve_reply(&reply).to_string();
     assert_eq!(
-        encode_retrieve_reply(&reply).to_string(),
+        line,
         concat!(
-            r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"matches":"#,
-            r#"[[[7,2,4294967295],0.125,-0,0.0625],[[9,4,0],0.3333333333333333,1,0.1]]},"#,
-            r#"{"raw_total":0,"raw_home":0,"pruned_total":0,"matches":[]},"#,
-            r#"{"raw_total":1,"raw_home":1,"pruned_total":1,"matches":"#,
-            r#"[[[12],0.7071067811865476,0.9999999999999999,0.5]]}]}"#
+            r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"#,
+            r#""stride":3,"n":2,"cols":"BwAAAAIAAAD/////CQAAAAQAAAAAAAAA"#,
+            r#"AAAAAAAAwD9VVVVVVVXVPwAAAAAAAACAAAAAAAAA8D8AAAAAAACwP5qZmZmZmbk/"},"#,
+            r#"{"raw_total":0,"raw_home":0,"pruned_total":0,"stride":2,"n":0,"cols":""},"#,
+            r#"{"raw_total":1,"raw_home":1,"pruned_total":1,"#,
+            r#""stride":1,"n":1,"cols":"DAAAAM07f2aeoOY/////////7z8AAAAAAADgPw"}]}"#
         )
     );
+    let back = decode_retrieve_reply(&Json::parse(&line).unwrap(), 3).unwrap();
+    let strides: Vec<usize> = back.paths.iter().map(|p| p.matches.stride()).collect();
+    assert_eq!(strides, [3, 2, 1]);
+    assert_eq!(back.paths[0].matches, reply.paths[0].matches);
+    assert_eq!(back.paths[0].matches.prn()[0].to_bits(), (-0.0f64).to_bits());
+    assert_eq!(back.paths[2].bounds, reply.paths[2].bounds);
 }
 
 proptest! {
@@ -102,7 +146,7 @@ proptest! {
                 (nodes, prle, prn, bound)
             })
             .collect();
-        let reply = ShardReply { paths: vec![partial_of([3, 2, 1], &rows)] };
+        let reply = ShardReply { paths: vec![partial_of([3, 2, 1], n_nodes, &rows)] };
         let decoded = over_the_wire(&reply);
         if prle.is_finite() && prn.is_finite() && bound.is_finite() {
             let back = decoded.expect("finite quads decode");
@@ -115,8 +159,8 @@ proptest! {
                 prop_assert_eq!(got.bounds[r].to_bits(), bound.to_bits(), "bound bits");
             }
         } else {
-            // NaN policy: non-finite probabilities serialize as null and
-            // must be rejected, not smuggled through as something else.
+            // NaN policy: non-finite bits reach the decoder as they are and
+            // must be rejected there, whichever column they sit in.
             prop_assert!(decoded.is_err(), "non-finite probability must be rejected");
         }
     }
@@ -130,7 +174,8 @@ proptest! {
         sign in any::<bool>(),
     ) {
         let p = if sign { scale } else { -scale };
-        let reply = ShardReply { paths: vec![partial_of([1, 1, 1], &[(vec![0], p, scale, p)])] };
+        let reply =
+            ShardReply { paths: vec![partial_of([1, 1, 1], 1, &[(vec![0], p, scale, p)])] };
         let back = over_the_wire(&reply).unwrap();
         prop_assert_eq!(back.paths[0].matches.prle()[0].to_bits(), p.to_bits());
         prop_assert_eq!(back.paths[0].matches.prn()[0].to_bits(), scale.to_bits());
@@ -155,7 +200,7 @@ proptest! {
                     let rows: Vec<_> = (0..i as u32)
                         .map(|r| (vec![r, (base & 0xFFFF) as u32], p, -p, -p))
                         .collect();
-                    partial_of(counts, &rows)
+                    partial_of(counts, 2, &rows)
                 })
                 .collect(),
         };
@@ -179,48 +224,95 @@ proptest! {
         prop_assert!(decode_retrieve_reply(&parsed, n_paths + 1).is_err());
     }
 
-    /// A partial whose candidates disagree on their node count cannot fill
-    /// a strided arena: the decoder rejects it wherever the odd one sits.
+    /// What used to be a ragged partial — rows that do not fill a strided
+    /// arena — is now a header that disagrees with its payload: a claimed
+    /// `stride` and `n` decode exactly when `n · (4 · stride + 24)` is the
+    /// payload's byte count (two shapes can share one; which is the plan's
+    /// is the gather's to say), and everything else is a length mismatch.
     #[test]
-    fn ragged_partials_are_rejected(
+    fn shapes_that_disagree_with_their_payload_are_rejected(
         stride in 1usize..5,
-        n_rows in 2usize..6,
-        odd_row in 0usize..6,
-        longer in any::<bool>(),
+        n_rows in 0usize..6,
+        claimed_stride in 0usize..8,
+        claimed_n in 0usize..8,
     ) {
-        let odd_row = odd_row % n_rows;
-        let odd_len = if longer { stride + 1 } else { stride - 1 };
-        let rows: Vec<String> = (0..n_rows)
-            .map(|r| {
-                let len = if r == odd_row { odd_len } else { stride };
-                let nodes: Vec<String> = (0..len).map(|i| (r * 10 + i).to_string()).collect();
-                format!("[[{}],0.5,0.5,0.25]", nodes.join(","))
-            })
-            .collect();
-        let line = format!(
-            r#"{{"ok":true,"paths":[{{"raw_total":9,"raw_home":9,"pruned_total":9,"matches":[{}]}}]}}"#,
-            rows.join(",")
-        );
-        prop_assert!(decode_retrieve_reply(&Json::parse(&line).unwrap(), 1).is_err(), "{}", line);
+        let line = honest_line(stride, n_rows);
+        let lied = with_partial_field(&line, "stride", Json::Num(claimed_stride as f64));
+        let lied = with_partial_field(&lied, "n", Json::Num(claimed_n as f64));
+        let fits = claimed_stride >= 1
+            && claimed_n * (4 * claimed_stride + 24) == n_rows * (4 * stride + 24);
+        let decoded = decode_retrieve_reply(&lied, 1);
+        prop_assert_eq!(decoded.is_ok(), fits, "stride {} n {}", claimed_stride, claimed_n);
+        if let Ok(back) = decoded {
+            let m = &back.paths[0].matches;
+            prop_assert_eq!((m.stride(), m.len()), (claimed_stride, claimed_n));
+            prop_assert_eq!(back.paths[0].bounds.len(), claimed_n);
+        }
     }
 
-    /// Node ids are `u32`s: anything past that, negative or fractional is
-    /// refused at decode (ids inside `u32` but outside the graph are the
-    /// gather's to refuse — it knows the graph).
+    /// A header may claim anything; it must fail on a comparison, before
+    /// any buffer is sized from it. Were one allocated first, `2^53`
+    /// candidates would abort this test instead of failing it.
     #[test]
-    fn node_ids_outside_u32_are_rejected(
-        id in prop::sample::select(vec![
-            "4294967296", "18446744073709551615", "-1", "1.5", "null", "\"7\"",
-        ]),
-        at in 0usize..3,
+    fn absurd_shapes_fail_before_they_allocate(
+        stride in prop::sample::select(vec![1u64, 2, 1 << 31, 1 << 53]),
+        n in prop::sample::select(vec![1u64 << 32, (1 << 53) - 1, 1 << 53]),
+        n_rows in 0usize..3,
     ) {
-        let mut nodes = ["1", "2", "3"];
-        nodes[at] = id;
-        let line = format!(
-            r#"{{"ok":true,"paths":[{{"raw_total":1,"raw_home":1,"pruned_total":1,"matches":[[[{}],0.5,0.5,0.25]]}}]}}"#,
-            nodes.join(",")
-        );
-        prop_assert!(decode_retrieve_reply(&Json::parse(&line).unwrap(), 1).is_err(), "{}", line);
+        // 2^53 · (4 · 2^53 + 24) overflows `usize`; the smaller ones do
+        // not, and are merely far more than the payload holds.
+        let line = honest_line(2, n_rows);
+        let lied = with_partial_field(&line, "stride", Json::Num(stride as f64));
+        let lied = with_partial_field(&lied, "n", Json::Num(n as f64));
+        prop_assert!(decode_retrieve_reply(&lied, 1).is_err());
+    }
+
+    /// Any one character of the payload swapped for a byte outside the
+    /// alphabet (padding and the URL-safe pair included), any truncation,
+    /// any extension — a stock encoder's `=` padding too — and a `cols`
+    /// that is not a string at all: rejected.
+    #[test]
+    fn payloads_that_are_not_the_encoders_base64_are_rejected(
+        stride in 1usize..4,
+        n_rows in 1usize..5,
+        at in any::<usize>(),
+        intruder in prop::sample::select(vec!['=', ' ', '-', '_', '\n', '\0', '.', 'é']),
+        cut in 1usize..4,
+        not_a_string in prop::sample::select(vec![Json::Null, Json::Num(7.0), Json::Arr(vec![])]),
+    ) {
+        let line = honest_line(stride, n_rows);
+        let cols = cols_of(&line);
+        let rejected = |cols: String| {
+            decode_retrieve_reply(&with_partial_field(&line, "cols", Json::Str(cols)), 1).is_err()
+        };
+        prop_assert!(!rejected(cols.clone()), "the honest payload decodes");
+        let at = at % cols.len();
+        let mut swapped = cols.clone();
+        swapped.replace_range(at..at + 1, &intruder.to_string());
+        prop_assert!(rejected(swapped), "{:?} at {}", intruder, at);
+        prop_assert!(rejected(cols[..cols.len() - cut].to_string()), "{} short", cut);
+        prop_assert!(rejected(format!("{cols}{}", &cols[..cut])), "{} long", cut);
+        prop_assert!(rejected(format!("{cols}{}", "=".repeat(cut))), "padded");
+        prop_assert!(decode_retrieve_reply(&with_partial_field(&line, "cols", not_a_string), 1).is_err());
+    }
+
+    /// Node ids are `u32`s by construction — four payload bytes each — so
+    /// every one of them, `u32::MAX` included, round-trips at any position,
+    /// and the ids the old decoder had to refuse (2^32, −1, 1.5) have no
+    /// spelling. Ids inside `u32` but outside the graph are the gather's to
+    /// refuse: it knows the graph.
+    #[test]
+    fn node_ids_are_u32_by_construction(
+        ids in prop::collection::vec(
+            prop_oneof![any::<u32>(), Just(u32::MAX), Just(0), Just(1 << 31)],
+            1..7,
+        ),
+    ) {
+        let reply = ShardReply {
+            paths: vec![partial_of([1, 1, 1], ids.len(), &[(ids.clone(), 0.5, 0.5, 0.25)])],
+        };
+        let back = over_the_wire(&reply).unwrap();
+        prop_assert_eq!(back.paths[0].matches.nodes(), &ids[..]);
     }
 
     #[test]

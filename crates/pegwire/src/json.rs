@@ -335,8 +335,7 @@ impl<'a> Parser<'a> {
                     // byte: those are ASCII and the input is a valid &str, so
                     // the run starts and ends on char boundaries.
                     let rest = &self.bytes[self.pos..];
-                    let stop = |&b: &u8| b == b'"' || b == b'\\' || b < 0x20;
-                    let len = rest.iter().position(stop).unwrap_or(rest.len());
+                    let len = find_special(rest).unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..len]);
                     out.push_str(run.map_err(|_| self.err("invalid utf-8"))?);
                     self.pos += len;
@@ -426,19 +425,43 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Offset of the first byte a JSON string cannot hold as itself: `"`, `\`
+/// or a control byte. Whole 64-byte blocks are tested without an early
+/// exit, which the compiler turns into vector compares; only a block that
+/// holds one is searched for where.
+fn find_special(bytes: &[u8]) -> Option<usize> {
+    let special = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+    let mut at = 0;
+    for block in bytes.chunks(64) {
+        if block.iter().fold(false, |hit, &b| hit | special(b)) {
+            return block.iter().position(|&b| special(b)).map(|i| at + i);
+        }
+        at += block.len();
+    }
+    None
+}
+
+/// Writes `s` quoted. Only `"`, `\` and control bytes need escaping, all
+/// ASCII, so everything between two of them — multi-byte characters
+/// included — is copied with one `write_str`, as the parser's `string()`
+/// reads it: a long payload costs a scan and a copy, not a formatter call
+/// per character.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut rest = s;
+    while let Some(at) = find_special(rest.as_bytes()) {
+        f.write_str(&rest[..at])?;
+        match rest.as_bytes()[at] {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
+        rest = &rest[at + 1..];
     }
+    f.write_str(rest)?;
     f.write_str("\"")
 }
 
@@ -529,6 +552,45 @@ mod tests {
         assert!(text.starts_with(r#"{"ok":true,"n":3,"#), "{text}");
         assert!(!text.contains(": "), "compact output: {text}");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    /// The writer `write_escaped` replaced: one formatter call per `char`.
+    fn escaped_char_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out + "\""
+    }
+
+    #[test]
+    fn write_escaped_copies_runs_and_escapes_what_sits_between_them() {
+        // Every byte class: plain runs, the two quoted escapes, the three
+        // named controls, other controls, DEL (not a control to JSON), and
+        // multi-byte characters touching an escape on either side.
+        let sample = "plain run\"q\\b\n\r\t\u{1}\u{1f}é\"ü\\😀\u{8}\u{7f} tail";
+        assert_eq!(
+            Json::Str(sample.into()).to_string(),
+            "\"plain run\\\"q\\\\b\\n\\r\\t\\u0001\\u001fé\\\"ü\\\\😀\\u0008\u{7f} tail\""
+        );
+        let all_ascii: String = (0..=0x7Fu8).map(char::from).collect();
+        for s in [sample, "", "\"", "\\\\", "\n", "no escapes at all", "é", "\"é\"", &all_ascii] {
+            let text = Json::Str(s.into()).to_string();
+            assert_eq!(text, escaped_char_by_char(s), "{s:?}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()), "{s:?}");
+        }
+        // Object keys go through the same writer.
+        let keyed = obj().field("k\"\n", 1usize).build();
+        assert_eq!(keyed.to_string(), "{\"k\\\"\\n\":1}");
+        assert_eq!(Json::parse(&keyed.to_string()).unwrap(), keyed);
     }
 
     #[test]

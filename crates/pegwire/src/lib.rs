@@ -6,22 +6,26 @@
 //! Extracted from `pegserve` so the shard transport (`pegshard`) can
 //! serialize requests and replies without depending on the serving layer
 //! (which itself depends on `pegshard` — the JSON value had to move below
-//! both). Two pieces live here:
+//! both). Three pieces live here:
 //!
 //! * [`json`] — the minimal in-tree JSON value with a compact writer and
 //!   a hardened parser (depth-capped, f64 bit-exact round trip). This is
 //!   the encoding every protocol line uses, coordinator↔client and
 //!   coordinator↔shard-worker alike.
+//! * [`base64`] — unpadded base64, for the one payload that is columns of
+//!   bytes rather than a tree of values (the shard reply's candidates).
 //! * [`mux`] — a multiplexed connection (`MuxConn`): many in-flight
 //!   requests on one socket, each carrying a connection-unique `"id"`
 //!   the peer echoes, with out-of-order replies routed back to the
 //!   caller that sent the matching request.
 //!
-//! The f64 round-trip guarantee documented on [`json`] is what makes a
-//! multi-process scatter-gather bit-exact: probabilities cross the wire
-//! through the shortest-round-trip `{}` formatting and come back with
-//! identical bits.
+//! A multi-process scatter-gather is bit-exact because no probability is
+//! ever rounded on the wire: as JSON numbers (client replies, mutation
+//! batches) they go through the shortest-round-trip `{}` formatting
+//! documented on [`json`] and come back with identical bits; in the shard
+//! reply's column payload they are `f64::to_bits` verbatim.
 
+pub mod base64;
 pub mod json;
 pub mod mux;
 

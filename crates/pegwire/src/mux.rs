@@ -15,10 +15,11 @@
 //! walked away) is silently discarded — a slow peer answering late must
 //! not poison the connection for everyone else.
 //!
-//! Failure model: any reader-side error (socket closed, malformed JSON,
-//! missing/unknown id) marks the connection dead and fails every pending
-//! and future request with the reason — a multiplexed socket cannot be
-//! resynchronized once reply framing is in doubt. Callers reconnect.
+//! Failure model: any reader-side error (socket closed, a line that is not
+//! UTF-8 or not JSON, missing/unknown id) marks the connection dead and
+//! fails every pending and future request with the reason — a multiplexed
+//! socket cannot be resynchronized once reply framing is in doubt. Callers
+//! reconnect.
 
 use crate::json::Json;
 use std::collections::{HashMap, HashSet};
@@ -435,7 +436,12 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
         }
         let wire_bytes = line.len() as u64 + 1;
         shared.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
-        let text = String::from_utf8_lossy(&line);
+        // Strict, not lossy: a line patched with U+FFFD would be routed as
+        // if it were what the peer said.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            shared.kill("malformed reply: invalid utf-8");
+            return;
+        };
         let reply = match Json::parse(text.trim_end()) {
             Ok(v) => v,
             Err(e) => {
@@ -543,32 +549,50 @@ mod tests {
         assert!(conn.is_alive());
     }
 
-    #[test]
-    fn unknown_id_reply_kills_the_connection() {
+    /// A peer that reads one request, answers it with `reply` (raw bytes, a
+    /// newline appended) and holds the socket open, so a kill is the
+    /// reader's diagnosis and not a close; returns a connection to it with
+    /// that one request in flight.
+    fn call_one_shot_peer(reply: &'static [u8]) -> (MuxConn, PendingReply) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let _join = std::thread::spawn(move || {
+        std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut reader = BufReader::new(stream);
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            // Reply with an id nobody asked for.
-            writeln!(writer, r#"{{"ok":true,"id":999999}}"#).unwrap();
+            writer.write_all(reply).unwrap();
+            writer.write_all(b"\n").unwrap();
             writer.flush().unwrap();
-            // Hold the socket open so the kill is the reader's diagnosis,
-            // not a close.
             std::thread::sleep(Duration::from_millis(500));
         });
         let conn =
             MuxConn::connect(&addr.to_string(), Duration::from_secs(2), Duration::from_secs(2))
                 .unwrap();
-        let p = conn.begin(r#"{"op":"x"}"#).unwrap();
+        let pending = conn.begin(r#"{"op":"x"}"#).unwrap();
+        (conn, pending)
+    }
+
+    #[test]
+    fn unknown_id_reply_kills_the_connection() {
+        // Reply with an id nobody asked for.
+        let (conn, p) = call_one_shot_peer(br#"{"ok":true,"id":999999}"#);
         let err = p.wait(Duration::from_secs(2)).unwrap_err();
         assert!(matches!(err, MuxError::Dead(ref r) if r.contains("unknown request id")), "{err}");
         assert!(!conn.is_alive());
         // Future requests fail fast.
         assert!(matches!(conn.begin(r#"{"op":"y"}"#), Err(MuxError::Dead(_))));
+    }
+
+    #[test]
+    fn invalid_utf8_reply_kills_the_connection() {
+        // Well-formed JSON for request 1 but for one byte: patched with
+        // U+FFFD it would parse and route as the peer's answer.
+        let (conn, p) = call_one_shot_peer(b"{\"ok\":true,\"note\":\"caf\xE9\",\"id\":1}");
+        let err = p.wait(Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, MuxError::Dead(ref r) if r.contains("invalid utf-8")), "{err}");
+        assert!(!conn.is_alive());
     }
 
     #[test]
