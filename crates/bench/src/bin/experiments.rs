@@ -708,7 +708,7 @@ fn ablation_shards(scale: Scale) {
         ]);
         for (&(n, m), q) in specs.iter().zip(&queries) {
             let t0 = Instant::now();
-            let got = store.pipeline().run(q, 0.1, &QueryOptions::default()).unwrap();
+            let (got, sc) = run_traced(&store, q, 0.1);
             let total = t0.elapsed();
             let want = plain.run(q, 0.1, &QueryOptions::default()).unwrap();
             bench::workloads::assert_matches_bit_identical(
@@ -716,7 +716,6 @@ fn ablation_shards(scale: Scale) {
                 &want.matches,
                 &format!("q({n},{m}) shards={shards}"),
             );
-            let sc = store.last_scatter();
             retrieval.row(vec![
                 format!("q({n},{m})"),
                 shards.to_string(),
@@ -733,6 +732,30 @@ fn ablation_shards(scale: Scale) {
     retrieval.print();
     println!("(every row bit-exact vs the unsharded pipeline)");
     println!();
+}
+
+/// Runs `q` on `store` with the tracer on, and reads this query's scatter
+/// statistics off its `retrieve` span — the store's one record of them,
+/// the one `explain` reads too.
+fn run_traced(
+    store: &pegshard::ShardedGraphStore,
+    q: &QueryGraph,
+    alpha: f64,
+) -> (pegmatch::online::QueryResult, pegshard::ScatterStats) {
+    let pipe = store.pipeline();
+    let opts = QueryOptions::default();
+    let prepared = pipe.prepare(q, alpha, &opts).expect("prepare");
+    let mut session = pipe.session(&prepared, &opts);
+    let tracer = pegtrace::Tracer::enabled(1);
+    session.set_tracer(tracer.clone());
+    let result = session.run_at(alpha, None).expect("query runs");
+    let roots = tracer.take();
+    let scatter = roots
+        .iter()
+        .find_map(|root| root.find("retrieve"))
+        .and_then(pegshard::ScatterStats::from_span)
+        .expect("a sharded retrieval tags its span");
+    (result, scatter)
 }
 
 /// Tracing overhead: the same query mix run with the tracer off and on

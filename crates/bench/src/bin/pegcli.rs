@@ -65,7 +65,7 @@ fn usage() {
          \x20 index    --kind ... --size N [--seed S] --out FILE [--max-len L] [--beta B]\n\
          \x20 query    --kind ... --size N [--seed S] [--index FILE]\n\
          \x20          --pattern '(x:a)-(y:b), (y)-(z:a)' [--alpha A]\n\
-         \x20          [--explain] [--limit N] [--threads T] [--shards N]\n\
+         \x20          [--explain] [--limit N] [--threads T]\n\
          \x20          [--repeat N] [--plan-cache-stats] [--exec-cache-bytes N]\n\
          \x20          (exec cache is off by default for one-shot runs; a nonzero byte\n\
          \x20          budget reuses floor-threshold retrievals across --repeat runs)\n\
@@ -73,10 +73,11 @@ fn usage() {
          \x20 topk     (same as query, plus --k K)\n\
          \x20 stats    --kind ... --size N [--seed S]\n\
          \x20 serve    --addr HOST:PORT [--kind ... --size N [--seed S] [--max-len L] [--beta B]\n\
-         \x20          [--shards N] [--name G]] [--max-sessions N] [--queue-depth N]\n\
+         \x20          [--name G]] [--max-sessions N] [--queue-depth N]\n\
          \x20          [--deadline-ms MS] [--max-connections N]\n\
-         \x20          [--workers A1,A2,...]  (distribute retrieval across shard-worker\n\
-         \x20          processes, one shard per worker; needs --kind)\n\
+         \x20          [--workers A1,A2,...]  (shard the graph over shard-worker processes,\n\
+         \x20          one shard per worker — the only way a served graph is sharded;\n\
+         \x20          needs --kind)\n\
          \x20          [--worker-timeout-ms MS]   (wire deadline per worker exchange)\n\
          \x20          [--exec-cache-bytes N]   (execution-cache byte budget; default 64 MiB,\n\
          \x20          0 disables)\n\
@@ -270,10 +271,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("--workers needs --kind: workers rebuild their shard from the spec".into());
     }
     if flags.contains_key("kind") {
-        let shards: usize = flags
-            .get("shards")
-            .map(|s| s.parse().unwrap_or(1).max(1))
-            .unwrap_or(workers.len().max(1));
         let timeout_ms: u64 =
             flags.get("worker-timeout-ms").and_then(|s| s.parse().ok()).unwrap_or(30_000);
         let load = pegserve::proto::LoadGraph {
@@ -281,7 +278,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             spec: spec_from_flags(flags)?,
             index: offline_opts(flags).index,
             workers,
-            shards,
             worker_timeout: std::time::Duration::from_millis(timeout_ms),
         };
         // The reply a client's `load_graph` would have got: node, edge and
@@ -670,41 +666,15 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> {
     let peg = peg_from_flags(flags)?;
     let query = parse_query(flags, &peg)?;
-    let shards: usize = flags.get("shards").map(|s| s.parse().unwrap_or(1)).unwrap_or(1).max(1);
-    // --shards > 1: partition the store and scatter-gather retrieval;
-    // results are bit-identical to the unsharded pipeline.
-    let sharded = if shards > 1 {
-        if flags.contains_key("index") {
-            return Err("--shards builds per-shard indexes; drop --index".into());
-        }
-        let store = pegshard::ShardedGraphStore::build(peg.clone(), &offline_opts(flags), shards)
-            .map_err(|e| e.to_string())?;
-        let s = store.stats();
-        println!(
-            "sharded store: {} shard(s), halo {} hop(s), {} replicated node(s) \
-             (replication factor {:.3}), built in {}",
-            s.n_shards,
-            s.halo_radius,
-            s.replicated_nodes,
-            s.replication_factor,
-            bench::fmt_duration(s.build_time),
-        );
-        Some(store)
-    } else {
-        None
-    };
-    // Unsharded: load the index from disk when given, otherwise build fresh.
-    let offline = match (&sharded, flags.get("index")) {
-        (Some(_), _) => None,
-        (None, Some(path)) => {
+    // Load the index from disk when given, otherwise build it fresh.
+    let offline = match flags.get("index") {
+        Some(path) => {
             let store = BTreeStore::open(std::path::Path::new(path)).map_err(|e| e.to_string())?;
             let paths = load_index(&store).map_err(|e| e.to_string())?;
             let context = ContextInfo::build(&peg.graph);
-            Some(OfflineIndex { context, paths, stats: OfflineStats::default() })
+            OfflineIndex { context, paths, stats: OfflineStats::default() }
         }
-        (None, None) => {
-            Some(OfflineIndex::build(&peg, &offline_opts(flags)).map_err(|e| e.to_string())?)
-        }
+        None => OfflineIndex::build(&peg, &offline_opts(flags)).map_err(|e| e.to_string())?,
     };
     let want_cache_stats = flags.contains_key("plan-cache-stats");
     let cache = std::sync::Arc::new(PlanCache::new());
@@ -712,10 +682,7 @@ fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> 
     // cache is pure overhead); --repeat N with a budget shows the reuse.
     let exec_bytes: usize = flags.get("exec-cache-bytes").and_then(|s| s.parse().ok()).unwrap_or(0);
     let exec_cache = (exec_bytes > 0).then(|| std::sync::Arc::new(ExecCache::new(exec_bytes)));
-    let mut pipeline = match &sharded {
-        Some(store) => store.pipeline(),
-        None => QueryPipeline::new(&peg, offline.as_ref().expect("unsharded index built")),
-    };
+    let mut pipeline = QueryPipeline::new(&peg, &offline);
     if want_cache_stats {
         pipeline = pipeline.with_plan_cache(cache.clone());
     }
@@ -760,17 +727,6 @@ fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> 
     }
     if result.matches.len() > 20 {
         println!("  ... and {} more", result.matches.len() - 20);
-    }
-    if let Some(store) = &sharded {
-        let sc = store.last_scatter();
-        println!(
-            "scatter-gather: per-shard candidates {:?} ({} distinct, {} boundary duplicate(s) \
-             dropped), retrieval {}",
-            sc.per_shard_pruned,
-            sc.pruned_distinct,
-            sc.duplicates_dropped,
-            bench::fmt_duration(sc.retrieve_time),
-        );
     }
     if want_cache_stats {
         let s = cache.stats();

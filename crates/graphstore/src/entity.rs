@@ -183,7 +183,40 @@ impl EntityGraph {
     pub fn shares_ref_with_any(&self, v: EntityId, others: &[EntityId]) -> bool {
         others.iter().any(|&o| o != v && !self.refs_disjoint(v, o))
     }
+
+    /// Bounded multi-source BFS: per node, its hop distance to the nearest
+    /// node `is_seed` accepts (0 for a seed), out to `radius` hops, and
+    /// [`UNREACHED`] beyond. The one ball walk behind a shard's halo, the
+    /// shards a mutation reaches, and an index update's dirty region.
+    pub fn hop_distances(&self, is_seed: impl Fn(u32) -> bool, radius: usize) -> Vec<u32> {
+        let n = self.n_nodes();
+        let mut dist = vec![UNREACHED; n];
+        let mut frontier: Vec<u32> = (0..n as u32).filter(|&v| is_seed(v)).collect();
+        for &v in &frontier {
+            dist[v as usize] = 0;
+        }
+        for hops in 1..=radius as u32 {
+            if frontier.is_empty() {
+                break;
+            }
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for &nb in self.neighbors(EntityId(v)) {
+                    if dist[nb as usize] == UNREACHED {
+                        dist[nb as usize] = hops;
+                        next.push(nb);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        dist
+    }
 }
+
+/// What [`EntityGraph::hop_distances`] reports for a node farther than its
+/// radius from every seed.
+pub const UNREACHED: u32 = u32::MAX;
 
 /// Builder accumulating nodes/edges before CSR construction.
 #[derive(Debug, Default)]

@@ -12,7 +12,7 @@
 use crate::index::{
     cmp_with_reversed, count_hist, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
 };
-use graphstore::{EntityGraph, EntityId, Label};
+use graphstore::{EntityGraph, EntityId, Label, UNREACHED};
 use std::time::{Duration, Instant};
 
 /// Probability slack for threshold comparisons.
@@ -121,25 +121,9 @@ pub fn update_index(
     // graph, by BFS, keeping every node's hop distance. The canonical
     // start of any path containing a dirty node lies inside it.
     let t = Instant::now();
-    let n = graph.n_nodes();
-    let mut dist = vec![UNREACHED; n];
-    let mut frontier: Vec<u32> = (0..n as u32).filter(|&v| is_dirty(v)).collect();
-    for &v in &frontier {
-        dist[v as usize] = 0;
-    }
-    for hops in 1..=max_len as u32 {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for &nb in graph.neighbors(EntityId(v)) {
-                if dist[nb as usize] == UNREACHED {
-                    dist[nb as usize] = hops;
-                    next.push(nb);
-                }
-            }
-        }
-        frontier = next;
-    }
-    let starts: Vec<u32> = (0..n as u32).filter(|&v| dist[v as usize] != UNREACHED).collect();
+    let dist = graph.hop_distances(is_dirty, max_len);
+    let starts: Vec<u32> =
+        (0..dist.len() as u32).filter(|&v| dist[v as usize] != UNREACHED).collect();
 
     // 3. Re-enumerate from the region, keeping only dirty-touching paths.
     enumerate_into(index, graph, oracle, &starts, Some(&dist));
@@ -153,9 +137,6 @@ pub fn update_index(
     times.histogram = t.elapsed();
     times
 }
-
-/// Hop distance of a node outside the ball around the dirty set.
-const UNREACHED: u32 = u32::MAX;
 
 /// Paths emitted by one worker, flat: entry `i` spans
 /// `ends[i - 1]..ends[i]` of `labels` and `nodes`.

@@ -59,7 +59,9 @@ pub const MAX_LOAD_PATH_LEN: usize = 3;
 /// `beta` via `Server::insert_graph`.
 pub const MIN_LOAD_BETA: f64 = 0.01;
 
-/// Shard-count ceiling for protocol-initiated builds. Each shard costs a
+/// Shard-count ceiling for protocol-initiated builds: the most addresses
+/// a `load_graph`'s `workers` list may carry (one shard per worker), and
+/// the most shards a `shard_load` may name. Each shard costs a
 /// halo-replicated subgraph plus its own index build; uncapped, one
 /// request could multiply the graph's memory footprint arbitrarily.
 pub const MAX_LOAD_SHARDS: usize = 16;
@@ -355,11 +357,9 @@ pub struct LoadGraph {
     pub spec: GraphSpec,
     /// Offline-index knobs, bounded by the load ceilings.
     pub index: PathIndexConfig,
-    /// Worker addresses for a distributed load (empty = local).
+    /// Worker addresses, one shard each (empty = one unsharded store).
+    /// A graph is sharded if and only if it names workers.
     pub workers: Vec<String>,
-    /// Shard count (1 = unsharded; must equal the worker count when
-    /// workers are given).
-    pub shards: usize,
     /// Per-exchange deadline for worker wire traffic.
     pub worker_timeout: Duration,
 }
@@ -382,9 +382,11 @@ impl LoadGraph {
                 })
                 .collect::<Result<_, _>>()?,
         };
-        let shards = field_usize(req, "shards", workers.len().max(1))?;
-        if !(1..=MAX_LOAD_SHARDS).contains(&shards) {
-            return Err(bad(format!("\"shards\" {shards} out of range 1..={MAX_LOAD_SHARDS}")));
+        if workers.len() > MAX_LOAD_SHARDS {
+            return Err(bad(format!(
+                "\"workers\" lists {} addresses, at most {MAX_LOAD_SHARDS} (one shard each)",
+                workers.len()
+            )));
         }
         let worker_timeout_ms = field_usize(req, "worker_timeout_ms", 30_000)?;
         if !(1..=MAX_WORKER_TIMEOUT_MS).contains(&worker_timeout_ms) {
@@ -394,7 +396,7 @@ impl LoadGraph {
             )));
         }
         let worker_timeout = Duration::from_millis(worker_timeout_ms as u64);
-        Ok(LoadGraph { name, spec, index, workers, shards, worker_timeout })
+        Ok(LoadGraph { name, spec, index, workers, worker_timeout })
     }
 }
 
@@ -723,7 +725,6 @@ mod tests {
             r#"{"op":"load_graph","kind":"synthetic","size":999999999}"#,
             r#"{"op":"load_graph","kind":"synthetic","size":100,"max_len":12}"#,
             r#"{"op":"load_graph","kind":"synthetic","size":100,"beta":0}"#,
-            r#"{"op":"load_graph","kind":"synthetic","size":100,"shards":99}"#,
         ] {
             assert!(Request::decode(&Json::parse(bad).unwrap()).is_err(), "{bad}");
         }

@@ -37,7 +37,7 @@
 //! | op               | fields                                                            |
 //! |------------------|-------------------------------------------------------------------|
 //! | `ping`           | —                                                                 |
-//! | `load_graph`     | `name?`, `kind` (`synthetic`/`dblp`/`imdb`), `size`, `seed?`, `uncertainty?`, `max_len?`, `beta?`, `shards?`, `workers?`, `worker_timeout_ms?` |
+//! | `load_graph`     | `name?`, `kind` (`synthetic`/`dblp`/`imdb`), `size`, `seed?`, `uncertainty?`, `max_len?`, `beta?`, `workers?`, `worker_timeout_ms?` |
 //! | `unload_graph`   | `graph` (required; `not_found` for unknown names)                 |
 //! | `prepare`        | the `query` fields — plans without executing (`limit` has nothing to cap) |
 //! | `query`          | `graph?`, `pattern`, `alpha?`, `limit?`, `threads?`, `debug_sleep_ms?` |
@@ -65,11 +65,11 @@
 //! retrieval from before the mutation can ever serve a query after it;
 //! requests already executing keep the pre-mutation store (snapshot
 //! semantics — an entry swap never changes results mid-flight). On a
-//! sharded store only the shards whose halo a mutation's dirty set
-//! reaches are rebuilt; on a distributed store the coordinator broadcasts
-//! `shard_update` and every worker applies the same batch to the same
-//! effect, keeping the last two shard versions so in-flight scatters
-//! pinned to the old version still answer. A failed or partially-applied
+//! distributed store the coordinator broadcasts `shard_update` and every
+//! worker applies the same batch to the same effect — rebuilding its
+//! shard only when the mutation's dirty set reaches its halo — keeping
+//! the last two shard versions so in-flight scatters pinned to the old
+//! version still answer. A failed or partially-applied
 //! distributed update leaves the old store fully serviceable, and
 //! retrying re-sends the same version, which workers that already hold it
 //! acknowledge idempotently.
@@ -92,11 +92,14 @@
 //! Every per-query result is bit-identical to the same `query` sent
 //! alone.
 //!
-//! `graph` may be omitted when exactly one graph is loaded. `load_graph`
-//! with `shards > 1` builds a [`pegshard::ShardedGraphStore`] behind the
-//! same plan-cache/session flow — replies stay bit-identical to the
-//! unsharded store's. `load_graph` with `workers: [addr, ...]` goes
-//! **distributed**: each worker process (any `pegserve` server — see
+//! `graph` may be omitted when exactly one graph is loaded. A graph is
+//! sharded if and only if its `load_graph` names `workers: [addr, ...]`
+//! (an embedder can still register an in-process
+//! [`pegshard::ShardedGraphStore`] through
+//! [`Server::insert_sharded_graph`]); a request still carrying the
+//! retired `shards` field has it ignored like any unknown field. With
+//! workers the graph goes **distributed**: each worker process (any
+//! `pegserve` server — see
 //! `pegcli shard-worker`) receives a `shard_load` with the same generator
 //! spec plus its `(shard, n_shards)` assignment, rebuilds its shard
 //! deterministically, and answers `shard_retrieve` scatters from then on,
@@ -114,7 +117,7 @@
 //! `load_graph`, `update_graph`, `shard_load`, `shard_retrieve` and
 //! `shard_update` (the compute-occupying ops) pass admission; `load_graph`
 //! additionally caps `size` at [`MAX_LOAD_SIZE`], `max_len` at
-//! [`MAX_LOAD_PATH_LEN`], `shards` at [`MAX_LOAD_SHARDS`], and `beta` at
+//! [`MAX_LOAD_PATH_LEN`], `workers` at [`MAX_LOAD_SHARDS`], and `beta` at
 //! no less than [`MIN_LOAD_BETA`]; patterns are capped at
 //! [`MAX_PATTERN_NODES`] nodes, per-query `threads` is clamped to the
 //! machine's parallelism, request lines are capped at
@@ -216,7 +219,8 @@ pub enum GraphStore {
         /// Offline index (path index + context information).
         offline: OfflineIndex,
     },
-    /// A sharded store (`load_graph` with `shards > 1`).
+    /// A sharded store: over workers (`load_graph` with `workers`), or
+    /// in process through [`Server::insert_sharded_graph`].
     Sharded(ShardedGraphStore),
 }
 
@@ -415,10 +419,10 @@ impl Server {
         insert_store(&self.state, name, store, Some((refs, opts)));
     }
 
-    /// Registers a pre-built sharded store under `name` — the
-    /// embedding-side twin of `load_graph` with `shards > 1`. Pass
-    /// `Some(refs)` (the network the store was built from) to make the
-    /// graph live; `None` registers it static.
+    /// Registers a pre-built sharded store under `name` — in process
+    /// ([`ShardedGraphStore::build`], which no request can ask for) or over
+    /// workers. Pass `Some(refs)` (the network the store was built from)
+    /// to make the graph live; `None` registers it static.
     pub fn insert_sharded_graph(
         &self,
         name: &str,
@@ -793,20 +797,13 @@ impl From<AdmitError> for ProtoError {
 /// public endpoint cannot be driven to OOM or pool monopolization by one
 /// request's build parameters.
 ///
-/// With `workers: [addr, ...]` the graph goes distributed: one shard per
-/// worker (so `shards`, if given, must equal the worker count), loaded by
-/// forwarding the generator spec to each worker and connected through a
-/// persistent [`TcpTransport`]. `worker_timeout_ms` bounds every wire
-/// exchange with the workers (default 30s — it must also cover the
+/// A graph is sharded if and only if it names `workers: [addr, ...]`:
+/// one shard per worker, loaded by forwarding the generator spec to each
+/// worker and connected through a persistent [`TcpTransport`]. Without
+/// workers it is one unsharded store. `worker_timeout_ms` bounds every
+/// wire exchange with the workers (default 30s — it must also cover the
 /// worker-side shard build triggered by the handshake).
 fn load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, ProtoError> {
-    if !r.workers.is_empty() && r.shards != r.workers.len() {
-        return Err(proto::bad(format!(
-            "\"shards\" {} conflicts with {} workers (one shard per worker)",
-            r.shards,
-            r.workers.len()
-        )));
-    }
     let name = r.name.clone();
     let _permit = state.admission.admit()?;
     let refs = r.spec.build_refs();
@@ -821,31 +818,24 @@ fn load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, ProtoEr
         .field("graph", name.as_str())
         .field("nodes", nodes)
         .field("edges", edges)
-        .field("shards", r.shards);
-    let store = if !r.workers.is_empty() {
-        let config = TcpTransportConfig { io_timeout: r.worker_timeout, ..Default::default() };
-        let transport =
-            TcpTransport::connect(&name, &r.workers, config).map_err(|e| e.into_peg())?;
-        reply = reply
-            .field("workers", Json::Arr(r.workers.iter().map(|a| Json::Str(a.clone())).collect()));
-        let load = |shard, n_shards| r.spec.shard_load_json(&name, &opts.index, shard, n_shards);
-        GraphStore::Sharded(ShardedGraphStore::connect(peg, &opts, transport, load)?)
-    } else if r.shards > 1 {
-        GraphStore::Sharded(
-            ShardedGraphStore::build(peg, &opts, r.shards)
-                .map_err(|e| ProtoError::new("internal", format!("sharded build failed: {e}")))?,
-        )
-    } else {
+        .field("shards", r.workers.len().max(1));
+    let store = if r.workers.is_empty() {
         let offline = OfflineIndex::build(&peg, &opts)
             .map_err(|e| ProtoError::new("internal", format!("offline phase failed: {e}")))?;
         GraphStore::Unsharded { peg, offline }
-    };
-    if let GraphStore::Sharded(sharded) = &store {
+    } else {
+        let config = TcpTransportConfig { io_timeout: r.worker_timeout, ..Default::default() };
+        let transport =
+            TcpTransport::connect(&name, &r.workers, config).map_err(|e| e.into_peg())?;
+        let load = |shard, n_shards| r.spec.shard_load_json(&name, &opts.index, shard, n_shards);
+        let sharded = ShardedGraphStore::connect(peg, &opts, transport, load)?;
         let s = sharded.stats();
         reply = reply
+            .field("workers", Json::Arr(r.workers.iter().map(|a| Json::Str(a.clone())).collect()))
             .field("replicated_nodes", s.replicated_nodes)
             .field("replication_factor", s.replication_factor);
-    }
+        GraphStore::Sharded(sharded)
+    };
     // Protocol-loaded graphs are live: the reference network the build
     // started from rides along so `update_graph` can recompile it
     // incrementally.
@@ -1597,7 +1587,12 @@ mod tests {
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"));
         // Field-level rejections: each is a structured `bad_request`, the
         // message naming the offender where there is one to name.
+        let too_many_workers = format!(
+            r#"{{"op":"load_graph","kind":"synthetic","size":100,"workers":[{}]}}"#,
+            vec![r#""127.0.0.1:1""#; MAX_LOAD_SHARDS + 1].join(",")
+        );
         for (line, names) in [
+            (too_many_workers.as_str(), "workers"),
             (r#"{"op":"query","pattern":"(x:l0)","alpha":"high"}"#, "alpha"),
             (r#"{"op":"query","pattern":"(x:l0)","id":1.5}"#, "id"),
             (r#"{"op":"query"}"#, "pattern"),
@@ -1744,10 +1739,40 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// `n` empty servers to act as shard workers.
+    fn spawn_workers(n: usize) -> Vec<ServerHandle> {
+        (0..n)
+            .map(|_| Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn())
+            .collect()
+    }
+
+    /// A `load_graph` of the 200-reference synthetic graph as `name`,
+    /// sharded over `workers` (none: unsharded).
+    fn load_request(name: &str, workers: &[ServerHandle]) -> Json {
+        let addrs = workers.iter().map(|w| Json::Str(w.addr.to_string())).collect();
+        obj()
+            .field("op", "load_graph")
+            .field("name", name)
+            .field("kind", "synthetic")
+            .field("size", 200usize)
+            .field("max_len", 2usize)
+            .field_opt("workers", (!workers.is_empty()).then_some(Json::Arr(addrs)))
+            .build()
+    }
+
+    fn shutdown_all(handles: Vec<ServerHandle>) {
+        for h in handles {
+            h.shutdown().unwrap();
+        }
+    }
+
     #[test]
     fn sharded_load_graph_round_trip() {
+        // A graph is sharded if and only if its load names workers: one
+        // shard each.
+        let workers = spawn_workers(3);
         let (handle, mut client) = tiny_server(ServerConfig::default());
-        let reply = client.request(&Json::parse(LOAD_3_SHARDS).unwrap()).unwrap();
+        let reply = client.request(&load_request("sh", &workers)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
         assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(3));
         assert!(reply.get("replication_factor").unwrap().as_f64().unwrap() >= 1.0);
@@ -1778,15 +1803,20 @@ mod tests {
             .find(|g| g.get("name").and_then(Json::as_str) == Some("sh"))
             .expect("sharded graph listed");
         assert_eq!(sh.get("shards").and_then(Json::as_usize), Some(3));
-        // An over-the-cap shard count is rejected before any build.
+        // The retired `shards` field is ignored like any unknown field:
+        // without workers the graph is one unsharded store.
         let reply = client
             .request(
-                &Json::parse(r#"{"op":"load_graph","kind":"synthetic","size":100,"shards":99}"#)
-                    .unwrap(),
+                &Json::parse(
+                    r#"{"op":"load_graph","name":"flat","kind":"synthetic","size":100,"max_len":1,"shards":3}"#,
+                )
+                .unwrap(),
             )
             .unwrap();
-        assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"));
+        assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(1), "{reply}");
+        assert!(reply.get("replication_factor").is_none(), "{reply}");
         handle.shutdown().unwrap();
+        shutdown_all(workers);
     }
 
     #[test]
@@ -2147,13 +2177,11 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
-    const LOAD_3_SHARDS: &str =
-        r#"{"op":"load_graph","name":"sh","kind":"synthetic","size":200,"max_len":2,"shards":3}"#;
-
     #[test]
     fn explain_is_query_with_the_tracer_on() {
+        let workers = spawn_workers(3);
         let (handle, mut client) = tiny_server(ServerConfig::default());
-        let reply = client.request(&Json::parse(LOAD_3_SHARDS).unwrap()).unwrap();
+        let reply = client.request(&load_request("sh", &workers)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
         for graph in ["tiny", "sh"] {
             let mut send = |op: &str| {
@@ -2203,15 +2231,18 @@ mod tests {
         assert_eq!(metrics.histogram("serve.admission_wait_us").count(), 4);
         assert_eq!(metrics.histogram("serve.explain_us").count(), 2);
         handle.shutdown().unwrap();
+        shutdown_all(workers);
     }
 
     #[test]
     fn typed_load_graph_equals_the_wire_op() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        for shards in [1usize, 3] {
+        let workers = spawn_workers(2);
+        let layouts = [("flat", &workers[..0]), ("sharded", &workers[..])];
+        for (layout, workers) in layouts {
             let reply = server
                 .load_graph(&proto::LoadGraph {
-                    name: format!("typed{shards}"),
+                    name: format!("typed_{layout}"),
                     spec: GraphSpec {
                         kind: "synthetic".into(),
                         size: 200,
@@ -2219,30 +2250,23 @@ mod tests {
                         uncertainty: 0.2,
                     },
                     index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
-                    workers: Vec::new(),
-                    shards,
+                    workers: workers.iter().map(|w| w.addr.to_string()).collect(),
                     worker_timeout: Duration::from_secs(30),
                 })
                 .unwrap();
+            let shards = workers.len().max(1);
             assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(shards), "{reply}");
         }
         let handle = server.spawn();
         let mut client = Client::connect(handle.addr).unwrap();
-        for shards in [1usize, 3] {
-            let req = obj()
-                .field("op", "load_graph")
-                .field("name", format!("wire{shards}"))
-                .field("kind", "synthetic")
-                .field("size", 200usize)
-                .field("shards", shards)
-                .build();
-            let reply = client.request(&req).unwrap();
+        for (layout, workers) in layouts {
+            let reply = client.request(&load_request(&format!("wire_{layout}"), workers)).unwrap();
             assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
             let pattern = "(x:l0)-(y:l1), (y)-(z:l0)";
             assert_eq!(
-                matches_text(&mut client, &format!("typed{shards}"), pattern, 0.2),
-                matches_text(&mut client, &format!("wire{shards}"), pattern, 0.2),
-                "shards {shards}"
+                matches_text(&mut client, &format!("typed_{layout}"), pattern, 0.2),
+                matches_text(&mut client, &format!("wire_{layout}"), pattern, 0.2),
+                "{layout}"
             );
         }
         let stats = client.request(&Json::parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
@@ -2252,6 +2276,7 @@ mod tests {
             assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
         }
         handle.shutdown().unwrap();
+        shutdown_all(workers);
     }
 
     fn mutation_ops() -> Vec<graphstore::GraphOp> {

@@ -57,10 +57,13 @@
 //! * [`InProcessTransport`] — shards in this process, shards and each
 //!   shard's paths fanned out on the pool ([`ShardedGraphStore::build`]);
 //!   an update rebuilds the shards the mutation's dirty ball reaches and
-//!   carries the rest over by `Arc`.
+//!   carries the rest over by `Arc`. This is the library store and the
+//!   transport's test double: on one machine it only costs replication
+//!   (the pool already spreads the unsharded store's per-path work), so
+//!   `pegserve` shards a graph only over workers.
 //! * [`TcpTransport`] — one worker process per shard, reached over
 //!   persistent line-protocol connections with multiplexed scatter,
-//!   reconnect-once recovery, and hard deadlines
+//!   one exchange routine that resends once, and hard deadlines
 //!   ([`ShardedGraphStore::connect`]). Workers rebuild their shard
 //!   deterministically from the generator spec ([`worker::WorkerShard`])
 //!   and apply broadcast `shard_update` batches the same way, so nothing

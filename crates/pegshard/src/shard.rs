@@ -24,7 +24,7 @@
 
 use crate::partition::shard_of;
 use crate::wire::HistogramEntries;
-use graphstore::{EntityGraphBuilder, EntityId};
+use graphstore::{EntityGraph, EntityGraphBuilder, EntityId, UNREACHED};
 use pathindex::PathMatches;
 use pegmatch::error::PegError;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
@@ -33,7 +33,6 @@ use pegmatch::online::{PathStats, QueryPath};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
-use std::collections::VecDeque;
 
 /// Marker for global nodes absent from a shard.
 const ABSENT: u32 = u32::MAX;
@@ -66,42 +65,22 @@ pub(crate) fn halo_for(n_shards: usize, max_len: usize) -> usize {
 /// non-reused component), so no component reasoning is needed here.
 ///
 /// `dirty` is indexed by new-graph node id; the old graph's node set is
-/// a prefix of the new one (creation-order ids, tombstoned deletions).
+/// a prefix of the new one (creation-order ids, tombstoned deletions), so
+/// nodes created by this batch are covered by the new graph's walk.
 pub(crate) fn affected_shards(
-    old: &graphstore::EntityGraph,
-    new: &graphstore::EntityGraph,
+    old: &EntityGraph,
+    new: &EntityGraph,
     dirty: &[bool],
     n_shards: usize,
     halo: usize,
 ) -> Vec<bool> {
     let mut affected = vec![false; n_shards];
     for graph in [old, new] {
-        let n = graph.n_nodes();
-        let mut depth: Vec<u32> = vec![ABSENT; n];
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for v in 0..n {
-            if dirty.get(v).copied().unwrap_or(false) {
-                depth[v] = 0;
-                queue.push_back(v as u32);
-                affected[shard_of(EntityId(v as u32), n_shards)] = true;
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = depth[v as usize];
-            if d as usize >= halo {
-                continue;
-            }
-            for &nb in graph.neighbors(EntityId(v)) {
-                if depth[nb as usize] == ABSENT {
-                    depth[nb as usize] = d + 1;
-                    queue.push_back(nb);
-                    affected[shard_of(EntityId(nb), n_shards)] = true;
-                }
-            }
+        let dist = graph.hop_distances(|v| dirty.get(v as usize).copied().unwrap_or(false), halo);
+        for (v, _) in dist.iter().enumerate().filter(|(_, &d)| d != UNREACHED) {
+            affected[shard_of(EntityId(v as u32), n_shards)] = true;
         }
     }
-    // Nodes created by this batch (ids past the old graph) are dirty but
-    // absent from the old walk; the new walk above already covers them.
     affected
 }
 
@@ -171,30 +150,11 @@ impl Shard {
         let graph = &full.graph;
         let n = graph.n_nodes();
 
-        // Multi-source BFS from owned seeds out to `halo` hops.
-        let mut depth: Vec<u32> = vec![ABSENT; n];
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for v in 0..n as u32 {
-            if shard_of(EntityId(v), n_shards) == shard {
-                depth[v as usize] = 0;
-                queue.push_back(v);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = depth[v as usize];
-            if d as usize >= halo {
-                continue;
-            }
-            for &nb in graph.neighbors(EntityId(v)) {
-                if depth[nb as usize] == ABSENT {
-                    depth[nb as usize] = d + 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-
-        // Monotone renumbering: ascending global ids.
-        let to_global: Vec<u32> = (0..n as u32).filter(|&v| depth[v as usize] != ABSENT).collect();
+        // The owned nodes and everything within `halo` hops of one, under
+        // a monotone renumbering: ascending global ids.
+        let depth = graph.hop_distances(|v| shard_of(EntityId(v), n_shards) == shard, halo);
+        let to_global: Vec<u32> =
+            (0..n as u32).filter(|&v| depth[v as usize] != UNREACHED).collect();
         let mut local_of: Vec<u32> = vec![ABSENT; n];
         for (i, &g) in to_global.iter().enumerate() {
             local_of[g as usize] = i as u32;

@@ -19,7 +19,6 @@ use pegmatch::Peg;
 use pegpool::ThreadPool;
 use pegtrace::{Span, SpanNode, TagValue};
 use pegwire::Json;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Build-time sharding statistics: partition shape and replication cost.
@@ -44,9 +43,10 @@ pub struct ShardingStats {
     pub build_time: Duration,
 }
 
-/// Retrieval-time scatter-gather statistics for the most recent
-/// [`CandidateSource::retrieve`] call (a top-k run rebases more than once;
-/// this snapshot describes the last scatter).
+/// Retrieval-time scatter-gather statistics of one
+/// [`CandidateSource::retrieve`] call. Their one record is the tags the
+/// store puts on that call's `"retrieve"` span; read them back with
+/// [`ScatterStats::from_span`].
 #[derive(Clone, Debug, Default)]
 pub struct ScatterStats {
     /// Raw index retrievals per shard (including boundary replicas).
@@ -63,15 +63,13 @@ pub struct ScatterStats {
     /// Boundary-replicated candidates that survived a shard's pruning but
     /// were dropped by its home filter (never shipped, never gathered).
     pub duplicates_dropped: usize,
-    /// Wall time of the scatter + gather.
+    /// Wall time of the retrieval: the `"retrieve"` span's own clock.
     pub retrieve_time: Duration,
 }
 
 impl ScatterStats {
     /// Tags a request's open `"retrieve"` span with this scatter's counts,
-    /// so a traced request carries its *own* scatter statistics rather
-    /// than reading the store-wide [`ShardedGraphStore::last_scatter`]
-    /// slot, which a concurrent request may have overwritten.
+    /// so a traced request carries its *own* scatter statistics.
     fn tag(&self, retrieve: &Span) {
         retrieve.tag("raw_distinct", self.raw_distinct);
         retrieve.tag("pruned_distinct", self.pruned_distinct);
@@ -149,7 +147,6 @@ pub struct ShardedGraphStore {
     /// home-only counts, bit-identical to the unsharded histogram.
     hist: FxHashMap<Vec<u16>, Vec<u32>>,
     stats: ShardingStats,
-    last_scatter: Mutex<ScatterStats>,
 }
 
 /// What the gather requires of one shard's partial before it merges it:
@@ -225,8 +222,10 @@ fn merge_histogram(hist: &mut FxHashMap<Vec<u16>, Vec<u32>>, entries: Vec<(Vec<u
 
 impl ShardedGraphStore {
     /// Partitions `peg` into `n_shards` in-process shards and builds each
-    /// shard's offline index with `opts`. `n_shards == 1` is the
-    /// degenerate single-shard store — same machinery, no boundary
+    /// shard's offline index with `opts` — the library store and the
+    /// transport's test double (a server takes one through
+    /// `insert_sharded_graph`, never from a request). `n_shards == 1` is
+    /// the degenerate single-shard store — same machinery, no boundary
     /// replication.
     pub fn build(peg: Peg, opts: &OfflineOptions, n_shards: usize) -> Result<Self, PegError> {
         if n_shards == 0 {
@@ -303,14 +302,7 @@ impl ShardedGraphStore {
             per_shard,
             build_time: started.elapsed(),
         };
-        ShardedGraphStore {
-            peg,
-            transport,
-            opts: opts.clone(),
-            hist,
-            stats,
-            last_scatter: Mutex::new(ScatterStats::default()),
-        }
+        ShardedGraphStore { peg, transport, opts: opts.clone(), hist, stats }
     }
 
     /// The full probabilistic entity graph (global phases run on it).
@@ -333,17 +325,6 @@ impl ShardedGraphStore {
     /// Build-time partition and replication statistics.
     pub fn stats(&self) -> &ShardingStats {
         &self.stats
-    }
-
-    /// Scatter-gather statistics of the most recent retrieval — for a
-    /// single caller that just ran a query. With concurrent sessions the
-    /// slot describes whichever scattered last; a traced request reads
-    /// its own with [`ScatterStats::from_span`] instead. A failed
-    /// retrieval resets the snapshot to its default (all-zero) state, so
-    /// a reader never mistakes a previous query's numbers for the failed
-    /// one's.
-    pub fn last_scatter(&self) -> ScatterStats {
-        self.last_scatter.lock().unwrap().clone()
     }
 
     /// Per-worker transport counters (`None` for the in-process
@@ -381,7 +362,8 @@ impl ShardedGraphStore {
     /// than a panic there. A candidate two shards both ship is dropped
     /// once, defense-in-depth on the same grounds — with correct workers
     /// home sets are disjoint and nothing is dropped. `retrieve_time` is
-    /// left zero for the caller to stamp.
+    /// left zero: the tagged span's own clock is that time
+    /// ([`ScatterStats::from_span`]).
     fn gather(
         &self,
         decomp: &Decomposition,
@@ -526,23 +508,16 @@ impl CandidateSource for ShardedGraphStore {
         span: &Span,
         pool: &ThreadPool,
     ) -> Result<Vec<CandidateSet>, PegError> {
-        let t0 = Instant::now();
-        // Cleared up front: if the scatter fails below, the snapshot must
-        // not keep advertising a previous query's numbers.
-        *self.last_scatter.lock().unwrap() = ScatterStats::default();
-
         // Scatter, through the transport seam: every shard answers every
         // path with home-filtered, globalized, canonically sorted
         // partials (see `Shard::retrieve_paths` for the exactness
         // argument).
         let req = ShardRequest { query, decomp, pstats, alpha, span };
         let results = self.transport.scatter(&req, pool);
-        let (out, mut scatter) = self.gather(decomp, results)?;
-        scatter.retrieve_time = t0.elapsed();
+        let (out, scatter) = self.gather(decomp, results)?;
         if span.is_recording() {
             scatter.tag(span);
         }
-        *self.last_scatter.lock().unwrap() = scatter;
         Ok(out)
     }
 }
@@ -721,7 +696,6 @@ mod tests {
             }
             let stats = cache.stats();
             assert_eq!((stats.entries, stats.bytes), (0, 0), "{what}: a failed scatter cached");
-            assert_eq!(store.last_scatter().raw_distinct, 0, "{what}: stale scatter stats");
         }
 
         // The same store shape, undamaged: the query answers and its floor

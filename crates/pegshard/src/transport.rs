@@ -11,20 +11,21 @@
 //! gather, the merged histogram, planning estimates, the global pipeline
 //! phases — is transport-independent. Two implementations ship:
 //!
-//! * [`InProcessTransport`] — the shards live in this process; the
-//!   scatter fans the shards out on the shared pool (each shard fanning
-//!   its paths, and each path's prune, out again), and an update rebuilds
-//!   the affected shards, carrying the rest by `Arc`.
+//! * [`InProcessTransport`] — the shards live in this process (the
+//!   library store, and the transport's test double); the scatter fans
+//!   the shards out on the shared pool (each shard fanning its paths, and
+//!   each path's prune, out again), and an update rebuilds the affected
+//!   shards, carrying the rest by `Arc`.
 //! * [`TcpTransport`] — each shard lives behind a worker process speaking
 //!   the line protocol over one persistent **multiplexed** connection
 //!   ([`pegwire::MuxConn`]): every request carries a unique id the worker
 //!   echoes, so many scatters from concurrent sessions ride the same
 //!   socket with out-of-order replies routed back to the right waiter.
-//!   One reconnect + resend on failure, hard deadlines on every wait — a
-//!   dead worker yields a [`TransportError`] within the deadline, never a
-//!   hang. An update broadcasts `shard_update` at the next version and
-//!   decodes the acknowledgements with the decoder the load handshake
-//!   uses ([`wire::decode_summary`]).
+//!   One exchange routine for every request, one resend on failure, hard
+//!   deadlines on every wait — a dead worker yields a [`TransportError`]
+//!   within the deadline, never a hang. An update broadcasts
+//!   `shard_update` at the next version and decodes the acknowledgements
+//!   with the decoder the load handshake uses ([`wire::decode_summary`]).
 //!
 //! Both return the same [`ShardReply`] shape, and the home-filter
 //! argument (see `Shard::retrieve_paths`) guarantees the
@@ -44,7 +45,7 @@ use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
 use pegtrace::{Histogram, Span};
-use pegwire::{Json, MuxConn, MuxError};
+use pegwire::{Json, MuxConn, MuxError, PendingReply};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -227,9 +228,11 @@ pub trait ShardTransport: Send + Sync {
     fn release(&self) {}
 }
 
-/// All shards in this process: the classic single-machine store. Shards
-/// sit behind `Arc` so a live update can carry unaffected shards into the
-/// successor transport without copying them.
+/// All shards in this process: the library store
+/// ([`ShardedGraphStore::build`](crate::ShardedGraphStore::build)) and the
+/// test double for [`TcpTransport`] — the server shards a graph only over
+/// workers. Shards sit behind `Arc` so a live update can carry unaffected
+/// shards into the successor transport without copying them.
 pub struct InProcessTransport {
     shards: Vec<Arc<Shard>>,
     /// How many updates lie between the original build and these shards.
@@ -339,7 +342,7 @@ impl ShardTransport for InProcessTransport {
 /// `connect_timeout` caps dials, `io_timeout` caps each write and each
 /// per-request reply wait ([`pegwire::PendingReply::wait`]). A full
 /// exchange performs at most one redial + resend, so it can never exceed
-/// a few multiples of `connect_timeout + io_timeout`.
+/// twice `connect_timeout + io_timeout`.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpTransportConfig {
     /// Dial deadline per connection attempt.
@@ -399,11 +402,13 @@ impl WorkerCell {
 /// the pre-mux ceiling where one in-flight scatter per worker serialized
 /// concurrent sessions on the connection mutexes.)
 ///
-/// Failure model: on any exchange error the transport invalidates the
-/// shared connection, redials once, and resends once; a second failure is
-/// a [`TransportError`] (surfaced as `shard_unavailable` by the serving
-/// layer). Resending is safe: the worker ops are read-only against shard
-/// state (retrieval) or idempotent (load/unload). A worker replying with
+/// Failure model: on any exchange error the transport resends once — on a
+/// fresh connection when the old one died, on the same one after a
+/// timed-out wait; a second failure is a [`TransportError`] (surfaced as
+/// `shard_unavailable` by the serving layer). One routine does every
+/// exchange — scatter, load, update and release alike. Resending is
+/// safe: the worker ops are read-only against shard state (retrieval) or
+/// idempotent (load/unload, a same-version update). A worker replying with
 /// a structured `"ok":false` error is also a [`TransportError`] — a shard
 /// that cannot answer is unavailable whatever the reason. Exchanges never
 /// hang: every wait carries the [`TcpTransportConfig`] deadlines.
@@ -490,70 +495,89 @@ impl TcpTransport {
         }
     }
 
-    /// One attempt at a full multiplexed exchange; invalidates the
-    /// connection on failure so the next attempt redials.
-    fn try_exchange(&self, shard: usize, line: &str) -> Result<Json, TransportError> {
+    /// Puts `line` on worker `shard`'s connection — redialing first if
+    /// its slot is empty or dead — without waiting for the reply. The
+    /// mux's writer lock is held for one framed write, so every worker
+    /// starts computing at once and nothing stays locked while it does.
+    /// Returns the connection the request went out on and its reply slot.
+    fn begin(
+        &self,
+        shard: usize,
+        line: &str,
+    ) -> Result<(Arc<MuxConn>, PendingReply), TransportError> {
         let conn = self.conn_arc(shard)?;
-        let cell = &self.workers[shard];
-        let attempt = conn.begin(line).and_then(|pending| {
-            cell.bytes_tx.fetch_add(pending.sent_bytes, Ordering::Relaxed);
-            pending.wait(self.config.io_timeout)
-        });
-        match attempt {
-            Ok((reply, wire_bytes)) => {
-                cell.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
-                Ok(reply)
+        match conn.begin(line) {
+            Ok(pending) => {
+                self.workers[shard].bytes_tx.fetch_add(pending.sent_bytes, Ordering::Relaxed);
+                Ok((conn, pending))
             }
             Err(e) => {
-                // A timed-out wait leaves the connection itself healthy
-                // (the slot was cancelled; a late reply is discarded), but
-                // a worker slow enough to blow the io deadline is one we
-                // want a fresh start with either way.
-                if !matches!(e, MuxError::Timeout) || !conn.is_alive() {
-                    self.invalidate(shard, &conn);
-                }
+                self.invalidate(shard, &conn);
                 Err(self.err(shard, e))
             }
         }
     }
 
-    /// One full exchange with a single redial + resend on failure,
-    /// recording the request count and latency sample on success.
-    fn exchange_line(&self, shard: usize, line: &str) -> Result<Json, TransportError> {
-        let t0 = Instant::now();
-        let reply = match self.try_exchange(shard, line) {
-            Ok(reply) => reply,
-            Err(first_err) => self.try_exchange(shard, line).map_err(|e| {
-                self.err(shard, format!("{}; after reconnect: {}", first_err.detail, e.detail))
-            })?,
-        };
-        let cell = &self.workers[shard];
-        cell.requests.fetch_add(1, Ordering::Relaxed);
-        cell.latencies.record(t0.elapsed());
-        Ok(reply)
+    /// Waits out one begun request: the reply and its wire bytes.
+    fn wait(
+        &self,
+        shard: usize,
+        (conn, pending): (Arc<MuxConn>, PendingReply),
+    ) -> Result<(Json, u64), TransportError> {
+        pending.wait(self.config.io_timeout).map_err(|e| {
+            // A timed-out wait leaves the connection itself healthy (the
+            // slot was cancelled; a late reply is discarded), so the
+            // resend rides the same socket; a dead one is dropped so the
+            // resend redials.
+            if !matches!(e, MuxError::Timeout) || !conn.is_alive() {
+                self.invalidate(shard, &conn);
+            }
+            self.err(shard, e)
+        })
     }
 
-    /// Sends `line(s)` to every worker `s` concurrently (so workers build
-    /// or rebuild in parallel) and decodes each reply's summary: the
-    /// exchange behind both the load handshake (`version` 0) and a live
-    /// update. A worker whose full graph disagrees with `full` — the
-    /// coordinator's own — would silently break bit-exactness, so it is
-    /// an error like any other malformed reply.
+    /// The one exchange: `line(s)` goes to every worker `s` at once, then
+    /// each reply is waited for in shard order. A failed attempt — begin
+    /// or wait — gets exactly one resend (a redial first if the
+    /// connection died), so a silent worker holds its caller for at most
+    /// two `io_timeout`s. Requests, bytes and the latency sample are
+    /// counted here and nowhere else. The scatter, the load / update
+    /// broadcast and the release all go through it.
+    fn exchange<'l>(&self, line: impl Fn(usize) -> &'l str) -> Vec<Result<Json, TransportError>> {
+        let t0 = Instant::now();
+        let begun: Vec<_> = (0..self.addrs.len()).map(|s| self.begin(s, line(s))).collect();
+        begun
+            .into_iter()
+            .enumerate()
+            .map(|(s, first)| {
+                let (reply, rx) = first.and_then(|b| self.wait(s, b)).or_else(|e| {
+                    self.begin(s, line(s)).and_then(|b| self.wait(s, b)).map_err(|retry| {
+                        self.err(s, format!("{}; after retry: {}", e.detail, retry.detail))
+                    })
+                })?;
+                let cell = &self.workers[s];
+                cell.bytes_rx.fetch_add(rx, Ordering::Relaxed);
+                cell.requests.fetch_add(1, Ordering::Relaxed);
+                cell.latencies.record(t0.elapsed());
+                Ok(reply)
+            })
+            .collect()
+    }
+
+    /// Sends `line(s)` to every worker `s` (workers build or rebuild in
+    /// parallel) and decodes each reply's summary: the exchange behind
+    /// both the load handshake (`version` 0) and a live update. A worker
+    /// whose full graph disagrees with `full` — the coordinator's own —
+    /// would silently break bit-exactness, so it is an error like any
+    /// other malformed reply.
     fn broadcast<'l>(
         &self,
         full: &Peg,
         version: u64,
-        line: impl Fn(usize) -> &'l str + Sync,
+        line: impl Fn(usize) -> &'l str,
     ) -> Result<Vec<ShardSummary>, TransportError> {
-        let replies: Vec<Result<Json, TransportError>> = std::thread::scope(|scope| {
-            let line = &line;
-            let handles: Vec<_> = (0..self.addrs.len())
-                .map(|s| scope.spawn(move || self.exchange_line(s, line(s))))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("broadcast thread")).collect()
-        });
         let full = (full.graph.n_nodes(), full.graph.n_edges());
-        replies
+        self.exchange(line)
             .into_iter()
             .enumerate()
             .map(|(s, reply)| {
@@ -587,64 +611,6 @@ impl TcpTransport {
             (0..n_shards).map(|s| load_request(s, n_shards).to_string()).collect();
         // A freshly built worker shard is at version 0.
         self.broadcast(full, 0, |s| &lines[s])
-    }
-
-    /// Begins the same request line on every worker without waiting —
-    /// each `begin` holds only its connection's writer lock for one
-    /// framed write, so all workers start computing concurrently and
-    /// nothing stays locked while they do.
-    #[allow(clippy::type_complexity)]
-    fn begin_all(
-        &self,
-        line: &str,
-    ) -> Vec<Result<(Arc<MuxConn>, pegwire::PendingReply, Instant), TransportError>> {
-        (0..self.addrs.len())
-            .map(|s| {
-                let conn = self.conn_arc(s)?;
-                match conn.begin(line) {
-                    Ok(pending) => {
-                        self.workers[s].bytes_tx.fetch_add(pending.sent_bytes, Ordering::Relaxed);
-                        Ok((conn, pending, Instant::now()))
-                    }
-                    Err(e) => {
-                        self.invalidate(s, &conn);
-                        Err(self.err(s, e))
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Waits out one begun exchange, falling back to a single full
-    /// redial + resend on any failure (including a begin that never got
-    /// off the ground).
-    fn finish_one(
-        &self,
-        s: usize,
-        begun: Result<(Arc<MuxConn>, pegwire::PendingReply, Instant), TransportError>,
-        line: &str,
-    ) -> Result<Json, TransportError> {
-        match begun {
-            Ok((conn, pending, t0)) => match pending.wait(self.config.io_timeout) {
-                Ok((reply, wire_bytes)) => {
-                    let cell = &self.workers[s];
-                    cell.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
-                    cell.requests.fetch_add(1, Ordering::Relaxed);
-                    cell.latencies.record(t0.elapsed());
-                    Ok(reply)
-                }
-                Err(e) => {
-                    if !matches!(e, MuxError::Timeout) || !conn.is_alive() {
-                        self.invalidate(s, &conn);
-                    }
-                    self.exchange_line(s, line)
-                        .map_err(|e2| self.err(s, format!("{e}; after retry: {}", e2.detail)))
-                }
-            },
-            Err(first) => self
-                .exchange_line(s, line)
-                .map_err(|e2| self.err(s, format!("{}; after retry: {}", first.detail, e2.detail))),
-        }
     }
 
     /// A worker's structured `"ok":false` is a failed exchange: a shard
@@ -695,20 +661,13 @@ impl ShardTransport for TcpTransport {
     ) -> Vec<Result<ShardReply, TransportError>> {
         let n_paths = req.decomp.paths.len();
         let line = wire::retrieve_request(&self.graph, self.version, req).to_string();
-
-        // Multiplexed scatter: begin the exchange on every worker, then
-        // wait for replies in shard order. Workers compute concurrently,
-        // the coordinator's wait is max(worker time), and — unlike the
-        // pre-mux pipelined scatter — nothing is locked while workers
-        // compute, so concurrent sessions' scatters interleave freely on
-        // the same connections.
-        self.begin_all(&line)
+        // Workers compute concurrently, the coordinator's wait is
+        // max(worker time), and nothing is locked while they compute, so
+        // concurrent sessions' scatters interleave on the same connections.
+        self.exchange(|_| &line)
             .into_iter()
             .enumerate()
-            .map(|(s, b)| {
-                self.finish_one(s, b, &line)
-                    .and_then(|r| self.reply_to_shard_reply(s, r, n_paths, req.span))
-            })
+            .map(|(s, reply)| self.reply_to_shard_reply(s, reply?, n_paths, req.span))
             .collect()
     }
 
@@ -768,9 +727,63 @@ impl ShardTransport for TcpTransport {
     /// persistent connections.
     fn release(&self) {
         let unload = wire::unload_request(&self.graph).to_string();
-        for (s, w) in self.workers.iter().enumerate() {
-            let _ = self.exchange_line(s, &unload);
+        let _ = self.exchange(|_| &unload);
+        for w in self.workers.iter() {
             *w.conn.lock().unwrap() = None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphstore::Label;
+    use pegmatch::online::{decompose, DecompStrategy};
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
+    /// A worker that accepts, counts the request lines it reads and never
+    /// replies. The failure model allows one resend, so a scatter leg to
+    /// it costs exactly two lines (and two `io_timeout`s) before it fails.
+    #[test]
+    fn a_silent_worker_gets_exactly_one_resend() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let lines = Arc::new(AtomicU64::new(0));
+        let seen = lines.clone();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().map_while(Result::ok) {
+                let seen = seen.clone();
+                std::thread::spawn(move || {
+                    for _ in BufReader::new(stream).lines().map_while(Result::ok) {
+                        seen.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let config = TcpTransportConfig {
+            connect_timeout: Duration::from_secs(2),
+            io_timeout: Duration::from_millis(100),
+        };
+        let transport = TcpTransport::connect("g", &[addr], config).unwrap();
+        let query = QueryGraph::path(&[Label(0), Label(1)]).unwrap();
+        let decomp = decompose(&query, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
+        let pstats: Vec<PathStats> =
+            decomp.paths.iter().map(|p| PathStats::new(&query, p)).collect();
+        let span = Span::disabled();
+        let req = ShardRequest {
+            query: &query,
+            decomp: &decomp,
+            pstats: &pstats,
+            alpha: 0.5,
+            span: &span,
+        };
+        let replies = transport.scatter(&req, &pegpool::pool_with(1));
+        let err = replies.into_iter().next().unwrap().err().expect("a silent worker fails");
+        assert!(err.detail.contains("after retry"), "{err}");
+        // The resend went out before its wait began; give the fake's
+        // reader a moment to count anything later.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(lines.load(Ordering::SeqCst), 2, "request lines the silent worker saw");
     }
 }

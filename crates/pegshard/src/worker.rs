@@ -49,22 +49,20 @@ use pegpool::ThreadPool;
 use pegtrace::Span;
 use std::sync::{Arc, Mutex};
 
-/// How many shard snapshots a worker keeps live: the latest plus its
-/// predecessor, so in-flight sessions on the pre-update version finish
-/// consistently while new sessions ride the update.
-const KEPT_VERSIONS: usize = 2;
-
 /// The versioned state behind a [`WorkerShard`]: the reference network
-/// and full compiled graph (inputs to the next mutation) plus the recent
-/// shard snapshots. Everything is behind `Arc` so retrieves and update
-/// computation run on snapshots, holding the lock only to clone handles
-/// in and out.
+/// and full compiled graph (inputs to the next mutation) plus the shard
+/// snapshots it keeps live — the latest and its predecessor, so in-flight
+/// sessions on the pre-update version finish consistently while new
+/// sessions ride the update. Everything is behind `Arc` so retrieves and
+/// update computation run on snapshots, holding the lock only to clone
+/// handles in and out.
 struct WorkerState {
     refs: Arc<RefGraph>,
     full: Arc<Peg>,
-    /// `(version, shard)` pairs, strictly ascending, at most
-    /// [`KEPT_VERSIONS`] entries; the last entry is the latest.
-    versions: Vec<(u64, Arc<Shard>)>,
+    /// The latest shard snapshot and its version.
+    latest: (u64, Arc<Shard>),
+    /// The snapshot `latest` replaced, if any.
+    previous: Option<(u64, Arc<Shard>)>,
 }
 
 /// One shard of one graph, held by a worker process.
@@ -108,7 +106,8 @@ impl WorkerShard {
             state: Mutex::new(WorkerState {
                 refs: Arc::new(refs),
                 full: Arc::new(full),
-                versions: vec![(0, Arc::new(built))],
+                latest: (0, Arc::new(built)),
+                previous: None,
             }),
         })
     }
@@ -120,7 +119,7 @@ impl WorkerShard {
 
     /// The latest shard version this worker holds.
     pub fn version(&self) -> u64 {
-        self.state.lock().unwrap().versions.last().expect("at least one version").0
+        self.state.lock().unwrap().latest.0
     }
 
     /// Size and ownership breakdown of this shard (latest version).
@@ -138,16 +137,15 @@ impl WorkerShard {
     /// coordinator cross-checks its full-graph counts against its own
     /// build to catch spec drift.
     pub fn summary(&self) -> ShardSummary {
-        let (full, version, shard) = {
+        let (full, (version, shard)) = {
             let state = self.state.lock().unwrap();
-            let (v, s) = state.versions.last().expect("at least one version");
-            (state.full.clone(), *v, s.clone())
+            (state.full.clone(), state.latest.clone())
         };
         ShardSummary { version, ..shard.summary(&full) }
     }
 
     fn latest(&self) -> Arc<Shard> {
-        self.state.lock().unwrap().versions.last().expect("at least one version").1.clone()
+        self.state.lock().unwrap().latest.1.clone()
     }
 
     /// Resolves a request's shard snapshot: `None` means latest; a
@@ -155,19 +153,20 @@ impl WorkerShard {
     /// never reached is a structured error.
     fn shard_at(&self, version: Option<u64>) -> Result<Arc<Shard>, PegError> {
         let state = self.state.lock().unwrap();
-        match version {
-            None => Ok(state.versions.last().expect("at least one version").1.clone()),
-            Some(v) => {
-                state.versions.iter().find(|(ver, _)| *ver == v).map(|(_, s)| s.clone()).ok_or_else(
-                    || {
-                        let latest = state.versions.last().expect("at least one version").0;
-                        PegError::Invalid(format!(
-                        "shard version {v} not held (worker is at {latest}, keeps {KEPT_VERSIONS})"
-                    ))
-                    },
-                )
-            }
-        }
+        let Some(v) = version else {
+            return Ok(state.latest.1.clone());
+        };
+        let held = [Some(&state.latest), state.previous.as_ref()]
+            .into_iter()
+            .flatten()
+            .find(|(held, _)| *held == v)
+            .map(|(_, shard)| shard.clone());
+        held.ok_or_else(|| {
+            PegError::Invalid(format!(
+                "shard version {v} not held (worker is at {}, keeps the latest two)",
+                state.latest.0
+            ))
+        })
     }
 
     /// Executes one retrieval request against the requested shard
@@ -248,10 +247,9 @@ impl WorkerShard {
     /// replying will see the same line again). Any other out-of-sequence
     /// version is an error — updates cannot skip or interleave.
     pub fn apply_update(&self, ops: &[GraphOp], version: u64) -> Result<ShardSummary, PegError> {
-        let (refs, full, latest_version, latest_shard) = {
+        let (refs, full, (latest_version, latest_shard)) = {
             let state = self.state.lock().unwrap();
-            let (lv, ls) = state.versions.last().expect("at least one version");
-            (state.refs.clone(), state.full.clone(), *lv, ls.clone())
+            (state.refs.clone(), state.full.clone(), state.latest.clone())
         };
         // The idempotent-resend acknowledgement: reports the already-
         // applied state without recomputing anything.
@@ -287,11 +285,11 @@ impl WorkerShard {
 
         // Commit, unless a concurrent update raced this one.
         let mut state = self.state.lock().unwrap();
-        let now = state.versions.last().expect("at least one version").0;
+        let now = state.latest.0;
         if now == version {
             // A concurrent resend of the same batch committed first; the
             // graphs are identical by determinism, so acknowledge its.
-            let shard = state.versions.last().expect("at least one version").1.clone();
+            let shard = state.latest.1.clone();
             let full = state.full.clone();
             drop(state);
             return Ok(ack(&full, &shard));
@@ -303,11 +301,8 @@ impl WorkerShard {
         }
         state.refs = Arc::new(new_refs);
         state.full = new_full.clone();
-        state.versions.push((version, new_shard.clone()));
-        if state.versions.len() > KEPT_VERSIONS {
-            let excess = state.versions.len() - KEPT_VERSIONS;
-            state.versions.drain(..excess);
-        }
+        let replaced = std::mem::replace(&mut state.latest, (version, new_shard.clone()));
+        state.previous = Some(replaced);
         drop(state);
 
         Ok(ShardSummary { version, rebuilt, n_dirty, ..new_shard.summary(&new_full) })

@@ -7,7 +7,8 @@ use pegmatch::model::Peg;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{CandidateSource, QueryOptions, QueryPipeline, QueryResult};
 use pegmatch::query::QueryGraph;
-use pegshard::ShardedGraphStore;
+use pegshard::{ScatterStats, ShardedGraphStore};
+use pegtrace::Tracer;
 
 fn synthetic_peg(n_refs: usize, uncertainty: f64) -> Peg {
     let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
@@ -156,9 +157,18 @@ fn scatter_stats_report_replication_and_dedup() {
         stats.per_shard.iter().map(|s| s.nodes).sum::<usize>() - n_nodes
     );
 
+    // The scatter's one record is its traced `retrieve` span.
     let q = QueryGraph::path(&[Label(0), Label(1)]).unwrap();
-    let res = store.pipeline().run(&q, 0.05, &QueryOptions::default()).unwrap();
-    let scatter = store.last_scatter();
+    let pipe = store.pipeline();
+    let opts = QueryOptions::default();
+    let prepared = pipe.prepare(&q, 0.05, &opts).unwrap();
+    let mut session = pipe.session(&prepared, &opts);
+    let tracer = Tracer::enabled(1);
+    session.set_tracer(tracer.clone());
+    let res = session.run_at(0.05, None).unwrap();
+    let roots = tracer.take();
+    let retrieve = roots.iter().find_map(|r| r.find("retrieve")).expect("a retrieve span");
+    let scatter = ScatterStats::from_span(retrieve).expect("the sharded store tagged it");
     assert_eq!(scatter.per_shard_raw.len(), 3);
     assert_eq!(scatter.raw_distinct, res.stats.raw_counts.iter().sum::<usize>());
     // On a connected-ish synthetic graph, 3-way sharding replicates
