@@ -329,11 +329,13 @@ fn pretty_print_workers(reply: &pegserve::Json) {
         let num = |k: &str| ec.get(k).and_then(Json::as_u64).unwrap_or(0);
         let rate = ec.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
         eprintln!(
-            "exec cache: {} hit(s), {} miss(es) ({:.0}% hit rate), {} entr(ies) holding \
-             {} KiB of {} KiB budget, {} eviction(s)",
+            "exec cache: {} hit(s), {} miss(es) ({:.0}% hit rate; {} first sight(s), {} \
+             admitted), {} entr(ies) holding {} KiB of {} KiB budget, {} eviction(s)",
             num("hits"),
             num("misses"),
             rate * 100.0,
+            num("first_sight"),
+            num("admitted"),
             num("entries"),
             num("bytes") / 1024,
             num("budget") / 1024,
@@ -753,11 +755,13 @@ fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> 
     if let Some(c) = &exec_cache {
         let s = c.stats();
         println!(
-            "exec cache: {} hit(s), {} miss(es) ({:.0}% hit rate), {} entr(ies) holding \
-             {} KiB of {} KiB budget, {} eviction(s)",
+            "exec cache: {} hit(s), {} miss(es) ({:.0}% hit rate; {} first sight(s), {} \
+             admitted), {} entr(ies) holding {} KiB of {} KiB budget, {} eviction(s)",
             s.hits,
             s.misses,
             s.hit_rate() * 100.0,
+            s.first_sight,
+            s.admitted,
             s.entries,
             s.bytes / 1024,
             s.budget / 1024,

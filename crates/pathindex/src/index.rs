@@ -299,28 +299,6 @@ impl PathMatches {
         out
     }
 
-    /// The matches whose index `keep` accepts, order kept, in buffers of
-    /// exactly that size; runs of kept neighbours are copied as slices.
-    pub fn filtered(&self, keep: impl Fn(usize) -> bool) -> PathMatches {
-        let n_kept = (0..self.len()).filter(|&i| keep(i)).count();
-        let mut out = PathMatches::with_capacity(self.stride, n_kept);
-        let mut i = 0;
-        while i < self.len() {
-            if !keep(i) {
-                i += 1;
-                continue;
-            }
-            let from = i;
-            while i < self.len() && keep(i) {
-                i += 1;
-            }
-            out.nodes.extend_from_slice(&self.nodes[from * self.stride..i * self.stride]);
-            out.prle.extend_from_slice(&self.prle[from..i]);
-            out.prn.extend_from_slice(&self.prn[from..i]);
-        }
-        out
-    }
-
     /// Sorts `rows` (indices of matches) by ascending node sequence — on
     /// `(packed key, row)` pairs while a row fits one key, by comparing
     /// rows otherwise.
@@ -688,10 +666,6 @@ mod tests {
         assert_eq!(picked.nodes(), &[3, 2, 3, 7, 9, 1]);
         assert_eq!(picked.prle()[0].to_bits(), m.prle()[2].to_bits());
         assert_eq!(picked.heap_bytes(), 3 * (2 * 4 + 16), "gathered buffers are exactly sized");
-        // A filter keeps order and copies runs.
-        let kept = m.filtered(|i| i != 1);
-        assert_eq!(kept.nodes(), &[9, 1, 3, 2, 8, 8]);
-        assert_eq!(kept.len(), 3);
         // A comparator sort agrees with the key sort on the whole set.
         let mut all: Vec<u32> = (0..4).collect();
         m.sort_rows(&mut all);

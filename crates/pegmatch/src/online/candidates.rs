@@ -3,7 +3,7 @@
 //! For each decomposition path, candidates come from the path index
 //! (threshold α) as one flat [`PathMatches`] — a node arena with stride =
 //! path length plus `prle` / `prn` columns — and stay in that shape through
-//! pruning, the execution cache and the shard reply to the join. Two
+//! pruning and the shard reply to the join. Two
 //! context-based pruning layers follow the lookup:
 //!
 //! * **node-level** — a graph node `v` can match query node `n` only when,
@@ -15,13 +15,11 @@
 //!   `cpr(Pu)` must reach α.
 //!
 //! Every threshold test above has the form `q + EPS ≥ α` for some
-//! α-independent quantity `q`, so each survivor's **keep-bound** — the
+//! α-independent quantity `q`, so a candidate's **keep-bound** — the
 //! minimum of those quantities — captures the whole predicate: the
 //! candidate survives pruning at `α'` iff `keep_bound + EPS ≥ α'`
-//! ([`bound_keeps`]), by monotonicity of `min`. That single `f64` is what
-//! lets an execution cache re-prune a floor-threshold retrieval at any
-//! higher threshold without index or context access (see
-//! [`crate::online::exec_cache`]).
+//! ([`bound_keeps`]), by monotonicity of `min`. The prune scores each raw
+//! candidate by that one `f64` and keeps the rows it admits.
 //!
 //! [`retrieve_candidates`] is the one lookup → prune → sort every source
 //! runs. It **prunes first and sorts only the survivors**: the canonical
@@ -300,31 +298,8 @@ pub struct CandidateSet {
     /// Surviving candidate path matches, flat, in canonical order
     /// (ascending node sequence).
     pub matches: PathMatches,
-    /// Each survivor's keep-bound, aligned with `matches`: the candidate
-    /// survives context pruning at `α'` iff [`bound_keeps`]`(bound, α')`
-    /// — exact for any `α'` at or above the threshold this set was pruned
-    /// at (see [`retrieve_candidates`]).
-    pub bounds: Vec<f64>,
     /// `|PIndex(lQ(VP), α)|` before any context pruning.
     pub raw_count: usize,
-}
-
-impl CandidateSet {
-    /// The survivors whose keep-bound still admits them at `alpha` — for
-    /// any `alpha` at or above the threshold this set was pruned at,
-    /// exactly the set a fresh retrieval at `alpha` returns. Copies column
-    /// slices; the order is kept.
-    pub fn filtered(&self, alpha: f64) -> CandidateSet {
-        let matches = self.matches.filtered(|i| bound_keeps(self.bounds[i], alpha));
-        let mut bounds = Vec::with_capacity(matches.len());
-        bounds.extend(self.bounds.iter().copied().filter(|&b| bound_keeps(b, alpha)));
-        CandidateSet { matches, bounds, raw_count: self.raw_count }
-    }
-
-    /// Heap bytes held by the candidate columns, growth slack included.
-    pub fn heap_bytes(&self) -> usize {
-        self.matches.heap_bytes() + self.bounds.capacity() * std::mem::size_of::<f64>()
-    }
 }
 
 /// Which raw rows (node sequences) a caller of [`retrieve_candidates`]
@@ -400,10 +375,7 @@ pub(crate) fn clocked<T>(timed: bool, f: impl FnOnce() -> T) -> (T, Duration) {
 ///    sequential pass). A row's score is NaN when it is rejected at `alpha`
 ///    — a structural failure, or any threshold quantity falling below
 ///    `alpha`, where the scorer short-circuits — and otherwise its exact
-///    keep-bound `min(prle·prn, node bounds…, prle·prn·pu·cpr)`, which
-///    re-answers the whole predicate for every `α' ≥ alpha` via
-///    [`bound_keeps`] with no index or context access — the property the
-///    execution cache's floor-threshold reuse rests on. The paths share
+///    keep-bound `min(prle·prn, node bounds…, prle·prn·pu·cpr)`. The paths share
 ///    one node-bound memo; taking them in order is what makes each path's
 ///    memo counters (and so its span tags) a function of the request
 ///    rather than of which path reached a shared query node first.
@@ -456,11 +428,7 @@ pub fn retrieve_candidates(
                 }
             }
             raw.sort_rows(&mut rows);
-            CandidateSet {
-                matches: raw.gather(&rows),
-                bounds: rows.iter().map(|&r| scores[r as usize]).collect(),
-                raw_count: raw.len(),
-            }
+            CandidateSet { matches: raw.gather(&rows), raw_count: raw.len() }
         });
         let profile = RetrieveProfile { lookup: *lookup, prune: *prune, sort, memo: *counts };
         Retrieval { set, raw_home, pruned_total, profile }
@@ -802,7 +770,7 @@ mod tests {
             retrieve_candidates(&peg, &idx, &q, paths, &stats, 0.05, &pool, Some(&home), false)
                 .remove(0);
         assert_eq!(one.set.matches.nodes(), first.as_slice());
-        assert_eq!(one.set.bounds[0].to_bits(), all.set.bounds[0].to_bits());
+        assert_eq!(one.set.matches.prle()[0].to_bits(), all.set.matches.prle()[0].to_bits());
         assert_eq!(one.set.raw_count, all.set.raw_count);
         assert_eq!((one.raw_home, one.pruned_total), (1, all.pruned_total));
     }
@@ -810,23 +778,18 @@ mod tests {
     fn assert_same(got: &CandidateSet, want: &reference::Retrieved, ctx: &str) {
         assert_eq!(got.raw_count, want.raw_count, "{ctx}: raw_count");
         assert_eq!(got.matches.len(), want.matches.len(), "{ctx}: survivors");
-        assert_eq!(got.bounds.len(), want.bounds.len(), "{ctx}: bounds");
         for (i, (g, w)) in got.matches.iter().zip(&want.matches).enumerate() {
             let w_nodes: Vec<u32> = w.nodes.iter().map(|v| v.0).collect();
             assert_eq!(g.nodes, w_nodes.as_slice(), "{ctx}: nodes of #{i}");
             assert_eq!(g.prle.to_bits(), w.prle.to_bits(), "{ctx}: prle of #{i}");
             assert_eq!(g.prn.to_bits(), w.prn.to_bits(), "{ctx}: prn of #{i}");
-            assert_eq!(got.bounds[i].to_bits(), want.bounds[i].to_bits(), "{ctx}: bound of #{i}");
         }
     }
 
     /// Random small PEGs × path / star / cycle queries × thresholds on
     /// both sides of `β` × 1 and 4 lanes: the flat retrieval equals the
-    /// reference in order, nodes, `raw_count` and every probability's and
-    /// keep-bound's bits; its memo counters do not depend on the lane
-    /// count; and re-filtering the floor set by keep-bound at a ladder of
-    /// thresholds equals a fresh retrieval at each rung (the property the
-    /// execution cache rests on).
+    /// reference in order, nodes, `raw_count` and every probability's
+    /// bits, and its memo counters do not depend on the lane count.
     #[test]
     fn flat_retrieval_equals_the_reference() {
         const BETA: f64 = 0.3;
@@ -852,27 +815,26 @@ mod tests {
             ];
             for (qi, q) in queries.iter().enumerate() {
                 let d = decompose(q, 2, &|_| 1.0, DecompStrategy::CostBased).unwrap();
-                for floor in [0.1, BETA, 0.5] {
+                for alpha in [0.1, BETA, 0.5] {
                     // One memo per retrieval, shared by its paths in path
                     // order — on both sides.
                     let cache = NodeCandidateCache::new();
                     let want: Vec<_> = d
                         .paths
                         .iter()
-                        .map(|p| reference::retrieve(&peg, &idx, q, p, &cache, floor))
+                        .map(|p| reference::retrieve(&peg, &idx, q, p, &cache, alpha))
                         .collect();
                     let pstats: Vec<PathStats> =
                         d.paths.iter().map(|p| PathStats::new(q, p)).collect();
                     let mut counts: Vec<Vec<MemoCounts>> = Vec::new();
-                    let mut floor_sets = Vec::new();
                     for lanes in [1usize, 4] {
                         let pool = pegpool::pool_with(lanes);
                         let got = retrieve_candidates(
-                            &peg, &idx, q, &d.paths, &pstats, floor, &pool, None, false,
+                            &peg, &idx, q, &d.paths, &pstats, alpha, &pool, None, false,
                         );
                         for (pi, (g, w)) in got.iter().zip(&want).enumerate() {
                             let ctx =
-                                format!("seed {seed} query {qi} path {pi} α={floor} lanes={lanes}");
+                                format!("seed {seed} query {qi} path {pi} α={alpha} lanes={lanes}");
                             assert_same(&g.set, w, &ctx);
                             survivors += g.set.matches.len();
                             rejected += g.set.raw_count - g.set.matches.len();
@@ -880,33 +842,8 @@ mod tests {
                             assert!(g.profile.memo.misses <= g.profile.memo.probes, "{ctx}");
                         }
                         counts.push(got.iter().map(|g| g.profile.memo).collect());
-                        floor_sets = got.into_iter().map(|g| g.set).collect();
                     }
                     assert_eq!(counts[0], counts[1], "memo counters depend on the lane count");
-                    // The ladder: floor set re-filtered ≡ fresh retrieval.
-                    // Rungs stay in the floor's regime (index at or above β,
-                    // enumeration below), as `floor_alpha` keeps them.
-                    let ladder: &[f64] = if floor < BETA {
-                        &[0.1, 0.15, 0.2, 0.29]
-                    } else {
-                        &[0.3, 0.35, 0.5, 0.7, 0.9]
-                    };
-                    for &alpha in ladder.iter().filter(|&&a| a >= floor) {
-                        for (pi, (p, floor_set)) in d.paths.iter().zip(&floor_sets).enumerate() {
-                            let warm = floor_set.filtered(alpha);
-                            let cold = retrieve(&peg, &idx, q, p, alpha, 1).set;
-                            let ctx = format!("seed {seed} query {qi} path {pi} {floor}→{alpha}");
-                            assert_eq!(warm.matches, cold.matches, "{ctx}");
-                            let bits =
-                                |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(&warm.bounds), bits(&cold.bounds), "{ctx}");
-                            assert_eq!(
-                                warm.heap_bytes(),
-                                cold.heap_bytes(),
-                                "{ctx}: exact buffers"
-                            );
-                        }
-                    }
                 }
             }
         }

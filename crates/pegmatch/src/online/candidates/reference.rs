@@ -24,8 +24,6 @@ const CACHE_SHARDS: usize = 16;
 pub struct Retrieved {
     /// Survivors in canonical order.
     pub matches: Vec<PathMatch>,
-    /// Their keep-bounds, aligned.
-    pub bounds: Vec<f64>,
     /// Raw candidates before pruning.
     pub raw_count: usize,
 }
@@ -44,18 +42,8 @@ pub fn retrieve(
     let mut matches = offline.path_matches(peg, &path.labels(query), alpha).to_vec();
     let raw_count = matches.len();
     sort_candidates(&mut matches);
-    let bounds = prune_candidates_scored(
-        peg,
-        offline,
-        query,
-        path,
-        &stats,
-        alpha,
-        cache,
-        &pool,
-        &mut matches,
-    );
-    Retrieved { matches, bounds, raw_count }
+    prune_candidates(peg, offline, query, path, &stats, alpha, cache, &pool, &mut matches);
+    Retrieved { matches, raw_count }
 }
 
 /// Sorts path matches into the canonical candidate order every source
@@ -225,15 +213,11 @@ fn candidate_scores(
     }
 }
 
-/// Context pruning that consumes the raw retrieval and returns each
-/// survivor's keep-bound: survivors are compacted in place (one `retain`
-/// pass, no clones), and the returned vector aligns with the compacted
-/// list. The bounds are exact for re-pruning at any threshold `≥ alpha`:
-/// `bound_keeps(bounds[i], α')` reproduces the full keep-predicate at
-/// `α'` bit-for-bit, with no index or context access — the property the
-/// execution cache's floor-threshold reuse rests on.
+/// Context pruning that consumes the raw retrieval: survivors — the
+/// candidates whose score is not NaN — are compacted in place (one
+/// `retain` pass, no clones).
 #[allow(clippy::too_many_arguments)]
-pub fn prune_candidates_scored(
+pub fn prune_candidates(
     peg: &Peg,
     offline: &OfflineIndex,
     query: &QueryGraph,
@@ -243,20 +227,10 @@ pub fn prune_candidates_scored(
     node_cache: &NodeCandidateCache,
     pool: &ThreadPool,
     raw: &mut Vec<PathMatch>,
-) -> Vec<f64> {
+) {
     let scores = candidate_scores(peg, offline, query, path, stats, alpha, node_cache, pool, raw);
-    let mut bounds = Vec::new();
     let mut it = scores.into_iter();
-    raw.retain(|_| {
-        let s = it.next().expect("scores cover raw");
-        if s.is_nan() {
-            false
-        } else {
-            bounds.push(s);
-            true
-        }
-    });
-    bounds
+    raw.retain(|_| !it.next().expect("scores cover raw").is_nan());
 }
 
 /// `pu(Pu)`: upper bound on the probability of matching the path's query

@@ -1,31 +1,32 @@
-//! Shape-keyed execution cache: reuse floor-threshold retrievals across
+//! Shape-keyed execution cache: reuse a reduced k-partite graph across
 //! repeated-shape query mixes.
 //!
 //! The plan cache (see [`crate::online::plan`]) only saves planning time;
-//! every query still pays raw retrieval plus context pruning — and in the
-//! sharded deployment, a full scatter round trip — even when the serving
-//! mix is dominated by isomorphic renumberings of a handful of shapes.
-//! This module caches the *execution* artifact those queries share: the
-//! post-prune candidate sets of a shape's decomposition paths — flat node
-//! arenas with `prle` / `prn` / keep-bound columns
-//! ([`CandidateSet`]), about 36 bytes per three-node candidate — retrieved
-//! once at a **floor threshold** and re-pruned per hitting query by copying
-//! the surviving column slices.
+//! every query still pays retrieval, context pruning, the join and the
+//! reduction — and in the sharded deployment a full scatter round trip —
+//! even when the serving mix is dominated by isomorphic renumberings of a
+//! handful of shapes. This module caches what those queries share *after*
+//! all of that: the session base ([`SessionBase`]), a [`KPartiteGraph`]
+//! joined and reduced to fixpoint at a **floor threshold**, plus the stage
+//! counts of the build that made it. A hit installs the shared graph as
+//! the session's base; [`QuerySession::run_at`] then generates from it
+//! directly at the floor, or refines a copy with a few incremental
+//! reduction rounds above it. A hit touches no source, no index and no
+//! scatter.
 //!
 //! # Soundness of floor-threshold reuse
 //!
-//! Retrieval at threshold `α` is monotone: lowering `α` can only grow the
-//! raw candidate set (the index lookup keeps everything with
-//! `prle·prn + EPS ≥ α`). Every context-pruning test likewise has the form
-//! `q + EPS ≥ α` for an `α`-independent quantity `q`, so each survivor of
-//! a prune at the floor carries a **keep-bound** — the minimum of those
-//! quantities — that answers the whole predicate at any `α' ≥ floor`
-//! ([`crate::online::candidates::bound_keeps`]). A warm hit therefore
-//! filters the cached lists with one comparison per candidate, touching
-//! neither the index nor the context structures; the existing superset
-//! pinning test (`pruning_a_low_threshold_superset_matches_fresh_retrieval`)
-//! plus min-monotonicity make the filtered lists bit-identical to a cold
-//! retrieval at `α'`.
+//! A base reduced at threshold `f` answers every `α ≥ f` bit-identically
+//! to a from-scratch run at `α` — the ascending-α reuse top-k refinement
+//! is built on ([`QuerySession::run_at`]; pinned by
+//! `tests/reduction_frontier_equivalence.rs` and
+//! `tests/topk_incremental.rs`). Retrieval, pruning and the join's link
+//! test at `f` keep a superset of what they keep at `α`, every vertex the
+//! reduction kills at `f` is dead at `α`, and the incremental reduction
+//! continues from the converged perception bounds, which stay upper bounds
+//! on any extension's probability. Generation then re-checks every match
+//! exactly, in the canonical candidate order the base shares with a cold
+//! build, so matches, their bits and any `limit` prefix agree.
 //!
 //! The floor is the query's `α` **quantized down to a power of two**
 //! ([`floor_alpha`]) and clamped at the index build threshold `β`: a
@@ -34,37 +35,58 @@
 //! a cached retrieval in the same index-vs-enumeration regime as every
 //! query it serves.
 //!
+//! # Admission on second sight
+//!
+//! A shape seen once is not worth a floor-widened build and the memory to
+//! hold it. A miss therefore consults a **doorkeeper** — a fixed array of
+//! [`DOORKEEPER_BITS`] bits, one hash per key — before anything is built:
+//!
+//! * *first sight* (bit clear): the bit is set and the query runs exactly
+//!   as the cache-off path does, at its own `α`; nothing is inserted;
+//! * *second sight* (bit set): the base is built at the floor, inserted,
+//!   and answers the query.
+//!
+//! The doorkeeper hashes the key **without** its epoch, so after an
+//! `update_graph` flush the first query of a known shape re-admits at
+//! once. It is cleared whenever half its bits are set, which bounds its
+//! false-positive rate; a false positive only admits a shape early.
+//!
 //! # Keying
 //!
-//! [`ExecKey`] pins everything retrieval output depends on: the graph
+//! [`ExecKey`] pins everything the cached base depends on: the graph
 //! **epoch** (a server-issued stamp, fresh on every load and every
 //! `update_graph`, so unloading or mutating a graph retires its entries
-//! without scanning their contents), the **canonical
-//! form** of the query shape (labels + edges under the canonical
-//! numbering), the decomposition **paths mapped into canonical
-//! numbering** (plan-cache eviction could replan a shape differently; two
-//! different decompositions must not collide), and the index parameters
-//! (`max_len`, `β` bits) plus the floor bits. Candidates need *no*
-//! renumbering on a hit — entity ids are graph-global and path order is a
-//! function of the canonical plan — which is why hits are cheap enough to
-//! also skip the sharded scatter entirely.
+//! without scanning their contents), the **canonical form** of the query
+//! shape (labels + edges under the canonical numbering), the
+//! decomposition **paths mapped into canonical numbering** (plan-cache
+//! eviction could replan a shape differently; two different
+//! decompositions must not collide), and the index parameters (`max_len`,
+//! `β` bits) plus the floor bits. A base needs *no* renumbering on a hit —
+//! entity ids are graph-global, and partition order, vertex order and
+//! weight products are functions of the canonical plan.
 //!
 //! Like the plan cache, the cache is a bounded shared structure: one
 //! mutex-guarded map with byte accounting and true-LRU eviction. Values
-//! are `Arc`'d so hits clone a pointer under the lock and filter outside
-//! it.
+//! are `Arc`'d so hits clone a pointer under the lock.
+//!
+//! [`QuerySession::run_at`]: crate::online::QuerySession::run_at
 
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use graphstore::hash::FxHashMap;
+use graphstore::hash::{FxHashMap, FxHasher};
 use graphstore::Label;
 
-use crate::online::candidates::CandidateSet;
+use crate::online::kpartite::KPartiteGraph;
+use crate::online::session::SessionBase;
 use crate::query::{CanonicalForm, QNode};
 
 /// Default byte budget for a server-wide execution cache: 64 MiB.
 pub const DEFAULT_EXEC_CACHE_BYTES: usize = 64 << 20;
+
+/// Size of the admission doorkeeper, in bits (8 KiB of memory).
+pub const DOORKEEPER_BITS: usize = 1 << 16;
 
 /// Quantizes `alpha` down to the nearest power of two by masking the
 /// mantissa (subnormals and zero collapse to `0.0`; exact powers of two —
@@ -74,8 +96,8 @@ pub fn quantize_down(alpha: f64) -> f64 {
     f64::from_bits(alpha.to_bits() & 0x7FF0_0000_0000_0000)
 }
 
-/// The floor threshold a query at `alpha` retrieves (and caches) at, for
-/// an index built at threshold `beta`.
+/// The floor threshold a query at `alpha` builds (and caches) its base at,
+/// for an index built at threshold `beta`.
 ///
 /// Non-positive (or NaN) `alpha` floors to `0.0`. Otherwise the floor is
 /// [`quantize_down`]`(alpha)`, adjusted to respect the retrieval-regime
@@ -97,9 +119,9 @@ pub fn floor_alpha(alpha: f64, beta: f64) -> f64 {
     }
 }
 
-/// Everything a cached floor retrieval's output depends on. Two queries
-/// build equal keys iff the cached candidate lists are (bit-for-bit) the
-/// lists a cold floor retrieval would produce for both.
+/// Everything a cached base depends on. Two queries build equal keys iff
+/// the cached base is (bit-for-bit) the base a cold floor build would
+/// produce for both.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ExecKey {
     /// Server-issued stamp of the loaded graph (0 for unmanaged callers).
@@ -114,7 +136,7 @@ pub struct ExecKey {
     pub max_len: usize,
     /// Bit pattern of the index build threshold `β`.
     pub beta_bits: u64,
-    /// Bit pattern of the floor threshold the entry was retrieved at.
+    /// Bit pattern of the floor threshold the base is reduced at.
     pub floor_bits: u64,
 }
 
@@ -142,24 +164,56 @@ impl ExecKey {
             floor_bits: floor.to_bits(),
         }
     }
+
+    /// The doorkeeper bit of this key: a hash of everything but the epoch.
+    fn sight_bit(&self) -> usize {
+        let mut h = FxHasher::default();
+        (&self.labels, &self.edges, &self.paths, self.max_len, self.beta_bits, self.floor_bits)
+            .hash(&mut h);
+        // Fibonacci-mix so the top bits depend on every input word.
+        (h.finish().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DOORKEEPER_BITS.trailing_zeros()))
+            as usize
+    }
 }
 
-/// A cached floor retrieval: one `CandidateSet` per decomposition path,
-/// in plan order, pruned at the key's floor with keep-bounds populated.
-pub type ExecEntry = Arc<Vec<CandidateSet>>;
+/// A cached base: the reduced graph at the key's floor and the stage
+/// counts of its build, shared by every session that hits it.
+pub type ExecEntry = Arc<SessionBase>;
 
-struct CachedSets {
-    sets: ExecEntry,
+/// What a lookup found, and so what the caller builds.
+pub enum Lookup {
+    /// The cached base for the key.
+    Hit(ExecEntry),
+    /// First sight of the shape: run at the query's own threshold and
+    /// insert nothing.
+    FirstSight,
+    /// Second sight: build the base at the floor and insert it.
+    Admit,
+}
+
+/// Heap footprint of a cached base, for budget accounting: its graph's
+/// arena capacities ([`KPartiteGraph::heap_bytes`]).
+pub fn entry_bytes(kp: &KPartiteGraph) -> usize {
+    kp.heap_bytes()
+}
+
+struct CachedBase {
+    base: ExecEntry,
     bytes: usize,
     last_used: u64,
 }
 
 struct ExecCacheInner {
-    map: FxHashMap<ExecKey, CachedSets>,
+    map: FxHashMap<ExecKey, CachedBase>,
     bytes: usize,
     tick: u64,
+    /// One bit per sight hash, `DOORKEEPER_BITS` of them.
+    seen: Vec<u64>,
+    seen_set: usize,
     hits: u64,
     misses: u64,
+    first_sight: u64,
+    admitted: u64,
     evictions: u64,
 }
 
@@ -168,6 +222,22 @@ impl ExecCacheInner {
         self.tick += 1;
         self.tick
     }
+
+    /// Sets `bit`, returning whether it was already set; clears the whole
+    /// array once half of it is set.
+    fn saw(&mut self, bit: usize) -> bool {
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        if self.seen[word] & mask != 0 {
+            return true;
+        }
+        self.seen[word] |= mask;
+        self.seen_set += 1;
+        if self.seen_set * 2 >= DOORKEEPER_BITS {
+            self.seen.fill(0);
+            self.seen_set = 0;
+        }
+        false
+    }
 }
 
 /// Snapshot of cache counters for the `stats` op and ablations.
@@ -175,8 +245,12 @@ impl ExecCacheInner {
 pub struct ExecCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to a real retrieval.
+    /// Lookups that found no entry (first sights and admissions alike).
     pub misses: u64,
+    /// Misses on a shape the doorkeeper had not seen: run uncached.
+    pub first_sight: u64,
+    /// Bases inserted on a second sight.
+    pub admitted: u64,
     /// Entries evicted to stay inside the byte budget.
     pub evictions: u64,
     /// Live entries.
@@ -199,15 +273,10 @@ impl ExecCacheStats {
     }
 }
 
-/// Heap footprint of a cached retrieval, for budget accounting: the
-/// capacities of every set's candidate columns plus the per-set headers.
-pub fn entry_bytes(sets: &[CandidateSet]) -> usize {
-    sets.iter().map(|cs| std::mem::size_of::<CandidateSet>() + cs.heap_bytes()).sum()
-}
-
-/// Byte-bounded, shape-keyed cache of floor-threshold retrievals. One
-/// instance serves a whole server: entries carry the owning graph's epoch
-/// in their key, so unloading a graph invalidates by epoch sweep.
+/// Byte-bounded, shape-keyed cache of reduced session bases, admitted on
+/// second sight. One instance serves a whole server: entries carry the
+/// owning graph's epoch in their key, so unloading a graph invalidates by
+/// epoch sweep.
 pub struct ExecCache {
     inner: Mutex<ExecCacheInner>,
     budget: usize,
@@ -223,8 +292,12 @@ impl ExecCache {
                 map: FxHashMap::default(),
                 bytes: 0,
                 tick: 0,
+                seen: vec![0; DOORKEEPER_BITS / 64],
+                seen_set: 0,
                 hits: 0,
                 misses: 0,
+                first_sight: 0,
+                admitted: 0,
                 evictions: 0,
             }),
             budget,
@@ -239,27 +312,32 @@ impl ExecCache {
         self.epoch_counter.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Looks up a floor retrieval; counts a hit or miss either way.
-    pub fn get(&self, key: &ExecKey) -> Option<ExecEntry> {
+    /// Looks up a base; on a miss, marks the key seen and says whether
+    /// this sight admits it. Counts a hit or a miss either way.
+    pub fn lookup(&self, key: &ExecKey) -> Lookup {
         let mut inner = self.inner.lock().unwrap();
         let tick = inner.next_tick();
         if let Some(cached) = inner.map.get_mut(key) {
             cached.last_used = tick;
-            let sets = Arc::clone(&cached.sets);
+            let base = Arc::clone(&cached.base);
             inner.hits += 1;
-            Some(sets)
+            return Lookup::Hit(base);
+        }
+        inner.misses += 1;
+        if inner.saw(key.sight_bit()) {
+            Lookup::Admit
         } else {
-            inner.misses += 1;
-            None
+            inner.first_sight += 1;
+            Lookup::FirstSight
         }
     }
 
-    /// Inserts a floor retrieval, evicting least-recently-used entries
-    /// until it fits. Oversized entries (larger than the whole budget)
-    /// are skipped; a concurrent insert of the same key is last-write-wins
-    /// (both writers computed identical sets, so either is correct).
-    pub fn insert(&self, key: ExecKey, sets: ExecEntry) {
-        let bytes = entry_bytes(&sets);
+    /// Inserts a base, evicting least-recently-used entries until it fits.
+    /// Oversized entries (larger than the whole budget) are skipped; a
+    /// concurrent insert of the same key is last-write-wins (both writers
+    /// built identical bases, so either is correct).
+    pub fn insert(&self, key: ExecKey, base: ExecEntry) {
+        let bytes = entry_bytes(&base.kp);
         if bytes > self.budget {
             return;
         }
@@ -280,11 +358,12 @@ impl ExecCache {
             inner.evictions += 1;
         }
         inner.bytes += bytes;
-        inner.map.insert(key, CachedSets { sets, bytes, last_used: tick });
+        inner.admitted += 1;
+        inner.map.insert(key, CachedBase { base, bytes, last_used: tick });
     }
 
     /// Drops every entry stamped with `epoch` — the `unload_graph` and
-    /// `update_graph` hook.
+    /// `update_graph` hook. The doorkeeper keeps its bits.
     pub fn invalidate_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock().unwrap();
         let victims: Vec<ExecKey> =
@@ -301,6 +380,8 @@ impl ExecCache {
         ExecCacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            first_sight: inner.first_sight,
+            admitted: inner.admitted,
             evictions: inner.evictions,
             entries: inner.map.len(),
             bytes: inner.bytes,
@@ -323,28 +404,22 @@ impl ExecCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathindex::PathMatches;
+    use crate::online::kpartite::KPartiteWriter;
+    use crate::query::QueryGraph;
+    use graphstore::EntityId;
 
-    fn set_of(n: usize) -> CandidateSet {
-        let mut matches = PathMatches::with_capacity(2, n);
+    /// A one-partition graph of `n` two-node vertices.
+    fn graph_of(n: usize) -> KPartiteGraph {
+        let mut w = KPartiteWriter::new(1);
+        w.add_partition(&[], 2, n);
         for i in 0..n as u32 {
-            matches.push([i, i + 1], 0.5, 0.5);
+            w.add_vertex(&[EntityId(i), EntityId(i + 1)], 0.5, 0.5);
         }
-        CandidateSet { matches, bounds: vec![0.25; n], raw_count: n }
+        w.finish()
     }
 
-    #[test]
-    fn entry_bytes_is_the_sum_of_the_column_capacities() {
-        // Two nodes (4 B each), prle, prn and the keep-bound (8 B each) per
-        // candidate, nothing estimated: 32 B at stride 2, 36 B at stride 3.
-        let header = std::mem::size_of::<CandidateSet>();
-        assert_eq!(entry_bytes(&[set_of(10)]), header + 10 * (2 * 4 + 3 * 8));
-        assert_eq!(entry_bytes(&[set_of(10), set_of(3)]), 2 * header + 13 * 32);
-        // Growth slack is held memory, so it counts.
-        let mut slack = set_of(4);
-        slack.bounds.reserve_exact(100);
-        let cap = slack.bounds.capacity();
-        assert_eq!(entry_bytes(std::slice::from_ref(&slack)), header + 4 * 24 + cap * 8);
+    fn base_of(n: usize) -> ExecEntry {
+        Arc::new(SessionBase::new(0.25, graph_of(n), Default::default()))
     }
 
     fn key(epoch: u64, tag: u16, floor: f64) -> ExecKey {
@@ -357,6 +432,25 @@ mod tests {
             beta_bits: 0.3f64.to_bits(),
             floor_bits: floor.to_bits(),
         }
+    }
+
+    /// Admits `key` the way a session does: a first and a second sight,
+    /// then the insert.
+    fn admit(cache: &ExecCache, key: ExecKey, n: usize) {
+        assert!(matches!(cache.lookup(&key), Lookup::FirstSight | Lookup::Admit));
+        assert!(matches!(cache.lookup(&key), Lookup::Admit));
+        cache.insert(key, base_of(n));
+    }
+
+    #[test]
+    fn entry_bytes_is_the_sum_of_the_graph_arena_capacities() {
+        let bytes = entry_bytes(&graph_of(64));
+        assert_eq!(bytes, graph_of(64).heap_bytes());
+        // 64 more vertices hold, each, an alive flag (1 B), w1, w2 and one
+        // perception entry (8 B each) and two 4-byte entity ids; the three
+        // bitsets grow one word each. Nothing estimated.
+        let per_vertex = 1 + 3 * 8 + 2 * 4;
+        assert_eq!(entry_bytes(&graph_of(128)) - bytes, 64 * per_vertex + 3 * 8);
     }
 
     #[test]
@@ -400,44 +494,37 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_the_byte_budget() {
-        let one = entry_bytes(std::slice::from_ref(&set_of(4)));
-        // Budget for two entries but not three.
-        let cache = ExecCache::new(one * 2 + one / 2);
-        cache.insert(key(1, 0, 0.25), Arc::new(vec![set_of(4)]));
-        cache.insert(key(1, 1, 0.25), Arc::new(vec![set_of(4)]));
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().bytes, one * 2);
-        // Touch entry 0 so entry 1 is the LRU victim.
-        assert!(cache.get(&key(1, 0, 0.25)).is_some());
-        cache.insert(key(1, 2, 0.25), Arc::new(vec![set_of(4)]));
+    fn the_first_sight_is_not_admitted_and_the_second_is() {
+        let labels = |ls: &[u16]| ls.iter().map(|&l| Label(l)).collect::<Vec<_>>();
+        // One path shape and a renumbering of it: node i of `q` is node
+        // `perm[i]` of `r`.
+        let q = QueryGraph::new(labels(&[0, 1, 2]), vec![(0, 1), (1, 2)]).unwrap();
+        let r = QueryGraph::new(labels(&[2, 0, 1]), vec![(1, 2), (0, 2)]).unwrap();
+        let key_of = |g: &QueryGraph, path: &[QNode]| {
+            ExecKey::new(7, &g.canonical_form(), &[path], 2, 0.3, 0.5)
+        };
+        let (kq, kr) = (key_of(&q, &[0, 1, 2]), key_of(&r, &[1, 2, 0]));
+        assert_eq!(kq, kr, "isomorphic renumberings share a key");
+
+        let cache = ExecCache::new(1 << 20);
+        assert!(matches!(cache.lookup(&kq), Lookup::FirstSight));
+        assert_eq!(cache.stats().entries, 0, "a first sight inserts nothing");
+        assert!(matches!(cache.lookup(&kr), Lookup::Admit), "the renumbering is the second sight");
+        cache.insert(kr, base_of(4));
+        assert!(matches!(cache.lookup(&kq), Lookup::Hit(_)));
         let s = cache.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.bytes, one * 2);
-        assert!(cache.get(&key(1, 0, 0.25)).is_some(), "recently used survived");
-        assert!(cache.get(&key(1, 1, 0.25)).is_none(), "LRU evicted");
-        assert!(cache.get(&key(1, 2, 0.25)).is_some());
+        assert_eq!((s.hits, s.misses, s.first_sight, s.admitted), (1, 2, 1, 1));
+        assert_eq!(s.entries, 1);
     }
 
     #[test]
-    fn oversized_entries_are_never_admitted() {
-        let cache = ExecCache::new(16);
-        cache.insert(key(1, 0, 0.25), Arc::new(vec![set_of(64)]));
-        let s = cache.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.bytes, 0);
-        assert_eq!(s.evictions, 0);
-    }
-
-    #[test]
-    fn epoch_invalidation_drops_only_that_graph() {
+    fn an_epoch_bump_drops_entries_but_not_doorkeeper_bits() {
         let cache = ExecCache::new(1 << 20);
         let (e1, e2) = (cache.next_epoch(), cache.next_epoch());
         assert_ne!(e1, e2);
-        cache.insert(key(e1, 0, 0.25), Arc::new(vec![set_of(4)]));
-        cache.insert(key(e1, 1, 0.25), Arc::new(vec![set_of(4)]));
-        cache.insert(key(e2, 0, 0.25), Arc::new(vec![set_of(4)]));
+        admit(&cache, key(e1, 0, 0.25), 4);
+        admit(&cache, key(e1, 1, 0.25), 4);
+        admit(&cache, key(e2, 0, 0.25), 4);
         assert_eq!(cache.epoch_stats(e1).0, 2);
         assert_eq!(cache.epoch_stats(e2).0, 1);
         cache.invalidate_epoch(e1);
@@ -445,17 +532,72 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert_eq!(cache.epoch_stats(e1), (0, 0));
         assert_eq!(cache.epoch_stats(e2).0, 1);
-        assert!(cache.get(&key(e1, 0, 0.25)).is_none());
-        assert!(cache.get(&key(e2, 0, 0.25)).is_some());
+        assert!(matches!(cache.lookup(&key(e2, 0, 0.25)), Lookup::Hit(_)));
         assert_eq!(s.bytes, cache.epoch_stats(e2).1);
+        // The next epoch's first query of a known shape re-admits at once.
+        let e3 = cache.next_epoch();
+        let first_sight = cache.stats().first_sight;
+        assert!(matches!(cache.lookup(&key(e3, 1, 0.25)), Lookup::Admit));
+        assert_eq!(cache.stats().first_sight, first_sight);
+    }
+
+    #[test]
+    fn the_doorkeeper_clears_when_half_its_bits_are_set() {
+        let cache = ExecCache::new(1 << 20);
+        let probe = key(1, 0, 1.0);
+        assert!(matches!(cache.lookup(&probe), Lookup::FirstSight));
+        // Every first sight sets one more bit; distinct floors give
+        // distinct keys.
+        let half = DOORKEEPER_BITS as u64 / 2;
+        let mut floor = 0.0;
+        let mut sight_until = |first_sights: u64| {
+            while cache.stats().first_sight < first_sights {
+                floor += 1.0;
+                cache.lookup(&key(1, 1, floor));
+            }
+        };
+        sight_until(half - 1);
+        assert!(matches!(cache.lookup(&probe), Lookup::Admit), "still remembered");
+        sight_until(half);
+        assert!(matches!(cache.lookup(&probe), Lookup::FirstSight), "forgotten by the clear");
+    }
+
+    #[test]
+    fn lru_eviction_respects_the_byte_budget() {
+        let one = entry_bytes(&graph_of(4));
+        // Budget for two entries but not three.
+        let cache = ExecCache::new(one * 2 + one / 2);
+        admit(&cache, key(1, 0, 0.25), 4);
+        admit(&cache, key(1, 1, 0.25), 4);
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.stats().bytes, one * 2);
+        // Touch entry 0 so entry 1 is the LRU victim.
+        assert!(matches!(cache.lookup(&key(1, 0, 0.25)), Lookup::Hit(_)));
+        admit(&cache, key(1, 2, 0.25), 4);
+        let s = cache.stats();
+        assert_eq!(s.entries, 2);
+        assert_eq!(s.evictions, 1);
+        assert_eq!(s.bytes, one * 2);
+        assert!(matches!(cache.lookup(&key(1, 0, 0.25)), Lookup::Hit(_)), "recently used survived");
+        assert!(matches!(cache.lookup(&key(1, 1, 0.25)), Lookup::Admit), "LRU evicted");
+        assert!(matches!(cache.lookup(&key(1, 2, 0.25)), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn oversized_entries_are_never_admitted() {
+        let cache = ExecCache::new(16);
+        admit(&cache, key(1, 0, 0.25), 64);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions, s.admitted), (0, 0, 0, 0));
+        assert!(matches!(cache.lookup(&key(1, 0, 0.25)), Lookup::Admit));
     }
 
     #[test]
     fn reinserting_a_key_replaces_without_double_counting() {
         let cache = ExecCache::new(1 << 20);
-        cache.insert(key(1, 0, 0.25), Arc::new(vec![set_of(4)]));
+        admit(&cache, key(1, 0, 0.25), 4);
         let before = cache.stats().bytes;
-        cache.insert(key(1, 0, 0.25), Arc::new(vec![set_of(4)]));
+        cache.insert(key(1, 0, 0.25), base_of(4));
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.bytes, before);

@@ -298,6 +298,29 @@ impl KPartiteGraph {
         self.alive_n.clone()
     }
 
+    /// Heap bytes held by the graph's arenas, growth slack included: what
+    /// keeping this graph alive costs.
+    pub fn heap_bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let parts: usize = self.parts.iter().map(|p| cap(&p.joined)).sum();
+        parts
+            + cap(&self.parts)
+            + cap(&self.alive)
+            + cap(&self.alive_n)
+            + cap(&self.w1)
+            + cap(&self.w2)
+            + cap(&self.nodes)
+            + cap(&self.perception)
+            + cap(&self.links)
+            + cap(&self.link_off)
+            + cap(&self.link_alive)
+            + cap(&self.msg_dirty.words)
+            + cap(&self.next_dirty.words)
+            + cap(&self.bound_dirty.words)
+    }
+
     /// Runs joint search-space reduction to fixpoint.
     pub fn reduce(&mut self, alpha: f64, opts: &ReduceOptions) -> ReductionStats {
         self.reduce_traced(alpha, opts, &pegtrace::Span::disabled())
@@ -1452,11 +1475,7 @@ mod tests {
             .map(|cs| {
                 assert!(!cs.matches.is_empty());
                 let tiled: Vec<u32> = (0..100).map(|i| (i % cs.matches.len()) as u32).collect();
-                CandidateSet {
-                    matches: cs.matches.gather(&tiled),
-                    bounds: tiled.iter().map(|&r| cs.bounds[r as usize]).collect(),
-                    raw_count: cs.raw_count,
-                }
+                CandidateSet { matches: cs.matches.gather(&tiled), raw_count: cs.raw_count }
             })
             .collect();
         assert!(sets.iter().all(|cs| cs.matches.len() >= 64));
@@ -2003,7 +2022,7 @@ mod tests {
             for c in cands {
                 matches.push(c.iter().map(|v| v.0), 1.0, peg.prn(c));
             }
-            CandidateSet { matches, bounds: vec![1.0; cands.len()], raw_count: cands.len() }
+            CandidateSet { matches, raw_count: cands.len() }
         };
         let sets = [set(&[[s3, s2], [s34, s2], [s4, s2]]), set(&[[s2, s34], [s2, s4], [s2, s1]])];
         let kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.0, "structural");
@@ -2112,7 +2131,7 @@ mod tests {
         let d = paths(&[&[0, 1], &[1, 2]]);
         let mut sets = retrieve(&peg, &idx, &q, &d, 0.05);
         assert!(!sets[1].matches.is_empty());
-        sets[0] = CandidateSet { matches: PathMatches::new(2), bounds: Vec::new(), raw_count: 0 };
+        sets[0] = CandidateSet { matches: PathMatches::new(2), raw_count: 0 };
         let mut kp = assert_builder_equals_reference(&peg, &q, &d, &sets, 0.05, "empty partition");
         assert_eq!((kp.parts[0].n, kp.parts[0].path_len), (0, 2));
         assert!(kp.links.is_empty());

@@ -155,12 +155,14 @@ pub struct PipelineStats {
     /// Threshold the session base serving this run was converged at.
     pub base_alpha: f64,
     /// True when this run reused an existing session base (pure reuse or
-    /// incremental refinement) instead of building one.
+    /// incremental refinement) instead of building one — the session's
+    /// own, or one from an attached [`ExecCache`].
     pub base_reused: bool,
-    /// True when candidate retrieval for the base build was served from an
-    /// attached [`ExecCache`] (floor-threshold reuse) instead of the
-    /// candidate source. When set, `raw_counts` describe the cached floor
-    /// retrieval — bit-identical to what a cold run at the floor reports.
+    /// True when the base serving this run came from an attached
+    /// [`ExecCache`] (floor-threshold reuse) instead of being built. When
+    /// set, the stage counts describe the cached floor build —
+    /// bit-identical to what a cold build at the floor reports — and
+    /// retrieval and the join did not run.
     pub exec_cache_hit: bool,
 }
 
@@ -244,9 +246,9 @@ impl<'a> QueryPipeline<'a> {
     }
 
     /// Attaches a shared execution cache under graph epoch `epoch`:
-    /// sessions then retrieve candidates at the shape's floor threshold
-    /// through the cache, re-pruning cached floor retrievals on a hit
-    /// instead of touching the candidate source (see [`exec_cache`]).
+    /// sessions then answer a repeated shape from a reduced base cached at
+    /// the shape's floor threshold instead of touching the candidate
+    /// source (see [`exec_cache`]).
     /// Results are bit-identical to an uncached pipeline. Callers managing
     /// several graphs in one cache must issue distinct epochs via
     /// [`ExecCache::next_epoch`]; a standalone caller can pass any

@@ -2,22 +2,28 @@
 //!
 //! A session binds one [`PreparedQuery`] to one execution context — pruned
 //! candidates, the candidate k-partite graph, and its reduction state. The
-//! session's *base* is that state converged at some threshold `base_alpha`;
-//! any query threshold `alpha ≥ base_alpha` is then answered
-//! **alpha-monotone incrementally**: raising the threshold keeps the base's
-//! kill lists and perception bounds, kills exactly the vertices whose
-//! converged upper bound falls below the new alpha, and continues Jacobi
-//! rounds from the converged state instead of rebuilding. Soundness is the
-//! same argument as the from-scratch reduction (perception fixpoints are
-//! upper bounds on any extension's probability, and every vertex dead at
-//! `base_alpha` is dead at any higher threshold), and match generation
-//! re-checks every candidate exactly, so results are byte-identical to a
-//! from-scratch run over the same plan — the incremental path only changes
-//! how much reduction work a refinement pays.
+//! session's *base* ([`SessionBase`]) is that state converged at some
+//! threshold `base_alpha`; any query threshold `alpha ≥ base_alpha` is
+//! then answered **alpha-monotone incrementally**: raising the threshold
+//! keeps the base's kill lists and perception bounds, kills exactly the
+//! vertices whose converged upper bound falls below the new alpha, and
+//! continues Jacobi rounds from the converged state instead of rebuilding.
+//! Soundness is the same argument as the from-scratch reduction
+//! (perception fixpoints are upper bounds on any extension's probability,
+//! and every vertex dead at `base_alpha` is dead at any higher threshold),
+//! and match generation re-checks every candidate exactly, so results are
+//! byte-identical to a from-scratch run over the same plan — the
+//! incremental path only changes how much reduction work a refinement
+//! pays.
+//!
+//! The same reuse serves across sessions: with an execution cache
+//! attached, a base built at the shape's floor threshold is shared by
+//! every later query of that shape at or above the floor, and a hit
+//! installs it as the session's base without touching the candidate
+//! source (see [`crate::online::exec_cache`]).
 
 use crate::error::PegError;
-use crate::online::candidates::CandidateSet;
-use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey};
+use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey, Lookup};
 use crate::online::generate::generate_matches_traced;
 use crate::online::kpartite::{build_kpartite_traced, KPartiteGraph, ReduceOptions};
 use crate::online::plan::PreparedQuery;
@@ -27,7 +33,7 @@ use crate::query::QNode;
 use crate::Peg;
 use pegtrace::{Span, Tracer};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const EPS: f64 = 1e-12;
 
@@ -36,12 +42,21 @@ const EPS: f64 = 1e-12;
 pub const TOPK_START_ALPHA: f64 = 0.5;
 
 /// The session base: candidates pruned, k-partite graph built, and
-/// reduction converged at `alpha`.
-struct SessionBase {
+/// reduction converged at `alpha`, plus the stage stats of that build. An
+/// execution-cache entry is one of these, its graph shared by every
+/// session that hits it.
+#[derive(Clone, Debug)]
+pub struct SessionBase {
     alpha: f64,
-    kp: KPartiteGraph,
+    pub(crate) kp: Arc<KPartiteGraph>,
     /// Stage stats of the base build (stages 2–4).
     stats: PipelineStats,
+}
+
+impl SessionBase {
+    pub(crate) fn new(alpha: f64, kp: KPartiteGraph, stats: PipelineStats) -> Self {
+        Self { alpha, kp: Arc::new(kp), stats }
+    }
 }
 
 /// Mutable per-execution state for one prepared plan.
@@ -116,10 +131,70 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// k-partite construction, and reduction to fixpoint. Subsequent
     /// [`QuerySession::run_at`] calls at thresholds `≥ alpha` refine this
     /// state incrementally; a call below `alpha` triggers another rebase.
+    ///
+    /// With an execution cache attached (and a plan carrying its canonical
+    /// form), the base may instead sit at the shape's floor threshold
+    /// [`floor_alpha`]`(alpha, β)`, below `alpha`: a hit installs the
+    /// cached floor base, and a miss on a shape the cache has seen before
+    /// builds the base at the floor and caches it. A miss on a shape seen
+    /// for the first time builds at `alpha`, exactly as without a cache.
     pub fn rebase(&mut self, alpha: f64) -> Result<(), PegError> {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PegError::Invalid(format!("threshold {alpha} out of range")));
         }
+        // Stage 2 opens here: a cache lookup, then retrieval unless it hit.
+        let span = self.tracer.stage("retrieve");
+        span.tag("alpha", alpha);
+        let Some((cache, key, floor)) = self.exec_key(alpha) else {
+            self.base = Some(self.build(alpha, span)?);
+            return Ok(());
+        };
+        span.tag("floor", floor);
+        let base = match cache.lookup(&key) {
+            Lookup::Hit(entry) => {
+                span.tag("cache", "hit");
+                // The cached build's counts, at its floor; the times are
+                // what this call spent — a lookup, no join, no reduction.
+                let mut stats = entry.stats.clone();
+                stats.exec_cache_hit = true;
+                stats.candidates_time = span.finish();
+                stats.join_time = Duration::ZERO;
+                stats.reduction_time = Duration::ZERO;
+                SessionBase { alpha: entry.alpha, kp: Arc::clone(&entry.kp), stats }
+            }
+            Lookup::FirstSight => {
+                span.tag("cache", "first_sight");
+                self.build(alpha, span)?
+            }
+            Lookup::Admit => {
+                span.tag("cache", "admit");
+                let base = self.build(floor, span)?;
+                cache.insert(key, Arc::new(base.clone()));
+                base
+            }
+        };
+        self.base = Some(base);
+        Ok(())
+    }
+
+    /// The execution cache, the shape's key in it at `alpha`'s floor, and
+    /// that floor — when a cache is attached and the plan carries its
+    /// canonical form.
+    fn exec_key(&self, alpha: f64) -> Option<(&ExecCache, ExecKey, f64)> {
+        let (cache, epoch) = self.exec.as_ref()?;
+        let canon = self.prepared.canon.as_ref()?;
+        let beta = self.source.beta();
+        let floor = floor_alpha(alpha, beta);
+        let paths: Vec<&[QNode]> =
+            self.prepared.decomp.paths.iter().map(|p| p.nodes.as_slice()).collect();
+        let key = ExecKey::new(*epoch, canon, &paths, self.source.max_len(), beta, floor);
+        Some((cache, key, floor))
+    }
+
+    /// Builds a base at `alpha` from the candidate source: retrieval and
+    /// context pruning under `span` (the open `"retrieve"` stage), the
+    /// join, and reduction to fixpoint.
+    fn build(&self, alpha: f64, span: Span) -> Result<SessionBase, PegError> {
         let prepared = self.prepared;
         let query = &prepared.query;
         let decomp = &prepared.decomp;
@@ -134,15 +209,8 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // 2. Raw retrieval + context pruning, through the session's
         // candidate source (single store or scatter-gather over shards).
         // Every source emits candidates in the canonical node-sequence
-        // order, so everything from here on is source-independent. With an
-        // execution cache attached, retrieval runs at the shape's floor
-        // threshold through the cache and the floor lists are re-pruned at
-        // `alpha` by keep-bound — bit-identical survivors either way (see
-        // `crate::online::exec_cache`), so the rest of the pipeline cannot
-        // observe the difference.
-        let span = self.tracer.stage("retrieve");
-        span.tag("alpha", alpha);
-        let (sets, exec_hit) = self.retrieve_sets(alpha, &span, &pool)?;
+        // order, so everything from here on is source-independent.
+        let sets = self.source.retrieve(query, decomp, &prepared.pstats, alpha, &span, &pool)?;
         for cs in &sets {
             stats.raw_counts.push(cs.raw_count);
             stats.context_counts.push(cs.matches.len());
@@ -153,7 +221,6 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             span.tag("pruned", stats.context_counts.iter().sum::<usize>());
         }
         stats.candidates_time = span.finish();
-        stats.exec_cache_hit = exec_hit;
         stats.log10_ss_index = log10_product(&stats.raw_counts);
         stats.log10_ss_context = log10_product(&stats.context_counts);
 
@@ -184,54 +251,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         stats.reduction_time = span.finish();
         stats.final_counts = kp.alive_counts();
         stats.log10_ss_final = kp.log10_search_space();
-
-        self.base = Some(SessionBase { alpha, kp, stats });
-        Ok(())
-    }
-
-    /// Stage-2 retrieval, through the execution cache when one is attached
-    /// and the plan carries its canonical form. Returns the candidate sets
-    /// pruned at `alpha` plus whether they came from a cache hit.
-    ///
-    /// Cache path: the lookup key pins the graph epoch, canonical shape,
-    /// canonical-numbered decomposition paths, index params, and the
-    /// floor threshold [`floor_alpha`]`(alpha, β)`. A hit re-prunes the
-    /// cached floor lists by keep-bound — no source, index, or scatter
-    /// work. A miss retrieves at the *floor* (so the entry serves every
-    /// `alpha' ≥ floor`), caches, and re-prunes the same way; since
-    /// re-pruning a floor superset is bit-identical to direct retrieval at
-    /// `alpha`, all three paths (hit, miss, no cache) agree bit-for-bit.
-    fn retrieve_sets(
-        &self,
-        alpha: f64,
-        span: &Span,
-        pool: &pegpool::ThreadPool,
-    ) -> Result<(Vec<CandidateSet>, bool), PegError> {
-        let prepared = self.prepared;
-        let query = &prepared.query;
-        let decomp = &prepared.decomp;
-        if let (Some((cache, epoch)), Some(canon)) = (&self.exec, &prepared.canon) {
-            let beta = self.source.beta();
-            let floor = floor_alpha(alpha, beta);
-            let paths: Vec<&[QNode]> = decomp.paths.iter().map(|p| p.nodes.as_slice()).collect();
-            let key = ExecKey::new(*epoch, canon, &paths, self.source.max_len(), beta, floor);
-            // A hit skips the source entirely; the re-prune of the floor
-            // lists (a `"filter"` child) is then all of stage 2, and what
-            // `candidates_time` reports.
-            if let Some(cached) = cache.get(&key) {
-                span.tag("cache", "hit");
-                span.tag("floor", floor);
-                return Ok((Self::filter_sets(&cached, alpha, span), true));
-            }
-            span.tag("cache", "miss");
-            span.tag("floor", floor);
-            let sets = self.source.retrieve(query, decomp, &prepared.pstats, floor, span, pool)?;
-            let sets = Arc::new(sets);
-            cache.insert(key, Arc::clone(&sets));
-            return Ok((Self::filter_sets(&sets, alpha, span), false));
-        }
-        let sets = self.source.retrieve(query, decomp, &prepared.pstats, alpha, span, pool)?;
-        Ok((sets, false))
+        Ok(SessionBase::new(alpha, kp, stats))
     }
 
     fn reduce_opts(&self, pool: &pegpool::ThreadPool) -> ReduceOptions {
@@ -247,21 +267,25 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// Answers the query at `alpha` (all matches with `Pr(M) ≥ alpha`,
     /// optionally capped at `limit`).
     ///
-    /// Builds the base at `alpha` when none exists or the existing base
-    /// sits above `alpha`; otherwise reuses it — exactly at the base
-    /// threshold the converged state is final, and above it the session
-    /// refines a copy incrementally (kills by converged bound, cascades,
-    /// continues Jacobi rounds). The returned
-    /// [`PipelineStats::message_rounds`] counts only rounds this call
-    /// executed, which is what the incremental top-k saves.
+    /// Builds the base (see [`QuerySession::rebase`]) when none exists or
+    /// the existing base sits above `alpha`; otherwise reuses it. Exactly at
+    /// the base threshold the converged state is final and generation reads
+    /// the base graph in place; above it the session refines a copy
+    /// incrementally (kills by converged bound, cascades, continues Jacobi
+    /// rounds). The returned [`PipelineStats::message_rounds`] counts only
+    /// rounds this call executed, which is what the incremental top-k
+    /// saves.
     ///
-    /// Stats caveat for base-reusing calls: the stage counters and timings
-    /// (raw/context counts, candidates/join times, and for pure reuse the
-    /// search-space numbers) describe the *base build* that serves this
-    /// threshold — i.e. the work and search space the session actually
-    /// processed, at [`PipelineStats::base_alpha`] — not a hypothetical
-    /// from-scratch run at `alpha`. [`PipelineStats::total_time`] covers
-    /// only this call.
+    /// Stats caveat for base-reusing calls — a session's own earlier base
+    /// or an execution-cache hit, both [`PipelineStats::base_reused`]: the
+    /// stage counters (raw/context counts, and for pure reuse the search
+    /// space numbers) describe the *base build* that serves this threshold
+    /// — i.e. the work and search space the session actually processed, at
+    /// [`PipelineStats::base_alpha`] — not a hypothetical from-scratch run
+    /// at `alpha`. On a cache hit the stage times are this call's: the
+    /// lookup as `candidates_time`, no join, and only the refinement as
+    /// `reduction_time`. [`PipelineStats::total_time`] covers only this
+    /// call.
     pub fn run_at(&mut self, alpha: f64, limit: Option<usize>) -> Result<QueryResult, PegError> {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PegError::Invalid(format!("threshold {alpha} out of range")));
@@ -278,46 +302,48 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         let pool = self.opts.pool();
 
         let mut stats = base.stats.clone();
-        stats.base_reused = !needs_base;
-        // The refined graph when `alpha` sits strictly above the base and
-        // there is reduction work to do; without reduction the base graph
-        // answers any higher threshold as-is (generation re-filters
-        // exactly), so no copy is made.
-        let strictly_above = !needs_base && alpha > base.alpha + EPS;
-        let refined: Option<KPartiteGraph> = if strictly_above && self.opts.use_reduction {
+        // A cached base was not built by this call: it is reused, like the
+        // session's own.
+        stats.base_reused = !needs_base || stats.exec_cache_hit;
+        if stats.base_reused {
+            // No reduction work has happened in this call yet.
+            stats.message_rounds = 0;
+            stats.removed_structure = 0;
+            stats.removed_upperbound = 0;
+            stats.frontier_evals = 0;
+            stats.full_evals_avoided = 0;
+            stats.round_frontiers = Vec::new();
+            stats.reduction_time = Duration::ZERO;
+        }
+        // The refined graph when `alpha` sits strictly above the base (a
+        // reused base, or one built at the cache floor) and there is
+        // reduction work to do; without reduction the base graph answers
+        // any higher threshold as-is (generation re-filters exactly), so no
+        // copy is made. Its work adds to whatever this call already did.
+        let refined: Option<KPartiteGraph> = if alpha > base.alpha + EPS && self.opts.use_reduction
+        {
             let span = self.tracer.stage("reduce");
             span.tag("incremental", true);
             span.tag("base_alpha", base.alpha);
-            let mut kp = base.kp.clone();
+            let mut kp = KPartiteGraph::clone(&base.kp);
             let r = kp.reduce_traced(alpha, &self.reduce_opts(&pool), &span);
-            stats.message_rounds = r.rounds;
-            stats.removed_structure = r.removed_structure;
-            stats.removed_upperbound = r.removed_upperbound;
-            stats.frontier_evals = r.frontier_evals;
-            stats.full_evals_avoided = r.full_evals_avoided;
-            stats.round_frontiers = r.round_frontiers.iter().map(|f| f.evals).collect();
+            stats.message_rounds += r.rounds;
+            stats.removed_structure += r.removed_structure;
+            stats.removed_upperbound += r.removed_upperbound;
+            stats.frontier_evals += r.frontier_evals;
+            stats.full_evals_avoided += r.full_evals_avoided;
+            stats.round_frontiers.extend(r.round_frontiers.iter().map(|f| f.evals));
             stats.log10_ss_after_structure = r.log10_after_structure;
             stats.final_counts = kp.alive_counts();
             stats.log10_ss_final = kp.log10_search_space();
             span.tag("rounds", r.rounds);
             span.tag("frontier_evals", r.frontier_evals);
-            stats.reduction_time = span.finish();
+            stats.reduction_time += span.finish();
             Some(kp)
         } else {
-            if !needs_base {
-                // Pure reuse (or reduction disabled): the converged base
-                // answers `alpha` directly; no reduction work this call.
-                stats.message_rounds = 0;
-                stats.removed_structure = 0;
-                stats.removed_upperbound = 0;
-                stats.frontier_evals = 0;
-                stats.full_evals_avoided = 0;
-                stats.round_frontiers = Vec::new();
-                stats.reduction_time = std::time::Duration::ZERO;
-            }
             None
         };
-        let kp = refined.as_ref().unwrap_or(&base.kp);
+        let kp = refined.as_ref().unwrap_or(&*base.kp);
 
         // 5. Match generation over the plan's join order (seed-parallel).
         let span = self.tracer.stage("generate");
@@ -341,20 +367,6 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         stats.total_time = t_total.elapsed();
 
         Ok(QueryResult { matches, truncated, stats })
-    }
-
-    /// Re-prunes cached floor-threshold candidate sets at `alpha` by
-    /// keep-bound, under a `"filter"` child of `span`. Order-preserving
-    /// column copies, so the canonical candidate order survives; survivors
-    /// (and their bounds) are exactly those a direct retrieval at `alpha`
-    /// would produce.
-    fn filter_sets(sets: &[CandidateSet], alpha: f64, span: &Span) -> Vec<CandidateSet> {
-        let filter = span.child("filter");
-        let filtered: Vec<CandidateSet> = sets.iter().map(|cs| cs.filtered(alpha)).collect();
-        if filter.is_recording() {
-            filter.tag("kept", filtered.iter().map(|cs| cs.matches.len()).sum::<usize>());
-        }
-        filtered
     }
 
     /// Finds the `k` most probable matches of the session's query.

@@ -72,8 +72,6 @@ pub trait CandidateSource: Sync {
     ///
     /// Contract: `out[i]` holds path `i`'s surviving candidates sorted by
     /// ascending node sequence with no duplicate node sequences,
-    /// `out[i].bounds` holds each survivor's keep-bound (aligned with
-    /// `matches`; see [`retrieve_candidates`]),
     /// and `out[i].raw_count` counts the distinct raw retrievals before
     /// context pruning (each logical path counted once, however many
     /// physical replicas the store keeps). Failure is all-or-nothing: a
@@ -184,8 +182,6 @@ mod tests {
         assert_eq!(sets.len(), d.paths.len());
         for cs in &sets {
             assert!(cs.raw_count >= cs.matches.len());
-            assert_eq!(cs.bounds.len(), cs.matches.len());
-            assert!(cs.bounds.iter().all(|b| b.is_finite()));
             for i in 1..cs.matches.len() {
                 assert!(cs.matches.row(i - 1) < cs.matches.row(i), "canonical order violated");
             }

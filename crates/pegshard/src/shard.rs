@@ -235,8 +235,7 @@ impl Shard {
     /// context-prunes every decomposition path of one request against this
     /// shard — the same [`retrieve_candidates`] the unsharded source runs —
     /// keeping only the paths this shard is **home** to, in canonical
-    /// candidate order and globalized, each survivor's keep-bound riding
-    /// along.
+    /// candidate order and globalized.
     ///
     /// Home-filtering at the shard is what makes the reply exact *and*
     /// minimal: the home shard reproduces the unsharded pruning decision
@@ -245,10 +244,7 @@ impl Shard {
     /// is a path its home shard also keeps, and shipping it would only
     /// duplicate bytes the gather must drop. The union of home-filtered
     /// replies over all shards is therefore exactly the unsharded
-    /// candidate list, and home survivors' bounds are the same
-    /// α-independent quantities the unsharded pruner computes, so the
-    /// coordinator's execution cache can re-prune gathered lists without
-    /// another scatter.
+    /// candidate list.
     pub(crate) fn retrieve_paths(
         &self,
         query: &QueryGraph,

@@ -150,15 +150,12 @@ pub struct ShardedGraphStore {
 }
 
 /// What the gather requires of one shard's partial before it merges it:
-/// one keep-bound per candidate, candidates `path_len` nodes long (an
+/// candidates `path_len` nodes long (an
 /// empty partial states its stride too), every id a node of the
 /// `n_nodes`-node graph, and the rows strictly ascending — the canonical
 /// order the merge relies on.
 fn check_partial(part: &PathPartial, path_len: usize, n_nodes: usize) -> Result<(), String> {
     let m = &part.matches;
-    if part.bounds.len() != m.len() {
-        return Err(format!("{} keep-bounds for {} candidates", part.bounds.len(), m.len()));
-    }
     if m.stride() != path_len {
         return Err(format!("candidates of {} nodes for a path of {path_len}", m.stride()));
     }
@@ -173,13 +170,12 @@ fn check_partial(part: &PathPartial, path_len: usize, n_nodes: usize) -> Result<
 
 /// K-way merge of one path's per-shard partials (each strictly ascending,
 /// checked by [`check_partial`]) into one ascending candidate list of
-/// `stride`-node rows with aligned keep-bounds. The smallest head row wins,
+/// `stride`-node rows. The smallest head row wins,
 /// the lowest shard on a tie; a row equal to the one just written is a
 /// duplicate and is skipped.
-fn merge_partials(parts: &[&PathPartial], stride: usize) -> (PathMatches, Vec<f64>) {
+fn merge_partials(parts: &[&PathPartial], stride: usize) -> PathMatches {
     let total: usize = parts.iter().map(|p| p.matches.len()).sum();
     let mut matches = PathMatches::with_capacity(stride, total);
-    let mut bounds = Vec::with_capacity(total);
     let mut heads = vec![0usize; parts.len()];
     loop {
         let mut next: Option<(usize, &[u32])> = None;
@@ -197,10 +193,9 @@ fn merge_partials(parts: &[&PathPartial], stride: usize) -> (PathMatches, Vec<f6
         if matches.is_empty() || matches.row(matches.len() - 1) != row {
             let part = parts[s];
             matches.push(row.iter().copied(), part.matches.prle()[r], part.matches.prn()[r]);
-            bounds.push(part.bounds[r]);
         }
     }
-    (matches, bounds)
+    matches
 }
 
 /// Merges one shard's home-only histogram into the accumulator
@@ -351,7 +346,7 @@ impl ShardedGraphStore {
     /// Validates and gathers one scatter's per-shard results into
     /// candidate sets: per path, a k-way merge of the shards' disjoint,
     /// already-sorted home-filtered partials into the canonical candidate
-    /// order, keep-bounds riding along.
+    /// order.
     ///
     /// A failed shard fails the whole retrieval — partial candidate lists
     /// would silently change results; the first failing shard (lowest
@@ -403,10 +398,10 @@ impl ShardedGraphStore {
                 scatter.per_shard_pruned[s] += part.pruned_total;
                 raw_count += part.raw_home;
             }
-            let (matches, bounds) = merge_partials(&parts, path.nodes.len());
+            let matches = merge_partials(&parts, path.nodes.len());
             scatter.pruned_distinct += matches.len();
             scatter.raw_distinct += raw_count;
-            out.push(CandidateSet { matches, bounds, raw_count });
+            out.push(CandidateSet { matches, raw_count });
         }
         // Survivors a shard's home filter dropped (boundary replicas),
         // plus anything the defensive gather dedup removed.
@@ -556,7 +551,6 @@ mod tests {
             raw_home: rows.len(),
             pruned_total: rows.len(),
             matches: set.matches.gather(rows),
-            bounds: rows.iter().map(|&r| set.bounds[r as usize]).collect(),
         }
     }
 
@@ -595,7 +589,6 @@ mod tests {
             assert_eq!(got.matches, want.matches);
             assert_eq!(bits(got.matches.prle()), bits(want.matches.prle()));
             assert_eq!(bits(got.matches.prn()), bits(want.matches.prn()));
-            assert_eq!(bits(&got.bounds), bits(&want.bounds));
             // Each path's duplicate was shipped twice and kept once.
             assert_eq!(got.raw_count, want.matches.len() + 1);
             dropped += 1;
@@ -651,7 +644,7 @@ mod tests {
 
     #[test]
     fn a_malformed_worker_reply_is_a_structured_error_and_caches_nothing() {
-        let damages: [(&str, Damage); 5] = [
+        let damages: [(&str, Damage); 4] = [
             ("nodes for a path of", |reply| {
                 // Wrong arity: every candidate one node too long.
                 let part = some_partial(reply);
@@ -668,10 +661,6 @@ mod tests {
                 // The same candidate twice in one partial.
                 let part = some_partial(reply);
                 part.matches = part.matches.gather(&[0, 0]);
-                part.bounds = vec![part.bounds[0]; 2];
-            }),
-            ("keep-bounds", |reply| {
-                some_partial(reply).bounds.pop();
             }),
             ("path partials", |reply| {
                 reply.paths.pop();
@@ -686,27 +675,33 @@ mod tests {
             let store =
                 ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
             let cache = Arc::new(ExecCache::new(1 << 20));
-            let outcome =
-                store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
-            match outcome {
-                Err(PegError::ShardUnavailable { shard: 1, detail }) => {
-                    assert!(detail.contains(what), "{what}: {detail}")
+            // Twice: the second sight is the one that would admit.
+            for _ in 0..2 {
+                let outcome =
+                    store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
+                match outcome {
+                    Err(PegError::ShardUnavailable { shard: 1, detail }) => {
+                        assert!(detail.contains(what), "{what}: {detail}")
+                    }
+                    other => panic!("{what}: expected shard 1 unavailable, got {other:?}"),
                 }
-                other => panic!("{what}: expected shard 1 unavailable, got {other:?}"),
             }
             let stats = cache.stats();
             assert_eq!((stats.entries, stats.bytes), (0, 0), "{what}: a failed scatter cached");
         }
 
-        // The same store shape, undamaged: the query answers and its floor
-        // retrieval is cached — the path above did reach the cache.
+        // The same store shape, undamaged: the query answers and, seen a
+        // second time, its floor base is cached — the path above did reach
+        // the cache.
         let (peg, opts) = figure1();
         let (inner, summaries) = InProcessTransport::build(&peg, &opts, 2).unwrap();
         let transport = Box::new(Scripted { inner, damage: |_| {} });
         let store = ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
         let cache = Arc::new(ExecCache::new(1 << 20));
-        let res = store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
-        assert!(!res.unwrap().matches.is_empty());
+        for _ in 0..2 {
+            let res = store.pipeline().with_exec_cache(cache.clone(), 1).run(&q, 0.05, &options);
+            assert!(!res.unwrap().matches.is_empty());
+        }
         assert_eq!(cache.stats().entries, 1);
     }
 }

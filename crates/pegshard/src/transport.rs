@@ -99,12 +99,6 @@ pub struct PathPartial {
     /// ascending-node-sequence order, disjoint across shards. Its stride
     /// is the path's length, candidates or none.
     pub matches: PathMatches,
-    /// Each survivor's keep-bound, aligned with `matches` (see
-    /// `pegmatch::online::candidates::retrieve_candidates`). Home
-    /// survivors' bounds are bit-identical to the unsharded pruner's, so
-    /// the coordinator can re-prune gathered lists at higher thresholds
-    /// without a scatter.
-    pub bounds: Vec<f64>,
 }
 
 impl From<Retrieval> for PathPartial {
@@ -115,7 +109,6 @@ impl From<Retrieval> for PathPartial {
             raw_home: got.raw_home,
             pruned_total: got.pruned_total,
             matches: got.set.matches,
-            bounds: got.set.bounds,
         }
     }
 }

@@ -33,22 +33,20 @@
 //! identical and ids are exact.
 //!
 //! Candidates come back as **columns**, not as a tree of values. Each path
-//! partial of the reply is one flat [`PathMatches`] plus its keep-bounds —
-//! four arrays — and crosses the wire as exactly that:
+//! partial of the reply is one flat [`PathMatches`] — three arrays — and
+//! crosses the wire as exactly that:
 //!
 //! ```text
 //! {"raw_total":…,"raw_home":…,"pruned_total":…,"stride":k,"n":N,"cols":"<base64>"}
 //! ```
 //!
 //! `cols` is one unpadded base64 string ([`pegwire::base64`]) over
-//! `N · (4k + 24)` bytes: the node arena (`N · k` ids, `u32`
-//! little-endian, row after row), then the `prle`, the `prn` and the
-//! keep-bound column (`N` × `f64::to_bits`, little-endian, each). The
-//! encoder copies whole columns in and the decoder copies whole columns
-//! out ([`PathMatches::from_columns`]); no per-candidate value is built or
-//! read on either side. The bound is the survivor's keep-bound, which the
-//! coordinator's execution cache uses to re-prune gathered lists at higher
-//! thresholds without another scatter. An empty partial is `"n":0` with an
+//! `N · (4k + 16)` bytes: the node arena (`N · k` ids, `u32`
+//! little-endian, row after row), then the `prle` and the `prn` column
+//! (`N` × `f64::to_bits`, little-endian, each). The encoder copies whole
+//! columns in and the decoder copies whole columns out
+//! ([`PathMatches::from_columns`]); no per-candidate value is built or
+//! read on either side. An empty partial is `"n":0` with an
 //! empty `cols` and keeps its path's `stride`. The reply is still one JSON
 //! object on one line: the framing, the `id` echo and the optional `span`
 //! are those of every other op.
@@ -70,13 +68,13 @@
 //! back as they left. That also means a NaN or an infinity *has* a
 //! representation in the payload, where the JSON writer would have printed
 //! `null` — so the policy is enforced where the bits are read: the decoder
-//! tests every `prle`, `prn` and bound for finiteness and fails the whole
+//! tests every `prle` and `prn` for finiteness and fails the whole
 //! reply on the first that is not. *NaN and infinities cannot cross the
 //! wire silently* — impossible by construction, since all stored
 //! probabilities live in `[0, 1]`, and a decode error if it happens
 //! anyway. `crates/pegshard/tests/wire_proptest.rs` pins both halves:
 //! arbitrary finite bit patterns round-trip exactly, non-finite ones are
-//! rejected in each of the three columns.
+//! rejected in each of the two probability columns.
 //!
 //! Everything else that is a probability on this link (`alpha`, mutation
 //! weights) is a JSON number and rides [`pegwire::json`]'s
@@ -245,12 +243,11 @@ pub fn decode_retrieve_request(req: &Json) -> Result<(QueryGraph, Vec<QueryPath>
     Ok((query, paths, alpha))
 }
 
-/// Bytes of probabilities a candidate carries: `prle`, `prn` and its
-/// keep-bound, 8 each.
-const PROB_BYTES_PER_CANDIDATE: usize = 24;
+/// Bytes of probabilities a candidate carries: `prle` and `prn`, 8 each.
+const PROB_BYTES_PER_CANDIDATE: usize = 16;
 
 /// Bytes the column payload of `n` candidates of `stride` nodes holds —
-/// `n · (4 · stride + 24)` — or `None` when that overflows `usize`.
+/// `n · (4 · stride + 16)` — or `None` when that overflows `usize`.
 fn column_bytes(stride: usize, n: usize) -> Option<usize> {
     stride.checked_mul(4)?.checked_add(PROB_BYTES_PER_CANDIDATE)?.checked_mul(n)
 }
@@ -258,11 +255,11 @@ fn column_bytes(stride: usize, n: usize) -> Option<usize> {
 /// Bytes [`encode_columns`] packs for `p`, before base64.
 fn packed_len(p: &PathPartial) -> usize {
     let m = &p.matches;
-    m.nodes().len() * 4 + (m.prle().len() + m.prn().len() + p.bounds.len()) * 8
+    m.nodes().len() * 4 + (m.prle().len() + m.prn().len()) * 8
 }
 
-/// Packs one partial's four columns — the node arena as `u32`s, then
-/// `prle`, `prn` and the keep-bounds as `f64::to_bits`, all little-endian,
+/// Packs one partial's three columns — the node arena as `u32`s, then
+/// `prle` and `prn` as `f64::to_bits`, all little-endian,
 /// nothing between them — into one unpadded base64 string.
 fn encode_columns(p: &PathPartial) -> String {
     let m = &p.matches;
@@ -271,7 +268,7 @@ fn encode_columns(p: &PathPartial) -> String {
     for (dst, id) in ids.chunks_exact_mut(4).zip(m.nodes()) {
         dst.copy_from_slice(&id.to_le_bytes());
     }
-    for col in [m.prle(), m.prn(), &p.bounds] {
+    for col in [m.prle(), m.prn()] {
         let (here, after) = rest.split_at_mut(col.len() * 8);
         for (dst, x) in here.chunks_exact_mut(8).zip(col) {
             dst.copy_from_slice(&x.to_bits().to_le_bytes());
@@ -293,9 +290,7 @@ pub fn reply_payload_bytes(reply: &ShardReply) -> u64 {
 
 /// Encodes the `shard_retrieve` reply: `ok` plus, per path, the three
 /// counts, the partial's shape (`stride`, `n`) and its columns as one
-/// packed payload (`cols`; the module docs give its layout). The
-/// keep-bound column is what lets the coordinator's execution cache
-/// re-prune gathered lists at higher thresholds without another scatter.
+/// packed payload (`cols`; the module docs give its layout).
 pub fn encode_retrieve_reply(reply: &ShardReply) -> Json {
     let paths: Vec<Json> = reply
         .paths
@@ -316,9 +311,9 @@ pub fn encode_retrieve_reply(reply: &ShardReply) -> Json {
 
 /// Decodes one partial. The claimed shape is checked against the payload
 /// *before* anything is allocated from it: `stride ≥ 1`, `n · (4 · stride +
-/// 24)` computed without overflow, and `cols` a string of exactly the
+/// 16)` computed without overflow, and `cols` a string of exactly the
 /// base64 length that many bytes take — so a lying `n` costs a comparison.
-/// Then the payload must be valid base64 and every `prle`, `prn` and bound
+/// Then the payload must be valid base64 and every `prle` and `prn`
 /// finite. Whether the stride is the plan's and the ids the graph's is the
 /// coordinator's gather to check: it knows both.
 fn decode_partial(p: &Json) -> Result<PathPartial, WireError> {
@@ -362,7 +357,7 @@ fn decode_partial(p: &Json) -> Result<PathPartial, WireError> {
             None => Ok(col),
         }
     };
-    let (prle, prn, bounds) = (column(0, "prle")?, column(1, "prn")?, column(2, "bound")?);
+    let (prle, prn) = (column(0, "prle")?, column(1, "prn")?);
     let matches = PathMatches::from_columns(stride, nodes, prle, prn)
         .ok_or_else(|| err("columns of unequal length"))?;
     Ok(PathPartial {
@@ -370,7 +365,6 @@ fn decode_partial(p: &Json) -> Result<PathPartial, WireError> {
         raw_home: field("raw_home")?,
         pruned_total: field("pruned_total")?,
         matches,
-        bounds,
     })
 }
 
@@ -861,23 +855,15 @@ mod tests {
         }
     }
 
-    /// A one-path reply holding `candidates` as `(nodes, prle, prn, bound)`
-    /// rows of a `stride`-node partial.
-    fn reply_of(stride: usize, candidates: &[(&[u32], f64, f64, f64)]) -> ShardReply {
+    /// A one-path reply holding `candidates` as `(nodes, prle, prn)` rows
+    /// of a `stride`-node partial.
+    fn reply_of(stride: usize, candidates: &[(&[u32], f64, f64)]) -> ShardReply {
         let mut matches = PathMatches::new(stride);
-        let mut bounds = Vec::new();
-        for &(nodes, prle, prn, bound) in candidates {
+        for &(nodes, prle, prn) in candidates {
             matches.push(nodes.iter().copied(), prle, prn);
-            bounds.push(bound);
         }
         ShardReply {
-            paths: vec![PathPartial {
-                raw_total: 5,
-                raw_home: 3,
-                pruned_total: 4,
-                matches,
-                bounds,
-            }],
+            paths: vec![PathPartial { raw_total: 5, raw_home: 3, pruned_total: 4, matches }],
         }
     }
 
@@ -891,20 +877,19 @@ mod tests {
     }
 
     /// Two candidates of two nodes, `[1,2]` and `[3,4]`, every probability
-    /// 0.5 and every bound 0.25: 64 bytes, 86 characters.
-    const TWO_BY_TWO: &str = "AQAAAAIAAAADAAAABAAAAAAAAAAAAOA/AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/\
-                              AAAAAAAA0D8AAAAAAADQPw";
+    /// 0.5: 48 bytes, 64 characters.
+    const TWO_BY_TWO: &str = "AQAAAAIAAAADAAAABAAAAAAAAAAAAOA/AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/";
 
     #[test]
     fn reply_round_trips_and_validates_path_count() {
-        let reply = reply_of(2, &[(&[7, 2], 0.125, -0.0, 0.0625), (&[9, 4], 0.5, 1.0, 0.25)]);
+        let reply = reply_of(2, &[(&[7, 2], 0.125, -0.0), (&[9, 4], 0.5, 1.0)]);
         let text = encode_retrieve_reply(&reply).to_string();
         assert_eq!(
             text,
             concat!(
                 r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"#,
                 r#""stride":2,"n":2,"cols":"BwAAAAIAAAAJAAAABAAAAAAAAAAAAMA/AAAAAAAA4D8"#,
-                r#"AAAAAAAAAgAAAAAAAAPA/AAAAAAAAsD8AAAAAAADQPw"}]}"#
+                r#"AAAAAAAAAgAAAAAAAAPA/"}]}"#
             )
         );
         let json = Json::parse(&text).unwrap();
@@ -916,7 +901,6 @@ mod tests {
         assert_eq!(back.paths[0].matches.nodes(), &[7, 2, 9, 4]);
         assert_eq!(back.paths[0].matches.prle()[0].to_bits(), 0.125f64.to_bits());
         assert_eq!(back.paths[0].matches.prn()[0].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(back.paths[0].bounds[0].to_bits(), 0.0625f64.to_bits());
         assert!(decode_retrieve_reply(&json, 2).is_err(), "path-count mismatch rejected");
         // No candidates: an empty payload, and the path's stride survives.
         let empty = encode_retrieve_reply(&reply_of(3, &[])).to_string();
@@ -932,23 +916,23 @@ mod tests {
         };
         let back = shape("2", "2", TWO_BY_TWO).unwrap();
         assert_eq!(back.paths[0].matches.nodes(), &[1, 2, 3, 4]);
-        assert_eq!(back.paths[0].bounds, vec![0.25, 0.25]);
-        // The same 64 bytes are also one candidate of ten nodes: only the
+        assert_eq!(back.paths[0].matches.prn(), &[0.5, 0.5]);
+        // The same 48 bytes are also one candidate of eight nodes: only the
         // gather, which knows the plan, can refuse that reading.
-        assert_eq!(shape("10", "1", TWO_BY_TWO).unwrap().paths[0].matches.stride(), 10);
+        assert_eq!(shape("8", "1", TWO_BY_TWO).unwrap().paths[0].matches.stride(), 8);
         let huge = (1u64 << 53).to_string();
         for (stride, n, cols, why) in [
             ("2", "3", TWO_BY_TWO, "n too large for the payload"),
             ("2", "1", TWO_BY_TWO, "n too small for the payload"),
             ("3", "2", TWO_BY_TWO, "stride too large for the payload"),
             ("1", "2", TWO_BY_TWO, "stride too small for the payload"),
-            ("2", "2", &TWO_BY_TWO[..85], "payload one character short"),
+            ("2", "2", &TWO_BY_TWO[..63], "payload one character short"),
             ("2", "0", TWO_BY_TWO, "an empty partial with a payload"),
             ("2", "2", "", "a full partial without one"),
             ("0", "2", TWO_BY_TWO, "stride 0"),
             ("0", "0", "", "stride 0, even when empty"),
             ("2", &huge, TWO_BY_TWO, "n = 2^53"),
-            (&huge, &huge, TWO_BY_TWO, "n * (4 * stride + 24) overflows"),
+            (&huge, &huge, TWO_BY_TWO, "n * (4 * stride + 16) overflows"),
             ("2", "-2", TWO_BY_TWO, "negative n"),
             ("2.5", "2", TWO_BY_TWO, "fractional stride"),
             ("2", "\"2\"", TWO_BY_TWO, "n not a number"),
@@ -962,7 +946,7 @@ mod tests {
             r#""stride":2,"n":0"#,
             r#""stride":2,"n":0,"cols":null"#,
             r#""stride":2,"n":0,"cols":[]"#,
-            r#""stride":2,"n":2,"cols":[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]"#,
+            r#""stride":2,"n":2,"cols":[[[1,2],0.5,0.5],[[3,4],0.5,0.5]]"#,
             // The shape this codec replaced is not accepted either.
             r#""matches":[[[1,2],0.5,0.5,0.25],[[3,4],0.5,0.5,0.25]]"#,
         ] {
@@ -974,21 +958,26 @@ mod tests {
     fn a_payload_that_is_not_the_encoders_base64_is_rejected() {
         let with_cols = |cols: &str| decode_shape(&format!(r#""stride":2,"n":2,"cols":"{cols}""#));
         assert!(with_cols(TWO_BY_TWO).is_ok());
-        // Right length, wrong bytes: outside the alphabet, padding, the URL
-        // alphabet's `_`, and stray bits in the final partial group.
-        for (at, byte) in [(10, "!"), (85, "="), (0, "_"), (40, " "), (85, "x")] {
+        // Right length, wrong bytes: outside the alphabet, padding and the
+        // URL alphabet's `_`.
+        for (at, byte) in [(10, "!"), (63, "="), (0, "_"), (40, " ")] {
             let mut cols = TWO_BY_TWO.to_string();
             cols.replace_range(at..at + 1, byte);
             assert!(with_cols(&cols).is_err(), "{byte:?} at {at}");
         }
-        // One candidate of one node is 28 bytes = 38 characters; 37 leaves a
-        // single dangling sextet, which no byte count encodes to.
-        let one = encode_columns(&reply_of(1, &[(&[1], 0.5, 0.5, 0.25)]).paths[0]);
-        assert_eq!(one.len(), 38);
+        // One candidate of one node is 20 bytes = 27 characters, the last
+        // group partial; 25 leaves a single dangling sextet, which no byte
+        // count encodes to.
+        let one = encode_columns(&reply_of(1, &[(&[1], 0.5, 0.5)]).paths[0]);
+        assert_eq!(one.len(), 27);
         let cut =
             |len: usize| decode_shape(&format!(r#""stride":1,"n":1,"cols":"{}""#, &one[..len]));
-        assert!(cut(38).is_ok());
-        assert!(cut(37).is_err());
+        assert!(cut(27).is_ok());
+        assert!(cut(25).is_err());
+        // Stray bits in the final partial group.
+        let stray = format!("{}9", &one[..26]);
+        assert_ne!(stray, one);
+        assert!(decode_shape(&format!(r#""stride":1,"n":1,"cols":"{stray}""#)).is_err());
         // Padded out to a multiple of four, as a stock encoder would.
         assert!(decode_shape(&format!(r#""stride":1,"n":1,"cols":"{one}==""#)).is_err());
     }
@@ -997,29 +986,12 @@ mod tests {
     fn non_finite_probabilities_are_rejected() {
         // Bits cross verbatim, so the decoder is what refuses a NaN or an
         // infinity — in every column, at any row.
-        for (prle, prn, bound) in
-            [(f64::NAN, 0.5, 0.5), (0.5, f64::INFINITY, 0.5), (0.5, 0.5, f64::NEG_INFINITY)]
-        {
-            let reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.5), (&[2], prle, prn, bound)]);
+        for (prle, prn) in [(f64::NAN, 0.5), (0.5, f64::INFINITY), (f64::NEG_INFINITY, 0.5)] {
+            let reply = reply_of(1, &[(&[1], 0.5, 0.5), (&[2], prle, prn)]);
             let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
             let e = decode_retrieve_reply(&json, 1).err().expect("rejected").to_string();
             assert!(e.contains("candidate 1 is not finite"), "{e}");
         }
-        // And the bound round-trips bit-exactly when finite.
-        let reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.1875)]);
-        let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
-        let back = decode_retrieve_reply(&json, 1).unwrap();
-        assert_eq!(back.paths[0].bounds[0].to_bits(), 0.1875f64.to_bits());
-    }
-
-    #[test]
-    fn a_partial_with_a_bound_missing_encodes_to_a_reply_that_does_not_decode() {
-        // The encoder writes the columns it is given; a partial whose
-        // bounds disagree with its matches is caught by the length check.
-        let mut reply = reply_of(1, &[(&[1], 0.5, 0.5, 0.25), (&[2], 0.5, 0.5, 0.25)]);
-        reply.paths[0].bounds.pop();
-        let json = Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap();
-        assert!(decode_retrieve_reply(&json, 1).is_err());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property test: the shard-wire candidate codec is bit-exact.
 //!
-//! Arbitrary candidate quads `(nodes, prle, prn, bound)`, as rows of the
+//! Arbitrary candidate triples `(nodes, prle, prn)`, as rows of the
 //! flat partial a reply carries — with
 //! probabilities drawn from **arbitrary f64 bit patterns**, so the
 //! generator hits `-0.0`, subnormals, and garbage exponents, not just
 //! round numbers — must encode → serialize → parse → decode to identical
 //! bits. The NaN policy (documented on `pegshard::wire`) is pinned from
 //! both sides: finite values round-trip exactly; non-finite values (NaN,
-//! ±inf) are *rejected at decode* in each of the three probability
+//! ±inf) are *rejected at decode* in each of the two probability
 //! columns — their bits do cross inside the column payload, and the
 //! decoder tests every value, so a NaN can never silently cross the wire.
 //!
@@ -38,20 +38,18 @@ fn f64_from_bits(bits: u64) -> f64 {
 }
 
 /// A partial of `stride`-node candidates holding `candidates` as
-/// `(nodes, prle, prn, bound)` rows of one flat set.
+/// `(nodes, prle, prn)` rows of one flat set.
 fn partial_of(
     counts: [usize; 3],
     stride: usize,
-    candidates: &[(Vec<u32>, f64, f64, f64)],
+    candidates: &[(Vec<u32>, f64, f64)],
 ) -> PathPartial {
     let mut matches = PathMatches::new(stride);
-    let mut bounds = Vec::new();
-    for (nodes, prle, prn, bound) in candidates {
+    for (nodes, prle, prn) in candidates {
         matches.push(nodes.iter().copied(), *prle, *prn);
-        bounds.push(*bound);
     }
     let [raw_total, raw_home, pruned_total] = counts;
-    PathPartial { raw_total, raw_home, pruned_total, matches, bounds }
+    PathPartial { raw_total, raw_home, pruned_total, matches }
 }
 
 /// Encode, serialize to the actual wire line, parse back, decode.
@@ -64,7 +62,7 @@ fn over_the_wire(reply: &ShardReply) -> Result<ShardReply, pegshard::wire::WireE
 /// `stride` nodes, every probability 0.5.
 fn honest_line(stride: usize, n_rows: usize) -> Json {
     let rows: Vec<_> = (0..n_rows as u32)
-        .map(|r| ((0..stride as u32).map(|i| r * 10 + i).collect(), 0.5, 0.5, 0.5))
+        .map(|r| ((0..stride as u32).map(|i| r * 10 + i).collect(), 0.5, 0.5))
         .collect();
     let reply = ShardReply { paths: vec![partial_of([9, 9, 9], stride, &rows)] };
     Json::parse(&encode_retrieve_reply(&reply).to_string()).unwrap()
@@ -88,8 +86,8 @@ fn cols_of(line: &Json) -> String {
 
 /// The reply line, byte for byte, so the format cannot drift unnoticed:
 /// per partial the three counts, `stride`, `n`, and `cols` — the node
-/// arena as little-endian `u32`s, then the `prle`, `prn` and keep-bound
-/// columns as little-endian `f64` bits, in unpadded base64. The empty
+/// arena as little-endian `u32`s, then the `prle` and `prn` columns as
+/// little-endian `f64` bits, in unpadded base64. The empty
 /// partial keeps its stride.
 #[test]
 fn encoded_line_is_pinned_byte_for_byte() {
@@ -99,10 +97,10 @@ fn encoded_line_is_pinned_byte_for_byte() {
             partial_of(
                 [5, 3, 4],
                 3,
-                &[(vec![7, 2, u32::MAX], 0.125, -0.0, 0.0625), (vec![9, 4, 0], third, 1.0, 0.1)],
+                &[(vec![7, 2, u32::MAX], 0.125, -0.0), (vec![9, 4, 0], third, 1.0)],
             ),
             partial_of([0, 0, 0], 2, &[]),
-            partial_of([1, 1, 1], 1, &[(vec![12], 0.5f64.sqrt(), 1.0 - f64::EPSILON / 2.0, 0.5)]),
+            partial_of([1, 1, 1], 1, &[(vec![12], 0.5f64.sqrt(), 1.0 - f64::EPSILON / 2.0)]),
         ],
     };
     let line = encode_retrieve_reply(&reply).to_string();
@@ -111,10 +109,10 @@ fn encoded_line_is_pinned_byte_for_byte() {
         concat!(
             r#"{"ok":true,"paths":[{"raw_total":5,"raw_home":3,"pruned_total":4,"#,
             r#""stride":3,"n":2,"cols":"BwAAAAIAAAD/////CQAAAAQAAAAAAAAA"#,
-            r#"AAAAAAAAwD9VVVVVVVXVPwAAAAAAAACAAAAAAAAA8D8AAAAAAACwP5qZmZmZmbk/"},"#,
+            r#"AAAAAAAAwD9VVVVVVVXVPwAAAAAAAACAAAAAAAAA8D8"},"#,
             r#"{"raw_total":0,"raw_home":0,"pruned_total":0,"stride":2,"n":0,"cols":""},"#,
             r#"{"raw_total":1,"raw_home":1,"pruned_total":1,"#,
-            r#""stride":1,"n":1,"cols":"DAAAAM07f2aeoOY/////////7z8AAAAAAADgPw"}]}"#
+            r#""stride":1,"n":1,"cols":"DAAAAM07f2aeoOY/////////7z8"}]}"#
         )
     );
     let back = decode_retrieve_reply(&Json::parse(&line).unwrap(), 3).unwrap();
@@ -122,41 +120,38 @@ fn encoded_line_is_pinned_byte_for_byte() {
     assert_eq!(strides, [3, 2, 1]);
     assert_eq!(back.paths[0].matches, reply.paths[0].matches);
     assert_eq!(back.paths[0].matches.prn()[0].to_bits(), (-0.0f64).to_bits());
-    assert_eq!(back.paths[2].bounds, reply.paths[2].bounds);
+    assert_eq!(back.paths[2].matches, reply.paths[2].matches);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
-    fn candidate_quads_round_trip_bit_exact(
+    fn candidate_triples_round_trip_bit_exact(
         n_nodes in 1usize..6,
         n_rows in 1usize..4,
         node_seed in any::<u64>(),
         prle_bits in any::<u64>(),
         prn_bits in any::<u64>(),
-        bound_bits in any::<u64>(),
     ) {
-        let (prle, prn, bound) =
-            (f64_from_bits(prle_bits), f64_from_bits(prn_bits), f64_from_bits(bound_bits));
-        let rows: Vec<(Vec<u32>, f64, f64, f64)> = (0..n_rows)
+        let (prle, prn) = (f64_from_bits(prle_bits), f64_from_bits(prn_bits));
+        let rows: Vec<(Vec<u32>, f64, f64)> = (0..n_rows)
             .map(|r| {
                 let nodes = (0..n_nodes)
                     .map(|i| node_seed.rotate_left((r * n_nodes + i) as u32 * 13) as u32)
                     .collect();
-                (nodes, prle, prn, bound)
+                (nodes, prle, prn)
             })
             .collect();
         let reply = ShardReply { paths: vec![partial_of([3, 2, 1], n_nodes, &rows)] };
         let decoded = over_the_wire(&reply);
-        if prle.is_finite() && prn.is_finite() && bound.is_finite() {
-            let back = decoded.expect("finite quads decode");
+        if prle.is_finite() && prn.is_finite() {
+            let back = decoded.expect("finite triples decode");
             let (got, want) = (&back.paths[0], &reply.paths[0]);
             prop_assert_eq!(got.matches.stride(), n_nodes);
             prop_assert_eq!(got.matches.nodes(), want.matches.nodes(), "nodes survive");
             for r in 0..n_rows {
                 prop_assert_eq!(got.matches.prle()[r].to_bits(), prle.to_bits(), "prle bits");
                 prop_assert_eq!(got.matches.prn()[r].to_bits(), prn.to_bits(), "prn bits");
-                prop_assert_eq!(got.bounds[r].to_bits(), bound.to_bits(), "bound bits");
             }
         } else {
             // NaN policy: non-finite bits reach the decoder as they are and
@@ -175,11 +170,10 @@ proptest! {
     ) {
         let p = if sign { scale } else { -scale };
         let reply =
-            ShardReply { paths: vec![partial_of([1, 1, 1], 1, &[(vec![0], p, scale, p)])] };
+            ShardReply { paths: vec![partial_of([1, 1, 1], 1, &[(vec![0], p, scale)])] };
         let back = over_the_wire(&reply).unwrap();
         prop_assert_eq!(back.paths[0].matches.prle()[0].to_bits(), p.to_bits());
         prop_assert_eq!(back.paths[0].matches.prn()[0].to_bits(), scale.to_bits());
-        prop_assert_eq!(back.paths[0].bounds[0].to_bits(), p.to_bits());
     }
 
     #[test]
@@ -198,7 +192,7 @@ proptest! {
                         [base & 0xFF, (base >> 8) & 0xFF, (base >> 16) & 0xFF].map(|c| c as usize);
                     // Path `i` carries `i` candidates: an empty partial too.
                     let rows: Vec<_> = (0..i as u32)
-                        .map(|r| (vec![r, (base & 0xFFFF) as u32], p, -p, -p))
+                        .map(|r| (vec![r, (base & 0xFFFF) as u32], p, -p))
                         .collect();
                     partial_of(counts, 2, &rows)
                 })
@@ -216,7 +210,6 @@ proptest! {
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(a.matches.prle()), bits(b.matches.prle()));
             prop_assert_eq!(bits(a.matches.prn()), bits(b.matches.prn()));
-            prop_assert_eq!(bits(&a.bounds), bits(&b.bounds));
         }
         // Re-encoding what was decoded writes the same line.
         prop_assert_eq!(encode_retrieve_reply(&back).to_string(), line);
@@ -226,7 +219,7 @@ proptest! {
 
     /// What used to be a ragged partial — rows that do not fill a strided
     /// arena — is now a header that disagrees with its payload: a claimed
-    /// `stride` and `n` decode exactly when `n · (4 · stride + 24)` is the
+    /// `stride` and `n` decode exactly when `n · (4 · stride + 16)` is the
     /// payload's byte count (two shapes can share one; which is the plan's
     /// is the gather's to say), and everything else is a length mismatch.
     #[test]
@@ -240,13 +233,12 @@ proptest! {
         let lied = with_partial_field(&line, "stride", Json::Num(claimed_stride as f64));
         let lied = with_partial_field(&lied, "n", Json::Num(claimed_n as f64));
         let fits = claimed_stride >= 1
-            && claimed_n * (4 * claimed_stride + 24) == n_rows * (4 * stride + 24);
+            && claimed_n * (4 * claimed_stride + 16) == n_rows * (4 * stride + 16);
         let decoded = decode_retrieve_reply(&lied, 1);
         prop_assert_eq!(decoded.is_ok(), fits, "stride {} n {}", claimed_stride, claimed_n);
         if let Ok(back) = decoded {
             let m = &back.paths[0].matches;
             prop_assert_eq!((m.stride(), m.len()), (claimed_stride, claimed_n));
-            prop_assert_eq!(back.paths[0].bounds.len(), claimed_n);
         }
     }
 
@@ -259,7 +251,7 @@ proptest! {
         n in prop::sample::select(vec![1u64 << 32, (1 << 53) - 1, 1 << 53]),
         n_rows in 0usize..3,
     ) {
-        // 2^53 · (4 · 2^53 + 24) overflows `usize`; the smaller ones do
+        // 2^53 · (4 · 2^53 + 16) overflows `usize`; the smaller ones do
         // not, and are merely far more than the payload holds.
         let line = honest_line(2, n_rows);
         let lied = with_partial_field(&line, "stride", Json::Num(stride as f64));
@@ -309,7 +301,7 @@ proptest! {
         ),
     ) {
         let reply = ShardReply {
-            paths: vec![partial_of([1, 1, 1], ids.len(), &[(ids.clone(), 0.5, 0.5, 0.25)])],
+            paths: vec![partial_of([1, 1, 1], ids.len(), &[(ids.clone(), 0.5, 0.5)])],
         };
         let back = over_the_wire(&reply).unwrap();
         prop_assert_eq!(back.paths[0].matches.nodes(), &ids[..]);

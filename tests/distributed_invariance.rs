@@ -316,9 +316,13 @@ fn coordinator_server_stays_serviceable_when_a_worker_dies() {
         assert!(w.get("bytes_tx").unwrap().as_u64().unwrap() > 0, "{w}");
     }
 
+    // Seen a second time, the shape is admitted: its floor base now sits
+    // in the server's execution cache.
+    let reply = client.request(&Json::parse(q).unwrap()).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+
     // Kill one worker. The shape+alpha served above is still answerable —
-    // its floor retrieval sits in the server's execution cache, and a hit
-    // never scatters, so the cached band survives worker loss...
+    // a hit never scatters, so the cached band survives worker loss...
     worker_handles.remove(1).shutdown().unwrap();
     let reply = client.request(&Json::parse(q).unwrap()).unwrap();
     assert_eq!(

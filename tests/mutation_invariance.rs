@@ -165,10 +165,12 @@ proptest! {
             let pipe0 = QueryPipeline::new(&peg0, &index0)
                 .with_plan_cache(Arc::new(PlanCache::new()))
                 .with_exec_cache(exec.clone(), epoch0);
-            pipe0.run(&query, alpha, &run_opts).unwrap();
-            pipe0.run(&query, alpha, &run_opts).unwrap();
+            // A first sight, the admission, then a hit.
+            for _ in 0..3 {
+                pipe0.run(&query, alpha, &run_opts).unwrap();
+            }
             let warm_hits = exec.stats().hits;
-            prop_assert!(warm_hits > 0, "second pre-mutation run must hit");
+            prop_assert!(warm_hits > 0, "third pre-mutation run must hit");
 
             let (mut peg, mut index) = (peg0, index0);
             for batch in 0..2 {
@@ -230,9 +232,10 @@ proptest! {
                 .pipeline()
                 .with_plan_cache(Arc::new(PlanCache::new()))
                 .with_exec_cache(exec.clone(), epoch0);
-            pipe0.run(&query, alpha, &run_opts).unwrap();
-            pipe0.run(&query, alpha, &run_opts).unwrap();
-            prop_assert!(exec.stats().hits > 0, "second pre-mutation run must hit");
+            for _ in 0..3 {
+                pipe0.run(&query, alpha, &run_opts).unwrap();
+            }
+            prop_assert!(exec.stats().hits > 0, "third pre-mutation run must hit");
             drop(pipe0);
 
             for batch in 0..2 {

@@ -13,7 +13,11 @@
 //! budget of a few entries, so evictions happen alongside hits, epoch
 //! flushes and unloads; queries reuse a handful of shapes under fresh
 //! variable numberings and at thresholds that share quantization buckets,
-//! so the cache is exercised at every step.
+//! so the cache is exercised at every step. The run must see each way a
+//! query meets the cache: a hit, a first sight (run uncached), a second
+//! sight (admitted), and a re-admission — a shape admitted on its first
+//! query after an update or reload, because the doorkeeper outlives the
+//! epoch that saw it.
 
 use datagen::{permuted_query, random_query, QuerySpec};
 use graphstore::{GraphOp, RefGraph, RefId};
@@ -21,13 +25,14 @@ use pathindex::PathIndexConfig;
 use pegmatch::matcher::Match;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
-use pegmatch::online::{PlanCache, QueryOptions, QueryPipeline};
+use pegmatch::online::{floor_alpha, PlanCache, QueryOptions, QueryPipeline};
 use pegmatch::pattern::format_pattern;
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegserve::{obj, Client, GraphSpec, Json, Server, ServerConfig, ServerHandle};
 use pegshard::wire::encode_ops;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const MAX_LEN: usize = 2;
@@ -82,19 +87,24 @@ struct Slot {
 /// the server's. The plan cache is part of what is modelled, not
 /// bypassed: a plan answers any threshold but is costed at the one that
 /// planned it, so which threshold planned a shape first decides the join
-/// order, and with it the last bit of `prle`.
+/// order, and with it the last bit of `prle`. `sighted` holds the
+/// `(shape, floor)` pairs queried since the last (re)build, and
+/// `topk_sighted` the shapes a top-k walked at floors of its own.
 struct Model {
     refs: RefGraph,
     peg: Peg,
     offline: OfflineIndex,
     plans: Arc<PlanCache>,
+    sighted: HashSet<(usize, u64)>,
+    topk_sighted: HashSet<usize>,
 }
 
 impl Model {
     fn rebuild(refs: RefGraph) -> Model {
         let peg = PegBuilder::new().build(&refs).unwrap();
         let offline = OfflineIndex::build(&peg, &offline_opts()).unwrap();
-        Model { refs, peg, offline, plans: Arc::new(PlanCache::new()) }
+        let plans = Arc::new(PlanCache::new());
+        Model { refs, peg, offline, plans, sighted: HashSet::new(), topk_sighted: HashSet::new() }
     }
 }
 
@@ -104,7 +114,7 @@ fn random_ops(refs: &RefGraph, rng: &mut Rng) -> Vec<GraphOp> {
     let alive: Vec<u32> =
         (0..refs.n_refs() as u32).filter(|&i| refs.ref_is_alive(RefId(i))).collect();
     let n_labels = refs.label_table().len();
-    let mut pick = |rng: &mut Rng| RefId(alive[rng.below(alive.len())]);
+    let pick = |rng: &mut Rng| RefId(alive[rng.below(alive.len())]);
     let mut ops = Vec::new();
     while ops.len() < 1 + rng.below(4) {
         let (a, b) = (pick(rng), pick(rng));
@@ -194,11 +204,12 @@ proptest! {
             .collect();
         let opts = QueryOptions::with_threads(1);
         let (mut queries, mut updates, mut unloads) = (0usize, 0usize, 0usize);
+        let mut readmitted = 0u64;
 
-        for step in 0..64 {
+        for step in 0..192 {
             let slot = &mut slots[rng.below(2)];
             let name = slot.name;
-            let Some(Model { refs, peg, offline, plans }) = &slot.loaded else {
+            let Some(Model { refs, peg, offline, plans, sighted, topk_sighted }) = &mut slot.loaded else {
                 // Every op on an absent graph is a load.
                 let mut load = obj()
                     .field("op", "load_graph")
@@ -218,15 +229,18 @@ proptest! {
             };
             let oracle = QueryPipeline::new(peg, offline).with_plan_cache(Arc::clone(plans));
             let labels = peg.graph.label_table();
-            let mut draw = |rng: &mut Rng| {
-                let q = permuted_query(&shapes[rng.below(shapes.len())], rng.next());
+            let draw = |rng: &mut Rng| {
+                let shape = rng.below(shapes.len());
+                let q = permuted_query(&shapes[shape], rng.next());
                 let pattern = format_pattern(&q, labels);
-                (q, pattern, ALPHAS[rng.below(ALPHAS.len())])
+                (shape, q, pattern, ALPHAS[rng.below(ALPHAS.len())])
             };
+            let floor_of = |alpha: f64| floor_alpha(alpha, BETA).to_bits();
             let ctx = format!("seed {seed} step {step} on {name}");
             match rng.below(10) {
                 0..=3 => {
-                    let (q, pattern, alpha) = draw(&mut rng);
+                    let (shape, q, pattern, alpha) = draw(&mut rng);
+                    let admitted = counter(&exec_stats(&mut client), "admitted");
                     let reply = call(&mut client, &obj()
                         .field("op", "query")
                         .field("graph", name)
@@ -237,10 +251,16 @@ proptest! {
                     let want = oracle.run_limited(&q, alpha, Some(LIMIT), &opts).unwrap();
                     assert_matches(&reply, &want.matches, &format!("{ctx}: query {pattern} @{alpha}"))?;
                     prop_assert_eq!(reply.get("truncated"), Some(&Json::Bool(want.truncated)));
+                    let unseen = !topk_sighted.contains(&shape)
+                        && sighted.insert((shape, floor_of(alpha)));
+                    if unseen && counter(&exec_stats(&mut client), "admitted") > admitted {
+                        readmitted += 1;
+                    }
                     queries += 1;
                 }
                 4 => {
-                    let (q, pattern, _) = draw(&mut rng);
+                    let (shape, q, pattern, _) = draw(&mut rng);
+                    topk_sighted.insert(shape);
                     let k = 1 + rng.below(5);
                     let reply = call(&mut client, &obj()
                         .field("op", "query_topk")
@@ -254,12 +274,12 @@ proptest! {
                     queries += 1;
                 }
                 5 | 6 => {
-                    let items: Vec<(QueryGraph, String, f64)> =
+                    let items: Vec<(usize, QueryGraph, String, f64)> =
                         (0..2 + rng.below(2)).map(|_| draw(&mut rng)).collect();
                     let reply = call(&mut client, &obj()
                         .field("op", "query_batch")
                         .field("graph", name)
-                        .field("queries", Json::Arr(items.iter().map(|(_, pattern, alpha)| {
+                        .field("queries", Json::Arr(items.iter().map(|(_, _, pattern, alpha)| {
                             obj()
                                 .field("pattern", pattern.as_str())
                                 .field("alpha", *alpha)
@@ -269,9 +289,10 @@ proptest! {
                         .build());
                     let results = reply.get("results").and_then(Json::as_arr).unwrap();
                     prop_assert_eq!(results.len(), items.len());
-                    for (i, ((q, pattern, alpha), got)) in items.iter().zip(results).enumerate() {
+                    for (i, ((shape, q, pattern, alpha), got)) in items.iter().zip(results).enumerate() {
                         let want = oracle.run_limited(q, *alpha, Some(LIMIT), &opts).unwrap();
                         assert_matches(got, &want.matches, &format!("{ctx}: batch[{i}] {pattern} @{alpha}"))?;
+                        sighted.insert((*shape, floor_of(*alpha)));
                     }
                     queries += items.len();
                 }
@@ -297,8 +318,10 @@ proptest! {
 
         prop_assert!(queries > 0 && updates > 0 && unloads > 0, "{} {} {}", queries, updates, unloads);
         let exec = exec_stats(&mut client);
-        prop_assert!(counter(&exec, "hits") > 0, "{}", exec);
-        prop_assert!(counter(&exec, "evictions") > 0, "{}", exec);
+        for key in ["hits", "first_sight", "admitted", "evictions"] {
+            prop_assert!(counter(&exec, key) > 0, "no {}: {}", key, exec);
+        }
+        prop_assert!(readmitted > 0, "no re-admission after an update or reload: {}", exec);
         server.shutdown().unwrap();
         for worker in workers {
             worker.shutdown().unwrap();

@@ -104,6 +104,9 @@ fn explain_scatter_block_describes_its_own_request_or_is_absent() {
     let raw: f64 = raw_counts.as_arr().unwrap().iter().map(|c| c.as_f64().unwrap()).sum();
     assert_eq!(scatter.get("raw_distinct").and_then(Json::as_f64), Some(raw));
 
+    // B's second sight admits it to the execution cache.
+    request(&explain_b);
+
     // Another request scatters in between...
     request(r#"{"op":"query","pattern":"(x:l1)-(y:l0)","alpha":0.3}"#);
 
