@@ -361,22 +361,13 @@ fn pretty_print_workers(reply: &pegserve::Json) {
         };
         eprintln!("workers of graph '{name}':");
         eprintln!(
-            "  {:>5}  {:<21}  {:>9}  {:>12}  {:>12}  {:>10}  {:>9}  {:>9}  {:>10}  {:>12}",
-            "shard",
-            "addr",
-            "requests",
-            "bytes tx",
-            "bytes rx",
-            "reconnects",
-            "p50",
-            "p99",
-            "tombstones",
-            "inflight hwm"
+            "  {:>5}  {:<21}  {:>9}  {:>12}  {:>12}  {:>10}  {:>9}  {:>9}",
+            "shard", "addr", "requests", "bytes tx", "bytes rx", "reconnects", "p50", "p99"
         );
         for w in workers {
             let num = |k: &str| w.get(k).and_then(Json::as_u64).unwrap_or(0);
             eprintln!(
-                "  {:>5}  {:<21}  {:>9}  {:>12}  {:>12}  {:>10}  {:>9}  {:>9}  {:>10}  {:>12}",
+                "  {:>5}  {:<21}  {:>9}  {:>12}  {:>12}  {:>10}  {:>9}  {:>9}",
                 num("shard"),
                 w.get("addr").and_then(Json::as_str).unwrap_or("?"),
                 num("requests"),
@@ -385,8 +376,6 @@ fn pretty_print_workers(reply: &pegserve::Json) {
                 num("reconnects"),
                 bench::fmt_duration(std::time::Duration::from_micros(num("p50_us"))),
                 bench::fmt_duration(std::time::Duration::from_micros(num("p99_us"))),
-                num("mux_tombstones"),
-                num("mux_inflight_hwm"),
             );
         }
     }

@@ -4,16 +4,17 @@
 //! Requests on one connection are processed in order by a dedicated server
 //! thread, so the pairing is exact. Concurrency comes from opening one
 //! client per thread, which is also what gives the server's admission
-//! control something to arbitrate.
+//! control something to arbitrate. The connection is a
+//! [`pegwire::LineConn`] without deadlines — the one the shard transport
+//! uses with them.
 
 use crate::json::{Json, JsonError};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use pegwire::LineConn;
+use std::net::ToSocketAddrs;
 
 /// A connected protocol client.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: LineConn,
 }
 
 /// Client-side failure: transport or malformed reply.
@@ -48,34 +49,15 @@ impl From<std::io::Error> for ClientError {
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer })
+        Ok(Client { conn: LineConn::connect(addr, None, None)? })
     }
 
     /// Sends a raw line and returns the raw reply line (no JSON handling);
     /// the scripting path `pegcli client` uses.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        // One framed write per request: `writeln!` straight into an
-        // unbuffered TcpStream would issue a write syscall per format
-        // fragment, and a request split across segments invites the
-        // Nagle + delayed-ACK stall the no-Nagle socket contract exists
-        // to avoid.
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
-        self.writer.write_all(&framed)?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(reply.trim_end().to_string())
+        let mut reply = self.conn.call(line)?;
+        reply.truncate(reply.trim_end().len());
+        Ok(reply)
     }
 
     /// Sends one request object and parses the reply.

@@ -75,17 +75,19 @@
 //! retrying re-sends the same version, which workers that already hold it
 //! acknowledge idempotently.
 //!
-//! # Request ids and in-flight concurrency
+//! # Request ids and reply order
 //!
-//! Any request may carry a `u64` `"id"` field; the reply echoes it
-//! verbatim. An id opts the request into **out-of-order** completion on
-//! its connection: the connection handler dispatches id'd requests on
-//! their own threads (bounded per connection) and writes each reply as it
-//! finishes, so a multiplexing client ([`pegwire::MuxConn`] — notably the
-//! coordinator's shard transport) overlaps many exchanges on one socket.
-//! Requests without an id keep strict FIFO request/reply order. A handler
-//! that panics answers a structured `internal` error (id echoed) instead
-//! of leaving the caller to wait out its timeout.
+//! A connection's requests are answered **in the order they arrived**,
+//! one at a time, on the connection's own handler thread: the next reply
+//! line is always the answer to the oldest unanswered request line.
+//! Concurrency comes from more connections — a client opens one per
+//! thread, and the coordinator's shard transport ([`pegshard::TcpTransport`])
+//! keeps idle connections per worker and overlaps concurrent scatters on
+//! separate ones. Any request may carry a `u64` `"id"` field; the reply
+//! echoes it verbatim (and `"v"` likewise). A request line that is not
+//! UTF-8 is a structured `bad_request` and the connection stays open. A
+//! handler that panics answers a structured `internal` error (id echoed)
+//! instead of dropping the connection.
 //!
 //! `query_batch` ships many threshold queries in one line and one reply
 //! and executes them, one after another, under **one** admission permit
@@ -549,21 +551,13 @@ fn error_json(e: &ProtoError) -> Json {
 /// without bound by streaming bytes that never contain a newline.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// In-flight id'd requests one connection may overlap. At the cap the
-/// handler joins the oldest before reading on — backpressure, not
-/// rejection: a multiplexing client this deep is better slowed than
-/// disconnected.
-const MAX_INFLIGHT_PER_CONN: usize = 64;
-
 /// One framed reply write: the whole line (newline included) leaves in a
-/// single `write_all` + flush under the lock. Overlapped id'd requests
-/// interleave replies on one socket *as lines*, never as bytes — and a
-/// single syscall per reply is also the no-Nagle latency contract.
-fn write_reply(writer: &Mutex<TcpStream>, reply: &Json) -> bool {
+/// single `write_all` — one syscall per reply is the no-Nagle latency
+/// contract.
+fn write_reply(mut writer: &TcpStream, reply: &Json) -> bool {
     let mut text = reply.to_string();
     text.push('\n');
-    let mut w = writer.lock().unwrap();
-    w.write_all(text.as_bytes()).and_then(|_| w.flush()).is_ok()
+    writer.write_all(text.as_bytes()).is_ok()
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
@@ -577,19 +571,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     // handler thread (and thereby the shutdown join) forever.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let writer = Arc::new(Mutex::new(writer));
-    // Dispatch threads for id'd (out-of-order-eligible) requests; joined
-    // before the handler returns so no reply outlives its connection.
-    let mut inflight: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut reader = BufReader::new(stream);
     // Byte-level framing (not `read_line`): a read timeout firing inside a
     // multi-byte UTF-8 character must not drop the partial bytes, and a
-    // `Vec<u8>` accumulator survives any split. UTF-8 is validated (lossy)
-    // only once a full line is framed.
+    // `Vec<u8>` accumulator survives any split. UTF-8 is validated only
+    // once a full line is framed.
     let mut buf: Vec<u8> = Vec::new();
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
@@ -621,7 +607,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             // Over the cap (the allowance ran out before a newline): the
             // stream cannot be resynchronized, so reply and close.
             let too_long = proto::bad("request line too long");
-            let _ = write_reply(&writer, &error_json(&too_long));
+            let _ = write_reply(reader.get_ref(), &error_json(&too_long));
             break;
         }
         if !buf.ends_with(b"\n") && !eof {
@@ -630,39 +616,9 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             // accumulating until a newline, real EOF, or the cap trips.
             continue;
         }
-        let line = String::from_utf8_lossy(&buf);
-        if !line.trim().is_empty() {
-            match parse_request(line.trim()) {
-                Ok((req, Some(id))) => {
-                    // An id opts the request into out-of-order completion:
-                    // dispatch on its own thread, reply written whenever it
-                    // finishes. Admission still bounds the *compute* these
-                    // threads can occupy; this cap only bounds the threads
-                    // one connection can pin.
-                    inflight.retain(|h| !h.is_finished());
-                    if inflight.len() >= MAX_INFLIGHT_PER_CONN {
-                        let _ = inflight.remove(0).join();
-                    }
-                    let st = Arc::clone(state);
-                    let wr = Arc::clone(&writer);
-                    inflight.push(std::thread::spawn(move || {
-                        let reply = answer(&st.metrics, Some(id), || dispatch_parsed(&st, &req));
-                        let _ = write_reply(&wr, &reply);
-                    }));
-                }
-                Ok((req, None)) => {
-                    // No id: strict FIFO request/reply order, in line with
-                    // pre-id clients.
-                    let reply = answer(&state.metrics, None, || dispatch_parsed(state, &req));
-                    if !write_reply(&writer, &reply) {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    if !write_reply(&writer, &error_json(&e)) {
-                        break;
-                    }
-                }
+        if let Some(reply) = respond(state, &buf) {
+            if !write_reply(reader.get_ref(), &reply) {
+                break;
             }
         }
         buf.clear();
@@ -670,14 +626,30 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             break;
         }
     }
-    for h in inflight {
-        let _ = h.join();
+}
+
+/// The reply to one framed request line, on the connection's own thread:
+/// a connection's requests are answered strictly in the order they
+/// arrived. `None` for a blank line, which gets no reply. The line must
+/// be UTF-8 — decoded lossily, a damaged byte would run as U+FFFD, a
+/// request the client never sent.
+fn respond(state: &ServerState, line: &[u8]) -> Option<Json> {
+    let Ok(line) = std::str::from_utf8(line) else {
+        return Some(error_json(&proto::bad("request line is not valid UTF-8")));
+    };
+    let line = line.trim();
+    if line.is_empty() {
+        return None;
     }
+    Some(match parse_request(line) {
+        Ok((req, id)) => answer(&state.metrics, id, || dispatch_parsed(state, &req)),
+        Err(e) => error_json(&e),
+    })
 }
 
 /// Parses one request line and extracts its optional `"id"`. A present
 /// but non-u64 id is rejected *without* an echo — there is no
-/// trustworthy id to route the error back by.
+/// trustworthy id to tag the error with.
 fn parse_request(line: &str) -> Result<(Json, Option<u64>), ProtoError> {
     let req = Json::parse(line).map_err(|e| proto::bad(format!("malformed JSON: {e}")))?;
     let id = match req.get("id") {
@@ -691,9 +663,9 @@ fn parse_request(line: &str) -> Result<(Json, Option<u64>), ProtoError> {
 }
 
 /// Echoes a request's `"id"` or `"v"` tag onto its reply — success and
-/// error replies alike: a multiplexing client routes *every* reply by
-/// its id, and a version tag that was validated is echoed wherever it
-/// was.
+/// error replies alike: a client that tags its requests can check every
+/// reply against the request it sent, and a version tag that was
+/// validated is echoed wherever it was.
 fn echo(reply: Json, key: &str, tag: Option<u64>) -> Json {
     match (reply, tag) {
         (Json::Obj(mut fields), Some(tag)) => {
@@ -706,11 +678,10 @@ fn echo(reply: Json, key: &str, tag: Option<u64>) -> Json {
 
 /// Runs one request's handler and echoes its id. A panic inside the
 /// handler is a bug in this server, not in the request — but the caller
-/// is still owed a reply: without one an id'd request (whose handler runs
-/// on its own thread) would leave a multiplexing client waiting out its
-/// whole I/O timeout, and a plain one would take the connection down
-/// with a bare EOF. So the panic is caught here, counted in
-/// `serve.handler_panics`, and answered as a structured `internal` error.
+/// is still owed a reply: without one the connection would go down with
+/// a bare EOF, taking the caller's later requests with it. So the panic
+/// is caught here, counted in `serve.handler_panics`, and answered as a
+/// structured `internal` error.
 fn answer(metrics: &MetricsRegistry, id: Option<u64>, handler: impl FnOnce() -> Json) -> Json {
     let reply = catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
         metrics.counter("serve.handler_panics").incr();
@@ -1629,8 +1600,8 @@ mod tests {
             );
             let message = reply.get("message").and_then(Json::as_str).unwrap();
             assert!(message.contains(names), "{line}: {reply}");
-            // The fractional id cannot be trusted as routing state, so it
-            // is not echoed (no other line carries one).
+            // The fractional id cannot be echoed as it came, so it is not
+            // echoed at all (no other line carries one).
             assert!(reply.get("id").is_none(), "{line}: {reply}");
         }
         // One decoder, one executor: a malformed threshold query is
@@ -1963,12 +1934,12 @@ mod tests {
             .unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(7), "{reply}");
-        // Error replies echo it too — a multiplexing client must be able
-        // to route failures to the caller that owns them.
+        // Error replies echo it too: every reply can be checked against
+        // the request it answers.
         let reply = client.request(&Json::parse(r#"{"op":"warp","id":8}"#).unwrap()).unwrap();
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(8), "{reply}");
-        // A non-integer id cannot be trusted as routing state: structured
+        // A non-integer id cannot be echoed as it came: structured
         // rejection *without* an echo.
         for bad in
             [r#"{"op":"ping","id":1.5}"#, r#"{"op":"ping","id":-3}"#, r#"{"op":"ping","id":"x"}"#]
@@ -1983,20 +1954,31 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// A raw connection to `addr` and a reader of its reply lines.
+    fn raw_connection(addr: SocketAddr) -> (TcpStream, impl FnMut() -> Json) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let read_reply = move || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Json::parse(line.trim()).unwrap()
+        };
+        (stream, read_reply)
+    }
+
     #[test]
-    fn id_requests_overlap_out_of_order_within_a_connection() {
+    fn id_requests_answer_in_send_order_within_a_connection() {
         let (handle, client) =
             tiny_server(ServerConfig { allow_debug_sleep: true, ..Default::default() });
         drop(client);
-        // Raw socket: pipeline a slow id'd query and a fast id'd ping in
-        // one write. The fast reply overtakes the slow one — id'd
-        // requests run concurrently within a connection.
-        let mut stream = TcpStream::connect(handle.addr).unwrap();
-        stream.set_nodelay(true).unwrap();
+        // Pipeline a slow id'd query and a fast id'd ping in one write:
+        // the ping waits its turn, and each reply carries its own id.
+        let (mut stream, mut read_reply) = raw_connection(handle.addr);
         stream
             .write_all(
                 concat!(
-                    r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3,"debug_sleep_ms":400,"id":1}"#,
+                    r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3,"debug_sleep_ms":300,"id":1}"#,
                     "\n",
                     r#"{"op":"ping","id":2}"#,
                     "\n",
@@ -2004,34 +1986,35 @@ mod tests {
                 .as_bytes(),
             )
             .unwrap();
-        stream.flush().unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut read_reply = || {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            Json::parse(line.trim()).unwrap()
-        };
-        let mut read_id = || read_reply().get("id").and_then(Json::as_u64).unwrap();
-        assert_eq!(read_id(), 2, "the fast id'd request must not queue behind the slow one");
-        assert_eq!(read_id(), 1);
-        // Un-id'd requests stay strictly FIFO: the same slow-then-fast
-        // pair without ids, again in one write, answers in request order.
-        stream
-            .write_all(
-                concat!(
-                    r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3,"debug_sleep_ms":200}"#,
-                    "\n",
-                    r#"{"op":"ping"}"#,
-                    "\n",
-                )
-                .as_bytes(),
-            )
-            .unwrap();
         let (first, second) = (read_reply(), read_reply());
         assert!(first.get("matches").is_some(), "the query must answer first: {first}");
+        assert_eq!(first.get("id").and_then(Json::as_u64), Some(1), "{first}");
         assert_eq!(second.get("pong"), Some(&Json::Bool(true)), "{second}");
-        assert!(first.get("id").is_none() && second.get("id").is_none(), "{first} {second}");
-        drop(reader);
+        assert_eq!(second.get("id").and_then(Json::as_u64), Some(2), "{second}");
+        drop(stream);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn request_lines_must_be_utf8() {
+        let (handle, _client) = tiny_server(ServerConfig::default());
+        let (mut stream, mut read_reply) = raw_connection(handle.addr);
+        // Each line is valid JSON but for one byte. Decoded lossily, the
+        // first would answer pong and the second would look up a graph
+        // named "defaul\u{FFFD}" — requests nobody sent.
+        for line in [
+            &b"{\"op\":\"ping\",\"note\":\"caf\xE9\"}\n"[..],
+            b"{\"op\":\"unload_graph\",\"graph\":\"defaul\xE9\"}\n",
+        ] {
+            stream.write_all(line).unwrap();
+            let reply = read_reply();
+            assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
+            let message = reply.get("message").and_then(Json::as_str).unwrap();
+            assert_eq!(message, "request line is not valid UTF-8", "{reply}");
+        }
+        // The connection stays open and in step.
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert_eq!(read_reply().get("pong"), Some(&Json::Bool(true)));
         drop(stream);
         handle.shutdown().unwrap();
     }

@@ -72,8 +72,8 @@ pub fn scatter_json(s: &ScatterStats) -> Json {
 }
 
 /// Per-worker transport counters for a distributed graph: exchanges,
-/// bytes each way, reconnects, full-history p50/p99 exchange latency,
-/// and mux bookkeeping.
+/// bytes each way, resends on a fresh connection, full-history p50/p99
+/// exchange latency.
 pub fn workers_json(ws: &[WorkerStats]) -> Json {
     Json::Arr(
         ws.iter()
@@ -87,8 +87,6 @@ pub fn workers_json(ws: &[WorkerStats]) -> Json {
                     .field("reconnects", w.reconnects)
                     .field("p50_us", w.p50_us)
                     .field("p99_us", w.p99_us)
-                    .field("mux_tombstones", w.mux_tombstones)
-                    .field("mux_inflight_hwm", w.mux_inflight_hwm)
                     .build()
             })
             .collect(),

@@ -62,8 +62,9 @@
 //!   (the pool already spreads the unsharded store's per-path work), so
 //!   `pegserve` shards a graph only over workers.
 //! * [`TcpTransport`] — one worker process per shard, reached over
-//!   persistent line-protocol connections with multiplexed scatter,
-//!   one exchange routine that resends once, and hard deadlines
+//!   pooled blocking line-protocol connections (one exchange at a time
+//!   each; concurrent scatters overlap on separate connections), one
+//!   exchange routine that resends once on a fresh dial, and hard deadlines
 //!   ([`ShardedGraphStore::connect`]). Workers rebuild their shard
 //!   deterministically from the generator spec ([`worker::WorkerShard`])
 //!   and apply broadcast `shard_update` batches the same way, so nothing

@@ -17,13 +17,13 @@
 //!   each path's prune, out again), and an update rebuilds the affected
 //!   shards, carrying the rest by `Arc`.
 //! * [`TcpTransport`] — each shard lives behind a worker process speaking
-//!   the line protocol over one persistent **multiplexed** connection
-//!   ([`pegwire::MuxConn`]): every request carries a unique id the worker
-//!   echoes, so many scatters from concurrent sessions ride the same
-//!   socket with out-of-order replies routed back to the right waiter.
-//!   One exchange routine for every request, one resend on failure, hard
-//!   deadlines on every wait — a dead worker yields a [`TransportError`]
-//!   within the deadline, never a hang. An update broadcasts
+//!   the line protocol over blocking connections ([`pegwire::LineConn`]),
+//!   one exchange at a time each: a worker keeps a list of idle
+//!   connections, and concurrent sessions' scatters overlap on separate
+//!   ones. One exchange routine for every request, one resend on a fresh
+//!   dial after a failure, hard deadlines on every read and write — a
+//!   dead worker yields a [`TransportError`] within the deadline, never a
+//!   hang. An update broadcasts
 //!   `shard_update` at the next version and decodes the acknowledgements
 //!   with the decoder the load handshake uses ([`wire::decode_summary`]).
 //!
@@ -45,9 +45,9 @@ use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
 use pegtrace::{Histogram, Span};
-use pegwire::{Json, MuxConn, MuxError, PendingReply};
+use pegwire::{Json, LineConn};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One retrieval request, broadcast identically to every shard.
@@ -168,20 +168,13 @@ pub struct WorkerStats {
     pub bytes_tx: u64,
     /// Bytes received from the worker (reply lines).
     pub bytes_rx: u64,
-    /// Times the persistent connection had to be re-established.
+    /// Resends after a failed exchange, each on a freshly dialed
+    /// connection.
     pub reconnects: u64,
     /// Median exchange latency over the recent-sample window, in µs.
     pub p50_us: u64,
     /// 99th-percentile exchange latency over the window, in µs.
     pub p99_us: u64,
-    /// Abandoned-request tombstones currently held by the connection's
-    /// demultiplexer (replies still owed by the worker for requests whose
-    /// callers gave up). A persistently nonzero value after load drains
-    /// means the worker is swallowing requests.
-    pub mux_tombstones: u64,
-    /// High-water mark of concurrently in-flight requests on the worker
-    /// connection since it was (re)established.
-    pub mux_inflight_hwm: u64,
 }
 
 /// Where the shards live. Implementations must uphold the reply contract
@@ -333,9 +326,9 @@ impl ShardTransport for InProcessTransport {
 
 /// Knobs for [`TcpTransport`]. Every operation is bounded:
 /// `connect_timeout` caps dials, `io_timeout` caps each write and each
-/// per-request reply wait ([`pegwire::PendingReply::wait`]). A full
-/// exchange performs at most one redial + resend, so it can never exceed
-/// twice `connect_timeout + io_timeout`.
+/// whole-reply read ([`pegwire::LineConn`]). A full exchange performs at
+/// most one redial + resend, so it can never exceed twice
+/// `connect_timeout + io_timeout`.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpTransportConfig {
     /// Dial deadline per connection attempt.
@@ -352,14 +345,16 @@ impl Default for TcpTransportConfig {
     }
 }
 
-/// Per-worker state. The connection slot's mutex guards only the
-/// `Arc<MuxConn>` handle, held for nanoseconds per clone — exchanges
-/// themselves run on the shared mux connection with no per-worker
-/// serialization, and the counters are atomics (the latency histogram is
-/// lock-free too), so [`TcpTransport::worker_stats`] never blocks on an
-/// in-flight scatter.
+/// Per-worker state. The idle list's mutex is held for one push or pop,
+/// never across an exchange, and the counters are atomics (the latency
+/// histogram is lock-free too), so [`TcpTransport::worker_stats`] never
+/// blocks on an in-flight scatter.
 struct WorkerCell {
-    conn: Mutex<Option<Arc<MuxConn>>>,
+    /// Connections with no exchange in flight. An exchange pops one (or
+    /// dials one when there is none) and pushes it back only after a whole
+    /// reply, so the list never holds more connections than were ever in
+    /// flight at once — which admission bounds.
+    idle: Mutex<Vec<LineConn>>,
     requests: AtomicU64,
     reconnects: AtomicU64,
     bytes_tx: AtomicU64,
@@ -372,9 +367,9 @@ struct WorkerCell {
 }
 
 impl WorkerCell {
-    fn new(conn: MuxConn) -> WorkerCell {
+    fn new(conn: LineConn) -> WorkerCell {
         WorkerCell {
-            conn: Mutex::new(Some(Arc::new(conn))),
+            idle: Mutex::new(vec![conn]),
             requests: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
@@ -382,29 +377,35 @@ impl WorkerCell {
             latencies: Histogram::new(),
         }
     }
+
+    /// The idle list. A push, pop or clear leaves it valid at every step,
+    /// so a panic elsewhere while it was held poisons nothing.
+    fn idle(&self) -> MutexGuard<'_, Vec<LineConn>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// One worker process per shard, reached over one persistent multiplexed
-/// TCP connection each.
+/// One worker process per shard, reached over blocking line connections
+/// that carry one exchange at a time.
 ///
-/// Every request goes out with a connection-unique id the worker echoes;
-/// replies route back to their waiter in any order. Concurrent sessions
-/// on the same graph therefore overlap their retrieval phases freely —
-/// a scatter holds no lock while a worker computes, only the nanoseconds
-/// it takes to clone the connection handle out of its slot. (This lifted
-/// the pre-mux ceiling where one in-flight scatter per worker serialized
-/// concurrent sessions on the connection mutexes.)
+/// Each worker keeps a list of idle connections. An exchange takes one
+/// (or dials one), writes its line, reads the reply and puts the
+/// connection back, so concurrent sessions on the same graph overlap
+/// their retrieval phases on separate connections, and nothing is locked
+/// while a worker computes.
 ///
-/// Failure model: on any exchange error the transport resends once — on a
-/// fresh connection when the old one died, on the same one after a
-/// timed-out wait; a second failure is a [`TransportError`] (surfaced as
-/// `shard_unavailable` by the serving layer). One routine does every
-/// exchange — scatter, load, update and release alike. Resending is
-/// safe: the worker ops are read-only against shard state (retrieval) or
-/// idempotent (load/unload, a same-version update). A worker replying with
-/// a structured `"ok":false` error is also a [`TransportError`] — a shard
-/// that cannot answer is unavailable whatever the reason. Exchanges never
-/// hang: every wait carries the [`TcpTransportConfig`] deadlines.
+/// Failure model: any write or read error drops that connection *and* the
+/// worker's whole idle list — whatever killed one (a dead or restarted
+/// worker) left the others stale too — and the transport resends once, on
+/// a freshly dialed connection; a second failure is a [`TransportError`]
+/// (surfaced as `shard_unavailable` by the serving layer). One routine
+/// does every exchange — scatter, load, update and release alike.
+/// Resending is safe: the worker ops are read-only against shard state
+/// (retrieval) or idempotent (load/unload, a same-version update). A worker
+/// replying with a structured `"ok":false` error is also a
+/// [`TransportError`] — a shard that cannot answer is unavailable whatever
+/// the reason. Exchanges never hang: every dial, write and read carries the
+/// [`TcpTransportConfig`] deadlines.
 ///
 /// A clone shares the connections and counters (a live update's successor
 /// is one, pinned to the next version).
@@ -420,6 +421,11 @@ pub struct TcpTransport {
     version: u64,
 }
 
+/// Dials a worker with the transport's deadlines.
+fn dial(addr: &str, config: &TcpTransportConfig) -> std::io::Result<LineConn> {
+    LineConn::connect(addr, Some(config.connect_timeout), Some(config.io_timeout))
+}
+
 impl TcpTransport {
     /// Connects to every worker eagerly (failing fast if one is down) and
     /// binds the transport to `graph` — the name workers hold their shard
@@ -433,12 +439,11 @@ impl TcpTransport {
             .iter()
             .enumerate()
             .map(|(s, addr)| {
-                let conn = MuxConn::connect(addr, config.connect_timeout, config.io_timeout)
-                    .map_err(|e| TransportError {
-                        shard: s,
-                        addr: Some(addr.clone()),
-                        detail: e.to_string(),
-                    })?;
+                let conn = dial(addr, &config).map_err(|e| TransportError {
+                    shard: s,
+                    addr: Some(addr.clone()),
+                    detail: e.to_string(),
+                })?;
                 Ok(WorkerCell::new(conn))
             })
             .collect::<Result<Vec<_>, TransportError>>()?;
@@ -455,100 +460,59 @@ impl TcpTransport {
         TransportError { shard, addr: Some(self.addrs[shard].clone()), detail: detail.to_string() }
     }
 
-    /// Clones the worker's live connection handle out of its slot,
-    /// redialing first if the slot is empty or the reader declared the
-    /// connection dead. The lock is held only for the check + clone.
-    fn conn_arc(&self, shard: usize) -> Result<Arc<MuxConn>, TransportError> {
+    /// A failed write or read: drops worker `shard`'s idle connections
+    /// (see the failure model) and describes the failure.
+    fn fail(&self, shard: usize, detail: impl std::fmt::Display) -> TransportError {
+        self.workers[shard].idle().clear();
+        self.err(shard, detail)
+    }
+
+    /// Writes `line` to worker `shard` on an idle connection — or on a
+    /// fresh dial when none is idle or when `fresh` (the resend) — and
+    /// returns the connection its reply will arrive on. Writing to every
+    /// worker before reading any reply lets them all compute at once.
+    fn send(&self, shard: usize, line: &str, fresh: bool) -> Result<LineConn, TransportError> {
         let cell = &self.workers[shard];
-        let mut slot = cell.conn.lock().unwrap();
-        if let Some(conn) = slot.as_ref() {
-            if conn.is_alive() {
-                return Ok(conn.clone());
-            }
-        }
-        let fresh = MuxConn::connect(
-            &self.addrs[shard],
-            self.config.connect_timeout,
-            self.config.io_timeout,
-        )
-        .map_err(|e| self.err(shard, e))?;
-        cell.reconnects.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(fresh);
-        *slot = Some(fresh.clone());
-        Ok(fresh)
+        let idle = if fresh { None } else { cell.idle().pop() };
+        let mut conn = match idle {
+            Some(conn) => conn,
+            None => dial(&self.addrs[shard], &self.config).map_err(|e| self.err(shard, e))?,
+        };
+        conn.send(line).map_err(|e| self.fail(shard, e))?;
+        cell.bytes_tx.fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+        Ok(conn)
     }
 
-    /// Drops `failed` from the worker's slot — but only if the slot still
-    /// holds that very connection, so a concurrent exchange that already
-    /// redialed is not knocked out by a stale failure.
-    fn invalidate(&self, shard: usize, failed: &Arc<MuxConn>) {
-        let mut slot = self.workers[shard].conn.lock().unwrap();
-        if slot.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, failed)) {
-            *slot = None;
-        }
-    }
-
-    /// Puts `line` on worker `shard`'s connection — redialing first if
-    /// its slot is empty or dead — without waiting for the reply. The
-    /// mux's writer lock is held for one framed write, so every worker
-    /// starts computing at once and nothing stays locked while it does.
-    /// Returns the connection the request went out on and its reply slot.
-    fn begin(
-        &self,
-        shard: usize,
-        line: &str,
-    ) -> Result<(Arc<MuxConn>, PendingReply), TransportError> {
-        let conn = self.conn_arc(shard)?;
-        match conn.begin(line) {
-            Ok(pending) => {
-                self.workers[shard].bytes_tx.fetch_add(pending.sent_bytes, Ordering::Relaxed);
-                Ok((conn, pending))
-            }
-            Err(e) => {
-                self.invalidate(shard, &conn);
-                Err(self.err(shard, e))
-            }
-        }
-    }
-
-    /// Waits out one begun request: the reply and its wire bytes.
-    fn wait(
-        &self,
-        shard: usize,
-        (conn, pending): (Arc<MuxConn>, PendingReply),
-    ) -> Result<(Json, u64), TransportError> {
-        pending.wait(self.config.io_timeout).map_err(|e| {
-            // A timed-out wait leaves the connection itself healthy (the
-            // slot was cancelled; a late reply is discarded), so the
-            // resend rides the same socket; a dead one is dropped so the
-            // resend redials.
-            if !matches!(e, MuxError::Timeout) || !conn.is_alive() {
-                self.invalidate(shard, &conn);
-            }
-            self.err(shard, e)
-        })
+    /// Reads the reply `conn` owes — the parsed line and its wire bytes —
+    /// and puts the connection back on the idle list.
+    fn recv(&self, shard: usize, mut conn: LineConn) -> Result<(Json, u64), TransportError> {
+        let line = conn.recv().map_err(|e| self.fail(shard, e))?;
+        let reply =
+            Json::parse(&line).map_err(|e| self.fail(shard, format!("malformed reply: {e}")))?;
+        self.workers[shard].idle().push(conn);
+        Ok((reply, line.len() as u64 + 1))
     }
 
     /// The one exchange: `line(s)` goes to every worker `s` at once, then
-    /// each reply is waited for in shard order. A failed attempt — begin
-    /// or wait — gets exactly one resend (a redial first if the
-    /// connection died), so a silent worker holds its caller for at most
-    /// two `io_timeout`s. Requests, bytes and the latency sample are
-    /// counted here and nowhere else. The scatter, the load / update
-    /// broadcast and the release all go through it.
+    /// each reply is read in shard order. A failed attempt — write or read
+    /// — gets exactly one resend, on a fresh dial, so a silent worker holds
+    /// its caller for at most two `io_timeout`s. Requests, bytes, resends
+    /// and the latency sample are counted here and nowhere else. The
+    /// scatter, the load / update broadcast and the release all go through
+    /// it.
     fn exchange<'l>(&self, line: impl Fn(usize) -> &'l str) -> Vec<Result<Json, TransportError>> {
         let t0 = Instant::now();
-        let begun: Vec<_> = (0..self.addrs.len()).map(|s| self.begin(s, line(s))).collect();
-        begun
-            .into_iter()
+        let sent: Vec<_> = (0..self.addrs.len()).map(|s| self.send(s, line(s), false)).collect();
+        sent.into_iter()
             .enumerate()
             .map(|(s, first)| {
-                let (reply, rx) = first.and_then(|b| self.wait(s, b)).or_else(|e| {
-                    self.begin(s, line(s)).and_then(|b| self.wait(s, b)).map_err(|retry| {
-                        self.err(s, format!("{}; after retry: {}", e.detail, retry.detail))
-                    })
-                })?;
                 let cell = &self.workers[s];
+                let (reply, rx) = first.and_then(|conn| self.recv(s, conn)).or_else(|e| {
+                    cell.reconnects.fetch_add(1, Ordering::Relaxed);
+                    self.send(s, line(s), true).and_then(|conn| self.recv(s, conn)).map_err(
+                        |retry| self.err(s, format!("{}; after retry: {}", e.detail, retry.detail)),
+                    )
+                })?;
                 cell.bytes_rx.fetch_add(rx, Ordering::Relaxed);
                 cell.requests.fetch_add(1, Ordering::Relaxed);
                 cell.latencies.record(t0.elapsed());
@@ -656,7 +620,7 @@ impl ShardTransport for TcpTransport {
         let line = wire::retrieve_request(&self.graph, self.version, req).to_string();
         // Workers compute concurrently, the coordinator's wait is
         // max(worker time), and nothing is locked while they compute, so
-        // concurrent sessions' scatters interleave on the same connections.
+        // concurrent sessions' scatters overlap on separate connections.
         self.exchange(|_| &line)
             .into_iter()
             .enumerate()
@@ -679,37 +643,22 @@ impl ShardTransport for TcpTransport {
         Ok((Box::new(TcpTransport { version, ..self.clone() }), summaries))
     }
 
-    /// Reads atomics, the lock-free latency histogram, and the connection
-    /// slot (held only for the handle clone — never across an exchange),
-    /// so stats stay available while a scatter is in flight.
+    /// Reads atomics and the lock-free latency histogram only, so stats
+    /// stay available while a scatter is in flight.
     fn worker_stats(&self) -> Option<Vec<WorkerStats>> {
         let stats = self
             .workers
             .iter()
             .enumerate()
-            .map(|(s, w)| {
-                // Mux diagnostics come from the live connection; an empty
-                // slot (between redials) reports zeros, and the HWM is
-                // per-connection by design — it resets with a reconnect.
-                let (tombstones, inflight_hwm) = w
-                    .conn
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .map(|c| (c.tombstones() as u64, c.inflight_hwm() as u64))
-                    .unwrap_or((0, 0));
-                WorkerStats {
-                    shard: s,
-                    addr: self.addrs[s].clone(),
-                    requests: w.requests.load(Ordering::Relaxed),
-                    bytes_tx: w.bytes_tx.load(Ordering::Relaxed),
-                    bytes_rx: w.bytes_rx.load(Ordering::Relaxed),
-                    reconnects: w.reconnects.load(Ordering::Relaxed),
-                    p50_us: w.latencies.quantile_us(0.50),
-                    p99_us: w.latencies.quantile_us(0.99),
-                    mux_tombstones: tombstones,
-                    mux_inflight_hwm: inflight_hwm,
-                }
+            .map(|(s, w)| WorkerStats {
+                shard: s,
+                addr: self.addrs[s].clone(),
+                requests: w.requests.load(Ordering::Relaxed),
+                bytes_tx: w.bytes_tx.load(Ordering::Relaxed),
+                bytes_rx: w.bytes_rx.load(Ordering::Relaxed),
+                reconnects: w.reconnects.load(Ordering::Relaxed),
+                p50_us: w.latencies.quantile_us(0.50),
+                p99_us: w.latencies.quantile_us(0.99),
             })
             .collect();
         Some(stats)
@@ -717,12 +666,12 @@ impl ShardTransport for TcpTransport {
 
     /// Tells every worker to drop its shard state for this graph
     /// (best-effort — a dead worker has nothing to free) and closes the
-    /// persistent connections.
+    /// idle connections.
     fn release(&self) {
         let unload = wire::unload_request(&self.graph).to_string();
         let _ = self.exchange(|_| &unload);
         for w in self.workers.iter() {
-            *w.conn.lock().unwrap() = None;
+            w.idle().clear();
         }
     }
 }
@@ -732,7 +681,7 @@ mod tests {
     use super::*;
     use graphstore::Label;
     use pegmatch::online::{decompose, DecompStrategy};
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
 
     /// A worker that accepts, counts the request lines it reads and never
@@ -778,5 +727,102 @@ mod tests {
         // reader a moment to count anything later.
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(lines.load(Ordering::SeqCst), 2, "request lines the silent worker saw");
+    }
+
+    /// One scatter of `(l0)-(l1)` at α 0.5 through `transport`.
+    fn scatter_once(transport: &TcpTransport) -> Vec<Result<ShardReply, TransportError>> {
+        let query = QueryGraph::path(&[Label(0), Label(1)]).unwrap();
+        let decomp = decompose(&query, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
+        let pstats: Vec<PathStats> =
+            decomp.paths.iter().map(|p| PathStats::new(&query, p)).collect();
+        let span = Span::disabled();
+        let req = ShardRequest {
+            query: &query,
+            decomp: &decomp,
+            pstats: &pstats,
+            alpha: 0.5,
+            span: &span,
+        };
+        transport.scatter(&req, &pegpool::pool_with(1))
+    }
+
+    /// A fake worker that answers every request line, after `delay`, with
+    /// a well-formed empty retrieve reply (one path, the one
+    /// [`scatter_once`]'s plan has), on a thread per connection. With
+    /// `hang_up`, it closes each connection after its first reply.
+    fn fake_worker(delay: Duration, hang_up: bool) -> String {
+        let empty = PathPartial {
+            raw_total: 0,
+            raw_home: 0,
+            pruned_total: 0,
+            matches: PathMatches::new(2),
+        };
+        let reply =
+            format!("{}\n", wire::encode_retrieve_reply(&ShardReply { paths: vec![empty] }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().map_while(Result::ok) {
+                let reply = reply.clone();
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().unwrap();
+                    for _ in BufReader::new(stream).lines().map_while(Result::ok) {
+                        std::thread::sleep(delay);
+                        if writer.write_all(reply.as_bytes()).is_err() || hang_up {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    fn config() -> TcpTransportConfig {
+        TcpTransportConfig {
+            connect_timeout: Duration::from_secs(2),
+            io_timeout: Duration::from_secs(5),
+        }
+    }
+
+    /// Concurrent scatters overlap on separate connections: two at once
+    /// take about as long as one, and leave two idle connections behind.
+    #[test]
+    fn concurrent_scatters_overlap_on_separate_connections() {
+        let transport =
+            TcpTransport::connect("g", &[fake_worker(Duration::from_millis(300), false)], config())
+                .unwrap();
+        let t0 = Instant::now();
+        assert!(scatter_once(&transport)[0].is_ok());
+        let one = t0.elapsed();
+        let t0 = Instant::now();
+        let scatters: Vec<_> = (0..2)
+            .map(|_| {
+                let transport = transport.clone();
+                std::thread::spawn(move || scatter_once(&transport)[0].is_ok())
+            })
+            .collect();
+        for scatter in scatters {
+            assert!(scatter.join().unwrap());
+        }
+        let two = t0.elapsed();
+        assert!(two < one * 3 / 2, "two concurrent scatters took {two:?}, one took {one:?}");
+        assert_eq!(transport.workers[0].idle().len(), 2);
+        assert_eq!(transport.worker_stats().unwrap()[0].reconnects, 0);
+    }
+
+    /// A worker that hangs up after each reply leaves a stale idle
+    /// connection: the next exchange fails on it and its one resend, on a
+    /// fresh dial, succeeds.
+    #[test]
+    fn a_stale_idle_connection_costs_one_resend_on_a_fresh_dial() {
+        let transport =
+            TcpTransport::connect("g", &[fake_worker(Duration::ZERO, true)], config()).unwrap();
+        assert!(scatter_once(&transport)[0].is_ok());
+        // Let the worker's close land before the idle connection is reused.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(scatter_once(&transport)[0].is_ok());
+        let stats = &transport.worker_stats().unwrap()[0];
+        assert_eq!((stats.requests, stats.reconnects), (2, 1));
     }
 }

@@ -21,11 +21,10 @@
 //! already-latest version as the idempotent retry the transport's
 //! redial-and-resend failure handling can produce.
 //!
-//! Every request may additionally carry a `u64` `id` field (spliced in by
-//! [`pegwire::MuxConn`]); the worker echoes it verbatim on the reply so
-//! one connection can carry many in-flight retrieves with out-of-order
-//! replies routed back to the right scatter. The codec itself is
-//! id-agnostic — ids live one layer down, in the mux framing.
+//! A worker answers a connection's requests in order, so the transport
+//! pairs each reply with its request by position on the connection
+//! ([`pegwire::LineConn`]) and sends no `id`; concurrent scatters use
+//! separate connections.
 //!
 //! The query crosses the wire as **label ids** (`u16`) and query-node
 //! indexes, not label names: coordinator and workers build the same graph

@@ -14,10 +14,12 @@
 //!   coordinator↔shard-worker alike.
 //! * [`base64`] — unpadded base64, for the one payload that is columns of
 //!   bytes rather than a tree of values (the shard reply's candidates).
-//! * [`mux`] — a multiplexed connection (`MuxConn`): many in-flight
-//!   requests on one socket, each carrying a connection-unique `"id"`
-//!   the peer echoes, with out-of-order replies routed back to the
-//!   caller that sent the matching request.
+//! * [`line`](mod@line) — the one connection (`LineConn`): a request is
+//!   one framed write and its reply the next line read, one exchange at a
+//!   time, with optional connect and whole-reply deadlines.
+//!   `pegserve::Client` is one without deadlines; the shard transport
+//!   keeps idle ones per worker and overlaps concurrent scatters on
+//!   separate connections.
 //!
 //! A multi-process scatter-gather is bit-exact because no probability is
 //! ever rounded on the wire: as JSON numbers (client replies, mutation
@@ -27,7 +29,7 @@
 
 pub mod base64;
 pub mod json;
-pub mod mux;
+pub mod line;
 
 pub use json::{obj, Json, JsonError, ObjBuilder};
-pub use mux::{Demux, DemuxError, MuxConn, MuxError, PendingReply};
+pub use line::{LineConn, LineError};
