@@ -31,6 +31,7 @@
 pub mod admission;
 pub mod client;
 pub mod proto;
+mod reply;
 pub mod server;
 pub mod statsjson;
 

@@ -131,8 +131,9 @@
 //! and is honored only when [`ServerConfig::allow_debug_sleep`] is set.
 
 use crate::admission::{Admission, AdmitError};
-use crate::json::{obj, Json, ObjBuilder};
+use crate::json::{obj, Json};
 use crate::proto::{self, ProtoError, QueryOp};
+use crate::reply::{self, Answer, QueryReply, Reply};
 use crate::statsjson;
 use graphstore::RefGraph;
 use pegmatch::error::PegError;
@@ -141,15 +142,13 @@ use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::session::TOPK_START_ALPHA;
 use pegmatch::online::{
-    ExecCache, PlanCache, PreparedQuery, QueryOptions, QueryPipeline, QueryResult,
-    DEFAULT_EXEC_CACHE_BYTES,
+    ExecCache, PlanCache, QueryOptions, QueryPipeline, DEFAULT_EXEC_CACHE_BYTES,
 };
 use pegmatch::Peg;
 use pegshard::{
-    wire as shard_wire, ScatterStats, ShardedGraphStore, TcpTransport, TcpTransportConfig,
-    WorkerShard,
+    wire as shard_wire, ShardedGraphStore, TcpTransport, TcpTransportConfig, WorkerShard,
 };
-use pegtrace::{Counter, Histogram, MetricsRegistry, SpanNode, Tracer};
+use pegtrace::{Counter, Histogram, MetricsRegistry, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -328,6 +327,8 @@ struct ServerState {
     query_metrics: QueryMetrics,
     /// What every `update_graph` records, likewise.
     update_metrics: UpdateMetrics,
+    /// What every answered request line records, likewise.
+    front_metrics: FrontMetrics,
     /// Trace-id source for `explain` and any future traced op. A plain
     /// counter, not a random id: ids only need to be unique per server,
     /// and they must stay below 2^53 to survive the JSON number type.
@@ -383,6 +384,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             query_metrics: QueryMetrics::resolve(&metrics),
             update_metrics: UpdateMetrics::resolve(&metrics),
+            front_metrics: FrontMetrics::resolve(&metrics),
             metrics,
             trace_ids: AtomicU64::new(1),
             slow_query: config.slow_query_ms.map(Duration::from_millis),
@@ -471,14 +473,10 @@ impl Server {
                 // Every handler slot is a live thread + socket; past the
                 // bound, reply structured overload and close rather than
                 // letting idle connections grow those resources unbounded.
-                let mut stream = stream;
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let mut text =
-                    error_json(&ProtoError::new("overloaded", "connection limit reached"))
-                        .to_string();
-                text.push('\n');
-                let _ = stream.write_all(text.as_bytes()).and_then(|_| stream.flush());
+                let overloaded = ProtoError::new("overloaded", "connection limit reached");
+                write_reply(&stream, reply::error_line(&overloaded));
                 continue;
             }
             handlers.push(std::thread::spawn(move || handle_connection(stream, &state)));
@@ -542,11 +540,6 @@ fn graph_pipeline<'a>(state: &ServerState, entry: &'a GraphEntry) -> QueryPipeli
     }
 }
 
-/// The `{"ok":false,...}` line a structured error goes out as.
-fn error_json(e: &ProtoError) -> Json {
-    obj().field("ok", false).field("error", e.code).field("message", e.message.as_str()).build()
-}
-
 /// Per-request line cap: one connection cannot grow the server's memory
 /// without bound by streaming bytes that never contain a newline.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -554,10 +547,9 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// One framed reply write: the whole line (newline included) leaves in a
 /// single `write_all` — one syscall per reply is the no-Nagle latency
 /// contract.
-fn write_reply(mut writer: &TcpStream, reply: &Json) -> bool {
-    let mut text = reply.to_string();
-    text.push('\n');
-    writer.write_all(text.as_bytes()).is_ok()
+fn write_reply(mut writer: &TcpStream, mut line: String) -> bool {
+    line.push('\n');
+    writer.write_all(line.as_bytes()).is_ok()
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
@@ -607,7 +599,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             // Over the cap (the allowance ran out before a newline): the
             // stream cannot be resynchronized, so reply and close.
             let too_long = proto::bad("request line too long");
-            let _ = write_reply(reader.get_ref(), &error_json(&too_long));
+            write_reply(reader.get_ref(), reply::error_line(&too_long));
             break;
         }
         if !buf.ends_with(b"\n") && !eof {
@@ -616,8 +608,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             // accumulating until a newline, real EOF, or the cap trips.
             continue;
         }
-        if let Some(reply) = respond(state, &buf) {
-            if !write_reply(reader.get_ref(), &reply) {
+        if let Some(line) = respond(state, &buf) {
+            let writing = Instant::now();
+            let sent = write_reply(reader.get_ref(), line);
+            state.front_metrics.write.record(writing.elapsed());
+            if !sent {
                 break;
             }
         }
@@ -628,23 +623,56 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     }
 }
 
-/// The reply to one framed request line, on the connection's own thread:
-/// a connection's requests are answered strictly in the order they
-/// arrived. `None` for a blank line, which gets no reply. The line must
-/// be UTF-8 — decoded lossily, a damaged byte would run as U+FFFD, a
+/// The reply line to one framed request line, on the connection's own
+/// thread: a connection's requests are answered strictly in the order
+/// they arrived. `None` for a blank line, which gets no reply. The line
+/// must be UTF-8 — decoded lossily, a damaged byte would run as U+FFFD, a
 /// request the client never sent.
-fn respond(state: &ServerState, line: &[u8]) -> Option<Json> {
-    let Ok(line) = std::str::from_utf8(line) else {
-        return Some(error_json(&proto::bad("request line is not valid UTF-8")));
+fn respond(state: &ServerState, line: &[u8]) -> Option<String> {
+    let mut clock = FrontClock::start(&state.front_metrics);
+    let parsed = match std::str::from_utf8(line).map(str::trim) {
+        Ok("") => return None,
+        Ok(line) => parse_request(line),
+        Err(_) => Err(proto::bad("request line is not valid UTF-8")),
     };
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
+    let reply = match parsed {
+        Ok((req, id)) => answer(&state.metrics, id, || dispatch_parsed(state, &req, &mut clock)),
+        Err(e) => {
+            clock.decoded();
+            reply::error_line(&e)
+        }
+    };
+    clock.encoded();
+    Some(reply)
+}
+
+/// One request line's front-end stopwatch. The decode sample runs from
+/// the line's arrival to [`FrontClock::decoded`]; the encode sample from
+/// the handler's return ([`FrontClock::handled`]) — or from `decoded`,
+/// when no handler ran — to [`FrontClock::encoded`], echoes included.
+/// The handler's own time is its op's histogram, not the front end's.
+struct FrontClock<'a> {
+    front: &'a FrontMetrics,
+    at: Instant,
+}
+
+impl<'a> FrontClock<'a> {
+    fn start(front: &'a FrontMetrics) -> Self {
+        Self { front, at: Instant::now() }
     }
-    Some(match parse_request(line) {
-        Ok((req, id)) => answer(&state.metrics, id, || dispatch_parsed(state, &req)),
-        Err(e) => error_json(&e),
-    })
+
+    fn decoded(&mut self) {
+        self.front.decode.record(self.at.elapsed());
+        self.at = Instant::now();
+    }
+
+    fn handled(&mut self) {
+        self.at = Instant::now();
+    }
+
+    fn encoded(&self) {
+        self.front.encode.record(self.at.elapsed());
+    }
 }
 
 /// Parses one request line and extracts its optional `"id"`. A present
@@ -662,51 +690,51 @@ fn parse_request(line: &str) -> Result<(Json, Option<u64>), ProtoError> {
     Ok((req, id))
 }
 
-/// Echoes a request's `"id"` or `"v"` tag onto its reply — success and
-/// error replies alike: a client that tags its requests can check every
-/// reply against the request it sent, and a version tag that was
-/// validated is echoed wherever it was.
-fn echo(reply: Json, key: &str, tag: Option<u64>) -> Json {
-    match (reply, tag) {
-        (Json::Obj(mut fields), Some(tag)) => {
-            fields.push((key.to_string(), Json::Num(tag as f64)));
-            Json::Obj(fields)
-        }
-        (reply, _) => reply,
-    }
-}
-
-/// Runs one request's handler and echoes its id. A panic inside the
-/// handler is a bug in this server, not in the request — but the caller
-/// is still owed a reply: without one the connection would go down with
-/// a bare EOF, taking the caller's later requests with it. So the panic
-/// is caught here, counted in `serve.handler_panics`, and answered as a
-/// structured `internal` error.
-fn answer(metrics: &MetricsRegistry, id: Option<u64>, handler: impl FnOnce() -> Json) -> Json {
-    let reply = catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+/// Runs one request's handler, which returns its reply line, and echoes
+/// the request's id onto it. A panic inside the handler is a bug in this
+/// server, not in the request — but the caller is still owed a reply:
+/// without one the connection would go down with a bare EOF, taking the
+/// caller's later requests with it. So the panic is caught here, counted
+/// in `serve.handler_panics`, and answered as a structured `internal`
+/// error.
+fn answer(metrics: &MetricsRegistry, id: Option<u64>, handler: impl FnOnce() -> String) -> String {
+    let mut line = catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
         metrics.counter("serve.handler_panics").incr();
-        error_json(&ProtoError::new("internal", "request handler panicked"))
+        reply::error_line(&ProtoError::new("internal", "request handler panicked"))
     });
-    echo(reply, "id", id)
+    reply::echo(&mut line, "id", id);
+    line
 }
 
-fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
+/// Decodes a parsed request, runs its op and writes the reply line, the
+/// validated version tag echoed.
+fn dispatch_parsed(state: &ServerState, req: &Json, clock: &mut FrontClock) -> String {
     // The version tag gates everything: a request from a protocol this
     // server does not speak must not be half-interpreted.
-    let v = match proto::protocol_version(req) {
-        Ok(v) => v,
-        Err(e) => return error_json(&e),
+    let decoded = proto::protocol_version(req).map(|v| (v, proto::Request::decode(req)));
+    clock.decoded();
+    let (v, result) = match decoded {
+        Err(e) => return reply::error_line(&e),
+        Ok((v, Err(e))) => (v, Err(e)),
+        Ok((v, Ok(request))) => {
+            let result = run(state, &request);
+            clock.handled();
+            (v, result)
+        }
     };
-    let parsed = match proto::Request::decode(req) {
-        Ok(parsed) => parsed,
-        Err(e) => return echo(error_json(&e), "v", v),
-    };
+    let mut line = reply::line(result);
+    reply::echo(&mut line, "v", v);
+    line
+}
+
+/// Runs a decoded request's handler.
+fn run(state: &ServerState, request: &proto::Request) -> Result<Reply, ProtoError> {
     use proto::Request as R;
-    let result = match &parsed {
+    let value = match request {
+        R::Query(op, items) => return op_query(state, *op, items).map(Reply::Query),
         R::Ping => Ok(obj().field("ok", true).field("pong", true).build()),
         R::LoadGraph(r) => load_graph(state, r),
         R::UnloadGraph(name) => op_unload_graph(state, name),
-        R::Query(op, items) => op_query(state, *op, items),
         R::UpdateGraph(r) => op_update_graph(state, r),
         R::Stats => Ok(op_stats(state)),
         R::Metrics => Ok(obj()
@@ -722,7 +750,7 @@ fn dispatch_parsed(state: &ServerState, req: &Json) -> Json {
             Ok(obj().field("ok", true).field("shutdown", true).build())
         }
     };
-    echo(result.unwrap_or_else(|e| error_json(&e)), "v", v)
+    value.map(Reply::Value)
 }
 
 fn resolve_graph(state: &ServerState, name: Option<&str>) -> Result<Arc<GraphEntry>, ProtoError> {
@@ -1153,6 +1181,29 @@ impl QueryMetrics {
     }
 }
 
+/// The front end's share of every request line [`respond`] answers, one
+/// sample each, resolved once like [`QueryMetrics`]: `serve.decode_us`
+/// (the UTF-8 check, `Json::parse` and `Request::decode`),
+/// `serve.encode_us` (the handler's result turned into the reply line,
+/// echoes included) and `serve.write_us` (the one `write_all`). With
+/// `serve.admission_wait_us` and the op's own histogram they name where a
+/// request's server-side time went.
+struct FrontMetrics {
+    decode: Histogram,
+    encode: Histogram,
+    write: Histogram,
+}
+
+impl FrontMetrics {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        Self {
+            decode: metrics.histogram("serve.decode_us"),
+            encode: metrics.histogram("serve.encode_us"),
+            write: metrics.histogram("serve.write_us"),
+        }
+    }
+}
+
 /// Handles on what every `update_graph` records, resolved once like
 /// [`QueryMetrics`]: the wait for the graph's mutation lock, and one
 /// `live.<phase>_us` histogram per [`UpdatePhases`] step, in its order —
@@ -1170,19 +1221,6 @@ impl UpdateMetrics {
                 .named()
                 .map(|(name, _)| metrics.histogram(&format!("live.{name}_us"))),
         }
-    }
-}
-
-/// One query taken as far as its op goes.
-struct Answer {
-    prepared: PreparedQuery,
-    /// `None` only under `prepare`, which stops after planning.
-    result: Option<QueryResult>,
-}
-
-impl Answer {
-    fn ran(&self) -> &QueryResult {
-        self.result.as_ref().expect("every op but prepare runs its plan")
     }
 }
 
@@ -1313,97 +1351,23 @@ fn note_query(
     }
 }
 
-/// A plan's summary — `prepare`'s reply body and `explain`'s `plan` block.
-fn plan_fields(reply: ObjBuilder, prepared: &PreparedQuery) -> ObjBuilder {
-    reply
-        .field("n_paths", prepared.n_paths())
-        .field("from_cache", prepared.from_cache())
-        .field_opt("shape_hash", prepared.shape_hash().map(|h| format!("{h:016x}")))
-        .field("plan_us", prepared.decompose_time().as_micros() as u64)
-}
-
-/// What every answered query reports, in wire order: `n`, `truncated`,
-/// `plan_from_cache` (`query` and batch items; a top-k plan is a detail of
-/// its refinement loop and `explain` has a `plan` block), `elapsed_us`,
-/// the caller's own `blocks`, then `matches` — `{"nodes":[...],"prle":..,
-/// "prn":..,"prob":..}` each, f64s bit-exact on the JSON round trip.
-fn result_fields(
-    reply: ObjBuilder,
-    op: QueryOp,
-    answer: &Answer,
-    elapsed: Duration,
-    blocks: impl FnOnce(ObjBuilder) -> ObjBuilder,
-) -> ObjBuilder {
-    let result = answer.ran();
-    let plan_from_cache = matches!(op, QueryOp::Query | QueryOp::Batch);
-    let matches = result.matches.iter().map(|m| {
-        obj()
-            .field("nodes", Json::Arr(m.nodes.iter().map(|e| Json::Num(e.0 as f64)).collect()))
-            .field("prle", m.prle)
-            .field("prn", m.prn)
-            .field("prob", m.prob())
-            .build()
-    });
-    let reply = reply
-        .field("n", result.matches.len())
-        .field("truncated", result.truncated)
-        .field_opt("plan_from_cache", plan_from_cache.then(|| answer.prepared.from_cache()))
-        .field("elapsed_us", elapsed.as_micros() as u64);
-    blocks(reply).field("matches", Json::Arr(matches.collect()))
-}
-
-/// What `explain` says beyond `query`: *how* it ran — plan summary,
-/// stage-by-stage pipeline statistics, this request's scatter statistics
-/// (when it scattered: a sharded graph, and no execution-cache hit), and
-/// the full request span tree, worker-side scatter spans included when
-/// the graph is distributed.
-fn explain_blocks(reply: ObjBuilder, answer: &Answer, root: &SpanNode) -> ObjBuilder {
-    // Request-scoped: read off this request's own `retrieve` span, which
-    // the sharded store tagged if (and only if) it scattered.
-    let scatter: Option<Json> = root
-        .find("retrieve")
-        .and_then(ScatterStats::from_span)
-        .map(|s| statsjson::scatter_json(&s));
-    reply
-        .field("plan", plan_fields(obj(), &answer.prepared).build())
-        .field("pipeline", statsjson::pipeline_json(&answer.ran().stats))
-        .field_opt("scatter", scatter)
-        .field("span", shard_wire::encode_span(root))
-}
-
 /// The one handler of the query-shaped ops: [`execute`] with the tracer
-/// on for `explain` only, then the op's reply. A `query_batch` reply
-/// lists one result per item — each bit-identical to the same `query`
-/// sent alone — and fails whole-batch: results are not useful if their
-/// siblings silently vanished.
-fn op_query(state: &ServerState, op: QueryOp, items: &[proto::Query]) -> Result<Json, ProtoError> {
+/// on for `explain` only, then the answers the reply writer turns into
+/// the op's line. A `query_batch` reply lists one result per item — each
+/// bit-identical to the same `query` sent alone — and fails whole-batch:
+/// results are not useful if their siblings silently vanished.
+fn op_query(
+    state: &ServerState,
+    op: QueryOp,
+    items: &[proto::Query],
+) -> Result<QueryReply, ProtoError> {
     let trace_id =
         (op == QueryOp::Explain).then(|| state.trace_ids.fetch_add(1, Ordering::Relaxed));
     let tracer = trace_id.map_or_else(Tracer::disabled, Tracer::enabled);
     let (entry, answers, elapsed) = execute(state, op, items, &tracer)?;
-    let reply = obj().field("ok", true).field("graph", entry.name.as_str());
-    let first = &answers[0];
-    let reply = match op {
-        QueryOp::Prepare => plan_fields(reply, &first.prepared),
-        QueryOp::Query | QueryOp::Topk => result_fields(reply, op, first, elapsed, |r| r),
-        QueryOp::Explain => {
-            let root = tracer.take().pop().expect("execute closed the request span it opened");
-            result_fields(reply.field_opt("trace_id", trace_id), op, first, elapsed, |r| {
-                explain_blocks(r, first, &root)
-            })
-        }
-        QueryOp::Batch => {
-            let results = answers.iter().map(|answer| {
-                let elapsed = answer.prepared.decompose_time() + answer.ran().stats.total_time;
-                result_fields(obj(), op, answer, elapsed, |r| r).build()
-            });
-            reply
-                .field("n", answers.len())
-                .field("elapsed_us", elapsed.as_micros() as u64)
-                .field("results", Json::Arr(results.collect()))
-        }
-    };
-    Ok(reply.build())
+    let trace = trace_id
+        .map(|id| (id, tracer.take().pop().expect("execute closed the request span it opened")));
+    Ok(QueryReply { op, graph: entry.name.clone(), answers, elapsed, trace })
 }
 
 fn op_stats(state: &ServerState) -> Json {
@@ -2022,18 +1986,50 @@ mod tests {
     #[test]
     fn a_panicking_handler_answers_internal_and_is_counted() {
         let metrics = MetricsRegistry::new();
-        let reply = answer(&metrics, Some(5), || panic!("handler bug"));
+        let reply = Json::parse(&answer(&metrics, Some(5), || panic!("handler bug"))).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("internal"), "{reply}");
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(5), "{reply}");
-        let reply = answer(&metrics, None, || panic!("handler bug"));
+        let reply = Json::parse(&answer(&metrics, None, || panic!("handler bug"))).unwrap();
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("internal"), "{reply}");
         assert!(reply.get("id").is_none(), "{reply}");
         assert_eq!(metrics.counter("serve.handler_panics").get(), 2);
         // A handler that returns is passed through untouched and uncounted.
-        let reply = answer(&metrics, Some(6), || obj().field("ok", true).build());
-        assert_eq!(reply.to_string(), r#"{"ok":true,"id":6}"#);
+        let reply = answer(&metrics, Some(6), || obj().field("ok", true).build().to_string());
+        assert_eq!(reply, r#"{"ok":true,"id":6}"#);
         assert_eq!(metrics.counter("serve.handler_panics").get(), 2);
+    }
+
+    #[test]
+    fn front_end_histograms_sample_every_answered_line() {
+        let (handle, _client) = tiny_server(ServerConfig::default());
+        let (mut stream, mut read_reply) = raw_connection(handle.addr);
+        // A query, a line that is not JSON, a blank line (no reply), an
+        // unknown version and a ping: four answered lines.
+        stream
+            .write_all(
+                concat!(
+                    r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#,
+                    "\nnot json\n\n",
+                    r#"{"op":"ping","v":9}"#,
+                    "\n",
+                    r#"{"op":"ping"}"#,
+                    "\n",
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        for _ in 0..4 {
+            read_reply();
+        }
+        drop(stream);
+        // The write sample is taken after the reply left: read the
+        // registry once the handler threads are joined.
+        let state = Arc::clone(&handle.state);
+        handle.shutdown().unwrap();
+        for name in ["serve.decode_us", "serve.encode_us", "serve.write_us"] {
+            assert_eq!(state.metrics.histogram(name).count(), 4, "{name}");
+        }
     }
 
     #[test]
