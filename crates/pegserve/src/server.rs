@@ -579,7 +579,10 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         // return (and never time out), growing `buf` to OOM. Reading
         // through a `Take` of the remaining allowance makes the cap a hard
         // memory bound — the limit exhausting looks like EOF to
-        // `read_until` and leaves `buf` one byte over the cap.
+        // `read_until`. The cap counts the line without its newline, so
+        // the allowance is the cap plus that one byte: a line at the cap
+        // is read whole, and one over it fills `buf` one byte past the cap
+        // without a newline.
         let allowance = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
         match (&mut reader).take(allowance).read_until(b'\n', &mut buf) {
             Ok(0) => eof = true, // client closed (any accumulated tail still answers)
@@ -595,16 +598,16 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             }
             Err(_) => break,
         }
-        if buf.len() > MAX_LINE_BYTES {
+        let complete = buf.ends_with(b"\n");
+        if buf.len() - usize::from(complete) > MAX_LINE_BYTES {
             // Over the cap (the allowance ran out before a newline): the
             // stream cannot be resynchronized, so reply and close.
             let too_long = proto::bad("request line too long");
             write_reply(reader.get_ref(), reply::error_line(&too_long));
             break;
         }
-        if !buf.ends_with(b"\n") && !eof {
-            // The `Take` hit EOF-of-allowance exactly at the cap boundary
-            // or the socket yielded a short read without a newline; keep
+        if !complete && !eof {
+            // The socket yielded a short read without a newline; keep
             // accumulating until a newline, real EOF, or the cap trips.
             continue;
         }
@@ -1979,6 +1982,35 @@ mod tests {
         // The connection stays open and in step.
         stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
         assert_eq!(read_reply().get("pong"), Some(&Json::Bool(true)));
+        drop(stream);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn the_line_cap_counts_the_line_without_its_newline() {
+        let (handle, _client) = tiny_server(ServerConfig::default());
+        let (mut stream, mut read_reply) = raw_connection(handle.addr);
+        // A ping padded to exactly `len` bytes before its newline.
+        let ping = |len: usize| {
+            let (head, tail) = (r#"{"op":"ping","pad":""#, "\"}\n");
+            format!("{head}{}{tail}", "x".repeat(len - head.len() - (tail.len() - 1)))
+        };
+        let at_cap = ping(MAX_LINE_BYTES);
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES + 1);
+        stream.write_all(at_cap.as_bytes()).unwrap();
+        assert_eq!(read_reply().get("pong"), Some(&Json::Bool(true)));
+        // One byte over: one structured refusal, then the connection
+        // closes (the rest of the line cannot be resynchronized).
+        stream.write_all(ping(MAX_LINE_BYTES + 1).as_bytes()).unwrap();
+        let reply = read_reply();
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
+        assert_eq!(reply.get("message").and_then(Json::as_str), Some("request line too long"));
+        let mut rest = Vec::new();
+        // The server may close with the line's newline still unread, which
+        // resets rather than ends the stream: either way, nothing follows.
+        if let Ok(n) = stream.read_to_end(&mut rest) {
+            assert_eq!(n, 0, "no second reply");
+        }
         drop(stream);
         handle.shutdown().unwrap();
     }
