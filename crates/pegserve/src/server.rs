@@ -129,6 +129,20 @@
 //! execution — an operational knob for exercising admission control
 //! deterministically (tests, drills), not part of the query semantics —
 //! and is honored only when [`ServerConfig::allow_debug_sleep`] is set.
+//!
+//! # Replies are written, not built
+//!
+//! A handler returns what it computed; the reply line is written after
+//! it returns, once, into one `String`. The query-shaped ops write their
+//! matches straight into a line pre-sized from the match count, through
+//! `pegwire::json`'s own number and string writers — no `Json` value per
+//! match. Every other op builds a small `Json` and renders it through
+//! the same writers, so one `f64` formatter and one escaper produce every
+//! byte. The `"v"` and then the `"id"` echo are appended before the
+//! closing brace, and every reply — errors, the over-cap refusal and the
+//! connection-limit refusal included — leaves in one `write_all`.
+//! `serve.decode_us`, `serve.encode_us` and `serve.write_us` time the
+//! three front-end steps around each op.
 
 use crate::admission::{Admission, AdmitError};
 use crate::json::{obj, Json};
@@ -1371,6 +1385,19 @@ fn op_query(
     let trace = trace_id
         .map(|id| (id, tracer.take().pop().expect("execute closed the request span it opened")));
     Ok(QueryReply { op, graph: entry.name.clone(), answers, elapsed, trace })
+}
+
+#[cfg(test)]
+impl Server {
+    /// One query-shaped op, executed as its request line would be, before
+    /// its reply is written: what the reply writer's tests write from.
+    pub(crate) fn query_reply(
+        &self,
+        op: QueryOp,
+        items: &[proto::Query],
+    ) -> Result<QueryReply, ProtoError> {
+        op_query(&self.state, op, items)
+    }
 }
 
 fn op_stats(state: &ServerState) -> Json {

@@ -11,6 +11,11 @@
 //! formatting of an `f64` prints the shortest string that parses back to
 //! the identical bits, and the parser reads numbers with `str::parse`,
 //! so probabilities survive a protocol round trip bit-exactly.
+//!
+//! The writer is two functions, [`write_num`] and [`write_escaped`], over
+//! any `fmt::Write`: `Display` for [`Json`] is built on them, and the
+//! server writes its query replies straight into a `String` with them, so
+//! a value and a streamed line cannot disagree on a byte.
 
 use std::fmt;
 
@@ -441,46 +446,56 @@ fn find_special(bytes: &[u8]) -> Option<usize> {
     None
 }
 
-/// Writes `s` quoted. Only `"`, `\` and control bytes need escaping, all
-/// ASCII, so everything between two of them — multi-byte characters
-/// included — is copied with one `write_str`, as the parser's `string()`
-/// reads it: a long payload costs a scan and a copy, not a formatter call
-/// per character.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `n` as every protocol number is written: an integer in the
+/// `f64`-exact range as one, anything else in Rust's shortest `{}` form
+/// (which parses back to the identical bits), a non-finite value as
+/// `null` (JSON has no representation for it). [`Json`]'s `Display` and
+/// the server's streamed replies both write through here, so the bytes of
+/// a number cannot depend on which of them wrote it.
+pub fn write_num<W: fmt::Write>(w: &mut W, n: f64) -> fmt::Result {
+    if !n.is_finite() {
+        w.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative()) {
+        // The integer fast path must skip -0.0: `0` would parse back as
+        // +0.0, breaking the bit-exact round trip ("-0" keeps it).
+        write!(w, "{}", n as i64)
+    } else {
+        write!(w, "{n}")
+    }
+}
+
+/// Writes `s` quoted — the one escaper, for values and keys alike. Only
+/// `"`, `\` and control bytes need escaping, all ASCII, so everything
+/// between two of them — multi-byte characters included — is copied with
+/// one `write_str`, as the parser's `string()` reads it: a long payload
+/// costs a scan and a copy, not a formatter call per character.
+pub fn write_escaped<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_str("\"")?;
     let mut rest = s;
     while let Some(at) = find_special(rest.as_bytes()) {
-        f.write_str(&rest[..at])?;
+        w.write_str(&rest[..at])?;
         match rest.as_bytes()[at] {
-            b'"' => f.write_str("\\\"")?,
-            b'\\' => f.write_str("\\\\")?,
-            b'\n' => f.write_str("\\n")?,
-            b'\r' => f.write_str("\\r")?,
-            b'\t' => f.write_str("\\t")?,
-            b => write!(f, "\\u{b:04x}")?,
+            b'"' => w.write_str("\\\"")?,
+            b'\\' => w.write_str("\\\\")?,
+            b'\n' => w.write_str("\\n")?,
+            b'\r' => w.write_str("\\r")?,
+            b'\t' => w.write_str("\\t")?,
+            b => write!(w, "\\u{b:04x}")?,
         }
         rest = &rest[at + 1..];
     }
-    f.write_str(rest)?;
-    f.write_str("\"")
+    w.write_str(rest)?;
+    w.write_str("\"")
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization (no whitespace). Non-finite numbers serialize
-    /// as `null` (JSON has no representation for them).
+    /// Compact serialization (no whitespace), every number through
+    /// [`write_num`] and every string and key through [`write_escaped`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) if !n.is_finite() => f.write_str("null"),
-            // The integer fast path must skip -0.0: `0` would parse back
-            // as +0.0, breaking the bit-exact round trip ("-0" keeps it).
-            Json::Num(n)
-                if n.fract() == 0.0 && n.abs() < 9.0e15 && !(*n == 0.0 && n.is_sign_negative()) =>
-            {
-                write!(f, "{}", *n as i64)
-            }
-            Json::Num(n) => write!(f, "{n}"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(f, *n),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -488,7 +503,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -500,7 +515,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }

@@ -11,7 +11,8 @@
 //! * [`json`] — the minimal in-tree JSON value with a compact writer and
 //!   a hardened parser (depth-capped, f64 bit-exact round trip). This is
 //!   the encoding every protocol line uses, coordinator↔client and
-//!   coordinator↔shard-worker alike.
+//!   coordinator↔shard-worker alike; its number and string writers are
+//!   public, for lines written without building a value.
 //! * [`base64`] — unpadded base64, for the one payload that is columns of
 //!   bytes rather than a tree of values (the shard reply's candidates).
 //! * [`line`](mod@line) — the one connection (`LineConn`): a request is

@@ -47,10 +47,10 @@ fn explain_line(threads: usize) -> String {
 /// One run: a fresh server answering the explain request at `threads`
 /// 1 then 0, each reply checked ok, structurally probed, and stripped.
 fn run_once(shards: usize) -> Vec<String> {
-    // Exec cache off: a warm floor retrieval legitimately rewires the
-    // traced request (the `cache=hit` re-filter span replaces the
-    // retrieve stage), and this test compares requests that would
-    // otherwise differ only in cache warmth.
+    // Exec cache off: a cached entry legitimately rewires the traced
+    // request (a hit is a lookup-only `retrieve` tagged `cache=hit`, with
+    // no children, and no `join`), and this test compares requests that
+    // would otherwise differ only in cache warmth.
     let handle = spawn_server(shards, 0);
     let mut client = Client::connect(handle.addr).unwrap();
     let replies: Vec<String> = [1usize, 0]
