@@ -142,12 +142,17 @@ impl QueryReply {
         out.push_str("{\"ok\":true,\"graph\":");
         text(&mut out, &self.graph);
         let first = &self.answers[0];
-        match (self.op, &self.trace) {
-            (QueryOp::Prepare, _) => {
+        match self.op {
+            QueryOp::Prepare => {
                 out.push(',');
                 plan_fields(&mut out, &first.prepared);
             }
-            (QueryOp::Explain, Some((trace_id, root))) => {
+            QueryOp::Query | QueryOp::Topk => {
+                out.push(',');
+                result_fields(&mut out, self.op, first, self.elapsed, |_| {});
+            }
+            QueryOp::Explain => {
+                let (trace_id, root) = self.trace.as_ref().expect("an explain reply has its trace");
                 out.push_str(",\"trace_id\":");
                 num(&mut out, *trace_id as f64);
                 out.push(',');
@@ -155,7 +160,7 @@ impl QueryReply {
                     explain_blocks(out, first, root)
                 });
             }
-            (QueryOp::Batch, _) => {
+            QueryOp::Batch => {
                 out.push_str(",\"n\":");
                 num(&mut out, self.answers.len() as f64);
                 out.push_str(",\"elapsed_us\":");
@@ -171,10 +176,6 @@ impl QueryReply {
                     out.push('}');
                 }
                 out.push(']');
-            }
-            (op, _) => {
-                out.push(',');
-                result_fields(&mut out, op, first, self.elapsed, |_| {});
             }
         }
         out.push('}');
