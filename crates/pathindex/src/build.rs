@@ -161,11 +161,7 @@ fn enumerate_into(
     dist: Option<&[u32]>,
 ) {
     let config = index.config().clone();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        config.threads
-    };
+    let threads = if config.threads == 0 { pegpool::machine_lanes() } else { config.threads };
     let threads = threads.clamp(1, starts.len().max(1));
     if threads == 1 {
         let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {

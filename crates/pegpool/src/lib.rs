@@ -105,8 +105,8 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `lanes` compute lanes (`0` = available
-    /// parallelism). The submitting thread always participates, so
+    /// Creates a pool with `lanes` compute lanes (`0` =
+    /// [`machine_lanes`]). The submitting thread always participates, so
     /// `lanes - 1` OS workers are spawned; one lane means fully inline
     /// execution with no worker threads at all.
     pub fn new(lanes: usize) -> Self {
@@ -282,9 +282,19 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// The machine's parallelism, resolved once per process: the lane count
+/// `0` stands for, and the ceiling the serving layer clamps a client's
+/// `threads` to. `available_parallelism` reads cgroup files on every call
+/// (≈10–20 µs), too dear for a per-request path, so the first call's
+/// answer is kept; a CPU quota or affinity change after that is not seen.
+pub fn machine_lanes() -> usize {
+    static LANES: OnceLock<usize> = OnceLock::new();
+    *LANES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 fn resolve_lanes(requested: usize) -> usize {
     if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        machine_lanes()
     } else {
         requested
     }
@@ -415,6 +425,14 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("a pool drop is stuck joining a worker that missed its wakeup");
         }
+    }
+
+    #[test]
+    fn machine_lanes_is_the_available_parallelism() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(machine_lanes(), machine);
+        assert_eq!(resolve_lanes(0), machine);
+        assert_eq!(resolve_lanes(3), 3);
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn require_graph(req: &Json) -> Result<String, ProtoError> {
 }
 
 fn machine_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    pegpool::machine_lanes()
 }
 
 /// Per-query lanes default to 1: a multi-client server gets its
@@ -718,7 +718,7 @@ mod tests {
             _ => panic!("decoded wrong variant"),
         };
         assert_eq!(q.limit, MAX_RESULT_MATCHES);
-        assert!(q.threads <= std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+        assert_eq!(q.threads, pegpool::machine_lanes());
         assert_eq!(q.alpha, 0.5);
         // Load ceilings hold at decode, before any build work.
         for bad in [
