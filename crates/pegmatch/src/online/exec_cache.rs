@@ -9,24 +9,23 @@
 //! all of that: the session base ([`SessionBase`]), a [`KPartiteGraph`]
 //! joined and reduced to fixpoint at a **floor threshold**, plus the stage
 //! counts of the build that made it. A hit installs the shared graph as
-//! the session's base; [`QuerySession::run_at`] then generates from it
-//! directly at the floor, or refines a copy with a few incremental
-//! reduction rounds above it. A hit touches no source, no index and no
-//! scatter.
+//! the session's base, and [`QuerySession::run_at`] generates from it in
+//! place at any threshold at or above the floor: no copy, no reduction
+//! rounds. A hit touches no source, no index and no scatter.
 //!
 //! # Soundness of floor-threshold reuse
 //!
 //! A base reduced at threshold `f` answers every `α ≥ f` bit-identically
-//! to a from-scratch run at `α` — the ascending-α reuse top-k refinement
-//! is built on ([`QuerySession::run_at`]; pinned by
-//! `tests/reduction_frontier_equivalence.rs` and
-//! `tests/topk_incremental.rs`). Retrieval, pruning and the join's link
-//! test at `f` keep a superset of what they keep at `α`, every vertex the
-//! reduction kills at `f` is dead at `α`, and the incremental reduction
-//! continues from the converged perception bounds, which stay upper bounds
-//! on any extension's probability. Generation then re-checks every match
-//! exactly, in the canonical candidate order the base shares with a cold
-//! build, so matches, their bits and any `limit` prefix agree.
+//! to a from-scratch run at `α`. Retrieval, pruning and the join's link
+//! test at `f` keep a superset of what they keep at `α`, and every vertex
+//! the reduction kills at `f` is dead at `α`. What a reduction at `α`
+//! would remove on top can be in no match with `Pr ≥ α`; generation
+//! re-checks every match exactly, and walks the link lists in the
+//! ascending candidate order the base shares with a cold build, so the
+//! vertices left over are skipped without reordering the rest. Matches,
+//! their bits and any `limit` prefix agree (see [`QuerySession::run_at`];
+//! pinned by `tests/exec_cache_equivalence.rs` and
+//! `tests/exec_cache_hits_in_place.rs`).
 //!
 //! The floor is the query's `α` **quantized down to a power of two**
 //! ([`floor_alpha`]) and clamped at the index build threshold `β`: a

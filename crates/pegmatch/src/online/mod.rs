@@ -154,15 +154,17 @@ pub struct PipelineStats {
     pub total_time: Duration,
     /// Threshold the session base serving this run was converged at.
     pub base_alpha: f64,
-    /// True when this run reused an existing session base (pure reuse or
-    /// incremental refinement) instead of building one — the session's
-    /// own, or one from an attached [`ExecCache`].
+    /// True when this run reused an existing session base instead of
+    /// building one: the session's own (read in place, or refined
+    /// incrementally above its threshold), or one from an attached
+    /// [`ExecCache`] (always read in place).
     pub base_reused: bool,
     /// True when the base serving this run came from an attached
     /// [`ExecCache`] (floor-threshold reuse) instead of being built. When
     /// set, the stage counts describe the cached floor build —
     /// bit-identical to what a cold build at the floor reports — and
-    /// retrieval and the join did not run.
+    /// retrieval, the join and the reduction did not run: the reduction
+    /// counters and `reduction_time` are 0 at any threshold.
     pub exec_cache_hit: bool,
 }
 

@@ -20,7 +20,9 @@
 //! attached, a base built at the shape's floor threshold is shared by
 //! every later query of that shape at or above the floor, and a hit
 //! installs it as the session's base without touching the candidate
-//! source (see [`crate::online::exec_cache`]).
+//! source (see [`crate::online::exec_cache`]). A hit is not refined:
+//! match generation re-checks every candidate exactly, so it reads the
+//! shared graph in place at any threshold above the floor.
 
 use crate::error::PegError;
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey, Lookup};
@@ -135,9 +137,12 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// With an execution cache attached (and a plan carrying its canonical
     /// form), the base may instead sit at the shape's floor threshold
     /// [`floor_alpha`]`(alpha, β)`, below `alpha`: a hit installs the
-    /// cached floor base, and a miss on a shape the cache has seen before
+    /// cached floor base, which `run_at` then generates from in place with
+    /// no refinement, and a miss on a shape the cache has seen before
     /// builds the base at the floor and caches it. A miss on a shape seen
     /// for the first time builds at `alpha`, exactly as without a cache.
+    /// A hit's stats are the cached build's counts with this call's times:
+    /// the lookup as `candidates_time`, zero join and reduction time.
     pub fn rebase(&mut self, alpha: f64) -> Result<(), PegError> {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PegError::Invalid(format!("threshold {alpha} out of range")));
@@ -270,22 +275,37 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// Builds the base (see [`QuerySession::rebase`]) when none exists or
     /// the existing base sits above `alpha`; otherwise reuses it. Exactly at
     /// the base threshold the converged state is final and generation reads
-    /// the base graph in place; above it the session refines a copy
-    /// incrementally (kills by converged bound, cascades, continues Jacobi
-    /// rounds). The returned [`PipelineStats::message_rounds`] counts only
-    /// rounds this call executed, which is what the incremental top-k
-    /// saves.
+    /// the base graph in place. Above it, a base this session built itself
+    /// (top-k's rebases, an admission built at the cache floor) is refined
+    /// on a copy incrementally (kills by converged bound, cascades,
+    /// continues Jacobi rounds); a base installed from the execution cache
+    /// is never copied or refined, and generation reads the shared graph in
+    /// place at any `alpha` above its floor. The returned
+    /// [`PipelineStats::message_rounds`] counts only rounds this call
+    /// executed, which is what the incremental top-k saves.
+    ///
+    /// Skipping the refinement cannot change the answer:
+    /// - refinement at `alpha` only removes vertices and links that can be
+    ///   in no match with `Pr ≥ alpha`;
+    /// - the walk visits link lists in ascending vertex order, and removing
+    ///   entries never reorders the ones left;
+    /// - generation re-checks `∏ w1 · Prn ≥ alpha` at every depth.
+    ///
+    /// So the listing is the same, including the prefix a `limit` cut
+    /// keeps, f64 bit for bit. The refinement only changes how much of the
+    /// tree generation walks.
     ///
     /// Stats caveat for base-reusing calls — a session's own earlier base
     /// or an execution-cache hit, both [`PipelineStats::base_reused`]: the
-    /// stage counters (raw/context counts, and for pure reuse the search
-    /// space numbers) describe the *base build* that serves this threshold
-    /// — i.e. the work and search space the session actually processed, at
-    /// [`PipelineStats::base_alpha`] — not a hypothetical from-scratch run
-    /// at `alpha`. On a cache hit the stage times are this call's: the
-    /// lookup as `candidates_time`, no join, and only the refinement as
-    /// `reduction_time`. [`PipelineStats::total_time`] covers only this
-    /// call.
+    /// stage counters (raw/context counts, and without a refinement the
+    /// search space numbers) describe the *base build* that serves this
+    /// threshold — i.e. the work and search space the session actually
+    /// processed, at [`PipelineStats::base_alpha`] — not a hypothetical
+    /// from-scratch run at `alpha`. On a cache hit the stage times are this
+    /// call's: the lookup as `candidates_time`, and no join and no reduction
+    /// (`message_rounds`, `removed_*`, `frontier_evals` and
+    /// `reduction_time` are 0; `final_counts` and `log10_ss_final` are the
+    /// floor base's). [`PipelineStats::total_time`] covers only this call.
     pub fn run_at(&mut self, alpha: f64, limit: Option<usize>) -> Result<QueryResult, PegError> {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PegError::Invalid(format!("threshold {alpha} out of range")));
@@ -315,13 +335,15 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             stats.round_frontiers = Vec::new();
             stats.reduction_time = Duration::ZERO;
         }
-        // The refined graph when `alpha` sits strictly above the base (a
-        // reused base, or one built at the cache floor) and there is
-        // reduction work to do; without reduction the base graph answers
-        // any higher threshold as-is (generation re-filters exactly), so no
-        // copy is made. Its work adds to whatever this call already did.
-        let refined: Option<KPartiteGraph> = if alpha > base.alpha + EPS && self.opts.use_reduction
-        {
+        // The refined graph when `alpha` sits strictly above a base this
+        // session built (a reused base, or one built at the cache floor)
+        // and there is reduction work to do. A cached base, like a graph
+        // built without reduction, answers any higher threshold as-is
+        // (generation re-checks exactly), so no copy is made. The
+        // refinement's work adds to whatever this call already did.
+        let refine =
+            alpha > base.alpha + EPS && self.opts.use_reduction && !base.stats.exec_cache_hit;
+        let refined: Option<KPartiteGraph> = if refine {
             let span = self.tracer.stage("reduce");
             span.tag("incremental", true);
             span.tag("base_alpha", base.alpha);

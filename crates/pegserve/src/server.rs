@@ -1334,13 +1334,11 @@ fn note_query(
         if let Some(result) = &answer.result {
             m.queries.incr();
             // Only stages that ran leave a sample: an execution-cache hit
-            // retrieved and joined nothing, and reduced only to refine.
+            // retrieved, joined and reduced nothing.
             let s = &result.stats;
             if !s.exec_cache_hit {
                 m.retrieve.record(s.candidates_time);
                 m.join.record(s.join_time);
-            }
-            if !s.exec_cache_hit || !s.reduction_time.is_zero() {
                 m.reduce.record(s.reduction_time);
             }
             m.generate.record(result.stats.generation_time);
@@ -2174,8 +2172,8 @@ mod tests {
         // bit (matches carry f64s; the in-tree JSON round trip is
         // bit-exact). The first query is a first sight and the second
         // admits the shape. Alphas 0.3 and 0.35 share a quantization
-        // bucket (both floor to the same key), so the 0.35 query refines
-        // the cached base incrementally instead of repeating it.
+        // bucket (both floor to the same key), so the 0.35 query generates
+        // from the cached base in place, above its floor.
         for q in [
             r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#,
             r#"{"op":"query","pattern":"(x:l0)-(y:l1)","alpha":0.3}"#,

@@ -26,9 +26,11 @@ fn counts(v: &[usize]) -> Json {
 /// through the three pruning stages, log10 search-space sizes, reduction
 /// work, and per-stage wall times in microseconds. `candidates_us` is
 /// the retrieval + context-pruning cost — on an execution-cache hit
-/// (`exec_cache_hit: true`) it reports the cache lookup, `join_us` is 0
-/// and `reduction_us` only the refinement above the cached base: the work
-/// actually done. The counts are the cached build's, at `base_alpha`.
+/// (`exec_cache_hit: true`) it reports the cache lookup, and `join_us`,
+/// `reduction_us` and the reduction counters (`message_rounds`,
+/// `removed_*`, `frontier_evals`) are 0: a hit generates from the cached
+/// base in place. The other counts are the cached build's, at
+/// `base_alpha`.
 pub fn pipeline_json(s: &PipelineStats) -> Json {
     obj()
         .field("n_paths", s.n_paths)
