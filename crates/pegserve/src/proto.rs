@@ -167,17 +167,13 @@ fn require_graph(req: &Json) -> Result<String, ProtoError> {
     field_graph(req)?.ok_or_else(|| bad("missing \"graph\""))
 }
 
-fn machine_cores() -> usize {
-    pegpool::machine_lanes()
-}
-
 /// Per-query lanes default to 1: a multi-client server gets its
 /// parallelism across sessions; `threads: 0` opts one query into all
 /// cores. Clamped to the machine's parallelism — an unbounded client
 /// value would otherwise spawn that many OS threads and leak a
 /// persistent pool per distinct count.
 fn query_threads(req: &Json) -> Result<usize, ProtoError> {
-    Ok(field_usize(req, "threads", 1)?.min(machine_cores()))
+    Ok(field_usize(req, "threads", 1)?.min(pegpool::machine_lanes()))
 }
 
 /// Workers default to all cores (`threads: 0`): a shard worker is a
@@ -186,7 +182,7 @@ fn query_threads(req: &Json) -> Result<usize, ProtoError> {
 fn worker_threads(req: &Json) -> Result<usize, ProtoError> {
     Ok(match field_usize(req, "threads", 0)? {
         0 => 0,
-        t => t.min(machine_cores()),
+        t => t.min(pegpool::machine_lanes()),
     })
 }
 
