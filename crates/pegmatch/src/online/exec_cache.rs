@@ -29,7 +29,7 @@
 //!
 //! The floor is the query's `α` **quantized down to a power of two**
 //! ([`floor_alpha`]) and clamped at the index build threshold `β`: a
-//! ladder of nearby thresholds (top-k refinement steps, jittered serving
+//! ladder of nearby thresholds (top-k threshold steps, jittered serving
 //! mixes) collapses onto a handful of cache entries, while the clamp keeps
 //! a cached retrieval in the same index-vs-enumeration regime as every
 //! query it serves.

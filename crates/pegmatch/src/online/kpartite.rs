@@ -339,8 +339,8 @@ impl KPartiteGraph {
         stats.log10_after_structure = self.log10_search_space();
         if opts.use_upperbounds {
             // The first prune of a reduce call re-checks every alive bound:
-            // α may differ from whatever threshold this graph (or the base
-            // it was cloned from) last converged at.
+            // α may differ from whatever threshold this graph last
+            // converged at.
             let mut scan_all_bounds = true;
             loop {
                 let killed = self.upperbound_pass(alpha, opts, &mut stats, span, scan_all_bounds);

@@ -4,8 +4,8 @@
 //!   decomposition, per-path statistics, join order. Shareable across
 //!   calls through a [`PlanCache`] keyed by canonical query shape.
 //! * [`QuerySession`] ([`session`]) — per-execution state: pruned
-//!   candidates, the k-partite graph, and its alpha-monotone incremental
-//!   reduction base.
+//!   candidates and the reduced k-partite graph, a base that answers
+//!   every threshold at or above its own (alpha-monotone).
 //! * [`QueryPipeline`] — thin `run` / `run_limited` / `run_topk` drivers
 //!   over prepare + session.
 
@@ -155,9 +155,9 @@ pub struct PipelineStats {
     /// Threshold the session base serving this run was converged at.
     pub base_alpha: f64,
     /// True when this run reused an existing session base instead of
-    /// building one: the session's own (read in place, or refined
-    /// incrementally above its threshold), or one from an attached
-    /// [`ExecCache`] (always read in place).
+    /// building one: the session's own, or one from an attached
+    /// [`ExecCache`]. Either is read in place at any threshold at or above
+    /// its own, and the reduction counters and `reduction_time` are 0.
     pub base_reused: bool,
     /// True when the base serving this run came from an attached
     /// [`ExecCache`] (floor-threshold reuse) instead of being built. When
@@ -654,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn session_incremental_refinement_is_bit_exact() {
+    fn session_reused_base_is_bit_exact() {
         let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
         let (a, r, i) = (Label(0), Label(1), Label(2));
         let q = crate::query::QueryGraph::path(&[r, a, i]).unwrap();
@@ -663,12 +663,13 @@ mod tests {
         let opts = QueryOptions::default();
         let prepared = pipe.prepare(&q, 0.01, &opts).unwrap();
 
-        // One session based low, refined upward; fresh sessions per alpha.
+        // One session based low, reused upward; fresh sessions per alpha.
         let mut session = pipe.session(&prepared, &opts);
         session.rebase(0.01).unwrap();
         for alpha in [0.01, 0.05, 0.1, 0.2, 0.5] {
             let inc = session.run_at(alpha, None).unwrap();
-            assert!(inc.stats.base_reused || alpha == 0.01);
+            assert!(inc.stats.base_reused);
+            assert_eq!(inc.stats.message_rounds, 0, "alpha={alpha}");
             let mut fresh = pipe.session(&prepared, &opts);
             let scratch = fresh.run_at(alpha, None).unwrap();
             assert!(!scratch.stats.base_reused);

@@ -4,25 +4,18 @@
 //! candidates, the candidate k-partite graph, and its reduction state. The
 //! session's *base* ([`SessionBase`]) is that state converged at some
 //! threshold `base_alpha`; any query threshold `alpha ≥ base_alpha` is
-//! then answered **alpha-monotone incrementally**: raising the threshold
-//! keeps the base's kill lists and perception bounds, kills exactly the
-//! vertices whose converged upper bound falls below the new alpha, and
-//! continues Jacobi rounds from the converged state instead of rebuilding.
-//! Soundness is the same argument as the from-scratch reduction
-//! (perception fixpoints are upper bounds on any extension's probability,
-//! and every vertex dead at `base_alpha` is dead at any higher threshold),
-//! and match generation re-checks every candidate exactly, so results are
-//! byte-identical to a from-scratch run over the same plan — the
-//! incremental path only changes how much reduction work a refinement
-//! pays.
+//! then answered **alpha-monotone** from it: the base graph is a sound
+//! superset of the one a from-scratch reduction at `alpha` would leave
+//! (every vertex dead at `base_alpha` is dead at any higher threshold),
+//! and match generation re-checks every candidate exactly, so generating
+//! from the base in place gives results byte-identical to a from-scratch
+//! run over the same plan — with no copy and no reduction round.
 //!
 //! The same reuse serves across sessions: with an execution cache
 //! attached, a base built at the shape's floor threshold is shared by
 //! every later query of that shape at or above the floor, and a hit
 //! installs it as the session's base without touching the candidate
-//! source (see [`crate::online::exec_cache`]). A hit is not refined:
-//! match generation re-checks every candidate exactly, so it reads the
-//! shared graph in place at any threshold above the floor.
+//! source (see [`crate::online::exec_cache`]).
 
 use crate::error::PegError;
 use crate::online::exec_cache::{floor_alpha, ExecCache, ExecKey, Lookup};
@@ -131,14 +124,13 @@ impl<'a, 'p> QuerySession<'a, 'p> {
 
     /// (Re)builds the base at `alpha`: raw retrieval, context pruning,
     /// k-partite construction, and reduction to fixpoint. Subsequent
-    /// [`QuerySession::run_at`] calls at thresholds `≥ alpha` refine this
-    /// state incrementally; a call below `alpha` triggers another rebase.
+    /// [`QuerySession::run_at`] calls at thresholds `≥ alpha` generate from
+    /// this state in place; a call below `alpha` triggers another rebase.
     ///
     /// With an execution cache attached (and a plan carrying its canonical
     /// form), the base may instead sit at the shape's floor threshold
     /// [`floor_alpha`]`(alpha, β)`, below `alpha`: a hit installs the
-    /// cached floor base, which `run_at` then generates from in place with
-    /// no refinement, and a miss on a shape the cache has seen before
+    /// cached floor base, and a miss on a shape the cache has seen before
     /// builds the base at the floor and caches it. A miss on a shape seen
     /// for the first time builds at `alpha`, exactly as without a cache.
     /// A hit's stats are the cached build's counts with this call's times:
@@ -273,39 +265,36 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// optionally capped at `limit`).
     ///
     /// Builds the base (see [`QuerySession::rebase`]) when none exists or
-    /// the existing base sits above `alpha`; otherwise reuses it. Exactly at
-    /// the base threshold the converged state is final and generation reads
-    /// the base graph in place. Above it, a base this session built itself
-    /// (top-k's rebases, an admission built at the cache floor) is refined
-    /// on a copy incrementally (kills by converged bound, cascades,
-    /// continues Jacobi rounds); a base installed from the execution cache
-    /// is never copied or refined, and generation reads the shared graph in
-    /// place at any `alpha` above its floor. The returned
-    /// [`PipelineStats::message_rounds`] counts only rounds this call
-    /// executed, which is what the incremental top-k saves.
+    /// the existing base sits above `alpha`; otherwise reuses it. Either
+    /// way generation reads the base graph in place — the session's own
+    /// (top-k's rebases, an admission built at the cache floor) or one
+    /// shared from the execution cache — at any `alpha` at or above the
+    /// base threshold. Nothing is copied and no reduction round runs on a
+    /// reused base, so [`PipelineStats::message_rounds`] is 0 whenever
+    /// [`PipelineStats::base_reused`] is set.
     ///
-    /// Skipping the refinement cannot change the answer:
-    /// - refinement at `alpha` only removes vertices and links that can be
-    ///   in no match with `Pr ≥ alpha`;
+    /// Generating from a base below `alpha` cannot change the answer:
+    /// - reducing again at `alpha` would only remove vertices and links
+    ///   that can be in no match with `Pr ≥ alpha`;
     /// - the walk visits link lists in ascending vertex order, and removing
     ///   entries never reorders the ones left;
     /// - generation re-checks `∏ w1 · Prn ≥ alpha` at every depth.
     ///
-    /// So the listing is the same, including the prefix a `limit` cut
-    /// keeps, f64 bit for bit. The refinement only changes how much of the
-    /// tree generation walks.
+    /// So the listing is the same as a from-scratch run at `alpha`,
+    /// including the prefix a `limit` cut keeps, f64 bit for bit. Only how
+    /// much of the tree generation walks differs.
     ///
     /// Stats caveat for base-reusing calls — a session's own earlier base
     /// or an execution-cache hit, both [`PipelineStats::base_reused`]: the
-    /// stage counters (raw/context counts, and without a refinement the
-    /// search space numbers) describe the *base build* that serves this
-    /// threshold — i.e. the work and search space the session actually
-    /// processed, at [`PipelineStats::base_alpha`] — not a hypothetical
-    /// from-scratch run at `alpha`. On a cache hit the stage times are this
-    /// call's: the lookup as `candidates_time`, and no join and no reduction
-    /// (`message_rounds`, `removed_*`, `frontier_evals` and
-    /// `reduction_time` are 0; `final_counts` and `log10_ss_final` are the
-    /// floor base's). [`PipelineStats::total_time`] covers only this call.
+    /// stage counters (raw/context counts, `final_counts` and the search
+    /// space numbers) describe the *base build* that serves this threshold
+    /// — i.e. the work and search space the session actually processed, at
+    /// [`PipelineStats::base_alpha`] — not a hypothetical from-scratch run
+    /// at `alpha`. The reduction counters (`message_rounds`, `removed_*`,
+    /// `frontier_evals`) and `reduction_time` are 0. On a cache hit the
+    /// other stage times are this call's too: the lookup as
+    /// `candidates_time`, and no join. [`PipelineStats::total_time`] covers
+    /// only this call.
     pub fn run_at(&mut self, alpha: f64, limit: Option<usize>) -> Result<QueryResult, PegError> {
         if !(0.0..=1.0).contains(&alpha) {
             return Err(PegError::Invalid(format!("threshold {alpha} out of range")));
@@ -326,7 +315,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         // session's own.
         stats.base_reused = !needs_base || stats.exec_cache_hit;
         if stats.base_reused {
-            // No reduction work has happened in this call yet.
+            // This call did no reduction work.
             stats.message_rounds = 0;
             stats.removed_structure = 0;
             stats.removed_upperbound = 0;
@@ -335,39 +324,10 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             stats.round_frontiers = Vec::new();
             stats.reduction_time = Duration::ZERO;
         }
-        // The refined graph when `alpha` sits strictly above a base this
-        // session built (a reused base, or one built at the cache floor)
-        // and there is reduction work to do. A cached base, like a graph
-        // built without reduction, answers any higher threshold as-is
-        // (generation re-checks exactly), so no copy is made. The
-        // refinement's work adds to whatever this call already did.
-        let refine =
-            alpha > base.alpha + EPS && self.opts.use_reduction && !base.stats.exec_cache_hit;
-        let refined: Option<KPartiteGraph> = if refine {
-            let span = self.tracer.stage("reduce");
-            span.tag("incremental", true);
-            span.tag("base_alpha", base.alpha);
-            let mut kp = KPartiteGraph::clone(&base.kp);
-            let r = kp.reduce_traced(alpha, &self.reduce_opts(&pool), &span);
-            stats.message_rounds += r.rounds;
-            stats.removed_structure += r.removed_structure;
-            stats.removed_upperbound += r.removed_upperbound;
-            stats.frontier_evals += r.frontier_evals;
-            stats.full_evals_avoided += r.full_evals_avoided;
-            stats.round_frontiers.extend(r.round_frontiers.iter().map(|f| f.evals));
-            stats.log10_ss_after_structure = r.log10_after_structure;
-            stats.final_counts = kp.alive_counts();
-            stats.log10_ss_final = kp.log10_search_space();
-            span.tag("rounds", r.rounds);
-            span.tag("frontier_evals", r.frontier_evals);
-            stats.reduction_time += span.finish();
-            Some(kp)
-        } else {
-            None
-        };
-        let kp = refined.as_ref().unwrap_or(&*base.kp);
 
-        // 5. Match generation over the plan's join order (seed-parallel).
+        // 5. Match generation over the plan's join order (seed-parallel),
+        // straight off the base graph at any `alpha` at or above its
+        // threshold.
         let span = self.tracer.stage("generate");
         span.tag("alpha", alpha);
         span.tag("base_reused", stats.base_reused);
@@ -375,7 +335,7 @@ impl<'a, 'p> QuerySession<'a, 'p> {
             self.peg,
             &self.prepared.query,
             &self.prepared.decomp,
-            kp,
+            &base.kp,
             &self.prepared.order,
             alpha,
             limit,
@@ -400,13 +360,12 @@ impl<'a, 'p> QuerySession<'a, 'p> {
     /// matches above the threshold, the best `k` of a sufficiently large
     /// result set are the global top-k.
     ///
-    /// Refinement is incremental: when the threshold drops below the
+    /// The steps share one session: when the threshold drops below the
     /// session base the base is rebuilt one geometric step *ahead* of
-    /// schedule — so at most every other refinement pays candidate
-    /// pruning, k-partite construction, and reduction convergence; the
-    /// others reuse the converged base (alpha-monotone: at the base
-    /// threshold outright, and above it by continuing from the converged
-    /// state).
+    /// schedule — so at most every other step pays candidate pruning,
+    /// k-partite construction, and reduction convergence; the others
+    /// generate from the converged base in place (alpha-monotone, see
+    /// [`QuerySession::run_at`]).
     ///
     /// Returns matches sorted by descending probability (ties broken by
     /// node ids); the stats are those of the final run — where that run
@@ -425,8 +384,8 @@ impl<'a, 'p> QuerySession<'a, 'p> {
         loop {
             if let Some(base) = self.base_alpha() {
                 if alpha + 1e-12 < base {
-                    // Rebase with one step of lookahead; the next
-                    // refinement (if any) reuses this base outright.
+                    // Rebase with one step of lookahead; the next step
+                    // (if any) reuses this base outright.
                     self.rebase((alpha * 0.25).max(floor))?;
                 }
             }

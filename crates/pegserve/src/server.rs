@@ -2257,10 +2257,8 @@ mod tests {
             }
             assert_eq!(query.get("truncated"), Some(&Json::Bool(true)), "{graph}: {query}");
             // One clock per stage: the number a stage reports in the
-            // `plan` / `pipeline` blocks is what its spans carry. A stage
-            // can run twice (an admission reduces at the cache floor, then
-            // refines above it) or not at all (a hit joins nothing); each
-            // span's microseconds are truncated on their own.
+            // `plan` / `pipeline` blocks is what its span carries. A stage
+            // runs once or not at all (a hit joins and reduces nothing).
             let span = shard_wire::decode_span(explain.get("span").unwrap()).unwrap();
             assert_eq!(span.name, "request");
             let us = |block: &str, key: &str| {
@@ -2279,13 +2277,9 @@ mod tests {
                     .filter(|c| c.name == stage)
                     .map(|c| c.elapsed_us)
                     .collect();
-                let sum: u64 = spans.iter().sum();
-                let got = us("pipeline", stat);
-                let slack = spans.len().saturating_sub(1) as u64;
-                assert!(
-                    (sum..=sum + slack).contains(&got),
-                    "{graph}: {stat} {got} vs {stage} spans {spans:?}"
-                );
+                assert!(spans.len() <= 1, "{graph}: {stage} spans {spans:?}");
+                let want = spans.first().copied().unwrap_or(0);
+                assert_eq!(us("pipeline", stat), want, "{graph}: {stat} vs {stage} span");
             }
         }
         // Planning and the admission wait are histogrammed for every
