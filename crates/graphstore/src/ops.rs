@@ -14,7 +14,7 @@
 //! success (the serving layer does exactly that).
 
 use crate::dist::{EdgeProbability, LabelDist};
-use crate::refgraph::{EntityRef, RefGraph, RefId};
+use crate::refgraph::{RefGraph, RefId};
 
 /// One live mutation. Edge probabilities are independent-form here;
 /// label-conditional edge updates stay a build-time feature.
@@ -62,21 +62,28 @@ impl RefGraph {
         Ok(())
     }
 
-    /// Every entity (live or dead) whose member list contains `r`.
+    /// Every entity (live or dead) whose member list contains `r`: its
+    /// singleton, then the declared sets holding it, in creation order.
     fn entities_containing(&self, r: RefId, touched: &mut Vec<u32>) {
         touched.push(self.singleton_entity(r));
-        for (i, ent) in self.entities().iter().enumerate() {
-            if let EntityRef::Set(s) = ent {
-                if self.ref_set(*s).members.contains(&r) {
-                    touched.push(i as u32);
-                }
-            }
-        }
+        touched.extend_from_slice(self.sets_containing(r));
     }
 
     /// Validates and applies one mutation, appending the entity ids it
     /// directly touched to `touched`. On `Err` the graph is unchanged.
     pub fn apply(&mut self, op: &GraphOp, touched: &mut Vec<u32>) -> Result<(), String> {
+        self.apply_with(op, touched, Self::entities_containing)
+    }
+
+    /// [`RefGraph::apply`] with the lookup of the entities containing a
+    /// reference passed in, so a test can run the same ops through the
+    /// scan the lookup replaced.
+    fn apply_with(
+        &mut self,
+        op: &GraphOp,
+        touched: &mut Vec<u32>,
+        entities_containing: fn(&Self, RefId, &mut Vec<u32>),
+    ) -> Result<(), String> {
         match op {
             GraphOp::UpsertRef { r, labels } => {
                 let n_labels = self.label_table().len();
@@ -97,7 +104,7 @@ impl RefGraph {
                     Some(r) => {
                         self.live_ref(*r, "reference")?;
                         self.replace_ref_labels(*r, dist);
-                        self.entities_containing(*r, touched);
+                        entities_containing(self, *r, touched);
                     }
                 }
             }
@@ -113,9 +120,9 @@ impl RefGraph {
                         partners.push(e.a);
                     }
                 }
-                self.entities_containing(*r, touched);
+                entities_containing(self, *r, touched);
                 for p in partners {
-                    self.entities_containing(p, touched);
+                    entities_containing(self, p, touched);
                 }
                 self.delete_ref(*r);
             }
@@ -127,8 +134,8 @@ impl RefGraph {
                 }
                 finite_in(*p, 0.0, 1.0, "edge probability")?;
                 self.add_edge(*a, *b, EdgeProbability::Independent(*p));
-                self.entities_containing(*a, touched);
-                self.entities_containing(*b, touched);
+                entities_containing(self, *a, touched);
+                entities_containing(self, *b, touched);
             }
             GraphOp::DeleteEdge { a, b } => {
                 self.live_ref(*a, "edge endpoint")?;
@@ -136,8 +143,8 @@ impl RefGraph {
                 if !self.delete_edge(*a, *b) {
                     return Err(format!("no edge between {a:?} and {b:?}"));
                 }
-                self.entities_containing(*a, touched);
-                self.entities_containing(*b, touched);
+                entities_containing(self, *a, touched);
+                entities_containing(self, *b, touched);
             }
             GraphOp::UpsertSet { members, weight } => {
                 finite_in(*weight, 0.0, f64::MAX, "set weight")?;
@@ -221,6 +228,92 @@ impl RefGraph {
 mod tests {
     use super::*;
     use crate::labels::{Label, LabelTable};
+    use crate::refgraph::EntityRef;
+    use proptest::prelude::*;
+
+    impl RefGraph {
+        /// The walk [`RefGraph::sets_containing`] replaced: every entity of
+        /// the creation log whose members hold `r`. The oracle the lookup
+        /// is checked against.
+        fn entities_containing_scan(&self, r: RefId, touched: &mut Vec<u32>) {
+            touched.push(self.singleton_entity(r));
+            for (i, ent) in self.entities().iter().enumerate() {
+                if let EntityRef::Set(s) = ent {
+                    if self.ref_set(*s).members.contains(&r) {
+                        touched.push(i as u32);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Picks an op of any of the eight kinds from `pick`, valid or not
+    /// against `g` (failed ops must fail alike on both paths).
+    fn draw_op(g: &RefGraph, pick: &[u32]) -> GraphOp {
+        let n = g.n_refs() as u32;
+        let r = |i: usize| RefId(pick[i] % n);
+        let members = vec![r(1), r(2), r(3)];
+        match pick[0] % 8 {
+            0 => GraphOp::UpsertRef {
+                r: pick[4].is_multiple_of(2).then(|| r(1)),
+                labels: vec![(0, 0.5), (1, 0.5)],
+            },
+            1 => GraphOp::DeleteRef { r: r(1) },
+            2 => GraphOp::UpsertEdge { a: r(1), b: r(2), p: 0.6 },
+            3 => GraphOp::DeleteEdge { a: r(1), b: r(2) },
+            4 => GraphOp::UpsertSet { members, weight: 0.7 },
+            5 => {
+                // Mostly a live set, so deletions do happen.
+                let live: Vec<&Vec<RefId>> = (0..g.ref_sets().len())
+                    .filter(|&j| g.set_is_alive(crate::refgraph::RefSetId(j as u32)))
+                    .map(|j| &g.ref_sets()[j].members)
+                    .collect();
+                match live.is_empty() {
+                    true => GraphOp::DeleteSet { members },
+                    false => {
+                        GraphOp::DeleteSet { members: live[pick[4] as usize % live.len()].clone() }
+                    }
+                }
+            }
+            6 => GraphOp::SetSingletonWeight { r: r(1), weight: 0.4 },
+            _ => GraphOp::PairPosterior { a: r(1), b: r(2), q: 0.3 },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The lookup reports exactly what the scan did, op by op and for
+        /// a whole batch through `apply_all`.
+        #[test]
+        fn touched_lists_equal_the_scan(
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..1000, 5), 1..40),
+        ) {
+            let mut fast = two_label_graph();
+            let mut scan = fast.clone();
+            let start = fast.clone();
+            let mut ops = Vec::new();
+            for pick in &picks {
+                let op = draw_op(&fast, pick);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let ra = fast.apply(&op, &mut a);
+                let rb = scan.apply_with(&op, &mut b, RefGraph::entities_containing_scan);
+                prop_assert_eq!(ra.is_ok(), rb.is_ok(), "{:?}", op);
+                prop_assert_eq!(&a, &b, "{:?}", op);
+                if ra.is_ok() {
+                    ops.push(op);
+                }
+            }
+            let mut want = Vec::new();
+            let mut replay = start.clone();
+            for op in &ops {
+                replay.apply_with(op, &mut want, RefGraph::entities_containing_scan).unwrap();
+            }
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(start.clone().apply_all(&ops).unwrap(), want);
+        }
+    }
 
     fn two_label_graph() -> RefGraph {
         let table = LabelTable::from_names(["x", "y"]);

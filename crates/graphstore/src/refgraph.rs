@@ -101,6 +101,9 @@ pub struct RefGraph {
     singleton_pos: Vec<u32>,
     /// Creation-log position of each declared set's entity.
     set_pos: Vec<u32>,
+    /// Per reference, the creation-log positions of the declared sets
+    /// containing it (live or dead), ascending.
+    containing_sets: Vec<Vec<u32>>,
 }
 
 impl RefGraph {
@@ -118,6 +121,7 @@ impl RefGraph {
             set_alive: Vec::new(),
             singleton_pos: Vec::new(),
             set_pos: Vec::new(),
+            containing_sets: Vec::new(),
         }
     }
 
@@ -133,6 +137,7 @@ impl RefGraph {
         self.refs.push(RefNode { labels });
         self.ref_alive.push(true);
         self.singleton_pos.push(self.entities.len() as u32);
+        self.containing_sets.push(Vec::new());
         self.entities.push(EntityRef::Singleton(id));
         id
     }
@@ -166,9 +171,13 @@ impl RefGraph {
         assert!(members.iter().all(|r| r.idx() < self.refs.len()), "member out of range");
         assert!(weight >= 0.0, "negative set weight");
         let id = RefSetId(self.sets.len() as u32);
+        let pos = self.entities.len() as u32;
+        for m in &members {
+            self.containing_sets[m.idx()].push(pos);
+        }
         self.sets.push(RefSet { members, weight });
         self.set_alive.push(true);
-        self.set_pos.push(self.entities.len() as u32);
+        self.set_pos.push(pos);
         self.entities.push(EntityRef::Set(id));
         id
     }
@@ -284,6 +293,12 @@ impl RefGraph {
     /// Entity id of declared set `s`.
     pub fn set_entity(&self, s: RefSetId) -> u32 {
         self.set_pos[s.0 as usize]
+    }
+
+    /// Entity ids of the declared sets containing `r`, live or dead, in
+    /// creation order (the singleton `{r}` is [`RefGraph::singleton_entity`]).
+    pub fn sets_containing(&self, r: RefId) -> &[u32] {
+        &self.containing_sets[r.idx()]
     }
 
     /// Tombstones reference `r` and removes its incident edges. The
