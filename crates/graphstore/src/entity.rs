@@ -89,6 +89,11 @@ impl EntityGraph {
         &self.nodes[v.idx()]
     }
 
+    /// Every node payload, indexed by id.
+    pub fn nodes(&self) -> &[EntityNode] {
+        &self.nodes
+    }
+
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = EntityId> {
         (0..self.nodes.len() as u32).map(EntityId)
@@ -272,21 +277,101 @@ impl EntityGraphBuilder {
 
     /// Finalizes into CSR form.
     pub fn build(self) -> EntityGraph {
-        let n = self.nodes.len();
-        let mut degree = vec![0u32; n];
-        for e in &self.edges {
-            degree[e.a.idx()] += 1;
-            degree[e.b.idx()] += 1;
+        EntityGraph::assemble(self.labels, self.nodes, self.edges, self.edge_map)
+    }
+}
+
+/// Canonical `(min, max)` endpoint key of an edge.
+#[inline]
+fn edge_key(e: &EntityEdge) -> (u32, u32) {
+    (e.a.0.min(e.b.0), e.a.0.max(e.b.0))
+}
+
+impl EntityGraph {
+    /// A graph over `nodes` with exactly `edges`, which come sorted by
+    /// `(a, b)` with `a < b` and no pair twice — the order the entity-graph
+    /// compiler emits. The edge map and CSR are built straight from that
+    /// order, and every adjacency row comes out sorted.
+    pub fn from_sorted_edges(
+        labels: LabelTable,
+        nodes: Vec<EntityNode>,
+        edges: Vec<EntityEdge>,
+    ) -> EntityGraph {
+        debug_assert!(edges.windows(2).all(|w| edge_key(&w[0]) < edge_key(&w[1])));
+        let mut edge_map = FxHashMap::default();
+        edge_map.reserve(edges.len());
+        edge_map.extend(edges.iter().enumerate().map(|(i, e)| (edge_key(e), i as u32)));
+        EntityGraph::assemble(labels, nodes, edges, edge_map)
+    }
+
+    /// This graph with its nodes replaced by `nodes` (a superset of the
+    /// ids: new nodes are appended) and the edges at `dirty` nodes
+    /// replaced by `fresh`. Every edge of `self` with no dirty endpoint is
+    /// kept; `fresh`, sorted like [`EntityGraph::from_sorted_edges`]'s
+    /// input, must hold every edge with a dirty endpoint. When both come
+    /// in compiler order the result is edge for edge, row for row the
+    /// graph [`EntityGraph::from_sorted_edges`] builds from the merged
+    /// list; the edge map is this graph's, renumbered, not rebuilt.
+    pub fn patched(
+        &self,
+        nodes: Vec<EntityNode>,
+        dirty: &[bool],
+        fresh: Vec<EntityEdge>,
+    ) -> EntityGraph {
+        debug_assert!(fresh.windows(2).all(|w| edge_key(&w[0]) < edge_key(&w[1])));
+        const GONE: u32 = u32::MAX;
+        let is_dirty = |v: EntityId| dirty.get(v.idx()).copied().unwrap_or(true);
+        // Merge the kept edges (already in order) with the fresh ones,
+        // recording where every old edge went.
+        let mut renumber = vec![GONE; self.edges.len()];
+        let mut edges = Vec::with_capacity(self.edges.len() + fresh.len());
+        let mut fresh_at = Vec::with_capacity(fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
+        for (i, e) in self.edges.iter().enumerate() {
+            if is_dirty(e.a) || is_dirty(e.b) {
+                continue;
+            }
+            while let Some(f) = fresh.next_if(|f| edge_key(f) < edge_key(e)) {
+                fresh_at.push(edges.len() as u32);
+                edges.push(f);
+            }
+            renumber[i] = edges.len() as u32;
+            edges.push(e.clone());
         }
+        for f in fresh {
+            fresh_at.push(edges.len() as u32);
+            edges.push(f);
+        }
+        let mut edge_map = self.edge_map.clone();
+        edge_map.retain(|_, i| {
+            *i = renumber[*i as usize];
+            *i != GONE
+        });
+        edge_map.extend(fresh_at.iter().map(|&i| (edge_key(&edges[i as usize]), i)));
+        EntityGraph::assemble(self.labels.clone(), nodes, edges, edge_map)
+    }
+
+    /// The CSR over `edges`, each row sorted by neighbour id.
+    fn assemble(
+        labels: LabelTable,
+        nodes: Vec<EntityNode>,
+        edges: Vec<EntityEdge>,
+        edge_map: FxHashMap<(u32, u32), u32>,
+    ) -> EntityGraph {
+        let n = nodes.len();
         let mut offsets = vec![0u32; n + 1];
+        for e in &edges {
+            offsets[e.a.idx() + 1] += 1;
+            offsets[e.b.idx() + 1] += 1;
+        }
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+            offsets[i + 1] += offsets[i];
         }
         let total = offsets[n] as usize;
         let mut neighbors = vec![0u32; total];
         let mut edge_idx = vec![0u32; total];
         let mut cursor = offsets.clone();
-        for (i, e) in self.edges.iter().enumerate() {
+        for (i, e) in edges.iter().enumerate() {
             let (a, b) = (e.a.idx(), e.b.idx());
             let ca = cursor[a] as usize;
             neighbors[ca] = e.b.0;
@@ -297,27 +382,24 @@ impl EntityGraphBuilder {
             edge_idx[cb] = i as u32;
             cursor[b] += 1;
         }
-        // Sort each adjacency row by neighbor id for deterministic iteration.
+        // Sort each adjacency row by neighbor id for deterministic
+        // iteration. Edges in `(a, b)` order fill every row in order
+        // already.
+        let mut row: Vec<(u32, u32)> = Vec::new();
         for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut row: Vec<(u32, u32)> =
-                neighbors[lo..hi].iter().copied().zip(edge_idx[lo..hi].iter().copied()).collect();
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            if neighbors[lo..hi].is_sorted() {
+                continue;
+            }
+            row.clear();
+            row.extend(neighbors[lo..hi].iter().copied().zip(edge_idx[lo..hi].iter().copied()));
             row.sort_unstable();
-            for (k, (nb, ei)) in row.into_iter().enumerate() {
+            for (k, &(nb, ei)) in row.iter().enumerate() {
                 neighbors[lo + k] = nb;
                 edge_idx[lo + k] = ei;
             }
         }
-        EntityGraph {
-            labels: self.labels,
-            nodes: self.nodes,
-            edges: self.edges,
-            offsets,
-            neighbors,
-            edge_idx,
-            edge_map: self.edge_map,
-        }
+        EntityGraph { labels, nodes, edges, offsets, neighbors, edge_idx, edge_map }
     }
 }
 

@@ -31,7 +31,7 @@ pub mod refgraph;
 pub mod stats;
 
 pub use dist::{CondTable, EdgeProbability, LabelDist};
-pub use entity::{EntityGraph, EntityGraphBuilder, EntityId, EntityNode, UNREACHED};
+pub use entity::{EntityEdge, EntityGraph, EntityGraphBuilder, EntityId, EntityNode, UNREACHED};
 pub use labels::{Label, LabelTable};
 pub use ops::GraphOp;
 pub use refgraph::{EntityRef, RefEdge, RefGraph, RefId, RefNode, RefSet, RefSetId};

@@ -138,7 +138,7 @@ impl ExistenceModel {
     /// * `node_refs[i]` — sorted references of entity node `i`,
     /// * `node_weights[i]` — raw factor value `p_s(s.x = T)` of node `i`.
     pub fn build(
-        node_refs: &[Vec<RefId>],
+        node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
         opts: &ExistenceOptions,
     ) -> Result<Self, PegError> {
@@ -150,7 +150,7 @@ impl ExistenceModel {
     /// entirely — it exists in *no* possible world (`prn` including it is
     /// 0) and its references impose no cover constraint.
     pub fn build_with_dead(
-        node_refs: &[Vec<RefId>],
+        node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
         dead: &[bool],
         opts: &ExistenceOptions,
@@ -171,7 +171,7 @@ impl ExistenceModel {
     /// `touched[i]` marks nodes whose refs, weight, or liveness an op
     /// changed directly (new nodes count as touched).
     pub fn rebuild_incremental(
-        node_refs: &[Vec<RefId>],
+        node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
         dead: &[bool],
         opts: &ExistenceOptions,
@@ -207,7 +207,7 @@ impl ExistenceModel {
     /// Shared core of all build paths. Returns the model plus, per
     /// component, whether it was reused from `reuse`'s previous model.
     fn build_ext(
-        node_refs: &[Vec<RefId>],
+        node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
         dead: Option<&[bool]>,
         opts: &ExistenceOptions,
@@ -237,7 +237,7 @@ impl ExistenceModel {
             if is_dead(i) {
                 continue;
             }
-            for &r in refs {
+            for &r in refs.as_ref() {
                 match ref_owner.get(&r) {
                     None => {
                         ref_owner.insert(r, i as u32);
@@ -303,8 +303,10 @@ impl ExistenceModel {
                 });
             }
             // Local reference universe for the component.
-            let mut local_refs: Vec<RefId> =
-                members.iter().flat_map(|&m| node_refs[m as usize].iter().copied()).collect();
+            let mut local_refs: Vec<RefId> = members
+                .iter()
+                .flat_map(|&m| node_refs[m as usize].as_ref().iter().copied())
+                .collect();
             local_refs.sort_unstable();
             local_refs.dedup();
             if local_refs.len() > 63 {
@@ -321,12 +323,17 @@ impl ExistenceModel {
             let masks: Vec<u64> = members
                 .iter()
                 .map(|&m| {
-                    node_refs[m as usize].iter().fold(0u64, |acc, r| acc | 1u64 << ref_pos[r])
+                    node_refs[m as usize]
+                        .as_ref()
+                        .iter()
+                        .fold(0u64, |acc, r| acc | 1u64 << ref_pos[r])
                 })
                 .collect();
             let weights: Vec<f64> = members
                 .iter()
-                .map(|&m| node_weights[m as usize].powi(node_refs[m as usize].len() as i32))
+                .map(|&m| {
+                    node_weights[m as usize].powi(node_refs[m as usize].as_ref().len() as i32)
+                })
                 .collect();
             // Sets containing each local reference.
             let mut by_ref: Vec<Vec<usize>> = vec![Vec::new(); local_refs.len()];

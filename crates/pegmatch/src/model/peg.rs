@@ -4,8 +4,7 @@ use crate::error::PegError;
 use crate::merge::{AverageMerge, EdgeMerge, LabelMerge};
 use crate::model::existence::{ExistenceModel, ExistenceOptions};
 use graphstore::dist::{CondTable, EdgeProbability, LabelDist};
-use graphstore::hash::FxHashSet;
-use graphstore::{EntityGraph, EntityGraphBuilder, EntityId, EntityRef, RefGraph, RefId};
+use graphstore::{EntityEdge, EntityGraph, EntityId, EntityNode, EntityRef, RefGraph, RefId};
 use std::time::{Duration, Instant};
 
 /// The probabilistic entity graph: the entity-level graph `G_U` plus the
@@ -83,7 +82,7 @@ impl PegBuilder {
     pub fn build(&self, refs: &RefGraph) -> Result<Peg, PegError> {
         let c = self.compile(refs)?;
         let existence = ExistenceModel::build_with_dead(
-            &c.node_refs,
+            &c.node_refs(),
             &c.node_weights,
             &c.dead,
             &self.existence,
@@ -91,8 +90,9 @@ impl PegBuilder {
         Ok(Peg { graph: c.graph, existence })
     }
 
-    /// Recompiles a *mutated* `refs` against the previous compilation,
-    /// reusing untouched existence-component tables by `Arc`
+    /// Recompiles a *mutated* `refs` against the previous compilation:
+    /// the entity graph is patched at the touched entities, and untouched
+    /// existence-component tables are reused by `Arc`
     /// ([`ExistenceModel::rebuild_incremental`]). The result is
     /// **bit-identical** to [`PegBuilder::build`] of the same mutated
     /// network; on top of it, `dirty` marks every node whose compiled
@@ -100,7 +100,13 @@ impl PegBuilder {
     /// path-index maintenance re-enumerates around.
     ///
     /// `touched` is the directly-touched entity set an op batch reported
-    /// ([`RefGraph::apply_all`]).
+    /// ([`RefGraph::apply_all`]): every entity whose member references,
+    /// their labels, their incident reference edges, its liveness or its
+    /// weight an op changed. Only those entities, the entities appended
+    /// since `prev`, and the pairs incident to them are merged again;
+    /// every other node and edge is `prev`'s, copied in order — a pair
+    /// with no touched endpoint has the same members and the same
+    /// reference edges as before.
     pub fn rebuild(
         &self,
         refs: &RefGraph,
@@ -108,17 +114,28 @@ impl PegBuilder {
         touched: &[u32],
     ) -> Result<PegDelta, PegError> {
         let t = Instant::now();
-        let c = self.compile(refs)?;
-        let compile_time = t.elapsed();
+        let c = self.patch(refs, &prev.graph, touched);
+        self.delta(c, prev, touched, t.elapsed())
+    }
+
+    /// The existence half of [`PegBuilder::rebuild`], over an entity graph
+    /// compiled in `compile_time`.
+    fn delta(
+        &self,
+        c: CompiledGraph,
+        prev: &Peg,
+        touched: &[u32],
+        compile_time: Duration,
+    ) -> Result<PegDelta, PegError> {
         let t = Instant::now();
-        let mut touched_flags = vec![false; c.node_refs.len()];
+        let mut touched_flags = vec![false; c.dead.len()];
         for &t in touched {
             if (t as usize) < touched_flags.len() {
                 touched_flags[t as usize] = true;
             }
         }
         let delta = ExistenceModel::rebuild_incremental(
-            &c.node_refs,
+            &c.node_refs(),
             &c.node_weights,
             &c.dead,
             &self.existence,
@@ -138,105 +155,128 @@ impl PegBuilder {
         })
     }
 
-    /// Shared compilation core: node table (creation order), merged
-    /// labels, merged edges — everything but the existence model.
+    /// The whole-network compile: node table (creation order), merged
+    /// labels, merged edges — everything but the existence model. The
+    /// load path, and the oracle [`PegBuilder::patch`] is tested against.
     fn compile(&self, refs: &RefGraph) -> Result<CompiledGraph, PegError> {
-        let n_refs = refs.n_refs();
-        let n_labels = refs.label_table().len();
-        if n_labels == 0 {
+        if refs.label_table().is_empty() {
             return Err(PegError::Invalid("empty label alphabet".into()));
         }
+        let nodes: Vec<EntityNode> = (0..refs.n_entities()).map(|i| self.node(refs, i)).collect();
+        let edges = self.edges(refs, &nodes, None);
+        let graph = EntityGraph::from_sorted_edges(refs.label_table().clone(), nodes, edges);
+        Ok(CompiledGraph::new(refs, graph))
+    }
 
-        // --- Entity node table, in creation-log order. ---
-        let n_entities = refs.n_entities();
-        let mut node_refs: Vec<Vec<RefId>> = Vec::with_capacity(n_entities);
-        let mut node_weights: Vec<f64> = Vec::with_capacity(n_entities);
-        let mut dead: Vec<bool> = Vec::with_capacity(n_entities);
-        for (i, ent) in refs.entities().iter().enumerate() {
-            match *ent {
-                EntityRef::Singleton(r) => {
-                    node_refs.push(vec![r]);
-                    node_weights.push(refs.singleton_weight(r));
-                }
-                EntityRef::Set(s) => {
-                    let set = refs.ref_set(s);
-                    node_refs.push(set.members.clone());
-                    node_weights.push(set.weight);
-                }
-            }
-            dead.push(refs.entity_is_dead(i));
-        }
-
-        // Sets containing each reference (live or dead — dead entities
-        // compile identically on the build and rebuild paths).
-        let mut containing: Vec<Vec<u32>> = vec![Vec::new(); n_refs];
-        for (i, members) in node_refs.iter().enumerate() {
-            for r in members {
-                containing[r.idx()].push(i as u32);
+    /// [`PegBuilder::compile`] of the mutated `refs`, done as a patch of
+    /// `prev`: the touched and appended entities are merged again, and
+    /// so is every pair incident to one; everything else is copied from
+    /// `prev` in order.
+    fn patch(&self, refs: &RefGraph, prev: &EntityGraph, touched: &[u32]) -> CompiledGraph {
+        let n = refs.n_entities();
+        let mut dirty = vec![false; n];
+        dirty[prev.n_nodes().min(n)..].fill(true);
+        for &t in touched {
+            if let Some(d) = dirty.get_mut(t as usize) {
+                *d = true;
             }
         }
+        let nodes: Vec<EntityNode> = (0..n)
+            .map(|i| if dirty[i] { self.node(refs, i) } else { prev.nodes()[i].clone() })
+            .collect();
+        let fresh = self.edges(refs, &nodes, Some(&dirty));
+        CompiledGraph::new(refs, prev.patched(nodes, &dirty, fresh))
+    }
 
-        // --- Merged node labels. ---
-        let mut builder = EntityGraphBuilder::new(refs.label_table().clone());
-        for members in &node_refs {
-            let dists: Vec<&LabelDist> =
-                members.iter().map(|r| &refs.reference(*r).labels).collect();
-            let merged =
-                if dists.len() == 1 { dists[0].clone() } else { self.label_merge.merge(&dists) };
-            builder.add_node(merged, members.clone());
+    /// Entity `i` of the creation log: its references and merged labels.
+    fn node(&self, refs: &RefGraph, i: usize) -> EntityNode {
+        match refs.entities()[i] {
+            EntityRef::Singleton(r) => {
+                EntityNode { labels: refs.reference(r).labels.clone(), refs: vec![r] }
+            }
+            EntityRef::Set(s) => {
+                let members = &refs.ref_set(s).members;
+                let dists: Vec<&LabelDist> =
+                    members.iter().map(|r| &refs.reference(*r).labels).collect();
+                EntityNode { labels: self.label_merge.merge(&dists), refs: members.clone() }
+            }
         }
+    }
 
-        // --- Candidate entity pairs from reference edges. ---
-        let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
+    /// The merged entity edges in `(a, b)` order: over every pair of
+    /// entities joined by a reference edge, or — given `dirty` — over
+    /// only the pairs with a dirty endpoint.
+    fn edges(
+        &self,
+        refs: &RefGraph,
+        nodes: &[EntityNode],
+        dirty: Option<&[bool]>,
+    ) -> Vec<EntityEdge> {
+        // Which references a dirty entity holds: a reference edge with
+        // neither endpoint among them joins no dirty pair.
+        let held = dirty.map(|dirty| {
+            let mut held = vec![false; refs.n_refs()];
+            for (node, _) in nodes.iter().zip(dirty).filter(|(_, d)| **d) {
+                for r in &node.refs {
+                    held[r.idx()] = true;
+                }
+            }
+            held
+        });
+        // Entities containing a reference, live or dead — dead entities
+        // compile like live ones.
+        let containing = |r: RefId| {
+            std::iter::once(refs.singleton_entity(r)).chain(refs.sets_containing(r).iter().copied())
+        };
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         for e in refs.edges() {
-            for &s1 in &containing[e.a.idx()] {
-                for &s2 in &containing[e.b.idx()] {
-                    if s1 == s2 {
-                        continue;
+            if held.as_ref().is_some_and(|h| !h[e.a.idx()] && !h[e.b.idx()]) {
+                continue;
+            }
+            for s1 in containing(e.a) {
+                for s2 in containing(e.b) {
+                    let wanted = dirty.is_none_or(|d| d[s1 as usize] || d[s2 as usize]);
+                    // Entities sharing a reference never co-exist: no edge.
+                    if s1 != s2
+                        && wanted
+                        && disjoint(&nodes[s1 as usize].refs, &nodes[s2 as usize].refs)
+                    {
+                        pairs.push((s1.min(s2), s1.max(s2)));
                     }
-                    if !disjoint(&node_refs[s1 as usize], &node_refs[s2 as usize]) {
-                        continue; // Can never co-exist; edge is meaningless.
-                    }
-                    pairs.insert((s1.min(s2), s1.max(s2)));
                 }
             }
         }
-        let mut pairs: Vec<(u32, u32)> = pairs.into_iter().collect();
         pairs.sort_unstable();
+        pairs.dedup();
 
-        // --- Merged edge probabilities over all cross pairs. ---
-        // Edge CPTs are oriented: rows = label of the *stored first*
-        // endpoint. We orient every underlying pair probability to (s1, s2)
-        // order before merging.
+        // Merged edge probabilities over all cross pairs. Edge CPTs are
+        // oriented: rows = label of the *stored first* endpoint. Every
+        // underlying pair probability is oriented to (s1, s2) order before
+        // merging.
+        let n_labels = refs.label_table().len();
         let mut probs: Vec<EdgeProbability> = Vec::new();
-        for &(s1, s2) in &pairs {
+        let mut edges = Vec::with_capacity(pairs.len());
+        for (s1, s2) in pairs {
             probs.clear();
-            for &ra in &node_refs[s1 as usize] {
-                for &rb in &node_refs[s2 as usize] {
-                    match refs.edge_between(ra, rb) {
-                        None => probs.push(EdgeProbability::Independent(0.0)),
-                        Some(e) => {
-                            let oriented = if e.a == ra {
-                                e.prob.clone()
-                            } else {
-                                transpose(&e.prob, n_labels)
-                            };
-                            probs.push(oriented);
-                        }
-                    }
+            for &ra in &nodes[s1 as usize].refs {
+                for &rb in &nodes[s2 as usize].refs {
+                    probs.push(match refs.edge_between(ra, rb) {
+                        None => EdgeProbability::Independent(0.0),
+                        Some(e) if e.a == ra => e.prob.clone(),
+                        Some(e) => transpose(&e.prob, n_labels),
+                    });
                 }
             }
             let merged = if probs.len() == 1 {
-                probs[0].clone()
+                probs.pop().expect("one pair")
             } else {
                 self.edge_merge.merge(&probs, n_labels)
             };
             if merged.is_possible() {
-                builder.add_edge(EntityId(s1), EntityId(s2), merged);
+                edges.push(EntityEdge { a: EntityId(s1), b: EntityId(s2), prob: merged });
             }
         }
-
-        Ok(CompiledGraph { graph: builder.build(), node_refs, node_weights, dead })
+        edges
     }
 }
 
@@ -250,18 +290,45 @@ pub struct PegDelta {
     pub dirty: Vec<bool>,
     /// Existence components carried over from the previous model by `Arc`.
     pub reused_components: usize,
-    /// Wall time of the entity-graph compile (whole network, ∝ n).
+    /// Wall time of patching the entity graph: merging the touched
+    /// entities and the pairs incident to them (∝ what the batch touched),
+    /// plus copying every other node and edge, one scan of the reference
+    /// edges for the touched ones, and the CSR rebuilt from the merged
+    /// edge list (∝ n, at copy speed).
     pub compile_time: Duration,
     /// Wall time of the incremental existence rebuild and dirty marking.
     pub existence_time: Duration,
 }
 
-/// Everything [`PegBuilder::compile`] produces short of the existence model.
+/// An entity graph plus the existence model's other inputs.
 struct CompiledGraph {
     graph: EntityGraph,
-    node_refs: Vec<Vec<RefId>>,
     node_weights: Vec<f64>,
     dead: Vec<bool>,
+}
+
+impl CompiledGraph {
+    /// `graph` with each entity's raw weight and liveness read off `refs`.
+    fn new(refs: &RefGraph, graph: EntityGraph) -> Self {
+        let (node_weights, dead) = refs
+            .entities()
+            .iter()
+            .enumerate()
+            .map(|(i, ent)| {
+                let weight = match *ent {
+                    EntityRef::Singleton(r) => refs.singleton_weight(r),
+                    EntityRef::Set(s) => refs.ref_set(s).weight,
+                };
+                (weight, refs.entity_is_dead(i))
+            })
+            .unzip();
+        Self { graph, node_weights, dead }
+    }
+
+    /// Every node's sorted references, borrowed from the graph.
+    fn node_refs(&self) -> Vec<&[RefId]> {
+        self.graph.nodes().iter().map(|n| n.refs.as_slice()).collect()
+    }
 }
 
 /// Transposes a (possibly conditional) edge probability: swaps which
@@ -311,7 +378,7 @@ pub fn figure1_refgraph() -> RefGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphstore::Label;
+    use graphstore::{GraphOp, Label, RefSet, RefSetId};
 
     #[test]
     fn figure1_peg_structure() {
@@ -387,6 +454,160 @@ mod tests {
         g.add_edge(r0, r1, EdgeProbability::Independent(0.0));
         let peg = PegBuilder::new().build(&g).unwrap();
         assert_eq!(peg.graph.n_edges(), 0);
+    }
+
+    /// SplitMix64, so a failing case reproduces from its seed alone.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn prob(&mut self) -> f64 {
+            0.05 + 0.9 * self.below(1000) as f64 / 1000.0
+        }
+    }
+
+    /// A random network of 10–17 references over three labels: uncertain
+    /// and point labels, independent and conditional (CPT) edges, and a
+    /// few declared sets.
+    fn random_network(rng: &mut Mix) -> RefGraph {
+        use graphstore::LabelTable;
+        let mut g = RefGraph::new(LabelTable::from_names(["x", "y", "z"]));
+        let n = 10 + rng.below(8);
+        for _ in 0..n {
+            let (a, b) = (Label(rng.below(3) as u16), Label(rng.below(3) as u16));
+            let q = rng.prob();
+            g.add_ref(LabelDist::from_pairs(&[(a, q), (b, 1.0 - q)], 3));
+        }
+        for _ in 0..2 * n {
+            let (a, b) = (RefId(rng.below(n) as u32), RefId(rng.below(n) as u32));
+            if a == b {
+                continue;
+            }
+            let p = if rng.below(3) == 0 {
+                let mut cpt = CondTable::zeros(3);
+                for (x, y) in [(0, 1), (1, 0), (1, 2), (2, 2)] {
+                    cpt.set(Label(x), Label(y), rng.prob());
+                }
+                EdgeProbability::Conditional(cpt)
+            } else {
+                EdgeProbability::Independent(rng.prob())
+            };
+            g.add_edge(a, b, p);
+        }
+        for _ in 0..2 {
+            let (a, b) = (RefId(rng.below(n) as u32), RefId(rng.below(n) as u32));
+            if a != b {
+                g.add_pair_set_with_posterior(a, b, rng.prob());
+            }
+        }
+        g
+    }
+
+    /// An op of any of the eight kinds against `g`'s live references; an
+    /// invalid one fails its batch, which is then skipped.
+    fn random_op(g: &RefGraph, rng: &mut Mix) -> GraphOp {
+        let alive: Vec<RefId> = g.ref_ids().filter(|&r| g.ref_is_alive(r)).collect();
+        let mut pick = || alive[rng.below(alive.len())];
+        let (a, b, c) = (pick(), pick(), pick());
+        let label = |rng: &mut Mix| vec![(rng.below(3) as u16, rng.prob())];
+        match rng.below(8) {
+            0 => GraphOp::UpsertRef { r: None, labels: label(rng) },
+            1 => GraphOp::UpsertRef { r: Some(a), labels: label(rng) },
+            2 => GraphOp::DeleteRef { r: a },
+            3 => GraphOp::UpsertEdge { a, b, p: rng.prob() },
+            4 => match g.edges().get(rng.below(g.n_edges().max(1))) {
+                Some(e) => GraphOp::DeleteEdge { a: e.a, b: e.b },
+                None => GraphOp::DeleteEdge { a, b },
+            },
+            5 => GraphOp::UpsertSet { members: vec![a, b, c], weight: rng.prob() },
+            6 => {
+                let live: Vec<&RefSet> = (0..g.ref_sets().len() as u32)
+                    .filter(|&s| g.set_is_alive(RefSetId(s)))
+                    .map(|s| g.ref_set(RefSetId(s)))
+                    .collect();
+                match live.get(rng.below(live.len().max(1))) {
+                    Some(set) => GraphOp::DeleteSet { members: set.members.clone() },
+                    None => GraphOp::SetSingletonWeight { r: a, weight: rng.prob() },
+                }
+            }
+            _ => GraphOp::PairPosterior { a, b, q: rng.prob() },
+        }
+    }
+
+    /// Every field a compile produces, `got` against `want`.
+    fn assert_same_graph(got: &EntityGraph, want: &EntityGraph) {
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let prob_bits = |p: &EdgeProbability| match p {
+            EdgeProbability::Independent(q) => vec![q.to_bits()],
+            EdgeProbability::Conditional(t) => bits(t.as_slice()),
+        };
+        assert_eq!(got.n_nodes(), want.n_nodes());
+        for (x, y) in got.nodes().iter().zip(want.nodes()) {
+            assert_eq!(x.refs, y.refs);
+            assert_eq!(bits(x.labels.as_slice()), bits(y.labels.as_slice()));
+        }
+        assert_eq!(got.n_edges(), want.n_edges());
+        for (x, y) in got.edges().iter().zip(want.edges()) {
+            assert_eq!((x.a, x.b), (y.a, y.b), "edge order");
+            assert_eq!(prob_bits(&x.prob), prob_bits(&y.prob));
+        }
+        for u in want.node_ids() {
+            assert_eq!(got.neighbors(u), want.neighbors(u), "row of {u:?}");
+            let row = |g: &EntityGraph| {
+                g.neighbor_edges(u).map(|(v, e)| (v, e.a, e.b)).collect::<Vec<_>>()
+            };
+            assert_eq!(row(got), row(want));
+            for v in want.node_ids() {
+                let ends = |g: &EntityGraph| g.edge_between(u, v).map(|e| (e.a, e.b));
+                assert_eq!(ends(got), ends(want), "edge_between({u:?}, {v:?})");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Chained batches of all eight op kinds: after each, the patched
+        /// graph equals a fresh compile of the mutated network field by
+        /// field, and `dirty` / `reused_components` equal what the
+        /// whole-network compile reports against the same previous PEG.
+        #[test]
+        fn patched_graph_equals_a_fresh_compile(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Mix(seed);
+            let builder = PegBuilder::new();
+            let mut refs = random_network(&mut rng);
+            let Ok(mut peg) = builder.build(&refs) else { return Ok(()) };
+            for _ in 0..6 {
+                let mut next = refs.clone();
+                let n_ops = 1 + rng.below(4);
+                let ops: Vec<GraphOp> = (0..n_ops).map(|_| random_op(&refs, &mut rng)).collect();
+                let Ok(touched) = next.apply_all(&ops) else { continue };
+                let patched = builder.rebuild(&next, &peg, &touched);
+                let oracle = builder
+                    .compile(&next)
+                    .and_then(|c| builder.delta(c, &peg, &touched, Duration::ZERO));
+                let (patched, oracle) = match (patched, oracle) {
+                    (Ok(p), Ok(o)) => (p, o),
+                    (Err(_), Err(_)) => continue,
+                    (p, o) => panic!("{ops:?}: patched ok {} / compiled ok {}", p.is_ok(), o.is_ok()),
+                };
+                assert_same_graph(&patched.peg.graph, &oracle.peg.graph);
+                assert_same_graph(&patched.peg.graph, &builder.build(&next).unwrap().graph);
+                proptest::prop_assert_eq!(&patched.dirty, &oracle.dirty);
+                proptest::prop_assert_eq!(patched.reused_components, oracle.reused_components);
+                (refs, peg) = (next, patched.peg);
+            }
+        }
     }
 
     #[test]
