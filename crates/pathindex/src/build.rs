@@ -10,9 +10,10 @@
 //! path/labeling pair is stored exactly once.
 
 use crate::index::{
-    cmp_with_reversed, count_hist, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
+    cmp_with_reversed, count_hist, Fill, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
 };
 use graphstore::{EntityGraph, EntityId, Label, UNREACHED};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Probability slack for threshold comparisons.
@@ -24,37 +25,42 @@ pub fn build_index(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
 ) -> PathIndex {
-    let mut index = PathIndex::empty(config.clone());
     let starts: Vec<u32> = (0..graph.n_nodes() as u32).collect();
-    enumerate_into(&mut index, graph, oracle, &starts, None);
-    index.shrink_to_fit();
-    index
+    PathIndex::from_fill(enumerate(config, graph, oracle, &starts, None))
 }
 
 /// Where one [`update_index`] call spent its time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexUpdateTimes {
-    /// Step 1: the linear drop pass over every bucket.
+    /// Step 1: the filtered copies of the buckets that hold a dirty node.
     pub drop: Duration,
     /// Steps 2–3: ball BFS, pruned re-enumeration and insertion.
     pub enumerate: Duration,
-    /// Step 4: the sweep for emptied sequences and growth slack (the
-    /// histogram counts themselves are patched as entries leave and enter
-    /// in steps 1 and 3).
+    /// Step 4: the sweep for emptied sequences (the histogram counts
+    /// themselves are patched as entries leave and enter in steps 1
+    /// and 3).
     pub histogram: Duration,
 }
 
-/// Incrementally patches `index` after a graph mutation, given the set of
-/// `dirty` nodes (any node whose labels, incident edges, or existence
-/// component may differ from the graph the index was built for; new nodes
-/// must be marked dirty). Node ids must be stable across the mutation —
-/// the entity-graph compiler guarantees this by tombstoning deletions.
+/// Patches `index` after a graph mutation, given the set of `dirty` nodes
+/// (any node whose labels, incident edges, or existence component may
+/// differ from the graph the index was built for; new nodes must be
+/// marked dirty). Node ids must be stable across the mutation — the
+/// entity-graph compiler guarantees this by tombstoning deletions.
+///
+/// `index` is typically a clone of the previous generation, which costs a
+/// reference per bucket: buckets are shared, and this never writes to a
+/// shared one. A bucket that holds no dirty node (its `holds` summary
+/// says so without reading it) stays shared and loses no entry; a bucket
+/// that holds one is replaced by a filtered copy; an insert into a bucket
+/// still shared copies it first. The previous generation answers every
+/// lookup exactly as before.
 ///
 /// The result is entry- and histogram-identical to [`build_index`] on the
 /// mutated graph:
 ///
-/// 1. every stored entry touching a dirty node is dropped, in one linear
-///    pass over the flat node buffers that keeps the survivors' order
+/// 1. every stored entry touching a dirty node is dropped — each bucket
+///    holding a dirty node becomes a copy of its other entries, in order
 ///    (clean entries are unaffected by construction of the dirty set);
 /// 2. every canonical path containing a dirty node starts within
 ///    `max_len` hops of one, so re-running the enumeration from that ball,
@@ -67,9 +73,10 @@ pub struct IndexUpdateTimes {
 ///    the emitted paths are the same, in the same order, and the walk
 ///    costs what lies on the way to a dirty node, not the whole ball to
 ///    full depth;
-/// 3. histogram counts go down by one per dropped entry and up by one per
-///    inserted entry — the integers a recount over the patched buckets
-///    gives — and sequences left without entries are removed entirely.
+/// 3. the emitted paths are appended to their buckets, and histogram
+///    counts go down by one per dropped entry and up by one per inserted
+///    entry — the integers a recount over the patched buckets gives;
+/// 4. sequences left without entries are removed entirely.
 pub fn update_index(
     index: &mut PathIndex,
     graph: &EntityGraph,
@@ -79,39 +86,22 @@ pub fn update_index(
     let mut times = IndexUpdateTimes::default();
     let is_dirty = |n: u32| dirty.get(n as usize).copied().unwrap_or(true);
     let grid = index.config().hist_grid.clone();
-    let max_len = index.config().max_len;
 
-    // 1. Drop entries that touch a dirty node, compacting each bucket in
-    // place.
+    // 1. Copy each bucket that holds a dirty node without the entries
+    // through one; every other bucket stays shared.
     let t = Instant::now();
+    let dirty_bits = node_bits(dirty);
     let mut removed = 0usize;
     for (seq, se) in index.map.iter_mut() {
-        let stride = seq.len();
-        for b in se.buckets.iter_mut() {
-            // Most buckets lose nothing: find the first entry to go before
-            // moving anything.
-            let touches = |e: &[u32]| e.iter().any(|&v| is_dirty(v));
-            let Some(first) = b.nodes.chunks_exact(stride).position(touches) else {
-                continue;
+        for b in se.buckets.iter_mut().filter(|b| b.holds_any(&dirty_bits)) {
+            let hist = &mut se.hist;
+            let dropped = |p: f64| {
+                count_hist(hist, &grid, p, false);
+                removed += 1;
             };
-            let mut kept = first;
-            for i in first..b.len() {
-                let at = i * stride;
-                if touches(&b.nodes[at..at + stride]) {
-                    count_hist(&mut se.hist, &grid, b.prle[i] * b.prn[i], false);
-                    continue;
-                }
-                if kept != i {
-                    b.nodes.copy_within(at..at + stride, kept * stride);
-                    b.prle[kept] = b.prle[i];
-                    b.prn[kept] = b.prn[i];
-                }
-                kept += 1;
+            if let Some(kept) = b.without(seq.len(), &dirty_bits, dropped) {
+                *b = Arc::new(kept);
             }
-            removed += b.len() - kept;
-            b.nodes.truncate(kept * stride);
-            b.prle.truncate(kept);
-            b.prn.truncate(kept);
         }
     }
     index.n_entries -= removed;
@@ -121,21 +111,35 @@ pub fn update_index(
     // graph, by BFS, keeping every node's hop distance. The canonical
     // start of any path containing a dirty node lies inside it.
     let t = Instant::now();
-    let dist = graph.hop_distances(is_dirty, max_len);
+    let dist = graph.hop_distances(is_dirty, index.config().max_len);
     let starts: Vec<u32> =
         (0..dist.len() as u32).filter(|&v| dist[v as usize] != UNREACHED).collect();
 
-    // 3. Re-enumerate from the region, keeping only dirty-touching paths.
-    enumerate_into(index, graph, oracle, &starts, Some(&dist));
+    // 3. Re-enumerate from the region, keeping only dirty-touching paths,
+    // and append them.
+    let fill = enumerate(index.config(), graph, oracle, &starts, Some(&dist));
+    index.append(fill);
     times.enumerate = t.elapsed();
 
-    // 4. Drop emptied sequences, and give back what the buckets that grew
-    // over-allocated: a generation lives as long as it is served.
+    // 4. Drop emptied sequences.
     let t = Instant::now();
     index.map.retain(|_, se| !se.is_empty());
-    index.shrink_to_fit();
     times.histogram = t.elapsed();
     times
+}
+
+/// `dirty` as a bitmap over node ids. Ids from `dirty.len()` up count as
+/// dirty — the tail of the last word here, every later word by
+/// [`Bucket::holds_any`]'s rule.
+fn node_bits(dirty: &[bool]) -> Vec<u64> {
+    let mut bits = vec![0u64; dirty.len().div_ceil(64)];
+    for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
+        bits[v / 64] |= 1 << (v % 64);
+    }
+    if !dirty.len().is_multiple_of(64) {
+        *bits.last_mut().expect("a partial word") |= !0u64 << (dirty.len() % 64);
+    }
+    bits
 }
 
 /// Paths emitted by one worker, flat: entry `i` spans
@@ -149,28 +153,28 @@ struct Emitted {
     prn: Vec<f64>,
 }
 
-/// Runs the enumeration from every node of `starts` and inserts what it
-/// emits: on one thread straight into `index`, on several through
+/// Runs the enumeration from every node of `starts` and collects what it
+/// emits: on one thread straight into the fill, on several through
 /// per-worker buffers merged by worker index, so the entry order is a
 /// function of the thread count alone.
-fn enumerate_into(
-    index: &mut PathIndex,
+fn enumerate(
+    config: &PathIndexConfig,
     graph: &EntityGraph,
     oracle: &dyn IdentityOracle,
     starts: &[u32],
     dist: Option<&[u32]>,
-) {
-    let config = index.config().clone();
+) -> Fill {
+    let mut fill = Fill::new(config.clone());
     let threads = if config.threads == 0 { pegpool::machine_lanes() } else { config.threads };
     let threads = threads.clamp(1, starts.len().max(1));
     if threads == 1 {
         let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
-            index.insert(seq, nodes.iter().map(|v| v.0), prle, prn);
+            fill.insert(seq, nodes.iter().map(|v| v.0), prle, prn);
         };
         for &v in starts {
-            enumerate_from(graph, oracle, &config, EntityId(v), dist, &mut sink);
+            enumerate_from(graph, oracle, config, EntityId(v), dist, &mut sink);
         }
-        return;
+        return fill;
     }
     // Strided partitioning over start nodes on the shared persistent pool.
     let partials: Vec<Emitted> = pegpool::pool_with(threads).map(threads, |t| {
@@ -183,7 +187,7 @@ fn enumerate_into(
             out.prn.push(prn);
         };
         for &v in starts.iter().skip(t).step_by(threads) {
-            enumerate_from(graph, oracle, &config, EntityId(v), dist, &mut sink);
+            enumerate_from(graph, oracle, config, EntityId(v), dist, &mut sink);
         }
         out
     });
@@ -191,10 +195,11 @@ fn enumerate_into(
         let mut from = 0;
         for (i, &to) in partial.ends.iter().enumerate() {
             let nodes = partial.nodes[from..to].iter().copied();
-            index.insert(&partial.labels[from..to], nodes, partial.prle[i], partial.prn[i]);
+            fill.insert(&partial.labels[from..to], nodes, partial.prle[i], partial.prn[i]);
             from = to;
         }
     }
+    fill
 }
 
 /// Receives one canonical path: label sequence, nodes, `Prle`, `Prn`.
@@ -411,9 +416,11 @@ fn walk_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::NoIdentity;
+    use crate::index::{Bucket, NoIdentity};
     use graphstore::dist::{EdgeProbability, LabelDist};
     use graphstore::{EntityGraphBuilder, LabelTable, RefId};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// Triangle a-b-c plus a pendant: labels x,y,z,x; all edges prob 0.8.
     fn small_graph() -> EntityGraph {
@@ -586,6 +593,141 @@ mod tests {
         assert_eq!(idx.n_entries(), fresh.n_entries());
         assert_eq!(idx.estimate_count(&[Label(1), Label(2)], 0.1), 0.0);
         assert!(idx.histogram_counts_where(&|_| true).iter().all(|(seq, _)| !seq.contains(&2)));
+    }
+
+    /// A graph of `labels.len()` nodes (label `l`, or `l % 3` at 0.6 and
+    /// `l / 3` at 0.4 for `l ≥ 3`) with the given edges, plus one
+    /// isolated node whose only label is below every β used here: it
+    /// holds no index entry.
+    fn graph(labels: &[u16], edges: &BTreeMap<(u32, u32), f64>) -> EntityGraph {
+        let table = LabelTable::from_names(["x", "y", "z"]);
+        let mut b = EntityGraphBuilder::new(table);
+        for (i, &l) in labels.iter().enumerate() {
+            let dist = match l {
+                0..=2 => LabelDist::delta(Label(l), 3),
+                _ => LabelDist::from_pairs(&[(Label(l % 3), 0.6), (Label(l / 3 - 1), 0.4)], 3),
+            };
+            b.add_node(dist, vec![RefId(i as u32)]);
+        }
+        b.add_node(LabelDist::from_pairs(&[(Label(0), 0.1)], 3), vec![RefId(labels.len() as u32)]);
+        for (&(x, y), &p) in edges {
+            b.add_edge(EntityId(x), EntityId(y), EdgeProbability::Independent(p));
+        }
+        b.build()
+    }
+
+    /// Per stored sequence: its matches at α = 0 (nodes, `Prle` and `Prn`
+    /// bits) and the bits of its estimate at 0.45.
+    type Answers = Vec<(Vec<u16>, Vec<(Vec<u32>, u64, u64)>, u64)>;
+
+    /// Every lookup of `index`, bit for bit.
+    fn answers(index: &PathIndex) -> Answers {
+        let mut out: Vec<_> = index
+            .map
+            .keys()
+            .map(|seq| {
+                let labels: Vec<Label> = seq.iter().map(|&l| Label(l)).collect();
+                let rows = index.lookup(&labels, 0.0);
+                let rows =
+                    rows.iter().map(|m| (m.nodes.to_vec(), m.prle.to_bits(), m.prn.to_bits()));
+                (seq.clone(), rows.collect(), index.estimate_count(&labels, 0.45).to_bits())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Each bucket's `holds` is exactly the set of nodes on its entries.
+    fn assert_holds_exact(index: &PathIndex) {
+        for (seq, se) in &index.map {
+            for b in &se.buckets {
+                let mut exact = Bucket { nodes: b.nodes.clone(), ..Bucket::default() };
+                exact.seal();
+                assert_eq!(b.holds, exact.holds, "holds of a bucket of {seq:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// An update shares every bucket it does not change and leaves the
+        /// generation it was cloned from answering exactly as before.
+        #[test]
+        fn generations_share_buckets_and_stay_isolated(
+            labels in proptest::collection::vec(0u16..9, 5..=10),
+            raw in proptest::collection::vec((0u32..10, 0u32..10, 0.3f64..=1.0), 0..=20),
+            changes in proptest::collection::vec((0u32..10, 0u32..10, 0.0f64..=1.0, 0u16..9), 1..=3),
+            max_len in 1usize..=3,
+        ) {
+            let n = labels.len() as u32;
+            let mut edges = BTreeMap::new();
+            for (a, b, p) in raw {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    edges.insert((a.min(b), a.max(b)), p);
+                }
+            }
+            // Each change relabels one node and sets or (p < 0.3) deletes
+            // one edge; the nodes it touches are dirty.
+            let (mut labels1, mut edges1) = (labels.clone(), edges.clone());
+            let mut dirty = vec![false; n as usize + 1];
+            for (a, b, p, l) in changes {
+                let (a, b) = (a % n, b % n);
+                labels1[a as usize] = l;
+                dirty[a as usize] = true;
+                if a != b {
+                    let key = (a.min(b), a.max(b));
+                    if p < 0.3 { edges1.remove(&key) } else { edges1.insert(key, p) };
+                    dirty[b as usize] = true;
+                }
+            }
+            let config = PathIndexConfig { max_len, beta: 0.15, threads: 1, ..Default::default() };
+            let (g0, g1) = (graph(&labels, &edges), graph(&labels1, &edges1));
+            let old = build_index(&g0, &NoIdentity, &config);
+            let before = answers(&old);
+
+            let mut new = old.clone();
+            update_index(&mut new, &g1, &NoIdentity, &dirty);
+            prop_assert_eq!(answers(&old), before, "the previous generation moved");
+            // A patched bucket lists its re-enumerated entries last.
+            let as_sets = |mut a: Answers| {
+                a.iter_mut().for_each(|(_, rows, _)| rows.sort());
+                a
+            };
+            let fresh = build_index(&g1, &NoIdentity, &config);
+            prop_assert_eq!(as_sets(answers(&new)), as_sets(answers(&fresh)));
+            assert_holds_exact(&old);
+            assert_holds_exact(&new);
+            for (seq, se) in &old.map {
+                for (i, was) in se.buckets.iter().enumerate() {
+                    let now = new.map.get(seq).map(|s| &s.buckets[i]);
+                    let held_dirty = was.nodes.iter().any(|&v| dirty[v as usize]);
+                    match now {
+                        Some(now) if held_dirty => prop_assert!(!Arc::ptr_eq(was, now)),
+                        // A clean bucket loses nothing: it is shared unless
+                        // it gained entries, which then follow its own.
+                        Some(now) if now.len() == was.len() => prop_assert!(Arc::ptr_eq(was, now)),
+                        Some(now) => prop_assert_eq!(&now.nodes[..was.nodes.len()], &was.nodes[..]),
+                        // Its sequence emptied: only empty buckets were clean.
+                        None => prop_assert!(held_dirty || was.len() == 0, "{:?} vanished", seq),
+                    }
+                }
+            }
+
+            // The isolated node holds no entry: marking only it dirty
+            // changes no bucket, so every one stays shared.
+            let mut quiet = vec![false; n as usize + 1];
+            quiet[n as usize] = true;
+            let mut same = old.clone();
+            update_index(&mut same, &g0, &NoIdentity, &quiet);
+            prop_assert_eq!(same.n_sequences(), old.n_sequences());
+            for (seq, se) in &old.map {
+                for (was, now) in se.buckets.iter().zip(&same.map[seq].buckets) {
+                    prop_assert!(Arc::ptr_eq(was, now), "a bucket of {:?} was copied", seq);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `("P", seq, bucket(α))` — the disk analogue of the in-memory structure.
 
 use crate::index::{
-    push_matches, with_canonical, PathIndex, PathIndexConfig, PathMatches, StoredPath,
+    push_matches, with_canonical, Fill, PathIndex, PathIndexConfig, PathMatches, StoredPath,
 };
 use graphstore::hash::FxHashMap;
 use graphstore::Label;
@@ -133,7 +133,7 @@ pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
     }
     let n_seqs = codec::read_u32(&meta, pos);
     let config = PathIndexConfig { max_len, beta, gamma, threads: 0, hist_grid };
-    let mut index = PathIndex::empty(config);
+    let mut fill = Fill::new(config);
 
     let mut seqs: Vec<Vec<u16>> = Vec::with_capacity(n_seqs as usize);
     for id in 0..n_seqs {
@@ -154,12 +154,11 @@ pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
         let hi = seq_upper_bound(id as u32);
         kv.scan(Some(&lo), Some(&hi), &mut |_k, v| {
             let e = decode_entry(v, &mut nodes);
-            index.insert(seq, e.nodes.iter().copied(), e.prle, e.prn);
+            fill.insert(seq, e.nodes.iter().copied(), e.prle, e.prn);
             true
         })?;
     }
-    index.shrink_to_fit();
-    Ok(index)
+    Ok(PathIndex::from_fill(fill))
 }
 
 /// A path index served directly from a key/value store: lookups are range

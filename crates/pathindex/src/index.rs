@@ -3,6 +3,7 @@
 use crate::histogram::estimate_at;
 use graphstore::hash::FxHashMap;
 use graphstore::{EntityId, Label};
+use std::sync::Arc;
 
 /// Identity-uncertainty oracle: the piece of the PEG the index needs.
 ///
@@ -318,14 +319,22 @@ impl PathMatches {
 
 /// The entries of one `(canonical sequence, probability bucket)`, flat:
 /// entry `i` is `nodes[i * stride..(i + 1) * stride]`, `prle[i]`, `prn[i]`,
-/// with `stride` the sequence length. Entries keep insertion order. Three
-/// buffers per bucket rather than one allocation per entry is what lets a
-/// generation of the index be copied at memcpy speed.
+/// with `stride` the sequence length. Entries keep insertion order.
+///
+/// An index holds its buckets behind `Arc`, and a bucket's bytes never
+/// change once it is shared: an update gives a generation fresh copies of
+/// the buckets it changes and shares every other one with the generation
+/// before ([`crate::update_index`]). `holds` is what lets it tell the two
+/// apart without reading the entries.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Bucket {
     pub(crate) nodes: Vec<u32>,
     pub(crate) prle: Vec<f64>,
     pub(crate) prn: Vec<f64>,
+    /// Bit `v` is set exactly when node `v` is on some entry; no longer
+    /// than the largest such id needs. Built once per bucket when it is
+    /// sealed, and kept exact by every update that copies the bucket.
+    pub(crate) holds: Vec<u64>,
 }
 
 impl Bucket {
@@ -342,14 +351,113 @@ impl Bucket {
         }
     }
 
-    fn shrink_to_fit(&mut self) {
+    /// Appends one entry, leaving `holds` to [`Bucket::seal`] or the
+    /// caller.
+    #[inline]
+    pub(crate) fn push(&mut self, nodes: impl IntoIterator<Item = u32>, prle: f64, prn: f64) {
+        self.nodes.extend(nodes);
+        self.prle.push(prle);
+        self.prn.push(prn);
+    }
+
+    /// Sets node `v`'s bit in `holds`.
+    #[inline]
+    pub(crate) fn mark(&mut self, v: u32) {
+        let word = (v / 64) as usize;
+        if word >= self.holds.len() {
+            self.holds.resize(word + 1, 0);
+        }
+        self.holds[word] |= 1 << (v % 64);
+    }
+
+    /// Whether some entry holds a node whose bit is set in `dirty`; every
+    /// node past `dirty`'s last word counts as dirty. Reads `holds`, not
+    /// the entries.
+    pub(crate) fn holds_any(&self, dirty: &[u64]) -> bool {
+        self.holds.iter().enumerate().any(|(i, &h)| h & dirty.get(i).copied().unwrap_or(!0) != 0)
+    }
+
+    /// This bucket without the entries holding a node `dirty` marks (by
+    /// [`Bucket::holds_any`]'s rule), in order, `holds` exact; `None` when
+    /// no entry goes. `dropped` sees each dropped entry's total
+    /// probability. The kept entries are copied run by run.
+    pub(crate) fn without(
+        &self,
+        stride: usize,
+        dirty: &[u64],
+        mut dropped: impl FnMut(f64),
+    ) -> Option<Bucket> {
+        let is_dirty =
+            |v: u32| dirty.get((v / 64) as usize).is_none_or(|w| (w >> (v % 64)) & 1 != 0);
+        let mut gone: Vec<usize> = Vec::new();
+        for (j, &v) in self.nodes.iter().enumerate() {
+            if is_dirty(v) && gone.last() != Some(&(j / stride)) {
+                gone.push(j / stride);
+            }
+        }
+        if gone.is_empty() {
+            return None;
+        }
+        let kept = self.len() - gone.len();
+        let mut out = Bucket {
+            nodes: Vec::with_capacity(kept * stride),
+            prle: Vec::with_capacity(kept),
+            prn: Vec::with_capacity(kept),
+            holds: vec![0; self.holds.len()],
+        };
+        let mut from = 0;
+        for i in gone.iter().copied().chain([self.len()]) {
+            out.nodes.extend_from_slice(&self.nodes[from * stride..i * stride]);
+            out.prle.extend_from_slice(&self.prle[from..i]);
+            out.prn.extend_from_slice(&self.prn[from..i]);
+            if i < self.len() {
+                dropped(self.prle[i] * self.prn[i]);
+            }
+            from = i + 1;
+        }
+        for &v in &out.nodes {
+            out.holds[(v / 64) as usize] |= 1 << (v % 64);
+        }
+        out.shrink_to_fit();
+        Some(out)
+    }
+
+    /// A copy with room for `extra` more entries of `stride` nodes.
+    fn with_room(&self, extra: usize, stride: usize) -> Bucket {
+        let copy = |v: &[f64]| {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        };
+        let mut nodes = Vec::with_capacity(self.nodes.len() + extra * stride);
+        nodes.extend_from_slice(&self.nodes);
+        Bucket { nodes, prle: copy(&self.prle), prn: copy(&self.prn), holds: self.holds.clone() }
+    }
+
+    /// Builds `holds` from the entries and returns growth slack to the
+    /// allocator: once per bucket, when its filling is done.
+    pub(crate) fn seal(&mut self) {
+        self.holds = Vec::new();
+        for i in 0..self.nodes.len() {
+            self.mark(self.nodes[i]);
+        }
+        self.shrink_to_fit();
+    }
+
+    /// Returns growth slack, `holds`' trailing empty words included.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        while self.holds.last() == Some(&0) {
+            self.holds.pop();
+        }
         self.nodes.shrink_to_fit();
         self.prle.shrink_to_fit();
         self.prn.shrink_to_fit();
+        self.holds.shrink_to_fit();
     }
 
     fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * 4 + (self.prle.capacity() + self.prn.capacity()) * 8
+        self.nodes.capacity() * 4
+            + (self.prle.capacity() + self.prn.capacity() + self.holds.capacity()) * 8
     }
 }
 
@@ -357,7 +465,7 @@ impl Bucket {
 #[derive(Clone, Debug)]
 pub(crate) struct SeqEntries {
     /// One [`Bucket`] per probability bucket, ascending.
-    pub(crate) buckets: Vec<Bucket>,
+    pub(crate) buckets: Vec<Arc<Bucket>>,
     /// `hist[i]`: entries with total probability ≥ `hist_grid[i]`. Kept
     /// current by every insert and removal, so it always equals a recount.
     pub(crate) hist: Vec<u32>,
@@ -371,6 +479,49 @@ impl SeqEntries {
     /// All entries, bucket by bucket; `stride` is the sequence length.
     pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = StoredPath<'_>> {
         self.buckets.iter().flat_map(move |b| b.iter(stride))
+    }
+}
+
+/// Entries being collected for an index, in buckets owned outright: the
+/// one place an entry is inserted. [`PathIndex::from_fill`] seals a fill
+/// into a new index; [`PathIndex::append`] adds one to the end of an
+/// existing index's buckets.
+pub(crate) struct Fill {
+    config: PathIndexConfig,
+    /// Per canonical sequence: its buckets and histogram counts.
+    map: FxHashMap<Vec<u16>, (Vec<Bucket>, Vec<u32>)>,
+    n_entries: usize,
+}
+
+impl Fill {
+    pub(crate) fn new(config: PathIndexConfig) -> Self {
+        Self { config, map: FxHashMap::default(), n_entries: 0 }
+    }
+
+    /// Appends one entry to the bucket of its total probability and counts
+    /// it into its sequence's histogram.
+    pub(crate) fn insert(
+        &mut self,
+        canonical: &[u16],
+        nodes: impl IntoIterator<Item = u32>,
+        prle: f64,
+        prn: f64,
+    ) {
+        let p = prle * prn;
+        let bucket = self.config.bucket_of(p);
+        if !self.map.contains_key(canonical) {
+            let fresh = (
+                vec![Bucket::default(); self.config.n_buckets()],
+                vec![0; self.config.hist_grid.len()],
+            );
+            self.map.insert(canonical.to_vec(), fresh);
+        }
+        let (buckets, hist) = self.map.get_mut(canonical).expect("inserted above");
+        let b = &mut buckets[bucket];
+        b.push(nodes, prle, prn);
+        debug_assert_eq!(b.nodes.len(), b.len() * canonical.len());
+        count_hist(hist, &self.config.hist_grid, p, true);
+        self.n_entries += 1;
     }
 }
 
@@ -474,8 +625,58 @@ pub fn estimate_from_counts(
 }
 
 impl PathIndex {
-    pub(crate) fn empty(config: PathIndexConfig) -> Self {
-        Self { config, map: FxHashMap::default(), n_entries: 0 }
+    /// Seals `fill` into an index: every bucket gives back its growth
+    /// slack, builds its `holds` summary and goes behind an `Arc`.
+    pub(crate) fn from_fill(fill: Fill) -> Self {
+        let map = fill
+            .map
+            .into_iter()
+            .map(|(seq, (buckets, hist))| {
+                let buckets = buckets
+                    .into_iter()
+                    .map(|mut b| {
+                        b.seal();
+                        Arc::new(b)
+                    })
+                    .collect();
+                (seq, SeqEntries { buckets, hist })
+            })
+            .collect();
+        Self { config: fill.config, map, n_entries: fill.n_entries }
+    }
+
+    /// Appends `fill`'s entries to the end of their buckets, in order,
+    /// copying a bucket still shared with another generation first
+    /// (copy on write) and keeping its `holds` exact.
+    pub(crate) fn append(&mut self, fill: Fill) {
+        let n_buckets = self.config.n_buckets();
+        for (seq, (buckets, hist)) in fill.map {
+            let stride = seq.len();
+            let se = self.map.entry(seq).or_insert_with(|| SeqEntries {
+                buckets: (0..n_buckets).map(|_| Arc::default()).collect(),
+                hist: vec![0; hist.len()],
+            });
+            for (dst, src) in se.buckets.iter_mut().zip(buckets) {
+                if src.len() == 0 {
+                    continue;
+                }
+                if Arc::get_mut(dst).is_none() {
+                    *dst = Arc::new(dst.with_room(src.len(), stride));
+                }
+                let dst = Arc::get_mut(dst).expect("unshared above");
+                dst.nodes.reserve_exact(src.nodes.len());
+                dst.prle.reserve_exact(src.len());
+                dst.prn.reserve_exact(src.len());
+                for e in src.iter(stride) {
+                    dst.push(e.nodes.iter().copied(), e.prle, e.prn);
+                    e.nodes.iter().for_each(|&v| dst.mark(v));
+                }
+            }
+            for (count, add) in se.hist.iter_mut().zip(hist) {
+                *count += add;
+            }
+        }
+        self.n_entries += fill.n_entries;
     }
 
     /// The construction parameters.
@@ -493,54 +694,23 @@ impl PathIndex {
         self.map.len()
     }
 
-    /// In-memory footprint in bytes: the buckets' heap buffers plus the
-    /// per-sequence and per-bucket headers (hash-table slack excluded).
+    /// In-memory footprint in bytes: the buckets' heap buffers and node
+    /// summaries plus the per-sequence and per-bucket headers (hash-table
+    /// slack excluded). A bucket shared with another generation counts in
+    /// each.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
+        // An `Arc`'s heap block: two counts, then the bucket's header.
+        let bucket_block = 2 * size_of::<usize>() + size_of::<Bucket>();
         let mut total = 0usize;
         for (k, v) in &self.map {
             total += size_of::<Vec<u16>>() + k.len() * 2;
             total += size_of::<SeqEntries>() + v.hist.len() * 4;
             for b in &v.buckets {
-                total += size_of::<Bucket>() + b.heap_bytes();
+                total += size_of::<Arc<Bucket>>() + bucket_block + b.heap_bytes();
             }
         }
         total as u64
-    }
-
-    /// Appends one entry to the bucket of its total probability and counts
-    /// it into its sequence's histogram.
-    pub(crate) fn insert(
-        &mut self,
-        canonical: &[u16],
-        nodes: impl IntoIterator<Item = u32>,
-        prle: f64,
-        prn: f64,
-    ) {
-        let p = prle * prn;
-        let bucket = self.config.bucket_of(p);
-        if !self.map.contains_key(canonical) {
-            let fresh = SeqEntries {
-                buckets: vec![Bucket::default(); self.config.n_buckets()],
-                hist: vec![0; self.config.hist_grid.len()],
-            };
-            self.map.insert(canonical.to_vec(), fresh);
-        }
-        let se = self.map.get_mut(canonical).expect("inserted above");
-        let b = &mut se.buckets[bucket];
-        b.nodes.extend(nodes);
-        debug_assert_eq!(b.nodes.len(), (b.prle.len() + 1) * canonical.len());
-        b.prle.push(prle);
-        b.prn.push(prn);
-        count_hist(&mut se.hist, &self.config.hist_grid, p, true);
-        self.n_entries += 1;
-    }
-
-    /// Returns the growth slack of every bucket buffer to the allocator.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        for se in self.map.values_mut() {
-            se.buckets.iter_mut().for_each(Bucket::shrink_to_fit);
-        }
     }
 
     /// Per-sequence histogram counts over the subset of entries
@@ -716,11 +886,19 @@ mod tests {
         assert_eq!(cfg.bucket_of(1.0), 10);
     }
 
+    /// An index of `(canonical sequence, nodes, prle)` entries, `prn` 1.
+    fn index_of(entries: &[(&[u16], &[u32], f64)]) -> PathIndex {
+        let mut fill = Fill::new(PathIndexConfig::default());
+        for (seq, nodes, prle) in entries {
+            fill.insert(seq, nodes.iter().copied(), *prle, 1.0);
+        }
+        PathIndex::from_fill(fill)
+    }
+
     #[test]
     fn insert_lookup_direction_handling() {
-        let mut idx = PathIndex::empty(PathIndexConfig::default());
         // Canonical sequence [1,2,3] with a path 10-11-12.
-        idx.insert(&[1, 2, 3], [10, 11, 12], 0.8, 1.0);
+        let idx = index_of(&[(&[1, 2, 3], &[10, 11, 12], 0.8)]);
 
         let fwd = idx.lookup(&[Label(1), Label(2), Label(3)], 0.5);
         assert_eq!(fwd.len(), 1);
@@ -740,23 +918,21 @@ mod tests {
 
     #[test]
     fn palindrome_yields_both_directions() {
-        let mut idx = PathIndex::empty(PathIndexConfig::default());
-        idx.insert(&[1, 2, 1], [5, 6, 7], 0.9, 1.0);
+        let idx = index_of(&[(&[1, 2, 1], &[5, 6, 7], 0.9)]);
         let got = idx.lookup(&[Label(1), Label(2), Label(1)], 0.1);
         assert_eq!(got.len(), 2);
         assert_ne!(got.row(0), got.row(1));
         // Single nodes are not doubled.
-        let mut idx2 = PathIndex::empty(PathIndexConfig::default());
-        idx2.insert(&[4], [9], 1.0, 1.0);
+        let idx2 = index_of(&[(&[4], &[9], 1.0)]);
         assert_eq!(idx2.lookup(&[Label(4)], 0.5).len(), 1);
     }
 
     #[test]
     fn estimate_uses_histogram_and_palindrome_factor() {
-        let mut idx = PathIndex::empty(PathIndexConfig::default());
-        for i in 0..10 {
-            idx.insert(&[1, 2, 1], [i, i + 100, i + 200], 0.55, 1.0);
-        }
+        let paths: Vec<[u32; 3]> = (0..10).map(|i| [i, i + 100, i + 200]).collect();
+        let entries: Vec<(&[u16], &[u32], f64)> =
+            paths.iter().map(|p| (&[1u16, 2, 1][..], &p[..], 0.55)).collect();
+        let idx = index_of(&entries);
         let est = idx.estimate_count(&[Label(1), Label(2), Label(1)], 0.5);
         assert!((est - 20.0).abs() < 1e-9, "est = {est}");
         let exact = idx.count_exact(&[Label(1), Label(2), Label(1)], 0.5);

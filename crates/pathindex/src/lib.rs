@@ -9,8 +9,9 @@
 //! the paper's two-level structure (hash on the label sequence, B+-tree on
 //! the probability) maps to a hash map over canonical label sequences whose
 //! values are probability buckets in memory — each bucket one flat node
-//! buffer (stride = sequence length) with parallel `Prle` / `Prn` arrays, so
-//! copying an index generation is a few hundred `memcpy`s — and to
+//! buffer (stride = sequence length) with parallel `Prle` / `Prn` arrays and
+//! a bitmap of the nodes it holds, shared by `Arc` between index
+//! generations, so an update copies only the buckets it changes — and to
 //! composite-key ranges in a [`kvstore::BTreeStore`] on disk ([`disk`]).
 //!
 //! Undirected symmetry is folded: a path is stored only under the canonical

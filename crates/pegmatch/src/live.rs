@@ -9,19 +9,22 @@
 //!
 //! What a batch costs ([`UpdatePhases`] times each step):
 //!
-//! * **∝ what it touched** — the existence rebuild reuses untouched
-//!   component tables by `Arc`; the path index drops the entries through a
-//!   dirty node and re-enumerates only where a dirty node is still
+//! * **∝ what it touched** — the entity graph merges again only the
+//!   touched and appended entities and the pairs incident to them (node
+//!   ids stay stable: creation-order numbering, tombstoned deletions); the
+//!   existence rebuild reuses untouched component tables by `Arc`; the
+//!   path index shares every bucket that holds no dirty node with the
+//!   previous generation, copies (filtered) only the buckets that hold one
+//!   or gain an entry, and re-enumerates only where a dirty node is still
 //!   reachable; histogram counts move by one per entry that left or
 //!   entered; context rows are recomputed for dirty nodes and their
 //!   neighbours.
-//! * **still ∝ n** — the entity graph is recompiled whole from the
-//!   reference network (`PegBuilder::compile`; node ids stay stable:
-//!   creation-order numbering, tombstoned deletions), the reference
-//!   network is cloned, and the index and context tables are copied
-//!   before they are patched — flat buffers, so a `memcpy` per bucket —
-//!   with one linear pass over the index's node ids to find the entries to
-//!   drop.
+//! * **still ∝ n, at copy speed** — the reference network is cloned; the
+//!   patched entity graph copies the untouched nodes and edges, scans the
+//!   reference edges once for the touched ones and rebuilds its CSR; the
+//!   existence model regroups every node; the index's per-bucket node
+//!   summaries are read once each; the context tables are copied before
+//!   they are patched.
 
 use crate::error::PegError;
 use crate::model::{Peg, PegBuilder};
@@ -38,15 +41,18 @@ pub struct UpdatePhases {
     pub refs_clone: Duration,
     /// Validating and applying the ops.
     pub apply_all: Duration,
-    /// Recompiling the entity graph (whole network).
+    /// Patching the entity graph at the touched entities.
     pub compile: Duration,
     /// Incremental existence rebuild and dirty marking.
     pub existence: Duration,
-    /// Copying the previous path index.
+    /// Cloning the previous path index: its sequence table, one shared
+    /// reference per bucket.
     pub index_copy: Duration,
-    /// Dropping the entries through a dirty node.
+    /// Dropping the entries through a dirty node: a filtered copy of each
+    /// bucket that holds one, found from the per-bucket node summaries.
     pub index_drop: Duration,
-    /// Ball BFS, pruned re-enumeration and insertion.
+    /// Ball BFS, pruned re-enumeration and insertion (a bucket still
+    /// shared is copied before its first insert).
     pub index_enumerate: Duration,
     /// Removing emptied sequences (the counts themselves are patched as
     /// entries are dropped and inserted).
@@ -78,7 +84,7 @@ impl UpdatePhases {
 pub struct LiveUpdate {
     /// The mutated reference network (input to the *next* mutation).
     pub refs: RefGraph,
-    /// The recompiled PEG.
+    /// The patched PEG.
     pub peg: Peg,
     /// The patched offline artifacts.
     pub index: OfflineIndex,

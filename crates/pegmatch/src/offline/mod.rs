@@ -87,14 +87,17 @@ impl OfflineIndex {
 
     /// Rebuilds the offline artifacts after a graph mutation from `dirty`
     /// (per-node flags from [`crate::model::PegBuilder::rebuild`]) instead
-    /// of recomputing them over the whole graph: the path index is copied
-    /// (flat buckets, so at memcpy speed) and patched around the dirty
-    /// ball by [`update_index`], the context tables are copied and patched
-    /// at the dirty nodes and their neighbours
-    /// ([`ContextInfo::patched`]). `self` is left untouched — in-flight
-    /// queries holding it stay consistent — and the result is entry-,
-    /// histogram- and context-identical to [`OfflineIndex::build`] on the
-    /// mutated `peg`. The time of each step is recorded into `phases`.
+    /// of recomputing them over the whole graph. The new path index shares
+    /// every bucket that holds no dirty node with `self`'s (cloning it
+    /// costs a reference per bucket); [`update_index`] replaces each
+    /// bucket that holds one by a filtered copy and re-enumerates around
+    /// the dirty ball, copying a still-shared bucket before inserting into
+    /// it. The context tables are copied and patched at the dirty nodes
+    /// and their neighbours ([`ContextInfo::patched`]). `self` is left
+    /// untouched — in-flight queries holding it stay consistent — and the
+    /// result is entry-, histogram- and context-identical to
+    /// [`OfflineIndex::build`] on the mutated `peg`. The time of each step
+    /// is recorded into `phases`.
     pub fn rebuild_delta(
         &self,
         peg: &Peg,
