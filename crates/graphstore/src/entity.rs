@@ -304,53 +304,6 @@ impl EntityGraph {
         EntityGraph::assemble(labels, nodes, edges, edge_map)
     }
 
-    /// This graph with its nodes replaced by `nodes` (a superset of the
-    /// ids: new nodes are appended) and the edges at `dirty` nodes
-    /// replaced by `fresh`. Every edge of `self` with no dirty endpoint is
-    /// kept; `fresh`, sorted like [`EntityGraph::from_sorted_edges`]'s
-    /// input, must hold every edge with a dirty endpoint. When both come
-    /// in compiler order the result is edge for edge, row for row the
-    /// graph [`EntityGraph::from_sorted_edges`] builds from the merged
-    /// list; the edge map is this graph's, renumbered, not rebuilt.
-    pub fn patched(
-        &self,
-        nodes: Vec<EntityNode>,
-        dirty: &[bool],
-        fresh: Vec<EntityEdge>,
-    ) -> EntityGraph {
-        debug_assert!(fresh.windows(2).all(|w| edge_key(&w[0]) < edge_key(&w[1])));
-        const GONE: u32 = u32::MAX;
-        let is_dirty = |v: EntityId| dirty.get(v.idx()).copied().unwrap_or(true);
-        // Merge the kept edges (already in order) with the fresh ones,
-        // recording where every old edge went.
-        let mut renumber = vec![GONE; self.edges.len()];
-        let mut edges = Vec::with_capacity(self.edges.len() + fresh.len());
-        let mut fresh_at = Vec::with_capacity(fresh.len());
-        let mut fresh = fresh.into_iter().peekable();
-        for (i, e) in self.edges.iter().enumerate() {
-            if is_dirty(e.a) || is_dirty(e.b) {
-                continue;
-            }
-            while let Some(f) = fresh.next_if(|f| edge_key(f) < edge_key(e)) {
-                fresh_at.push(edges.len() as u32);
-                edges.push(f);
-            }
-            renumber[i] = edges.len() as u32;
-            edges.push(e.clone());
-        }
-        for f in fresh {
-            fresh_at.push(edges.len() as u32);
-            edges.push(f);
-        }
-        let mut edge_map = self.edge_map.clone();
-        edge_map.retain(|_, i| {
-            *i = renumber[*i as usize];
-            *i != GONE
-        });
-        edge_map.extend(fresh_at.iter().map(|&i| (edge_key(&edges[i as usize]), i)));
-        EntityGraph::assemble(self.labels.clone(), nodes, edges, edge_map)
-    }
-
     /// The CSR over `edges`, each row sorted by neighbour id.
     fn assemble(
         labels: LabelTable,

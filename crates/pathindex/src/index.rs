@@ -422,18 +422,6 @@ impl Bucket {
         Some(out)
     }
 
-    /// A copy with room for `extra` more entries of `stride` nodes.
-    fn with_room(&self, extra: usize, stride: usize) -> Bucket {
-        let copy = |v: &[f64]| {
-            let mut out = Vec::with_capacity(v.len() + extra);
-            out.extend_from_slice(v);
-            out
-        };
-        let mut nodes = Vec::with_capacity(self.nodes.len() + extra * stride);
-        nodes.extend_from_slice(&self.nodes);
-        Bucket { nodes, prle: copy(&self.prle), prn: copy(&self.prn), holds: self.holds.clone() }
-    }
-
     /// Builds `holds` from the entries and returns growth slack to the
     /// allocator: once per bucket, when its filling is done.
     pub(crate) fn seal(&mut self) {
@@ -660,10 +648,7 @@ impl PathIndex {
                 if src.len() == 0 {
                     continue;
                 }
-                if Arc::get_mut(dst).is_none() {
-                    *dst = Arc::new(dst.with_room(src.len(), stride));
-                }
-                let dst = Arc::get_mut(dst).expect("unshared above");
+                let dst = Arc::make_mut(dst);
                 dst.nodes.reserve_exact(src.nodes.len());
                 dst.prle.reserve_exact(src.len());
                 dst.prn.reserve_exact(src.len());

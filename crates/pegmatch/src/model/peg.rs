@@ -184,8 +184,20 @@ impl PegBuilder {
         let nodes: Vec<EntityNode> = (0..n)
             .map(|i| if dirty[i] { self.node(refs, i) } else { prev.nodes()[i].clone() })
             .collect();
+        // Both lists are in `(a, b)` order: merge them.
         let fresh = self.edges(refs, &nodes, Some(&dirty));
-        CompiledGraph::new(refs, prev.patched(nodes, &dirty, fresh))
+        let mut kept =
+            prev.edges().iter().filter(|e| !dirty[e.a.idx()] && !dirty[e.b.idx()]).peekable();
+        let mut edges = Vec::with_capacity(prev.n_edges() + fresh.len());
+        for f in fresh {
+            while let Some(e) = kept.next_if(|e| (e.a, e.b) < (f.a, f.b)) {
+                edges.push(e.clone());
+            }
+            edges.push(f);
+        }
+        edges.extend(kept.cloned());
+        let graph = EntityGraph::from_sorted_edges(refs.label_table().clone(), nodes, edges);
+        CompiledGraph::new(refs, graph)
     }
 
     /// Entity `i` of the creation log: its references and merged labels.
