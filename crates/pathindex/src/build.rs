@@ -99,9 +99,7 @@ pub fn update_index(
                 count_hist(hist, &grid, p, false);
                 removed += 1;
             };
-            if let Some(kept) = b.without(seq.len(), &dirty_bits, dropped) {
-                *b = Arc::new(kept);
-            }
+            *b = Arc::new(b.without(seq.len(), &dirty_bits, dropped));
         }
     }
     index.n_entries -= removed;

@@ -378,15 +378,15 @@ impl Bucket {
     }
 
     /// This bucket without the entries holding a node `dirty` marks (by
-    /// [`Bucket::holds_any`]'s rule), in order, `holds` exact; `None` when
-    /// no entry goes. `dropped` sees each dropped entry's total
-    /// probability. The kept entries are copied run by run.
+    /// [`Bucket::holds_any`]'s rule, which must hold), in order, `holds`
+    /// exact. `dropped` sees each dropped entry's total probability. The
+    /// kept entries are copied run by run.
     pub(crate) fn without(
         &self,
         stride: usize,
         dirty: &[u64],
         mut dropped: impl FnMut(f64),
-    ) -> Option<Bucket> {
+    ) -> Bucket {
         let is_dirty =
             |v: u32| dirty.get((v / 64) as usize).is_none_or(|w| (w >> (v % 64)) & 1 != 0);
         let mut gone: Vec<usize> = Vec::new();
@@ -395,9 +395,7 @@ impl Bucket {
                 gone.push(j / stride);
             }
         }
-        if gone.is_empty() {
-            return None;
-        }
+        debug_assert!(!gone.is_empty(), "`holds` is exact");
         let kept = self.len() - gone.len();
         let mut out = Bucket {
             nodes: Vec::with_capacity(kept * stride),
@@ -419,7 +417,7 @@ impl Bucket {
             out.holds[(v / 64) as usize] |= 1 << (v % 64);
         }
         out.shrink_to_fit();
-        Some(out)
+        out
     }
 
     /// Builds `holds` from the entries and returns growth slack to the
