@@ -174,20 +174,20 @@ impl PegBuilder {
     /// `prev` in order.
     fn patch(&self, refs: &RefGraph, prev: &EntityGraph, touched: &[u32]) -> CompiledGraph {
         let n = refs.n_entities();
-        let mut dirty = vec![false; n];
-        dirty[prev.n_nodes().min(n)..].fill(true);
+        let mut redo = vec![false; n];
+        redo[prev.n_nodes().min(n)..].fill(true);
         for &t in touched {
-            if let Some(d) = dirty.get_mut(t as usize) {
-                *d = true;
+            if let Some(r) = redo.get_mut(t as usize) {
+                *r = true;
             }
         }
         let nodes: Vec<EntityNode> = (0..n)
-            .map(|i| if dirty[i] { self.node(refs, i) } else { prev.nodes()[i].clone() })
+            .map(|i| if redo[i] { self.node(refs, i) } else { prev.nodes()[i].clone() })
             .collect();
+        let fresh = self.edges(refs, &nodes, Some(&redo));
         // Both lists are in `(a, b)` order: merge them.
-        let fresh = self.edges(refs, &nodes, Some(&dirty));
         let mut kept =
-            prev.edges().iter().filter(|e| !dirty[e.a.idx()] && !dirty[e.b.idx()]).peekable();
+            prev.edges().iter().filter(|e| !redo[e.a.idx()] && !redo[e.b.idx()]).peekable();
         let mut edges = Vec::with_capacity(prev.n_edges() + fresh.len());
         for f in fresh {
             while let Some(e) = kept.next_if(|e| (e.a, e.b) < (f.a, f.b)) {
@@ -216,19 +216,19 @@ impl PegBuilder {
     }
 
     /// The merged entity edges in `(a, b)` order: over every pair of
-    /// entities joined by a reference edge, or — given `dirty` — over
-    /// only the pairs with a dirty endpoint.
+    /// entities joined by a reference edge, or — given `redo` flags per
+    /// entity — over only the pairs with a flagged endpoint.
     fn edges(
         &self,
         refs: &RefGraph,
         nodes: &[EntityNode],
-        dirty: Option<&[bool]>,
+        redo: Option<&[bool]>,
     ) -> Vec<EntityEdge> {
-        // Which references a dirty entity holds: a reference edge with
-        // neither endpoint among them joins no dirty pair.
-        let held = dirty.map(|dirty| {
+        // Which references a flagged entity holds: a reference edge with
+        // neither endpoint among them joins no flagged pair.
+        let held = redo.map(|redo| {
             let mut held = vec![false; refs.n_refs()];
-            for (node, _) in nodes.iter().zip(dirty).filter(|(_, d)| **d) {
+            for (node, _) in nodes.iter().zip(redo).filter(|(_, r)| **r) {
                 for r in &node.refs {
                     held[r.idx()] = true;
                 }
@@ -247,7 +247,7 @@ impl PegBuilder {
             }
             for s1 in containing(e.a) {
                 for s2 in containing(e.b) {
-                    let wanted = dirty.is_none_or(|d| d[s1 as usize] || d[s2 as usize]);
+                    let wanted = redo.is_none_or(|r| r[s1 as usize] || r[s2 as usize]);
                     // Entities sharing a reference never co-exist: no edge.
                     if s1 != s2
                         && wanted
