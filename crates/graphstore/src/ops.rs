@@ -228,7 +228,7 @@ impl RefGraph {
 mod tests {
     use super::*;
     use crate::labels::{Label, LabelTable};
-    use crate::refgraph::EntityRef;
+    use crate::refgraph::{EntityRef, RefSetId};
     use proptest::prelude::*;
 
     impl RefGraph {
@@ -265,15 +265,14 @@ mod tests {
             5 => {
                 // Mostly a live set, so deletions do happen.
                 let live: Vec<&Vec<RefId>> = (0..g.ref_sets().len())
-                    .filter(|&j| g.set_is_alive(crate::refgraph::RefSetId(j as u32)))
+                    .filter(|&j| g.set_is_alive(RefSetId(j as u32)))
                     .map(|j| &g.ref_sets()[j].members)
                     .collect();
-                match live.is_empty() {
-                    true => GraphOp::DeleteSet { members },
-                    false => {
-                        GraphOp::DeleteSet { members: live[pick[4] as usize % live.len()].clone() }
-                    }
-                }
+                let members = match live.len() {
+                    0 => members,
+                    n => live[pick[4] as usize % n].clone(),
+                };
+                GraphOp::DeleteSet { members }
             }
             6 => GraphOp::SetSingletonWeight { r: r(1), weight: 0.4 },
             _ => GraphOp::PairPosterior { a: r(1), b: r(2), q: 0.3 },

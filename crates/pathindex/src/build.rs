@@ -594,7 +594,7 @@ mod tests {
     }
 
     /// A graph of `labels.len()` nodes (label `l`, or `l % 3` at 0.6 and
-    /// `l / 3` at 0.4 for `l ≥ 3`) with the given edges, plus one
+    /// `l / 3 - 1` at 0.4 for `l ≥ 3`) with the given edges, plus one
     /// isolated node whose only label is below every β used here: it
     /// holds no index entry.
     fn graph(labels: &[u16], edges: &BTreeMap<(u32, u32), f64>) -> EntityGraph {
