@@ -111,12 +111,12 @@ pub struct UpdateStats {
     pub n_dirty: usize,
     /// Shards rebuilt because the dirty ball reached their halo.
     pub rebuilt_shards: usize,
-    /// Existence components the store's own recompile of the full graph
+    /// Existence components the store's own rebuild of the full graph
     /// carried over from the previous model by `Arc`.
     pub reused_components: usize,
-    /// Time of the store's own steps (reference network and full-graph
-    /// recompile); the index and context phases stay zero — shards
-    /// rebuild whole behind the transport.
+    /// Time of the store's own steps (reference network, and the full
+    /// graph patched at the touched entities); the index and context
+    /// phases stay zero — shards rebuild whole behind the transport.
     pub phases: UpdatePhases,
 }
 
