@@ -271,12 +271,8 @@ fn extend(walk: &mut Walk<'_>, prle: f64, sink: &mut Sink<'_>) {
     let edges_left = (walk.config.max_len - walk.nodes.len()) as u32;
     let last = *walk.nodes.last().unwrap();
     let last_label = Label(*walk.labels.last().unwrap());
-    let neighbor_count = walk.graph.neighbors(last).len();
-    for k in 0..neighbor_count {
-        let (nb, edge) = {
-            let lo = walk.graph.neighbors(last)[k];
-            (EntityId(lo), walk.graph.edge_between(last, EntityId(lo)).unwrap())
-        };
+    let graph = walk.graph;
+    for (nb, edge) in graph.neighbor_edges(last) {
         let nb_dist = walk.dist(nb);
         if walk.n_dirty == 0 && nb_dist > edges_left {
             continue;
@@ -284,14 +280,13 @@ fn extend(walk: &mut Walk<'_>, prle: f64, sink: &mut Sink<'_>) {
         if walk.nodes.contains(&nb) {
             continue;
         }
-        if walk.graph.shares_ref_with_any(nb, &walk.nodes) {
+        if graph.shares_ref_with_any(nb, &walk.nodes) {
             continue;
         }
         let nb_trivial = walk.oracle.always_exists(nb);
-        let support: Vec<Label> = walk.graph.node(nb).labels.support().collect();
         walk.n_dirty += usize::from(nb_dist == 0);
-        for l in support {
-            let lp = walk.graph.label_prob(nb, l);
+        for l in graph.node(nb).labels.support() {
+            let lp = graph.label_prob(nb, l);
             let ep = if edge.a == last {
                 edge.prob.prob(last_label, l)
             } else {

@@ -474,18 +474,21 @@ impl SeqEntries {
 /// existing index's buckets.
 pub(crate) struct Fill {
     config: PathIndexConfig,
-    /// Per canonical sequence: its buckets and histogram counts.
-    map: FxHashMap<Vec<u16>, (Vec<Bucket>, Vec<u32>)>,
+    /// Canonical sequence → its position in `seqs`.
+    ids: FxHashMap<Vec<u16>, u32>,
+    /// Per sequence: the sequence, its buckets and histogram counts.
+    seqs: Vec<(Vec<u16>, Vec<Bucket>, Vec<u32>)>,
     n_entries: usize,
 }
 
 impl Fill {
     pub(crate) fn new(config: PathIndexConfig) -> Self {
-        Self { config, map: FxHashMap::default(), n_entries: 0 }
+        Self { config, ids: FxHashMap::default(), seqs: Vec::new(), n_entries: 0 }
     }
 
     /// Appends one entry to the bucket of its total probability and counts
-    /// it into its sequence's histogram.
+    /// it into its sequence's histogram. The sequence table is probed
+    /// once.
     pub(crate) fn insert(
         &mut self,
         canonical: &[u16],
@@ -495,14 +498,18 @@ impl Fill {
     ) {
         let p = prle * prn;
         let bucket = self.config.bucket_of(p);
-        if !self.map.contains_key(canonical) {
-            let fresh = (
-                vec![Bucket::default(); self.config.n_buckets()],
-                vec![0; self.config.hist_grid.len()],
-            );
-            self.map.insert(canonical.to_vec(), fresh);
-        }
-        let (buckets, hist) = self.map.get_mut(canonical).expect("inserted above");
+        let id = match self.ids.get(canonical) {
+            Some(&id) => id as usize,
+            None => {
+                let id = self.seqs.len();
+                self.ids.insert(canonical.to_vec(), id as u32);
+                let buckets = vec![Bucket::default(); self.config.n_buckets()];
+                let hist = vec![0; self.config.hist_grid.len()];
+                self.seqs.push((canonical.to_vec(), buckets, hist));
+                id
+            }
+        };
+        let (_, buckets, hist) = &mut self.seqs[id];
         let b = &mut buckets[bucket];
         b.push(nodes, prle, prn);
         debug_assert_eq!(b.nodes.len(), b.len() * canonical.len());
@@ -615,9 +622,9 @@ impl PathIndex {
     /// slack, builds its `holds` summary and goes behind an `Arc`.
     pub(crate) fn from_fill(fill: Fill) -> Self {
         let map = fill
-            .map
+            .seqs
             .into_iter()
-            .map(|(seq, (buckets, hist))| {
+            .map(|(seq, buckets, hist)| {
                 let buckets = buckets
                     .into_iter()
                     .map(|mut b| {
@@ -636,7 +643,7 @@ impl PathIndex {
     /// (copy on write) and keeping its `holds` exact.
     pub(crate) fn append(&mut self, fill: Fill) {
         let n_buckets = self.config.n_buckets();
-        for (seq, (buckets, hist)) in fill.map {
+        for (seq, buckets, hist) in fill.seqs {
             let stride = seq.len();
             let se = self.map.entry(seq).or_insert_with(|| SeqEntries {
                 buckets: (0..n_buckets).map(|_| Arc::default()).collect(),
