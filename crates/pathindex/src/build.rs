@@ -1,4 +1,4 @@
-//! Index construction: parallel bounded-length path enumeration.
+//! Index construction and maintenance: bounded-length path enumeration.
 //!
 //! Construction runs a depth-first enumeration of directed paths from every
 //! start node, pruning by the anti-monotone bound `Prle · Prn ≥ β` (any
@@ -8,16 +8,25 @@
 //! barrier, mirroring the paper's per-length synchronization barrier);
 //! each worker emits only canonically-oriented paths so every undirected
 //! path/labeling pair is stored exactly once.
+//!
+//! An update uses the same property the other way round: every sub-path
+//! of an indexable path is indexable, so the entries through a node can be
+//! grown outward from it ([`update_index`]).
 
 use crate::index::{
-    cmp_with_reversed, count_hist, Fill, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
+    cmp_with_reversed, Edits, Fill, IdentityOracle, PathIndex, PathIndexConfig, PathMatches,
 };
-use graphstore::{EntityGraph, EntityId, Label, UNREACHED};
-use std::sync::Arc;
+use graphstore::{EntityGraph, EntityId, Label};
 use std::time::{Duration, Instant};
 
 /// Probability slack for threshold comparisons.
 const EPS: f64 = 1e-12;
+
+/// Slack of the sub-path prune in [`update_index`]'s walk. A sub-path's
+/// probability is at least its path's, but the two products are rounded
+/// in different orders; this is far above that rounding and far below any
+/// probability gap that matters, and the exact test runs on emission.
+const PRUNE_SLACK: f64 = 1e-9;
 
 /// Builds the context-aware path index for `graph`.
 pub fn build_index(
@@ -25,123 +34,90 @@ pub fn build_index(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
 ) -> PathIndex {
-    let starts: Vec<u32> = (0..graph.n_nodes() as u32).collect();
-    PathIndex::from_fill(enumerate(config, graph, oracle, &starts, None))
+    PathIndex::from_fill(enumerate(config, graph, oracle))
 }
 
 /// Where one [`update_index`] call spent its time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexUpdateTimes {
-    /// Step 1: the filtered copies of the buckets that hold a dirty node.
+    /// Step 1: enumerating the entries through a dirty node on the
+    /// previous graph — the entries to take out.
     pub drop: Duration,
-    /// Steps 2–3: ball BFS, pruned re-enumeration and insertion.
+    /// Steps 2–3: the same enumeration on the new graph — the entries to
+    /// put in — and the keyed patch of the chunks the changes fall into.
     pub enumerate: Duration,
     /// Step 4: the sweep for emptied sequences (the histogram counts
-    /// themselves are patched as entries leave and enter in steps 1
-    /// and 3).
+    /// themselves move in step 3, one per entry that left or entered).
     pub histogram: Duration,
 }
 
-/// Patches `index` after a graph mutation, given the set of `dirty` nodes
-/// (any node whose labels, incident edges, or existence component may
-/// differ from the graph the index was built for; new nodes must be
-/// marked dirty). Node ids must be stable across the mutation — the
-/// entity-graph compiler guarantees this by tombstoning deletions.
+/// Patches `index` after a graph mutation, given the graph and identity
+/// oracle it was built from (`prev`, `prev_oracle`), the mutated ones and
+/// the set of `dirty` nodes (any node whose labels, incident edges, or
+/// existence component may differ between the two graphs; new nodes must
+/// be marked dirty, and ids past `dirty`'s end count as dirty). Node ids
+/// must be stable across the mutation — the entity-graph compiler
+/// guarantees this by tombstoning deletions.
+///
+/// An entry through no dirty node is the same in both graphs, so the
+/// update reads and writes only the entries through one:
+///
+/// 1. grown outward from each dirty node of `prev` — the right arm first,
+///    then the left, pruned by the sub-path's probability, and emitted
+///    once, from the path's smallest dirty node, exactly when the build
+///    walk from its first node would emit it (same orientation, same
+///    prefix tests, same multiplication order) — they are exactly the
+///    entries of `index` to take out;
+/// 2. the same walk on `graph` yields exactly the entries to put in;
+/// 3. both sides are sorted by key, and an entry on both with the same
+///    bits stays where it is; the rest are swapped by key into the sorted
+///    buckets, rebuilding only the chunks a change falls into, while
+///    histogram counts move by one per entry that left or entered;
+/// 4. sequences left without entries are removed entirely.
 ///
 /// `index` is typically a clone of the previous generation, which costs a
-/// reference per bucket: buckets are shared, and this never writes to a
-/// shared one. A bucket that holds no dirty node (its `holds` summary
-/// says so without reading it) stays shared and loses no entry; a bucket
-/// that holds one is replaced by a filtered copy; an insert into a bucket
-/// still shared copies it first. The previous generation answers every
-/// lookup exactly as before.
-///
-/// The result is entry- and histogram-identical to [`build_index`] on the
-/// mutated graph:
-///
-/// 1. every stored entry touching a dirty node is dropped — each bucket
-///    holding a dirty node becomes a copy of its other entries, in order
-///    (clean entries are unaffected by construction of the dirty set);
-/// 2. every canonical path containing a dirty node starts within
-///    `max_len` hops of one, so re-running the enumeration from that ball,
-///    emitting only dirty-touching paths, regenerates exactly the dropped
-///    ones. The ball's BFS leaves each node's hop distance to the dirty
-///    set, and the walk uses it: while it holds no dirty node it does not
-///    step to a neighbour farther from every dirty node than it has edges
-///    left under `max_len`. Nothing below such a step could be emitted —
-///    no extension reaches a dirty node in time — so the prune is exact:
-///    the emitted paths are the same, in the same order, and the walk
-///    costs what lies on the way to a dirty node, not the whole ball to
-///    full depth;
-/// 3. the emitted paths are appended to their buckets, and histogram
-///    counts go down by one per dropped entry and up by one per inserted
-///    entry — the integers a recount over the patched buckets gives;
-/// 4. sequences left without entries are removed entirely.
+/// reference per bucket; no shared chunk is written, so the previous
+/// generation answers every lookup exactly as before. The result equals
+/// [`build_index`] on the mutated graph entry for entry, in order, and in
+/// its histograms.
 pub fn update_index(
     index: &mut PathIndex,
+    prev: &EntityGraph,
+    prev_oracle: &dyn IdentityOracle,
     graph: &EntityGraph,
     oracle: &dyn IdentityOracle,
     dirty: &[bool],
 ) -> IndexUpdateTimes {
     let mut times = IndexUpdateTimes::default();
-    let is_dirty = |n: u32| dirty.get(n as usize).copied().unwrap_or(true);
-    let grid = index.config().hist_grid.clone();
+    let mut edits = Edits::default();
 
-    // 1. Copy each bucket that holds a dirty node without the entries
-    // through one; every other bucket stays shared.
+    // 1. The entries through a dirty node of the previous graph.
     let t = Instant::now();
-    let dirty_bits = node_bits(dirty);
-    let mut removed = 0usize;
-    for (seq, se) in index.map.iter_mut() {
-        for b in se.buckets.iter_mut().filter(|b| b.holds_any(&dirty_bits)) {
-            let hist = &mut se.hist;
-            let dropped = |p: f64| {
-                count_hist(hist, &grid, p, false);
-                removed += 1;
-            };
-            *b = Arc::new(b.without(seq.len(), &dirty_bits, dropped));
-        }
-    }
-    index.n_entries -= removed;
+    let mut take_out = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
+        edits.push(false, seq, nodes.iter().map(|v| v.0), prle, prn);
+    };
+    enumerate_dirty(index.config(), prev, prev_oracle, dirty, &mut take_out);
     times.drop = t.elapsed();
 
-    // 2. Region: ball of `max_len` hops around the dirty set in the new
-    // graph, by BFS, keeping every node's hop distance. The canonical
-    // start of any path containing a dirty node lies inside it.
+    // 2–3. The entries through a dirty node of the new graph, swapped in.
     let t = Instant::now();
-    let dist = graph.hop_distances(is_dirty, index.config().max_len);
-    let starts: Vec<u32> =
-        (0..dist.len() as u32).filter(|&v| dist[v as usize] != UNREACHED).collect();
-
-    // 3. Re-enumerate from the region, keeping only dirty-touching paths,
-    // and append them.
-    let fill = enumerate(index.config(), graph, oracle, &starts, Some(&dist));
-    index.append(fill);
+    let mut put_in = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
+        edits.push(true, seq, nodes.iter().map(|v| v.0), prle, prn);
+    };
+    enumerate_dirty(index.config(), graph, oracle, dirty, &mut put_in);
+    let lost = index.patch(edits);
     times.enumerate = t.elapsed();
 
     // 4. Drop emptied sequences.
     let t = Instant::now();
-    index.map.retain(|_, se| !se.is_empty());
+    index.remove_emptied(&lost);
     times.histogram = t.elapsed();
     times
 }
 
-/// `dirty` as a bitmap over node ids. Ids from `dirty.len()` up count as
-/// dirty — the tail of the last word here, every later word by
-/// [`Bucket::holds_any`]'s rule.
-fn node_bits(dirty: &[bool]) -> Vec<u64> {
-    let mut bits = vec![0u64; dirty.len().div_ceil(64)];
-    for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
-        bits[v / 64] |= 1 << (v % 64);
-    }
-    if !dirty.len().is_multiple_of(64) {
-        *bits.last_mut().expect("a partial word") |= !0u64 << (dirty.len() % 64);
-    }
-    bits
-}
-
 /// Paths emitted by one worker, flat: entry `i` spans
-/// `ends[i - 1]..ends[i]` of `labels` and `nodes`.
+/// `ends[i - 1]..ends[i]` of `labels` and `nodes`, and the entries of the
+/// worker's `k`-th start node end at `start_ends[k]`.
 #[derive(Default)]
 struct Emitted {
     labels: Vec<u16>,
@@ -149,52 +125,52 @@ struct Emitted {
     ends: Vec<usize>,
     prle: Vec<f64>,
     prn: Vec<f64>,
+    start_ends: Vec<usize>,
 }
 
-/// Runs the enumeration from every node of `starts` and collects what it
-/// emits: on one thread straight into the fill, on several through
-/// per-worker buffers merged by worker index, so the entry order is a
-/// function of the thread count alone.
-fn enumerate(
-    config: &PathIndexConfig,
-    graph: &EntityGraph,
-    oracle: &dyn IdentityOracle,
-    starts: &[u32],
-    dist: Option<&[u32]>,
-) -> Fill {
+/// Runs the build walk from every node and collects what it emits: on one
+/// thread straight into the fill, on several through per-worker buffers
+/// merged back in start order, so the fill sees the same entries in the
+/// same order at every thread count.
+fn enumerate(config: &PathIndexConfig, graph: &EntityGraph, oracle: &dyn IdentityOracle) -> Fill {
     let mut fill = Fill::new(config.clone());
+    let n = graph.n_nodes();
     let threads = if config.threads == 0 { pegpool::machine_lanes() } else { config.threads };
-    let threads = threads.clamp(1, starts.len().max(1));
+    let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
             fill.insert(seq, nodes.iter().map(|v| v.0), prle, prn);
         };
-        for &v in starts {
-            enumerate_from(graph, oracle, config, EntityId(v), dist, &mut sink);
+        for v in graph.node_ids() {
+            enumerate_from(graph, oracle, config, v, &mut sink);
         }
         return fill;
     }
     // Strided partitioning over start nodes on the shared persistent pool.
     let partials: Vec<Emitted> = pegpool::pool_with(threads).map(threads, |t| {
         let mut out = Emitted::default();
-        let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
-            out.labels.extend_from_slice(seq);
-            out.nodes.extend(nodes.iter().map(|v| v.0));
-            out.ends.push(out.nodes.len());
-            out.prle.push(prle);
-            out.prn.push(prn);
-        };
-        for &v in starts.iter().skip(t).step_by(threads) {
-            enumerate_from(graph, oracle, config, EntityId(v), dist, &mut sink);
+        for v in graph.node_ids().skip(t).step_by(threads) {
+            let mut sink = |seq: &[u16], nodes: &[EntityId], prle: f64, prn: f64| {
+                out.labels.extend_from_slice(seq);
+                out.nodes.extend(nodes.iter().map(|v| v.0));
+                out.ends.push(out.nodes.len());
+                out.prle.push(prle);
+                out.prn.push(prn);
+            };
+            enumerate_from(graph, oracle, config, v, &mut sink);
+            out.start_ends.push(out.ends.len());
         }
         out
     });
-    for partial in partials {
-        let mut from = 0;
-        for (i, &to) in partial.ends.iter().enumerate() {
-            let nodes = partial.nodes[from..to].iter().copied();
-            fill.insert(&partial.labels[from..to], nodes, partial.prle[i], partial.prn[i]);
-            from = to;
+    // Start `v` was worker `v % threads`'s `v / threads`-th.
+    let mut cursors = vec![(0usize, 0usize); threads];
+    for v in 0..n {
+        let (part, (entry, from)) = (&partials[v % threads], &mut cursors[v % threads]);
+        while *entry < part.start_ends[v / threads] {
+            let to = part.ends[*entry];
+            let nodes = part.nodes[*from..to].iter().copied();
+            fill.insert(&part.labels[*from..to], nodes, part.prle[*entry], part.prn[*entry]);
+            (*entry, *from) = (*entry + 1, to);
         }
     }
     fill
@@ -203,28 +179,14 @@ fn enumerate(
 /// Receives one canonical path: label sequence, nodes, `Prle`, `Prn`.
 type Sink<'a> = dyn FnMut(&[u16], &[EntityId], f64, f64) + 'a;
 
-/// DFS state for one start node.
+/// DFS state for one start node of the build walk.
 struct Walk<'a> {
     graph: &'a EntityGraph,
     oracle: &'a dyn IdentityOracle,
     config: &'a PathIndexConfig,
-    /// Incremental update only: each node's hop distance to the dirty set
-    /// (0 = dirty). Only paths holding a dirty node are emitted, and a
-    /// walk holding none does not step where none is reachable with the
-    /// edges it has left. `None` (full construction) reads as "every node
-    /// is dirty".
-    dist: Option<&'a [u32]>,
-    /// Dirty nodes currently on the walk.
-    n_dirty: usize,
     nodes: Vec<EntityId>,
     labels: Vec<u16>,
     all_trivial: bool,
-}
-
-impl Walk<'_> {
-    fn dist(&self, v: EntityId) -> u32 {
-        self.dist.map_or(0, |d| d[v.idx()])
-    }
 }
 
 fn enumerate_from(
@@ -232,20 +194,16 @@ fn enumerate_from(
     oracle: &dyn IdentityOracle,
     config: &PathIndexConfig,
     start: EntityId,
-    dist: Option<&[u32]>,
     sink: &mut Sink<'_>,
 ) {
     let mut walk = Walk {
         graph,
         oracle,
         config,
-        dist,
-        n_dirty: 0,
         nodes: Vec::with_capacity(config.max_len + 1),
         labels: Vec::with_capacity(config.max_len + 1),
         all_trivial: true,
     };
-    walk.n_dirty = usize::from(walk.dist(start) == 0);
     let start_trivial = oracle.always_exists(start);
     for l in graph.node(start).labels.support() {
         let lp = graph.label_prob(start, l);
@@ -256,7 +214,7 @@ fn enumerate_from(
         walk.nodes.push(start);
         walk.labels.push(l.0);
         walk.all_trivial = start_trivial;
-        emit_if_canonical(&walk, lp, prn, sink);
+        emit_if_canonical(&walk.labels, &walk.nodes, lp, prn, sink);
         extend(&mut walk, lp, sink);
         walk.nodes.pop();
         walk.labels.pop();
@@ -267,24 +225,14 @@ fn extend(walk: &mut Walk<'_>, prle: f64, sink: &mut Sink<'_>) {
     if walk.nodes.len() > walk.config.max_len {
         return;
     }
-    // Edges a path may still take once it has stepped to a neighbour.
-    let edges_left = (walk.config.max_len - walk.nodes.len()) as u32;
+    let graph = walk.graph;
     let last = *walk.nodes.last().unwrap();
     let last_label = Label(*walk.labels.last().unwrap());
-    let graph = walk.graph;
     for (nb, edge) in graph.neighbor_edges(last) {
-        let nb_dist = walk.dist(nb);
-        if walk.n_dirty == 0 && nb_dist > edges_left {
-            continue;
-        }
-        if walk.nodes.contains(&nb) {
-            continue;
-        }
-        if graph.shares_ref_with_any(nb, &walk.nodes) {
+        if walk.nodes.contains(&nb) || graph.shares_ref_with_any(nb, &walk.nodes) {
             continue;
         }
         let nb_trivial = walk.oracle.always_exists(nb);
-        walk.n_dirty += usize::from(nb_dist == 0);
         for l in graph.node(nb).labels.support() {
             let lp = graph.label_prob(nb, l);
             let ep = if edge.a == last {
@@ -302,31 +250,207 @@ fn extend(walk: &mut Walk<'_>, prle: f64, sink: &mut Sink<'_>) {
             walk.all_trivial = walk.all_trivial && nb_trivial;
             let prn = if walk.all_trivial { 1.0 } else { walk.oracle.prn(&walk.nodes) };
             if new_prle * prn + EPS >= walk.config.beta {
-                emit_if_canonical(walk, new_prle, prn, sink);
+                emit_if_canonical(&walk.labels, &walk.nodes, new_prle, prn, sink);
                 extend(walk, new_prle, sink);
             }
             walk.nodes.pop();
             walk.labels.pop();
             walk.all_trivial = was_trivial;
         }
-        walk.n_dirty -= usize::from(nb_dist == 0);
     }
 }
 
-fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, sink: &mut Sink<'_>) {
-    if walk.n_dirty == 0 {
-        return;
-    }
-    let seq = &walk.labels;
-    let is_canonical = match cmp_with_reversed(seq) {
+/// Whether the build stores the directed path `nodes` labelled `labels`
+/// as it stands: its label sequence is the smaller orientation, or a
+/// palindrome read from its smaller end.
+fn is_canonical(labels: &[u16], nodes: &[EntityId]) -> bool {
+    match cmp_with_reversed(labels) {
         std::cmp::Ordering::Less => true,
         std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => {
-            walk.nodes.len() == 1 || walk.nodes[0].0 < walk.nodes[walk.nodes.len() - 1].0
-        }
+        std::cmp::Ordering::Equal => nodes.len() == 1 || nodes[0] < nodes[nodes.len() - 1],
+    }
+}
+
+fn emit_if_canonical(labels: &[u16], nodes: &[EntityId], prle: f64, prn: f64, sink: &mut Sink<'_>) {
+    if is_canonical(labels, nodes) {
+        sink(labels, nodes, prle, prn);
+    }
+}
+
+/// Each step from `v`, labelled `lv`: a neighbour, a label it may take,
+/// that label's probability and the edge's probability under both labels
+/// — read off `v`'s CSR row, with the CPT oriented as the build reads it.
+/// The entry is the same whichever endpoint the edge is read from.
+fn steps(
+    graph: &EntityGraph,
+    v: EntityId,
+    lv: Label,
+) -> impl Iterator<Item = (EntityId, Label, f64, f64)> + '_ {
+    graph.neighbor_edges(v).flat_map(move |(nb, edge)| {
+        graph.node(nb).labels.support().filter_map(move |l| {
+            let lp = graph.label_prob(nb, l);
+            let ep = if edge.a == v { edge.prob.prob(lv, l) } else { edge.prob.prob(l, lv) };
+            (lp > 0.0 && ep > 0.0).then_some((nb, l, lp, ep))
+        })
+    })
+}
+
+/// Emits every entry [`build_index`] makes on `graph` whose path holds a
+/// node `dirty` marks (ids past its end count as dirty), each once, with
+/// the build's bits, in no particular order.
+pub(crate) fn enumerate_dirty(
+    config: &PathIndexConfig,
+    graph: &EntityGraph,
+    oracle: &dyn IdentityOracle,
+    dirty: &[bool],
+    sink: &mut Sink<'_>,
+) {
+    let l = config.max_len;
+    let mut walk = Around {
+        graph,
+        oracle,
+        config,
+        dirty,
+        seed: EntityId(0),
+        nodes: vec![EntityId(0); 2 * l + 1],
+        labels: vec![0; 2 * l + 1],
+        lp: vec![0.0; 2 * l + 1],
+        ep: vec![0.0; 2 * l + 1],
+        lo: l,
+        hi: l,
+        uncertain: 0,
     };
-    if is_canonical {
-        sink(seq, &walk.nodes, prle, prn);
+    for seed in graph.node_ids().filter(|v| dirty.get(v.idx()).is_none_or(|d| *d)) {
+        walk.seed = seed;
+        for label in graph.node(seed).labels.support() {
+            let lp = graph.label_prob(seed, label);
+            walk.set(l, seed, label, lp);
+            if walk.passes(lp) {
+                walk.right(lp, sink);
+            }
+            walk.unset(l);
+        }
+    }
+}
+
+/// The walk behind [`enumerate_dirty`]: paths through one dirty `seed`,
+/// held in `nodes[lo..=hi]` with the seed at slot `max_len`, so either
+/// arm can grow the full length. `lp[i]` is slot `i`'s label probability,
+/// `ep[i]` the edge probability between slots `i` and `i + 1`.
+struct Around<'a> {
+    graph: &'a EntityGraph,
+    oracle: &'a dyn IdentityOracle,
+    config: &'a PathIndexConfig,
+    dirty: &'a [bool],
+    seed: EntityId,
+    nodes: Vec<EntityId>,
+    labels: Vec<u16>,
+    lp: Vec<f64>,
+    ep: Vec<f64>,
+    lo: usize,
+    hi: usize,
+    /// Nodes on the path that may not exist.
+    uncertain: usize,
+}
+
+impl Around<'_> {
+    /// Whether the path in `lo..=hi`, of `Prle` `prle` (in any product
+    /// order), may lie on an indexable path: the anti-monotone prune.
+    fn passes(&self, prle: f64) -> bool {
+        let prn = match self.uncertain {
+            0 => 1.0,
+            _ => self.oracle.prn(&self.nodes[self.lo..=self.hi]),
+        };
+        prle * prn + PRUNE_SLACK >= self.config.beta
+    }
+
+    /// Whether `nb` may join the path: not on it, sharing no reference
+    /// with it, and not a dirty node below the seed (the path is emitted
+    /// from its smallest dirty node).
+    fn admits(&self, nb: EntityId) -> bool {
+        let path = &self.nodes[self.lo..=self.hi];
+        let below_seed = nb < self.seed && self.dirty.get(nb.idx()).is_none_or(|d| *d);
+        !(below_seed || path.contains(&nb) || self.graph.shares_ref_with_any(nb, path))
+    }
+
+    /// Puts `nb`, labelled `l` with probability `lp`, in slot `at`.
+    fn set(&mut self, at: usize, nb: EntityId, l: Label, lp: f64) {
+        (self.nodes[at], self.labels[at], self.lp[at]) = (nb, l.0, lp);
+        self.uncertain += usize::from(!self.oracle.always_exists(nb));
+    }
+
+    /// Takes slot `at`'s node off the path's count of uncertain nodes.
+    fn unset(&mut self, at: usize) {
+        self.uncertain -= usize::from(!self.oracle.always_exists(self.nodes[at]));
+    }
+
+    /// Every right arm from slot `hi` on, and for each every left arm.
+    fn right(&mut self, prle: f64, sink: &mut Sink<'_>) {
+        self.left(prle, sink);
+        if self.hi - self.lo == self.config.max_len {
+            return;
+        }
+        let (v, lv) = (self.nodes[self.hi], Label(self.labels[self.hi]));
+        for (nb, l, lp, ep) in steps(self.graph, v, lv) {
+            if !self.admits(nb) {
+                continue;
+            }
+            self.hi += 1;
+            self.set(self.hi, nb, l, lp);
+            self.ep[self.hi - 1] = ep;
+            if self.passes(prle * lp * ep) {
+                self.right(prle * lp * ep, sink);
+            }
+            self.unset(self.hi);
+            self.hi -= 1;
+        }
+    }
+
+    /// Emits the path, then every left arm from slot `lo` on.
+    fn left(&mut self, prle: f64, sink: &mut Sink<'_>) {
+        self.emit(sink);
+        if self.hi - self.lo == self.config.max_len {
+            return;
+        }
+        let (v, lv) = (self.nodes[self.lo], Label(self.labels[self.lo]));
+        for (nb, l, lp, ep) in steps(self.graph, v, lv) {
+            if !self.admits(nb) {
+                continue;
+            }
+            self.lo -= 1;
+            self.set(self.lo, nb, l, lp);
+            self.ep[self.lo] = ep;
+            if self.passes(prle * lp * ep) {
+                self.left(prle * lp * ep, sink);
+            }
+            self.unset(self.lo);
+            self.lo += 1;
+        }
+    }
+
+    /// Emits the path in `lo..=hi` if the build walk from its first node
+    /// would: it is canonical and every prefix passes the build's test,
+    /// with `Prle` multiplied and `Prn` taken in the build's order.
+    fn emit(&self, sink: &mut Sink<'_>) {
+        let (nodes, labels) = (&self.nodes[self.lo..=self.hi], &self.labels[self.lo..=self.hi]);
+        if !is_canonical(labels, nodes) {
+            return;
+        }
+        let mut all_trivial = self.oracle.always_exists(nodes[0]);
+        let mut prle = self.lp[self.lo];
+        let mut prn = if all_trivial { 1.0 } else { self.oracle.prn(&nodes[..1]) };
+        if prle * prn + EPS < self.config.beta {
+            return;
+        }
+        for j in 1..nodes.len() {
+            prle = prle * self.lp[self.lo + j] * self.ep[self.lo + j - 1];
+            all_trivial = all_trivial && self.oracle.always_exists(nodes[j]);
+            prn = if all_trivial { 1.0 } else { self.oracle.prn(&nodes[..=j]) };
+            if prle * prn + EPS < self.config.beta {
+                return;
+            }
+        }
+        sink(labels, nodes, prle, prn);
     }
 }
 
@@ -409,11 +533,12 @@ fn walk_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{Bucket, NoIdentity};
+    use crate::index::{NoIdentity, CHUNK};
     use graphstore::dist::{EdgeProbability, LabelDist};
     use graphstore::{EntityGraphBuilder, LabelTable, RefId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     /// Triangle a-b-c plus a pendant: labels x,y,z,x; all edges prob 0.8.
     fn small_graph() -> EntityGraph {
@@ -480,18 +605,8 @@ mod tests {
         cfg.threads = 4;
         let par = build_index(&g, &NoIdentity, &cfg);
         assert_eq!(seq.n_entries(), par.n_entries());
-        for labels in [
-            vec![Label(0)],
-            vec![Label(0), Label(1)],
-            vec![Label(0), Label(1), Label(2)],
-            vec![Label(0), Label(2), Label(0)],
-        ] {
-            let mut a = seq.lookup(&labels, 0.1).to_vec();
-            let mut b = par.lookup(&labels, 0.1).to_vec();
-            a.sort_by(|x, y| x.nodes.cmp(&y.nodes));
-            b.sort_by(|x, y| x.nodes.cmp(&y.nodes));
-            assert_eq!(a, b, "mismatch for {labels:?}");
-        }
+        assert_eq!(entries(&seq), entries(&par), "the same entries in the same order");
+        assert_sorted_chunks(&seq);
     }
 
     #[test]
@@ -537,7 +652,7 @@ mod tests {
         let mut idx = build_index(&before, &NoIdentity, &cfg);
         // Edge (v2,v3) and v3's label changed: both endpoints are dirty.
         let dirty = vec![false, false, true, true];
-        update_index(&mut idx, &after, &NoIdentity, &dirty);
+        update_index(&mut idx, &before, &NoIdentity, &after, &NoIdentity, &dirty);
 
         let fresh = build_index(&after, &NoIdentity, &cfg);
         assert_eq!(idx.n_entries(), fresh.n_entries());
@@ -571,13 +686,14 @@ mod tests {
             b.build()
         };
         let cfg = PathIndexConfig { max_len: 2, beta: 0.1, threads: 1, ..Default::default() };
-        let mut idx = build_index(&build(Label(2)), &NoIdentity, &cfg);
+        let before = build(Label(2));
+        let mut idx = build_index(&before, &NoIdentity, &cfg);
         for seq in [vec![2], vec![1, 2], vec![0, 1, 2]] {
             assert!(idx.map.contains_key(&seq), "{seq:?} indexed before the relabel");
         }
 
         let after = build(Label(0));
-        update_index(&mut idx, &after, &NoIdentity, &[false, false, true]);
+        update_index(&mut idx, &before, &NoIdentity, &after, &NoIdentity, &[false, false, true]);
         let fresh = build_index(&after, &NoIdentity, &cfg);
         for seq in [vec![2], vec![1, 2], vec![0, 1, 2]] {
             assert!(!idx.map.contains_key(&seq), "{seq:?} survived its last entry");
@@ -630,13 +746,38 @@ mod tests {
         out
     }
 
-    /// Each bucket's `holds` is exactly the set of nodes on its entries.
-    fn assert_holds_exact(index: &PathIndex) {
+    /// One stored entry: bucket, nodes, `Prle` and `Prn` bits.
+    type Entry = (usize, Vec<u32>, u64, u64);
+
+    /// Every entry of `index`, sequence by sequence (sorted), each bucket
+    /// in stored order.
+    fn entries(index: &PathIndex) -> Vec<(Vec<u16>, Vec<Entry>)> {
+        let mut out: Vec<_> = index
+            .map
+            .iter()
+            .map(|(seq, se)| {
+                let rows = se.buckets.iter().enumerate().flat_map(|(b, bucket)| {
+                    bucket
+                        .iter(seq.len())
+                        .map(move |e| (b, e.nodes.to_vec(), e.prle.to_bits(), e.prn.to_bits()))
+                });
+                (seq.clone(), rows.collect())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Every bucket is ascending by node tuple, in chunks of 1 to
+    /// [`CHUNK`] entries.
+    fn assert_sorted_chunks(index: &PathIndex) {
         for (seq, se) in &index.map {
-            for b in &se.buckets {
-                let mut exact = Bucket { nodes: b.nodes.clone(), ..Bucket::default() };
-                exact.seal();
-                assert_eq!(b.holds, exact.holds, "holds of a bucket of {seq:?}");
+            for bucket in &se.buckets {
+                for chunk in &bucket.chunks {
+                    assert!((1..=CHUNK).contains(&chunk.len()), "a chunk of {seq:?}");
+                }
+                let rows: Vec<&[u32]> = bucket.iter(seq.len()).map(|e| e.nodes).collect();
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "a bucket of {seq:?}");
             }
         }
     }
@@ -644,8 +785,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-        /// An update shares every bucket it does not change and leaves the
-        /// generation it was cloned from answering exactly as before.
+        /// An update leaves a fresh build's entries in order, shares every
+        /// chunk no change falls into, and leaves the generation it was
+        /// cloned from answering exactly as before.
         #[test]
         fn generations_share_buckets_and_stay_isolated(
             labels in proptest::collection::vec(0u16..9, 5..=10),
@@ -681,43 +823,56 @@ mod tests {
             let before = answers(&old);
 
             let mut new = old.clone();
-            update_index(&mut new, &g1, &NoIdentity, &dirty);
+            update_index(&mut new, &g0, &NoIdentity, &g1, &NoIdentity, &dirty);
             prop_assert_eq!(answers(&old), before, "the previous generation moved");
-            // A patched bucket lists its re-enumerated entries last.
-            let as_sets = |mut a: Answers| {
-                a.iter_mut().for_each(|(_, rows, _)| rows.sort());
-                a
-            };
             let fresh = build_index(&g1, &NoIdentity, &config);
-            prop_assert_eq!(as_sets(answers(&new)), as_sets(answers(&fresh)));
-            assert_holds_exact(&old);
-            assert_holds_exact(&new);
+            prop_assert_eq!(entries(&new), entries(&fresh), "not a fresh build, in order");
+            prop_assert_eq!(answers(&new), answers(&fresh));
+            assert_sorted_chunks(&old);
+            assert_sorted_chunks(&new);
+
+            // A change is an entry in one generation and not, bit for bit,
+            // in the other. A chunk covers the tuples from its first to
+            // the next chunk's first; one no change falls into is shared.
+            let (was, now) = (entries(&old), entries(&fresh));
+            let set = |all: &[(Vec<u16>, Vec<Entry>)]| -> std::collections::BTreeSet<(Vec<u16>, Entry)> {
+                all.iter().flat_map(|(s, rows)| rows.iter().map(move |r| (s.clone(), r.clone()))).collect()
+            };
+            let (was, now) = (set(&was), set(&now));
+            let changed: Vec<&(Vec<u16>, Entry)> = was.symmetric_difference(&now).collect();
             for (seq, se) in &old.map {
-                for (i, was) in se.buckets.iter().enumerate() {
-                    let now = new.map.get(seq).map(|s| &s.buckets[i]);
-                    let held_dirty = was.nodes.iter().any(|&v| dirty[v as usize]);
-                    match now {
-                        Some(now) if held_dirty => prop_assert!(!Arc::ptr_eq(was, now)),
-                        // A clean bucket loses nothing: it is shared unless
-                        // it gained entries, which then follow its own.
-                        Some(now) if now.len() == was.len() => prop_assert!(Arc::ptr_eq(was, now)),
-                        Some(now) => prop_assert_eq!(&now.nodes[..was.nodes.len()], &was.nodes[..]),
-                        // Its sequence emptied: only empty buckets were clean.
-                        None => prop_assert!(held_dirty || was.len() == 0, "{:?} vanished", seq),
+                for (b, bucket) in se.buckets.iter().enumerate() {
+                    for (c, chunk) in bucket.chunks.iter().enumerate() {
+                        let from = (c > 0).then(|| chunk.row(0, seq.len()));
+                        let to = bucket.chunks.get(c + 1).map(|next| next.row(0, seq.len()));
+                        let hit = changed.iter().any(|(s, (cb, nodes, _, _))| {
+                            s == seq && *cb == b
+                                && from.is_none_or(|f| nodes.as_slice() >= f)
+                                && to.is_none_or(|t| nodes.as_slice() < t)
+                        });
+                        if hit {
+                            continue;
+                        }
+                        let kept = new.map.get(seq).map(|s| &s.buckets[b].chunks);
+                        let shared = kept.is_some_and(|k| k.iter().any(|x| Arc::ptr_eq(x, chunk)));
+                        prop_assert!(shared, "chunk {} of bucket {} of {:?} was copied", c, b, seq);
                     }
                 }
             }
 
             // The isolated node holds no entry: marking only it dirty
-            // changes no bucket, so every one stays shared.
+            // changes no bucket, so every chunk stays shared.
             let mut quiet = vec![false; n as usize + 1];
             quiet[n as usize] = true;
             let mut same = old.clone();
-            update_index(&mut same, &g0, &NoIdentity, &quiet);
+            update_index(&mut same, &g0, &NoIdentity, &g0, &NoIdentity, &quiet);
             prop_assert_eq!(same.n_sequences(), old.n_sequences());
             for (seq, se) in &old.map {
                 for (was, now) in se.buckets.iter().zip(&same.map[seq].buckets) {
-                    prop_assert!(Arc::ptr_eq(was, now), "a bucket of {:?} was copied", seq);
+                    prop_assert_eq!(was.chunks.len(), now.chunks.len());
+                    for (x, y) in was.chunks.iter().zip(&now.chunks) {
+                        prop_assert!(Arc::ptr_eq(x, y), "a chunk of {:?} was copied", seq);
+                    }
                 }
             }
         }

@@ -291,10 +291,48 @@ mod tests {
             let got = &back.map[seq];
             assert_eq!(got.hist, se.hist, "histogram of {seq:?}");
             for (b, (x, y)) in se.buckets.iter().zip(&got.buckets).enumerate() {
-                assert_eq!(x.nodes, y.nodes, "bucket {b} of {seq:?}");
-                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&x.prle), bits(&y.prle));
-                assert_eq!(bits(&x.prn), bits(&y.prn));
+                let rows = |bucket: &crate::index::Bucket| {
+                    let it = bucket.iter(seq.len());
+                    it.map(|e| (e.nodes.to_vec(), e.prle.to_bits(), e.prn.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(rows(x), rows(y), "bucket {b} of {seq:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_written_out_of_order_loads_sorted() {
+        let idx = sample_index();
+        let mut kv = MemStore::new();
+        save_index(&idx, &mut kv).unwrap();
+        // Rewrite every saved bucket with its entries in reverse.
+        let mut reversed = 0;
+        for ((_, se), id) in idx.map.iter().zip(0u32..) {
+            for (bucket, entries) in se.buckets.iter().enumerate() {
+                let n = entries.len() as u32;
+                let mut vals = Vec::new();
+                for i in 0..n {
+                    vals.push(kv.get(&entry_key(id, bucket as u8, i)).unwrap().unwrap());
+                }
+                for (i, v) in vals.into_iter().rev().enumerate() {
+                    kv.put(&entry_key(id, bucket as u8, i as u32), &v).unwrap();
+                }
+                reversed += usize::from(n > 1);
+            }
+        }
+        assert!(reversed > 0, "some bucket holds two paths");
+        let back = load_index(&kv).unwrap();
+        assert_eq!(back.n_entries(), idx.n_entries());
+        for (seq, se) in &idx.map {
+            for (x, y) in se.buckets.iter().zip(&back.map[seq].buckets) {
+                let rows = |bucket: &crate::index::Bucket| {
+                    let it = bucket.iter(seq.len());
+                    it.map(|e| (e.nodes.to_vec(), e.prle.to_bits(), e.prn.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(rows(x), rows(y), "a bucket of {seq:?} loaded unsorted");
+                assert!(y.chunks.iter().all(|c| (1..=crate::index::CHUNK).contains(&c.len())));
             }
         }
     }

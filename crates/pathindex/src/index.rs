@@ -151,7 +151,7 @@ impl PathMatch {
     }
 }
 
-/// Most nodes one [`packed_key`] holds.
+/// Most nodes one [`packed_key`] packs.
 pub const KEY_WIDTH: usize = 4;
 
 /// Node ids packed big-endian, 32 bits each, first id most significant:
@@ -317,29 +317,48 @@ impl PathMatches {
     }
 }
 
-/// The entries of one `(canonical sequence, probability bucket)`, flat:
-/// entry `i` is `nodes[i * stride..(i + 1) * stride]`, `prle[i]`, `prn[i]`,
-/// with `stride` the sequence length. Entries keep insertion order.
+/// Most entries in one [`Chunk`]. Lookups read a bucket chunk by
+/// chunk, and an update copies the chunks its changes fall into: 512
+/// entries keep lookups as fast as whole buckets did, and an update's
+/// copies a small share of the index. Unit tests use a width small enough
+/// that their graphs span several chunks.
+#[cfg(not(test))]
+const CHUNK: usize = 512;
+#[cfg(test)]
+pub(crate) const CHUNK: usize = 4;
+
+/// A run of at most [`CHUNK`] consecutive entries of one bucket, flat:
+/// entry `i` is `nodes[i * stride..(i + 1) * stride]`, `prle[i]`,
+/// `prn[i]`, with `stride` the sequence length.
 ///
-/// An index holds its buckets behind `Arc`, and a bucket's bytes never
-/// change once it is shared: an update gives a generation fresh copies of
-/// the buckets it changes and shares every other one with the generation
-/// before ([`crate::update_index`]). `holds` is what lets it tell the two
-/// apart without reading the entries.
+/// A chunk's bytes never change once it is behind an `Arc`: an update
+/// builds new chunks where its changes fall and shares every other one
+/// with the generation before ([`crate::update_index`]).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Bucket {
+pub(crate) struct Chunk {
     pub(crate) nodes: Vec<u32>,
     pub(crate) prle: Vec<f64>,
     pub(crate) prn: Vec<f64>,
-    /// Bit `v` is set exactly when node `v` is on some entry; no longer
-    /// than the largest such id needs. Built once per bucket when it is
-    /// sealed, and kept exact by every update that copies the bucket.
-    pub(crate) holds: Vec<u64>,
 }
 
-impl Bucket {
+impl Chunk {
+    /// An empty chunk with room for `n` entries of `stride` nodes.
+    fn with_capacity(n: usize, stride: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(n * stride),
+            prle: Vec::with_capacity(n),
+            prn: Vec::with_capacity(n),
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.prle.len()
+    }
+
+    /// The nodes of entry `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize, stride: usize) -> &[u32] {
+        &self.nodes[i * stride..(i + 1) * stride]
     }
 
     /// The entries in order; `stride` is the sequence length.
@@ -351,106 +370,203 @@ impl Bucket {
         }
     }
 
-    /// Appends one entry, leaving `holds` to [`Bucket::seal`] or the
-    /// caller.
     #[inline]
-    pub(crate) fn push(&mut self, nodes: impl IntoIterator<Item = u32>, prle: f64, prn: f64) {
+    fn push(&mut self, nodes: impl IntoIterator<Item = u32>, prle: f64, prn: f64) {
         self.nodes.extend(nodes);
         self.prle.push(prle);
         self.prn.push(prn);
     }
 
-    /// Sets node `v`'s bit in `holds`.
-    #[inline]
-    pub(crate) fn mark(&mut self, v: u32) {
-        let word = (v / 64) as usize;
-        if word >= self.holds.len() {
-            self.holds.resize(word + 1, 0);
-        }
-        self.holds[word] |= 1 << (v % 64);
-    }
-
-    /// Whether some entry holds a node whose bit is set in `dirty`; every
-    /// node past `dirty`'s last word counts as dirty. Reads `holds`, not
-    /// the entries.
-    pub(crate) fn holds_any(&self, dirty: &[u64]) -> bool {
-        self.holds.iter().enumerate().any(|(i, &h)| h & dirty.get(i).copied().unwrap_or(!0) != 0)
-    }
-
-    /// This bucket without the entries holding a node `dirty` marks (by
-    /// [`Bucket::holds_any`]'s rule, which must hold), in order, `holds`
-    /// exact. `dropped` sees each dropped entry's total probability. The
-    /// kept entries are copied run by run.
-    pub(crate) fn without(
-        &self,
-        stride: usize,
-        dirty: &[u64],
-        mut dropped: impl FnMut(f64),
-    ) -> Bucket {
-        let is_dirty =
-            |v: u32| dirty.get((v / 64) as usize).is_none_or(|w| (w >> (v % 64)) & 1 != 0);
-        let mut gone: Vec<usize> = Vec::new();
-        for (j, &v) in self.nodes.iter().enumerate() {
-            if is_dirty(v) && gone.last() != Some(&(j / stride)) {
-                gone.push(j / stride);
+    /// The index of the first entry whose nodes are not below `key`.
+    fn position(&self, key: &[u32], stride: usize) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.row(mid, stride) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        debug_assert!(!gone.is_empty(), "`holds` is exact");
-        let kept = self.len() - gone.len();
-        let mut out = Bucket {
-            nodes: Vec::with_capacity(kept * stride),
-            prle: Vec::with_capacity(kept),
-            prn: Vec::with_capacity(kept),
-            holds: vec![0; self.holds.len()],
-        };
-        let mut from = 0;
-        for i in gone.iter().copied().chain([self.len()]) {
-            out.nodes.extend_from_slice(&self.nodes[from * stride..i * stride]);
-            out.prle.extend_from_slice(&self.prle[from..i]);
-            out.prn.extend_from_slice(&self.prn[from..i]);
-            if i < self.len() {
-                dropped(self.prle[i] * self.prn[i]);
-            }
-            from = i + 1;
-        }
-        for &v in &out.nodes {
-            out.holds[(v / 64) as usize] |= 1 << (v % 64);
-        }
-        out.shrink_to_fit();
-        out
+        lo
     }
 
-    /// Builds `holds` from the entries and returns growth slack to the
-    /// allocator: once per bucket, when its filling is done.
-    pub(crate) fn seal(&mut self) {
-        self.holds = Vec::new();
-        for i in 0..self.nodes.len() {
-            self.mark(self.nodes[i]);
-        }
-        self.shrink_to_fit();
+    /// Appends entries `lo..hi` of `other`.
+    fn extend_from(&mut self, other: &Chunk, lo: usize, hi: usize, stride: usize) {
+        self.nodes.extend_from_slice(&other.nodes[lo * stride..hi * stride]);
+        self.prle.extend_from_slice(&other.prle[lo..hi]);
+        self.prn.extend_from_slice(&other.prn[lo..hi]);
     }
 
-    /// Returns growth slack, `holds`' trailing empty words included.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        while self.holds.last() == Some(&0) {
-            self.holds.pop();
-        }
+    fn shrink_to_fit(&mut self) {
         self.nodes.shrink_to_fit();
         self.prle.shrink_to_fit();
         self.prn.shrink_to_fit();
-        self.holds.shrink_to_fit();
     }
 
     fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * 4
-            + (self.prle.capacity() + self.prn.capacity() + self.holds.capacity()) * 8
+        self.nodes.capacity() * 4 + (self.prle.capacity() + self.prn.capacity()) * 8
+    }
+}
+
+/// The entries of one `(canonical sequence, probability bucket)`,
+/// ascending by node tuple (no tuple twice: a sequence fixes every
+/// node's label), in chunks of at most [`CHUNK`] entries, none empty. The
+/// order is the one a one-thread build emits, so it is what every build,
+/// load and update leaves.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Bucket {
+    pub(crate) chunks: Vec<Arc<Chunk>>,
+}
+
+impl Bucket {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.iter().map(|c| c.len()).sum()
+    }
+
+    /// The entries in order; `stride` is the sequence length.
+    pub(crate) fn iter(&self, stride: usize) -> impl Iterator<Item = StoredPath<'_>> {
+        self.chunks.iter().flat_map(move |c| c.iter(stride))
+    }
+
+    /// Takes out the entries whose nodes `gone` lists and puts in `new`'s
+    /// (both ascending by node tuple), keeping the order. A chunk covers
+    /// the tuples from its first up to the next chunk's first (the first
+    /// chunk everything below, the last everything above); only the
+    /// chunks a change falls into are rebuilt, split evenly to at most
+    /// [`CHUNK`] entries each, and every other one stays shared.
+    /// `changed` sees each entry's total probability as it leaves
+    /// (`false`) or enters (`true`).
+    fn patch(
+        &self,
+        stride: usize,
+        gone: &[&[u32]],
+        new: &[StoredPath<'_>],
+        changed: &mut impl FnMut(f64, bool),
+    ) -> Bucket {
+        let (mut g, mut n) = (0, 0);
+        let mut out: Vec<Arc<Chunk>> = Vec::with_capacity(self.chunks.len() + 1);
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            // The changes below the next chunk's first tuple fall here.
+            let (g_end, n_end) = match self.chunks.get(c + 1) {
+                Some(next) => {
+                    let bound = next.row(0, stride);
+                    (
+                        g + gone[g..].partition_point(|k| *k < bound),
+                        n + new[n..].partition_point(|e| e.nodes < bound),
+                    )
+                }
+                None => (gone.len(), new.len()),
+            };
+            if (g, n) == (g_end, n_end) {
+                out.push(Arc::clone(chunk));
+                continue;
+            }
+            // Copy the chunk in runs between the changes' positions.
+            let m = chunk.len() + (n_end - n) - (g_end - g);
+            let mut w = Pieces::new(&mut out, m, stride);
+            let mut from = 0;
+            while g < g_end || n < n_end {
+                let at_gone = (g < g_end).then(|| chunk.position(gone[g], stride));
+                let at_new = (n < n_end).then(|| chunk.position(new[n].nodes, stride));
+                let pos = at_gone.into_iter().chain(at_new).min().expect("a change is left");
+                w.run(chunk, from, pos);
+                from = pos;
+                if at_new.is_some_and(|p| at_gone.is_none_or(|q| p <= q)) {
+                    changed(new[n].prob(), true);
+                    w.push(new[n]);
+                    n += 1;
+                } else {
+                    if pos < chunk.len() && chunk.row(pos, stride) == gone[g] {
+                        changed(chunk.prle[pos] * chunk.prn[pos], false);
+                        from = pos + 1;
+                    } else {
+                        debug_assert!(false, "every dropped entry is stored");
+                    }
+                    g += 1;
+                }
+            }
+            w.run(chunk, from, chunk.len());
+            w.finish();
+            (g, n) = (g_end, n_end);
+        }
+        if self.chunks.is_empty() && !new.is_empty() {
+            let mut w = Pieces::new(&mut out, new.len(), stride);
+            for &e in new {
+                changed(e.prob(), true);
+                w.push(e);
+            }
+            w.finish();
+        }
+        Bucket { chunks: out }
+    }
+}
+
+/// Writes `m` entries, in order, straight into the fewest chunks of at
+/// most [`CHUNK`] entries, their sizes differing by at most one, each
+/// allocated at its size.
+struct Pieces<'a> {
+    out: &'a mut Vec<Arc<Chunk>>,
+    stride: usize,
+    m: usize,
+    k: usize,
+    /// Chunks written so far.
+    done: usize,
+    cur: Chunk,
+    cur_size: usize,
+}
+
+impl<'a> Pieces<'a> {
+    fn new(out: &'a mut Vec<Arc<Chunk>>, m: usize, stride: usize) -> Self {
+        let m = m.max(1);
+        let k = m.div_ceil(CHUNK);
+        let cur_size = m / k;
+        let cur = Chunk::with_capacity(cur_size, stride);
+        Self { out, stride, m, k, done: 0, cur, cur_size }
+    }
+
+    /// Entries `lo..hi` of `src`.
+    fn run(&mut self, src: &Chunk, mut lo: usize, hi: usize) {
+        while lo < hi {
+            if self.cur.len() == self.cur_size {
+                self.next();
+            }
+            let take = (self.cur_size - self.cur.len()).min(hi - lo);
+            self.cur.extend_from(src, lo, lo + take, self.stride);
+            lo += take;
+        }
+    }
+
+    fn push(&mut self, e: StoredPath<'_>) {
+        if self.cur.len() == self.cur_size {
+            self.next();
+        }
+        self.cur.push(e.nodes.iter().copied(), e.prle, e.prn);
+    }
+
+    /// Seals the current chunk and opens the next.
+    fn next(&mut self) {
+        self.done += 1;
+        let (p, m, k) = (self.done, self.m, self.k);
+        self.cur_size = ((p + 1) * m / k - p * m / k).max(1);
+        let full =
+            std::mem::replace(&mut self.cur, Chunk::with_capacity(self.cur_size, self.stride));
+        self.out.push(Arc::new(full));
+    }
+
+    fn finish(self) {
+        if self.cur.len() > 0 {
+            self.out.push(Arc::new(self.cur));
+        }
     }
 }
 
 /// Everything stored under one canonical label sequence.
 #[derive(Clone, Debug)]
 pub(crate) struct SeqEntries {
-    /// One [`Bucket`] per probability bucket, ascending.
+    /// One [`Bucket`] per probability bucket, ascending, each shared by
+    /// `Arc` between generations until an update changes it.
     pub(crate) buckets: Vec<Arc<Bucket>>,
     /// `hist[i]`: entries with total probability ≥ `hist_grid[i]`. Kept
     /// current by every insert and removal, so it always equals a recount.
@@ -459,7 +575,7 @@ pub(crate) struct SeqEntries {
 
 impl SeqEntries {
     pub(crate) fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|b| b.len() == 0)
+        self.buckets.iter().all(|b| b.chunks.is_empty())
     }
 
     /// All entries, bucket by bucket; `stride` is the sequence length.
@@ -468,16 +584,18 @@ impl SeqEntries {
     }
 }
 
-/// Entries being collected for an index, in buckets owned outright: the
-/// one place an entry is inserted. [`PathIndex::from_fill`] seals a fill
-/// into a new index; [`PathIndex::append`] adds one to the end of an
-/// existing index's buckets.
+/// A bucket being filled: chunk after chunk, the last one open.
+type FillBucket = Vec<Chunk>;
+
+/// Entries being collected for a new index, in chunks owned outright:
+/// the one place a build or a load inserts an entry. [`PathIndex::from_fill`]
+/// seals a fill into an index.
 pub(crate) struct Fill {
     config: PathIndexConfig,
     /// Canonical sequence → its position in `seqs`.
     ids: FxHashMap<Vec<u16>, u32>,
     /// Per sequence: the sequence, its buckets and histogram counts.
-    seqs: Vec<(Vec<u16>, Vec<Bucket>, Vec<u32>)>,
+    seqs: Vec<(Vec<u16>, Vec<FillBucket>, Vec<u32>)>,
     n_entries: usize,
 }
 
@@ -497,25 +615,95 @@ impl Fill {
         prn: f64,
     ) {
         let p = prle * prn;
-        let bucket = self.config.bucket_of(p);
         let id = match self.ids.get(canonical) {
             Some(&id) => id as usize,
             None => {
                 let id = self.seqs.len();
                 self.ids.insert(canonical.to_vec(), id as u32);
-                let buckets = vec![Bucket::default(); self.config.n_buckets()];
+                let buckets = vec![Vec::new(); self.config.n_buckets()];
                 let hist = vec![0; self.config.hist_grid.len()];
                 self.seqs.push((canonical.to_vec(), buckets, hist));
                 id
             }
         };
+        let stride = canonical.len();
         let (_, buckets, hist) = &mut self.seqs[id];
-        let b = &mut buckets[bucket];
-        b.push(nodes, prle, prn);
-        debug_assert_eq!(b.nodes.len(), b.len() * canonical.len());
+        let chunks = &mut buckets[self.config.bucket_of(p)];
+        if chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            // A bucket past one chunk will likely fill the next: size it
+            // exactly. Its first chunk grows as entries come.
+            let room = if chunks.is_empty() { 0 } else { CHUNK };
+            chunks.push(Chunk::with_capacity(room, stride));
+        }
+        chunks.last_mut().expect("an open chunk").push(nodes, prle, prn);
         count_hist(hist, &self.config.hist_grid, p, true);
         self.n_entries += 1;
     }
+}
+
+/// A filled bucket behind `Arc`s, sorted (a build's buckets already are;
+/// a file's may not be), growth slack given back.
+fn seal(chunks: FillBucket, stride: usize) -> Bucket {
+    let rows = || chunks.iter().flat_map(|c| c.iter(stride));
+    if rows().map(|e| e.nodes).is_sorted_by(|a, b| a < b) {
+        let shrunk = chunks.into_iter().map(|mut c| {
+            c.shrink_to_fit();
+            Arc::new(c)
+        });
+        return Bucket { chunks: shrunk.collect() };
+    }
+    let mut rows: Vec<StoredPath<'_>> = rows().collect();
+    rows.sort_unstable_by(|a, b| a.nodes.cmp(b.nodes));
+    let mut out = Vec::new();
+    let mut w = Pieces::new(&mut out, rows.len(), stride);
+    rows.iter().for_each(|&e| w.push(e));
+    w.finish();
+    Bucket { chunks: out }
+}
+
+/// Entries an update takes out of an index and puts into it, per
+/// canonical sequence: what [`PathIndex::patch`] applies.
+#[derive(Default)]
+pub(crate) struct Edits {
+    /// Per sequence: `[taken out, put in]`.
+    map: FxHashMap<Vec<u16>, [PathMatches; 2]>,
+}
+
+impl Edits {
+    /// Records one entry to take out (`put_in` false) or to put in.
+    pub(crate) fn push(
+        &mut self,
+        put_in: bool,
+        canonical: &[u16],
+        nodes: impl IntoIterator<Item = u32>,
+        prle: f64,
+        prn: f64,
+    ) {
+        if !self.map.contains_key(canonical) {
+            let empty = || PathMatches::new(canonical.len());
+            self.map.insert(canonical.to_vec(), [empty(), empty()]);
+        }
+        self.map.get_mut(canonical).expect("inserted above")[usize::from(put_in)]
+            .push(nodes, prle, prn);
+    }
+}
+
+/// The entries of `m`, each with its bucket, ordered by (bucket, node
+/// tuple).
+fn bucket_order<'a>(m: &'a PathMatches, config: &PathIndexConfig) -> Vec<(usize, StoredPath<'a>)> {
+    // Node tuples that fit one packed key compare as their keys do.
+    let packed = m.stride() <= KEY_WIDTH;
+    let mut rows: Vec<(usize, u128, StoredPath<'a>)> = m
+        .iter()
+        .map(|e| {
+            let key = if packed { packed_key(e.nodes.iter().copied()) } else { 0 };
+            (config.bucket_of(e.prob()), key, e)
+        })
+        .collect();
+    rows.sort_unstable_by(|a, b| {
+        (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| a.2.nodes.cmp(b.2.nodes))
+    });
+    rows.into_iter().map(|(b, _, e)| (b, e)).collect()
 }
 
 /// Counts an entry of total probability `p` into (`add`) or out of `hist`:
@@ -618,55 +806,95 @@ pub fn estimate_from_counts(
 }
 
 impl PathIndex {
-    /// Seals `fill` into an index: every bucket gives back its growth
-    /// slack, builds its `holds` summary and goes behind an `Arc`.
+    /// Seals `fill` into an index: every bucket goes behind `Arc`s,
+    /// sorted if it is not already.
     pub(crate) fn from_fill(fill: Fill) -> Self {
         let map = fill
             .seqs
             .into_iter()
             .map(|(seq, buckets, hist)| {
-                let buckets = buckets
-                    .into_iter()
-                    .map(|mut b| {
-                        b.seal();
-                        Arc::new(b)
-                    })
-                    .collect();
+                let buckets = buckets.into_iter().map(|b| Arc::new(seal(b, seq.len()))).collect();
                 (seq, SeqEntries { buckets, hist })
             })
             .collect();
         Self { config: fill.config, map, n_entries: fill.n_entries }
     }
 
-    /// Appends `fill`'s entries to the end of their buckets, in order,
-    /// copying a bucket still shared with another generation first
-    /// (copy on write) and keeping its `holds` exact.
-    pub(crate) fn append(&mut self, fill: Fill) {
-        let n_buckets = self.config.n_buckets();
-        for (seq, buckets, hist) in fill.seqs {
-            let stride = seq.len();
-            let se = self.map.entry(seq).or_insert_with(|| SeqEntries {
-                buckets: (0..n_buckets).map(|_| Arc::default()).collect(),
-                hist: vec![0; hist.len()],
-            });
-            for (dst, src) in se.buckets.iter_mut().zip(buckets) {
-                if src.len() == 0 {
-                    continue;
+    /// Applies `edits`, sequence by sequence and bucket by bucket, and
+    /// returns the sequences it took entries out of (the only ones it can
+    /// have emptied). Both sides are sorted by (bucket, node tuple), and
+    /// an entry on both sides with the same bits cancels: it stays where
+    /// it is. The rest goes through [`Bucket::patch`], so only the chunks
+    /// a change falls into are rebuilt; histogram counts and the entry
+    /// count move by one per entry that left or entered.
+    pub(crate) fn patch(&mut self, edits: Edits) -> Vec<Vec<u16>> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let config = self.config.clone();
+        let n_buckets = config.n_buckets();
+        let mut lost = Vec::new();
+        for (seq, [out, put]) in edits.map {
+            // Per bucket, the node tuples to take out and the entries to
+            // put in, ascending.
+            let mut gone: Vec<Vec<&[u32]>> = vec![Vec::new(); n_buckets];
+            let mut new: Vec<Vec<StoredPath<'_>>> = vec![Vec::new(); n_buckets];
+            let (o, p) = (bucket_order(&out, &config), bucket_order(&put, &config));
+            let (mut i, mut j) = (0, 0);
+            while i < o.len() || j < p.len() {
+                let order = match (o.get(i), p.get(j)) {
+                    (Some(x), Some(y)) => (x.0, x.1.nodes).cmp(&(y.0, y.1.nodes)),
+                    (Some(_), None) => Less,
+                    _ => Greater,
+                };
+                match order {
+                    Less => gone[o[i].0].push(o[i].1.nodes),
+                    Greater => new[p[j].0].push(p[j].1),
+                    Equal => {
+                        let ((b, x), y) = (o[i], p[j].1);
+                        if x.prle.to_bits() != y.prle.to_bits()
+                            || x.prn.to_bits() != y.prn.to_bits()
+                        {
+                            gone[b].push(x.nodes);
+                            new[b].push(y);
+                        }
+                    }
                 }
-                let dst = Arc::make_mut(dst);
-                dst.nodes.reserve_exact(src.nodes.len());
-                dst.prle.reserve_exact(src.len());
-                dst.prn.reserve_exact(src.len());
-                for e in src.iter(stride) {
-                    dst.push(e.nodes.iter().copied(), e.prle, e.prn);
-                    e.nodes.iter().for_each(|&v| dst.mark(v));
+                i += usize::from(order != Greater);
+                j += usize::from(order != Less);
+            }
+            if gone.iter().all(Vec::is_empty) && new.iter().all(Vec::is_empty) {
+                continue;
+            }
+            if gone.iter().any(|g| !g.is_empty()) {
+                lost.push(seq.clone());
+            }
+            let se = self.map.entry(seq).or_insert_with(|| SeqEntries {
+                buckets: vec![Arc::default(); n_buckets],
+                hist: vec![0; config.hist_grid.len()],
+            });
+            let stride = out.stride();
+            let mut n_entries = self.n_entries;
+            let mut changed = |p: f64, add: bool| {
+                count_hist(&mut se.hist, &config.hist_grid, p, add);
+                n_entries = if add { n_entries + 1 } else { n_entries - 1 };
+            };
+            for (b, (gone, new)) in gone.iter().zip(&new).enumerate() {
+                if !gone.is_empty() || !new.is_empty() {
+                    let patched = se.buckets[b].patch(stride, gone, new, &mut changed);
+                    se.buckets[b] = Arc::new(patched);
                 }
             }
-            for (count, add) in se.hist.iter_mut().zip(hist) {
-                *count += add;
+            self.n_entries = n_entries;
+        }
+        lost
+    }
+
+    /// Removes each of `seqs` left without entries.
+    pub(crate) fn remove_emptied(&mut self, seqs: &[Vec<u16>]) {
+        for seq in seqs {
+            if self.map.get(seq).is_some_and(SeqEntries::is_empty) {
+                self.map.remove(seq);
             }
         }
-        self.n_entries += fill.n_entries;
     }
 
     /// The construction parameters.
@@ -684,20 +912,21 @@ impl PathIndex {
         self.map.len()
     }
 
-    /// In-memory footprint in bytes: the buckets' heap buffers and node
-    /// summaries plus the per-sequence and per-bucket headers (hash-table
-    /// slack excluded). A bucket shared with another generation counts in
-    /// each.
+    /// In-memory footprint in bytes: the chunks' heap buffers plus the
+    /// per-sequence, per-bucket and per-chunk headers (hash-table slack
+    /// excluded). A chunk shared with another generation counts in each.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        // An `Arc`'s heap block: two counts, then the bucket's header.
-        let bucket_block = 2 * size_of::<usize>() + size_of::<Bucket>();
+        // An `Arc`'s heap block: two counts, then the chunk's header.
+        let chunk_block = 2 * size_of::<usize>() + size_of::<Chunk>();
         let mut total = 0usize;
         for (k, v) in &self.map {
             total += size_of::<Vec<u16>>() + k.len() * 2;
             total += size_of::<SeqEntries>() + v.hist.len() * 4;
             for b in &v.buckets {
-                total += size_of::<Arc<Bucket>>() + bucket_block + b.heap_bytes();
+                total += size_of::<Arc<Bucket>>() + 2 * size_of::<usize>() + size_of::<Bucket>();
+                total += b.chunks.capacity() * size_of::<Arc<Chunk>>();
+                total += b.chunks.iter().map(|c| chunk_block + c.heap_bytes()).sum::<usize>();
             }
         }
         total as u64
@@ -744,8 +973,8 @@ impl PathIndex {
             // below `min_prob` may land in the previous bucket yet pass the
             // exact (epsilon-tolerant) per-entry filter below.
             let start_bucket = self.config.bucket_of(min_prob).saturating_sub(1);
-            for b in &se.buckets[start_bucket..] {
-                for e in b.iter(canonical.len()) {
+            for chunk in se.buckets[start_bucket..].iter().flat_map(|b| &b.chunks) {
+                for e in chunk.iter(canonical.len()) {
                     if e.prob() + 1e-12 >= min_prob {
                         push_matches(&mut out, orient, e);
                     }

@@ -8,11 +8,12 @@
 //! `⟨label sequence, probability bucket⟩` where buckets have resolution `γ`;
 //! the paper's two-level structure (hash on the label sequence, B+-tree on
 //! the probability) maps to a hash map over canonical label sequences whose
-//! values are probability buckets in memory — each bucket one flat node
-//! buffer (stride = sequence length) with parallel `Prle` / `Prn` arrays and
-//! a bitmap of the nodes it holds, shared by `Arc` between index
-//! generations, so an update copies only the buckets it changes — and to
-//! composite-key ranges in a [`kvstore::BTreeStore`] on disk ([`disk`]).
+//! values are probability buckets in memory — each bucket its entries
+//! ascending by node tuple, in flat chunks of at most 512 entries (node
+//! buffer of stride = sequence length, parallel `Prle` / `Prn` arrays),
+//! each chunk shared by `Arc` between index generations, so an update
+//! rebuilds only the chunks its changes fall into — and to composite-key
+//! ranges in a [`kvstore::BTreeStore`] on disk ([`disk`]).
 //!
 //! Undirected symmetry is folded: a path is stored only under the canonical
 //! orientation of its label sequence (ties broken on node ids), and lookups

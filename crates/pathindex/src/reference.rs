@@ -6,7 +6,7 @@
 //! [`reference_update`] leaves, and both must agree with [`build_index`]
 //! on the mutated graph.
 
-use crate::build::{build_index, update_index};
+use crate::build::{build_index, enumerate_dirty, update_index};
 use crate::index::{IdentityOracle, PathIndex, PathIndexConfig};
 use graphstore::hash::{FxHashMap, FxHashSet};
 use graphstore::{EntityGraph, EntityId, Label};
@@ -89,7 +89,45 @@ fn reference_update(
     }
     index.n_entries -= removed_total;
 
-    // 2. Region: ball of `max_len` hops around the dirty set.
+    // 2–3. Re-enumerate from the ball around the dirty set, keeping only
+    // dirty-touching paths, in sorted buckets.
+    for (seq, entry) in reference_dirty_paths(graph, oracle, &config, dirty) {
+        affected.insert(seq.clone());
+        index.insert(seq, entry);
+    }
+    index.map.values_mut().flatten().for_each(|b| b.sort_by(|x, y| x.nodes.cmp(&y.nodes)));
+
+    // 4. Recount histograms of affected sequences; drop emptied ones.
+    for seq in affected {
+        if index.map[&seq].iter().all(|b| b.is_empty()) {
+            index.map.remove(&seq);
+            index.hist.remove(&seq);
+            continue;
+        }
+        let mut counts = vec![0u32; config.hist_grid.len()];
+        for e in index.map[&seq].iter().flatten() {
+            let p = e.prob();
+            for (i, &g) in config.hist_grid.iter().enumerate() {
+                if p >= g {
+                    counts[i] += 1;
+                }
+            }
+        }
+        index.hist.insert(seq, counts);
+    }
+}
+
+/// Every entry [`build_index`] makes on `graph` whose path holds a dirty
+/// node: a walk to full depth from every node within `max_len` hops of
+/// one.
+fn reference_dirty_paths(
+    graph: &EntityGraph,
+    oracle: &dyn IdentityOracle,
+    config: &PathIndexConfig,
+    dirty: &[bool],
+) -> Vec<(Vec<u16>, OwnedPath)> {
+    let is_dirty = |n: u32| dirty.get(n as usize).copied().unwrap_or(true);
+    // Region: ball of `max_len` hops around the dirty set.
     let n = graph.n_nodes();
     let mut in_region = vec![false; n];
     let mut frontier: Vec<u32> = Vec::new();
@@ -112,35 +150,13 @@ fn reference_update(
         frontier = next;
     }
 
-    // 3. Re-enumerate from the region to full depth, keeping only
-    // dirty-touching paths.
+    // Walk from the region to full depth, keeping only dirty-touching
+    // paths.
     let mut out = Vec::new();
     for v in (0..n as u32).filter(|&v| in_region[v as usize]) {
-        enumerate_from(graph, oracle, &config, EntityId(v), dirty, &mut out);
+        enumerate_from(graph, oracle, config, EntityId(v), dirty, &mut out);
     }
-    for (seq, entry) in out {
-        affected.insert(seq.clone());
-        index.insert(seq, entry);
-    }
-
-    // 4. Recount histograms of affected sequences; drop emptied ones.
-    for seq in affected {
-        if index.map[&seq].iter().all(|b| b.is_empty()) {
-            index.map.remove(&seq);
-            index.hist.remove(&seq);
-            continue;
-        }
-        let mut counts = vec![0u32; config.hist_grid.len()];
-        for e in index.map[&seq].iter().flatten() {
-            let p = e.prob();
-            for (i, &g) in config.hist_grid.iter().enumerate() {
-                if p >= g {
-                    counts[i] += 1;
-                }
-            }
-        }
-        index.hist.insert(seq, counts);
-    }
+    out
 }
 
 struct Walk<'a> {
@@ -250,7 +266,7 @@ fn emit_if_canonical(walk: &Walk<'_>, prle: f64, prn: f64, out: &mut Vec<(Vec<u1
 
 mod tests {
     use super::*;
-    use graphstore::dist::{EdgeProbability, LabelDist};
+    use graphstore::dist::{CondTable, EdgeProbability, LabelDist};
     use graphstore::{EntityGraphBuilder, LabelTable, RefId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -270,12 +286,14 @@ mod tests {
 
     /// A small uncertain graph: per node a label (and, for odd `second`,
     /// a second one at 0.4) and an existence weight; per node pair an
-    /// edge probability.
+    /// edge probability — with `cpt`, the scale of a label-conditional
+    /// table that is not symmetric and is zero for some label pairs.
     #[derive(Clone, Debug)]
     struct Spec {
         labels: Vec<(u16, u16)>,
         weights: Vec<f64>,
         edges: BTreeMap<(u8, u8), f64>,
+        cpt: bool,
     }
 
     impl Spec {
@@ -295,7 +313,15 @@ mod tests {
                 b.add_node(dist, vec![RefId(i as u32)]);
             }
             for (&(x, y), &p) in &self.edges {
-                b.add_edge(EntityId(x as u32), EntityId(y as u32), EdgeProbability::Independent(p));
+                let prob = if self.cpt {
+                    let cell = |a: Label, b: Label| {
+                        p * ((a.idx() * 3 + b.idx() + x as usize) % 4) as f64 / 3.0
+                    };
+                    EdgeProbability::Conditional(CondTable::from_fn(n_labels, cell))
+                } else {
+                    EdgeProbability::Independent(p)
+                };
+                b.add_edge(EntityId(x as u32), EntityId(y as u32), prob);
             }
             (b.build(), Weights(self.weights.clone()))
         }
@@ -322,13 +348,13 @@ mod tests {
             let weights = proptest::collection::vec(weight(), n);
             let edges =
                 proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0.3f64..=1.0), 0..=(2 * n));
-            (labels, weights, edges).prop_map(|(labels, weights, raw)| {
+            (labels, weights, edges, any::<bool>()).prop_map(|(labels, weights, raw, cpt)| {
                 let edges = raw
                     .into_iter()
                     .filter(|(a, b, _)| a != b)
                     .map(|(a, b, p)| ((a.min(b), a.max(b)), p))
                     .collect();
-                Spec { labels, weights, edges }
+                Spec { labels, weights, edges, cpt }
             })
         })
     }
@@ -455,7 +481,7 @@ mod tests {
 
             let mut index = build_index(&g0, &w0, &config);
             let mut reference = ReferenceIndex::from_flat(&index);
-            update_index(&mut index, &g1, &w1, &dirty);
+            update_index(&mut index, &g0, &w0, &g1, &w1, &dirty);
             reference_update(&mut reference, &g1, &w1, &dirty);
             assert_same_buckets(&index, &reference)?;
 
@@ -466,6 +492,54 @@ mod tests {
                 prop_assert!(index.map.contains_key(seq), "sequence {:?} missing", seq);
                 prop_assert_eq!(&index.map[seq].hist, &se.hist, "histogram of {:?}", seq);
                 prop_assert_eq!(entry_set(&index, seq), entry_set(&fresh, seq));
+            }
+        }
+
+        /// The update's walk outward from the dirty nodes finds exactly
+        /// what the ball re-enumeration finds — on the previous graph and
+        /// on the new one, bit for bit — and on the previous graph that is
+        /// exactly the built index's entries through a dirty node.
+        #[test]
+        fn dirty_walk_matches_ball_enumeration(
+            before in spec_strategy(),
+            changes in proptest::collection::vec(change_strategy(), 0..=4),
+            extra in proptest::collection::vec(any::<bool>(), 12),
+            extra_on in any::<bool>(),
+            max_len in 1usize..=3,
+        ) {
+            let (after, mut dirty) = mutate(&before, &changes);
+            if extra_on {
+                for (d, e) in dirty.iter_mut().zip(&extra) {
+                    *d |= *e;
+                }
+            }
+            let config = PathIndexConfig { max_len, beta: 0.15, threads: 1, ..Default::default() };
+            let key = |seq: &[u16], nodes: Vec<u32>, prle: f64, prn: f64| {
+                (seq.to_vec(), nodes, prle.to_bits(), prn.to_bits())
+            };
+            for (g, w) in [before.graph(), after.graph()] {
+                let mut walked = Vec::new();
+                enumerate_dirty(&config, &g, &w, &dirty, &mut |seq, nodes, prle, prn| {
+                    walked.push(key(seq, nodes.iter().map(|v| v.0).collect(), prle, prn));
+                });
+                let mut ball: Vec<_> = reference_dirty_paths(&g, &w, &config, &dirty)
+                    .into_iter()
+                    .map(|(seq, e)| key(&seq, e.nodes, e.prle, e.prn))
+                    .collect();
+                walked.sort();
+                ball.sort();
+                prop_assert!(walked.windows(2).all(|p| p[0] != p[1]), "a path emitted twice");
+                prop_assert_eq!(&walked, &ball);
+
+                let mut stored: Vec<_> = build_index(&g, &w, &config)
+                    .map
+                    .iter()
+                    .flat_map(|(seq, se)| se.iter(seq.len()).map(move |e| (seq, e)))
+                    .filter(|(_, e)| e.nodes.iter().any(|&v| dirty.get(v as usize).is_none_or(|d| *d)))
+                    .map(|(seq, e)| key(seq, e.nodes.to_vec(), e.prle, e.prn))
+                    .collect();
+                stored.sort();
+                prop_assert_eq!(&walked, &stored);
             }
         }
     }

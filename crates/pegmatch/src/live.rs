@@ -13,18 +13,19 @@
 //!   touched and appended entities and the pairs incident to them (node
 //!   ids stay stable: creation-order numbering, tombstoned deletions); the
 //!   existence rebuild reuses untouched component tables by `Arc`; the
-//!   path index shares every bucket that holds no dirty node with the
-//!   previous generation, copies (filtered) only the buckets that hold one
-//!   or gain an entry, and re-enumerates only where a dirty node is still
-//!   reachable; histogram counts move by one per entry that left or
-//!   entered; context rows are recomputed for dirty nodes and their
-//!   neighbours.
+//!   path index enumerates the entries through a dirty node in the
+//!   previous and in the new graph, grown outward from the dirty nodes,
+//!   and swaps the one set for the other by key, rebuilding only the
+//!   sorted chunks a change falls into and sharing every other chunk with
+//!   the previous generation; histogram counts move by one per entry that
+//!   left or entered; context rows are recomputed for dirty nodes and
+//!   their neighbours.
 //! * **still ∝ n, at copy speed** — the reference network is cloned; the
 //!   patched entity graph copies the untouched nodes and edges, scans the
 //!   reference edges once for the touched ones and rebuilds its CSR; the
-//!   existence model regroups every node; the index's per-bucket node
-//!   summaries are read once each; the context tables are copied before
-//!   they are patched.
+//!   existence model regroups every node; the index clone takes a
+//!   reference per bucket; the context tables are copied before they are
+//!   patched.
 
 use crate::error::PegError;
 use crate::model::{Peg, PegBuilder};
@@ -48,14 +49,15 @@ pub struct UpdatePhases {
     /// Cloning the previous path index: its sequence table, one shared
     /// reference per bucket.
     pub index_copy: Duration,
-    /// Dropping the entries through a dirty node: a filtered copy of each
-    /// bucket that holds one, found from the per-bucket node summaries.
+    /// Enumerating the entries through a dirty node on the previous
+    /// graph: the entries to take out.
     pub index_drop: Duration,
-    /// Ball BFS, pruned re-enumeration and insertion (a bucket still
-    /// shared is copied before its first insert).
+    /// Enumerating the entries through a dirty node on the new graph, and
+    /// swapping them in by key: only the chunks a change falls into are
+    /// rebuilt.
     pub index_enumerate: Duration,
-    /// Removing emptied sequences (the counts themselves are patched as
-    /// entries are dropped and inserted).
+    /// Removing emptied sequences (the counts themselves move as entries
+    /// are taken out and put in).
     pub histogram: Duration,
     /// Copying and patching the context tables.
     pub context: Duration,
@@ -148,7 +150,7 @@ pub fn apply_ops(
     let delta = builder.rebuild(&new_refs, prev, &touched)?;
     phases.compile = delta.compile_time;
     phases.existence = delta.existence_time;
-    let index = prev_index.rebuild_delta(&delta.peg, &delta.dirty, &mut phases)?;
+    let index = prev_index.rebuild_delta(prev, &delta.peg, &delta.dirty, &mut phases)?;
     Ok(LiveUpdate {
         refs: new_refs,
         peg: delta.peg,

@@ -87,12 +87,12 @@ impl OfflineIndex {
 
     /// Rebuilds the offline artifacts after a graph mutation from `dirty`
     /// (per-node flags from [`crate::model::PegBuilder::rebuild`]) instead
-    /// of recomputing them over the whole graph. The new path index shares
-    /// every bucket that holds no dirty node with `self`'s (cloning it
-    /// costs a reference per bucket); [`update_index`] replaces each
-    /// bucket that holds one by a filtered copy and re-enumerates around
-    /// the dirty ball, copying a still-shared bucket before inserting into
-    /// it. The context tables are copied and patched at the dirty nodes
+    /// of recomputing them over the whole graph; `prev` is the PEG `self`
+    /// was built for. The new path index shares every chunk of `self`'s
+    /// that no change falls into (cloning it costs a reference per
+    /// bucket): [`update_index`] enumerates the entries through a dirty
+    /// node in `prev` and in `peg`, and swaps the one set for the other by
+    /// key. The context tables are copied and patched at the dirty nodes
     /// and their neighbours ([`ContextInfo::patched`]). `self` is left
     /// untouched — in-flight queries holding it stay consistent — and the
     /// result is entry-, histogram- and context-identical to
@@ -100,6 +100,7 @@ impl OfflineIndex {
     /// is recorded into `phases`.
     pub fn rebuild_delta(
         &self,
+        prev: &Peg,
         peg: &Peg,
         dirty: &[bool],
         phases: &mut UpdatePhases,
@@ -107,7 +108,14 @@ impl OfflineIndex {
         let t0 = Instant::now();
         let mut paths = self.paths.clone();
         phases.index_copy = t0.elapsed();
-        let times = update_index(&mut paths, &peg.graph, &peg.existence, dirty);
+        let times = update_index(
+            &mut paths,
+            &prev.graph,
+            &prev.existence,
+            &peg.graph,
+            &peg.existence,
+            dirty,
+        );
         phases.index_drop = times.drop;
         phases.index_enumerate = times.enumerate;
         phases.histogram = times.histogram;
