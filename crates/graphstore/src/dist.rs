@@ -41,10 +41,16 @@ impl LabelDist {
         d
     }
 
+    /// This distribution as a borrowed row.
+    #[inline]
+    pub fn row(&self) -> LabelRow<'_> {
+        LabelRow { probs: &self.probs }
+    }
+
     /// Probability of `label` (zero when out of range).
     #[inline]
     pub fn prob(&self, label: Label) -> f64 {
-        self.probs.get(label.idx()).copied().unwrap_or(0.0)
+        self.row().prob(label)
     }
 
     /// Alphabet size this distribution is defined over.
@@ -54,18 +60,17 @@ impl LabelDist {
 
     /// Labels with non-zero probability (the set `L(s)` of the paper).
     pub fn support(&self) -> impl Iterator<Item = Label> + '_ {
-        self.probs.iter().enumerate().filter(|(_, &p)| p > 0.0).map(|(i, _)| Label(i as u16))
+        self.row().support()
     }
 
     /// Number of labels with non-zero probability.
     pub fn support_size(&self) -> usize {
-        self.probs.iter().filter(|&&p| p > 0.0).count()
+        self.row().support_size()
     }
 
     /// Checks the distribution sums to 1 (within [`DIST_EPS`]).
     pub fn validate(&self) -> bool {
-        let sum: f64 = self.probs.iter().sum();
-        (sum - 1.0).abs() <= DIST_EPS && self.probs.iter().all(|&p| p >= 0.0)
+        self.row().validate()
     }
 
     /// Scales entries so they sum to 1.
@@ -85,13 +90,13 @@ impl LabelDist {
     ///
     /// # Panics
     /// Panics when `dists` is empty or alphabet sizes differ.
-    pub fn average(dists: &[&LabelDist]) -> LabelDist {
+    pub fn average(dists: &[LabelRow<'_>]) -> LabelDist {
         assert!(!dists.is_empty(), "average of no distributions");
         let n = dists[0].n_labels();
         let mut out = LabelDist::zeros(n);
         for d in dists {
             assert_eq!(d.n_labels(), n, "alphabet size mismatch");
-            for (o, p) in out.probs.iter_mut().zip(&d.probs) {
+            for (o, p) in out.probs.iter_mut().zip(d.probs) {
                 *o += p;
             }
         }
@@ -105,6 +110,59 @@ impl LabelDist {
     /// Raw dense probabilities.
     pub fn as_slice(&self) -> &[f64] {
         &self.probs
+    }
+}
+
+/// A borrowed label distribution: one row of a graph's flat label column
+/// ([`crate::EntityGraph::node`], [`crate::RefGraph::reference`]) or a
+/// view of a [`LabelDist`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LabelRow<'a> {
+    probs: &'a [f64],
+}
+
+impl<'a> LabelRow<'a> {
+    /// The row over `probs`, one entry per label of the alphabet.
+    #[inline]
+    pub fn new(probs: &'a [f64]) -> Self {
+        Self { probs }
+    }
+
+    /// Probability of `label` (zero when out of range).
+    #[inline]
+    pub fn prob(self, label: Label) -> f64 {
+        self.probs.get(label.idx()).copied().unwrap_or(0.0)
+    }
+
+    /// Alphabet size this row is defined over.
+    pub fn n_labels(self) -> usize {
+        self.probs.len()
+    }
+
+    /// Labels with non-zero probability (the set `L(s)` of the paper).
+    pub fn support(self) -> impl Iterator<Item = Label> + 'a {
+        self.probs.iter().enumerate().filter(|(_, &p)| p > 0.0).map(|(i, _)| Label(i as u16))
+    }
+
+    /// Number of labels with non-zero probability.
+    pub fn support_size(self) -> usize {
+        self.probs.iter().filter(|&&p| p > 0.0).count()
+    }
+
+    /// Checks the row sums to 1 (within [`DIST_EPS`]).
+    pub fn validate(self) -> bool {
+        let sum: f64 = self.probs.iter().sum();
+        (sum - 1.0).abs() <= DIST_EPS && self.probs.iter().all(|&p| p >= 0.0)
+    }
+
+    /// Raw dense probabilities.
+    pub fn as_slice(self) -> &'a [f64] {
+        self.probs
+    }
+
+    /// An owned copy.
+    pub fn to_dist(self) -> LabelDist {
+        LabelDist { probs: self.probs.to_vec() }
     }
 }
 
@@ -277,7 +335,7 @@ mod tests {
         // Figure 1: merging r(1.0) with i(1.0) yields r(0.5), i(0.5).
         let r = LabelDist::delta(Label(0), 3);
         let i = LabelDist::delta(Label(2), 3);
-        let m = LabelDist::average(&[&r, &i]);
+        let m = LabelDist::average(&[r.row(), i.row()]);
         assert_eq!(m.prob(Label(0)), 0.5);
         assert_eq!(m.prob(Label(2)), 0.5);
         assert!(m.validate());

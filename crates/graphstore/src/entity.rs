@@ -1,7 +1,7 @@
 //! The probabilistic entity graph `G_U`: the structure query processing
 //! operates on (Section 4, "Finding Matches").
 
-use crate::dist::{EdgeProbability, LabelDist};
+use crate::dist::{EdgeProbability, LabelDist, LabelRow};
 use crate::hash::FxHashMap;
 use crate::labels::{Label, LabelTable};
 use crate::refgraph::RefId;
@@ -26,14 +26,114 @@ impl std::fmt::Debug for EntityId {
 
 /// A potential entity: merged label distribution plus the underlying
 /// references (`refs(v)` of the paper), kept sorted for fast disjointness
-/// tests.
-#[derive(Clone, Debug)]
-pub struct EntityNode {
+/// tests. A view of one row of [`EntityNodes`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EntityNode<'a> {
     /// Merged label distribution `Pr(s.l)`.
-    pub labels: LabelDist,
+    pub labels: LabelRow<'a>,
     /// Sorted underlying reference ids.
-    pub refs: Vec<RefId>,
+    pub refs: &'a [RefId],
 }
+
+/// The node payloads of an entity graph as flat columns: every node's
+/// label probabilities in one row-major `n × |Σ|` vector, and every
+/// node's sorted references in one CSR. Cloning it is three `memcpy`s,
+/// not one heap object per node.
+#[derive(Clone, Debug)]
+pub struct EntityNodes {
+    n_labels: usize,
+    /// Row-major `[node][label]` probabilities.
+    labels: Vec<f64>,
+    /// CSR row offsets into `refs`, length `len() + 1`.
+    ref_offsets: Vec<u32>,
+    refs: Vec<RefId>,
+}
+
+impl EntityNodes {
+    /// No nodes, over an alphabet of `n_labels`.
+    pub fn new(n_labels: usize) -> Self {
+        Self { n_labels, labels: Vec::new(), ref_offsets: vec![0], refs: Vec::new() }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.ref_offsets.len() - 1
+    }
+
+    /// True when there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends a node; `refs` must be sorted and free of duplicates.
+    pub fn push(&mut self, labels: &[f64], refs: &[RefId]) {
+        assert_eq!(labels.len(), self.n_labels, "label alphabet mismatch");
+        debug_assert!(refs.windows(2).all(|w| w[0] < w[1]), "refs sorted and distinct");
+        self.labels.extend_from_slice(labels);
+        self.refs.extend_from_slice(refs);
+        self.ref_offsets.push(self.refs.len() as u32);
+    }
+
+    /// Overwrites node `i`'s label row.
+    pub fn set_labels(&mut self, i: usize, labels: &[f64]) {
+        let k = self.n_labels;
+        self.labels[i * k..(i + 1) * k].copy_from_slice(labels);
+    }
+
+    /// Node `i`'s label row.
+    #[inline]
+    pub fn labels(&self, i: usize) -> LabelRow<'_> {
+        let k = self.n_labels;
+        LabelRow::new(&self.labels[i * k..(i + 1) * k])
+    }
+
+    /// Node `i`'s sorted references.
+    #[inline]
+    pub fn refs(&self, i: usize) -> &[RefId] {
+        &self.refs[self.ref_offsets[i] as usize..self.ref_offsets[i + 1] as usize]
+    }
+
+    /// Node `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> EntityNode<'_> {
+        EntityNode { labels: self.labels(i), refs: self.refs(i) }
+    }
+
+    /// Every node, in id order.
+    pub fn iter(&self) -> NodeIter<'_> {
+        NodeIter { nodes: self, range: 0..self.len() }
+    }
+}
+
+impl<'a> IntoIterator for &'a EntityNodes {
+    type Item = EntityNode<'a>;
+    type IntoIter = NodeIter<'a>;
+
+    fn into_iter(self) -> NodeIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the rows of [`EntityNodes`].
+#[derive(Clone, Debug)]
+pub struct NodeIter<'a> {
+    nodes: &'a EntityNodes,
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for NodeIter<'a> {
+    type Item = EntityNode<'a>;
+
+    fn next(&mut self) -> Option<EntityNode<'a>> {
+        self.range.next().map(|i| self.nodes.get(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for NodeIter<'_> {}
 
 /// One undirected edge with its merged existence probability.
 #[derive(Clone, Debug)]
@@ -55,7 +155,7 @@ pub struct EntityEdge {
 #[derive(Clone, Debug)]
 pub struct EntityGraph {
     labels: LabelTable,
-    nodes: Vec<EntityNode>,
+    nodes: EntityNodes,
     edges: Vec<EntityEdge>,
     /// CSR row offsets, length `n_nodes + 1`.
     offsets: Vec<u32>,
@@ -85,12 +185,12 @@ impl EntityGraph {
 
     /// Node payload.
     #[inline]
-    pub fn node(&self, v: EntityId) -> &EntityNode {
-        &self.nodes[v.idx()]
+    pub fn node(&self, v: EntityId) -> EntityNode<'_> {
+        self.nodes.get(v.idx())
     }
 
     /// Every node payload, indexed by id.
-    pub fn nodes(&self) -> &[EntityNode] {
+    pub fn nodes(&self) -> &EntityNodes {
         &self.nodes
     }
 
@@ -107,7 +207,7 @@ impl EntityGraph {
     /// `Pr(v.l = label)`.
     #[inline]
     pub fn label_prob(&self, v: EntityId, label: Label) -> f64 {
-        self.nodes[v.idx()].labels.prob(label)
+        self.nodes.labels(v.idx()).prob(label)
     }
 
     /// Neighbor ids of `v` (Γ(v)).
@@ -171,7 +271,7 @@ impl EntityGraph {
     /// True when `u` and `v` share no underlying reference (so they may
     /// co-occur in a possible world).
     pub fn refs_disjoint(&self, u: EntityId, v: EntityId) -> bool {
-        let (ra, rb) = (&self.nodes[u.idx()].refs, &self.nodes[v.idx()].refs);
+        let (ra, rb) = (self.nodes.refs(u.idx()), self.nodes.refs(v.idx()));
         // Sorted-merge intersection test.
         let (mut i, mut j) = (0usize, 0usize);
         while i < ra.len() && j < rb.len() {
@@ -224,10 +324,10 @@ impl EntityGraph {
 pub const UNREACHED: u32 = u32::MAX;
 
 /// Builder accumulating nodes/edges before CSR construction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EntityGraphBuilder {
     labels: LabelTable,
-    nodes: Vec<EntityNode>,
+    nodes: EntityNodes,
     edges: Vec<EntityEdge>,
     edge_map: FxHashMap<(u32, u32), u32>,
 }
@@ -235,7 +335,8 @@ pub struct EntityGraphBuilder {
 impl EntityGraphBuilder {
     /// Starts a builder over the given label alphabet.
     pub fn new(labels: LabelTable) -> Self {
-        Self { labels, ..Default::default() }
+        let nodes = EntityNodes::new(labels.len());
+        Self { labels, nodes, edges: Vec::new(), edge_map: FxHashMap::default() }
     }
 
     /// The label alphabet being built against.
@@ -249,7 +350,7 @@ impl EntityGraphBuilder {
         refs.sort_unstable();
         refs.dedup();
         let id = EntityId(self.nodes.len() as u32);
-        self.nodes.push(EntityNode { labels, refs });
+        self.nodes.push(labels.as_slice(), &refs);
         id
     }
 
@@ -294,7 +395,7 @@ impl EntityGraph {
     /// order, and every adjacency row comes out sorted.
     pub fn from_sorted_edges(
         labels: LabelTable,
-        nodes: Vec<EntityNode>,
+        nodes: EntityNodes,
         edges: Vec<EntityEdge>,
     ) -> EntityGraph {
         debug_assert!(edges.windows(2).all(|w| edge_key(&w[0]) < edge_key(&w[1])));
@@ -307,7 +408,7 @@ impl EntityGraph {
     /// The CSR over `edges`, each row sorted by neighbour id.
     fn assemble(
         labels: LabelTable,
-        nodes: Vec<EntityNode>,
+        nodes: EntityNodes,
         edges: Vec<EntityEdge>,
         edge_map: FxHashMap<(u32, u32), u32>,
     ) -> EntityGraph {

@@ -30,8 +30,10 @@ pub mod persist;
 pub mod refgraph;
 pub mod stats;
 
-pub use dist::{CondTable, EdgeProbability, LabelDist};
-pub use entity::{EntityEdge, EntityGraph, EntityGraphBuilder, EntityId, EntityNode, UNREACHED};
+pub use dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
+pub use entity::{
+    EntityEdge, EntityGraph, EntityGraphBuilder, EntityId, EntityNode, EntityNodes, UNREACHED,
+};
 pub use labels::{Label, LabelTable};
 pub use ops::GraphOp;
 pub use refgraph::{EntityRef, RefEdge, RefGraph, RefId, RefNode, RefSet, RefSetId};

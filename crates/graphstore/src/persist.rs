@@ -13,7 +13,7 @@
 //! Edge probabilities are tagged: `0` independent (`f64` bits), `1`
 //! conditional (sparse non-zero CPT entries).
 
-use crate::dist::{CondTable, EdgeProbability, LabelDist};
+use crate::dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
 use crate::entity::{EntityGraph, EntityGraphBuilder, EntityId};
 use crate::labels::{Label, LabelTable};
 use crate::refgraph::RefId;
@@ -45,7 +45,7 @@ fn edge_key(i: u32) -> Vec<u8> {
     k
 }
 
-fn encode_dist(d: &LabelDist, out: &mut Vec<u8>) {
+fn encode_dist(d: LabelRow<'_>, out: &mut Vec<u8>) {
     let entries: Vec<(u16, f64)> = d
         .as_slice()
         .iter()
@@ -134,9 +134,9 @@ pub fn save_entity_graph(graph: &EntityGraph, kv: &mut dyn Kv) -> Result<()> {
     for v in graph.node_ids() {
         let node = graph.node(v);
         let mut buf = Vec::new();
-        encode_dist(&node.labels, &mut buf);
+        encode_dist(node.labels, &mut buf);
         codec::push_u16(&mut buf, node.refs.len() as u16);
-        for r in &node.refs {
+        for r in node.refs {
             codec::push_u32(&mut buf, r.0);
         }
         kv.put(&node_key(v.0), &buf)?;

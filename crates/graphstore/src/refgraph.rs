@@ -1,7 +1,7 @@
 //! The reference-level network: the storage half of the probabilistic graph
 //! description (PGD, Definition 1).
 
-use crate::dist::{EdgeProbability, LabelDist};
+use crate::dist::{EdgeProbability, LabelDist, LabelRow};
 use crate::hash::FxHashMap;
 use crate::labels::LabelTable;
 
@@ -27,11 +27,12 @@ impl std::fmt::Debug for RefId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RefSetId(pub u32);
 
-/// A reference with its label distribution `p_r(r.x)`.
-#[derive(Clone, Debug)]
-pub struct RefNode {
+/// A reference with its label distribution `p_r(r.x)`: a view of one row
+/// of the network's flat label column.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RefNode<'a> {
     /// Distribution over Σ for this reference's label.
-    pub labels: LabelDist,
+    pub labels: LabelRow<'a>,
 }
 
 /// An uncertain reference-level edge with `p_{(r1,r2)}((r1,r2).x)`.
@@ -86,7 +87,8 @@ pub enum EntityRef {
 #[derive(Clone, Debug)]
 pub struct RefGraph {
     labels: LabelTable,
-    refs: Vec<RefNode>,
+    /// Per-reference label probabilities, row-major `[ref][label]`.
+    ref_labels: Vec<f64>,
     edges: Vec<RefEdge>,
     edge_map: FxHashMap<(u32, u32), u32>,
     sets: Vec<RefSet>,
@@ -111,7 +113,7 @@ impl RefGraph {
     pub fn new(labels: LabelTable) -> Self {
         Self {
             labels,
-            refs: Vec::new(),
+            ref_labels: Vec::new(),
             edges: Vec::new(),
             edge_map: FxHashMap::default(),
             sets: Vec::new(),
@@ -133,8 +135,8 @@ impl RefGraph {
     /// Adds a reference with label distribution `labels`.
     pub fn add_ref(&mut self, labels: LabelDist) -> RefId {
         assert_eq!(labels.n_labels(), self.labels.len(), "label alphabet mismatch");
-        let id = RefId(self.refs.len() as u32);
-        self.refs.push(RefNode { labels });
+        let id = RefId(self.n_refs() as u32);
+        self.ref_labels.extend_from_slice(labels.as_slice());
         self.ref_alive.push(true);
         self.singleton_pos.push(self.entities.len() as u32);
         self.containing_sets.push(Vec::new());
@@ -148,7 +150,7 @@ impl RefGraph {
     /// Panics on self loops or out-of-range endpoints.
     pub fn add_edge(&mut self, a: RefId, b: RefId, prob: EdgeProbability) {
         assert_ne!(a, b, "self loops are not part of the model");
-        assert!(a.idx() < self.refs.len() && b.idx() < self.refs.len(), "endpoint out of range");
+        assert!(a.idx() < self.n_refs() && b.idx() < self.n_refs(), "endpoint out of range");
         let key = (a.0.min(b.0), a.0.max(b.0));
         if let Some(&i) = self.edge_map.get(&key) {
             self.edges[i as usize] = RefEdge { a, b, prob };
@@ -168,7 +170,7 @@ impl RefGraph {
         members.sort_unstable();
         members.dedup();
         assert!(members.len() >= 2, "reference sets must have at least two members");
-        assert!(members.iter().all(|r| r.idx() < self.refs.len()), "member out of range");
+        assert!(members.iter().all(|r| r.idx() < self.n_refs()), "member out of range");
         assert!(weight >= 0.0, "negative set weight");
         let id = RefSetId(self.sets.len() as u32);
         let pos = self.entities.len() as u32;
@@ -210,7 +212,7 @@ impl RefGraph {
 
     /// Number of references.
     pub fn n_refs(&self) -> usize {
-        self.refs.len()
+        self.ref_alive.len()
     }
 
     /// Number of reference-level edges.
@@ -219,8 +221,9 @@ impl RefGraph {
     }
 
     /// Reference payload.
-    pub fn reference(&self, r: RefId) -> &RefNode {
-        &self.refs[r.idx()]
+    pub fn reference(&self, r: RefId) -> RefNode<'_> {
+        let k = self.labels.len();
+        RefNode { labels: LabelRow::new(&self.ref_labels[r.idx() * k..(r.idx() + 1) * k]) }
     }
 
     /// All reference-level edges.
@@ -241,7 +244,7 @@ impl RefGraph {
 
     /// All reference ids.
     pub fn ref_ids(&self) -> impl Iterator<Item = RefId> {
-        (0..self.refs.len() as u32).map(RefId)
+        (0..self.n_refs() as u32).map(RefId)
     }
 
     /// The entity creation log: one entry per (implicit or declared) set,
@@ -285,6 +288,25 @@ impl RefGraph {
         }
     }
 
+    /// The sorted member references of the entity at creation-log
+    /// position `i`: a singleton's one reference, or a declared set's
+    /// members. An entity's members never change.
+    pub fn entity_refs(&self, i: usize) -> &[RefId] {
+        match &self.entities[i] {
+            EntityRef::Singleton(r) => std::slice::from_ref(r),
+            EntityRef::Set(s) => &self.ref_set(*s).members,
+        }
+    }
+
+    /// Raw factor value `p_s(s.x = T)` of the entity at creation-log
+    /// position `i`.
+    pub fn entity_weight(&self, i: usize) -> f64 {
+        match self.entities[i] {
+            EntityRef::Singleton(r) => self.singleton_weight(r),
+            EntityRef::Set(s) => self.ref_set(s).weight,
+        }
+    }
+
     /// Entity id of the implicit singleton set of `r`.
     pub fn singleton_entity(&self, r: RefId) -> u32 {
         self.singleton_pos[r.idx()]
@@ -305,7 +327,7 @@ impl RefGraph {
     /// singleton entity `{r}` and every declared set containing `r` become
     /// dead; entity ids are unchanged. No-op structure otherwise.
     pub fn delete_ref(&mut self, r: RefId) {
-        assert!(r.idx() < self.refs.len(), "reference out of range");
+        assert!(r.idx() < self.n_refs(), "reference out of range");
         self.ref_alive[r.idx()] = false;
         let mut i = 0;
         while i < self.edges.len() {
@@ -332,8 +354,9 @@ impl RefGraph {
 
     /// Replaces the label distribution of a reference.
     pub fn replace_ref_labels(&mut self, r: RefId, labels: LabelDist) {
-        assert_eq!(labels.n_labels(), self.labels.len(), "label alphabet mismatch");
-        self.refs[r.idx()].labels = labels;
+        let k = self.labels.len();
+        assert_eq!(labels.n_labels(), k, "label alphabet mismatch");
+        self.ref_labels[r.idx() * k..(r.idx() + 1) * k].copy_from_slice(labels.as_slice());
     }
 
     /// Replaces the raw factor value of declared set `s`.

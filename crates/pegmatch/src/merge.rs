@@ -6,12 +6,13 @@
 //! an alternative for edge existence. Users can provide their own by
 //! implementing [`LabelMerge`] / [`EdgeMerge`].
 
-use graphstore::dist::{CondTable, EdgeProbability, LabelDist};
+use graphstore::dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
 
 /// Merge function for node label distributions (`mΣ`).
 pub trait LabelMerge: Sync {
-    /// Combines one or more label distributions into one.
-    fn merge(&self, dists: &[&LabelDist]) -> LabelDist;
+    /// Combines one or more label distributions, each a borrowed row of
+    /// the reference network's label column, into one.
+    fn merge(&self, dists: &[LabelRow<'_>]) -> LabelDist;
 }
 
 /// Merge function for edge existence distributions (`m{T,F}`).
@@ -31,7 +32,7 @@ pub trait EdgeMerge: Sync {
 pub struct AverageMerge;
 
 impl LabelMerge for AverageMerge {
-    fn merge(&self, dists: &[&LabelDist]) -> LabelDist {
+    fn merge(&self, dists: &[LabelRow<'_>]) -> LabelDist {
         LabelDist::average(dists)
     }
 }
@@ -144,7 +145,7 @@ mod tests {
     fn label_average_dispatch() {
         let d1 = LabelDist::delta(Label(0), 2);
         let d2 = LabelDist::delta(Label(1), 2);
-        let m = LabelMerge::merge(&AverageMerge, &[&d1, &d2]);
+        let m = LabelMerge::merge(&AverageMerge, &[d1.row(), d2.row()]);
         assert_eq!(m.prob(Label(0)), 0.5);
     }
 }

@@ -3,8 +3,9 @@
 use crate::error::PegError;
 use crate::merge::{AverageMerge, EdgeMerge, LabelMerge};
 use crate::model::existence::{ExistenceModel, ExistenceOptions};
-use graphstore::dist::{CondTable, EdgeProbability, LabelDist};
-use graphstore::{EntityEdge, EntityGraph, EntityId, EntityNode, EntityRef, RefGraph, RefId};
+use graphstore::dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
+use graphstore::{EntityEdge, EntityGraph, EntityId, EntityNodes, EntityRef, RefGraph, RefId};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// The probabilistic entity graph: the entity-level graph `G_U` plus the
@@ -81,12 +82,11 @@ impl PegBuilder {
     /// world: `Prn` of any match including one is 0.
     pub fn build(&self, refs: &RefGraph) -> Result<Peg, PegError> {
         let c = self.compile(refs)?;
-        let existence = ExistenceModel::build_with_dead(
-            &c.node_refs(),
-            &c.node_weights,
-            &c.dead,
-            &self.existence,
-        )?;
+        let node_refs: Vec<&[RefId]> = c.graph.nodes().iter().map(|n| n.refs).collect();
+        let (weights, dead): (Vec<f64>, Vec<bool>) =
+            (0..refs.n_entities()).map(|i| (refs.entity_weight(i), refs.entity_is_dead(i))).unzip();
+        let existence =
+            ExistenceModel::build_with_dead(&node_refs, &weights, &dead, &self.existence)?;
         Ok(Peg { graph: c.graph, existence })
     }
 
@@ -95,18 +95,18 @@ impl PegBuilder {
     /// existence-component tables are reused by `Arc`
     /// ([`ExistenceModel::rebuild_incremental`]). The result is
     /// **bit-identical** to [`PegBuilder::build`] of the same mutated
-    /// network; on top of it, `dirty` marks every node whose compiled
-    /// semantics may differ from `prev` — the seed set incremental
-    /// path-index maintenance re-enumerates around.
+    /// network; on top of it, `dirty` marks every node whose compiled semantics may differ
+    /// from `prev` — the seed set incremental path-index maintenance
+    /// re-enumerates around.
     ///
     /// `touched` is the directly-touched entity set an op batch reported
     /// ([`RefGraph::apply_all`]): every entity whose member references,
     /// their labels, their incident reference edges, its liveness or its
-    /// weight an op changed. Only those entities, the entities appended
-    /// since `prev`, and the pairs incident to them are merged again;
-    /// every other node and edge is `prev`'s, copied in order — a pair
-    /// with no touched endpoint has the same members and the same
-    /// reference edges as before.
+    /// weight an op changed, sorted. Only those entities, the entities
+    /// appended since `prev`, and the pairs incident to them are merged
+    /// again; every other node and edge is `prev`'s, copied in order — an
+    /// entity's members are fixed at creation, and a pair with no touched
+    /// endpoint has the same reference edges as before.
     pub fn rebuild(
         &self,
         refs: &RefGraph,
@@ -122,22 +122,26 @@ impl PegBuilder {
     /// compiled in `compile_time`.
     fn delta(
         &self,
-        c: CompiledGraph,
+        c: CompiledGraph<'_>,
         prev: &Peg,
         touched: &[u32],
         compile_time: Duration,
     ) -> Result<PegDelta, PegError> {
         let t = Instant::now();
-        let mut touched_flags = vec![false; c.dead.len()];
+        let n = c.refs.n_entities();
+        let mut touched_flags = vec![false; n];
         for &t in touched {
-            if (t as usize) < touched_flags.len() {
+            if (t as usize) < n {
                 touched_flags[t as usize] = true;
             }
         }
+        let node_refs: Vec<&[RefId]> = c.graph.nodes().iter().map(|n| n.refs).collect();
+        let (weights, dead): (Vec<f64>, Vec<bool>) =
+            (0..n).map(|i| (c.refs.entity_weight(i), c.refs.entity_is_dead(i))).unzip();
         let delta = ExistenceModel::rebuild_incremental(
-            &c.node_refs(),
-            &c.node_weights,
-            &c.dead,
+            &node_refs,
+            &weights,
+            &dead,
             &self.existence,
             &prev.existence,
             &touched_flags,
@@ -158,32 +162,44 @@ impl PegBuilder {
     /// The whole-network compile: node table (creation order), merged
     /// labels, merged edges — everything but the existence model. The
     /// load path, and the oracle [`PegBuilder::patch`] is tested against.
-    fn compile(&self, refs: &RefGraph) -> Result<CompiledGraph, PegError> {
+    fn compile<'r>(&self, refs: &'r RefGraph) -> Result<CompiledGraph<'r>, PegError> {
         if refs.label_table().is_empty() {
             return Err(PegError::Invalid("empty label alphabet".into()));
         }
-        let nodes: Vec<EntityNode> = (0..refs.n_entities()).map(|i| self.node(refs, i)).collect();
+        let mut nodes = EntityNodes::new(refs.label_table().len());
+        for i in 0..refs.n_entities() {
+            nodes.push(&self.labels(refs, i), refs.entity_refs(i));
+        }
         let edges = self.edges(refs, &nodes, None);
         let graph = EntityGraph::from_sorted_edges(refs.label_table().clone(), nodes, edges);
-        Ok(CompiledGraph::new(refs, graph))
+        Ok(CompiledGraph { graph, refs })
     }
 
     /// [`PegBuilder::compile`] of the mutated `refs`, done as a patch of
-    /// `prev`: the touched and appended entities are merged again, and
-    /// so is every pair incident to one; everything else is copied from
-    /// `prev` in order.
-    fn patch(&self, refs: &RefGraph, prev: &EntityGraph, touched: &[u32]) -> CompiledGraph {
+    /// `prev`: the node columns are copied, the touched entities' label
+    /// rows merged again and the appended entities pushed (an entity's
+    /// references never change); every pair incident to one of them is
+    /// merged again, and every other edge is copied from `prev` in order.
+    fn patch<'r>(
+        &self,
+        refs: &'r RefGraph,
+        prev: &EntityGraph,
+        touched: &[u32],
+    ) -> CompiledGraph<'r> {
         let n = refs.n_entities();
+        let prev_n = prev.n_nodes().min(n);
         let mut redo = vec![false; n];
-        redo[prev.n_nodes().min(n)..].fill(true);
+        redo[prev_n..].fill(true);
+        let mut nodes = prev.nodes().clone();
         for &t in touched {
-            if let Some(r) = redo.get_mut(t as usize) {
-                *r = true;
+            if (t as usize) < prev_n {
+                redo[t as usize] = true;
+                nodes.set_labels(t as usize, &self.labels(refs, t as usize));
             }
         }
-        let nodes: Vec<EntityNode> = (0..n)
-            .map(|i| if redo[i] { self.node(refs, i) } else { prev.nodes()[i].clone() })
-            .collect();
+        for i in prev_n..n {
+            nodes.push(&self.labels(refs, i), refs.entity_refs(i));
+        }
         let fresh = self.edges(refs, &nodes, Some(&redo));
         // Both lists are in `(a, b)` order: merge them.
         let mut kept =
@@ -197,20 +213,18 @@ impl PegBuilder {
         }
         edges.extend(kept.cloned());
         let graph = EntityGraph::from_sorted_edges(refs.label_table().clone(), nodes, edges);
-        CompiledGraph::new(refs, graph)
+        CompiledGraph { graph, refs }
     }
 
-    /// Entity `i` of the creation log: its references and merged labels.
-    fn node(&self, refs: &RefGraph, i: usize) -> EntityNode {
+    /// The merged label row of entity `i` of the creation log: a
+    /// singleton's is its reference's row, borrowed.
+    fn labels<'r>(&self, refs: &'r RefGraph, i: usize) -> Cow<'r, [f64]> {
         match refs.entities()[i] {
-            EntityRef::Singleton(r) => {
-                EntityNode { labels: refs.reference(r).labels.clone(), refs: vec![r] }
-            }
+            EntityRef::Singleton(r) => Cow::Borrowed(refs.reference(r).labels.as_slice()),
             EntityRef::Set(s) => {
-                let members = &refs.ref_set(s).members;
-                let dists: Vec<&LabelDist> =
-                    members.iter().map(|r| &refs.reference(*r).labels).collect();
-                EntityNode { labels: self.label_merge.merge(&dists), refs: members.clone() }
+                let rows: Vec<LabelRow<'_>> =
+                    refs.ref_set(s).members.iter().map(|&r| refs.reference(r).labels).collect();
+                Cow::Owned(self.label_merge.merge(&rows).as_slice().to_vec())
             }
         }
     }
@@ -221,7 +235,7 @@ impl PegBuilder {
     fn edges(
         &self,
         refs: &RefGraph,
-        nodes: &[EntityNode],
+        nodes: &EntityNodes,
         redo: Option<&[bool]>,
     ) -> Vec<EntityEdge> {
         // Which references a flagged entity holds: a reference edge with
@@ -229,7 +243,7 @@ impl PegBuilder {
         let held = redo.map(|redo| {
             let mut held = vec![false; refs.n_refs()];
             for (node, _) in nodes.iter().zip(redo).filter(|(_, r)| **r) {
-                for r in &node.refs {
+                for r in node.refs {
                     held[r.idx()] = true;
                 }
             }
@@ -251,7 +265,7 @@ impl PegBuilder {
                     // Entities sharing a reference never co-exist: no edge.
                     if s1 != s2
                         && wanted
-                        && disjoint(&nodes[s1 as usize].refs, &nodes[s2 as usize].refs)
+                        && disjoint(nodes.refs(s1 as usize), nodes.refs(s2 as usize))
                     {
                         pairs.push((s1.min(s2), s1.max(s2)));
                     }
@@ -270,8 +284,8 @@ impl PegBuilder {
         let mut edges = Vec::with_capacity(pairs.len());
         for (s1, s2) in pairs {
             probs.clear();
-            for &ra in &nodes[s1 as usize].refs {
-                for &rb in &nodes[s2 as usize].refs {
+            for &ra in nodes.refs(s1 as usize) {
+                for &rb in nodes.refs(s2 as usize) {
                     probs.push(match refs.edge_between(ra, rb) {
                         None => EdgeProbability::Independent(0.0),
                         Some(e) if e.a == ra => e.prob.clone(),
@@ -312,35 +326,11 @@ pub struct PegDelta {
     pub existence_time: Duration,
 }
 
-/// An entity graph plus the existence model's other inputs.
-struct CompiledGraph {
+/// An entity graph with the network it was compiled from: the existence
+/// model's other input.
+struct CompiledGraph<'r> {
     graph: EntityGraph,
-    node_weights: Vec<f64>,
-    dead: Vec<bool>,
-}
-
-impl CompiledGraph {
-    /// `graph` with each entity's raw weight and liveness read off `refs`.
-    fn new(refs: &RefGraph, graph: EntityGraph) -> Self {
-        let (node_weights, dead) = refs
-            .entities()
-            .iter()
-            .enumerate()
-            .map(|(i, ent)| {
-                let weight = match *ent {
-                    EntityRef::Singleton(r) => refs.singleton_weight(r),
-                    EntityRef::Set(s) => refs.ref_set(s).weight,
-                };
-                (weight, refs.entity_is_dead(i))
-            })
-            .unzip();
-        Self { graph, node_weights, dead }
-    }
-
-    /// Every node's sorted references, borrowed from the graph.
-    fn node_refs(&self) -> Vec<&[RefId]> {
-        self.graph.nodes().iter().map(|n| n.refs.as_slice()).collect()
-    }
+    refs: &'r RefGraph,
 }
 
 /// Transposes a (possibly conditional) edge probability: swaps which

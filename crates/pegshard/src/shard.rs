@@ -166,7 +166,7 @@ impl Shard {
         let mut builder = EntityGraphBuilder::new(graph.label_table().clone());
         for &g in &to_global {
             let node = graph.node(EntityId(g));
-            builder.add_node(node.labels.clone(), node.refs.clone());
+            builder.add_node(node.labels.to_dist(), node.refs.to_vec());
         }
         for e in graph.edges() {
             let (la, lb) = (local_of[e.a.idx()], local_of[e.b.idx()]);
