@@ -245,6 +245,18 @@ mod tests {
                 }
             }
         }
+
+        /// The scan [`RefGraph::find_live_set`] replaced: every declared
+        /// set, newest first. The oracle the lookup is checked against.
+        fn find_live_set_scan(&self, members: &[RefId]) -> Option<RefSetId> {
+            let mut sorted: Vec<RefId> = members.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            (0..self.ref_sets().len())
+                .rev()
+                .map(|j| RefSetId(j as u32))
+                .find(|&s| self.set_is_alive(s) && self.ref_set(s).members == sorted)
+        }
     }
 
     /// Picks an op of any of the eight kinds from `pick`, valid or not
@@ -311,6 +323,45 @@ mod tests {
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(start.clone().apply_all(&ops).unwrap(), want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Before every op of a random stream, the lookup finds the set
+        /// the scan does — for the members the op names, and for those
+        /// of every set declared so far.
+        #[test]
+        fn find_live_set_equals_the_scan(
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..1000, 5), 1..40),
+        ) {
+            let mut g = two_label_graph();
+            let mut touched = Vec::new();
+            for pick in &picks {
+                let op = draw_op(&g, pick);
+                let named = match &op {
+                    GraphOp::UpsertSet { members, .. } | GraphOp::DeleteSet { members } => {
+                        members.clone()
+                    }
+                    GraphOp::UpsertEdge { a, b, .. }
+                    | GraphOp::DeleteEdge { a, b }
+                    | GraphOp::PairPosterior { a, b, .. } => vec![*b, *a],
+                    GraphOp::UpsertRef { r, .. } => r.iter().copied().collect(),
+                    GraphOp::DeleteRef { r } | GraphOp::SetSingletonWeight { r, .. } => {
+                        vec![*r, RefId(9)]
+                    }
+                };
+                let declared = g.ref_sets().iter().map(|s| s.members.clone());
+                for members in std::iter::once(named).chain(declared) {
+                    prop_assert_eq!(
+                        g.find_live_set(&members),
+                        g.find_live_set_scan(&members),
+                        "{:?}", members
+                    );
+                }
+                let _ = g.apply(&op, &mut touched);
+            }
         }
     }
 

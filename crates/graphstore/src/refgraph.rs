@@ -371,14 +371,21 @@ impl RefGraph {
         self.set_alive[s.0 as usize] = false;
     }
 
-    /// The live declared set with exactly these members, if any.
+    /// The live declared set with exactly these members, if any — the
+    /// newest, should several match. Only the sets holding the smallest
+    /// member are read.
     pub fn find_live_set(&self, members: &[RefId]) -> Option<RefSetId> {
         let mut sorted: Vec<RefId> = members.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        (0..self.sets.len())
+        let first = sorted.first().filter(|r| r.idx() < self.n_refs())?;
+        self.sets_containing(*first)
+            .iter()
             .rev()
-            .map(|j| RefSetId(j as u32))
+            .filter_map(|&pos| match self.entities[pos as usize] {
+                EntityRef::Set(s) => Some(s),
+                EntityRef::Singleton(_) => None,
+            })
             .find(|&s| self.set_is_alive(s) && self.ref_set(s).members == sorted)
     }
 
