@@ -14,7 +14,7 @@
 
 use crate::error::PegError;
 use graphstore::hash::FxHashMap;
-use graphstore::{EntityId, RefId};
+use graphstore::{EntityId, RefGraph, RefId};
 use std::sync::Arc;
 
 /// What to do when a component's valid configurations exceed the budget.
@@ -88,6 +88,103 @@ impl Component {
         let sum: f64 = self.configs.iter().filter(|(c, _)| c & mask == mask).map(|(_, w)| w).sum();
         sum / self.z
     }
+
+    /// Enumerates the component of `members` (ascending entity ids; bit
+    /// `i` of a configuration is `members[i]`), reading each member's
+    /// sorted references and raw weight through `refs_of` / `weight_of`.
+    fn enumerate<'a>(
+        members: &[u32],
+        refs_of: impl Fn(u32) -> &'a [RefId],
+        weight_of: impl Fn(u32) -> f64,
+        opts: &ExistenceOptions,
+    ) -> Result<Component, PegError> {
+        if members.len() > opts.max_sets_per_component || members.len() > 63 {
+            return Err(PegError::ComponentTooLarge {
+                sets: members.len(),
+                limit: opts.max_sets_per_component.min(63),
+            });
+        }
+        // Local reference universe for the component.
+        let mut local_refs: Vec<RefId> =
+            members.iter().flat_map(|&m| refs_of(m).iter().copied()).collect();
+        local_refs.sort_unstable();
+        local_refs.dedup();
+        if local_refs.len() > 63 {
+            return Err(PegError::ComponentTooLarge {
+                sets: members.len(),
+                limit: opts.max_sets_per_component.min(63),
+            });
+        }
+        let ref_pos: FxHashMap<RefId, u8> =
+            local_refs.iter().enumerate().map(|(i, &r)| (r, i as u8)).collect();
+        let full: u64 =
+            if local_refs.len() == 64 { u64::MAX } else { (1u64 << local_refs.len()) - 1 };
+        // Per member: reference mask and per-reference weight factor.
+        let masks: Vec<u64> = members
+            .iter()
+            .map(|&m| refs_of(m).iter().fold(0u64, |acc, r| acc | 1u64 << ref_pos[r]))
+            .collect();
+        let weights: Vec<f64> =
+            members.iter().map(|&m| weight_of(m).powi(refs_of(m).len() as i32)).collect();
+        // Sets containing each local reference.
+        let mut by_ref: Vec<Vec<usize>> = vec![Vec::new(); local_refs.len()];
+        for (si, mask) in masks.iter().enumerate() {
+            let mut m = *mask;
+            while m != 0 {
+                let bit = m.trailing_zeros() as usize;
+                by_ref[bit].push(si);
+                m &= m - 1;
+            }
+        }
+        // Backtracking exact cover, with sampling fallback on blowup.
+        let enumerated =
+            enumerate_configs(&masks, &weights, &by_ref, full, opts.max_configs_per_component);
+        let (configs, sampled) = match enumerated {
+            Some(configs) => (configs, false),
+            None => match opts.fallback {
+                ComponentFallback::Error => {
+                    return Err(PegError::ComponentTooLarge {
+                        sets: members.len(),
+                        limit: opts.max_configs_per_component,
+                    })
+                }
+                ComponentFallback::Sample { samples, seed } => {
+                    (sample_configs(&masks, &weights, &by_ref, full, samples, seed)?, true)
+                }
+            },
+        };
+        let z: f64 = configs.iter().map(|(_, w)| w).sum();
+        if z <= 0.0 {
+            return Err(PegError::Invalid(
+                "existence component has zero total weight (all configurations impossible)".into(),
+            ));
+        }
+        let dense = if members.len() <= DENSE_LIMIT {
+            let size = 1usize << members.len();
+            let mut table = vec![0.0f64; size];
+            for &(c, w) in &configs {
+                table[c as usize] += w;
+            }
+            // Superset-sum (zeta transform over supersets).
+            for bit in 0..members.len() {
+                for mask in 0..size {
+                    if mask & (1 << bit) == 0 {
+                        table[mask] += table[mask | (1 << bit)];
+                    }
+                }
+            }
+            Some(table)
+        } else {
+            None
+        };
+        Ok(Component {
+            sets: members.iter().map(|&m| EntityId(m)).collect(),
+            configs,
+            z,
+            dense,
+            sampled,
+        })
+    }
 }
 
 /// Exact identity-uncertainty semantics for a PEG.
@@ -125,7 +222,8 @@ pub struct ExistenceDelta {
     pub model: ExistenceModel,
     /// Per node of the *new* model: true when its marginals may differ
     /// from the previous model's (component re-enumerated, membership or
-    /// liveness changed, or the node is new).
+    /// liveness changed, or the node is new). Only a regrouped node can be
+    /// set.
     pub changed: Vec<bool>,
     /// Components carried over by `Arc` instead of re-enumerated.
     pub reused_components: usize,
@@ -158,54 +256,171 @@ impl ExistenceModel {
         Self::build_ext(node_refs, node_weights, Some(dead), opts, None).map(|(m, _)| m)
     }
 
-    /// Rebuilds after a mutation, reusing the previous model's component
-    /// tables wherever possible: a component whose member list matches a
-    /// previous component's exactly, with no member in `touched`, carries
-    /// over by `Arc` — its configurations, partition function, and
-    /// superset sums are literally the previous model's memory, so every
-    /// marginal is trivially bit-identical. Everything else re-runs the
-    /// same deterministic enumeration a from-scratch
-    /// [`ExistenceModel::build_with_dead`] would, so the whole model is
-    /// bit-identical to a full rebuild of the mutated graph.
+    /// Rebuilds after a mutation, by component: Equation 7 normalizes
+    /// per connected component, so a batch can change only the components
+    /// its touched entities reach. `refs` is the mutated network (entity
+    /// ids are its creation-log positions) and `touched` the sorted entity
+    /// ids an op batch reported ([`RefGraph::apply_all`]).
     ///
-    /// `touched[i]` marks nodes whose refs, weight, or liveness an op
-    /// changed directly (new nodes count as touched).
+    /// The seeds are the touched entities, the entities appended since
+    /// `prev`, and every member of a previous component holding a touched
+    /// entity — which is what regroups a component a deleted set or
+    /// reference splits. From them, groups grow over live entities through
+    /// shared references ([`RefGraph::singleton_entity`],
+    /// [`RefGraph::sets_containing`]), and a previous component a group
+    /// reaches is regrouped whole. Every other component keeps its slot
+    /// and its `Arc`; `node_component` and `node_pos` are copied, then
+    /// patched at the regrouped entities. A regrouped component whose
+    /// member list equals a previous component's, with no member touched,
+    /// also carries over by `Arc`; the rest re-run the deterministic
+    /// enumeration [`ExistenceModel::build_with_dead`] runs.
+    ///
+    /// Component slots may differ from a fresh build's; the partition and
+    /// every answer of `prn`, `prn_single` and `always_exists` are
+    /// bit-identical to it, and the build errs exactly when a fresh one
+    /// does. `changed` is set only among the regrouped entities.
     pub fn rebuild_incremental(
-        node_refs: &[impl AsRef<[RefId]>],
-        node_weights: &[f64],
-        dead: &[bool],
+        refs: &RefGraph,
         opts: &ExistenceOptions,
         prev: &ExistenceModel,
-        touched: &[bool],
+        touched: &[u32],
     ) -> Result<ExistenceDelta, PegError> {
-        Self::build_ext(node_refs, node_weights, Some(dead), opts, Some((prev, touched))).map(
-            |(model, reused)| {
-                let n = node_refs.len();
-                let mut changed = vec![false; n];
-                let mut reused_components = 0usize;
-                // A node changed unless its old and new states agree:
-                // same-trivial, same-dead, or a component reused by Arc.
-                for (i, ch) in changed.iter_mut().enumerate() {
-                    let now = model.node_component[i];
-                    *ch = match prev.node_component.get(i) {
-                        None => true, // New node.
-                        Some(&before) => match now {
-                            TRIVIAL => before != TRIVIAL,
-                            DEAD => before != DEAD,
-                            c => !reused[c as usize],
-                        },
-                    };
+        let n = refs.n_entities();
+        let prev_n = prev.node_component.len();
+        let live = |v: u32| !refs.entity_is_dead(v as usize);
+        let is_touched = |v: u32| touched.binary_search(&v).is_ok();
+
+        // The regrouped entities: the seeds, closed over shared references
+        // of live entities and over the previous components they fall in.
+        let mut region: Vec<u32> = touched.iter().copied().filter(|&t| (t as usize) < n).collect();
+        region.extend(prev_n as u32..n as u32);
+        let mut pending = vec![false; n];
+        region.retain(|&v| !std::mem::replace(&mut pending[v as usize], true));
+        let mut dropped = vec![false; prev.components.len()];
+        let mut reached: Vec<u32> = Vec::new();
+        let mut at = 0;
+        while at < region.len() {
+            let v = region[at];
+            at += 1;
+            reached.clear();
+            if let Some((c, comp)) = prev.component_at(v) {
+                if !std::mem::replace(&mut dropped[c as usize], true) {
+                    reached.extend(comp.sets.iter().map(|m| m.0));
                 }
-                for r in &reused {
-                    reused_components += *r as usize;
+            }
+            if live(v) {
+                reached.extend(sharers(refs, v));
+            }
+            for &u in &reached {
+                if !std::mem::replace(&mut pending[u as usize], true) {
+                    region.push(u);
                 }
-                ExistenceDelta { model, changed, reused_components }
-            },
-        )
+            }
+        }
+
+        let mut node_component = prev.node_component.clone();
+        node_component.resize(n, TRIVIAL);
+        let mut node_pos = prev.node_pos.clone();
+        node_pos.resize(n, 0);
+        let mut slots: Vec<Option<Arc<Component>>> = prev
+            .components
+            .iter()
+            .zip(&dropped)
+            .map(|(c, &d)| (!d).then(|| Arc::clone(c)))
+            .collect();
+        let mut reused_components = slots.iter().flatten().count();
+        // Freed slots, smallest last: new components fill them first.
+        let mut free: Vec<u32> =
+            (0..dropped.len() as u32).filter(|&c| dropped[c as usize]).rev().collect();
+        let mut changed = vec![false; n];
+        let mut members: Vec<u32> = Vec::new();
+        for &v in &region {
+            // `pending` clears as entities are grouped.
+            if !std::mem::replace(&mut pending[v as usize], false) {
+                continue;
+            }
+            if !live(v) {
+                node_component[v as usize] = DEAD;
+                changed[v as usize] = prev.node_component.get(v as usize) != Some(&DEAD);
+                continue;
+            }
+            members.clear();
+            members.push(v);
+            let mut next = 0;
+            while next < members.len() {
+                let x = members[next];
+                next += 1;
+                for u in sharers(refs, x) {
+                    if std::mem::replace(&mut pending[u as usize], false) {
+                        members.push(u);
+                    }
+                }
+            }
+            if members.len() == 1 {
+                node_component[v as usize] = TRIVIAL;
+                changed[v as usize] = prev.node_component.get(v as usize) != Some(&TRIVIAL);
+                continue;
+            }
+            members.sort_unstable();
+            let carried = prev.component_at(members[0]).map(|(_, c)| c).filter(|c| {
+                c.sets.iter().map(|m| m.0).eq(members.iter().copied())
+                    && !members.iter().any(|&m| is_touched(m))
+            });
+            let comp = match carried {
+                Some(c) => Arc::clone(c),
+                None => Arc::new(Component::enumerate(
+                    &members,
+                    |m| refs.entity_refs(m as usize),
+                    |m| refs.entity_weight(m as usize),
+                    opts,
+                )?),
+            };
+            reused_components += carried.is_some() as usize;
+            let slot = free.pop().unwrap_or_else(|| {
+                slots.push(None);
+                slots.len() as u32 - 1
+            });
+            for (pos, &m) in members.iter().enumerate() {
+                node_component[m as usize] = slot;
+                node_pos[m as usize] = pos as u8;
+                changed[m as usize] = carried.is_none();
+            }
+            slots[slot as usize] = Some(comp);
+        }
+        // Slots stay dense: the last components move into the slots left
+        // free.
+        for &hole in free.iter().rev() {
+            while slots.last().is_some_and(Option::is_none) {
+                slots.pop();
+            }
+            if hole as usize >= slots.len() {
+                break;
+            }
+            let moved = slots.pop().flatten().expect("the last slot is filled");
+            for m in &moved.sets {
+                node_component[m.idx()] = hole;
+            }
+            slots[hole as usize] = Some(moved);
+        }
+        while slots.last().is_some_and(Option::is_none) {
+            slots.pop();
+        }
+        debug_assert!(slots.iter().all(Option::is_some), "component slots stay dense");
+        let components: Vec<Arc<Component>> = slots.into_iter().flatten().collect();
+        let approximate = components.iter().any(|c| c.sampled);
+        let model = ExistenceModel { node_component, node_pos, components, approximate };
+        Ok(ExistenceDelta { model, changed, reused_components })
     }
 
-    /// Shared core of all build paths. Returns the model plus, per
-    /// component, whether it was reused from `reuse`'s previous model.
+    /// The component holding node `v`, with its slot, when `v` is one of
+    /// this model's nodes and neither trivial nor dead.
+    fn component_at(&self, v: u32) -> Option<(u32, &Arc<Component>)> {
+        let c = *self.node_component.get(v as usize)?;
+        (c != TRIVIAL && c != DEAD).then(|| (c, &self.components[c as usize]))
+    }
+
+    /// Shared core of the whole-graph build paths. Returns the model plus,
+    /// per component, whether it was reused from `reuse`'s previous model.
     fn build_ext(
         node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
@@ -271,7 +486,6 @@ impl ExistenceModel {
         let mut node_pos = vec![0u8; n];
         let mut components = Vec::new();
         let mut component_reused = Vec::new();
-        let mut approximate = false;
 
         for (_, members) in groups {
             if members.len() == 1 {
@@ -281,131 +495,33 @@ impl ExistenceModel {
             // mutation — the component's inputs (refs, weights, liveness)
             // are unchanged, so its tables are exactly what re-enumeration
             // would produce.
-            if let Some((_, touched)) = reuse {
-                if members.iter().all(|&m| !touched.get(m as usize).copied().unwrap_or(true)) {
-                    let ids: Vec<EntityId> = members.iter().map(|&m| EntityId(m)).collect();
-                    if let Some(&prev_comp) = prev_by_members.get(ids.as_slice()) {
-                        let comp_idx = components.len() as u32;
-                        for (pos, &m) in members.iter().enumerate() {
-                            node_component[m as usize] = comp_idx;
-                            node_pos[m as usize] = pos as u8;
-                        }
-                        components.push(Arc::clone(prev_comp));
-                        component_reused.push(true);
-                        continue;
-                    }
+            let carried = reuse.and_then(|(_, touched)| {
+                if members.iter().any(|&m| touched.get(m as usize).copied().unwrap_or(true)) {
+                    return None;
                 }
-            }
-            if members.len() > opts.max_sets_per_component || members.len() > 63 {
-                return Err(PegError::ComponentTooLarge {
-                    sets: members.len(),
-                    limit: opts.max_sets_per_component.min(63),
-                });
-            }
-            // Local reference universe for the component.
-            let mut local_refs: Vec<RefId> = members
-                .iter()
-                .flat_map(|&m| node_refs[m as usize].as_ref().iter().copied())
-                .collect();
-            local_refs.sort_unstable();
-            local_refs.dedup();
-            if local_refs.len() > 63 {
-                return Err(PegError::ComponentTooLarge {
-                    sets: members.len(),
-                    limit: opts.max_sets_per_component.min(63),
-                });
-            }
-            let ref_pos: FxHashMap<RefId, u8> =
-                local_refs.iter().enumerate().map(|(i, &r)| (r, i as u8)).collect();
-            let full: u64 =
-                if local_refs.len() == 64 { u64::MAX } else { (1u64 << local_refs.len()) - 1 };
-            // Per member: reference mask and per-reference weight factor.
-            let masks: Vec<u64> = members
-                .iter()
-                .map(|&m| {
-                    node_refs[m as usize]
-                        .as_ref()
-                        .iter()
-                        .fold(0u64, |acc, r| acc | 1u64 << ref_pos[r])
-                })
-                .collect();
-            let weights: Vec<f64> = members
-                .iter()
-                .map(|&m| {
-                    node_weights[m as usize].powi(node_refs[m as usize].as_ref().len() as i32)
-                })
-                .collect();
-            // Sets containing each local reference.
-            let mut by_ref: Vec<Vec<usize>> = vec![Vec::new(); local_refs.len()];
-            for (si, mask) in masks.iter().enumerate() {
-                let mut m = *mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    by_ref[bit].push(si);
-                    m &= m - 1;
-                }
-            }
-            // Backtracking exact cover, with sampling fallback on blowup.
-            let enumerated =
-                enumerate_configs(&masks, &weights, &by_ref, full, opts.max_configs_per_component);
-            let (configs, sampled) = match enumerated {
-                Some(configs) => (configs, false),
-                None => match opts.fallback {
-                    ComponentFallback::Error => {
-                        return Err(PegError::ComponentTooLarge {
-                            sets: members.len(),
-                            limit: opts.max_configs_per_component,
-                        })
-                    }
-                    ComponentFallback::Sample { samples, seed } => {
-                        (sample_configs(&masks, &weights, &by_ref, full, samples, seed)?, true)
-                    }
-                },
-            };
-            approximate |= sampled;
-            let z: f64 = configs.iter().map(|(_, w)| w).sum();
-            if z <= 0.0 {
-                return Err(PegError::Invalid(
-                    "existence component has zero total weight (all configurations impossible)"
-                        .into(),
-                ));
-            }
-            let dense = if members.len() <= DENSE_LIMIT {
-                let size = 1usize << members.len();
-                let mut table = vec![0.0f64; size];
-                for &(c, w) in &configs {
-                    table[c as usize] += w;
-                }
-                // Superset-sum (zeta transform over supersets).
-                for bit in 0..members.len() {
-                    for mask in 0..size {
-                        if mask & (1 << bit) == 0 {
-                            table[mask] += table[mask | (1 << bit)];
-                        }
-                    }
-                }
-                Some(table)
-            } else {
-                None
+                let ids: Vec<EntityId> = members.iter().map(|&m| EntityId(m)).collect();
+                prev_by_members.get(ids.as_slice()).map(|&c| Arc::clone(c))
+            });
+            let reused = carried.is_some();
+            let comp = match carried {
+                Some(c) => c,
+                None => Arc::new(Component::enumerate(
+                    &members,
+                    |m| node_refs[m as usize].as_ref(),
+                    |m| node_weights[m as usize],
+                    opts,
+                )?),
             };
             let comp_idx = components.len() as u32;
             for (pos, &m) in members.iter().enumerate() {
                 node_component[m as usize] = comp_idx;
                 node_pos[m as usize] = pos as u8;
             }
-            components.push(Arc::new(Component {
-                sets: members.iter().map(|&m| EntityId(m)).collect(),
-                configs,
-                z,
-                dense,
-                sampled,
-            }));
-            component_reused.push(false);
+            components.push(comp);
+            component_reused.push(reused);
         }
 
-        // Exact across reuse: a carried-over sampled component keeps the
-        // model approximate; a re-enumerated one re-decides for itself.
-        approximate |= components.iter().any(|c| c.sampled);
+        let approximate = components.iter().any(|c| c.sampled);
         Ok((Self { node_component, node_pos, components, approximate }, component_reused))
     }
 
@@ -560,6 +676,17 @@ impl ExistenceModel {
             .filter(|(_, &c)| c == TRIVIAL)
             .map(|(i, _)| EntityId(i as u32))
     }
+}
+
+/// The live entities holding one of entity `v`'s references, `v` itself
+/// included when live: its neighbours in the existence Markov network.
+fn sharers(refs: &RefGraph, v: u32) -> impl Iterator<Item = u32> + '_ {
+    refs.entity_refs(v as usize)
+        .iter()
+        .flat_map(move |&r| {
+            std::iter::once(refs.singleton_entity(r)).chain(refs.sets_containing(r).iter().copied())
+        })
+        .filter(move |&s| !refs.entity_is_dead(s as usize))
 }
 
 /// Exhaustive exact-cover enumeration; `None` when the budget is exceeded.
@@ -968,5 +1095,302 @@ mod sampling_tests {
         assert_eq!(a.prn_single(EntityId(0)), b.prn_single(EntityId(0)));
         // Different seeds give (almost surely) different estimates.
         assert_ne!(a.prn_single(EntityId(0)), c.prn_single(EntityId(0)));
+    }
+}
+
+#[cfg(test)]
+mod rebuild_tests {
+    use super::*;
+    use graphstore::{GraphOp, LabelDist, LabelTable, RefSetId};
+
+    impl ExistenceModel {
+        /// The whole-graph rebuild [`ExistenceModel::rebuild_incremental`]
+        /// replaced: union-find over every entity, a component reused by
+        /// `Arc` when its member list matches a previous one's and no
+        /// member is in `touched`. The oracle for `changed` and
+        /// `reused_components`.
+        fn rebuild_whole(
+            node_refs: &[impl AsRef<[RefId]>],
+            node_weights: &[f64],
+            dead: &[bool],
+            opts: &ExistenceOptions,
+            prev: &ExistenceModel,
+            touched: &[bool],
+        ) -> Result<ExistenceDelta, PegError> {
+            let (model, reused) =
+                Self::build_ext(node_refs, node_weights, Some(dead), opts, Some((prev, touched)))?;
+            // A node changed unless its old and new states agree:
+            // same-trivial, same-dead, or a component reused by Arc.
+            let changed = (0..node_refs.len())
+                .map(|i| match prev.node_component.get(i) {
+                    None => true,
+                    Some(&before) => match model.node_component[i] {
+                        TRIVIAL => before != TRIVIAL,
+                        DEAD => before != DEAD,
+                        c => !reused[c as usize],
+                    },
+                })
+                .collect();
+            let reused_components = reused.iter().filter(|r| **r).count();
+            Ok(ExistenceDelta { model, changed, reused_components })
+        }
+    }
+
+    /// SplitMix64, so a failing case reproduces from its seed alone.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn prob(&mut self) -> f64 {
+            0.05 + 0.9 * self.below(1000) as f64 / 1000.0
+        }
+    }
+
+    /// 8–13 references, a few edges, and 3–6 pair and triple sets drawn
+    /// from the first references so that they overlap into shared
+    /// components.
+    fn network(rng: &mut Mix) -> RefGraph {
+        let mut g = RefGraph::new(LabelTable::from_names(["x"]));
+        let n = 8 + rng.below(6);
+        for _ in 0..n {
+            g.add_ref(LabelDist::delta(graphstore::Label(0), 1));
+        }
+        for _ in 0..n {
+            let (a, b) = (rng.below(n), rng.below(n));
+            if a != b {
+                let p = graphstore::EdgeProbability::Independent(rng.prob());
+                g.add_edge(RefId(a as u32), RefId(b as u32), p);
+            }
+        }
+        for _ in 0..3 + rng.below(4) {
+            let members: Vec<RefId> =
+                (0..2 + rng.below(2)).map(|_| RefId(rng.below(n.min(7)) as u32)).collect();
+            let mut distinct = members.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.len() >= 2 {
+                g.add_ref_set(members, rng.prob());
+            }
+        }
+        g
+    }
+
+    /// An op of any of the eight kinds against `g`'s live references, one
+    /// pick in three among the two newest, so that a batch can group
+    /// references it added. One weight in four is zero, so that a
+    /// component can be left without a possible configuration.
+    fn op(g: &RefGraph, rng: &mut Mix) -> GraphOp {
+        let alive: Vec<RefId> = g.ref_ids().filter(|&r| g.ref_is_alive(r)).collect();
+        let mut pick = || match rng.below(3) {
+            0 => alive[alive.len() - 1 - rng.below(alive.len().min(2))],
+            _ => alive[rng.below(alive.len())],
+        };
+        let (a, b, c) = (pick(), pick(), pick());
+        let weight = |rng: &mut Mix| if rng.below(4) == 0 { 0.0 } else { rng.prob() };
+        match rng.below(8) {
+            0 => GraphOp::UpsertRef { r: None, labels: vec![(0, 1.0)] },
+            1 => GraphOp::UpsertRef { r: Some(a), labels: vec![(0, 1.0)] },
+            2 => GraphOp::DeleteRef { r: a },
+            3 => GraphOp::UpsertEdge { a, b, p: rng.prob() },
+            4 => match g.edges().get(rng.below(g.n_edges().max(1))) {
+                Some(e) => GraphOp::DeleteEdge { a: e.a, b: e.b },
+                None => GraphOp::DeleteEdge { a, b },
+            },
+            5 => {
+                let members = if rng.below(2) == 0 { vec![a, b] } else { vec![a, b, c] };
+                GraphOp::UpsertSet { members, weight: weight(rng) }
+            }
+            6 => {
+                let live: Vec<&[RefId]> = (0..g.ref_sets().len() as u32)
+                    .filter(|&s| g.set_is_alive(RefSetId(s)))
+                    .map(|s| g.ref_set(RefSetId(s)).members.as_slice())
+                    .collect();
+                match live.get(rng.below(live.len().max(1))) {
+                    Some(members) => GraphOp::DeleteSet { members: members.to_vec() },
+                    None => GraphOp::SetSingletonWeight { r: a, weight: weight(rng) },
+                }
+            }
+            _ => GraphOp::PairPosterior { a, b, q: rng.prob() },
+        }
+    }
+
+    /// Every entity's refs, weight and liveness, as the whole-graph
+    /// builds take them.
+    fn inputs(g: &RefGraph) -> (Vec<&[RefId]>, Vec<f64>, Vec<bool>) {
+        let n = g.n_entities();
+        let refs = (0..n).map(|i| g.entity_refs(i)).collect();
+        let weights = (0..n).map(|i| g.entity_weight(i)).collect();
+        let dead = (0..n).map(|i| g.entity_is_dead(i)).collect();
+        (refs, weights, dead)
+    }
+
+    /// Per node: dead, trivial, or the member list of its component.
+    fn partition(m: &ExistenceModel) -> Vec<Result<&[EntityId], bool>> {
+        (0..m.node_component.len())
+            .map(|v| match m.node_component[v] {
+                DEAD => Err(true),
+                TRIVIAL => Err(false),
+                c => Ok(m.components[c as usize].sets.as_slice()),
+            })
+            .collect()
+    }
+
+    /// The model a by-component rebuild produced against a fresh build:
+    /// the same partition, and the same bits from every query.
+    fn assert_same_model(got: &ExistenceModel, want: &ExistenceModel, rng: &mut Mix) {
+        assert_eq!(partition(got), partition(want));
+        assert_eq!(got.is_approximate(), want.is_approximate());
+        assert_eq!(got.n_components(), want.n_components());
+        let n = want.node_component.len();
+        for v in (0..n as u32).map(EntityId) {
+            assert_eq!(got.prn_single(v).to_bits(), want.prn_single(v).to_bits(), "{v:?}");
+            assert_eq!(got.always_exists(v), want.always_exists(v));
+        }
+        for _ in 0..64 {
+            let tuple: Vec<EntityId> =
+                (0..1 + rng.below(4)).map(|_| EntityId(rng.below(n) as u32)).collect();
+            assert_eq!(got.prn(&tuple).to_bits(), want.prn(&tuple).to_bits(), "{tuple:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Chained batches of all eight op kinds over overlapping sets, so
+        /// that components merge and split: after each, the by-component
+        /// rebuild equals a fresh whole-graph build of the mutated network
+        /// (or errs exactly where it errs), and its `changed` and
+        /// `reused_components` equal the whole-graph rebuild's.
+        #[test]
+        fn by_component_rebuild_equals_a_fresh_build(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Mix(seed);
+            let opts = match rng.below(3) {
+                0 => ExistenceOptions::default(),
+                1 => ExistenceOptions {
+                    max_sets_per_component: 6 + rng.below(4),
+                    ..Default::default()
+                },
+                _ => ExistenceOptions {
+                    max_configs_per_component: 3,
+                    fallback: ComponentFallback::Sample { samples: 48, seed },
+                    ..Default::default()
+                },
+            };
+            let mut refs = network(&mut rng);
+            let (r, w, d) = inputs(&refs);
+            let Ok(mut model) = ExistenceModel::build_with_dead(&r, &w, &d, &opts) else {
+                return Ok(());
+            };
+            for _ in 0..8 {
+                // Each op is drawn against the ops before it, so a batch
+                // can declare a set over the references it adds.
+                let mut next = refs.clone();
+                let (mut ops, mut touched) = (Vec::new(), Vec::new());
+                for _ in 0..1 + rng.below(4) {
+                    let op = op(&next, &mut rng);
+                    if next.apply(&op, &mut touched).is_ok() {
+                        ops.push(op);
+                    }
+                }
+                touched.sort_unstable();
+                touched.dedup();
+                let got = ExistenceModel::rebuild_incremental(&next, &opts, &model, &touched);
+                let (r, w, d) = inputs(&next);
+                let fresh = ExistenceModel::build_with_dead(&r, &w, &d, &opts);
+                let mut flags = vec![false; next.n_entities()];
+                for &t in &touched {
+                    flags[t as usize] = true;
+                }
+                let whole = ExistenceModel::rebuild_whole(&r, &w, &d, &opts, &model, &flags);
+                let (got, fresh, whole) = match (got, fresh, whole) {
+                    (Ok(g), Ok(f), Ok(o)) => (g, f, o),
+                    (Err(_), Err(_), Err(_)) => continue,
+                    (g, f, o) => panic!(
+                        "{ops:?}: by component ok {} / fresh ok {} / whole ok {}",
+                        g.is_ok(), f.is_ok(), o.is_ok()
+                    ),
+                };
+                assert_same_model(&got.model, &fresh, &mut rng);
+                proptest::prop_assert_eq!(&got.changed, &whole.changed, "{:?}", ops);
+                proptest::prop_assert_eq!(got.reused_components, whole.reused_components);
+                (refs, model) = (next, got.model);
+            }
+        }
+    }
+
+    #[test]
+    fn a_component_of_appended_entities_only_is_enumerated() {
+        let mut g = RefGraph::new(LabelTable::from_names(["x"]));
+        for _ in 0..3 {
+            g.add_ref(LabelDist::delta(graphstore::Label(0), 1));
+        }
+        g.add_pair_set_with_posterior(RefId(0), RefId(1), 0.4);
+        let opts = ExistenceOptions::default();
+        let (r, w, d) = inputs(&g);
+        let prev = ExistenceModel::build_with_dead(&r, &w, &d, &opts).unwrap();
+        let mut next = g.clone();
+        let add = GraphOp::UpsertRef { r: None, labels: vec![(0, 1.0)] };
+        let touched = next
+            .apply_all(&[
+                add.clone(),
+                add,
+                GraphOp::PairPosterior { a: RefId(3), b: RefId(4), q: 0.9 },
+            ])
+            .unwrap();
+        let delta = ExistenceModel::rebuild_incremental(&next, &opts, &prev, &touched).unwrap();
+        let (r, w, d) = inputs(&next);
+        assert_same_model(
+            &delta.model,
+            &ExistenceModel::build_with_dead(&r, &w, &d, &opts).unwrap(),
+            &mut Mix(3),
+        );
+        assert_eq!(delta.model.n_components(), 2);
+        assert_eq!(delta.reused_components, 1);
+    }
+
+    #[test]
+    fn a_deleted_set_splits_its_component_and_leaves_the_rest_shared() {
+        let mut g = RefGraph::new(LabelTable::from_names(["x"]));
+        for _ in 0..6 {
+            g.add_ref(LabelDist::delta(graphstore::Label(0), 1));
+        }
+        // {0,1,2} joined by two pair sets; {3,4} by one; 5 alone.
+        g.add_pair_set_with_posterior(RefId(0), RefId(1), 0.6);
+        g.add_pair_set_with_posterior(RefId(1), RefId(2), 0.3);
+        g.add_pair_set_with_posterior(RefId(3), RefId(4), 0.7);
+        let opts = ExistenceOptions::default();
+        let (r, w, d) = inputs(&g);
+        let prev = ExistenceModel::build_with_dead(&r, &w, &d, &opts).unwrap();
+        assert_eq!(prev.n_components(), 2);
+        let other = prev.component_of(EntityId(3)).unwrap();
+
+        let mut next = g.clone();
+        let touched =
+            next.apply_all(&[GraphOp::DeleteSet { members: vec![RefId(1), RefId(2)] }]).unwrap();
+        let delta = ExistenceModel::rebuild_incremental(&next, &opts, &prev, &touched).unwrap();
+        let (r, w, d) = inputs(&next);
+        let fresh = ExistenceModel::build_with_dead(&r, &w, &d, &opts).unwrap();
+        assert_same_model(&delta.model, &fresh, &mut Mix(7));
+        // The untouched component keeps its slot and its tables.
+        let kept = delta.model.component_of(EntityId(3)).unwrap();
+        assert_eq!(kept, other);
+        assert!(Arc::ptr_eq(
+            &delta.model.components[kept as usize],
+            &prev.components[other as usize]
+        ));
+        assert_eq!(delta.reused_components, 1);
+        // Reference 2 left its component: trivial now, and changed.
+        assert!(delta.model.always_exists(EntityId(2)));
+        assert!(delta.changed[2] && !delta.changed[3] && !delta.changed[5]);
     }
 }

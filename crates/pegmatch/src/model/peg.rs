@@ -95,7 +95,8 @@ impl PegBuilder {
     /// existence-component tables are reused by `Arc`
     /// ([`ExistenceModel::rebuild_incremental`]). The result is
     /// **bit-identical** to [`PegBuilder::build`] of the same mutated
-    /// network; on top of it, `dirty` marks every node whose compiled semantics may differ
+    /// network (up to the numbering of existence components); on top of
+    /// it, `dirty` marks every node whose compiled semantics may differ
     /// from `prev` — the seed set incremental path-index maintenance
     /// re-enumerates around.
     ///
@@ -128,27 +129,13 @@ impl PegBuilder {
         compile_time: Duration,
     ) -> Result<PegDelta, PegError> {
         let t = Instant::now();
-        let n = c.refs.n_entities();
-        let mut touched_flags = vec![false; n];
-        for &t in touched {
-            if (t as usize) < n {
-                touched_flags[t as usize] = true;
-            }
-        }
-        let node_refs: Vec<&[RefId]> = c.graph.nodes().iter().map(|n| n.refs).collect();
-        let (weights, dead): (Vec<f64>, Vec<bool>) =
-            (0..n).map(|i| (c.refs.entity_weight(i), c.refs.entity_is_dead(i))).unzip();
-        let delta = ExistenceModel::rebuild_incremental(
-            &node_refs,
-            &weights,
-            &dead,
-            &self.existence,
-            &prev.existence,
-            &touched_flags,
-        )?;
+        let delta =
+            ExistenceModel::rebuild_incremental(c.refs, &self.existence, &prev.existence, touched)?;
         let mut dirty = delta.changed;
-        for (i, t) in touched_flags.iter().enumerate() {
-            dirty[i] |= *t;
+        for &t in touched {
+            if let Some(d) = dirty.get_mut(t as usize) {
+                *d = true;
+            }
         }
         Ok(PegDelta {
             peg: Peg { graph: c.graph, existence: delta.model },
@@ -310,19 +297,23 @@ impl PegBuilder {
 /// node set incremental index maintenance works from.
 #[derive(Clone, Debug)]
 pub struct PegDelta {
-    /// The recompiled PEG — bit-identical to a from-scratch build.
+    /// The recompiled PEG — bit-identical to a from-scratch build, up to
+    /// the numbering of existence components.
     pub peg: Peg,
     /// Per-node flag: compiled semantics may differ from the previous PEG.
     pub dirty: Vec<bool>,
     /// Existence components carried over from the previous model by `Arc`.
     pub reused_components: usize,
     /// Wall time of patching the entity graph: merging the touched
-    /// entities and the pairs incident to them (∝ what the batch touched),
-    /// plus copying every other node and edge, one scan of the reference
-    /// edges for the touched ones, and the CSR rebuilt from the merged
-    /// edge list (∝ n, at copy speed).
+    /// entities' label rows and the pairs incident to them (∝ what the
+    /// batch touched), plus copying the node columns and every other edge,
+    /// one scan of the reference edges for the touched ones, and the CSR
+    /// and edge map rebuilt from the merged edge list (∝ n, at copy
+    /// speed).
     pub compile_time: Duration,
-    /// Wall time of the incremental existence rebuild and dirty marking.
+    /// Wall time of the by-component existence rebuild and dirty marking:
+    /// ∝ the components the batch reaches, plus copying the per-node
+    /// component and position columns.
     pub existence_time: Duration,
 }
 
