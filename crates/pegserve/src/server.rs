@@ -1105,6 +1105,12 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     if let Some(cache) = &state.exec_cache {
         cache.invalidate_epoch(entry.epoch);
     }
+    // Release the previous generation here, timed: unless an in-flight
+    // request still holds it, these are its last references, and its
+    // graph, index and reference network are freed with them.
+    let release = Instant::now();
+    drop((resolved, entry));
+    state.update_metrics.release.record(release.elapsed());
     // A phase that did not run (a sharded store's index and context
     // steps happen inside its shards) is zero: not recorded, not listed.
     let mut phases_us = obj();
@@ -1222,11 +1228,13 @@ impl FrontMetrics {
 }
 
 /// Handles on what every `update_graph` records, resolved once like
-/// [`QueryMetrics`]: the wait for the graph's mutation lock, and one
-/// `live.<phase>_us` histogram per [`UpdatePhases`] step, in its order —
-/// always on, so where a batch's time went is read off `metrics`.
+/// [`QueryMetrics`]: the wait for the graph's mutation lock, the release
+/// of the previous generation after the swap, and one `live.<phase>_us`
+/// histogram per [`UpdatePhases`] step, in its order — always on, so
+/// where a batch's time went is read off `metrics`.
 struct UpdateMetrics {
     lock_wait: Histogram,
+    release: Histogram,
     phases: [Histogram; 9],
 }
 
@@ -1234,6 +1242,7 @@ impl UpdateMetrics {
     fn resolve(metrics: &MetricsRegistry) -> Self {
         Self {
             lock_wait: metrics.histogram("serve.update_lock_wait_us"),
+            release: metrics.histogram("serve.update_release_us"),
             phases: UpdatePhases::default()
                 .named()
                 .map(|(name, _)| metrics.histogram(&format!("live.{name}_us"))),
@@ -2451,6 +2460,17 @@ mod tests {
             assert_eq!(hist.count(), 1, "live.{name}_us");
         }
         assert_eq!(handle.state.metrics.histogram("serve.update_lock_wait_us").count(), 1);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn update_graph_times_the_release_of_the_previous_generation() {
+        let (handle, mut client) = tiny_server(ServerConfig::default());
+        let release = handle.state.metrics.histogram("serve.update_release_us");
+        assert_eq!(release.count(), 0);
+        let reply = client.request(&update_request(&mutation_ops())).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        assert_eq!(release.count(), 1);
         handle.shutdown().unwrap();
     }
 
