@@ -124,7 +124,7 @@ pub struct LabelRow<'a> {
 impl<'a> LabelRow<'a> {
     /// The row over `probs`, one entry per label of the alphabet.
     #[inline]
-    pub fn new(probs: &'a [f64]) -> Self {
+    pub(crate) fn new(probs: &'a [f64]) -> Self {
         Self { probs }
     }
 

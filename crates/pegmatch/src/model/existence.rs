@@ -240,7 +240,7 @@ impl ExistenceModel {
         node_weights: &[f64],
         opts: &ExistenceOptions,
     ) -> Result<Self, PegError> {
-        Self::build_ext(node_refs, node_weights, None, opts, None).map(|(m, _)| m)
+        Self::build_ext(node_refs, node_weights, None, opts)
     }
 
     /// [`ExistenceModel::build`] over a graph with tombstoned entities:
@@ -253,7 +253,7 @@ impl ExistenceModel {
         dead: &[bool],
         opts: &ExistenceOptions,
     ) -> Result<Self, PegError> {
-        Self::build_ext(node_refs, node_weights, Some(dead), opts, None).map(|(m, _)| m)
+        Self::build_ext(node_refs, node_weights, Some(dead), opts)
     }
 
     /// Rebuilds after a mutation, by component: Equation 7 normalizes
@@ -419,24 +419,17 @@ impl ExistenceModel {
         (c != TRIVIAL && c != DEAD).then(|| (c, &self.components[c as usize]))
     }
 
-    /// Shared core of the whole-graph build paths. Returns the model plus,
-    /// per component, whether it was reused from `reuse`'s previous model.
+    /// Shared core of the whole-graph build paths: union-find over every
+    /// live entity, then one enumeration per group.
     fn build_ext(
         node_refs: &[impl AsRef<[RefId]>],
         node_weights: &[f64],
         dead: Option<&[bool]>,
         opts: &ExistenceOptions,
-        reuse: Option<(&ExistenceModel, &[bool])>,
-    ) -> Result<(Self, Vec<bool>), PegError> {
+    ) -> Result<Self, PegError> {
         assert_eq!(node_refs.len(), node_weights.len());
         let n = node_refs.len();
         let is_dead = |i: usize| dead.is_some_and(|d| d[i]);
-
-        // Previous components by member list, for Arc reuse.
-        let prev_by_members: FxHashMap<&[EntityId], &Arc<Component>> = match reuse {
-            Some((prev, _)) => prev.components.iter().map(|c| (c.sets.as_slice(), c)).collect(),
-            None => FxHashMap::default(),
-        };
 
         // Union-find over *live* entity nodes through shared references.
         let mut ref_owner: FxHashMap<RefId, u32> = FxHashMap::default();
@@ -485,44 +478,27 @@ impl ExistenceModel {
         }
         let mut node_pos = vec![0u8; n];
         let mut components = Vec::new();
-        let mut component_reused = Vec::new();
 
         for (_, members) in groups {
             if members.len() == 1 {
                 continue; // Trivial: exists in every world.
             }
-            // Arc reuse: identical member list, none touched by the
-            // mutation — the component's inputs (refs, weights, liveness)
-            // are unchanged, so its tables are exactly what re-enumeration
-            // would produce.
-            let carried = reuse.and_then(|(_, touched)| {
-                if members.iter().any(|&m| touched.get(m as usize).copied().unwrap_or(true)) {
-                    return None;
-                }
-                let ids: Vec<EntityId> = members.iter().map(|&m| EntityId(m)).collect();
-                prev_by_members.get(ids.as_slice()).map(|&c| Arc::clone(c))
-            });
-            let reused = carried.is_some();
-            let comp = match carried {
-                Some(c) => c,
-                None => Arc::new(Component::enumerate(
-                    &members,
-                    |m| node_refs[m as usize].as_ref(),
-                    |m| node_weights[m as usize],
-                    opts,
-                )?),
-            };
+            let comp = Component::enumerate(
+                &members,
+                |m| node_refs[m as usize].as_ref(),
+                |m| node_weights[m as usize],
+                opts,
+            )?;
             let comp_idx = components.len() as u32;
             for (pos, &m) in members.iter().enumerate() {
                 node_component[m as usize] = comp_idx;
                 node_pos[m as usize] = pos as u8;
             }
-            components.push(comp);
-            component_reused.push(reused);
+            components.push(Arc::new(comp));
         }
 
         let approximate = components.iter().any(|c| c.sampled);
-        Ok((Self { node_component, node_pos, components, approximate }, component_reused))
+        Ok(Self { node_component, node_pos, components, approximate })
     }
 
     /// True when any component's marginals are sampled estimates rather
@@ -1105,10 +1081,10 @@ mod rebuild_tests {
 
     impl ExistenceModel {
         /// The whole-graph rebuild [`ExistenceModel::rebuild_incremental`]
-        /// replaced: union-find over every entity, a component reused by
-        /// `Arc` when its member list matches a previous one's and no
-        /// member is in `touched`. The oracle for `changed` and
-        /// `reused_components`.
+        /// replaced: union-find over every entity, then a component
+        /// carried over by `Arc` when its member list matches a previous
+        /// one's and no member is in `touched`. The oracle for `changed`
+        /// and `reused_components`.
         fn rebuild_whole(
             node_refs: &[impl AsRef<[RefId]>],
             node_weights: &[f64],
@@ -1117,8 +1093,15 @@ mod rebuild_tests {
             prev: &ExistenceModel,
             touched: &[bool],
         ) -> Result<ExistenceDelta, PegError> {
-            let (model, reused) =
-                Self::build_ext(node_refs, node_weights, Some(dead), opts, Some((prev, touched)))?;
+            let mut model = Self::build_ext(node_refs, node_weights, Some(dead), opts)?;
+            let mut reused = vec![false; model.components.len()];
+            for (c, comp) in model.components.iter_mut().enumerate() {
+                let carried = prev.components.iter().find(|p| p.sets == comp.sets);
+                if let Some(p) = carried.filter(|_| !comp.sets.iter().any(|m| touched[m.idx()])) {
+                    *comp = Arc::clone(p);
+                    reused[c] = true;
+                }
+            }
             // A node changed unless its old and new states agree:
             // same-trivial, same-dead, or a component reused by Arc.
             let changed = (0..node_refs.len())
