@@ -127,6 +127,32 @@ impl RefGraph {
         }
     }
 
+    /// A copy with room for `n` more references, edges, sets and
+    /// entities, so that applying `n` ops to it appends in place: a plain
+    /// clone has no spare capacity, and its first new edge would copy the
+    /// whole edge list once more.
+    pub fn clone_with_room(&self, n: usize) -> RefGraph {
+        fn with_room<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        }
+        RefGraph {
+            labels: self.labels.clone(),
+            ref_labels: with_room(&self.ref_labels, n * self.labels.len()),
+            edges: with_room(&self.edges, n),
+            edge_map: self.edge_map.clone(),
+            sets: with_room(&self.sets, n),
+            singleton_weights: self.singleton_weights.clone(),
+            entities: with_room(&self.entities, n),
+            ref_alive: with_room(&self.ref_alive, n),
+            set_alive: with_room(&self.set_alive, n),
+            singleton_pos: with_room(&self.singleton_pos, n),
+            set_pos: with_room(&self.set_pos, n),
+            containing_sets: with_room(&self.containing_sets, n),
+        }
+    }
+
     /// The label alphabet.
     pub fn label_table(&self) -> &LabelTable {
         &self.labels
@@ -439,6 +465,25 @@ mod tests {
         let mut g = RefGraph::new(table);
         let r0 = g.add_ref(LabelDist::delta(Label(0), 1));
         g.add_ref_set(vec![r0, r0], 0.5);
+    }
+
+    #[test]
+    fn a_copy_with_room_takes_its_batch_in_place() {
+        let table = LabelTable::from_names(["a", "b"]);
+        let mut g = RefGraph::new(table);
+        for _ in 0..4 {
+            g.add_ref(LabelDist::delta(Label(0), 2));
+        }
+        g.add_edge(RefId(0), RefId(1), EdgeProbability::Independent(0.3));
+        g.add_ref_set(vec![RefId(1), RefId(2)], 0.5);
+        let mut copy = g.clone_with_room(2);
+        assert_eq!(format!("{copy:?}"), format!("{g:?}"));
+        let (edges, labels) = (copy.edges().as_ptr(), copy.ref_labels.as_ptr());
+        copy.add_edge(RefId(2), RefId(3), EdgeProbability::Independent(0.6));
+        copy.add_ref(LabelDist::delta(Label(1), 2));
+        assert_eq!((copy.edges().as_ptr(), copy.ref_labels.as_ptr()), (edges, labels));
+        assert_eq!(copy.reference(RefId(4)).labels.prob(Label(1)), 1.0);
+        assert_eq!(g.n_edges(), 1);
     }
 
     #[test]

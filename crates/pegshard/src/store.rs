@@ -439,7 +439,7 @@ impl ShardedGraphStore {
         ops: &[GraphOp],
     ) -> Result<(ShardedGraphStore, RefGraph, UpdateStats), PegError> {
         let t0 = Instant::now();
-        let mut new_refs = refs.clone();
+        let mut new_refs = refs.clone_with_room(ops.len());
         let refs_clone = t0.elapsed();
         let t = Instant::now();
         let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;

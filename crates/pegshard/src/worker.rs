@@ -268,7 +268,7 @@ impl WorkerShard {
         }
 
         // Compute against the snapshots, lock released.
-        let mut new_refs = (*refs).clone();
+        let mut new_refs = refs.clone_with_room(ops.len());
         let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
         let delta = PegBuilder::new().rebuild(&new_refs, &full, &touched)?;
         let n_dirty = delta.dirty.iter().filter(|d| **d).count();
