@@ -285,6 +285,7 @@ impl ExistenceModel {
         prev: &ExistenceModel,
         touched: &[u32],
     ) -> Result<ExistenceDelta, PegError> {
+        debug_assert!(touched.is_sorted(), "touched ids come sorted");
         let n = refs.n_entities();
         let prev_n = prev.node_component.len();
         let live = |v: u32| !refs.entity_is_dead(v as usize);
