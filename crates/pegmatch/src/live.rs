@@ -25,8 +25,9 @@
 //!   and the entity graph's label and reference columns, the existence
 //!   model's per-node component and position columns: tens of µs), and,
 //!   measured on the 8,032-entity benchmark graph (40,771 entity edges,
-//!   one CPU, medians per batch): the reference network's edge list,
-//!   cloned with it (0.27–0.36 ms of `refs_clone`'s 0.34–0.41); in
+//!   one CPU, medians per batch): the reference network's edge list and
+//!   edge map, cloned with it (the list alone is 0.27–0.36 ms of
+//!   `refs_clone`'s 0.34–0.41); in
 //!   `compile` (2.1–2.5 ms), one scan of the reference edges for the
 //!   touched ones (0.16 ms with the merges), the untouched entity edges
 //!   copied (0.34–0.40 ms), the edge map rebuilt (0.75–0.86 ms) and the
@@ -45,8 +46,8 @@ use std::time::{Duration, Instant};
 /// its shards rebuild whole behind the transport.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdatePhases {
-    /// Cloning the reference network the ops are applied to: its flat
-    /// label column, its edge list and its edge map.
+    /// Cloning the reference network the ops are applied to, with room
+    /// for them: its flat label column, its edge list and its edge map.
     pub refs_clone: Duration,
     /// Validating and applying the ops.
     pub apply_all: Duration,
