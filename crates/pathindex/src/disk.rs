@@ -118,8 +118,9 @@ fn decode_entry<'a>(buf: &[u8], nodes: &'a mut Vec<u32>) -> StoredPath<'a> {
     StoredPath { nodes, prle, prn }
 }
 
-/// Reads a full [`PathIndex`] back into memory.
-pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
+/// Decodes the meta record and the sequence table: the configuration, and
+/// the label sequences in id order.
+fn read_header(kv: &dyn Kv) -> Result<(PathIndexConfig, Vec<Vec<u16>>)> {
     let meta = kv.get(&meta_key())?.ok_or_else(|| KvError::Corrupt("missing index meta".into()))?;
     let max_len = codec::read_u16(&meta, 0) as usize;
     let beta = codec::read_f64_prob(&meta, 2);
@@ -133,19 +134,20 @@ pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
     }
     let n_seqs = codec::read_u32(&meta, pos);
     let config = PathIndexConfig { max_len, beta, gamma, threads: 0, hist_grid };
-    let mut fill = Fill::new(config);
-
     let mut seqs: Vec<Vec<u16>> = Vec::with_capacity(n_seqs as usize);
     for id in 0..n_seqs {
         let raw =
             kv.get(&seq_key(id))?.ok_or_else(|| KvError::Corrupt(format!("missing seq {id}")))?;
         let n = codec::read_u16(&raw, 0) as usize;
-        let mut seq = Vec::with_capacity(n);
-        for i in 0..n {
-            seq.push(codec::read_u16(&raw, 2 + 2 * i));
-        }
-        seqs.push(seq);
+        seqs.push((0..n).map(|i| codec::read_u16(&raw, 2 + 2 * i)).collect());
     }
+    Ok((config, seqs))
+}
+
+/// Reads a full [`PathIndex`] back into memory.
+pub fn load_index(kv: &dyn Kv) -> Result<PathIndex> {
+    let (config, seqs) = read_header(kv)?;
+    let mut fill = Fill::new(config);
     // Entries come back in (bucket, position) order, so every bucket is
     // refilled in its saved order and the histograms recount themselves.
     let mut nodes = Vec::new();
@@ -172,32 +174,8 @@ pub struct DiskPathIndex<'a, K: Kv> {
 impl<'a, K: Kv> DiskPathIndex<'a, K> {
     /// Opens a previously saved index for direct disk lookups.
     pub fn open(kv: &'a K) -> Result<Self> {
-        let meta =
-            kv.get(&meta_key())?.ok_or_else(|| KvError::Corrupt("missing index meta".into()))?;
-        let max_len = codec::read_u16(&meta, 0) as usize;
-        let beta = codec::read_f64_prob(&meta, 2);
-        let gamma = codec::read_f64_prob(&meta, 10);
-        let n_grid = codec::read_u16(&meta, 18) as usize;
-        let mut pos = 20;
-        let mut hist_grid = Vec::with_capacity(n_grid);
-        for _ in 0..n_grid {
-            hist_grid.push(codec::read_f64_prob(&meta, pos));
-            pos += 8;
-        }
-        let n_seqs = codec::read_u32(&meta, pos);
-        let config = PathIndexConfig { max_len, beta, gamma, threads: 0, hist_grid };
-        let mut seq_ids = FxHashMap::default();
-        for id in 0..n_seqs {
-            let raw = kv
-                .get(&seq_key(id))?
-                .ok_or_else(|| KvError::Corrupt(format!("missing seq {id}")))?;
-            let n = codec::read_u16(&raw, 0) as usize;
-            let mut seq = Vec::with_capacity(n);
-            for i in 0..n {
-                seq.push(codec::read_u16(&raw, 2 + 2 * i));
-            }
-            seq_ids.insert(seq, id);
-        }
+        let (config, seqs) = read_header(kv)?;
+        let seq_ids = seqs.into_iter().zip(0u32..).collect();
         Ok(Self { kv, config, seq_ids })
     }
 
