@@ -271,17 +271,7 @@ impl EntityGraph {
     /// True when `u` and `v` share no underlying reference (so they may
     /// co-occur in a possible world).
     pub fn refs_disjoint(&self, u: EntityId, v: EntityId) -> bool {
-        let (ra, rb) = (self.nodes.refs(u.idx()), self.nodes.refs(v.idx()));
-        // Sorted-merge intersection test.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ra.len() && j < rb.len() {
-            match ra[i].cmp(&rb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
+        sorted_disjoint(self.nodes.refs(u.idx()), self.nodes.refs(v.idx()))
     }
 
     /// True when node `v` shares a reference with *any* node in `others`.
@@ -291,8 +281,8 @@ impl EntityGraph {
 
     /// Bounded multi-source BFS: per node, its hop distance to the nearest
     /// node `is_seed` accepts (0 for a seed), out to `radius` hops, and
-    /// [`UNREACHED`] beyond. The one ball walk behind a shard's halo, the
-    /// shards a mutation reaches, and an index update's dirty region.
+    /// [`UNREACHED`] beyond. The ball walk behind a shard's halo and the
+    /// shards a mutation reaches.
     pub fn hop_distances(&self, is_seed: impl Fn(u32) -> bool, radius: usize) -> Vec<u32> {
         let n = self.n_nodes();
         let mut dist = vec![UNREACHED; n];
@@ -317,6 +307,20 @@ impl EntityGraph {
         }
         dist
     }
+}
+
+/// True when two ascending reference lists share no reference: a
+/// sorted-merge intersection test.
+pub fn sorted_disjoint(a: &[RefId], b: &[RefId]) -> bool {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 /// What [`EntityGraph::hop_distances`] reports for a node farther than its

@@ -32,7 +32,8 @@ pub mod stats;
 
 pub use dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
 pub use entity::{
-    EntityEdge, EntityGraph, EntityGraphBuilder, EntityId, EntityNode, EntityNodes, UNREACHED,
+    sorted_disjoint, EntityEdge, EntityGraph, EntityGraphBuilder, EntityId, EntityNode,
+    EntityNodes, UNREACHED,
 };
 pub use labels::{Label, LabelTable};
 pub use ops::GraphOp;

@@ -4,7 +4,9 @@ use crate::error::PegError;
 use crate::merge::{AverageMerge, EdgeMerge, LabelMerge};
 use crate::model::existence::{ExistenceModel, ExistenceOptions};
 use graphstore::dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
-use graphstore::{EntityEdge, EntityGraph, EntityId, EntityNodes, EntityRef, RefGraph, RefId};
+use graphstore::{
+    sorted_disjoint, EntityEdge, EntityGraph, EntityId, EntityNodes, EntityRef, RefGraph, RefId,
+};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
@@ -252,7 +254,7 @@ impl PegBuilder {
                     // Entities sharing a reference never co-exist: no edge.
                     if s1 != s2
                         && wanted
-                        && disjoint(nodes.refs(s1 as usize), nodes.refs(s2 as usize))
+                        && sorted_disjoint(nodes.refs(s1 as usize), nodes.refs(s2 as usize))
                     {
                         pairs.push((s1.min(s2), s1.max(s2)));
                     }
@@ -333,18 +335,6 @@ fn transpose(p: &EdgeProbability, n_labels: usize) -> EdgeProbability {
             EdgeProbability::Conditional(CondTable::from_fn(n_labels, |a, b| t.prob(b, a)))
         }
     }
-}
-
-fn disjoint(a: &[RefId], b: &[RefId]) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return false,
-        }
-    }
-    true
 }
 
 /// Builds the Figure-1 reference network of the paper; shared by tests,
