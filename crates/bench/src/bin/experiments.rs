@@ -8,13 +8,14 @@
 //! Experiments: fig6a fig6b fig6c fig6d fig6e fig6f fig7a fig7b fig7c fig7d
 //! fig7e fig7f fig7g fig7h sql ablation-gamma ablation-backend
 //! ablation-montecarlo ablation-query-threads ablation-shards
-//! ablation-trace ablation-reduction all
+//! ablation-trace all
 //!
 //! `--test` is shorthand for `--scale tiny` (the CI smoke mode).
-//! `ablation-trace` and `ablation-reduction` additionally write their
-//! machine-readable results to `BENCH_trace.json` / `BENCH_reduction.json`
-//! in the working directory. Serving, caching and live-update performance
-//! is measured by `benchmark/run.sh` (pegbench), not here.
+//! `ablation-trace` additionally writes its machine-readable results to
+//! `BENCH_trace.json` in the working directory. Serving, caching and
+//! live-update performance is measured by `benchmark/run.sh` (pegbench),
+//! and the frontier reduction's bit-exactness by
+//! `tests/reduction_frontier_equivalence.rs`, not here.
 
 use bench::{fmt_duration, fmt_log10, Scale, Table, Workload};
 use datagen::{
@@ -106,9 +107,6 @@ fn main() {
     }
     if run("ablation-trace") {
         ablation_trace(scale);
-    }
-    if run("ablation-reduction") {
-        ablation_reduction(scale);
     }
 }
 
@@ -922,150 +920,6 @@ fn ablation_trace(scale: Scale) {
         .build();
     std::fs::write("BENCH_trace.json", format!("{report}\n")).expect("write BENCH json");
     println!("(wrote BENCH_trace.json)");
-    println!();
-}
-
-/// Active-frontier reduction: full-sweep vs delta-driven rounds, per query
-/// shape and threshold.
-///
-/// Every row first asserts the two schedules answer **bit-identically**
-/// (match sets, round counts, kill counts, per-partition survivors) —
-/// only then do its timings count. Timed quantity is the all-in reduce
-/// (`PipelineStats::reduction_time`: structure fixpoints, message rounds,
-/// and prune scans), min over trials, single-core. "Late avoided" is the
-/// fraction of full-sweep evaluations the frontier skipped on rounds
-/// after the (identical-by-construction) seeded first round. Results also
-/// land in `BENCH_reduction.json` (working directory). At non-tiny scales
-/// the q(5,5) gate enforces the frontier win: ≥1.5x on the best row with
-/// >50% of late-round evals avoided.
-fn ablation_reduction(scale: Scale) {
-    use pegserve::{obj, Json};
-
-    println!("## Ablation: active-frontier reduction (full sweep vs frontier, bit-exact)");
-    // L = 1 decomposition: one partition per query edge, the deepest
-    // message-propagation diameter a shape admits — the regime where round
-    // count (and so the frontier's late-round skipping) matters most.
-    let (beta, max_len, uncertainty) = (0.3, 1, 0.6);
-    let w = Workload::synthetic(scale.default_graph(), uncertainty, beta, max_len);
-    let n_labels = w.peg.graph.label_table().len();
-    let pipe = QueryPipeline::new(&w.peg, w.index(max_len));
-    let trials = if scale == Scale::Tiny { 3usize } else { 5 };
-    let specs = [(4usize, 4usize), (5, 5)];
-    let alphas = [0.1f64, 0.03, 0.01];
-    let full_opts = QueryOptions { threads: 1, use_frontier: false, ..Default::default() };
-    let frontier_opts = QueryOptions::with_threads(1);
-
-    let mut t = Table::new(&[
-        "query",
-        "alpha",
-        "rounds",
-        "full reduce",
-        "frontier reduce",
-        "speedup",
-        "evals full",
-        "evals frontier",
-        "late avoided",
-    ]);
-    let mut rows: Vec<Json> = Vec::new();
-    // Best q(5,5) row feeds the gate: (speedup, late-round avoided share).
-    let mut q55_best: Option<(f64, f64)> = None;
-    for &(n, e) in &specs {
-        let q = random_query(QuerySpec::new(n, e), n_labels, 1);
-        for &alpha in &alphas {
-            let name = format!("q({n},{e})");
-            let ctx = format!("{name} alpha={alpha}");
-            // Bit-exactness gate before any timing: the frontier schedule
-            // must be invisible in everything but the eval counts.
-            let rf = pipe.run(&q, alpha, &frontier_opts).expect("frontier run");
-            let rs = pipe.run(&q, alpha, &full_opts).expect("full-sweep run");
-            bench::workloads::assert_matches_bit_identical(&rf.matches, &rs.matches, &ctx);
-            assert_eq!(rf.stats.message_rounds, rs.stats.message_rounds, "{ctx}: rounds");
-            assert_eq!(rf.stats.removed_structure, rs.stats.removed_structure, "{ctx}");
-            assert_eq!(rf.stats.removed_upperbound, rs.stats.removed_upperbound, "{ctx}");
-            assert_eq!(rf.stats.final_counts, rs.stats.final_counts, "{ctx}: survivors");
-            assert_eq!(rs.stats.full_evals_avoided, 0, "{ctx}: sweep must not skip");
-
-            let mut frontier_best = Duration::MAX;
-            let mut full_best = Duration::MAX;
-            for _ in 0..trials {
-                let f = pipe.run(&q, alpha, &frontier_opts).expect("frontier run");
-                let s = pipe.run(&q, alpha, &full_opts).expect("full-sweep run");
-                frontier_best = frontier_best.min(f.stats.reduction_time);
-                full_best = full_best.min(s.stats.reduction_time);
-            }
-            let speedup = full_best.as_secs_f64() / frontier_best.as_secs_f64().max(1e-12);
-            // Rounds after the all-dirty seed round: what a full sweep
-            // evaluates there is exactly the alive count, so the skipped
-            // share falls straight out of the two runs' round frontiers.
-            let late_full: usize = rs.stats.round_frontiers.iter().skip(1).sum();
-            let late_frontier: usize = rf.stats.round_frontiers.iter().skip(1).sum();
-            let late_avoided =
-                if late_full == 0 { 0.0 } else { 1.0 - late_frontier as f64 / late_full as f64 };
-            if (n, e) == (5, 5) {
-                let best = q55_best.get_or_insert((speedup, late_avoided));
-                if speedup > best.0 {
-                    *best = (speedup, late_avoided);
-                }
-            }
-            t.row(vec![
-                name.clone(),
-                format!("{alpha}"),
-                rf.stats.message_rounds.to_string(),
-                fmt_duration(full_best),
-                fmt_duration(frontier_best),
-                format!("{speedup:.2}x"),
-                rs.stats.frontier_evals.to_string(),
-                rf.stats.frontier_evals.to_string(),
-                format!("{:.0}%", late_avoided * 100.0),
-            ]);
-            rows.push(
-                obj()
-                    .field("query", name.as_str())
-                    .field("alpha", alpha)
-                    .field("rounds", rf.stats.message_rounds)
-                    .field("full_reduce_us", full_best.as_micros() as u64)
-                    .field("frontier_reduce_us", frontier_best.as_micros() as u64)
-                    .field("speedup", speedup)
-                    .field("evals_full", rs.stats.frontier_evals)
-                    .field("evals_frontier", rf.stats.frontier_evals)
-                    .field("evals_avoided", rf.stats.full_evals_avoided)
-                    .field("late_rounds_avoided", late_avoided)
-                    .field(
-                        "round_frontiers",
-                        Json::Arr(
-                            rf.stats.round_frontiers.iter().map(|&c| Json::Num(c as f64)).collect(),
-                        ),
-                    )
-                    .field("bit_exact", true)
-                    .build(),
-            );
-        }
-    }
-    t.print();
-    println!("(every frontier row bit-exact vs its full-sweep twin before timings count)");
-    println!();
-
-    if scale != Scale::Tiny {
-        let (speedup, late_avoided) = q55_best.expect("q(5,5) rows ran");
-        assert!(
-            speedup >= 1.5 && late_avoided > 0.5,
-            "q(5,5) frontier gate: best speedup {speedup:.2}x (need >= 1.5x) with \
-             {:.0}% late-round evals avoided (need > 50%)",
-            late_avoided * 100.0,
-        );
-    }
-
-    let report = obj()
-        .field("experiment", "ablation-reduction")
-        .field("scale", format!("{scale:?}").to_lowercase())
-        .field("graph_size", scale.default_graph())
-        .field("uncertainty", uncertainty)
-        .field("trials", trials)
-        .field("threads", 1u64)
-        .field("rows", Json::Arr(rows))
-        .build();
-    std::fs::write("BENCH_reduction.json", format!("{report}\n")).expect("write BENCH json");
-    println!("(wrote BENCH_reduction.json)");
     println!();
 }
 

@@ -64,6 +64,10 @@ proptest! {
         uncertainty in prop::sample::select(vec![0.2, 0.6]),
         n_shards in prop::sample::select(vec![1usize, 3]),
         threads in prop::sample::select(vec![1usize, 0]),
+        // (L, query nodes, query edges). L = 1 cuts one partition per
+        // query edge: the deepest message propagation a shape admits.
+        (max_len, q_nodes, q_edges) in
+            prop::sample::select(vec![(2usize, 4usize, 4usize), (1, 5, 5)]),
         seed in 0u64..1_000_000,
     ) {
         let cfg = SyntheticConfig {
@@ -74,7 +78,7 @@ proptest! {
         let peg = PegBuilder::new().build(&refs).unwrap();
         let n_labels = peg.graph.label_table().len();
         let opts = OfflineOptions {
-            index: PathIndexConfig { max_len: 2, beta: 0.2, ..Default::default() },
+            index: PathIndexConfig { max_len, beta: 0.2, ..Default::default() },
         };
         let offline;
         let sharded;
@@ -89,11 +93,13 @@ proptest! {
         let full_opts = QueryOptions { threads, use_frontier: false, ..Default::default() };
         prop_assert!(frontier_opts.use_frontier);
 
-        let base = random_query(QuerySpec::new(4, 4), n_labels, seed);
+        let base = random_query(QuerySpec::new(q_nodes, q_edges), n_labels, seed);
         for alpha in [0.5, 0.3, 0.05, 0.01] {
             let f = pipe.run(&base, alpha, &frontier_opts).unwrap();
             let s = pipe.run(&base, alpha, &full_opts).unwrap();
-            let ctx = format!("shards={n_shards} threads={threads} alpha={alpha}");
+            let ctx = format!(
+                "L={max_len} q({q_nodes},{q_edges}) shards={n_shards} threads={threads} alpha={alpha}"
+            );
             assert_bit_identical(&f.matches, &s.matches, &ctx)?;
             prop_assert_eq!(f.truncated, s.truncated);
             // The two schedules converge through the same rounds and kill
