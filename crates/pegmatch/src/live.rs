@@ -2,9 +2,11 @@
 //! with incremental maintenance of the existence model, path index and
 //! context tables.
 //!
-//! [`apply_ops`] is the one entry point. It never mutates its inputs —
-//! the previous [`Peg`] and [`OfflineIndex`] stay valid for in-flight
-//! queries — and the returned artifacts are **bit-identical** to
+//! [`batch_step`] is the one step that turns an op batch into the next
+//! reference network and PEG; every store takes it, and [`apply_ops`]
+//! then patches the path index and context tables. Neither mutates its
+//! inputs — the previous [`Peg`] and [`OfflineIndex`] stay valid for
+//! in-flight queries — and the results are **bit-identical** to
 //! recompiling the mutated reference network from scratch.
 //!
 //! What a batch costs ([`UpdatePhases`] times each step):
@@ -36,14 +38,14 @@
 //!   a reference per bucket (`index_copy`, 0.05 ms).
 
 use crate::error::PegError;
-use crate::model::{Peg, PegBuilder};
+use crate::model::{Peg, PegBuilder, PegDelta};
 use crate::offline::{OfflineIndex, OfflineOptions};
 use graphstore::{GraphOp, RefGraph};
 use std::time::{Duration, Instant};
 
 /// Where one mutation batch spent its time, step by step in execution
-/// order. A sharded store fills the first four and leaves the rest zero:
-/// its shards rebuild whole behind the transport.
+/// order. [`batch_step`] fills the first four, [`apply_ops`] the rest; a
+/// sharded store leaves the rest zero (its shards rebuild them).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdatePhases {
     /// Cloning the reference network the ops are applied to, with room
@@ -92,6 +94,44 @@ impl UpdatePhases {
     }
 }
 
+/// What one batch did to a store, in the one shape every store reports.
+#[derive(Clone, Debug)]
+pub struct UpdateStats {
+    /// Dirty nodes in the patched PEG (existence-changed ∪ touched).
+    pub n_dirty: usize,
+    /// Shards rebuilt because the dirty ball reached their halo (or zero).
+    pub rebuilt_shards: usize,
+    /// Existence components carried over from the previous model by `Arc`.
+    pub reused_components: usize,
+    /// Time spent in each step.
+    pub phases: UpdatePhases,
+}
+
+/// Applies `ops` to a copy of `refs`, cloned with room for them, and
+/// patches `prev` to it: the one batch step every store takes. Returns
+/// the mutated network, the touched entity ids, the patched PEG with its
+/// dirty flags, and the phases it ran (`refs_clone`, `apply_all`,
+/// `compile`, `existence`). Atomic: a failing batch (invalid op at any
+/// position) leaves every input untouched and returns that op's error.
+pub fn batch_step(
+    builder: &PegBuilder,
+    refs: &RefGraph,
+    prev: &Peg,
+    ops: &[GraphOp],
+) -> Result<(RefGraph, Vec<u32>, PegDelta, UpdatePhases), PegError> {
+    let mut phases = UpdatePhases::default();
+    let t = Instant::now();
+    let mut refs = refs.clone_with_room(ops.len());
+    phases.refs_clone = t.elapsed();
+    let t = Instant::now();
+    let touched = refs.apply_all(ops).map_err(PegError::Invalid)?;
+    phases.apply_all = t.elapsed();
+    let delta = builder.rebuild(&refs, prev, &touched)?;
+    phases.compile = delta.compile_time;
+    phases.existence = delta.existence_time;
+    Ok((refs, touched, delta, phases))
+}
+
 /// The artifacts of one mutation batch: a full replacement set for the
 /// previous generation.
 #[derive(Clone, Debug)]
@@ -119,11 +159,8 @@ impl LiveUpdate {
     }
 }
 
-/// Applies `ops` to `refs` and incrementally recompiles.
-///
-/// Atomic: ops are applied to a clone of `refs`, so a failing batch
-/// (invalid op at any position) leaves every input untouched and returns
-/// the offending op's error.
+/// Applies `ops` to `refs` through [`batch_step`], then patches the path
+/// index and context tables. Atomic, as the step is.
 ///
 /// `opts` must match the options `prev_index` was built with: the patched
 /// index inherits its configuration, and a mismatch would break the
@@ -152,19 +189,10 @@ pub fn apply_ops(
         )));
     }
 
-    let mut phases = UpdatePhases::default();
-    let t = Instant::now();
-    let mut new_refs = refs.clone_with_room(ops.len());
-    phases.refs_clone = t.elapsed();
-    let t = Instant::now();
-    let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
-    phases.apply_all = t.elapsed();
-    let delta = builder.rebuild(&new_refs, prev, &touched)?;
-    phases.compile = delta.compile_time;
-    phases.existence = delta.existence_time;
+    let (refs, touched, delta, mut phases) = batch_step(builder, refs, prev, ops)?;
     let index = prev_index.rebuild_delta(prev, &delta.peg, &delta.dirty, &mut phases)?;
     Ok(LiveUpdate {
-        refs: new_refs,
+        refs,
         peg: delta.peg,
         index,
         dirty: delta.dirty,

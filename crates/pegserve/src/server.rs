@@ -151,7 +151,7 @@ use crate::reply::{self, Answer, QueryReply, Reply};
 use crate::statsjson;
 use graphstore::RefGraph;
 use pegmatch::error::PegError;
-use pegmatch::live::UpdatePhases;
+use pegmatch::live::{UpdatePhases, UpdateStats};
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::session::TOPK_START_ALPHA;
@@ -1050,23 +1050,20 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     let _permit = state.admission.admit()?;
     let t0 = Instant::now();
     let builder = PegBuilder::new();
-    let (store, new_refs, n_dirty, rebuilt_shards, reused_components, phases) = match &entry.store {
+    let (store, new_refs, stats) = match &entry.store {
         GraphStore::Unsharded { peg, offline } => {
             let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)?;
-            let (n_dirty, reused) = (up.n_dirty(), up.reused_components);
-            let store = GraphStore::Unsharded { peg: up.peg, offline: up.index };
-            (store, up.refs, n_dirty, 0, reused, up.phases)
+            let stats = UpdateStats {
+                n_dirty: up.n_dirty(),
+                rebuilt_shards: 0,
+                reused_components: up.reused_components,
+                phases: up.phases,
+            };
+            (GraphStore::Unsharded { peg: up.peg, offline: up.index }, up.refs, stats)
         }
         GraphStore::Sharded(sharded) => {
             let (next, new_refs, stats) = sharded.apply_update(refs, &builder, &r.ops)?;
-            (
-                GraphStore::Sharded(next),
-                new_refs,
-                stats.n_dirty,
-                stats.rebuilt_shards,
-                stats.reused_components,
-                stats.phases,
-            )
+            (GraphStore::Sharded(next), new_refs, stats)
         }
     };
     let (nodes, edges) = (store.peg().graph.n_nodes(), store.peg().graph.n_edges());
@@ -1114,7 +1111,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
     // A phase that did not run (a sharded store's index and context
     // steps happen inside its shards) is zero: not recorded, not listed.
     let mut phases_us = obj();
-    for ((name, took), hist) in phases.named().into_iter().zip(&state.update_metrics.phases) {
+    for ((name, took), hist) in stats.phases.named().into_iter().zip(&state.update_metrics.phases) {
         if !took.is_zero() {
             hist.record(took);
             phases_us = phases_us.field(name, took.as_micros() as u64);
@@ -1129,9 +1126,9 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         .field("edges", edges)
         .field("shards", shards)
         .field("n_ops", r.ops.len())
-        .field("n_dirty", n_dirty)
-        .field("rebuilt_shards", rebuilt_shards)
-        .field("reused_components", reused_components)
+        .field("n_dirty", stats.n_dirty)
+        .field("rebuilt_shards", stats.rebuilt_shards)
+        .field("reused_components", stats.reused_components)
         .field("update_us", t0.elapsed().as_micros() as u64)
         .field("phases_us", phases_us.build())
         .build())

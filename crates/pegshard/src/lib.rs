@@ -109,7 +109,7 @@ pub mod worker;
 
 pub use partition::shard_of;
 pub use shard::{ShardInfo, ShardSummary};
-pub use store::{ScatterStats, ShardedGraphStore, ShardingStats, UpdateStats};
+pub use store::{ScatterStats, ShardedGraphStore, ShardingStats};
 pub use transport::{
     InProcessTransport, PathPartial, ShardReply, ShardRequest, ShardTransport, TcpTransport,
     TcpTransportConfig, TransportError, UpdateRequest, WorkerStats,

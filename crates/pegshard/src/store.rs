@@ -10,7 +10,7 @@ use graphstore::hash::FxHashMap;
 use graphstore::{GraphOp, Label, RefGraph};
 use pathindex::PathMatches;
 use pegmatch::error::PegError;
-use pegmatch::live::UpdatePhases;
+use pegmatch::live::{self, UpdateStats};
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::OfflineOptions;
 use pegmatch::online::{CandidateSet, CandidateSource, Decomposition, PathStats, QueryPipeline};
@@ -101,23 +101,6 @@ impl ScatterStats {
             retrieve_time: Duration::from_micros(retrieve.elapsed_us),
         })
     }
-}
-
-/// What one [`ShardedGraphStore::apply_update`] did: how much of the
-/// partition the mutation's dirty ball actually reached.
-#[derive(Clone, Debug)]
-pub struct UpdateStats {
-    /// Dirty nodes in the compiled delta (existence-changed ∪ touched).
-    pub n_dirty: usize,
-    /// Shards rebuilt because the dirty ball reached their halo.
-    pub rebuilt_shards: usize,
-    /// Existence components the store's own rebuild of the full graph
-    /// carried over from the previous model by `Arc`.
-    pub reused_components: usize,
-    /// Time of the store's own steps (reference network, and the full
-    /// graph patched at the touched entities); the index and context
-    /// phases stay zero — shards rebuild whole behind the transport.
-    pub phases: UpdatePhases,
 }
 
 /// One entity graph partitioned into N shards, each owning its own
@@ -410,9 +393,9 @@ impl ShardedGraphStore {
         Ok((out, scatter))
     }
 
-    /// Applies a mutation batch to this store, returning the successor
-    /// store, the mutated reference network (input to the *next*
-    /// mutation), and what the update touched. `self` is untouched —
+    /// Applies a mutation batch to this store through `live::batch_step`,
+    /// returning the successor store, the mutated reference network, and
+    /// what the update touched. `self` is untouched —
     /// in-flight sessions keep querying the pre-update store while the
     /// caller swaps the successor in.
     ///
@@ -439,12 +422,7 @@ impl ShardedGraphStore {
         ops: &[GraphOp],
     ) -> Result<(ShardedGraphStore, RefGraph, UpdateStats), PegError> {
         let t0 = Instant::now();
-        let mut new_refs = refs.clone_with_room(ops.len());
-        let refs_clone = t0.elapsed();
-        let t = Instant::now();
-        let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
-        let apply_all = t.elapsed();
-        let delta = builder.rebuild(&new_refs, &self.peg, &touched)?;
+        let (new_refs, _, delta, phases) = live::batch_step(builder, refs, &self.peg, ops)?;
         let (transport, summaries) = self.transport.update(&UpdateRequest {
             ops,
             old: &self.peg,
@@ -456,13 +434,7 @@ impl ShardedGraphStore {
             n_dirty: delta.dirty.iter().filter(|d| **d).count(),
             rebuilt_shards: summaries.iter().filter(|s| s.rebuilt).count(),
             reused_components: delta.reused_components,
-            phases: UpdatePhases {
-                refs_clone,
-                apply_all,
-                compile: delta.compile_time,
-                existence: delta.existence_time,
-                ..Default::default()
-            },
+            phases,
         };
         let store = Self::assemble(delta.peg, transport, summaries, &self.opts, t0);
         Ok((store, new_refs, update))

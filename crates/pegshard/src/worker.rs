@@ -40,6 +40,7 @@ use crate::transport::{PathPartial, ShardReply};
 use crate::wire::HistogramEntries;
 use graphstore::{GraphOp, RefGraph};
 use pegmatch::error::PegError;
+use pegmatch::live;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::OfflineOptions;
 use pegmatch::online::{PathStats, QueryPath};
@@ -267,10 +268,8 @@ impl WorkerShard {
             )));
         }
 
-        // Compute against the snapshots, lock released.
-        let mut new_refs = refs.clone_with_room(ops.len());
-        let touched = new_refs.apply_all(ops).map_err(PegError::Invalid)?;
-        let delta = PegBuilder::new().rebuild(&new_refs, &full, &touched)?;
+        // Compute against the snapshots, lock released: the one batch step.
+        let (new_refs, _, delta, _) = live::batch_step(&PegBuilder::new(), &refs, &full, ops)?;
         let n_dirty = delta.dirty.iter().filter(|d| **d).count();
         let halo = halo_for(self.n_shards, self.opts.index.max_len.max(1));
         let affected =
