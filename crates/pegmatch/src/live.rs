@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 /// Where one mutation batch spent its time, step by step in execution
 /// order. [`batch_step`] fills the first four, [`apply_ops`] the rest; a
-/// sharded store leaves the rest zero (its shards rebuild them).
+/// sharded store leaves the rest zero: its shards rebuild their indexes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdatePhases {
     /// Cloning the reference network the ops are applied to, with room
