@@ -6,11 +6,13 @@
 //! ```
 //!
 //! Experiments: fig6a fig6b fig6c fig6d fig6e fig6f fig7a fig7b fig7c fig7d
-//! fig7e fig7f fig7g fig7h sql ablation-gamma ablation-backend
-//! ablation-montecarlo ablation-query-threads ablation-shards
-//! ablation-trace all
+//! fig7e fig7f fig7g fig7h sql ablation-gamma ablation-montecarlo
+//! ablation-query-threads ablation-shards ablation-trace all
 //!
 //! `--test` is shorthand for `--scale tiny` (the CI smoke mode).
+//! Fig. 6(b)'s "disk bytes" column is the length of the index saved with
+//! `pathindex::file::save_index`, the file `pegcli index` writes; every
+//! lookup is served from the in-memory index.
 //! `ablation-trace` additionally writes its machine-readable results to
 //! `BENCH_trace.json` in the working directory. Serving, caching and
 //! live-update performance is measured by `benchmark/run.sh` (pegbench),
@@ -93,9 +95,6 @@ fn main() {
     if run("ablation-gamma") {
         ablation_gamma(scale);
     }
-    if run("ablation-backend") {
-        ablation_backend(scale);
-    }
     if run("ablation-query-threads") {
         ablation_query_threads(scale);
     }
@@ -151,15 +150,11 @@ fn fig6ab(scale: Scale) {
                 };
                 let idx = OfflineIndex::build(&peg, &opts).unwrap();
                 let elapsed = t0.elapsed();
-                // Disk size: persist into a BTreeStore file.
+                // Disk size: the length of the saved index file.
                 let mut path = std::env::temp_dir();
                 path.push(format!("pegmatch-fig6b-{n}-{l}-{}", (beta * 10.0) as u32));
-                let disk_bytes = {
-                    let mut store = kvstore::BTreeStore::create(&path).unwrap();
-                    pathindex::disk::save_index(&idx.paths, &mut store).unwrap();
-                    store.flush().unwrap();
-                    store.file_len()
-                };
+                let disk_bytes =
+                    pathindex::file::save_index(&idx.paths, &peg.graph, &path).unwrap();
                 std::fs::remove_file(&path).ok();
                 t.row(vec![
                     n.to_string(),
@@ -581,50 +576,6 @@ fn ablation_gamma(scale: Scale) {
         ]);
     }
     t.print();
-    println!();
-}
-
-/// Ablation: in-memory vs on-disk index lookups.
-fn ablation_backend(scale: Scale) {
-    println!("## Ablation: memory vs disk index backend (length-2 lookups)");
-    let w = Workload::synthetic(scale.default_graph(), 0.2, 0.3, 2);
-    let idx = w.index(2);
-    let mut path = std::env::temp_dir();
-    path.push(format!("pegmatch-ablation-backend-{}", std::process::id()));
-    let mut store = kvstore::BTreeStore::create(&path).unwrap();
-    pathindex::disk::save_index(&idx.paths, &mut store).unwrap();
-    store.flush().unwrap();
-    let disk = pathindex::disk::DiskPathIndex::open(&store).unwrap();
-
-    let n_labels = w.peg.graph.label_table().len();
-    let seqs: Vec<Vec<graphstore::Label>> = (0..n_labels as u16)
-        .flat_map(|a| {
-            (0..n_labels as u16).map(move |b| vec![graphstore::Label(a), graphstore::Label(b)])
-        })
-        .collect();
-    let t0 = Instant::now();
-    let mut mem_total = 0usize;
-    for s in &seqs {
-        mem_total += idx.paths.lookup(s, 0.5).len();
-    }
-    let mem_time = t0.elapsed();
-    let t0 = Instant::now();
-    let mut disk_total = 0usize;
-    for s in &seqs {
-        disk_total += disk.lookup(s, 0.5).unwrap().len();
-    }
-    let disk_time = t0.elapsed();
-    assert_eq!(mem_total, disk_total, "backends must agree");
-    println!(
-        "memory: {} for {} results; disk: {} (file {} KiB)",
-        fmt_duration(mem_time),
-        mem_total,
-        fmt_duration(disk_time),
-        store.file_len() / 1024
-    );
-    drop(disk);
-    drop(store);
-    std::fs::remove_file(&path).ok();
     println!();
 }
 

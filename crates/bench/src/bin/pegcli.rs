@@ -1,23 +1,26 @@
 //! `pegcli` — command-line front end for the pegmatch system.
 //!
 //! ```text
-//! pegcli generate --kind synthetic --size 2000 --out graph.kv
-//! pegcli index --graph graph.kv --out index.kv --max-len 2 --beta 0.3
-//! pegcli query --graph graph.kv --index index.kv \
+//! pegcli generate --kind synthetic --size 2000 --out graph/
+//! pegcli index --graph graph/ --out paths.idx --max-len 2 --beta 0.3
+//! pegcli query --graph graph/ --index paths.idx \
 //!              --pattern '(x:l0)-(y:l1), (y)-(z:l0)' --alpha 0.4
-//! pegcli topk  --graph graph.kv --index index.kv \
+//! pegcli topk  --graph graph/ --index paths.idx \
 //!              --pattern '(x:l0)-(y:l1)' --k 5
 //! ```
 //!
-//! Graphs and indexes persist in kvstore B+-tree files, mirroring the
-//! paper's offline/online split. Note: the persisted graph is the *entity*
-//! graph; identity marginals are rebuilt from reference sets only when the
-//! graph is generated in-process, so `query` recomputes the existence model
-//! from the generator (same seed) for `--kind` workloads.
+//! The offline/online split of the paper, on disk: `generate` writes the
+//! reference network as CSV files (`graphstore::csv`), which `--graph DIR`
+//! reads back, and `index` writes the path index as one flat file
+//! (`pathindex::file`), which `--index FILE` loads. Every command that
+//! takes `--graph DIR` also takes `--kind/--size` to generate the network
+//! in-process instead (same seed, same network). The entity graph and its
+//! existence model are always compiled from the reference network; an
+//! index file loads only against the entity graph it was built on.
 
-use graphstore::persist::save_entity_graph;
-use kvstore::BTreeStore;
-use pathindex::disk::{load_index, save_index};
+use graphstore::csv::{load_ref_graph_csv, save_ref_graph_csv};
+use graphstore::RefGraph;
+use pathindex::file::{load_index, save_index};
 use pathindex::PathIndexConfig;
 use pegmatch::model::{Peg, PegBuilder};
 use pegmatch::offline::{ContextInfo, OfflineIndex, OfflineOptions, OfflineStats};
@@ -61,9 +64,11 @@ fn usage() {
         "pegcli — subgraph pattern matching over uncertain graphs\n\
          \n\
          commands:\n\
-         \x20 generate --kind synthetic|dblp|imdb --size N --out FILE [--seed S] [--uncertainty F]\n\
-         \x20 index    --kind ... --size N [--seed S] --out FILE [--max-len L] [--beta B]\n\
-         \x20 query    --kind ... --size N [--seed S] [--index FILE]\n\
+         \x20 generate --kind synthetic|dblp|imdb --size N --out DIR [--seed S] [--uncertainty F]\n\
+         \x20          (writes the reference network as CSV files into DIR)\n\
+         \x20 index    (--graph DIR | --kind ... --size N [--seed S]) --out FILE\n\
+         \x20          [--max-len L] [--beta B]\n\
+         \x20 query    (--graph DIR | --kind ... --size N [--seed S]) [--index FILE]\n\
          \x20          --pattern '(x:a)-(y:b), (y)-(z:a)' [--alpha A]\n\
          \x20          [--explain] [--limit N] [--threads T]\n\
          \x20          [--repeat N] [--plan-cache-stats] [--exec-cache-bytes N]\n\
@@ -71,7 +76,7 @@ fn usage() {
          \x20          budget reuses floor-threshold retrievals across --repeat runs)\n\
          \x20          (or: --labels a,b,c --edges 0-1,1-2)\n\
          \x20 topk     (same as query, plus --k K)\n\
-         \x20 stats    --kind ... --size N [--seed S]\n\
+         \x20 stats    (--graph DIR | --kind ... --size N [--seed S])\n\
          \x20 serve    --addr HOST:PORT [--kind ... --size N [--seed S] [--max-len L] [--beta B]\n\
          \x20          [--name G]] [--max-sessions N] [--queue-depth N]\n\
          \x20          [--deadline-ms MS] [--max-connections N]\n\
@@ -139,23 +144,30 @@ fn spec_from_flags(flags: &HashMap<String, String>) -> Result<pegserve::GraphSpe
     pegserve::GraphSpec::new(get(flags, "kind")?, size, seed, uncertainty).map_err(|e| e.message)
 }
 
+/// The reference network: read from the CSV files in `--graph DIR`, or
+/// generated from `--kind/--size`.
+fn refs_from_flags(flags: &HashMap<String, String>) -> Result<RefGraph, String> {
+    match flags.get("graph") {
+        Some(dir) => load_ref_graph_csv(std::path::Path::new(dir)).map_err(|e| e.to_string()),
+        None => Ok(spec_from_flags(flags)?.build_refs()),
+    }
+}
+
 fn peg_from_flags(flags: &HashMap<String, String>) -> Result<Peg, String> {
-    let refs = spec_from_flags(flags)?.build_refs();
-    PegBuilder::new().build(&refs).map_err(|e| e.to_string())
+    PegBuilder::new().build(&refs_from_flags(flags)?).map_err(|e| e.to_string())
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = get(flags, "out")?;
-    let peg = peg_from_flags(flags)?;
-    let mut store = BTreeStore::create(std::path::Path::new(out)).map_err(|e| e.to_string())?;
-    save_entity_graph(&peg.graph, &mut store).map_err(|e| e.to_string())?;
-    store.flush().map_err(|e| e.to_string())?;
+    let refs = spec_from_flags(flags)?.build_refs();
+    save_ref_graph_csv(&refs, std::path::Path::new(out)).map_err(|e| e.to_string())?;
     println!(
-        "wrote entity graph: {} nodes, {} edges -> {} ({} KiB)",
-        peg.graph.n_nodes(),
-        peg.graph.n_edges(),
-        out,
-        store.file_len() / 1024
+        "wrote entity graph source: reference network of {} references, {} edges, {} \
+         reference sets -> {}/",
+        refs.n_refs(),
+        refs.n_edges(),
+        refs.ref_sets().len(),
+        out.trim_end_matches('/'),
     );
     Ok(())
 }
@@ -170,16 +182,15 @@ fn cmd_index(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = get(flags, "out")?;
     let peg = peg_from_flags(flags)?;
     let offline = OfflineIndex::build(&peg, &offline_opts(flags)).map_err(|e| e.to_string())?;
-    let mut store = BTreeStore::create(std::path::Path::new(out)).map_err(|e| e.to_string())?;
-    save_index(&offline.paths, &mut store).map_err(|e| e.to_string())?;
-    store.flush().map_err(|e| e.to_string())?;
+    let len = save_index(&offline.paths, &peg.graph, std::path::Path::new(out))
+        .map_err(|e| e.to_string())?;
     println!(
         "wrote path index: {} entries across {} sequences in {} -> {} ({} KiB)",
         offline.paths.n_entries(),
         offline.paths.n_sequences(),
         bench::fmt_duration(offline.stats.index_time),
         out,
-        store.file_len() / 1024
+        len / 1024
     );
     Ok(())
 }
@@ -660,8 +671,8 @@ fn cmd_query(flags: &HashMap<String, String>, topk: bool) -> Result<(), String> 
     // Load the index from disk when given, otherwise build it fresh.
     let offline = match flags.get("index") {
         Some(path) => {
-            let store = BTreeStore::open(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-            let paths = load_index(&store).map_err(|e| e.to_string())?;
+            let paths =
+                load_index(std::path::Path::new(path), &peg.graph).map_err(|e| e.to_string())?;
             let context = ContextInfo::build(&peg.graph);
             OfflineIndex { context, paths, stats: OfflineStats::default() }
         }

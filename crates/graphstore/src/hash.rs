@@ -1,8 +1,10 @@
-//! A fast, non-cryptographic hasher for integer-heavy keys.
+//! Non-cryptographic hashing: a fast hasher for integer-heavy map keys,
+//! and FNV-1a for checksums of bytes that must not change.
 //!
-//! Equivalent in spirit to `rustc-hash`'s FxHash (multiply-and-rotate mixing);
-//! implemented in-tree to keep the dependency set to the sanctioned crates.
-//! HashDoS resistance is irrelevant here: all keys are internal ids.
+//! [`FxHasher`] is equivalent in spirit to `rustc-hash`'s FxHash
+//! (multiply-and-rotate mixing); implemented in-tree to keep the
+//! dependency set to the sanctioned crates. HashDoS resistance is
+//! irrelevant here: all keys are internal ids.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -74,6 +76,22 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The FNV-1a 64-bit offset basis: [`fnv1a`] of no bytes.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit hash of `bytes`, continued from `h` (start from
+/// [`FNV1A_BASIS`]), so a stream can be hashed piece by piece. Each step
+/// is a bijection of the running hash, so changing any one byte always
+/// changes the result. Enough to catch torn writes and bit rot; not a
+/// cryptographic integrity guarantee.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +122,15 @@ mod tests {
         assert_ne!(h(0), h(1));
         assert_ne!(h(1), h(2));
         assert_ne!(h(1 << 32), h(1 << 33));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_streams() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"), fnv1a(FNV1A_BASIS, b"foobar"));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   label distributions, merged (possibly label-conditional) edge
 //!   probabilities, CSR adjacency, and per-node reference lists used to
 //!   enforce the "no two nodes share a reference" constraint.
-//! * [`persist`] — durable storage of an [`EntityGraph`] in a
-//!   [`kvstore::BTreeStore`] file.
+//! * [`csv`] — a [`RefGraph`] as CSV files in a directory, the one form a
+//!   graph takes on disk: the entity graph is always compiled from it.
 //!
 //! Label strings are interned into dense [`Label`] ids via [`LabelTable`];
 //! distributions are dense vectors over the label alphabet.
@@ -26,7 +26,6 @@ pub mod entity;
 pub mod hash;
 pub mod labels;
 pub mod ops;
-pub mod persist;
 pub mod refgraph;
 pub mod stats;
 

@@ -12,8 +12,9 @@
 //! ascending by node tuple, in flat chunks of at most 512 entries (node
 //! buffer of stride = sequence length, parallel `Prle` / `Prn` arrays),
 //! each chunk shared by `Arc` between index generations, so an update
-//! rebuilds only the chunks its changes fall into — and to composite-key
-//! ranges in a [`kvstore::BTreeStore`] on disk ([`disk`]).
+//! rebuilds only the chunks its changes fall into. Lookups are served
+//! from memory only; on disk the index is one flat file ([`mod@file`]),
+//! written and read in one pass.
 //!
 //! Undirected symmetry is folded: a path is stored only under the canonical
 //! orientation of its label sequence (ties broken on node ids), and lookups
@@ -25,7 +26,7 @@
 //! interpolation between grid points).
 
 pub mod build;
-pub mod disk;
+pub mod file;
 pub mod histogram;
 mod index;
 #[cfg(test)]

@@ -17,8 +17,6 @@ pub enum PegError {
     Invalid(String),
     /// A query references a label outside the graph's alphabet.
     UnknownLabel(String),
-    /// Persistence failure from the underlying key/value store.
-    Store(String),
     /// A candidate source backed by remote shard workers could not reach
     /// one of them during retrieval. Carries the failing shard index so
     /// serving layers can surface a structured `shard_unavailable` reply;
@@ -42,7 +40,6 @@ impl fmt::Display for PegError {
             ),
             PegError::Invalid(msg) => write!(f, "invalid input: {msg}"),
             PegError::UnknownLabel(l) => write!(f, "unknown label: {l}"),
-            PegError::Store(msg) => write!(f, "store error: {msg}"),
             PegError::ShardUnavailable { shard, detail } => {
                 write!(f, "shard {shard} unavailable: {detail}")
             }
@@ -51,9 +48,3 @@ impl fmt::Display for PegError {
 }
 
 impl std::error::Error for PegError {}
-
-impl From<kvstore::KvError> for PegError {
-    fn from(e: kvstore::KvError) -> Self {
-        PegError::Store(e.to_string())
-    }
-}

@@ -1,10 +1,8 @@
-//! Cross-crate persistence: entity graphs and path indexes written through
-//! the kvstore B+-tree must round-trip and serve identical query results.
+//! Cross-crate persistence: a path index saved to its flat file and loaded
+//! back must serve identical query results.
 
 use datagen::{sampled_query, synthetic_refgraph, QuerySpec, SyntheticConfig};
-use graphstore::persist::{load_entity_graph, save_entity_graph};
-use kvstore::{BTreeStore, Kv, MemStore};
-use pathindex::disk::{load_index, save_index, DiskPathIndex};
+use pathindex::file::{load_index, save_index};
 use pathindex::PathIndexConfig;
 use pegmatch::matcher::match_bruteforce;
 use pegmatch::model::PegBuilder;
@@ -18,28 +16,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn entity_graph_roundtrip_via_disk() {
-    let refs = synthetic_refgraph(&SyntheticConfig::paper(300));
-    let peg = PegBuilder::new().build(&refs).unwrap();
-    let path = tmp("graph");
-    {
-        let mut store = BTreeStore::create(&path).unwrap();
-        save_entity_graph(&peg.graph, &mut store).unwrap();
-        store.flush().unwrap();
-    }
-    let store = BTreeStore::open(&path).unwrap();
-    let g2 = load_entity_graph(&store).unwrap();
-    assert_eq!(g2.n_nodes(), peg.graph.n_nodes());
-    assert_eq!(g2.n_edges(), peg.graph.n_edges());
-    for v in peg.graph.node_ids() {
-        assert_eq!(g2.node(v).refs, peg.graph.node(v).refs);
-        assert_eq!(g2.node(v).labels, peg.graph.node(v).labels);
-    }
-    drop(store);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn index_roundtrip_preserves_query_results() {
     let refs = synthetic_refgraph(&SyntheticConfig::paper(250));
     let peg = PegBuilder::new().build(&refs).unwrap();
@@ -47,15 +23,10 @@ fn index_roundtrip_preserves_query_results() {
         OfflineOptions { index: PathIndexConfig { max_len: 2, beta: 0.2, ..Default::default() } };
     let idx = OfflineIndex::build(&peg, &opts).unwrap();
 
-    // Persist the path index through the disk B+-tree and reload.
+    // Save the path index to its file and reload.
     let path = tmp("index");
-    {
-        let mut store = BTreeStore::create(&path).unwrap();
-        save_index(&idx.paths, &mut store).unwrap();
-        store.flush().unwrap();
-    }
-    let store = BTreeStore::open(&path).unwrap();
-    let paths2 = load_index(&store).unwrap();
+    save_index(&idx.paths, &peg.graph, &path).unwrap();
+    let paths2 = load_index(&path, &peg.graph).unwrap();
     assert_eq!(paths2.n_entries(), idx.paths.n_entries());
 
     let idx2 = OfflineIndex { context: idx.context.clone(), paths: paths2, stats: idx.stats };
@@ -74,32 +45,5 @@ fn index_roundtrip_preserves_query_results() {
             assert_eq!(a.matches.len(), want.len());
         }
     }
-    drop(store);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn disk_index_lookups_match_memory() {
-    let refs = synthetic_refgraph(&SyntheticConfig::paper(200));
-    let peg = PegBuilder::new().build(&refs).unwrap();
-    let opts =
-        OfflineOptions { index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() } };
-    let idx = OfflineIndex::build(&peg, &opts).unwrap();
-    let mut kv = MemStore::new();
-    save_index(&idx.paths, &mut kv).unwrap();
-    let disk = DiskPathIndex::open(&kv).unwrap();
-    let n_labels = peg.graph.label_table().len() as u16;
-    for a in 0..n_labels {
-        for b in 0..n_labels {
-            let labels = [graphstore::Label(a), graphstore::Label(b)];
-            for alpha in [0.3, 0.6, 0.9] {
-                let mut x = idx.paths.lookup(&labels, alpha).to_vec();
-                let mut y = disk.lookup(&labels, alpha).unwrap().to_vec();
-                x.sort_by(|p, q| p.nodes.cmp(&q.nodes));
-                y.sort_by(|p, q| p.nodes.cmp(&q.nodes));
-                assert_eq!(x, y, "labels ({a},{b}) alpha {alpha}");
-            }
-        }
-    }
-    assert!(kv.len() > 0);
 }
