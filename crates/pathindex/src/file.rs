@@ -32,7 +32,6 @@ use crate::index::{Fill, PathIndex, PathIndexConfig};
 use graphstore::hash::{fnv1a, FNV1A_BASIS};
 use graphstore::EntityGraph;
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 
 /// The first eight bytes of every index file.
@@ -44,11 +43,12 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Bytes of the checksum trailer.
 const TRAILER: usize = 8;
 
-/// Most buckets a file may declare (γ ≥ 1/65536).
-const MAX_BUCKETS: f64 = 65_537.0;
-
-/// Bytes gathered before they are hashed and written.
-const SPILL: usize = 1 << 16;
+/// Most buckets a file holds (γ ≥ 1/255): the B+-tree store this file
+/// replaced numbered buckets in a `u8`, and no configuration in use comes
+/// near it. It bounds what a load allocates per sequence before it reads
+/// a row: one bucket per 4 bytes of the sequence's table row, ×
+/// `size_of::<Bucket>()`, at most a few KiB.
+const MAX_BUCKETS: usize = 256;
 
 /// What an index was built on: a file loads only against a graph with the
 /// same stamp.
@@ -104,6 +104,9 @@ pub enum IndexFileError {
     },
     /// The bytes pass the checksum but do not form a valid index.
     Corrupt(String),
+    /// The bucket resolution γ needs more buckets than a file holds, or
+    /// is not in (0, 1].
+    Resolution(f64),
     /// The index was built on another graph.
     GraphMismatch {
         /// The stamp in the file.
@@ -137,6 +140,12 @@ impl fmt::Display for IndexFileError {
                 "index file damaged: checksum {stored:016x} stored, {computed:016x} computed"
             ),
             IndexFileError::Corrupt(msg) => write!(f, "index file corrupt: {msg}"),
+            IndexFileError::Resolution(gamma) => write!(
+                f,
+                "bucket resolution {gamma} out of range: an index file holds \
+                 1/{} <= gamma <= 1",
+                MAX_BUCKETS - 1
+            ),
             IndexFileError::GraphMismatch { file, graph } => write!(
                 f,
                 "index was built on another graph (file: {file}; graph: {graph}); rebuild it"
@@ -170,9 +179,9 @@ pub fn save_index(
     graph: &EntityGraph,
     path: &Path,
 ) -> Result<u64, IndexFileError> {
-    let file = std::fs::File::create(path)?;
-    let len = encode(index, graph, file)?;
-    Ok(len)
+    let bytes = encode(index, graph)?;
+    std::fs::write(path, &bytes)?;
+    Ok(bytes.len() as u64)
 }
 
 /// Reads the index at `path` in one pass, for `graph`: the graph it was
@@ -181,83 +190,48 @@ pub fn load_index(path: &Path, graph: &EntityGraph) -> Result<PathIndex, IndexFi
     decode(&std::fs::read(path)?, graph)
 }
 
-/// Bytes on their way to a writer: gathered, hashed and written in
-/// pieces of about [`SPILL`].
-struct Out<W: Write> {
-    w: W,
-    buf: Vec<u8>,
-    hash: u64,
-    len: u64,
-}
-
-impl<W: Write> Out<W> {
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Hashes and writes what is gathered once it is a piece's worth.
-    fn spill(&mut self, force: bool) -> std::io::Result<()> {
-        if force || self.buf.len() >= SPILL {
-            self.hash = fnv1a(self.hash, &self.buf);
-            self.len += self.buf.len() as u64;
-            self.w.write_all(&self.buf)?;
-            self.buf.clear();
-        }
+/// Refuses a bucket resolution that needs more than [`MAX_BUCKETS`].
+fn check_gamma(gamma: f64) -> Result<(), IndexFileError> {
+    if gamma > 0.0 && gamma <= 1.0 && (1.0 / gamma).ceil() + 1.0 <= MAX_BUCKETS as f64 {
         Ok(())
+    } else {
+        Err(IndexFileError::Resolution(gamma))
     }
 }
 
-/// Writes the file's bytes to `w`; returns how many.
-fn encode(index: &PathIndex, graph: &EntityGraph, w: impl Write) -> std::io::Result<u64> {
-    let mut out = Out { w, buf: Vec::with_capacity(2 * SPILL), hash: FNV1A_BASIS, len: 0 };
+/// The file's bytes, trailer included.
+fn encode(index: &PathIndex, graph: &EntityGraph) -> Result<Vec<u8>, IndexFileError> {
     let cfg = index.config();
-    out.buf.extend_from_slice(&MAGIC);
-    out.u32(FORMAT_VERSION);
-    out.u32(cfg.max_len as u32);
-    out.f64(cfg.beta);
-    out.f64(cfg.gamma);
-    out.u32(cfg.hist_grid.len() as u32);
-    cfg.hist_grid.iter().for_each(|&g| out.f64(g));
+    check_gamma(cfg.gamma)?;
+    let mut buf = MAGIC.to_vec();
+    buf.extend(FORMAT_VERSION.to_le_bytes());
+    buf.extend((cfg.max_len as u32).to_le_bytes());
+    buf.extend(cfg.beta.to_le_bytes());
+    buf.extend(cfg.gamma.to_le_bytes());
+    buf.extend((cfg.hist_grid.len() as u32).to_le_bytes());
+    buf.extend(cfg.hist_grid.iter().flat_map(|g| g.to_le_bytes()));
     let stamp = GraphStamp::of(graph);
-    out.u64(stamp.nodes);
-    out.u64(stamp.edges);
-    out.u64(stamp.edges_fnv);
+    buf.extend([stamp.nodes, stamp.edges, stamp.edges_fnv].iter().flat_map(|v| v.to_le_bytes()));
 
     let mut seqs: Vec<_> = index.map.iter().collect();
     seqs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    out.u32(seqs.len() as u32);
+    buf.extend((seqs.len() as u32).to_le_bytes());
     for (seq, se) in &seqs {
-        out.u32(seq.len() as u32);
-        seq.iter().for_each(|&l| out.u16(l));
+        buf.extend((seq.len() as u32).to_le_bytes());
+        buf.extend(seq.iter().flat_map(|l| l.to_le_bytes()));
         for b in &se.buckets {
-            out.u32(b.chunks.iter().map(|c| c.len()).sum::<usize>() as u32);
+            buf.extend((b.chunks.iter().map(|c| c.len()).sum::<usize>() as u32).to_le_bytes());
         }
-        out.spill(false)?;
     }
     for (_, se) in &seqs {
         for b in &se.buckets {
-            b.chunks.iter().flat_map(|c| &c.nodes).for_each(|&v| out.u32(v));
-            b.chunks.iter().flat_map(|c| &c.prle).for_each(|&p| out.f64(p));
-            b.chunks.iter().flat_map(|c| &c.prn).for_each(|&p| out.f64(p));
-            out.spill(false)?;
+            buf.extend(b.chunks.iter().flat_map(|c| &c.nodes).flat_map(|v| v.to_le_bytes()));
+            buf.extend(b.chunks.iter().flat_map(|c| &c.prle).flat_map(|p| p.to_le_bytes()));
+            buf.extend(b.chunks.iter().flat_map(|c| &c.prn).flat_map(|p| p.to_le_bytes()));
         }
     }
-    out.spill(true)?;
-    out.w.write_all(&out.hash.to_le_bytes())?;
-    out.w.flush()?;
-    Ok(out.len + TRAILER as u64)
+    buf.extend(fnv1a(FNV1A_BASIS, &buf).to_le_bytes());
+    Ok(buf)
 }
 
 /// A cursor over the file's bytes; every read is bounds-checked.
@@ -345,9 +319,7 @@ fn decode(bytes: &[u8], graph: &EntityGraph) -> Result<PathIndex, IndexFileError
     let max_len = r.u32()? as usize;
     let beta = r.f64()?;
     let gamma = r.f64()?;
-    if !(gamma > 0.0 && gamma <= 1.0 && (1.0 / gamma).ceil() + 1.0 <= MAX_BUCKETS) {
-        return Err(IndexFileError::Corrupt(format!("bucket resolution {gamma} out of range")));
-    }
+    check_gamma(gamma)?;
     let n_grid = r.u32()? as usize;
     let hist_grid = r.records(n_grid, 8)?.chunks_exact(8).map(le_f64).collect();
     let file = GraphStamp { nodes: r.u64()?, edges: r.u64()?, edges_fnv: r.u64()? };
@@ -444,10 +416,7 @@ mod tests {
     }
 
     fn bytes(idx: &PathIndex, g: &EntityGraph) -> Vec<u8> {
-        let mut out = Vec::new();
-        let len = encode(idx, g, &mut out).unwrap();
-        assert_eq!(len, out.len() as u64);
-        out
+        encode(idx, g).unwrap()
     }
 
     /// Recomputes the trailer, so a test edit reaches the decoder.
@@ -528,27 +497,50 @@ mod tests {
         assert_eq!(bytes(&index(&g, 3), &g), one);
     }
 
+    /// Turns the rows of `block`, each `width` bytes, end for end.
+    fn reverse_rows(block: &mut [u8], width: usize) {
+        let rows: Vec<u8> = block.chunks_exact(width).rev().flatten().copied().collect();
+        block.copy_from_slice(&rows);
+    }
+
     #[test]
     fn a_file_written_out_of_order_loads_sorted() {
-        // One sequence, one bucket of three rows: the body is the last
-        // 3 · (8 + 8 + 8) bytes before the trailer.
-        let g = graph(6);
-        let mut fill = Fill::new(PathIndexConfig { max_len: 1, ..Default::default() });
-        for v in 0..3u32 {
-            fill.insert(&[0, 1], [3 * v, 3 * v + 1].into_iter().map(|x| x % 6), 0.55, 1.0);
-        }
-        let idx = PathIndex::from_fill(fill);
+        let g = graph(40);
+        let idx = index(&g, 1);
         let mut b = bytes(&idx, &g);
-        let body = b.len() - TRAILER - 72;
-        let rows: Vec<[u8; 8]> =
-            b[body..body + 24].chunks_exact(8).map(|c| c.try_into().unwrap()).collect();
-        for (i, r) in rows.iter().rev().enumerate() {
-            b[body + 8 * i..body + 8 * (i + 1)].copy_from_slice(r);
+        let mut seqs: Vec<_> = idx.map.iter().collect();
+        seqs.sort_unstable_by(|x, y| x.0.cmp(y.0));
+        let count = |b: &Bucket| b.chunks.iter().map(|c| c.len()).sum::<usize>();
+        let row_bytes = |stride: usize| 4 * stride + 8 + 8;
+        let body_len: usize = seqs
+            .iter()
+            .flat_map(|(seq, se)| se.buckets.iter().map(|b| count(b) * row_bytes(seq.len())))
+            .sum();
+        // Rewrite every bucket with its rows in reverse, column by column.
+        let mut at = b.len() - TRAILER - body_len;
+        let (mut reversed, mut spans_chunks) = (0, 0);
+        for (seq, se) in &seqs {
+            for bucket in &se.buckets {
+                let n = count(bucket);
+                for width in [4 * seq.len(), 8, 8] {
+                    reverse_rows(&mut b[at..at + n * width], width);
+                    at += n * width;
+                }
+                reversed += usize::from(n > 1);
+                spans_chunks += usize::from(bucket.chunks.len() > 1);
+            }
         }
+        assert_eq!(at, b.len() - TRAILER);
+        assert!(reversed > 0 && spans_chunks > 0, "some bucket holds more than one chunk");
         reseal(&mut b);
+        assert_ne!(b, bytes(&idx, &g), "the rows were reversed");
         let back = decode(&b, &g).unwrap();
         assert_eq!(contents(&back), contents(&idx));
-        assert_ne!(b, bytes(&idx, &g), "the rows were reversed");
+        for se in back.map.values() {
+            for bucket in &se.buckets {
+                assert!(bucket.chunks.iter().all(|c| (1..=crate::index::CHUNK).contains(&c.len())));
+            }
+        }
     }
 
     fn assert_rejected(b: &[u8], g: &EntityGraph, what: &str) -> IndexFileError {
@@ -663,10 +655,27 @@ mod tests {
                 "count at {at}: {e}"
             );
         }
-        let mut gamma = b.clone();
-        gamma[24..32].copy_from_slice(&1e-300f64.to_le_bytes());
-        reseal(&mut gamma);
-        assert!(matches!(decode(&gamma, &g), Err(IndexFileError::Corrupt(_))));
+        // A bucket resolution past the cap: each sequence would allocate
+        // far more bucket headers than its table row has bytes.
+        for gamma in [1e-300, 1.0 / 65_536.0, 1.0 / 255.5, 0.0, f64::NAN] {
+            let mut d = b.clone();
+            d[24..32].copy_from_slice(&gamma.to_le_bytes());
+            reseal(&mut d);
+            let e = assert_rejected(&d, &g, &format!("gamma {gamma}"));
+            assert!(matches!(e, IndexFileError::Resolution(_)), "gamma {gamma}: {e}");
+        }
+    }
+
+    #[test]
+    fn the_bucket_cap_holds_on_save_too() {
+        let g = graph(6);
+        let fine = PathIndexConfig { max_len: 1, gamma: 1.0 / 255.0, ..Default::default() };
+        assert_eq!(fine.n_buckets(), MAX_BUCKETS);
+        let idx = build_index(&g, &NoIdentity, &fine);
+        assert_eq!(contents(&decode(&bytes(&idx, &g), &g).unwrap()), contents(&idx));
+        let finer = PathIndexConfig { gamma: 1.0 / 256.0, ..fine };
+        let e = encode(&build_index(&g, &NoIdentity, &finer), &g).err().unwrap();
+        assert!(matches!(e, IndexFileError::Resolution(_)), "{e}");
     }
 
     #[test]
