@@ -645,7 +645,8 @@ fn ablation_shards(scale: Scale) {
         "total online",
     ]);
     for shards in [1usize, 2, 3, 4] {
-        let store = ShardedGraphStore::build(w.peg.clone(), &opts, shards).expect("sharded build");
+        let store =
+            ShardedGraphStore::build(&w.refs, w.peg.clone(), &opts, shards).expect("sharded build");
         let s = store.stats();
         build.row(vec![
             shards.to_string(),
@@ -849,7 +850,7 @@ fn ablation_trace(scale: Scale) {
     measure("local threads=1", &local, 1);
     measure("local threads=0", &local, 0);
     let opts = OfflineOptions { index: PathIndexConfig { max_len, beta, ..Default::default() } };
-    let store = ShardedGraphStore::build(w.peg.clone(), &opts, 3).expect("sharded build");
+    let store = ShardedGraphStore::build(&w.refs, w.peg.clone(), &opts, 3).expect("sharded build");
     let sharded = store.pipeline();
     measure("sharded x3 in-process", &sharded, 0);
 

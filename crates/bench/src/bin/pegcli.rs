@@ -44,7 +44,6 @@ fn main() {
         "topk" => cmd_query(&flags, true),
         "stats" => cmd_stats(&flags),
         "serve" => cmd_serve(&flags),
-        "shard-worker" => cmd_shard_worker(&flags),
         "client" => cmd_client(&flags),
         "explain" => cmd_explain(&flags),
         "--help" | "-h" | "help" => {
@@ -80,18 +79,15 @@ fn usage() {
          \x20 serve    --addr HOST:PORT [--kind ... --size N [--seed S] [--max-len L] [--beta B]\n\
          \x20          [--name G]] [--max-sessions N] [--queue-depth N]\n\
          \x20          [--deadline-ms MS] [--max-connections N]\n\
-         \x20          [--workers A1,A2,...]  (shard the graph over shard-worker processes,\n\
+         \x20          [--workers A1,A2,...]  (shard the graph over worker processes,\n\
          \x20          one shard per worker — the only way a served graph is sharded;\n\
-         \x20          needs --kind)\n\
+         \x20          needs --kind; a worker is a serve without --kind)\n\
          \x20          [--worker-timeout-ms MS]   (wire deadline per worker exchange)\n\
          \x20          [--exec-cache-bytes N]   (execution-cache byte budget; default 64 MiB,\n\
          \x20          0 disables)\n\
          \x20          [--slow-query-ms MS]   (log a structured JSON line to stderr for every\n\
          \x20          query slower than MS, and count it in the metrics registry)\n\
          \x20          [--debug-sleep]   (honor debug_sleep_ms requests — admission drills)\n\
-         \x20 shard-worker --addr HOST:PORT [--max-sessions N] [--queue-depth N]\n\
-         \x20          (a shard-worker process; a coordinator assigns it a shard via\n\
-         \x20          load_graph workers=[...] and scatters shard_retrieve requests to it)\n\
          \x20 client   --addr HOST:PORT [--json REQUEST] [--pretty]   (no --json: one request\n\
          \x20          line per stdin line; replies print to stdout; --json exits non-zero on\n\
          \x20          a structured error reply; --pretty renders stats replies' per-worker\n\
@@ -270,7 +266,9 @@ fn server_config(flags: &HashMap<String, String>) -> pegserve::ServerConfig {
 /// client's `load_graph` would do; otherwise clients send one. With
 /// `--workers a,b,...` (requires `--kind`) the graph goes distributed:
 /// one shard per worker process, retrieval scattered over TCP,
-/// everything else (and every result bit) identical.
+/// everything else (and every result bit) identical. A worker is a
+/// `serve` without `--kind`: it starts empty until a coordinator's
+/// `shard_load` assigns it a shard.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7878");
     let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
@@ -295,29 +293,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         // shard counts, replication, build time.
         println!("loaded graph: {}", server.load_graph(&load).map_err(|e| e.to_string())?);
     }
-    serve_on(server, "pegserve")
-}
-
-/// Announces the bound address (flushed: scripts wait for the line) and
-/// serves until shutdown.
-fn serve_on(server: pegserve::Server, what: &str) -> Result<(), String> {
-    use std::io::Write as _;
-    println!("{what} listening on {}", server.local_addr());
-    std::io::stdout().flush().ok();
+    // Flushed: scripts wait for this line.
+    println!("pegserve listening on {}", server.local_addr());
+    std::io::Write::flush(&mut std::io::stdout()).ok();
     server.serve().map_err(|e| e.to_string())
-}
-
-/// `pegcli shard-worker`: boot a shard-worker process. A worker is a
-/// `pegserve` server that starts empty and waits for a coordinator to
-/// assign it a shard (`shard_load`, sent by the coordinator's
-/// `load_graph` with `workers=[...]`), then answers `shard_retrieve`
-/// scatters. It handles `shutdown` like any server, and a coordinator
-/// dying mid-exchange just closes the connection (Rust ignores SIGPIPE;
-/// the write error ends that handler thread, the worker keeps serving).
-fn cmd_shard_worker(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags.get("addr").map(String::as_str).unwrap_or("127.0.0.1:7879");
-    let server = pegserve::Server::bind(addr, server_config(flags)).map_err(|e| e.to_string())?;
-    serve_on(server, "pegshard worker")
 }
 
 /// `pegcli client`: send line-delimited JSON requests to a running server.

@@ -57,8 +57,11 @@ impl Scale {
     }
 }
 
-/// A prepared workload: a PEG plus per-`L` offline indexes.
+/// A prepared workload: a reference network, the PEG compiled from it,
+/// and per-`L` offline indexes.
 pub struct Workload {
+    /// The reference network the PEG was compiled from.
+    pub refs: graphstore::RefGraph,
     /// The probabilistic entity graph.
     pub peg: Peg,
     /// Offline index per path length; `index[l - 1]` holds `L = l`.
@@ -71,16 +74,7 @@ impl Workload {
     pub fn synthetic(n_refs: usize, uncertainty: f64, beta: f64, max_l: usize) -> Workload {
         let refs =
             synthetic_refgraph(&SyntheticConfig::paper_with_uncertainty(n_refs, uncertainty));
-        let peg = PegBuilder::new().build(&refs).expect("synthetic PEG builds");
-        let index_by_l = (1..=max_l)
-            .map(|l| {
-                let opts = OfflineOptions {
-                    index: PathIndexConfig { max_len: l, beta, ..Default::default() },
-                };
-                OfflineIndex::build(&peg, &opts).expect("offline phase")
-            })
-            .collect();
-        Workload { peg, index_by_l }
+        Workload::from_refgraph(&refs, beta, max_l)
     }
 
     /// Builds a workload from an arbitrary reference graph.
@@ -94,7 +88,7 @@ impl Workload {
                 OfflineIndex::build(&peg, &opts).expect("offline phase")
             })
             .collect();
-        Workload { peg, index_by_l }
+        Workload { refs: refs.clone(), peg, index_by_l }
     }
 
     /// The offline index for path length `l`.

@@ -309,7 +309,7 @@ mod tests {
             };
             let offline = OfflineIndex::build(&peg, &opts).unwrap();
             server.insert_graph(GRAPH, peg.clone(), offline);
-            let sharded = ShardedGraphStore::build(peg, &opts, 2).unwrap();
+            let sharded = ShardedGraphStore::build(&refs, peg, &opts, 2).unwrap();
             server.insert_sharded_graph("sharded", sharded, None);
             let mut templates = Vec::new();
             for graph in [GRAPH, "sharded"] {

@@ -102,10 +102,11 @@
 //! [`Server::insert_sharded_graph`]); a request still carrying the
 //! retired `shards` field has it ignored like any unknown field. With
 //! workers the graph goes **distributed**: each worker process (any
-//! `pegserve` server — see
-//! `pegcli shard-worker`) receives a `shard_load` with the same generator
-//! spec plus its `(shard, n_shards)` assignment, rebuilds its shard
-//! deterministically, and answers `shard_retrieve` scatters from then on,
+//! `pegserve` server, such as `pegcli serve` without `--kind`) receives a
+//! `shard_load` with the same generator spec plus its `(shard, n_shards)`
+//! assignment, rebuilds its shard deterministically as a
+//! [`pegshard::WorkerShard`], and answers `shard_retrieve` scatters from
+//! then on,
 //! while planning, k-partite reduction, and match generation stay on the
 //! coordinator — results remain bit-identical to the unsharded store's. A
 //! worker lost mid-query yields a structured `shard_unavailable` reply
@@ -890,35 +891,24 @@ fn op_shard_load(state: &ServerState, r: &proto::ShardLoad) -> Result<Json, Prot
     Ok(reply)
 }
 
-/// Worker side of one scatter leg: decode the query + decomposition
-/// paths, run the shared per-path retrieval unit over the worker's pool,
-/// and encode the home-filtered partials back. Compute-occupying, so it
-/// passes admission like a query session.
+/// Worker side of one scatter leg: run the shard's leg
+/// ([`WorkerShard::retrieve_leg`]) over the worker's pool and encode the
+/// home-filtered partials back. Compute-occupying, so it passes
+/// admission like a query session. A request carrying the coordinator's
+/// trace id gets the leg's `"shard_retrieve"` subtree back in the reply's
+/// `"span"` field; the coordinator's transport grafts it into the live
+/// request tree for an end-to-end distributed trace.
 fn op_shard_retrieve(state: &ServerState, r: &proto::ShardRetrieve) -> Result<Json, ProtoError> {
     let ws = lookup_worker_shard(state, &r.graph)?;
     let _permit = state.admission.admit()?;
     let pool = pegpool::pool_with(r.threads);
-    // A request carrying the coordinator's trace id gets its retrieval
-    // recorded under a worker-side "shard_retrieve" root span, shipped
-    // back in the reply's "span" field; the coordinator's transport grafts
-    // it into the live request tree for an end-to-end distributed trace.
-    // Untraced requests (the common case) time the leg for the histogram
-    // and skip the per-path clock reads.
-    let tracer = match r.trace_id {
-        Some(id) => Tracer::enabled(id),
-        None => Tracer::disabled(),
-    };
-    let span = tracer.stage("shard_retrieve");
-    span.tag("shard", ws.shard_index());
-    span.tag("alpha", r.alpha);
-    span.tag("n_paths", r.paths.len());
-    let reply = ws.retrieve_traced(&r.query, &r.paths, r.alpha, r.version, &span, &pool)?;
-    state.query_metrics.shard_retrieve.record(span.finish());
+    let leg = ws.retrieve_leg(&r.query, &r.paths, r.alpha, r.version, r.trace_id, &pool)?;
+    state.query_metrics.shard_retrieve.record(leg.elapsed);
     let t_encode = Instant::now();
-    let encoded = shard_wire::encode_retrieve_reply(&reply);
+    let encoded = shard_wire::encode_retrieve_reply(&leg.reply);
     state.query_metrics.shard_reply_encode.record(t_encode.elapsed());
-    state.query_metrics.shard_reply_bytes.record_us(shard_wire::reply_payload_bytes(&reply));
-    Ok(match tracer.take().pop() {
+    state.query_metrics.shard_reply_bytes.record_us(shard_wire::reply_payload_bytes(&leg.reply));
+    Ok(match leg.span {
         Some(node) => match encoded {
             Json::Obj(mut fields) => {
                 fields.push(("span".to_string(), shard_wire::encode_span(&node)));
@@ -1891,6 +1881,35 @@ mod tests {
         let reply =
             client.request(&Json::parse(r#"{"op":"shard_unload","graph":"w"}"#).unwrap()).unwrap();
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("not_found"), "{reply}");
+        handle.shutdown().unwrap();
+    }
+
+    /// A worker indexed at `max_len` 2 answers decomposition paths of at
+    /// most 3 query nodes, each node once. A longer path, or one that
+    /// repeats a node, is a structured error before any lookup (at α < β
+    /// either would enumerate with no length bound); at α ≥ β, where these
+    /// requests run, it used to be an `ok` reply with empty partials.
+    #[test]
+    fn a_path_no_plan_can_produce_is_refused() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr).unwrap();
+        let load = r#"{"op":"shard_load","graph":"w","kind":"synthetic","size":200,"max_len":2,"beta":0.3,"shard":0,"n_shards":2}"#;
+        let reply = client.request(&Json::parse(load).unwrap()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        let retrieve = |paths: &str| {
+            format!(
+                r#"{{"op":"shard_retrieve","graph":"w","alpha":0.5,"labels":[0,1,0,1,0],"edges":[[0,1],[1,2],[2,3],[3,4]],"paths":{paths}}}"#
+            )
+        };
+        let reply = client.request(&Json::parse(&retrieve("[[0,1,2]]")).unwrap()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        for (paths, why) in [("[[0,1,2,3,4]]", "at most 3"), ("[[0,1,0]]", "repeats")] {
+            let reply = client.request(&Json::parse(&retrieve(paths)).unwrap()).unwrap();
+            assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
+            let message = reply.get("message").and_then(Json::as_str).unwrap_or_default();
+            assert!(message.contains(why), "{paths}: {reply}");
+        }
         handle.shutdown().unwrap();
     }
 

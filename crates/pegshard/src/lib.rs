@@ -43,8 +43,12 @@
 //! so cost estimates match bit-for-bit) ⇒ identical k-partite reduction
 //! and match generation on the full graph.
 //!
-//! # The transport seam
+//! # One shard unit, two transports
 //!
+//! Every shard is one [`WorkerShard`] ([`worker`]): built by
+//! `Shard::build`, queried by its traced retrieve (a `"shard_retrieve"`
+//! span over per-path `"path"` spans), updated by `apply_update` through
+//! `live::batch_step`, and versioned by keeping its last two snapshots.
 //! The store reaches its shards only through the five methods of
 //! [`ShardTransport`] ([`transport`]): `n_shards`, `scatter` (each
 //! shard's home-filtered candidate partials, which the store merges),
@@ -54,31 +58,31 @@
 //! assembles itself from those, whichever transport produced them.
 //! *Where* a shard lives is the transport's business:
 //!
-//! * [`InProcessTransport`] — shards in this process, shards and each
-//!   shard's paths fanned out on the pool ([`ShardedGraphStore::build`]);
-//!   an update rebuilds the shards the mutation's dirty ball reaches and
-//!   carries the rest over by `Arc`. This is the library store and the
-//!   transport's test double: on one machine it only costs replication
-//!   (the pool already spreads the unsharded store's per-path work), so
-//!   `pegserve` shards a graph only over workers.
+//! * [`InProcessTransport`] — the `WorkerShard`s in this process
+//!   ([`ShardedGraphStore::build`]), called directly: shards and each
+//!   shard's paths fanned out on the pool, an update applied to every
+//!   shard at the next version. It is the transport's test double: on one
+//!   machine sharding only costs replication (the pool already spreads
+//!   the unsharded store's per-path work), so `pegserve` shards a graph
+//!   only over workers.
 //! * [`TcpTransport`] — one worker process per shard, reached over
 //!   pooled blocking line-protocol connections (one exchange at a time
 //!   each; concurrent scatters overlap on separate connections), one
 //!   exchange routine that resends once on a fresh dial, and hard deadlines
-//!   ([`ShardedGraphStore::connect`]). Workers rebuild their shard
-//!   deterministically from the generator spec ([`worker::WorkerShard`])
-//!   and apply broadcast `shard_update` batches the same way, so nothing
+//!   ([`ShardedGraphStore::connect`]). Workers build their `WorkerShard`
+//!   deterministically from the generator spec and apply broadcast
+//!   `shard_update` batches through it, so nothing
 //!   but the spec, mutation ops, queries, summaries and
 //!   `(nodes, prle, prn)` triples ever crosses the wire — bit-exactly:
 //!   the triples as packed columns of verbatim `f64` bits, every other
 //!   number on [`pegwire::json`]'s f64 round-trip guarantee (see [`wire`]
 //!   for the codec and NaN policy).
 //!
-//! Because both transports run the identical per-shard unit
-//! (`Shard::retrieve_paths`) and the gather consumes only home-filtered
-//! triples plus two counts per shard, distributed results are
-//! f64-bit-exact against the in-process store *and* the unsharded
-//! pipeline. A lost worker surfaces as
+//! Because both transports run the identical per-shard unit and the
+//! gather consumes only home-filtered triples plus two counts per shard,
+//! distributed results are f64-bit-exact against the in-process store
+//! *and* the unsharded pipeline, and the two stores' `explain` span trees
+//! are equal. A lost worker surfaces as
 //! [`PegError::ShardUnavailable`](pegmatch::error::PegError) within the
 //! transport deadline — never a hang, never a silently partial answer.
 //!
@@ -90,9 +94,10 @@
 //! use graphstore::Label;
 //! use pegshard::ShardedGraphStore;
 //!
-//! let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+//! let refs = figure1_refgraph();
+//! let peg = PegBuilder::new().build(&refs).unwrap();
 //! let opts = OfflineOptions::with_len_and_beta(2, 0.01);
-//! let store = ShardedGraphStore::build(peg, &opts, 3).unwrap();
+//! let store = ShardedGraphStore::build(&refs, peg, &opts, 3).unwrap();
 //! let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
 //! let res = store.pipeline().run(&q, 0.05, &QueryOptions::default()).unwrap();
 //! assert!(!res.matches.is_empty());
@@ -114,4 +119,4 @@ pub use transport::{
     InProcessTransport, PathPartial, ShardReply, ShardRequest, ShardTransport, TcpTransport,
     TcpTransportConfig, TransportError, UpdateRequest, WorkerStats,
 };
-pub use worker::WorkerShard;
+pub use worker::{ShardLeg, WorkerShard};

@@ -40,8 +40,8 @@ const ABSENT: u32 = u32::MAX;
 /// Replication radius for `n_shards` shards at indexed path length
 /// `max_len`: `max_len + 1` hops (path visibility plus one hop of exact
 /// context), except the degenerate single shard, which replicates
-/// nothing. Both the in-process store and remote shard workers must use
-/// this same rule or their partitions would disagree.
+/// nothing. Every [`WorkerShard`](crate::WorkerShard) and the store's
+/// statistics use this one rule.
 pub(crate) fn halo_for(n_shards: usize, max_len: usize) -> usize {
     if n_shards == 1 {
         0
@@ -101,7 +101,8 @@ pub struct ShardInfo {
 
 /// What one shard reports to the store after a load or an update: the
 /// body of the `shard_load` / `shard_update` replies (codec in
-/// [`crate::wire`]) and, unencoded, what the in-process transport returns.
+/// [`crate::wire`]) and, unencoded, what [`WorkerShard`](crate::WorkerShard)
+/// returns to the in-process transport.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSummary {
     /// Node count of the full graph the shard was cut from (a remote

@@ -121,10 +121,9 @@ impl ScatterStats {
 pub struct ShardedGraphStore {
     peg: Peg,
     transport: Box<dyn ShardTransport>,
-    /// The offline options every shard's index was built with — a live
-    /// update must rebuild affected shards with the identical config or
-    /// the rebuild-equivalence guarantee breaks — and whose `beta`,
-    /// `max_len` and `hist_grid` reproduce the unsharded estimates.
+    /// The offline options every shard's index was built with, whose
+    /// `beta`, `max_len` and `hist_grid` reproduce the unsharded
+    /// estimates.
     opts: OfflineOptions,
     /// Merged per-sequence histograms: element-wise sums of each shard's
     /// home-only counts, bit-identical to the unsharded histogram.
@@ -199,18 +198,22 @@ fn merge_histogram(hist: &mut FxHashMap<Vec<u16>, Vec<u32>>, entries: Vec<(Vec<u
 }
 
 impl ShardedGraphStore {
-    /// Partitions `peg` into `n_shards` in-process shards and builds each
-    /// shard's offline index with `opts` — the library store and the
-    /// transport's test double (a server takes one through
-    /// `insert_sharded_graph`, never from a request). `n_shards == 1` is
-    /// the degenerate single-shard store — same machinery, no boundary
+    /// Partitions `peg` — compiled from `refs` — into `n_shards`
+    /// in-process [`WorkerShard`](crate::WorkerShard)s and builds each
+    /// shard's offline index with `opts`: the transport's test double (a
+    /// server takes one through `insert_sharded_graph`, never from a
+    /// request). Each shard keeps its own copy of `refs` and `peg` to
+    /// apply live batches, as a worker process does. `n_shards == 1` is the
+    /// degenerate single-shard store — same machinery, no boundary
     /// replication.
-    pub fn build(peg: Peg, opts: &OfflineOptions, n_shards: usize) -> Result<Self, PegError> {
-        if n_shards == 0 {
-            return Err(PegError::Invalid("shard count must be at least 1".into()));
-        }
+    pub fn build(
+        refs: &RefGraph,
+        peg: Peg,
+        opts: &OfflineOptions,
+        n_shards: usize,
+    ) -> Result<Self, PegError> {
         let t0 = Instant::now();
-        let (transport, summaries) = InProcessTransport::build(&peg, opts, n_shards)?;
+        let (transport, summaries) = InProcessTransport::build(refs, &peg, opts, n_shards)?;
         Ok(Self::assemble(peg, Box::new(transport), summaries, opts, t0))
     }
 
@@ -289,8 +292,7 @@ impl ShardedGraphStore {
     }
 
     /// The offline index configuration every shard was built with.
-    /// Live-graph embedders need it to register the store for mutation
-    /// (`apply_update` recompiles dirty shards under the same options).
+    /// Live-graph embedders register the store for mutation with it.
     pub fn offline_options(&self) -> &OfflineOptions {
         &self.opts
     }
@@ -395,26 +397,25 @@ impl ShardedGraphStore {
 
     /// Applies a mutation batch to this store through `live::batch_step`,
     /// returning the successor store, the mutated reference network, and
-    /// what the update touched. `self` is untouched —
-    /// in-flight sessions keep querying the pre-update store while the
-    /// caller swaps the successor in.
+    /// what the update touched. `self` is untouched, and in-flight
+    /// sessions keep querying it while the caller swaps the successor in:
+    /// its retrieves pin the pre-update version, which every shard keeps
+    /// until the update after this one.
     ///
     /// `refs` must be the reference network this store's graph was
-    /// compiled from and `builder` the compiler it was compiled with;
-    /// the successor is then **bit-identical** to a from-scratch
+    /// compiled from and `builder` the compiler it was compiled with —
+    /// the default [`PegBuilder`], which every shard recompiles the batch
+    /// with ([`WorkerShard::apply_update`](crate::WorkerShard::apply_update)).
+    /// The successor is then **bit-identical** to a from-scratch
     /// `build`/`connect` over the mutated network: only shards whose
-    /// halo ball the dirty set reaches are rebuilt (the rest are carried
-    /// by `Arc` in process, or reused worker-side over the wire — see
-    /// `shard::affected_shards` for the soundness argument),
-    /// and the merged histogram is re-derived from every shard's
-    /// home-only counts, so planner estimates match a fresh build's
-    /// exactly.
+    /// halo ball the dirty set reaches rebuild (see
+    /// `shard::affected_shards` for the soundness argument), and the
+    /// merged histogram is re-derived from every shard's home-only
+    /// counts, so planner estimates match a fresh build's exactly.
     ///
-    /// Distributed stores broadcast `shard_update` at the next version.
     /// On a partial failure the error is returned and `self` stays fully
-    /// usable (its retrieves pin the pre-update version, which workers
-    /// keep); retrying the update re-sends the same version, which
-    /// workers that already applied it acknowledge idempotently.
+    /// usable; retrying the update re-sends the same version, which
+    /// shards that already applied it acknowledge idempotently.
     pub fn apply_update(
         &self,
         refs: &RefGraph,
@@ -423,13 +424,8 @@ impl ShardedGraphStore {
     ) -> Result<(ShardedGraphStore, RefGraph, UpdateStats), PegError> {
         let t0 = Instant::now();
         let (new_refs, _, delta, phases) = live::batch_step(builder, refs, &self.peg, ops)?;
-        let (transport, summaries) = self.transport.update(&UpdateRequest {
-            ops,
-            old: &self.peg,
-            new: &delta.peg,
-            dirty: &delta.dirty,
-            opts: &self.opts,
-        })?;
+        let (transport, summaries) =
+            self.transport.update(&UpdateRequest { ops, new: &delta.peg })?;
         let update = UpdateStats {
             n_dirty: delta.dirty.iter().filter(|d| **d).count(),
             rebuilt_shards: summaries.iter().filter(|s| s.rebuilt).count(),
@@ -470,7 +466,7 @@ impl CandidateSource for ShardedGraphStore {
         &self,
         query: &QueryGraph,
         decomp: &Decomposition,
-        pstats: &[PathStats],
+        _pstats: &[PathStats],
         alpha: f64,
         span: &Span,
         pool: &ThreadPool,
@@ -479,7 +475,7 @@ impl CandidateSource for ShardedGraphStore {
         // path with home-filtered, globalized, canonically sorted
         // partials (see `Shard::retrieve_paths` for the exactness
         // argument).
-        let req = ShardRequest { query, decomp, pstats, alpha, span };
+        let req = ShardRequest { query, decomp, alpha, span };
         let results = self.transport.scatter(&req, pool);
         let (out, scatter) = self.gather(decomp, results)?;
         if span.is_recording() {
@@ -496,11 +492,10 @@ mod tests {
     use pegmatch::online::{ExecCache, LocalSource, QueryOptions};
     use std::sync::Arc;
 
-    fn figure1() -> (Peg, OfflineOptions) {
-        (
-            PegBuilder::new().build(&figure1_refgraph()).unwrap(),
-            OfflineOptions::with_len_and_beta(2, 0.01),
-        )
+    fn figure1() -> (RefGraph, Peg, OfflineOptions) {
+        let refs = figure1_refgraph();
+        let peg = PegBuilder::new().build(&refs).unwrap();
+        (refs, peg, OfflineOptions::with_len_and_beta(2, 0.01))
     }
 
     /// The (r, a, i) path query of Figure 1, cut into two 2-node paths.
@@ -528,7 +523,7 @@ mod tests {
 
     #[test]
     fn gather_merges_interleaved_partials_and_drops_a_duplicate_once() {
-        let (peg, opts) = figure1();
+        let (refs, peg, opts) = figure1();
         let offline = pegmatch::offline::OfflineIndex::build(&peg, &opts).unwrap();
         let (q, d) = two_path_plan();
         let pstats: Vec<PathStats> = d.paths.iter().map(|p| PathStats::new(&q, p)).collect();
@@ -540,7 +535,7 @@ mod tests {
 
         // Deal each sorted list out to two shards alternately, and hand
         // the first candidate of every path to both.
-        let store = ShardedGraphStore::build(peg, &opts, 2).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg, &opts, 2).unwrap();
         let replies: Vec<Result<ShardReply, TransportError>> = (0..2u32)
             .map(|s| {
                 let paths = unsharded
@@ -641,8 +636,8 @@ mod tests {
         let (q, _) = two_path_plan();
         let options = QueryOptions::with_threads(1);
         for (what, damage) in damages {
-            let (peg, opts) = figure1();
-            let (inner, summaries) = InProcessTransport::build(&peg, &opts, 2).unwrap();
+            let (refs, peg, opts) = figure1();
+            let (inner, summaries) = InProcessTransport::build(&refs, &peg, &opts, 2).unwrap();
             let transport = Box::new(Scripted { inner, damage });
             let store =
                 ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
@@ -665,8 +660,8 @@ mod tests {
         // The same store shape, undamaged: the query answers and, seen a
         // second time, its floor base is cached — the path above did reach
         // the cache.
-        let (peg, opts) = figure1();
-        let (inner, summaries) = InProcessTransport::build(&peg, &opts, 2).unwrap();
+        let (refs, peg, opts) = figure1();
+        let (inner, summaries) = InProcessTransport::build(&refs, &peg, &opts, 2).unwrap();
         let transport = Box::new(Scripted { inner, damage: |_| {} });
         let store = ShardedGraphStore::assemble(peg, transport, summaries, &opts, Instant::now());
         let cache = Arc::new(ExecCache::new(1 << 20));

@@ -11,11 +11,11 @@
 //! gather, the merged histogram, planning estimates, the global pipeline
 //! phases — is transport-independent. Two implementations ship:
 //!
-//! * [`InProcessTransport`] — the shards live in this process (the
-//!   library store, and the transport's test double); the scatter fans
-//!   the shards out on the shared pool (each shard fanning its paths, and
-//!   each path's prune, out again), and an update rebuilds the affected
-//!   shards, carrying the rest by `Arc`.
+//! * [`InProcessTransport`] — the shards live in this process, each a
+//!   [`WorkerShard`], the unit a worker process serves: the scatter calls
+//!   each shard's traced retrieve on the shared pool, and an update calls
+//!   each shard's `apply_update` at the next version — what a
+//!   [`TcpTransport`] asks of its workers, minus the bytes.
 //! * [`TcpTransport`] — each shard lives behind a worker process speaking
 //!   the line protocol over blocking connections ([`pegwire::LineConn`]),
 //!   one exchange at a time each: a worker keeps a list of idle
@@ -27,20 +27,22 @@
 //!   `shard_update` at the next version and decodes the acknowledgements
 //!   with the decoder the load handshake uses ([`wire::decode_summary`]).
 //!
-//! Both return the same [`ShardReply`] shape, and the home-filter
-//! argument (see `Shard::retrieve_paths`) guarantees the
+//! Both run the same [`WorkerShard`] code per shard and return the same
+//! [`ShardReply`] shape, and the home-filter argument (see
+//! `Shard::retrieve_paths`) guarantees the
 //! union of replies is exactly the unsharded candidate list — which is
 //! why the store's results are f64-bit-exact no matter which transport
 //! runs underneath.
 
-use crate::shard::{affected_shards, halo_for, Shard, ShardSummary};
+use crate::shard::ShardSummary;
 use crate::wire;
-use graphstore::GraphOp;
+use crate::worker::WorkerShard;
+use graphstore::{GraphOp, RefGraph};
 use pathindex::PathMatches;
 use pegmatch::error::PegError;
 use pegmatch::offline::OfflineOptions;
 use pegmatch::online::candidates::Retrieval;
-use pegmatch::online::{Decomposition, PathStats};
+use pegmatch::online::Decomposition;
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
@@ -52,37 +54,27 @@ use std::time::{Duration, Instant};
 
 /// One retrieval request, broadcast identically to every shard.
 pub struct ShardRequest<'a> {
-    /// The full query graph (shards re-derive per-path statistics).
+    /// The full query graph (shards derive per-path statistics from it).
     pub query: &'a QueryGraph,
     /// The plan's decomposition; shards answer every path.
     pub decomp: &'a Decomposition,
-    /// Per-path statistics, aligned with `decomp.paths`.
-    pub pstats: &'a [PathStats],
     /// The probability threshold.
     pub alpha: f64,
-    /// The caller's open `"retrieve"` span. Transports attach one child
-    /// per scatter unit (in-process) or adopt each worker's decoded span
-    /// subtree (TCP) — always in shard/path index order after the
-    /// parallel join, never from pool threads. [`Span::disabled`] makes
-    /// the whole plumbing a no-op.
+    /// The caller's open `"retrieve"` span. Transports adopt each shard's
+    /// `"shard_retrieve"` subtree ([`WorkerShard::retrieve_leg`]) in shard
+    /// order after the parallel join, never from pool threads.
+    /// [`Span::disabled`] makes the whole plumbing a no-op.
     pub span: &'a Span,
 }
 
-/// One live-graph mutation, as every shard must apply it. The store has
-/// already compiled the batch against the full graph; a transport either
-/// rebuilds from the compiled result (in process) or ships `ops` and lets
-/// each worker recompile deterministically (TCP).
+/// One live-graph mutation, as every shard must apply it: each shard
+/// recompiles `ops` deterministically ([`WorkerShard::apply_update`]).
 pub struct UpdateRequest<'a> {
     /// The mutation batch.
     pub ops: &'a [GraphOp],
-    /// The full graph before the batch.
-    pub old: &'a Peg,
-    /// The full graph after it.
+    /// The full graph after it, as the store compiled it: the graph a
+    /// remote shard's summary is checked against.
     pub new: &'a Peg,
-    /// Per node of `new`: whether the batch changed it.
-    pub dirty: &'a [bool],
-    /// The offline options every shard's index is built with.
-    pub opts: &'a OfflineOptions,
 }
 
 /// One shard's partial result for one decomposition path.
@@ -214,33 +206,38 @@ pub trait ShardTransport: Send + Sync {
     fn release(&self) {}
 }
 
-/// All shards in this process: the library store
-/// ([`ShardedGraphStore::build`](crate::ShardedGraphStore::build)) and the
-/// test double for [`TcpTransport`] — the server shards a graph only over
-/// workers. Shards sit behind `Arc` so a live update can carry unaffected
-/// shards into the successor transport without copying them.
+/// All shards in this process, each a [`WorkerShard`] behind `Arc`, plus
+/// the version this transport's retrieves pin: the store
+/// [`ShardedGraphStore::build`](crate::ShardedGraphStore::build) makes, and
+/// the test double for [`TcpTransport`] — the server shards a graph only
+/// over workers. A live update's successor shares the same shards at the
+/// next version, and the shards keep their last two versions, as workers
+/// do.
 pub struct InProcessTransport {
-    shards: Vec<Arc<Shard>>,
-    /// How many updates lie between the original build and these shards.
+    shards: Vec<Arc<WorkerShard>>,
     version: u64,
 }
 
 impl InProcessTransport {
-    /// Partitions `peg` into `n_shards` shards and builds each one's
-    /// offline index with `opts` (shard builds fan out on the shared
-    /// pool).
+    /// Builds shard `s` of `n_shards` from `refs` and `peg` for every `s`,
+    /// fanned out on the shared pool. Each shard keeps its own copy of
+    /// the reference network and the full graph, as a worker process
+    /// does.
     pub(crate) fn build(
+        refs: &RefGraph,
         peg: &Peg,
         opts: &OfflineOptions,
         n_shards: usize,
     ) -> Result<(InProcessTransport, Vec<ShardSummary>), PegError> {
-        let halo = halo_for(n_shards, opts.index.max_len.max(1));
-        let shards: Vec<Arc<Shard>> = pegpool::global()
-            .map(n_shards, |s| Shard::build(peg, opts, s, n_shards, halo))
+        if n_shards == 0 {
+            return Err(PegError::Invalid("shard count must be at least 1".into()));
+        }
+        let shards: Vec<Arc<WorkerShard>> = pegpool::global()
+            .map(n_shards, |s| WorkerShard::build(refs.clone(), peg.clone(), opts, s, n_shards))
             .into_iter()
             .map(|r| r.map(Arc::new))
             .collect::<Result<_, _>>()?;
-        let summaries = shards.iter().map(|s| s.summary(peg)).collect();
+        let summaries = shards.iter().map(|s| s.summary()).collect();
         Ok((InProcessTransport { shards, version: 0 }, summaries))
     }
 }
@@ -250,77 +247,55 @@ impl ShardTransport for InProcessTransport {
         self.shards.len()
     }
 
+    /// Each shard's leg runs on the pool (and fans its own paths out
+    /// again) with a tracer of its own when the request is traced; the
+    /// subtrees are adopted after the join, in shard order.
     fn scatter(
         &self,
         req: &ShardRequest<'_>,
         pool: &ThreadPool,
     ) -> Vec<Result<ShardReply, TransportError>> {
-        // Shards fan out over the pool, and each fans its paths' lookups
-        // and sorts, and every path's prune, out again — finer grains than
-        // shard-at-a-time, so a skewed shard cannot serialize the scatter.
-        // Pool tasks only measure; spans attach below, post-join, in
-        // (shard, path) index order.
-        let recording = req.span.is_recording();
-        let per_shard: Vec<Vec<Retrieval>> = pool.map(self.shards.len(), |s| {
+        let trace_id = req.span.trace_id();
+        let legs = pool.map(self.shards.len(), |s| {
             let paths = &req.decomp.paths;
-            self.shards[s].retrieve_paths(req.query, paths, req.pstats, req.alpha, pool, recording)
+            self.shards[s].retrieve_leg(
+                req.query,
+                paths,
+                req.alpha,
+                Some(self.version),
+                trace_id,
+                pool,
+            )
         });
-        per_shard
-            .into_iter()
+        legs.into_iter()
             .enumerate()
-            .map(|(s, units)| {
-                let paths = units
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, got)| {
-                        if recording {
-                            let unit = got.trace(req.span, "unit");
-                            unit.tag("shard", s);
-                            unit.tag("path", i);
-                            unit.tag("raw", got.set.raw_count);
-                            unit.tag("pruned", got.pruned_total);
-                        }
-                        PathPartial::from(got)
-                    })
-                    .collect();
-                Ok(ShardReply { paths })
+            .map(|(s, leg)| {
+                let leg = leg.map_err(|e| TransportError {
+                    shard: s,
+                    addr: None,
+                    detail: e.to_string(),
+                })?;
+                if let Some(node) = leg.span {
+                    req.span.adopt(node);
+                }
+                Ok(leg.reply)
             })
             .collect()
     }
 
-    /// Rebuilds only the shards whose halo ball the dirty set reaches
-    /// (see `affected_shards` for the soundness argument); the rest are
-    /// carried by `Arc`.
+    /// Applies the batch to every shard at the next version, fanned out
+    /// on the shared pool.
     fn update(
         &self,
         req: &UpdateRequest<'_>,
     ) -> Result<(Box<dyn ShardTransport>, Vec<ShardSummary>), PegError> {
-        let n_shards = self.shards.len();
-        let halo = halo_for(n_shards, req.opts.index.max_len.max(1));
-        let affected = affected_shards(&req.old.graph, &req.new.graph, req.dirty, n_shards, halo);
-        let shards: Vec<Arc<Shard>> = pegpool::global()
-            .map(n_shards, |s| {
-                if affected[s] {
-                    Shard::build(req.new, req.opts, s, n_shards, halo).map(Arc::new)
-                } else {
-                    Ok(self.shards[s].clone())
-                }
-            })
+        let version = self.version + 1;
+        let summaries = pegpool::global()
+            .map(self.shards.len(), |s| self.shards[s].apply_update(req.ops, version))
             .into_iter()
             .collect::<Result<_, _>>()?;
-        let version = self.version + 1;
-        let n_dirty = req.dirty.iter().filter(|d| **d).count();
-        let summaries = shards
-            .iter()
-            .zip(&affected)
-            .map(|(shard, &rebuilt)| ShardSummary {
-                version,
-                rebuilt,
-                n_dirty,
-                ..shard.summary(req.new)
-            })
-            .collect();
-        Ok((Box::new(InProcessTransport { shards, version }), summaries))
+        let successor = InProcessTransport { shards: self.shards.clone(), version };
+        Ok((Box::new(successor), summaries))
     }
 }
 
@@ -710,16 +685,8 @@ mod tests {
         let transport = TcpTransport::connect("g", &[addr], config).unwrap();
         let query = QueryGraph::path(&[Label(0), Label(1)]).unwrap();
         let decomp = decompose(&query, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
-        let pstats: Vec<PathStats> =
-            decomp.paths.iter().map(|p| PathStats::new(&query, p)).collect();
         let span = Span::disabled();
-        let req = ShardRequest {
-            query: &query,
-            decomp: &decomp,
-            pstats: &pstats,
-            alpha: 0.5,
-            span: &span,
-        };
+        let req = ShardRequest { query: &query, decomp: &decomp, alpha: 0.5, span: &span };
         let replies = transport.scatter(&req, &pegpool::pool_with(1));
         let err = replies.into_iter().next().unwrap().err().expect("a silent worker fails");
         assert!(err.detail.contains("after retry"), "{err}");
@@ -733,16 +700,8 @@ mod tests {
     fn scatter_once(transport: &TcpTransport) -> Vec<Result<ShardReply, TransportError>> {
         let query = QueryGraph::path(&[Label(0), Label(1)]).unwrap();
         let decomp = decompose(&query, 1, &|_| 1.0, DecompStrategy::CostBased).unwrap();
-        let pstats: Vec<PathStats> =
-            decomp.paths.iter().map(|p| PathStats::new(&query, p)).collect();
         let span = Span::disabled();
-        let req = ShardRequest {
-            query: &query,
-            decomp: &decomp,
-            pstats: &pstats,
-            alpha: 0.5,
-            span: &span,
-        };
+        let req = ShardRequest { query: &query, decomp: &decomp, alpha: 0.5, span: &span };
         transport.scatter(&req, &pegpool::pool_with(1))
     }
 

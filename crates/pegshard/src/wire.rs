@@ -814,16 +814,8 @@ mod tests {
             pegmatch::online::DecompStrategy::CostBased,
         )
         .unwrap();
-        let pstats: Vec<pegmatch::online::PathStats> =
-            decomp.paths.iter().map(|p| pegmatch::online::PathStats::new(&query, p)).collect();
         let inert = Span::disabled();
-        let req = ShardRequest {
-            query: &query,
-            decomp: &decomp,
-            pstats: &pstats,
-            alpha: 0.25,
-            span: &inert,
-        };
+        let req = ShardRequest { query: &query, decomp: &decomp, alpha: 0.25, span: &inert };
         let json = retrieve_request("g", 2, &req);
         let parsed = Json::parse(&json.to_string()).unwrap();
         assert_eq!(decode_version(&parsed).unwrap(), Some(2));

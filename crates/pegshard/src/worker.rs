@@ -1,39 +1,38 @@
-//! Worker-side shard state: one shard of one graph, behind the wire ops.
+//! One shard of one graph: the unit every sharded store runs.
 //!
-//! A shard-worker process holds a [`WorkerShard`] per loaded graph —
-//! exactly the `(subgraph, OfflineIndex, owned bitmap)` triple the
-//! in-process store keeps per shard, built by the **same**
-//! `Shard::build` code path from the same deterministic
-//! generator spec the coordinator uses. Determinism is the whole trick:
-//! instead of shipping a partitioned graph over the wire, the coordinator
-//! sends the generator spec plus `(shard, n_shards)` and the worker
-//! reproduces its shard locally, bit-for-bit (same placement hash, same
-//! halo rule, same monotone renumbering, same index build). The
+//! A [`WorkerShard`] holds one shard — the `(subgraph, OfflineIndex,
+//! owned bitmap)` triple `Shard::build` cuts from the full graph — plus
+//! what it needs to follow a live graph: the reference network and the
+//! full compiled graph. A worker process holds one per loaded graph
+//! (`shard_load`); an [`InProcessTransport`](crate::InProcessTransport)
+//! holds one per shard. Either way a shard is built, queried, updated and
+//! versioned by the code in this file, and `Shard::build` and
+//! `shard::affected_shards` are called from nowhere else; only the bytes
+//! in between differ.
+//!
+//! Determinism is what lets a worker build its shard from a generator
+//! spec instead of receiving a partitioned graph: same placement hash,
+//! same halo rule, same monotone renumbering, same index build, so the
+//! shard is bit-for-bit the one any other process would cut. The
 //! coordinator cross-checks the full graph's node/edge counts from the
 //! `shard_load` reply to catch spec or version drift.
 //!
-//! Retrieval then goes through the same
-//! `Shard::retrieve_paths` unit the in-process transport
-//! uses — the scatter logic exists once; only the bytes in between
-//! differ.
-//!
 //! # Live updates and versions
 //!
-//! `shard_update` advances a worker's shard through **versions**: the
-//! coordinator broadcasts the mutation batch plus the version the shard
-//! must move to (its current version + 1), and the worker re-derives its
-//! shard from the mutated reference network — rebuilding only when the
-//! dirty ball actually reaches this shard's halo
+//! An update names the mutation batch plus the version the shard must
+//! move to (its current version + 1). The shard re-derives itself from
+//! the mutated reference network through `live::batch_step` — rebuilding
+//! only when the dirty ball actually reaches this shard's halo
 //! (`shard::affected_shards`), reusing the previous `Arc<Shard>`
-//! otherwise. Workers keep their **last two** versions so scatters from
-//! sessions that planned against the pre-update snapshot (requests carry
-//! a `version` field) still answer bit-exactly while the coordinator's
-//! successor store takes over. Version bookkeeping is strict: a request
-//! for a version this worker no longer holds (or never reached) is a
-//! structured error, a `shard_update` resend of the already-latest
-//! version is the idempotent retry the transport's redial-and-resend
-//! failure handling can produce, and anything else out of sequence is
-//! rejected — two coordinators cannot silently interleave updates.
+//! otherwise. A shard keeps its **last two** versions so scatters from
+//! sessions that planned against the pre-update snapshot (retrieves pin
+//! a version) still answer bit-exactly while the successor store takes
+//! over. Version bookkeeping is strict: a retrieve for a version this
+//! shard no longer holds (or never reached) is a structured error, an
+//! update resending the already-latest version is the idempotent retry
+//! the transport's redial-and-resend failure handling can produce, and
+//! anything else out of sequence is rejected — two coordinators cannot
+//! silently interleave updates.
 
 use crate::shard::{affected_shards, halo_for, Shard, ShardInfo, ShardSummary};
 use crate::transport::{PathPartial, ShardReply};
@@ -47,8 +46,20 @@ use pegmatch::online::{PathStats, QueryPath};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
 use pegpool::ThreadPool;
-use pegtrace::Span;
+use pegtrace::{SpanNode, Tracer};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// One answered scatter leg ([`WorkerShard::retrieve_leg`]).
+pub struct ShardLeg {
+    /// The shard's per-path partials.
+    pub reply: ShardReply,
+    /// Wall time of the retrieval: the `"shard_retrieve"` span's clock,
+    /// read whether or not the leg was traced.
+    pub elapsed: Duration,
+    /// The leg's `"shard_retrieve"` subtree, when it was traced.
+    pub span: Option<SpanNode>,
+}
 
 /// The versioned state behind a [`WorkerShard`]: the reference network
 /// and full compiled graph (inputs to the next mutation) plus the shard
@@ -66,7 +77,8 @@ struct WorkerState {
     previous: Option<(u64, Arc<Shard>)>,
 }
 
-/// One shard of one graph, held by a worker process.
+/// One shard of one graph, held by a worker process or by an
+/// [`InProcessTransport`](crate::InProcessTransport).
 pub struct WorkerShard {
     opts: OfflineOptions,
     shard_index: usize,
@@ -78,9 +90,8 @@ pub struct WorkerShard {
 impl WorkerShard {
     /// Builds shard `shard` of `n_shards` from the reference network and
     /// the **full** compiled graph (both consumed: they seed version 0
-    /// and future `shard_update`s). Uses the same halo rule as
-    /// [`ShardedGraphStore::build`](crate::ShardedGraphStore), so
-    /// worker-built shards are identical to coordinator-built ones.
+    /// and future updates). Every process cuts shard `shard` alike, so a
+    /// worker's shard is identical to an in-process one.
     pub fn build(
         refs: RefGraph,
         full: Peg,
@@ -88,9 +99,6 @@ impl WorkerShard {
         shard: usize,
         n_shards: usize,
     ) -> Result<WorkerShard, PegError> {
-        if n_shards == 0 {
-            return Err(PegError::Invalid("shard count must be at least 1".into()));
-        }
         if shard >= n_shards {
             return Err(PegError::Invalid(format!(
                 "shard index {shard} out of range for {n_shards} shards"
@@ -171,15 +179,8 @@ impl WorkerShard {
     }
 
     /// Executes one retrieval request against the requested shard
-    /// snapshot (`None` = latest): per decomposition path, raw index
-    /// lookup, context pruning, home filtering, canonical sort,
-    /// globalization — the identical `Shard::retrieve_paths` unit the
-    /// in-process transport runs, fanned over this worker's pool.
-    ///
-    /// Returns `Err` when the query references labels outside this
-    /// graph's alphabet (a coordinator/worker mismatch, surfaced as a
-    /// structured reply rather than an index panic) or names a version
-    /// this worker no longer holds.
+    /// snapshot (`None` = latest), untraced: [`retrieve_leg`](Self::retrieve_leg)'s
+    /// reply alone.
     pub fn retrieve(
         &self,
         query: &QueryGraph,
@@ -188,26 +189,37 @@ impl WorkerShard {
         version: Option<u64>,
         pool: &ThreadPool,
     ) -> Result<ShardReply, PegError> {
-        self.retrieve_traced(query, paths, alpha, version, &Span::disabled(), pool)
+        self.retrieve_leg(query, paths, alpha, version, None, pool).map(|leg| leg.reply)
     }
 
-    /// [`retrieve`](Self::retrieve) with tracing: when a request carried a
-    /// trace id, `span` is the worker's open `"shard_retrieve"` span and
+    /// One scatter leg, as both transports run it: per decomposition path,
+    /// raw index lookup, context pruning, home filtering, canonical sort,
+    /// globalization — `Shard::retrieve_paths`, fanned over `pool` —
+    /// against the requested snapshot (`None` = latest), timed by a
+    /// `"shard_retrieve"` root span tagged `shard`, `alpha` and `n_paths`.
+    ///
+    /// With a `trace_id`, the span records into a tracer of its own, with
     /// one pre-measured `"path"` child (with `lookup` / `prune` / `sort`
-    /// children) is attached per decomposition path — in path index order
-    /// after the parallel join, never from pool threads, so the subtree
-    /// shipped back to the coordinator is a deterministic function of the
-    /// request. With [`Span::disabled`] (the untraced path) not even the
-    /// clocks are read.
-    pub fn retrieve_traced(
+    /// children) per decomposition path, attached in path order after the
+    /// parallel join, so the returned subtree is a deterministic function
+    /// of the request. Without one, the span reads its two clocks for
+    /// [`ShardLeg::elapsed`] and the paths read none.
+    ///
+    /// Refused before any lookup, as a structured error: a query label
+    /// outside this graph's alphabet (a coordinator/worker mismatch), a
+    /// path that no plan over this shard's index produces — one that
+    /// repeats a query node, or has more than `max(max_len, 1) + 1` nodes,
+    /// which below β would enumerate with no length bound — and a version
+    /// this worker no longer holds.
+    pub fn retrieve_leg(
         &self,
         query: &QueryGraph,
         paths: &[QueryPath],
         alpha: f64,
         version: Option<u64>,
-        span: &Span,
+        trace_id: Option<u64>,
         pool: &ThreadPool,
-    ) -> Result<ShardReply, PegError> {
+    ) -> Result<ShardLeg, PegError> {
         for &l in query.labels() {
             if (l.0 as usize) >= self.n_labels {
                 return Err(PegError::UnknownLabel(format!(
@@ -216,7 +228,25 @@ impl WorkerShard {
                 )));
             }
         }
+        let longest = self.opts.index.max_len.max(1) + 1;
+        for (i, path) in paths.iter().enumerate() {
+            let nodes = &path.nodes;
+            if nodes.len() > longest {
+                return Err(PegError::Invalid(format!(
+                    "path {i} has {} nodes; this shard's index answers paths of at most {longest}",
+                    nodes.len()
+                )));
+            }
+            if (1..nodes.len()).any(|j| nodes[..j].contains(&nodes[j])) {
+                return Err(PegError::Invalid(format!("path {i} repeats a query node")));
+            }
+        }
         let shard = self.shard_at(version)?;
+        let tracer = trace_id.map_or_else(Tracer::disabled, Tracer::enabled);
+        let span = tracer.stage("shard_retrieve");
+        span.tag("shard", self.shard_index);
+        span.tag("alpha", alpha);
+        span.tag("n_paths", paths.len());
         let pstats: Vec<PathStats> = paths.iter().map(|p| PathStats::new(query, p)).collect();
         let recording = span.is_recording();
         let partials = shard
@@ -225,7 +255,7 @@ impl WorkerShard {
             .enumerate()
             .map(|(i, got)| {
                 if recording {
-                    let unit = got.trace(span, "path");
+                    let unit = got.trace(&span, "path");
                     unit.tag("path", i);
                     unit.tag("raw", got.set.raw_count);
                     unit.tag("pruned", got.pruned_total);
@@ -233,7 +263,8 @@ impl WorkerShard {
                 PathPartial::from(got)
             })
             .collect();
-        Ok(ShardReply { paths: partials })
+        let elapsed = span.finish();
+        Ok(ShardLeg { reply: ShardReply { paths: partials }, elapsed, span: tracer.take().pop() })
     }
 
     /// Applies a mutation batch, advancing this shard to `version`

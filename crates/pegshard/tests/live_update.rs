@@ -62,7 +62,7 @@ fn store_update_matches_fresh_build_bitwise() {
 
     for shards in 1..=3 {
         let peg = builder.build(&refs0).unwrap();
-        let mut store = ShardedGraphStore::build(peg, &opts, shards).unwrap();
+        let mut store = ShardedGraphStore::build(&refs0, peg, &opts, shards).unwrap();
         let mut refs = refs0.clone();
         for (i, ops) in mutation_batches().iter().enumerate() {
             let (next, next_refs, update) = store.apply_update(&refs, &builder, ops).unwrap();
@@ -74,7 +74,7 @@ fn store_update_matches_fresh_build_bitwise() {
 
             // A store built from scratch over the mutated network.
             let fresh_peg = builder.build(&refs).unwrap();
-            let fresh = ShardedGraphStore::build(fresh_peg, &opts, shards).unwrap();
+            let fresh = ShardedGraphStore::build(&refs, fresh_peg, &opts, shards).unwrap();
             assert_eq!(store.peg().graph.n_nodes(), fresh.peg().graph.n_nodes());
             assert_eq!(store.peg().graph.n_edges(), fresh.peg().graph.n_edges());
 
@@ -117,7 +117,7 @@ fn failed_update_leaves_store_usable() {
     let opts = OfflineOptions::with_len_and_beta(2, 0.05);
     let refs = synthetic_refs(120, 0.3);
     let peg = builder.build(&refs).unwrap();
-    let store = ShardedGraphStore::build(peg, &opts, 2).unwrap();
+    let store = ShardedGraphStore::build(&refs, peg, &opts, 2).unwrap();
     let q = QueryGraph::path(&[Label(1), Label(0)]).unwrap();
     let before = store.pipeline().run(&q, 0.05, &QueryOptions::default()).unwrap();
 

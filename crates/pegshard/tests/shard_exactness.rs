@@ -1,7 +1,7 @@
 //! The tentpole guarantee: sharded execution is f64-bit-exact against the
 //! unsharded pipeline for every shard count.
 
-use graphstore::Label;
+use graphstore::{Label, RefGraph};
 use pegmatch::model::peg::{figure1_refgraph, PegBuilder};
 use pegmatch::model::Peg;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
@@ -10,12 +10,13 @@ use pegmatch::query::QueryGraph;
 use pegshard::{ScatterStats, ShardedGraphStore};
 use pegtrace::Tracer;
 
-fn synthetic_peg(n_refs: usize, uncertainty: f64) -> Peg {
+fn synthetic_peg(n_refs: usize, uncertainty: f64) -> (RefGraph, Peg) {
     let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
         n_refs,
         uncertainty,
     ));
-    PegBuilder::new().build(&refs).unwrap()
+    let peg = PegBuilder::new().build(&refs).unwrap();
+    (refs, peg)
 }
 
 fn assert_bit_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
@@ -30,14 +31,15 @@ fn assert_bit_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
 
 #[test]
 fn figure1_sharded_matches_unsharded_bitwise() {
-    let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+    let refs = figure1_refgraph();
+    let peg = PegBuilder::new().build(&refs).unwrap();
     let opts = OfflineOptions::with_len_and_beta(2, 0.01);
     let offline = OfflineIndex::build(&peg, &opts).unwrap();
     let plain = QueryPipeline::new(&peg, &offline);
     let (a, r, i) = (Label(0), Label(1), Label(2));
     let q = QueryGraph::path(&[r, a, i]).unwrap();
     for shards in 1..=4 {
-        let store = ShardedGraphStore::build(peg.clone(), &opts, shards).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, shards).unwrap();
         let pipe = store.pipeline();
         for alpha in [0.01, 0.05, 0.2, 0.5] {
             let want = plain.run(&q, alpha, &QueryOptions::default()).unwrap();
@@ -50,7 +52,7 @@ fn figure1_sharded_matches_unsharded_bitwise() {
 
 #[test]
 fn synthetic_sharded_matches_unsharded_across_queries_and_threads() {
-    let peg = synthetic_peg(300, 0.3);
+    let (refs, peg) = synthetic_peg(300, 0.3);
     let opts = OfflineOptions::with_len_and_beta(2, 0.1);
     let offline = OfflineIndex::build(&peg, &opts).unwrap();
     let plain = QueryPipeline::new(&peg, &offline);
@@ -64,7 +66,7 @@ fn synthetic_sharded_matches_unsharded_across_queries_and_threads() {
         QueryGraph::new(vec![Label(0)], vec![]).unwrap(),
     ];
     for shards in [1usize, 2, 3, 4] {
-        let store = ShardedGraphStore::build(peg.clone(), &opts, shards).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, shards).unwrap();
         let pipe = store.pipeline();
         for (qi, q) in queries.iter().enumerate() {
             for threads in [1usize, 0] {
@@ -94,13 +96,13 @@ fn synthetic_sharded_matches_unsharded_across_queries_and_threads() {
 fn below_beta_enumeration_fallback_is_exact_too() {
     // α below the index's β exercises the on-demand enumeration path in
     // every shard; the gather must still reproduce the unsharded lists.
-    let peg = synthetic_peg(200, 0.3);
+    let (refs, peg) = synthetic_peg(200, 0.3);
     let opts = OfflineOptions::with_len_and_beta(2, 0.3);
     let offline = OfflineIndex::build(&peg, &opts).unwrap();
     let plain = QueryPipeline::new(&peg, &offline);
     let q = QueryGraph::path(&[Label(0), Label(1), Label(0)]).unwrap();
     for shards in [2usize, 3] {
-        let store = ShardedGraphStore::build(peg.clone(), &opts, shards).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, shards).unwrap();
         let pipe = store.pipeline();
         for alpha in [0.02, 0.1] {
             let want = plain.run(&q, alpha, &QueryOptions::default()).unwrap();
@@ -112,12 +114,12 @@ fn below_beta_enumeration_fallback_is_exact_too() {
 
 #[test]
 fn planner_estimates_are_bit_identical() {
-    let peg = synthetic_peg(250, 0.2);
+    let (refs, peg) = synthetic_peg(250, 0.2);
     let opts = OfflineOptions::with_len_and_beta(2, 0.1);
     let offline = OfflineIndex::build(&peg, &opts).unwrap();
     let n_labels = peg.graph.label_table().len() as u16;
     for shards in 1..=4 {
-        let store = ShardedGraphStore::build(peg.clone(), &opts, shards).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, shards).unwrap();
         for a in 0..n_labels {
             for b in 0..n_labels {
                 for alpha in [0.05, 0.12, 0.3, 0.77] {
@@ -142,10 +144,10 @@ fn planner_estimates_are_bit_identical() {
 
 #[test]
 fn scatter_stats_report_replication_and_dedup() {
-    let peg = synthetic_peg(300, 0.3);
+    let (refs, peg) = synthetic_peg(300, 0.3);
     let n_nodes = peg.graph.n_nodes();
     let opts = OfflineOptions::with_len_and_beta(2, 0.1);
-    let store = ShardedGraphStore::build(peg, &opts, 3).unwrap();
+    let store = ShardedGraphStore::build(&refs, peg, &opts, 3).unwrap();
 
     let stats = store.stats();
     assert_eq!(stats.n_shards, 3);
@@ -187,10 +189,10 @@ fn scatter_stats_report_replication_and_dedup() {
 
 #[test]
 fn single_shard_store_has_no_replication() {
-    let peg = synthetic_peg(200, 0.2);
+    let (refs, peg) = synthetic_peg(200, 0.2);
     let n_nodes = peg.graph.n_nodes();
     let opts = OfflineOptions::with_len_and_beta(2, 0.1);
-    let store = ShardedGraphStore::build(peg, &opts, 1).unwrap();
+    let store = ShardedGraphStore::build(&refs, peg, &opts, 1).unwrap();
     assert_eq!(store.stats().replicated_nodes, 0);
     assert_eq!(store.stats().per_shard[0].nodes, n_nodes);
     assert!((store.stats().replication_factor - 1.0).abs() < 1e-12);
@@ -198,20 +200,22 @@ fn single_shard_store_has_no_replication() {
 
 #[test]
 fn zero_shards_rejected() {
-    let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+    let refs = figure1_refgraph();
+    let peg = PegBuilder::new().build(&refs).unwrap();
     let opts = OfflineOptions::with_len_and_beta(2, 0.01);
-    assert!(ShardedGraphStore::build(peg, &opts, 0).is_err());
+    assert!(ShardedGraphStore::build(&refs, peg, &opts, 0).is_err());
 }
 
 #[test]
 fn more_shards_than_nodes_still_exact() {
-    let peg = PegBuilder::new().build(&figure1_refgraph()).unwrap();
+    let refs = figure1_refgraph();
+    let peg = PegBuilder::new().build(&refs).unwrap();
     let opts = OfflineOptions::with_len_and_beta(2, 0.01);
     let offline = OfflineIndex::build(&peg, &opts).unwrap();
     let plain = QueryPipeline::new(&peg, &offline);
     let q = QueryGraph::path(&[Label(1), Label(0), Label(2)]).unwrap();
     // Figure 1 has 5 nodes; 8 shards leaves some shards empty.
-    let store = ShardedGraphStore::build(peg.clone(), &opts, 8).unwrap();
+    let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, 8).unwrap();
     let want = plain.run(&q, 0.05, &QueryOptions::default()).unwrap();
     let got = store.pipeline().run(&q, 0.05, &QueryOptions::default()).unwrap();
     assert_bit_identical(&got, &want, "8 shards over 5 nodes");

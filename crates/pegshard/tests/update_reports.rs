@@ -36,7 +36,7 @@ fn every_store_reports_a_batch_alike() {
         assert!(up.n_dirty() > 0, "batch {b}: nothing dirty");
         reused_somewhere |= up.reused_components > 0;
         for n_shards in [1, 3] {
-            let store = ShardedGraphStore::build(peg.clone(), &opts, n_shards).unwrap();
+            let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, n_shards).unwrap();
             let (_, _, stats) = store.apply_update(&refs, &builder, ops).unwrap();
             let ctx = format!("batch {b}, {n_shards} in-process shards");
             assert_eq!(stats.n_dirty, up.n_dirty(), "{ctx}: n_dirty");

@@ -9,8 +9,13 @@
 //!
 //! Workers here are real `pegserve` servers on loopback TCP (spawned
 //! in-process so the test can kill them deterministically); the CI e2e
-//! smoke drives the same protocol through separate OS processes via
-//! `pegcli shard-worker`.
+//! smoke drives the same protocol through separate OS processes, each a
+//! plain `pegcli serve --addr …` with no graph of its own.
+//!
+//! An in-process sharded store runs the same `WorkerShard` per shard as a
+//! worker does, so its `explain` span tree equals the distributed one.
+
+mod common;
 
 use pathindex::PathIndexConfig;
 use pegmatch::error::PegError;
@@ -85,6 +90,15 @@ fn spawn_coordinator(spec: &GraphSpec, addrs: &[String]) -> (ServerHandle, Clien
     assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(addrs.len()));
     assert!(reply.get("workers").and_then(Json::as_arr).is_some(), "{reply}");
     (coord, client)
+}
+
+/// The `span` tree of an `explain` on graph `dist`, stripped of clocks
+/// and trace ids the way `trace_determinism` strips it.
+fn explain_span(client: &mut Client) -> Json {
+    let line = r#"{"op":"explain","graph":"dist","pattern":"(x:l0)-(y:l1), (y)-(z:l0)","alpha":0.2,"limit":5,"threads":1}"#;
+    let reply = client.request(&Json::parse(line).unwrap()).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+    common::canonical(reply.get("span").expect("an explain reply has its span tree"))
 }
 
 fn assert_bit_identical(got: &[Match], want: &[Match], ctx: &str) {
@@ -198,6 +212,33 @@ fn reply_match_bits(item: &Json) -> Vec<(String, [u64; 3])> {
             (m.get("nodes").unwrap().to_string(), [bits("prle"), bits("prn"), bits("prob")])
         })
         .collect()
+}
+
+#[test]
+fn in_process_and_distributed_explains_trace_alike() {
+    let spec = spec();
+    let (worker_handles, addrs) = spawn_workers(2);
+    let (coord, mut client) = spawn_coordinator(&spec, &addrs);
+    let distributed = explain_span(&mut client);
+
+    let refs = spec.build_refs();
+    let peg = PegBuilder::new().build(&refs).unwrap();
+    let store = ShardedGraphStore::build(&refs, peg, &offline_opts(), 2).unwrap();
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    server.insert_sharded_graph("dist", store, None);
+    let in_process = server.spawn();
+    let in_process_span = explain_span(&mut Client::connect(in_process.addr).unwrap());
+
+    let text = distributed.to_string();
+    assert_eq!(text.matches(r#""name":"shard_retrieve""#).count(), 2, "{text}");
+    assert!(text.contains(r#""name":"path""#), "{text}");
+    assert_eq!(in_process_span, distributed);
+
+    in_process.shutdown().unwrap();
+    coord.shutdown().unwrap();
+    for h in worker_handles {
+        h.shutdown().unwrap();
+    }
 }
 
 #[test]

@@ -60,7 +60,7 @@ proptest! {
         let offline;
         let sharded;
         let (warm_base, cold_base): (QueryPipeline<'_>, QueryPipeline<'_>) = if n_shards > 1 {
-            sharded = ShardedGraphStore::build(peg.clone(), &opts, n_shards).unwrap();
+            sharded = ShardedGraphStore::build(&refs, peg.clone(), &opts, n_shards).unwrap();
             (sharded.pipeline(), sharded.pipeline())
         } else {
             offline = OfflineIndex::build(&peg, &opts).unwrap();

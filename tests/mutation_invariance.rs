@@ -227,7 +227,7 @@ proptest! {
                 assert_bit_identical(&got.matches, &want_k.matches, "run_topk")?;
             }
         } else {
-            let mut store = ShardedGraphStore::build(peg0, &opts, shards).unwrap();
+            let mut store = ShardedGraphStore::build(&refs0, peg0, &opts, shards).unwrap();
             let pipe0 = store
                 .pipeline()
                 .with_plan_cache(Arc::new(PlanCache::new()))
@@ -246,7 +246,7 @@ proptest! {
                 refs = next_refs;
 
                 let fresh_peg = builder.build(&refs).unwrap();
-                let fresh_store = ShardedGraphStore::build(fresh_peg, &opts, shards).unwrap();
+                let fresh_store = ShardedGraphStore::build(&refs, fresh_peg, &opts, shards).unwrap();
                 let fresh = fresh_store.pipeline();
 
                 let epoch = exec.next_epoch();

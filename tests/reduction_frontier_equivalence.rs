@@ -83,7 +83,7 @@ proptest! {
         let offline;
         let sharded;
         let pipe: QueryPipeline<'_> = if n_shards > 1 {
-            sharded = ShardedGraphStore::build(peg.clone(), &opts, n_shards).unwrap();
+            sharded = ShardedGraphStore::build(&refs, peg.clone(), &opts, n_shards).unwrap();
             sharded.pipeline()
         } else {
             offline = OfflineIndex::build(&peg, &opts).unwrap();

@@ -6,6 +6,7 @@
 
 use bench::workloads::permuted_query;
 use datagen::{random_query, synthetic_refgraph, QuerySpec, SyntheticConfig};
+use graphstore::RefGraph;
 use pathindex::PathIndexConfig;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
@@ -20,7 +21,7 @@ const GRAPH_SIZE: usize = 300;
 /// The test workload, built fresh per call: the generator is
 /// deterministic, so the server's copy and the direct-comparison copy are
 /// the same graph.
-fn build_workload() -> (Peg, OfflineIndex) {
+fn build_workload() -> (Peg, OfflineIndex, RefGraph) {
     let refs = synthetic_refgraph(&SyntheticConfig::paper_with_uncertainty(GRAPH_SIZE, 0.2));
     let peg = PegBuilder::new().build(&refs).unwrap();
     let offline = OfflineIndex::build(
@@ -28,7 +29,7 @@ fn build_workload() -> (Peg, OfflineIndex) {
         &OfflineOptions { index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() } },
     )
     .unwrap();
-    (peg, offline)
+    (peg, offline, refs)
 }
 
 fn pattern_text(q: &QueryGraph, peg: &Peg) -> String {
@@ -69,7 +70,7 @@ fn reply_triples(reply: &Json) -> Vec<(Vec<u64>, u64, u64)> {
 
 #[test]
 fn concurrent_clients_match_direct_pipeline_bit_exactly() {
-    let (peg, offline) = build_workload();
+    let (peg, offline, _) = build_workload();
     let direct = QueryPipeline::new(&peg, &offline);
     let n_labels = peg.graph.label_table().len();
 
@@ -85,7 +86,7 @@ fn concurrent_clients_match_direct_pipeline_bit_exactly() {
     }
     let alpha = 0.3;
 
-    let (server_peg, server_offline) = build_workload();
+    let (server_peg, server_offline, _) = build_workload();
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -191,7 +192,7 @@ fn concurrent_clients_match_direct_pipeline_bit_exactly() {
 
 #[test]
 fn admission_limits_reject_with_structured_errors() {
-    let (peg, offline) = build_workload();
+    let (peg, offline, _) = build_workload();
     // One session, no queue, short deadline: a held session forces every
     // concurrent request into an immediate structured rejection.
     let server = Server::bind(
@@ -268,7 +269,7 @@ fn admission_limits_reject_with_structured_errors() {
 
 #[test]
 fn queued_requests_time_out_at_the_deadline() {
-    let (peg, offline) = build_workload();
+    let (peg, offline, _) = build_workload();
     // One session, one queue slot, 100ms deadline: a queued request under
     // a long-held session times out with a structured reply — it never
     // hangs for the full hold.
@@ -331,12 +332,13 @@ fn sharded_server_matches_direct_pipeline_bit_exactly() {
     // A server whose graph is loaded sharded (3 shards) must answer every
     // query and top-k request bit-identically to the direct *unsharded*
     // pipeline — scatter-gather retrieval is invisible over the wire.
-    let (peg, offline) = build_workload();
+    let (peg, offline, _) = build_workload();
     let direct = QueryPipeline::new(&peg, &offline);
     let n_labels = peg.graph.label_table().len();
 
-    let (server_peg, _) = build_workload();
+    let (server_peg, _, refs) = build_workload();
     let store = pegshard::ShardedGraphStore::build(
+        &refs,
         server_peg,
         &OfflineOptions { index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() } },
         3,

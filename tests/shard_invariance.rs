@@ -54,7 +54,7 @@ proptest! {
             queries.push(q);
         }
         for shards in 1usize..=4 {
-            let store = ShardedGraphStore::build(peg.clone(), &opts, shards).unwrap();
+            let store = ShardedGraphStore::build(&refs, peg.clone(), &opts, shards).unwrap();
             let pipe = store.pipeline();
             for (qi, q) in queries.iter().enumerate() {
                 for threads in [1usize, 0] {

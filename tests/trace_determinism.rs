@@ -29,7 +29,7 @@ fn spawn_server(shards: usize, exec_cache_bytes: usize) -> ServerHandle {
         Server::bind("127.0.0.1:0", ServerConfig { exec_cache_bytes, ..Default::default() })
             .unwrap();
     if shards > 1 {
-        let store = ShardedGraphStore::build(peg, &opts, shards).unwrap();
+        let store = ShardedGraphStore::build(&refs, peg, &opts, shards).unwrap();
         server.insert_sharded_graph("g", store, None);
     } else {
         let offline = OfflineIndex::build(&peg, &opts).unwrap();
@@ -64,9 +64,9 @@ fn run_once(shards: usize) -> Vec<String> {
                 "explain failed (shards {shards}): {raw}"
             );
             // The trace must reach below the stage level: per-path spans
-            // locally, per-(shard,path) scatter units when sharded.
+            // locally, each shard's `shard_retrieve` subtree when sharded.
             assert!(raw.contains(r#""name":"retrieve""#), "no retrieve span: {raw}");
-            let leaf = if shards > 1 { r#""name":"unit""# } else { r#""name":"path""# };
+            let leaf = if shards > 1 { r#""name":"shard_retrieve""# } else { r#""name":"path""# };
             assert!(raw.contains(leaf), "missing {leaf} span (shards {shards}): {raw}");
             common::canonical(&parsed).to_string()
         })
