@@ -1887,8 +1887,8 @@ mod tests {
     /// A worker indexed at `max_len` 2 answers decomposition paths of at
     /// most 3 query nodes, each node once. A longer path, or one that
     /// repeats a node, is a structured error before any lookup (at α < β
-    /// either would enumerate with no length bound); at α ≥ β, where these
-    /// requests run, it used to be an `ok` reply with empty partials.
+    /// either would enumerate with no length bound). The requests run at
+    /// α ≥ β, so a worker that accepted them would still answer.
     #[test]
     fn a_path_no_plan_can_produce_is_refused() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
