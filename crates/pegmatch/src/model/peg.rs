@@ -1,7 +1,7 @@
 //! Compiling a reference-level network into a probabilistic entity graph.
 
 use crate::error::PegError;
-use crate::merge::{AverageMerge, EdgeMerge, LabelMerge};
+use crate::merge;
 use crate::model::existence::{ExistenceModel, ExistenceOptions};
 use graphstore::dist::{CondTable, EdgeProbability, LabelDist, LabelRow};
 use graphstore::{
@@ -27,40 +27,17 @@ impl Peg {
     }
 }
 
-/// Builder for [`Peg`], parameterized by the PGD merge functions.
+/// Builder for [`Peg`]: labels and edges merge by average
+/// ([`merge`]), the paper's evaluation setting.
+#[derive(Default)]
 pub struct PegBuilder {
-    label_merge: Box<dyn LabelMerge>,
-    edge_merge: Box<dyn EdgeMerge>,
     existence: ExistenceOptions,
 }
 
-impl Default for PegBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PegBuilder {
-    /// Average merges (the paper's evaluation setting) and default existence
-    /// budgets.
+    /// Average merges and default existence budgets.
     pub fn new() -> Self {
-        Self {
-            label_merge: Box::new(AverageMerge),
-            edge_merge: Box::new(AverageMerge),
-            existence: ExistenceOptions::default(),
-        }
-    }
-
-    /// Replaces the node-label merge function `mΣ`.
-    pub fn with_label_merge(mut self, m: impl LabelMerge + 'static) -> Self {
-        self.label_merge = Box::new(m);
-        self
-    }
-
-    /// Replaces the edge-existence merge function `m{T,F}`.
-    pub fn with_edge_merge(mut self, m: impl EdgeMerge + 'static) -> Self {
-        self.edge_merge = Box::new(m);
-        self
+        Self::default()
     }
 
     /// Replaces the existence-component enumeration budgets.
@@ -213,7 +190,7 @@ impl PegBuilder {
             EntityRef::Set(s) => {
                 let rows: Vec<LabelRow<'_>> =
                     refs.ref_set(s).members.iter().map(|&r| refs.reference(r).labels).collect();
-                Cow::Owned(self.label_merge.merge(&rows).as_slice().to_vec())
+                Cow::Owned(LabelDist::average(&rows).as_slice().to_vec())
             }
         }
     }
@@ -285,7 +262,7 @@ impl PegBuilder {
             let merged = if probs.len() == 1 {
                 probs.pop().expect("one pair")
             } else {
-                self.edge_merge.merge(&probs, n_labels)
+                merge::average_edges(&probs, n_labels)
             };
             if merged.is_possible() {
                 edges.push(EntityEdge { a: EntityId(s1), b: EntityId(s2), prob: merged });

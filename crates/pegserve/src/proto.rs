@@ -43,8 +43,9 @@ use std::time::Duration;
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Reference-count ceiling for protocol-initiated graph builds: the
-/// paper's largest evaluation size. Anything bigger must be loaded by the
-/// embedder (`Server::insert_graph`), not by a remote request.
+/// paper's largest evaluation size. Anything bigger must be built by the
+/// embedder and registered, with the reference network it was built from,
+/// through `Server::insert_graph`, not by a remote request.
 pub const MAX_LOAD_SIZE: usize = 1_000_000;
 
 /// Index path-length ceiling for protocol-initiated builds: the paper's
@@ -55,8 +56,9 @@ pub const MAX_LOAD_PATH_LEN: usize = 3;
 
 /// Lowest `beta` a protocol-initiated build may use. `beta` is the path
 /// index's probability-pruning threshold — driving it to 0 disables
-/// pruning and blows up the index; the embedder can still build with any
-/// `beta` via `Server::insert_graph`.
+/// pruning and blows up the index; the embedder can still build a store
+/// with any `beta` and register it via `Server::insert_graph`, whose
+/// updates then keep that `beta`.
 pub const MIN_LOAD_BETA: f64 = 0.01;
 
 /// Shard-count ceiling for protocol-initiated builds: the most addresses

@@ -268,7 +268,7 @@ fn explain_blocks(out: &mut String, answer: &Answer, root: &SpanNode) {
 mod tests {
     use super::*;
     use crate::proto::Query;
-    use crate::server::{Server, ServerConfig};
+    use crate::server::{GraphStore, Server, ServerConfig};
     use graphstore::EntityId;
     use pathindex::PathIndexConfig;
     use pegmatch::matcher::Match;
@@ -308,9 +308,9 @@ mod tests {
                 index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
             };
             let offline = OfflineIndex::build(&peg, &opts).unwrap();
-            server.insert_graph(GRAPH, peg.clone(), offline);
-            let sharded = ShardedGraphStore::build(&refs, peg, &opts, 2).unwrap();
-            server.insert_sharded_graph("sharded", sharded, None);
+            let sharded = ShardedGraphStore::build(&refs, peg.clone(), &opts, 2).unwrap();
+            server.insert_graph(GRAPH, refs.clone(), GraphStore::Unsharded { peg, offline });
+            server.insert_graph("sharded", refs, GraphStore::Sharded(sharded));
             let mut templates = Vec::new();
             for graph in [GRAPH, "sharded"] {
                 for _sight in 0..2 {

@@ -56,10 +56,12 @@
 //!
 //! # Live graphs
 //!
-//! Every protocol-loaded graph (and any graph registered through
-//! [`Server::insert_live_graph`]) is **live**: `update_graph` applies a
-//! mutation batch — upsert/delete entities, edges, linkage evidence —
-//! and the store is incrementally recompiled rather than rebuilt, with
+//! Every registered graph is **live**: it keeps the reference network it
+//! was compiled from (`load_graph` builds from one, and
+//! [`Server::insert_graph`] takes one beside the store), so
+//! `update_graph` applies a mutation batch — upsert/delete entities,
+//! edges, linkage evidence — to it, and the store is incrementally
+//! recompiled with the index options it holds rather than rebuilt, with
 //! replies afterwards **f64-bit-identical** to a from-scratch rebuild of
 //! the mutated network. Each applied batch bumps the graph's mutation
 //! `version` and retires its execution-cache epoch, so no cached plan or
@@ -98,8 +100,8 @@
 //! `graph` may be omitted when exactly one graph is loaded. A graph is
 //! sharded if and only if its `load_graph` names `workers: [addr, ...]`
 //! (an embedder can still register an in-process
-//! [`pegshard::ShardedGraphStore`] through
-//! [`Server::insert_sharded_graph`]); a request still carrying the
+//! [`pegshard::ShardedGraphStore`] as a [`GraphStore::Sharded`] through
+//! [`Server::insert_graph`]); a request still carrying the
 //! retired `shards` field has it ignored like any unknown field. With
 //! workers the graph goes **distributed**: each worker process (any
 //! `pegserve` server, such as `pegcli serve` without `--kind`) receives a
@@ -150,9 +152,9 @@ use crate::json::{obj, Json};
 use crate::proto::{self, ProtoError, QueryOp};
 use crate::reply::{self, Answer, QueryReply, Reply};
 use crate::statsjson;
-use graphstore::RefGraph;
+use graphstore::{GraphOp, RefGraph};
 use pegmatch::error::PegError;
-use pegmatch::live::{UpdatePhases, UpdateStats};
+use pegmatch::live::{self, UpdatePhases, UpdateStats};
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::session::TOPK_START_ALPHA;
@@ -162,6 +164,7 @@ use pegmatch::online::{
 use pegmatch::Peg;
 use pegshard::{
     wire as shard_wire, ShardedGraphStore, TcpTransport, TcpTransportConfig, WorkerShard,
+    WorkerStats,
 };
 use pegtrace::{Counter, Histogram, MetricsRegistry, Tracer};
 use std::collections::HashMap;
@@ -227,7 +230,8 @@ impl Default for ServerConfig {
 
 /// How a loaded graph is stored: one offline index, or partitioned across
 /// shards with scatter-gather retrieval. Both sit behind the same
-/// [`PlanCache`]/`QuerySession` flow and answer bit-identically.
+/// [`PlanCache`]/`QuerySession` flow and answer bit-identically. Only this
+/// type's own methods tell the two apart; the handlers call them.
 pub enum GraphStore {
     /// The classic single store: one PEG, one offline index.
     Unsharded {
@@ -237,7 +241,8 @@ pub enum GraphStore {
         offline: OfflineIndex,
     },
     /// A sharded store: over workers (`load_graph` with `workers`), or
-    /// in process through [`Server::insert_sharded_graph`].
+    /// in process ([`ShardedGraphStore::build`], registered through
+    /// [`Server::insert_graph`]).
     Sharded(ShardedGraphStore),
 }
 
@@ -265,11 +270,60 @@ impl GraphStore {
             GraphStore::Sharded(store) => store.n_shards(),
         }
     }
+
+    /// Applies a mutation batch to this store, compiled from `refs`,
+    /// returning the successor store, the mutated reference network and
+    /// what the batch touched; `self` is untouched. The successor is
+    /// recompiled incrementally with the index options this store already
+    /// holds, and is bit-identical to a from-scratch build of the mutated
+    /// network with them.
+    pub fn apply(
+        &self,
+        refs: &RefGraph,
+        ops: &[GraphOp],
+    ) -> Result<(GraphStore, RefGraph, UpdateStats), PegError> {
+        let builder = PegBuilder::new();
+        match self {
+            GraphStore::Unsharded { peg, offline } => {
+                let opts = OfflineOptions { index: offline.paths.config().clone() };
+                let up = live::apply_ops(&builder, &opts, refs, peg, offline, ops)?;
+                let stats = UpdateStats {
+                    n_dirty: up.n_dirty(),
+                    rebuilt_shards: 0,
+                    reused_components: up.reused_components,
+                    phases: up.phases,
+                };
+                Ok((GraphStore::Unsharded { peg: up.peg, offline: up.index }, up.refs, stats))
+            }
+            GraphStore::Sharded(store) => {
+                let (next, refs, stats) = store.apply_update(refs, &builder, ops)?;
+                Ok((GraphStore::Sharded(next), refs, stats))
+            }
+        }
+    }
+
+    /// Releases what the store holds outside this process: a distributed
+    /// store tells its workers to drop their shards (best-effort) and
+    /// closes its connections. Anything else is freed on drop.
+    pub fn release(&self) {
+        if let GraphStore::Sharded(store) = self {
+            store.release_workers();
+        }
+    }
+
+    /// Per-worker transport counters (`None` unless the store scatters
+    /// over workers).
+    pub fn worker_stats(&self) -> Option<Vec<WorkerStats>> {
+        match self {
+            GraphStore::Unsharded { .. } => None,
+            GraphStore::Sharded(store) => store.worker_stats(),
+        }
+    }
 }
 
-/// One loaded graph: its store and the shared per-graph plan cache all
-/// sessions hit. Dropping the entry (see `unload_graph`) drops the plan
-/// cache with it.
+/// One loaded graph: its store, the reference network the store was
+/// compiled from, and the shared per-graph plan cache all sessions hit.
+/// Dropping the entry (see `unload_graph`) drops the plan cache with it.
 ///
 /// Entries are immutable snapshots: `update_graph` builds a *successor*
 /// entry (new store, fresh plan cache, new epoch, `version + 1`) and
@@ -290,12 +344,9 @@ pub struct GraphEntry {
     /// retrieval keyed by the old epoch unreachable — and the swap
     /// explicitly drops them.
     pub epoch: u64,
-    /// The reference network the store was compiled from — present iff
-    /// the graph is live (mutable via `update_graph`).
-    refs: Option<RefGraph>,
-    /// Offline knobs the store was built with (incremental recompiles
-    /// must reuse them to stay rebuild-equivalent).
-    opts: OfflineOptions,
+    /// The reference network the store was compiled from: what
+    /// `update_graph` applies its batch to.
+    refs: RefGraph,
     /// Mutation counter: 0 at load, bumped by every applied
     /// `update_graph`.
     version: u64,
@@ -306,12 +357,6 @@ pub struct GraphEntry {
 }
 
 impl GraphEntry {
-    /// Whether `update_graph` can mutate this graph (it carries its
-    /// reference network).
-    pub fn is_live(&self) -> bool {
-        self.refs.is_some()
-    }
-
     /// How many mutation batches produced this snapshot.
     pub fn version(&self) -> u64 {
         self.version
@@ -414,46 +459,16 @@ impl Server {
     }
 
     /// Registers a graph under `name` before (or while) serving — the
-    /// embedding-side twin of the protocol's `load_graph`. The graph is
-    /// **static**: without its reference network it cannot be mutated,
-    /// and `update_graph` against it is a structured `bad_request`. Use
-    /// [`Server::insert_live_graph`] to register a mutable graph.
-    pub fn insert_graph(&self, name: &str, peg: Peg, offline: OfflineIndex) {
-        insert_store(&self.state, name, GraphStore::Unsharded { peg, offline }, None);
+    /// embedding-side twin of the protocol's `load_graph`. `store` must
+    /// have been compiled from exactly `refs`: `update_graph` applies its
+    /// batches to `refs` and recompiles the store with the index options
+    /// it holds, and the rebuild-equivalence guarantee is relative to
+    /// them.
+    pub fn insert_graph(&self, name: &str, refs: RefGraph, store: GraphStore) {
+        insert_graph(&self.state, name, refs, store);
     }
 
-    /// Registers a **live** (mutable) graph: the reference network `refs`
-    /// and the offline options the store was built with ride along, so
-    /// `update_graph` can incrementally recompile. `peg`/`offline` must
-    /// have been built from exactly `refs` with exactly `opts` — the
-    /// rebuild-equivalence guarantee is relative to them.
-    pub fn insert_live_graph(
-        &self,
-        name: &str,
-        refs: RefGraph,
-        peg: Peg,
-        offline: OfflineIndex,
-        opts: OfflineOptions,
-    ) {
-        let store = GraphStore::Unsharded { peg, offline };
-        insert_store(&self.state, name, store, Some((refs, opts)));
-    }
-
-    /// Registers a pre-built sharded store under `name` — in process
-    /// ([`ShardedGraphStore::build`], which no request can ask for) or over
-    /// workers. Pass `Some(refs)` (the network the store was built from)
-    /// to make the graph live; `None` registers it static.
-    pub fn insert_sharded_graph(
-        &self,
-        name: &str,
-        store: ShardedGraphStore,
-        refs: Option<RefGraph>,
-    ) {
-        let live = refs.map(|r| (r, store.offline_options().clone()));
-        insert_store(&self.state, name, GraphStore::Sharded(store), live);
-    }
-
-    /// Builds and registers a live graph from a generator spec — the
+    /// Builds and registers a graph from a generator spec — the
     /// wire's `load_graph`, callable: same build, same admission permit,
     /// same reply. A coordinator and its workers are only bit-exact if
     /// they build from the same [`GraphSpec`] mapper, so embedders that
@@ -514,24 +529,14 @@ impl Server {
     }
 }
 
-fn insert_store(
-    state: &ServerState,
-    name: &str,
-    store: GraphStore,
-    live: Option<(RefGraph, OfflineOptions)>,
-) {
+fn insert_graph(state: &ServerState, name: &str, refs: RefGraph, store: GraphStore) {
     let epoch = state.exec_cache.as_ref().map_or(0, |c| c.next_epoch());
-    let (refs, opts) = match live {
-        Some((refs, opts)) => (Some(refs), opts),
-        None => (None, OfflineOptions::default()),
-    };
     let entry = Arc::new(GraphEntry {
         name: name.to_string(),
         store,
         plans: Arc::new(PlanCache::new()),
         epoch,
         refs,
-        opts,
         version: 0,
         update_lock: Arc::new(Mutex::new(())),
     });
@@ -854,10 +859,7 @@ fn load_graph(state: &ServerState, r: &proto::LoadGraph) -> Result<Json, ProtoEr
             .field("replication_factor", s.replication_factor);
         GraphStore::Sharded(sharded)
     };
-    // Protocol-loaded graphs are live: the reference network the build
-    // started from rides along so `update_graph` can recompile it
-    // incrementally.
-    insert_store(state, &name, store, Some((refs, opts)));
+    insert_graph(state, &name, refs, store);
     Ok(reply.field("build_us", t0.elapsed().as_micros() as u64).build())
 }
 
@@ -979,9 +981,7 @@ fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, ProtoError> 
     let removed = state.graphs.lock().unwrap().remove(name);
     match removed {
         Some(entry) => {
-            if let GraphStore::Sharded(store) = &entry.store {
-                store.release_workers();
-            }
+            entry.store.release();
             // Drop the graph's cached retrievals now rather than letting
             // them age out: the epoch is never reissued, so the entries
             // are pure dead weight against the byte budget.
@@ -998,8 +998,8 @@ fn op_unload_graph(state: &ServerState, name: &str) -> Result<Json, ProtoError> 
     }
 }
 
-/// The tentpole mutation handler: applies a batch of graph ops to a live
-/// graph and swaps in an incrementally-recompiled successor entry.
+/// The mutation handler: applies a batch of graph ops to a graph and
+/// swaps in an incrementally-recompiled successor entry.
 ///
 /// Copy-on-write, not in-place: the resolved entry (and every store
 /// snapshot an in-flight request holds) is never touched. The successor
@@ -1029,33 +1029,10 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
             entry.name
         )));
     }
-    let Some(refs) = entry.refs.as_ref() else {
-        return Err(proto::bad(format!(
-            "graph '{}' is not live (registered without its reference network); \
-                 reload it via load_graph or insert_live_graph",
-            entry.name
-        )));
-    };
     // A mutation recompiles on the shared pool — compute like a session.
     let _permit = state.admission.admit()?;
     let t0 = Instant::now();
-    let builder = PegBuilder::new();
-    let (store, new_refs, stats) = match &entry.store {
-        GraphStore::Unsharded { peg, offline } => {
-            let up = pegmatch::live::apply_ops(&builder, &entry.opts, refs, peg, offline, &r.ops)?;
-            let stats = UpdateStats {
-                n_dirty: up.n_dirty(),
-                rebuilt_shards: 0,
-                reused_components: up.reused_components,
-                phases: up.phases,
-            };
-            (GraphStore::Unsharded { peg: up.peg, offline: up.index }, up.refs, stats)
-        }
-        GraphStore::Sharded(sharded) => {
-            let (next, new_refs, stats) = sharded.apply_update(refs, &builder, &r.ops)?;
-            (GraphStore::Sharded(next), new_refs, stats)
-        }
-    };
+    let (store, refs, stats) = entry.store.apply(&entry.refs, &r.ops)?;
     let (nodes, edges) = (store.peg().graph.n_nodes(), store.peg().graph.n_edges());
     let shards = store.n_shards();
     let epoch = state.exec_cache.as_ref().map_or(entry.epoch + 1, |c| c.next_epoch());
@@ -1064,8 +1041,7 @@ fn op_update_graph(state: &ServerState, r: &proto::UpdateGraph) -> Result<Json, 
         store,
         plans: Arc::new(PlanCache::new()),
         epoch,
-        refs: Some(new_refs),
-        opts: entry.opts.clone(),
+        refs,
         version: entry.version + 1,
         update_lock: Arc::clone(&entry.update_lock),
     });
@@ -1410,12 +1386,7 @@ fn op_stats(state: &ServerState) -> Json {
             // Distributed graphs report their per-worker transport
             // counters — rendered by the one shared schema helper, the
             // same one pegcli's pretty printer reads.
-            let workers: Option<Json> = match &g.store {
-                GraphStore::Sharded(store) => {
-                    store.worker_stats().map(|ws| statsjson::workers_json(&ws))
-                }
-                GraphStore::Unsharded { .. } => None,
-            };
+            let workers = g.store.worker_stats().map(|ws| statsjson::workers_json(&ws));
             // Per-graph execution-cache residency: how much of the
             // server-wide budget this graph's epoch currently holds.
             let exec: Option<Json> = state.exec_cache.as_ref().map(|cache| {
@@ -1431,7 +1402,6 @@ fn op_stats(state: &ServerState) -> Json {
                 .field("nodes", g.store.peg().graph.n_nodes())
                 .field("edges", g.store.peg().graph.n_edges())
                 .field("shards", g.store.n_shards())
-                .field("live", g.is_live())
                 .field("version", g.version)
                 .field_opt("workers", workers)
                 .field(
@@ -1488,7 +1458,7 @@ mod tests {
             index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
         };
         let offline = OfflineIndex::build(&peg, &opts).unwrap();
-        server.insert_live_graph("tiny", refs, peg, offline, opts);
+        server.insert_graph("tiny", refs, GraphStore::Unsharded { peg, offline });
         let handle = server.spawn();
         let client = Client::connect(handle.addr).unwrap();
         (handle, client)
@@ -2355,9 +2325,6 @@ mod tests {
         let stats = client.request(&Json::parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
         let graphs = stats.get("graphs").unwrap().as_arr().unwrap();
         assert_eq!(graphs.len(), 4, "{stats}");
-        for g in graphs {
-            assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
-        }
         handle.shutdown().unwrap();
         shutdown_all(workers);
     }
@@ -2415,44 +2382,63 @@ mod tests {
 
     #[test]
     fn update_graph_matches_fresh_rebuild_bitwise() {
-        let (handle, mut client) = tiny_server(ServerConfig::default());
-        let ops = mutation_ops();
-        let reply = client.request(&update_request(&ops)).unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-        assert_eq!(reply.get("version").and_then(Json::as_u64), Some(1), "{reply}");
-        assert!(reply.get("n_dirty").unwrap().as_usize().unwrap() > 0, "{reply}");
+        // The same batch on an unsharded graph and on an in-process
+        // 3-shard one, each registered with the network it was built from.
+        let opts = OfflineOptions {
+            index: PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
+        };
+        let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
+            200, 0.2,
+        ));
+        let peg = PegBuilder::new().build(&refs).unwrap();
+        let offline = OfflineIndex::build(&peg, &opts).unwrap();
+        let sharded = ShardedGraphStore::build(&refs, peg.clone(), &opts, 3).unwrap();
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        server.insert_graph("tiny", refs.clone(), GraphStore::Unsharded { peg, offline });
+        server.insert_graph("sharded", refs.clone(), GraphStore::Sharded(sharded));
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr).unwrap();
 
         // A second server built from scratch over the locally-mutated
         // network must answer bit-identically.
-        let mut refs = datagen::synthetic_refgraph(
-            &datagen::SyntheticConfig::paper_with_uncertainty(200, 0.2),
-        );
+        let ops = mutation_ops();
+        let mut refs = refs;
         refs.apply_all(&ops).unwrap();
         let peg = PegBuilder::new().build(&refs).unwrap();
-        assert_eq!(reply.get("nodes").and_then(Json::as_usize), Some(peg.graph.n_nodes()));
-        assert_eq!(reply.get("edges").and_then(Json::as_usize), Some(peg.graph.n_edges()));
-        let opts = OfflineOptions {
-            index: pathindex::PathIndexConfig { max_len: 2, beta: 0.3, ..Default::default() },
-        };
+        let (nodes, edges) = (peg.graph.n_nodes(), peg.graph.n_edges());
         let offline = OfflineIndex::build(&peg, &opts).unwrap();
         let fresh = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        fresh.insert_live_graph("tiny", refs, peg, offline, opts);
+        fresh.insert_graph("tiny", refs, GraphStore::Unsharded { peg, offline });
         let fresh_handle = fresh.spawn();
         let mut fresh_client = Client::connect(fresh_handle.addr).unwrap();
-        for pattern in ["(x:l0)-(y:l1)", "(a:l1)-(b:l0)-(c:l2)"] {
-            for alpha in [0.1, 0.3] {
-                assert_eq!(
-                    matches_text(&mut client, "tiny", pattern, alpha),
-                    matches_text(&mut fresh_client, "tiny", pattern, alpha),
-                    "{pattern} at {alpha}"
-                );
+        for (graph, shards) in [("tiny", 1), ("sharded", 3)] {
+            let req = obj()
+                .field("op", "update_graph")
+                .field("graph", graph)
+                .field("ops", shard_wire::encode_ops(&ops))
+                .build();
+            let reply = client.request(&req).unwrap();
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+            assert_eq!(reply.get("version").and_then(Json::as_u64), Some(1), "{reply}");
+            assert_eq!(reply.get("shards").and_then(Json::as_usize), Some(shards), "{reply}");
+            assert!(reply.get("n_dirty").unwrap().as_usize().unwrap() > 0, "{reply}");
+            assert_eq!(reply.get("nodes").and_then(Json::as_usize), Some(nodes), "{reply}");
+            assert_eq!(reply.get("edges").and_then(Json::as_usize), Some(edges), "{reply}");
+            for pattern in ["(x:l0)-(y:l1)", "(a:l1)-(b:l0)-(c:l2)"] {
+                for alpha in [0.1, 0.3] {
+                    assert_eq!(
+                        matches_text(&mut client, graph, pattern, alpha),
+                        matches_text(&mut fresh_client, "tiny", pattern, alpha),
+                        "{graph}: {pattern} at {alpha}"
+                    );
+                }
             }
         }
-        // Stats report the graph live at version 1.
+        // Stats report both graphs at version 1.
         let stats = client.request(&Json::parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
-        let g = &stats.get("graphs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(g.get("live"), Some(&Json::Bool(true)), "{stats}");
-        assert_eq!(g.get("version").and_then(Json::as_u64), Some(1), "{stats}");
+        for g in stats.get("graphs").unwrap().as_arr().unwrap() {
+            assert_eq!(g.get("version").and_then(Json::as_u64), Some(1), "{stats}");
+        }
         fresh_handle.shutdown().unwrap();
         handle.shutdown().unwrap();
     }
@@ -2538,33 +2524,6 @@ mod tests {
             stats.get("exec_cache").unwrap().get("hits").unwrap().as_u64().unwrap() > hits_before,
             "{stats}"
         );
-        handle.shutdown().unwrap();
-    }
-
-    #[test]
-    fn update_graph_requires_a_live_graph() {
-        // A graph registered without its reference network is static.
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let refs = datagen::synthetic_refgraph(&datagen::SyntheticConfig::paper_with_uncertainty(
-            120, 0.2,
-        ));
-        let peg = PegBuilder::new().build(&refs).unwrap();
-        let opts = OfflineOptions::default();
-        let offline = OfflineIndex::build(&peg, &opts).unwrap();
-        server.insert_graph("frozen", peg, offline);
-        let handle = server.spawn();
-        let mut client = Client::connect(handle.addr).unwrap();
-        let reply = client.request(&update_request(&mutation_ops())).unwrap();
-        assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
-        assert!(
-            reply.get("message").and_then(Json::as_str).unwrap().contains("not live"),
-            "{reply}"
-        );
-        // Unknown graphs and malformed batches stay structured too.
-        let reply = client
-            .request(&Json::parse(r#"{"op":"update_graph","graph":"nope","ops":[]}"#).unwrap())
-            .unwrap();
-        assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{reply}");
         handle.shutdown().unwrap();
     }
 

@@ -201,7 +201,7 @@ impl ShardedGraphStore {
     /// Partitions `peg` — compiled from `refs` — into `n_shards`
     /// in-process [`WorkerShard`](crate::WorkerShard)s and builds each
     /// shard's offline index with `opts`: the transport's test double (a
-    /// server takes one through `insert_sharded_graph`, never from a
+    /// server takes one through `Server::insert_graph`, never from a
     /// request). Each shard keeps its own copy of `refs` and `peg` to
     /// apply live batches, as a worker process does. `n_shards == 1` is the
     /// degenerate single-shard store — same machinery, no boundary
@@ -291,8 +291,8 @@ impl ShardedGraphStore {
         &self.peg
     }
 
-    /// The offline index configuration every shard was built with.
-    /// Live-graph embedders register the store for mutation with it.
+    /// The offline index configuration every shard was built with, and
+    /// with which [`ShardedGraphStore::apply_update`] recompiles them.
     pub fn offline_options(&self) -> &OfflineOptions {
         &self.opts
     }

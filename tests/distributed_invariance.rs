@@ -25,7 +25,7 @@ use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{CandidateSource, QueryOptions, QueryPipeline};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
-use pegserve::{obj, Client, GraphSpec, Json, Server, ServerConfig, ServerHandle};
+use pegserve::{obj, Client, GraphSpec, GraphStore, Json, Server, ServerConfig, ServerHandle};
 use pegshard::{ShardedGraphStore, TcpTransport, TcpTransportConfig};
 use std::time::{Duration, Instant};
 
@@ -68,9 +68,10 @@ fn connect_store(spec: &GraphSpec, addrs: &[String], io_timeout: Duration) -> Sh
 /// protocol — plus a client connected to it.
 fn spawn_coordinator(spec: &GraphSpec, addrs: &[String]) -> (ServerHandle, Client) {
     let coordinator = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let peg = full_peg(spec);
+    let refs = spec.build_refs();
+    let peg = PegBuilder::new().build(&refs).unwrap();
     let offline = OfflineIndex::build(&peg, &offline_opts()).unwrap();
-    coordinator.insert_graph("local", peg, offline);
+    coordinator.insert_graph("local", refs, GraphStore::Unsharded { peg, offline });
     let coord = coordinator.spawn();
     let mut client = Client::connect(coord.addr).unwrap();
     let load = obj()
@@ -225,7 +226,7 @@ fn in_process_and_distributed_explains_trace_alike() {
     let peg = PegBuilder::new().build(&refs).unwrap();
     let store = ShardedGraphStore::build(&refs, peg, &offline_opts(), 2).unwrap();
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    server.insert_sharded_graph("dist", store, None);
+    server.insert_graph("dist", refs, GraphStore::Sharded(store));
     let in_process = server.spawn();
     let in_process_span = explain_span(&mut Client::connect(in_process.addr).unwrap());
 

@@ -13,7 +13,7 @@ use pegmatch::offline::{OfflineIndex, OfflineOptions};
 use pegmatch::online::{QueryOptions, QueryPipeline};
 use pegmatch::query::QueryGraph;
 use pegmatch::Peg;
-use pegserve::{obj, Client, Json, Server, ServerConfig};
+use pegserve::{obj, Client, GraphStore, Json, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 const GRAPH_SIZE: usize = 300;
@@ -86,7 +86,7 @@ fn concurrent_clients_match_direct_pipeline_bit_exactly() {
     }
     let alpha = 0.3;
 
-    let (server_peg, server_offline, _) = build_workload();
+    let (server_peg, server_offline, refs) = build_workload();
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -97,7 +97,11 @@ fn concurrent_clients_match_direct_pipeline_bit_exactly() {
         },
     )
     .unwrap();
-    server.insert_graph("g", server_peg, server_offline);
+    server.insert_graph(
+        "g",
+        refs,
+        GraphStore::Unsharded { peg: server_peg, offline: server_offline },
+    );
     let handle = server.spawn();
     let addr = handle.addr;
 
@@ -192,7 +196,7 @@ fn concurrent_clients_match_direct_pipeline_bit_exactly() {
 
 #[test]
 fn admission_limits_reject_with_structured_errors() {
-    let (peg, offline, _) = build_workload();
+    let (peg, offline, refs) = build_workload();
     // One session, no queue, short deadline: a held session forces every
     // concurrent request into an immediate structured rejection.
     let server = Server::bind(
@@ -206,7 +210,7 @@ fn admission_limits_reject_with_structured_errors() {
         },
     )
     .unwrap();
-    server.insert_graph("g", peg, offline);
+    server.insert_graph("g", refs, GraphStore::Unsharded { peg, offline });
     let handle = server.spawn();
     let addr = handle.addr;
 
@@ -269,7 +273,7 @@ fn admission_limits_reject_with_structured_errors() {
 
 #[test]
 fn queued_requests_time_out_at_the_deadline() {
-    let (peg, offline, _) = build_workload();
+    let (peg, offline, refs) = build_workload();
     // One session, one queue slot, 100ms deadline: a queued request under
     // a long-held session times out with a structured reply — it never
     // hangs for the full hold.
@@ -284,7 +288,7 @@ fn queued_requests_time_out_at_the_deadline() {
         },
     )
     .unwrap();
-    server.insert_graph("g", peg, offline);
+    server.insert_graph("g", refs, GraphStore::Unsharded { peg, offline });
     let handle = server.spawn();
     let addr = handle.addr;
 
@@ -345,7 +349,7 @@ fn sharded_server_matches_direct_pipeline_bit_exactly() {
     )
     .unwrap();
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    server.insert_sharded_graph("g", store, None);
+    server.insert_graph("g", refs, GraphStore::Sharded(store));
     let handle = server.spawn();
     let addr = handle.addr;
 

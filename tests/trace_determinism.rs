@@ -15,7 +15,7 @@ use datagen::{synthetic_refgraph, SyntheticConfig};
 use pathindex::PathIndexConfig;
 use pegmatch::model::PegBuilder;
 use pegmatch::offline::{OfflineIndex, OfflineOptions};
-use pegserve::{Client, Json, Server, ServerConfig, ServerHandle};
+use pegserve::{Client, GraphStore, Json, Server, ServerConfig, ServerHandle};
 use pegshard::ShardedGraphStore;
 
 const GRAPH_SIZE: usize = 300;
@@ -30,10 +30,10 @@ fn spawn_server(shards: usize, exec_cache_bytes: usize) -> ServerHandle {
             .unwrap();
     if shards > 1 {
         let store = ShardedGraphStore::build(&refs, peg, &opts, shards).unwrap();
-        server.insert_sharded_graph("g", store, None);
+        server.insert_graph("g", refs, GraphStore::Sharded(store));
     } else {
         let offline = OfflineIndex::build(&peg, &opts).unwrap();
-        server.insert_graph("g", peg, offline);
+        server.insert_graph("g", refs, GraphStore::Unsharded { peg, offline });
     }
     server.spawn()
 }
