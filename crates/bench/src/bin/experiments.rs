@@ -701,7 +701,9 @@ fn run_traced(
 /// so whichever run a trial's second slot favours or penalises falls on
 /// both modes alike. The overhead is the **median of the per-trial on/off
 /// ratios**: back-to-back pairs cancel drift, and the median ignores the
-/// odd trial in which one mode finds a quiet core. Each trial also times
+/// odd trial in which one mode finds a quiet core — the minimum of forty
+/// trials still read anywhere from -20% to +11% on the parallel rows.
+/// Each trial also times
 /// an untraced A/A pair (off against off, alternated the same way),
 /// printed beside the gated row: the overhead this machine reports when
 /// nothing differs, against which the gated figure is read. Every row is
